@@ -1077,7 +1077,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=None,
         metavar="RATE",
-        help="fail (exit 1) when fast-path placement throughput drops below "
+        help="fail (exit 1) when placement throughput drops below "
         "RATE candidates/s on either machine (the CI regression floor)",
     )
     bench_parser.add_argument(

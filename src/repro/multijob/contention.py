@@ -14,12 +14,11 @@ the flow freezes.  By construction the allocation *conserves bandwidth*: on
 every resource the weighted sum of the granted rates never exceeds the
 capacity, which the property tests assert for random instances.
 
-Two implementations share one fixed accumulation order (flows in the order
-the caller listed them, resources in registration order), so their rates are
-bit-for-bit equal: a dict-based scalar path, kept as the reference behind
-``REPRO_DISABLE_FASTPATH``, and a vectorised path that water-fills over a
-flows×resources numpy weight matrix and memoises whole allocations per
-active-flow tuple (a fluid runtime re-requests the same set every slice).
+The solver water-fills over a flows×resources numpy weight matrix in one
+fixed accumulation order (flows in the order the caller listed them,
+resources in registration order), so its rates are bit-for-bit equal to the
+plain dict-based loop kept as a test oracle; whole allocations are memoised
+per active-flow tuple (a fluid runtime re-requests the same set every slice).
 """
 
 from __future__ import annotations
@@ -32,7 +31,6 @@ import numpy as np
 from repro.obs import recorder as obs_recorder
 from repro.topology.base import Topology
 from repro.topology.mapping import RankMapping
-from repro.utils.fastpath import fastpath_enabled
 from repro.utils.validation import require, require_positive
 
 #: Relative tolerance used when deciding that a resource is saturated or a
@@ -137,99 +135,41 @@ class ContentionLedger:
             lowering that of a flow with a smaller or equal rate.
 
         Observability: ``sim.contention_iterations`` counts water-fill
-        iterations and is identical on both paths (a memo hit re-counts the
-        iterations the cached allocation cost); ``sim.contention_allocations``
-        counts allocations actually solved, so it drops when the memo hits.
+        iterations (a memo hit re-counts the iterations the cached
+        allocation cost); ``sim.contention_allocations`` counts allocations
+        actually solved, so it drops when the memo hits.
         """
         ids = list(self.flows) if active is None else list(active)
         for flow_id in ids:
             require(flow_id in self.flows, f"unknown flow {flow_id!r}")
         rec = obs_recorder()
-        if fastpath_enabled():
-            key = tuple(ids)
-            cached = self._alloc_cache.get(key)
-            if cached is not None:
-                rate, iterations = cached
-                if rec is not None:
-                    rec.inc("sim.contention_iterations", iterations)
-                    rec.inc("sim.contention_cache_hits")
-                return dict(rate)
-            rate, iterations = self._allocate_vectorised(ids)
-            if len(self._alloc_cache) >= _MAX_ALLOC_CACHE:
-                self._alloc_cache.clear()
-            self._alloc_cache[key] = (rate, iterations)
-            rate = dict(rate)
-        else:
-            rate, iterations = self._allocate_scalar(ids)
+        key = tuple(ids)
+        cached = self._alloc_cache.get(key)
+        if cached is not None:
+            rate, iterations = cached
+            if rec is not None:
+                rec.inc("sim.contention_iterations", iterations)
+                rec.inc("sim.contention_cache_hits")
+            return dict(rate)
+        rate, iterations = self._allocate_vectorised(ids)
+        if len(self._alloc_cache) >= _MAX_ALLOC_CACHE:
+            self._alloc_cache.clear()
+        self._alloc_cache[key] = (rate, iterations)
         if rec is not None:
             rec.inc("sim.contention_iterations", iterations)
             rec.inc("sim.contention_allocations")
-        return rate
-
-    def _allocate_scalar(self, ids: Sequence[str]) -> tuple[dict[str, float], int]:
-        """Reference progressive-filling loop over plain dicts.
-
-        Flows are visited in ``ids`` order and resources in registration
-        order everywhere a float accumulates, so the result is reproducible
-        and bit-comparable with the vectorised path.
-        """
-        rate = {flow_id: 0.0 for flow_id in ids}
-        used = {key: 0.0 for key in self.resources}
-        unfrozen = list(ids)
-        iterations = 0
-        while unfrozen:
-            iterations += 1
-            # How far can every unfrozen rate rise together?
-            step = min(
-                self.flows[flow_id].demand - rate[flow_id] for flow_id in unfrozen
-            )
-            binding_keys: list[tuple] = []
-            for key, capacity in self.resources.items():
-                weight_sum = 0.0
-                for flow_id in unfrozen:
-                    weight_sum += self.flows[flow_id].weights.get(key, 0.0)
-                if weight_sum <= 0.0:
-                    continue
-                headroom = (capacity - used[key]) / weight_sum
-                if headroom < step - _EPS * capacity:
-                    step = max(0.0, headroom)
-                    binding_keys = [key]
-                elif abs(headroom - step) <= _EPS * capacity:
-                    binding_keys.append(key)
-            if step > 0.0:
-                for flow_id in unfrozen:
-                    rate[flow_id] += step
-                    for key, weight in self.flows[flow_id].weights.items():
-                        used[key] += step * weight
-            # Freeze flows that hit their demand or touch a saturated resource.
-            saturated = set(binding_keys)
-            for key, capacity in self.resources.items():
-                if used[key] >= capacity * (1.0 - _EPS):
-                    saturated.add(key)
-            newly_frozen = {
-                flow_id
-                for flow_id in unfrozen
-                if rate[flow_id] >= self.flows[flow_id].demand * (1.0 - _EPS)
-                or any(key in saturated for key in self.flows[flow_id].weights)
-            }
-            if not newly_frozen:
-                # Every remaining flow advanced to its demand cap.
-                break
-            unfrozen = [
-                flow_id for flow_id in unfrozen if flow_id not in newly_frozen
-            ]
-        return rate, iterations
+        return dict(rate)
 
     def _allocate_vectorised(
         self, ids: Sequence[str]
     ) -> tuple[dict[str, float], int]:
         """Progressive filling over a flows×resources weight matrix.
 
-        Bit-for-bit equal to :meth:`_allocate_scalar`: ``np.add.reduce``
-        along axis 0 accumulates rows strictly in order (numpy's pairwise
-        summation only applies along the contiguous axis), so the per-key
-        weight sums and usage updates run through the identical sequence of
-        IEEE additions as the scalar loop's flow-by-flow accumulation —
+        Bit-for-bit equal to a dict-based loop that accumulates flow by
+        flow (the tests' scalar oracle): ``np.add.reduce`` along axis 0
+        accumulates rows strictly in order (numpy's pairwise summation only
+        applies along the contiguous axis), so the per-key weight sums and
+        usage updates run through the identical sequence of IEEE additions —
         adding a zero weight is an exact no-op on the non-negative partial
         sums — and the binding-resource scan replays the scalar loop's
         sequential first-hit semantics.
@@ -291,7 +231,7 @@ class ContentionLedger:
     ) -> tuple[float, np.ndarray]:
         """Replay the scalar loop's sequential binding-resource scan.
 
-        The scalar path walks resources in order, lowering ``step`` at every
+        The scalar loop walks resources in order, lowering ``step`` at every
         resource whose headroom undercuts it and restarting the binding list
         there.  Between two strict undercuts ``step`` is constant, so the
         next undercut is simply the first later resource below the current
@@ -346,7 +286,7 @@ class LinkContentionFactors:
 
     The factor only depends on the endpoint *nodes*, so worst-link background
     loads are memoised per node pair: the batched
-    :meth:`bandwidth_factors` used by the placement fast path walks each
+    :meth:`bandwidth_factors` used by the placement cost model walks each
     distinct route once (served from the topology's route cache) instead of
     re-walking ``topology.route()`` for every rank pair.
 
@@ -396,10 +336,18 @@ class LinkContentionFactors:
         """Sharing factor of each rank's route to one destination node.
 
         The batched twin of :meth:`bandwidth_factor` used by the placement
-        fast path: one node-array gather plus one memoised route walk per
-        distinct source node.
+        cost model: one node-array gather plus one memoised route walk per
+        distinct source node.  Out-of-range ranks raise the same
+        ``ValueError`` as :meth:`RankMapping.node` (numpy would otherwise
+        wrap a negative rank onto the last node).
         """
-        src_nodes = self.mapping.node_array[np.asarray(src_ranks, dtype=np.intp)]
+        ranks = np.asarray(src_ranks, dtype=np.intp)
+        num_ranks = self.mapping.num_ranks
+        outside = (ranks < 0) | (ranks >= num_ranks)
+        if outside.any():
+            bad = int(ranks[outside][0])
+            raise ValueError(f"rank {bad} out of range [0, {num_ranks})")
+        src_nodes = self.mapping.node_array[ranks]
         if not self._loads:
             return np.ones(src_nodes.shape)
         nodes, inverse = np.unique(src_nodes, return_inverse=True)

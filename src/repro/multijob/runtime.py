@@ -27,7 +27,6 @@ from repro.machine.machine import Machine
 from repro.multijob.allocator import NodeAllocator
 from repro.multijob.contention import ContentionLedger
 from repro.multijob.job import Job, JobSpec, bind_job
-from repro.utils.fastpath import fastpath_enabled
 from repro.utils.validation import require, require_positive
 
 #: Completion tolerance: a job is done when this close to its total bytes.
@@ -188,13 +187,7 @@ class MultiJobRuntime:
     # ------------------------------------------------------------------ #
 
     def run(self) -> InterferenceReport:
-        """Advance all jobs to completion and report per-job slowdowns.
-
-        Dispatches to a vectorised slice loop when the fast path is on and
-        to the original per-job scalar loop otherwise; the two evolve the
-        identical sequence of ledger calls and IEEE arithmetic, so outcomes
-        and peak utilizations are bit-for-bit equal.
-        """
+        """Advance all jobs to completion and report per-job slowdowns."""
         report = InterferenceReport()
         for index, job_a in enumerate(self.jobs):
             for job_b in self.jobs[index + 1 :]:
@@ -207,10 +200,7 @@ class MultiJobRuntime:
             for job in self.jobs
         }
         now = min(job.ready_s for job in self.jobs)
-        if fastpath_enabled():
-            self._advance_vectorised(peak, now)
-        else:
-            self._advance_scalar(peak, now)
+        self._advance(peak, now)
         for job in self.jobs:
             shared_io = max(job.finish_s - job.io_start_s, 0.0)
             isolated_io = solo_io_s[job.name]
@@ -242,65 +232,8 @@ class MultiJobRuntime:
             f"resource they touch is saturated: {keys}"
         )
 
-    def _advance_scalar(self, peak: dict[tuple, float], now: float) -> None:
-        """The original per-job fluid loop over plain Python state."""
-        done_at = {
-            job.name: job.total_bytes
-            - max(_BYTES_EPS, job.total_bytes * _REL_BYTES_EPS)
-            for job in self.jobs
-        }
-        pending = {job.name: job for job in self.jobs}
-        while pending:
-            active = [
-                job for job in pending.values() if job.ready_s <= now + _BYTES_EPS
-            ]
-            future_ready = [
-                job.ready_s for job in pending.values() if job.ready_s > now
-            ]
-            if not active:
-                now = min(future_ready)
-                continue
-            for job in active:
-                if job.io_start_s is None:
-                    job.io_start_s = max(now, job.ready_s)
-            rates = self.ledger.allocate([job.name for job in active])
-            if all(rates[job.name] == 0.0 for job in active):
-                # Nothing moves this slice; jump to the next arrival, or —
-                # when there is none — nothing will ever move again.
-                if not future_ready:
-                    raise self._starved([job.name for job in active])
-                now = min(future_ready)
-                continue
-            for key, usage in self.ledger.utilization(rates).items():
-                capacity = self.ledger.resources[key]
-                peak[key] = max(peak[key], usage / capacity)
-            # Advance to the earliest of: slice end, a completion, an arrival.
-            horizon = now + self.slice_s
-            if future_ready:
-                horizon = min(horizon, min(future_ready))
-            for job in active:
-                rate = rates[job.name]
-                if rate > 0.0:
-                    remaining = job.total_bytes - job.bytes_done
-                    horizon = min(horizon, now + remaining / rate)
-            dt = max(horizon - now, 0.0)
-            for job in active:
-                job.bytes_done += rates[job.name] * dt
-            now = horizon
-            completed = False
-            for job in list(active):
-                if job.bytes_done >= done_at[job.name]:
-                    job.finish_s = now
-                    self.ledger.remove_flow(job.name)
-                    del pending[job.name]
-                    completed = True
-            if dt == 0.0 and not completed:
-                # A zero-width slice that completes nothing recomputes the
-                # identical state next iteration — a numerical stall.
-                raise self._starved([job.name for job in active])
-
-    def _advance_vectorised(self, peak: dict[tuple, float], now: float) -> None:
-        """Array-state twin of :meth:`_advance_scalar`.
+    def _advance(self, peak: dict[tuple, float], now: float) -> None:
+        """The fluid slice loop: run every pending job to completion.
 
         Per-job bytes and readiness live in numpy arrays, every completion
         horizon folds into one ``np.min``, and — because the ledger memoises
@@ -308,8 +241,8 @@ class MultiJobRuntime:
         is a dict hit whenever the active set is unchanged.  Peak
         utilization only changes when the active set (and therefore the
         memoised allocation) does, so it is re-folded just on those slices;
-        each individual update uses the same arithmetic as the scalar loop,
-        keeping the report bit-identical.
+        each individual update uses the same arithmetic as a plain per-job
+        loop (the tests' scalar oracle), keeping the report bit-identical.
         """
         jobs = self.jobs
         names = [job.name for job in jobs]

@@ -10,7 +10,7 @@ experiment runner, the autotuner, and the serve daemon.  Three pieces:
   :class:`Histogram` value types.
 * :mod:`repro.obs.recorder` — the process-local :class:`Recorder` behind
   :func:`recorder` / :func:`span`, a strict no-op while disabled so the
-  byte-identical-artifact and fast-path throughput guarantees are
+  byte-identical-artifact and placement throughput guarantees are
   untouched.  Enable with ``REPRO_TRACE=...``, ``--trace FILE``, or
   :func:`enable`.
 * :mod:`repro.obs.export` — Chrome trace-event JSON
@@ -24,7 +24,7 @@ Instrumented call sites follow one pattern::
     with span("placement", strategy=name):      # no-op object when off
         rec = recorder()                        # None when off
         if rec is not None:
-            rec.inc("costmodel.candidates", n, path="fast")
+            rec.inc("costmodel.candidates", n)
 """
 
 from repro.obs.clock import WALL_DECIMALS, elapsed_s, now, round_wall, timed

@@ -10,7 +10,7 @@ load plus a ``None`` check::
         rec.inc("sim.bytes_moved", nbytes, link="inter")
 
 and :func:`span` hands back one shared, reusable no-op context manager.
-That is the zero-overhead-when-off guarantee the fast-path throughput
+That is the zero-overhead-when-off guarantee the placement throughput
 floor and the byte-identical-artifact check both rely on — nothing here
 ever touches model state, only host-side clocks and tallies.
 

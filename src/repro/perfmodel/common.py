@@ -10,7 +10,6 @@ from repro.machine.machine import Machine
 from repro.storage.base import FileSystemModel
 from repro.storage.lustre import LustreModel, LustreStripeConfig
 from repro.topology.mapping import RankMapping, block_mapping
-from repro.utils.fastpath import fastpath_enabled
 from repro.utils.validation import require, require_positive
 from repro.workloads.base import Workload
 
@@ -48,14 +47,14 @@ class ModelContext:
 
     def nodes_of_ranks(self, ranks: list[int]) -> list[int]:
         """Distinct nodes hosting ``ranks`` (ascending)."""
-        if fastpath_enabled() and len(ranks) > 8:
-            # Vectorised fast path: one gather + unique instead of a Python
-            # bounds-checked lookup per rank.  The threshold only skips
-            # partitions small enough that building the index array costs
-            # more than it saves — interference scenarios routinely ask for
-            # 16-32-rank partitions, which the old cut-off of 32 excluded.
+        if len(ranks) > 8:
+            # One gather + unique instead of a Python bounds-checked lookup
+            # per rank.  The threshold skips partitions small enough that
+            # building the index array costs more than it saves; both sides
+            # carry real work (interference scenarios routinely ask for
+            # 16-32-rank partitions, scenario sweeps for 2-8-rank ones).
             # Out-of-range ranks (numpy would wrap negatives silently) drop
-            # to the scalar path, which raises the mapping's own error.
+            # to the per-rank loop, which raises the mapping's own error.
             indices = np.asarray(ranks)
             table = self.mapping.node_array
             if indices.size and 0 <= indices.min() and indices.max() < table.size:

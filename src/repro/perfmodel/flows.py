@@ -20,7 +20,6 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from repro.topology.base import Topology
-from repro.utils.fastpath import fastpath_enabled
 from repro.utils.validation import require
 
 #: Cap on memoised flow analyses per topology instance (cleared wholesale).
@@ -88,21 +87,19 @@ def analyze_flows(
     # consumer treats it as read-only, so it is memoised on the topology
     # instance: tuning candidates and sweep points that differ only in
     # buffer/stripe tunables share one flow pattern and pay for it once.
-    cache_key = None
-    if fastpath_enabled():
-        cache_key = (
-            tuple(
-                (aggregator, tuple(senders))
-                for aggregator, senders in senders_by_aggregator.items()
-            ),
-            max_senders_per_aggregator,
-        )
-        cache = topology.__dict__.get("_fp_flow_cache")
-        if cache is None:
-            cache = topology.__dict__["_fp_flow_cache"] = {}
-        hit = cache.get(cache_key)
-        if hit is not None:
-            return hit
+    cache_key = (
+        tuple(
+            (aggregator, tuple(senders))
+            for aggregator, senders in senders_by_aggregator.items()
+        ),
+        max_senders_per_aggregator,
+    )
+    cache = topology.__dict__.get("_fp_flow_cache")
+    if cache is None:
+        cache = topology.__dict__["_fp_flow_cache"] = {}
+    hit = cache.get(cache_key)
+    if hit is not None:
+        return hit
     analysis = FlowAnalysis()
     # First pass: per-link set of aggregators using the link.  Routes come
     # out of the topology's per-instance route cache: pairs the placement or
@@ -147,9 +144,7 @@ def analyze_flows(
             if min_bandwidth != float("inf")
             else topology.link_bandwidth("default")
         )
-    if cache_key is not None:
-        cache = topology.__dict__["_fp_flow_cache"]
-        if len(cache) >= _MAX_FLOW_CACHE:
-            cache.clear()
-        cache[cache_key] = analysis
+    if len(cache) >= _MAX_FLOW_CACHE:
+        cache.clear()
+    cache[cache_key] = analysis
     return analysis

@@ -26,8 +26,7 @@ number of nodes).
 
 Candidate costs are computed from the same vectorised
 :meth:`~repro.core.topology_iface.TopologyInterface.node_pair_arrays`
-kernels the placement fast path uses, with a scalar fallback for duck-typed
-interface stubs.
+kernels the placement cost model uses.
 """
 
 from __future__ import annotations
@@ -126,9 +125,8 @@ class PlacementProblem:
         Mirrors the placement path: each partition is collapsed to one
         representative rank per node (the cost model only depends on nodes
         and per-node volumes), then every node of the partition is costed as
-        a candidate.  Uses the interface's vectorised ``node_pair_arrays``
-        kernel when available, otherwise falls back to scalar queries so
-        duck-typed test interfaces keep working.
+        a candidate, through the interface's vectorised ``node_pair_arrays``
+        kernel.
         """
         out = []
         for partition in partitions:
@@ -179,9 +177,7 @@ def _candidates_for_partition(
     node_list = sorted(volumes_by_node)
     latency = iface.get_latency()
     total_bytes = sum(volumes_by_node.values())
-    pair_arrays = getattr(iface, "node_pair_arrays", None)
-    if pair_arrays is not None:
-        hops, bandwidths = pair_arrays(node_list)
+    hops, bandwidths = iface.node_pair_arrays(node_list)
     candidates = []
     for column, node in enumerate(node_list):
         lat_s = 0.0
@@ -189,18 +185,10 @@ def _candidates_for_partition(
         for row, producer in enumerate(node_list):
             if producer == node:
                 continue
-            if pair_arrays is not None:
-                lat_s += latency * float(hops[row, column])
-                xfer_s += float(volumes_by_node[producer]) / float(
-                    bandwidths[row, column]
-                )
-            else:
-                src = representative[producer]
-                dst = representative[node]
-                lat_s += latency * iface.distance_between_ranks(src, dst)
-                xfer_s += float(
-                    volumes_by_node[producer]
-                ) / iface.bandwidth_between_ranks(src, dst)
+            lat_s += latency * float(hops[row, column])
+            xfer_s += float(volumes_by_node[producer]) / float(
+                bandwidths[row, column]
+            )
         if iface.io_locality_known():
             distance = iface.distance_to_io_node(representative[node])
             if distance is not None:

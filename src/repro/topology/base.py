@@ -14,15 +14,15 @@ Nodes are integers in ``range(num_nodes)``.  Routes may traverse auxiliary
 vertices (switches, routers); these are represented as hashable endpoint
 identifiers so that flow counting does not need to know the topology type.
 
-Fast path.  ``distance``/``route`` answers are memoised per topology
-instance, ``Link`` objects are interned (one object per directed link of the
-machine instead of a fresh allocation per route), and the batch queries
-:meth:`Topology.distances_from` / :meth:`Topology.routes_from` /
+Caching and batching.  ``distance``/``route`` answers are memoised per
+topology instance (the uncached computations are ``_distance_impl`` /
+``_route_impl``), ``Link`` objects are interned (one object per directed
+link of the machine instead of a fresh allocation per route), and the batch
+queries :meth:`Topology.distances_from` / :meth:`Topology.routes_from` /
 :meth:`Topology.path_bandwidths_from` let the cost model evaluate a whole
-candidate set without per-pair Python dispatch.  Concrete topologies plug in
-closed-form vectorised kernels via ``_batch_distances`` /
-``_batch_path_bandwidths``.  All of this is disabled (bit-identical results,
-original evaluation order) under :func:`repro.utils.fastpath.fastpath_disabled`.
+candidate set without per-pair Python dispatch.  Every concrete topology
+implements them with closed-form vectorised kernels (``_batch_distances`` /
+``_batch_path_bandwidths``) that equal the per-pair answers exactly.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from typing import Hashable, Iterable, Sequence
 import numpy as np
 
 from repro.obs import recorder as obs_recorder
-from repro.utils.fastpath import fastpath_enabled
 
 #: A route endpoint: either a compute node id (int) or a tagged auxiliary
 #: vertex such as ``("router", 12)`` or ``("switch", 3)``.
@@ -167,8 +166,6 @@ class Topology(abc.ABC):
         Memoised per instance; the uncached computation lives in
         :meth:`_distance_impl`.
         """
-        if not fastpath_enabled():
-            return self._distance_impl(src, dst)
         cache = self.__dict__.get("_fp_distances")
         if cache is None:
             cache = self.__dict__["_fp_distances"] = {}
@@ -186,8 +183,6 @@ class Topology(abc.ABC):
         Memoised per instance; the uncached computation lives in
         :meth:`_route_impl`.
         """
-        if not fastpath_enabled():
-            return self._route_impl(src, dst)
         cache = self.__dict__.get("_fp_routes")
         if cache is None:
             cache = self.__dict__["_fp_routes"] = {}
@@ -244,7 +239,7 @@ class Topology(abc.ABC):
         return link
 
     # ------------------------------------------------------------------ #
-    # Batch queries (the placement fast path)
+    # Batch queries (the placement cost model)
     # ------------------------------------------------------------------ #
 
     def _as_node_array(self, nodes: Iterable[int]) -> np.ndarray:
@@ -260,21 +255,10 @@ class Topology(abc.ABC):
     def distances_from(self, node: int, nodes: Iterable[int]) -> np.ndarray:
         """Hop distances from ``node`` to each node of ``nodes`` (int64 array).
 
-        Equals ``[self.distance(node, n) for n in nodes]`` exactly; concrete
-        topologies provide a closed-form vectorised kernel via
-        ``_batch_distances`` where the geometry allows it.
+        Equals ``[self.distance(node, n) for n in nodes]`` exactly.
         """
         self.validate_node(node)
-        ids = self._as_node_array(nodes)
-        if fastpath_enabled():
-            batched = self._batch_distances(node, ids)
-            if batched is not None:
-                return batched
-        return np.fromiter(
-            (self._distance_impl(node, int(n)) for n in ids),
-            dtype=np.int64,
-            count=ids.size,
-        )
+        return self._batch_distances(node, self._as_node_array(nodes))
 
     def routes_from(self, node: int, nodes: Iterable[int]) -> list[Route]:
         """Routes from ``node`` to each node of ``nodes`` (cache-served)."""
@@ -285,28 +269,18 @@ class Topology(abc.ABC):
         """Narrowest-link bandwidth from ``node`` to each of ``nodes``.
 
         Equals ``[self.path_bandwidth(node, n) for n in nodes]`` exactly
-        (``inf`` for self-pairs); concrete topologies provide a closed-form
-        kernel via ``_batch_path_bandwidths``.
+        (``inf`` for self-pairs).
         """
         self.validate_node(node)
-        ids = self._as_node_array(nodes)
-        if fastpath_enabled():
-            batched = self._batch_path_bandwidths(node, ids)
-            if batched is not None:
-                return batched
-        return np.fromiter(
-            (self.path_bandwidth(node, int(n)) for n in ids),
-            dtype=np.float64,
-            count=ids.size,
-        )
+        return self._batch_path_bandwidths(node, self._as_node_array(nodes))
 
-    def _batch_distances(self, node: int, ids: np.ndarray) -> np.ndarray | None:
-        """Vectorised hop kernel; ``None`` falls back to the scalar loop."""
-        return None
+    @abc.abstractmethod
+    def _batch_distances(self, node: int, ids: np.ndarray) -> np.ndarray:
+        """Vectorised hop counts from ``node`` to validated node ids (int64)."""
 
-    def _batch_path_bandwidths(self, node: int, ids: np.ndarray) -> np.ndarray | None:
-        """Vectorised bottleneck-bandwidth kernel; ``None`` = scalar loop."""
-        return None
+    @abc.abstractmethod
+    def _batch_path_bandwidths(self, node: int, ids: np.ndarray) -> np.ndarray:
+        """Vectorised bottleneck bandwidths from ``node`` (``inf`` on self)."""
 
     def pair_metrics(self, nodes: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
         """``(hops, bandwidths)`` matrices over a node set, cached per set.

@@ -24,7 +24,6 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.utils.fastpath import fastpath_enabled
 from repro.utils.rng import seeded_rng
 from repro.utils.validation import require, require_positive
 
@@ -91,28 +90,14 @@ def _validate(num_ranks: int, num_nodes: int, ranks_per_node: int) -> None:
     )
 
 
+@lru_cache(maxsize=256)
 def block_mapping(num_ranks: int, num_nodes: int, ranks_per_node: int) -> RankMapping:
     """Block mapping: ranks 0..R-1 fill node 0, then node 1, ...
 
-    Memoised under the fast path: mappings are immutable pure functions of
-    their arguments, and the analytic models rebuild the same default block
-    mapping for every sweep point and tuning candidate of a scenario.
+    Memoised: mappings are immutable pure functions of their arguments, and
+    the analytic models rebuild the same default block mapping for every
+    sweep point and tuning candidate of a scenario.
     """
-    if fastpath_enabled():
-        return _cached_block_mapping(num_ranks, num_nodes, ranks_per_node)
-    return _block_mapping_uncached(num_ranks, num_nodes, ranks_per_node)
-
-
-@lru_cache(maxsize=256)
-def _cached_block_mapping(
-    num_ranks: int, num_nodes: int, ranks_per_node: int
-) -> RankMapping:
-    return _block_mapping_uncached(num_ranks, num_nodes, ranks_per_node)
-
-
-def _block_mapping_uncached(
-    num_ranks: int, num_nodes: int, ranks_per_node: int
-) -> RankMapping:
     _validate(num_ranks, num_nodes, ranks_per_node)
     nodes = tuple(min(r // ranks_per_node, num_nodes - 1) for r in range(num_ranks))
     return RankMapping(nodes, num_nodes, ranks_per_node)

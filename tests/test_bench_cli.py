@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import json
 
-import pytest
 
 from repro.cli import main
 from repro.experiments.bench import BENCH_SCHEMA, bench_placement, render_suite
@@ -45,16 +44,11 @@ def test_bench_writes_payload_and_summary(tmp_path, capsys):
         entry = results[f"placement_{kind}"]
         assert entry["nodes"] == 32
         assert entry["fast"]["candidates_per_s"] > 0
-        assert entry["scalar"]["candidates_per_s"] > 0
-        assert entry["speedup"] == pytest.approx(
-            entry["scalar"]["wall_s"] / entry["fast"]["wall_s"]
-        )
     assert results["tune"]["points"] == 4
     assert results["run_all"]["experiments"] > 0
     interference = results["interference"]
     assert interference["flows"] == 12 and interference["resources"] == 48
     assert interference["ledger"]["fast"]["alloc_per_s"] > 0
-    assert interference["ledger"]["scalar"]["alloc_per_s"] > 0
     assert interference["sweep"]["fast"]["wall_s"] > 0
     captured = capsys.readouterr()
     assert "placement/theta" in captured.out
@@ -73,11 +67,11 @@ def test_bench_enforces_placement_floor(tmp_path, capsys):
     assert out.exists()
 
 
-def test_bench_placement_reports_speedup_fields():
+def test_bench_placement_reports_throughput_fields():
     entry = bench_placement("theta", nodes=32, num_aggregators=4)
-    assert set(entry) >= {"machine", "candidates", "scalar", "fast", "speedup"}
+    assert set(entry) == {"machine", "nodes", "num_aggregators", "candidates", "fast"}
     assert entry["candidates"] == 32  # node granularity: one candidate per node
-    assert entry["speedup"] > 0
+    assert entry["fast"]["candidates_per_s"] > 0
 
 
 def _bench_payload(**results) -> dict:
@@ -195,9 +189,7 @@ class TestHistoryMetricsTable:
 
 def test_render_suite_mentions_every_benchmark():
     entry = {
-        "scalar": {"wall_s": 2.0, "candidates_per_s": 100.0, "points_per_s": 10.0},
         "fast": {"wall_s": 1.0, "candidates_per_s": 200.0, "points_per_s": 20.0},
-        "speedup": 2.0,
         "target": "fig08",
     }
     payload = {

@@ -251,7 +251,7 @@ class TestWorkflowShape:
     def test_reverify_steps_use_the_diff_artifacts_subcommand(self, workflow):
         commands = [s.get("run", "") for s in workflow["jobs"]["smoke"]["steps"]]
         diffs = [c for c in commands if "repro diff-artifacts" in c]
-        assert len(diffs) == 3, (
+        assert len(diffs) == 2, (
             "every byte-identity re-verify must go through the shared "
             "diff-artifacts subcommand, not inline python"
         )
@@ -259,25 +259,20 @@ class TestWorkflowShape:
             assert "--ignore wall_time_s" in command
         assert any("artifacts-traced" in c for c in diffs)
         assert any("artifacts-plain" in c for c in diffs)
-        assert any("artifacts-interference-scalar" in c for c in diffs)
 
-    def test_interference_smoke_compares_fast_and_scalar_paths(self, workflow):
-        commands = [s.get("run", "") for s in workflow["jobs"]["smoke"]["steps"]]
+    def test_interference_smoke_runs_one_implementation(self, workflow):
+        steps = workflow["jobs"]["smoke"]["steps"]
+        commands = [s.get("run", "") for s in steps]
         interference = [c for c in commands if "repro run interference_" in c]
         assert interference, "smoke job must run an interference experiment"
-        step = interference[0]
-        assert "REPRO_DISABLE_FASTPATH=1" in step, (
-            "the interference smoke gate must also run on the scalar "
-            "contention path"
-        )
-        assert step.count("repro run interference_") == 2, (
-            "the same interference experiment must run with the fast path "
-            "on and off"
-        )
-        assert "repro diff-artifacts" in step, (
-            "the fast and scalar interference artifacts must be compared "
-            "byte-for-byte"
-        )
+        assert interference[0].count("repro run interference_") == 1
+        # The contention engine has one implementation; no step may switch
+        # the program onto another path through the environment.
+        for step in steps:
+            assert not any(
+                key.startswith("REPRO_DISABLE") for key in step.get("env", {})
+            )
+            assert "REPRO_DISABLE" not in step.get("run", "")
 
     def test_figures_job_renders_and_gates_from_artifacts(self, workflow):
         steps = workflow["jobs"]["figures"]["steps"]

@@ -1,18 +1,18 @@
-"""The vectorised contention engine against its scalar reference.
+"""The vectorised contention engine against its scalar oracles.
 
-Three contracts of the fast path (``repro.utils.fastpath``):
+Three contracts, checked against ``tests/reference/contention.py``:
 
-- ``ContentionLedger.allocate`` on the numpy water-filling path is
-  *bit-for-bit* equal to the dict-based scalar loop — both run the identical
-  sequence of IEEE additions — across seeded instances spanning the
-  demand-capped, resource-capped and mixed freeze regimes.
+- ``ContentionLedger.allocate`` (numpy water-filling) is *bit-for-bit*
+  equal to the dict-based scalar loop — both run the identical sequence of
+  IEEE additions — across seeded instances spanning the demand-capped,
+  resource-capped and mixed freeze regimes.
 - The allocation memo only changes how often the solver runs
   (``sim.contention_allocations``), never the water-fill work it reports
   (``sim.contention_iterations``) or the rates, and every registration
   change invalidates it.
-- ``MultiJobRuntime`` produces identical outcomes and peak utilizations on
-  both slice loops, and raises :class:`StarvedFlowError` instead of
-  spinning when no byte can ever move again.
+- ``MultiJobRuntime`` produces outcomes and peak utilizations identical to
+  the per-job scalar slice loop, and raises :class:`StarvedFlowError`
+  instead of spinning when no byte can ever move again.
 """
 
 from __future__ import annotations
@@ -21,8 +21,9 @@ import pytest
 
 from repro.multijob.contention import ContentionLedger, LinkContentionFactors
 from repro.obs.recorder import collecting
-from repro.utils.fastpath import fastpath_disabled, fastpath_enabled
 from repro.utils.rng import seeded_rng
+from reference import contention as reference
+from reference.cost_model import best_candidate as reference_best_candidate
 
 #: (name, capacity range, demand range) — the three freeze regimes: flows
 #: that stop at their own demand, flows frozen by saturated resources, and
@@ -89,10 +90,8 @@ class TestVectorisedEqualsScalar:
         for _ in range(70):
             ledger = build_instance(rng, capacity_range, demand_range)
             ids = list(ledger.flows)
-            assert fastpath_enabled()
             fast = ledger.allocate(ids)
-            with fastpath_disabled():
-                scalar = ledger.allocate(ids)
+            scalar = reference.allocate(ledger, ids)
             assert fast == scalar, f"{regime}: fast and scalar rates diverged"
             assert_valid_max_min(ledger, fast)
             assert_valid_max_min(ledger, scalar)
@@ -103,8 +102,7 @@ class TestVectorisedEqualsScalar:
         ids = list(ledger.flows)
         for active in (ids[::2], list(reversed(ids)), ids[:1]):
             fast = ledger.allocate(active)
-            with fastpath_disabled():
-                assert ledger.allocate(active) == fast
+            assert reference.allocate(ledger, active) == fast
 
     def test_single_resource_instances_stay_bit_equal(self):
         """One shared resource is the degenerate matrix shape (one column)."""
@@ -119,8 +117,7 @@ class TestVectorisedEqualsScalar:
                     {("pipe",): float(rng.uniform(0.05, 1.0))},
                 )
             fast = ledger.allocate()
-            with fastpath_disabled():
-                assert ledger.allocate() == fast
+            assert reference.allocate(ledger) == fast
 
 
 class TestAllocationMemo:
@@ -148,13 +145,8 @@ class TestAllocationMemo:
             solved = rec.counter("sim.contention_iterations").value
             ledger.allocate(["a", "b"])  # memo hit re-counts the same work
             assert rec.counter("sim.contention_iterations").value == 2 * solved
-        with fastpath_disabled():
-            with collecting() as rec:
-                ledger.allocate(["a", "b"])
-                assert rec.counter("sim.contention_iterations").value == solved
-                # The scalar path never memoises: every call is a solve.
-                ledger.allocate(["a", "b"])
-                assert rec.counter("sim.contention_allocations").value == 2
+        _, scalar_iterations = reference.allocate_scalar(ledger, ["a", "b"])
+        assert solved == scalar_iterations
 
     @pytest.mark.parametrize(
         "invalidate",
@@ -207,10 +199,8 @@ class TestRuntimeEquivalence:
         return MultiJobRuntime(machine, specs, slice_s=0.5)
 
     def test_fast_and_scalar_runs_are_bit_identical(self):
-        assert fastpath_enabled()
         fast = self.build_runtime().run()
-        with fastpath_disabled():
-            scalar = self.build_runtime().run()
+        scalar = reference.run_scalar(self.build_runtime())
         assert fast.peak_utilization == scalar.peak_utilization
         for fast_outcome, scalar_outcome in zip(fast.outcomes, scalar.outcomes):
             assert fast_outcome == scalar_outcome
@@ -218,20 +208,14 @@ class TestRuntimeEquivalence:
     def test_multi_gigabyte_jobs_complete_on_both_paths(self):
         """Regression: totals whose float ulp exceeds the absolute byte
         tolerance used to strand jobs in a zero-width-slice loop."""
-        for disable in (False, True):
-            runtime = self.build_runtime(mb_per_rank=2048, jobs=2)
-            if disable:
-                with fastpath_disabled():
-                    report = runtime.run()
-            else:
-                report = runtime.run()
+        for run in (lambda runtime: runtime.run(), reference.run_scalar):
+            report = run(self.build_runtime(mb_per_rank=2048, jobs=2))
             assert all(outcome.finish_s > 0.0 for outcome in report.outcomes)
             assert report.conserves_bandwidth()
 
 
 class TestStarvedFlowDetection:
-    @pytest.mark.parametrize("disable", [False, True], ids=["fast", "scalar"])
-    def test_all_zero_rates_raise_instead_of_spinning(self, disable, monkeypatch):
+    def test_all_zero_rates_raise_instead_of_spinning(self, monkeypatch):
         from repro.multijob.runtime import StarvedFlowError
 
         runtime = TestRuntimeEquivalence().build_runtime(jobs=2)
@@ -250,11 +234,7 @@ class TestStarvedFlowDetection:
 
         monkeypatch.setattr(runtime.ledger, "allocate", saturated)
         with pytest.raises(StarvedFlowError, match="job0.*saturated"):
-            if disable:
-                with fastpath_disabled():
-                    runtime.run()
-            else:
-                runtime.run()
+            runtime.run()
 
     def test_zero_rates_with_a_pending_arrival_jump_to_it(self, monkeypatch):
         """Starvation is only terminal once no arrival can free capacity."""
@@ -311,17 +291,25 @@ class TestPlacementContentionFastPath:
         ]
         assert np.asarray(factors).tolist() == expected
 
+    @pytest.mark.parametrize("bad_rank", [-1, 64], ids=["negative", "num_ranks"])
+    def test_batched_factors_reject_out_of_range_ranks(self, bad_rank):
+        """A negative rank must not wrap onto the last node."""
+        _, _, contention = self.build_model([(0, 9), (15, 3)])
+        message = f"rank {bad_rank} out of range \\[0, 64\\)"
+        with pytest.raises(ValueError, match=message):
+            contention.bandwidth_factor(bad_rank, 0)
+        with pytest.raises(ValueError, match=message):
+            contention.bandwidth_factors([0, bad_rank, 5], 9)
+
     def test_best_candidate_with_contention_is_bit_identical(self):
         rng = seeded_rng(5)
         background = [(int(a), int(b)) for a, b in rng.integers(0, 16, (12, 2))]
         model, _, _ = self.build_model(background)
         volumes = {rank: int(1024 * (1 + rank % 7)) for rank in range(0, 64, 2)}
         candidates = list(volumes)[:16]
-        assert fastpath_enabled()
         fast_winner, fast_breakdowns = model.best_candidate(candidates, volumes)
-        with fastpath_disabled():
-            scalar_winner, scalar_breakdowns = model.best_candidate(
-                candidates, volumes
-            )
+        scalar_winner, scalar_breakdowns = reference_best_candidate(
+            model, candidates, volumes
+        )
         assert fast_winner == scalar_winner
         assert fast_breakdowns == scalar_breakdowns

@@ -142,15 +142,11 @@ class TestCompatibilityShims:
         payload = json.loads(result.to_json())
         assert payload["experiment_id"] == "fig07"
 
-    def test_store_module_functions_warn(self):
+    def test_store_module_aliases_are_removed(self):
+        """Serialisation lives on ExperimentResult only."""
+        import repro.experiments
         from repro.experiments import store
 
-        result = evaluate("fig07", scale=SCALE).result
-        with pytest.warns(DeprecationWarning, match="to_dict"):
-            payload = store.result_to_dict(result)
-        with pytest.warns(DeprecationWarning, match="from_dict"):
-            assert store.result_from_dict(payload) == result
-        with pytest.warns(DeprecationWarning):
-            text = store.to_json(result)
-        with pytest.warns(DeprecationWarning):
-            assert store.from_json(text) == result
+        for name in ("result_to_dict", "result_from_dict", "to_json", "from_json"):
+            assert not hasattr(store, name)
+            assert not hasattr(repro.experiments, name)

@@ -5,7 +5,7 @@ import pytest
 from repro.experiments.harness import EXPERIMENTS, run_all
 from repro.experiments.results import ExperimentResult, Series
 from repro.experiments.runner import run_experiments
-from repro.experiments.store import ArtifactStore, result_to_dict
+from repro.experiments.store import ArtifactStore
 
 #: Two quick registry experiments used throughout; scale 8 keeps them fast
 #: while every qualitative check still passes (see tests/test_experiments.py).
@@ -60,8 +60,9 @@ class TestParallelEqualsSequential:
         par_results = parallel.results()
         assert list(seq_results) == list(par_results) == QUICK_IDS
         for experiment_id in QUICK_IDS:
-            assert result_to_dict(par_results[experiment_id]) == result_to_dict(
-                seq_results[experiment_id]
+            assert (
+                par_results[experiment_id].to_dict()
+                == seq_results[experiment_id].to_dict()
             )
 
 
@@ -84,8 +85,8 @@ class TestStoreIntegration:
         assert second.cache_hits() == QUICK_IDS
         assert second.executed() == []
         assert {
-            eid: result_to_dict(res) for eid, res in second.results().items()
-        } == {eid: result_to_dict(res) for eid, res in first.results().items()}
+            eid: res.to_dict() for eid, res in second.results().items()
+        } == {eid: res.to_dict() for eid, res in first.results().items()}
 
     def test_no_cache_forces_rerun(self, tmp_path):
         store = ArtifactStore(tmp_path)

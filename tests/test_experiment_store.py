@@ -5,14 +5,7 @@ import json
 import pytest
 
 from repro.experiments.results import ExperimentResult, Series
-from repro.experiments.store import (
-    ArtifactStore,
-    cache_key,
-    from_json,
-    result_from_dict,
-    result_to_dict,
-    to_json,
-)
+from repro.experiments.store import ArtifactStore, cache_key
 
 
 def make_result(experiment_id: str = "demo", *, passing: bool = True) -> ExperimentResult:
@@ -37,25 +30,25 @@ def make_result(experiment_id: str = "demo", *, passing: bool = True) -> Experim
 class TestJsonRoundTrip:
     def test_round_trip_preserves_everything(self):
         original = make_result(passing=False)
-        restored = from_json(to_json(original))
+        restored = ExperimentResult.from_json(original.to_json())
         assert restored == original
 
     def test_dict_round_trip(self):
         original = make_result()
-        assert result_from_dict(result_to_dict(original)) == original
+        assert ExperimentResult.from_dict(original.to_dict()) == original
 
     def test_json_is_plain_and_stable(self):
-        payload = json.loads(to_json(make_result()))
+        payload = json.loads(make_result().to_json())
         assert payload["experiment_id"] == "demo"
         assert payload["series"][0]["label"] == "TAPIOCA"
         assert payload["series"][0]["points"][0] == {"x": 1.0, "bandwidth_gbps": 10.0}
         assert payload["checks"] == {"tapioca wins": True, "gap grows": True}
 
     def test_optional_fields_default(self):
-        payload = result_to_dict(make_result())
+        payload = make_result().to_dict()
         del payload["paper_reference"]
         del payload["notes"]
-        restored = result_from_dict(payload)
+        restored = ExperimentResult.from_dict(payload)
         assert restored.paper_reference == "" and restored.notes == ""
 
 

@@ -101,7 +101,7 @@ class TestModelAndPlacementInstrumentation:
             run_experiment("fig10", scale=8.0)
         counters = _counters(rec)
         assert counters[("model.phase_seconds", (("phase", "io"),))] > 0.0
-        assert counters[("costmodel.candidates", (("path", "fast"),))] > 0
+        assert counters[("costmodel.candidates", ())] > 0
         hits = counters.get(("topo.pair_metrics", (("outcome", "hit"),)), 0)
         misses = counters.get(("topo.pair_metrics", (("outcome", "miss"),)), 0)
         assert hits + misses > 0

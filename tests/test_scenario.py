@@ -3,7 +3,6 @@
 import pytest
 
 from repro.experiments.harness import EXPERIMENTS
-from repro.experiments.store import result_to_dict
 from repro.scenario import (
     IOStrategySpec,
     JobScenarioSpec,
@@ -284,8 +283,8 @@ class TestSimulation:
 
     def test_run_reproduces_identical_result_after_json_round_trip(self):
         scenario = _single_job_scenario()
-        first = result_to_dict(run_scenario(scenario))
-        rerun = result_to_dict(run_scenario(Scenario.from_json(scenario.to_json())))
+        first = run_scenario(scenario).to_dict()
+        rerun = run_scenario(Scenario.from_json(scenario.to_json())).to_dict()
         assert first == rerun
 
     def test_multijob_run_reports_slowdowns(self):

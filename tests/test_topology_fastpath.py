@@ -1,11 +1,12 @@
-"""Fast-path correctness: cached/batched results equal the scalar path.
+"""Cached/batched routing and cost results equal their uncached oracles.
 
-The routing/cost fast path (per-instance route/distance caches, vectorised
-batch kernels, batched candidate evaluation) must be a pure
-evaluation-order/caching change.  These property-style tests compare it
-against the original scalar path — exercised through
-:func:`repro.utils.fastpath.fastpath_disabled` — over randomised node pairs
-on all three topologies, and check that cache state never leaks across
+The topologies memoise ``distance``/``route``, answer batch queries with
+vectorised kernels, and the placement cost model evaluates whole candidate
+sets from per-node-pair arrays.  These property-style tests pin each of
+them bit for bit to an oracle — the uncached ``_distance_impl`` /
+``_route_impl`` and per-candidate :meth:`AggregationCostModel.evaluate`
+(through ``tests/reference/cost_model.py``) — over randomised node pairs on
+all three topologies, and check that cache state never leaks across
 machine instances.
 """
 
@@ -24,18 +25,15 @@ from repro.machine.theta import ThetaMachine
 from repro.topology.dragonfly import DragonflyTopology
 from repro.topology.fattree import FatTreeTopology
 from repro.topology.torus import TorusTopology
-from repro.utils.fastpath import fastpath_disabled, fastpath_enabled, set_fastpath
 from repro.workloads.hacc import HACCIOWorkload
+from reference import cost_model as reference
 
 
-@pytest.fixture(autouse=True)
-def _force_fastpath():
-    """These tests compare the two paths, so the fast one must start on
-    even when the suite runs under ``REPRO_DISABLE_FASTPATH=1``."""
-    previous = fastpath_enabled()
-    set_fastpath(True)
-    yield
-    set_fastpath(previous)
+def _path_bandwidth_impl(topology, src: int, dst: int) -> float:
+    """Uncached narrowest-link bandwidth (``inf`` for self-pairs)."""
+    if src == dst:
+        return float("inf")
+    return topology._route_impl(src, dst).min_bandwidth
 
 
 def _topologies():
@@ -54,10 +52,9 @@ def test_cached_distance_and_route_equal_scalar_path(topology):
     n = topology.num_nodes
     for _ in range(300):
         a, b = rng.randrange(n), rng.randrange(n)
-        with fastpath_disabled():
-            scalar_distance = topology.distance(a, b)
-            scalar_route = topology.route(a, b)
-            scalar_bandwidth = topology.path_bandwidth(a, b)
+        scalar_distance = topology._distance_impl(a, b)
+        scalar_route = topology._route_impl(a, b)
+        scalar_bandwidth = _path_bandwidth_impl(topology, a, b)
         assert topology.distance(a, b) == scalar_distance
         # Twice: the second call is a guaranteed cache hit.
         assert topology.distance(a, b) == scalar_distance
@@ -77,14 +74,13 @@ def test_batch_queries_equal_scalar_loops(topology):
         distances = topology.distances_from(src, nodes)
         bandwidths = topology.path_bandwidths_from(src, nodes)
         routes = topology.routes_from(src, nodes)
-        with fastpath_disabled():
-            assert [int(d) for d in distances] == [
-                topology.distance(src, m) for m in nodes
-            ]
-            assert [float(b) for b in bandwidths] == [
-                topology.path_bandwidth(src, m) for m in nodes
-            ]
-            assert routes == [topology.route(src, m) for m in nodes]
+        assert [int(d) for d in distances] == [
+            topology._distance_impl(src, m) for m in nodes
+        ]
+        assert [float(b) for b in bandwidths] == [
+            _path_bandwidth_impl(topology, src, m) for m in nodes
+        ]
+        assert routes == [topology._route_impl(src, m) for m in nodes]
 
 
 @pytest.mark.parametrize("topology", _topologies(), ids=lambda t: t.name)
@@ -126,7 +122,7 @@ def test_interned_links_are_shared_within_one_instance():
 
 @pytest.mark.parametrize("machine_cls", [ThetaMachine, MiraMachine])
 def test_best_candidate_batched_equals_scalar(machine_cls):
-    """Winner and every breakdown are bit-identical across both paths."""
+    """Winner and every breakdown equal per-candidate evaluation exactly."""
     from repro.topology.mapping import random_mapping
 
     machine = machine_cls(64)
@@ -139,12 +135,10 @@ def test_best_candidate_batched_equals_scalar(machine_cls):
         ranks = rng.sample(range(num_ranks), 40)
         volumes = {rank: rng.randrange(1, 1 << 24) for rank in ranks}
         candidates = list(volumes)
-        assert fastpath_enabled()
         fast_winner, fast_breakdowns = model.best_candidate(candidates, volumes)
-        with fastpath_disabled():
-            scalar_winner, scalar_breakdowns = model.best_candidate(
-                candidates, volumes
-            )
+        scalar_winner, scalar_breakdowns = reference.best_candidate(
+            model, candidates, volumes
+        )
         assert fast_winner == scalar_winner
         assert fast_breakdowns == scalar_breakdowns
 
@@ -159,9 +153,7 @@ def test_best_candidate_batched_handles_candidates_outside_volumes():
     volumes = {rank: 1024 * (rank + 1) for rank in range(8)}
     candidates = [0, 4, 40, 63]  # two candidates hold no data
     fast = model.best_candidate(candidates, volumes)
-    with fastpath_disabled():
-        scalar = model.best_candidate(candidates, volumes)
-    assert fast == scalar
+    assert fast == reference.best_candidate(model, candidates, volumes)
 
 
 def test_best_candidate_empty_volumes_matches_scalar_path():
@@ -172,8 +164,7 @@ def test_best_candidate_empty_volumes_matches_scalar_path():
     iface = TopologyInterface(machine, mapping)
     model = AggregationCostModel(iface)
     fast = model.best_candidate([1, 2], {})
-    with fastpath_disabled():
-        assert model.best_candidate([1, 2], {}) == fast
+    assert reference.best_candidate(model, [1, 2], {}) == fast
     assert fast[0] == 1
     assert all(b.total == 0.0 for b in fast[1])
 
@@ -184,13 +175,13 @@ def test_nodes_of_ranks_rejects_invalid_ranks_on_both_paths():
     machine = ThetaMachine(8)
     workload = HACCIOWorkload(128, 1_000, layout="aos")
     context = build_context(machine, workload, ranks_per_node=16)
-    valid = list(range(40))
-    assert context.nodes_of_ranks(valid) == sorted({r // 16 for r in valid})
-    for bad in ([-1] + valid, valid + [context.num_ranks]):
-        with pytest.raises(ValueError):
-            context.nodes_of_ranks(bad)
-        with fastpath_disabled(), pytest.raises(ValueError):
-            context.nodes_of_ranks(bad)
+    # Above eight ranks the nodes come from one array gather, at or below
+    # it from a per-rank lookup; both must reject out-of-range ranks.
+    for valid in (list(range(40)), list(range(0, 128, 20))):
+        assert context.nodes_of_ranks(valid) == sorted({r // 16 for r in valid})
+        for bad in ([-1] + valid, valid + [context.num_ranks]):
+            with pytest.raises(ValueError):
+                context.nodes_of_ranks(bad)
 
 
 def test_best_candidate_negative_volume_raises_on_both_paths():
@@ -203,13 +194,16 @@ def test_best_candidate_negative_volume_raises_on_both_paths():
     volumes = {0: 100, 1: -5, 2: 100}
     with pytest.raises(ValueError, match="volume of rank 1"):
         model.best_candidate([0, 2], volumes)
-    with fastpath_disabled(), pytest.raises(ValueError, match="volume of rank 1"):
-        model.best_candidate([0, 2], volumes)
+    with pytest.raises(ValueError, match="volume of rank 1"):
+        reference.best_candidate(model, [0, 2], volumes)
 
 
 @pytest.mark.parametrize("machine_cls", [ThetaMachine, MiraMachine])
 @pytest.mark.parametrize("granularity", ["rank", "node"])
-def test_place_aggregators_identical_on_both_paths(machine_cls, granularity):
+def test_place_aggregators_identical_on_both_paths(
+    machine_cls, granularity, monkeypatch
+):
+    """Batched election == an election that evaluates candidates one by one."""
     machine = machine_cls(64)
     workload = HACCIOWorkload(64 * 4, 10_000, layout="aos")
     from repro.topology.mapping import block_mapping
@@ -220,9 +214,11 @@ def test_place_aggregators_identical_on_both_paths(machine_cls, granularity):
     fast = place_aggregators(
         partitions, iface, strategy="topology-aware", granularity=granularity
     )
-    with fastpath_disabled():
-        scalar = place_aggregators(
-            partitions, iface, strategy="topology-aware", granularity=granularity
-        )
+    monkeypatch.setattr(
+        AggregationCostModel, "best_candidate", reference.best_candidate
+    )
+    scalar = place_aggregators(
+        partitions, iface, strategy="topology-aware", granularity=granularity
+    )
     assert fast.aggregators == scalar.aggregators
     assert fast.breakdowns == scalar.breakdowns
