@@ -23,10 +23,8 @@ Usage (after ``pip install -e .``)::
         --particles 25000 --layout soa         # one-off TAPIOCA vs MPI I/O estimate
     python -m repro profile fig08 --scale 8    # per-phase time breakdown
     python -m repro run fig08 --trace t.json   # ...any run with a Chrome trace
-    python -m repro bench --history            # BENCH_*.json trajectory table
     python -m repro figures --all --from artifacts/ --out figures/
                                                # paper figures + deviation report
-    python -m repro dash --check               # perf dashboard, gate on floors
     python -m repro diff-artifacts artifacts/ artifacts-b/ --ignore wall_time_s
                                                # CI's byte-identity check
 
@@ -117,7 +115,7 @@ def _positive_int(text: str) -> int:
 
 # --------------------------------------------------------------------------- #
 # Shared options: --scale, --jobs, --out, --set mean the same thing on every
-# subcommand that has them (run, run-all, scenario run, tune, bench, serve).
+# subcommand that has them (run, run-all, scenario run, tune, serve).
 # --------------------------------------------------------------------------- #
 
 
@@ -437,83 +435,6 @@ def _cmd_tune(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench_history(args: argparse.Namespace) -> int:
-    """Print the ``BENCH_*.json`` trajectory and gate on the throughput floor."""
-    from repro.experiments.bench import (
-        history_regressions,
-        history_row,
-        load_history,
-        render_history,
-    )
-
-    warn = lambda message: print(f"warning: {message}", file=sys.stderr)  # noqa: E731
-    history = load_history(args.history_root, on_warning=warn)
-    if not history:
-        print(f"no BENCH_*.json artifacts under {args.history_root}", file=sys.stderr)
-        return 1
-    rows = [history_row(name, payload) for name, payload in history]
-    print(render_history(rows, as_csv=args.csv))
-    problems = history_regressions(rows)
-    for problem in problems:
-        print(f"error: {problem}", file=sys.stderr)
-    return 1 if problems else 0
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    """Run the tracked benchmark suite and write a ``BENCH_*.json`` artifact."""
-    from repro.experiments.bench import render_suite, run_serve_suite, run_suite
-
-    if args.history:
-        return _cmd_bench_history(args)
-    progress = lambda message: print(f"bench: {message}", file=sys.stderr)  # noqa: E731
-    if args.serve:
-        payload = run_serve_suite(
-            requests=args.serve_requests,
-            clients=args.serve_clients,
-            scale=args.serve_scale,
-            jobs=args.jobs,
-            on_progress=progress,
-        )
-        out = args.out or "BENCH_6.json"
-    else:
-        payload = run_suite(
-            nodes=args.nodes,
-            num_aggregators=args.aggregators,
-            tune_target=args.tune_target,
-            tune_budget=args.tune_budget,
-            tune_scale=args.tune_scale,
-            run_all_scale=args.run_all_scale,
-            interference_flows=args.interference_flows,
-            interference_rounds=args.interference_rounds,
-            interference_jobs=args.interference_jobs,
-            interference_mb=args.interference_mb,
-            on_progress=progress,
-        )
-        out = args.out or "BENCH_5.json"
-    with open(out, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    print(render_suite(payload))
-    print(f"wrote {out}")
-    run_all = payload["results"].get("run_all")
-    if run_all is not None and not run_all["all_checks_pass"]:
-        print("error: run-all failed qualitative checks", file=sys.stderr)
-        return 1
-    if args.min_placement_rate is not None and not args.serve:
-        worst = min(
-            payload["results"][f"placement_{kind}"]["fast"]["candidates_per_s"]
-            for kind in ("theta", "mira")
-        )
-        if worst < args.min_placement_rate:
-            print(
-                f"error: placement throughput {worst:,.0f} candidates/s is below "
-                f"the floor of {args.min_placement_rate:,.0f}",
-                file=sys.stderr,
-            )
-            return 1
-    return 0
-
-
 # --------------------------------------------------------------------------- #
 # Serving
 # --------------------------------------------------------------------------- #
@@ -644,7 +565,7 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
 
 
 # --------------------------------------------------------------------------- #
-# Reporting: paper figures, the bench dashboard, artifact diffing
+# Reporting: paper figures, artifact diffing
 # --------------------------------------------------------------------------- #
 
 
@@ -683,23 +604,6 @@ def _cmd_figures(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_dash(args: argparse.Namespace) -> int:
-    """Render the BENCH_*.json trajectory and gate on the per-metric floors."""
-    from repro.reporting import render_dashboard
-
-    report = render_dashboard(args.history_root, args.out)
-    print(report.summary())
-    if not report.rows:
-        print(
-            f"error: no BENCH_*.json artifacts under {args.history_root}",
-            file=sys.stderr,
-        )
-        return 1
-    if args.check and not report.passed():
-        return 1
-    return 0
-
-
 def _cmd_diff_artifacts(args: argparse.Namespace) -> int:
     """Compare two artifact directories, ignoring the given envelope keys."""
     from repro.experiments.diff import compare_artifact_dirs, comparable_artifact_names
@@ -707,10 +611,15 @@ def _cmd_diff_artifacts(args: argparse.Namespace) -> int:
     for directory in (args.dir_a, args.dir_b):
         if not Path(directory).is_dir():
             args.parser.error(f"not a directory: {directory}")
+    compared = len(comparable_artifact_names(args.dir_a))
+    if not compared and not comparable_artifact_names(args.dir_b):
+        # Two empty sweeps are not "identical": a run that wrote nothing
+        # must not pass a byte-identity gate.
+        print("error: no artifacts to compare", file=sys.stderr)
+        return 1
     problems = compare_artifact_dirs(
         args.dir_a, args.dir_b, ignore=tuple(args.ignore or ())
     )
-    compared = len(comparable_artifact_names(args.dir_a))
     if problems:
         for problem in problems:
             print(f"error: {problem}", file=sys.stderr)
@@ -969,137 +878,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_trace_option(tune_parser)
     tune_parser.set_defaults(func=_cmd_tune, parser=tune_parser)
 
-    bench_parser = subparsers.add_parser(
-        "bench",
-        help="run the tracked benchmark suite and write a BENCH_*.json artifact",
-    )
-    bench_parser.add_argument(
-        "--out",
-        default=None,
-        metavar="PATH",
-        help="output JSON path (default: BENCH_5.json, or BENCH_6.json "
-        "with --serve)",
-    )
-    add_jobs_option(
-        bench_parser,
-        help="worker processes of the benched daemon (--serve only)",
-    )
-    bench_parser.add_argument(
-        "--serve",
-        action="store_true",
-        help="bench the evaluation daemon instead: start one locally and "
-        "measure cold/warm requests per second",
-    )
-    bench_parser.add_argument(
-        "--serve-requests",
-        type=_positive_int,
-        default=24,
-        help="distinct scenarios of the serve load generator (default: 24)",
-    )
-    bench_parser.add_argument(
-        "--serve-clients",
-        type=_positive_int,
-        default=8,
-        help="concurrent client threads of the serve load generator (default: 8)",
-    )
-    bench_parser.add_argument(
-        "--serve-scale",
-        type=_positive_scale,
-        default=16.0,
-        help="node-count divisor of the served scenarios (default: 16)",
-    )
-    bench_parser.add_argument(
-        "--nodes",
-        type=_positive_int,
-        default=512,
-        help="node count of the placement benchmark (default: 512)",
-    )
-    bench_parser.add_argument(
-        "--aggregators",
-        type=_positive_int,
-        default=8,
-        help="aggregator count of the placement benchmark (default: 8; few "
-        "aggregators = the quadratic candidates-by-senders worst case)",
-    )
-    bench_parser.add_argument(
-        "--tune-target",
-        default="fig08",
-        metavar="NAME",
-        help="registered scenario the tuning benchmark searches (default: fig08)",
-    )
-    bench_parser.add_argument(
-        "--tune-budget",
-        type=_positive_int,
-        default=64,
-        help="candidate evaluations of the tuning benchmark (default: 64)",
-    )
-    bench_parser.add_argument(
-        "--tune-scale",
-        type=_positive_scale,
-        default=1.0,
-        help="node-count divisor of the tuning benchmark (default: 1)",
-    )
-    bench_parser.add_argument(
-        "--run-all-scale",
-        type=_positive_scale,
-        default=8.0,
-        help="node-count divisor of the run-all benchmark (default: 8)",
-    )
-    bench_parser.add_argument(
-        "--interference-flows",
-        type=_positive_int,
-        default=64,
-        help="flow count of the contention-ledger microbenchmark; the "
-        "resource count is 4x this (default: 64, i.e. 64 flows x 256 "
-        "resources)",
-    )
-    bench_parser.add_argument(
-        "--interference-rounds",
-        type=_positive_int,
-        default=48,
-        help="water-filling solves of the ledger microbenchmark (default: 48)",
-    )
-    bench_parser.add_argument(
-        "--interference-jobs",
-        type=_positive_int,
-        default=64,
-        help="job count of the multi-job interference sweep (default: 64)",
-    )
-    bench_parser.add_argument(
-        "--interference-mb",
-        type=_positive_int,
-        default=4096,
-        help="per-rank megabytes of each sweep job; larger values mean more "
-        "fluid slices per allocation (default: 4096)",
-    )
-    bench_parser.add_argument(
-        "--min-placement-rate",
-        type=float,
-        default=None,
-        metavar="RATE",
-        help="fail (exit 1) when placement throughput drops below "
-        "RATE candidates/s on either machine (the CI regression floor)",
-    )
-    bench_parser.add_argument(
-        "--history",
-        action="store_true",
-        help="print the trajectory across every BENCH_*.json instead of "
-        "benchmarking; exits 1 if the latest placement throughput is below "
-        "the regression floor",
-    )
-    bench_parser.add_argument(
-        "--history-root",
-        default=".",
-        metavar="DIR",
-        help="where to look for BENCH_*.json (default: the current directory)",
-    )
-    bench_parser.add_argument(
-        "--csv",
-        action="store_true",
-        help="emit the --history trajectory as CSV instead of a table",
-    )
-    bench_parser.set_defaults(func=_cmd_bench, parser=bench_parser)
-
     serve_parser = subparsers.add_parser(
         "serve",
         help="evaluation daemon: HTTP + file job queue over one shared cache",
@@ -1225,31 +1003,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_trace_option(figures_parser)
     figures_parser.set_defaults(func=_cmd_figures, parser=figures_parser)
-
-    dash_parser = subparsers.add_parser(
-        "dash",
-        help="render the BENCH_*.json perf trajectory as CSV (+ plot) and "
-        "check every metric against its regression floor",
-    )
-    dash_parser.add_argument(
-        "--history-root",
-        default=".",
-        metavar="DIR",
-        help="where to look for BENCH_*.json (default: the current directory)",
-    )
-    dash_parser.add_argument(
-        "--out",
-        default="figures",
-        metavar="DIR",
-        help="output directory for dashboard.csv and plots (default: figures/)",
-    )
-    dash_parser.add_argument(
-        "--check",
-        action="store_true",
-        help="exit 1 when any metric's latest observation breaches its floor",
-    )
-    add_trace_option(dash_parser)
-    dash_parser.set_defaults(func=_cmd_dash, parser=dash_parser)
 
     diff_parser = subparsers.add_parser(
         "diff-artifacts",

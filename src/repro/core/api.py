@@ -29,7 +29,7 @@ two execution paths:
   flow-level analytic model (practical at the paper's 8K–64K rank scales).
 
 It also exposes the placement decision (:meth:`Tapioca.placement_report`)
-so applications and the ablation benchmarks can inspect which node each
+so applications and the ablation experiments can inspect which node each
 partition elected and why.
 """
 

@@ -8,15 +8,14 @@ holding the same series the paper plots plus a set of qualitative checks
 
 The registry in :mod:`repro.experiments.harness` maps experiment identifiers
 (``"fig07"`` ... ``"fig14"``, ``"table1"``, ablations) to these functions;
-the benchmark suite (``benchmarks/``) runs one registry entry per file and
-prints its table, and ``EXPERIMENTS.md`` records paper-vs-measured values.
+:func:`repro.core.api.evaluate` runs any entry by id, and ``EXPERIMENTS.md``
+records paper-vs-measured values.
 """
 
 from repro.experiments.results import ExperimentResult, Series, SeriesPoint
 from repro.experiments.harness import (
     EXPERIMENTS,
     list_experiments,
-    run_experiment,
     run_all,
 )
 from repro.experiments.runner import RunOutcome, RunReport, run_experiments
@@ -28,7 +27,6 @@ __all__ = [
     "SeriesPoint",
     "EXPERIMENTS",
     "list_experiments",
-    "run_experiment",
     "run_all",
     "RunOutcome",
     "RunReport",

@@ -3,8 +3,8 @@
 These go beyond the paper's figures: they isolate the contribution of each
 TAPIOCA ingredient (topology-aware placement, double-buffer pipelining,
 aggregator count, and the memory-tier extension) using the same analytic
-model as the figure reproductions, so the benchmark suite can assert that
-each ingredient pulls in the direction the paper claims.
+model as the figure reproductions, so their checks can assert that each
+ingredient pulls in the direction the paper claims.
 
 Like the figures, every ablation is a base
 :class:`~repro.scenario.spec.Scenario` plus a sweep run through the

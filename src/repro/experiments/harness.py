@@ -85,8 +85,8 @@ def _run_registered(
 ) -> ExperimentResult:
     """Execute one registered experiment (the canonical internal executor).
 
-    Everything public — :func:`run_experiment`, the parallel runner's worker
-    processes, :func:`repro.core.api.evaluate` — funnels through here.
+    Everything public — :func:`repro.core.api.evaluate` and the parallel
+    runner's worker processes — funnels through here.
     """
     if experiment_id not in EXPERIMENTS:
         raise KeyError(unknown_experiment_message(experiment_id))
@@ -125,34 +125,6 @@ def _maybe_certify(
         maybe_certify_result(result, scenario)
     except (KeyError, ScenarioError):
         return
-
-
-def run_experiment(
-    experiment_id: str,
-    *,
-    scale: float = 1.0,
-    overrides: Mapping[str, Any] | None = None,
-) -> ExperimentResult:
-    """Run one experiment by id.
-
-    A thin compatibility shim over :func:`repro.core.api.evaluate` — the one
-    public entry point the CLI, the tuner objectives, and the evaluation
-    daemon all share.  Prefer ``evaluate`` in new code; this wrapper stays
-    so existing ``harness``/``figures``-style imports keep working.
-
-    Args:
-        experiment_id: one of :func:`list_experiments`.
-        scale: node-count divisor (1.0 = the paper's scale).
-        overrides: dotted-path scenario overrides applied to the experiment's
-            base scenario (``{"io.buffer_size": 8 * MIB}``); ``None`` runs
-            the experiment as published.
-
-    Raises:
-        KeyError: for an unknown experiment id (with a did-you-mean hint).
-    """
-    from repro.core.api import evaluate
-
-    return evaluate(experiment_id, scale=scale, overrides=overrides).result
 
 
 def run_all(

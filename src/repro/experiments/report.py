@@ -12,7 +12,8 @@ import argparse
 import sys
 from datetime import date
 
-from repro.experiments.harness import list_experiments, run_experiment
+from repro.core.api import evaluate
+from repro.experiments.harness import list_experiments
 from repro.experiments.results import ExperimentResult, format_optimality_gap
 from repro.experiments.store import ArtifactStore
 
@@ -45,8 +46,7 @@ Topology-Aware Data Aggregation on Large-Scale Supercomputers* (CLUSTER
 **absolute bandwidths are not expected to match**; what each section records
 is whether the *shape* of the paper's result is reproduced — who wins, by
 roughly what factor, and where optima/crossovers lie.  Every table below is
-regenerated by ``pytest benchmarks/ --benchmark-only`` (one benchmark per
-figure/table) or by ``python -m repro.experiments.report``.
+regenerated by ``repro report`` or ``python -m repro.experiments.report``.
 
 Known deviations of this reproduction (details in DESIGN.md):
 
@@ -108,7 +108,7 @@ def generate_report(*, scale: float = 1.0, ids: list[str] | None = None) -> str:
     sections = [_PREAMBLE]
     sections.append(f"_Generated on {date.today().isoformat()} at scale divisor {scale:g}._\n")
     for experiment_id in experiment_ids:
-        result = run_experiment(experiment_id, scale=scale)
+        result = evaluate(experiment_id, scale=scale).result
         sections.append(_section(result))
     return "\n".join(sections)
 

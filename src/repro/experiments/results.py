@@ -86,7 +86,7 @@ class ExperimentResult:
         x_label: meaning of the series' x values.
         series: the curves/rows of the figure/table.
         checks: named qualitative assertions with their outcomes; the
-            benchmark suite asserts that every check passed.
+            test suite asserts that every check passes at scales 1 and 8.
         paper_reference: what the paper reports, for EXPERIMENTS.md.
         notes: free-form commentary (deviations, substitutions).
         optimality_gap: the greedy placement's certified optimality gap as

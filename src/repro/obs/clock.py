@@ -1,12 +1,9 @@
 """One monotonic clock for every wall-time measurement in the repo.
 
-Before this module existed, three subsystems hand-rolled their own
-``time.perf_counter()`` deltas with inconsistent rounding: the bench suite
-(``experiments/bench.py``), the tuner (rounded to 6 decimals), and the
-runner (not rounded at all).  Every timing now flows through :func:`now`,
-:func:`elapsed_s`, and :func:`timed`, and every reported duration is
-rounded to the same :data:`WALL_DECIMALS` digits so artifacts and traces
-agree on what a second looks like.
+Every timing flows through :func:`now`, :func:`elapsed_s`, and
+:func:`timed`, and every reported duration is rounded to the same
+:data:`WALL_DECIMALS` digits so artifacts and traces agree on what a
+second looks like.
 """
 
 from __future__ import annotations
@@ -44,8 +41,8 @@ def elapsed_s(start: float) -> float:
 def timed(fn: Callable[..., T], *args: Any, **kwargs: Any) -> tuple[T, float]:
     """Call ``fn(*args, **kwargs)`` and return ``(result, wall_seconds)``.
 
-    The duration is rounded with :func:`round_wall`, so all three historic
-    timing idioms (bench, tuner, runner) report identically-shaped numbers.
+    The duration is rounded with :func:`round_wall`, so every timing idiom
+    reports identically-shaped numbers.
     """
     start = time.perf_counter()
     result = fn(*args, **kwargs)

@@ -15,13 +15,10 @@ Modules:
 * :mod:`repro.reporting.figures` — the figure registry mapping each paper
   figure/table to the artifact it consumes, plus the CSV/plot renderers
   behind ``repro figures`` and the daemon's ``GET /figures/<id>.csv``.
-* :mod:`repro.reporting.dashboard` — the perf-regression observatory over
-  the ``BENCH_*.json`` trajectory behind ``repro dash``.
 * :mod:`repro.reporting.plotting` — the optional matplotlib layer; every
   entry point degrades to CSV-only when matplotlib is absent.
 """
 
-from repro.reporting.dashboard import render_dashboard
 from repro.reporting.figures import (
     FIGURES,
     FigureSpec,
@@ -47,6 +44,5 @@ __all__ = [
     "figure_csv",
     "figure_csv_from_store",
     "matplotlib_available",
-    "render_dashboard",
     "render_figures",
 ]

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from pathlib import Path
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.experiments.results import ExperimentResult
@@ -111,57 +111,3 @@ def plot_figure(
     finally:
         plt.close(fig)
 
-
-def plot_dashboard(
-    metric_labels: Sequence[str],
-    bench_names: Sequence[str],
-    values: Sequence[Sequence[float | None]],
-    out_dir: str | Path,
-    *,
-    stem: str = "dashboard",
-) -> list[Path]:
-    """Plot the benchmark-history dashboard: one panel per metric.
-
-    Args:
-        metric_labels: one label per metric (panel).
-        bench_names: the x axis — one BENCH file name per column.
-        values: per metric, one value per bench (``None`` = not recorded,
-            plotted as a gap).
-        out_dir: where ``<stem>.png``/``.svg`` land.
-
-    Returns the written paths (empty without matplotlib).
-    """
-    if not matplotlib_available():
-        return []
-    plt = _pyplot()
-    count = max(1, len(metric_labels))
-    cols = 2
-    rows = (count + cols - 1) // cols
-    fig, axes = plt.subplots(
-        rows, cols, figsize=(10, 2.6 * rows), squeeze=False
-    )
-    try:
-        xs = list(range(len(bench_names)))
-        for index, label in enumerate(metric_labels):
-            ax = axes[index // cols][index % cols]
-            series = values[index]
-            ax.plot(
-                [x for x, v in zip(xs, series) if v is not None],
-                [v for v in series if v is not None],
-                marker="o",
-            )
-            ax.set_title(label, fontsize=9)
-            ax.set_xticks(xs)
-            ax.set_xticklabels(bench_names, rotation=30, fontsize=7, ha="right")
-            ax.grid(True, alpha=0.3)
-        for index in range(count, rows * cols):
-            axes[index // cols][index % cols].axis("off")
-        fig.tight_layout()
-        written: list[Path] = []
-        for fmt in PLOT_FORMATS:
-            path = Path(out_dir) / f"{stem}.{fmt}"
-            fig.savefig(path, format=fmt)
-            written.append(path)
-        return written
-    finally:
-        plt.close(fig)

@@ -70,11 +70,6 @@ def resolve_machine(spec: MachineSpec) -> Machine:
     return _cached_machine(spec)
 
 
-def clear_machine_cache() -> None:
-    """Drop all memoised machines (benchmarks measuring cold-cache cost)."""
-    _cached_machine.cache_clear()
-
-
 @lru_cache(maxsize=64)
 def _cached_machine(spec: MachineSpec) -> Machine:
     if spec.kind == "mira":

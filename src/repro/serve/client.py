@@ -1,9 +1,8 @@
 """Blocking client for the evaluation daemon (stdlib ``http.client``).
 
 The client side of :mod:`repro.serve.http`: used by ``repro submit``, the
-``repro bench --serve`` load generator, and the CI smoke test.  It is
-synchronous on purpose — callers are shells and thread-pool load
-generators, not event loops.
+tests and the CI smoke test.  It is synchronous on purpose — callers are
+shells and thread pools, not event loops.
 """
 
 from __future__ import annotations

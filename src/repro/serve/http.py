@@ -23,7 +23,7 @@ simulations that run for seconds, so connection reuse buys nothing and
 keep-alive bookkeeping would be the largest piece of the file.
 
 :class:`ServerThread` runs the whole daemon on a background thread for
-tests and the ``repro bench --serve`` load generator.
+tests.
 """
 
 from __future__ import annotations

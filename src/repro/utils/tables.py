@@ -1,9 +1,9 @@
 """Minimal ASCII table rendering for the experiment harness.
 
-The benchmark harness prints, for every figure and table of the paper, the
-same rows/series the paper reports.  This module provides the small fixed
-width table formatter used for that output so benches and examples do not
-each reinvent it.
+``repro run`` prints, for every figure and table of the paper, the same
+rows/series the paper reports.  This module provides the small fixed width
+table formatter used for that output so the CLI and examples do not each
+reinvent it.
 """
 
 from __future__ import annotations

@@ -8,7 +8,7 @@ description feeds three consumers:
   so the file contents can be verified after the run;
 * the analytic performance model, which only needs sizes, counts and
   alignment;
-* the benchmark harness, which sweeps workload parameters to regenerate the
+* the experiment harness, which sweeps workload parameters to regenerate the
   paper's figures.
 
 Provided workloads:

@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro.autotune import TuneTarget, Tuner, theta_mpiio_space
 from repro.experiments.autotuning import (
+    TUNING_SEED,
     tuning_interference_aware,
     tuning_interference_scenario,
     tuning_theta_rediscovery,
@@ -53,6 +55,23 @@ class TestThetaRediscovery:
             (series.label, series.points) for series in first.series
         ] == [(series.label, series.points) for series in second.series]
         assert first.notes == second.notes
+
+    def test_random_search_evaluates_every_point(self):
+        """A budget-24 random search over the preset space hits no invalid point."""
+        tuner = Tuner(
+            TuneTarget(
+                name="tuning_theta_rediscovery",
+                builder=tuning_theta_scenario,
+                scale=TEST_SCALE,
+            ),
+            theta_mpiio_space(),
+            "bandwidth",
+            seed=TUNING_SEED,
+        )
+        trace = tuner.tune("random", 24)
+        assert len(trace.points) == 24
+        assert trace.invalid_points() == 0
+        assert trace.best_value is not None and trace.best_value > 0
 
     def test_overriding_a_searched_field_is_rejected(self):
         with pytest.raises(ValueError, match="searched field"):

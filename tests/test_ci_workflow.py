@@ -171,19 +171,16 @@ class TestWorkflowShape:
         )
         assert tune_index < report_index
 
-    def test_bench_job_gates_on_a_throughput_floor(self, workflow):
+    def test_bench_job_runs_the_perfbench_tests(self, workflow):
         steps = workflow["jobs"]["bench"]["steps"]
         commands = [s.get("run", "") for s in steps]
-        bench = [c for c in commands if "repro bench" in c]
-        assert bench, "bench job must invoke repro bench"
-        assert "--min-placement-rate" in bench[0], (
-            "the benchmark job must fail when placement throughput drops "
-            "below the documented floor"
+        install = [c for c in commands if "pip install" in c]
+        assert any('".[test]"' in c for c in install), (
+            "the perfbench tests need the test extra"
         )
-        assert "BENCH_smoke.json" in bench[0]
-        uploads = [s for s in steps if "upload-artifact" in str(s.get("uses", ""))]
-        assert uploads, "bench job must upload the benchmark JSON"
-        assert "BENCH_smoke.json" in uploads[0]["with"]["path"]
+        assert any("python -m pytest perfbench/tests" in c for c in commands), (
+            "the bench job must exercise the one benchmark harness"
+        )
 
     def test_serve_job_submits_twice_and_asserts_cache_hit(self, workflow):
         steps = workflow["jobs"]["serve"]["steps"]
@@ -199,16 +196,6 @@ class TestWorkflowShape:
         assert '"cached"' in submit[0] or "cached" in submit[0], (
             "the second submission must be asserted to be a cache hit"
         )
-
-    def test_serve_job_benchmarks_and_uploads_bench_6(self, workflow):
-        steps = workflow["jobs"]["serve"]["steps"]
-        commands = [s.get("run", "") for s in steps]
-        bench = [c for c in commands if "repro bench --serve" in c]
-        assert bench, "serve job must run the serve benchmark"
-        assert "BENCH_6.json" in bench[0]
-        uploads = [s for s in steps if "upload-artifact" in str(s.get("uses", ""))]
-        assert uploads, "serve job must upload BENCH_6.json"
-        assert "BENCH_6.json" in uploads[0]["with"]["path"]
 
     def test_smoke_job_runs_run_all_and_uploads_artifacts(self, workflow):
         steps = workflow["jobs"]["smoke"]["steps"]
@@ -290,9 +277,6 @@ class TestWorkflowShape:
         assert "--from artifacts/" in figures[0], (
             "figures must render from the stored artifacts, not re-simulate"
         )
-        dash = [c for c in commands if "repro dash" in c]
-        assert dash, "the figures job must render the perf dashboard"
-        assert "--check" in dash[0], "bench-floor regressions must fail the job"
         uploads = [s for s in steps if "upload-artifact" in str(s.get("uses", ""))]
         assert uploads, "the figures job must upload the figure bundle"
         path = uploads[0]["with"]["path"]

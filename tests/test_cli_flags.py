@@ -5,7 +5,7 @@ One table drives everything: which subcommand accepts which of the four
 shared flags.  Where a flag exists it must parse identically — same type
 coercion, same rejection of bad values, same defaults — so muscle memory
 (and shell scripts) transfer between ``run``, ``run-all``, ``scenario
-run``, ``tune``, ``bench``, and ``serve``.
+run``, ``tune``, and ``serve``.
 """
 
 import pytest
@@ -21,7 +21,6 @@ FLAG_TABLE = {
         {"--scale", "--jobs", "--out", "--set"},
     ),
     ("tune",): (["tune", "fig08"], {"--scale", "--jobs", "--out", "--set"}),
-    ("bench",): (["bench"], {"--jobs", "--out"}),
     ("serve",): (["serve"], {"--jobs", "--out"}),
     ("submit",): (["submit", "fig08"], {"--scale", "--set"}),
 }

@@ -88,7 +88,7 @@ class TestReportFromArtifacts:
         def explode(*args, **kwargs):  # pragma: no cover - must never run
             raise AssertionError("report --from must not re-simulate")
 
-        monkeypatch.setattr(report_module, "run_experiment", explode)
+        monkeypatch.setattr(report_module, "evaluate", explode)
         report_file = tmp_path / "EXPERIMENTS.md"
         code = main(["report", "--from", str(out_dir), "-o", str(report_file)])
         assert code == 0

@@ -129,12 +129,6 @@ class TestObjectiveMode:
 
 
 class TestCompatibilityShims:
-    def test_run_experiment_still_works(self):
-        from repro.experiments.harness import run_experiment
-
-        result = run_experiment("fig07", scale=SCALE)
-        assert result.experiment_id == "fig07"
-
     def test_result_methods_round_trip(self):
         result = evaluate("fig07", scale=SCALE).result
         assert ExperimentResult.from_dict(result.to_dict()) == result

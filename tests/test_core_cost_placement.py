@@ -200,6 +200,23 @@ class TestPlacement:
         for partition, aggregator in zip(partitions, placement.aggregators):
             assert aggregator in partition.ranks
 
+    def test_full_mira_partition_elects_one_aggregator_per_pset_partition(self):
+        """The C1+C2 election on a 512-node Mira allocation at node granularity."""
+        machine = MiraMachine(512)
+        num_ranks = 512 * 16
+        workload = HACCIOWorkload(num_ranks, 25_000, layout="aos")
+        mapping = block_mapping(num_ranks, 512, 16)
+        iface = TopologyInterface(machine, mapping)
+        partitions = build_partitions(
+            workload, 64, machine=machine, mapping=mapping, partition_by="pset"
+        )
+        placement = place_aggregators(
+            partitions, iface, strategy="topology-aware", granularity="node"
+        )
+        assert len(placement.aggregators) == len(partitions) == 64
+        for partition, aggregator in zip(partitions, placement.aggregators):
+            assert aggregator in partition.ranks
+
     def test_topology_aware_is_optimal_under_its_own_objective(self):
         machine = generic_cluster(32, nodes_per_leaf=8, num_gateways=2)
         workload = SyntheticWorkload(64, seed=3, max_segment_bytes=1 << 16)

@@ -87,6 +87,26 @@ class TestDiffArtifactsCommand:
         err = capsys.readouterr().err
         assert "fig08.json" in err and "wall_time_s" in err
 
+    def test_two_empty_dirs_are_an_error_not_a_pass(self, tmp_path, capsys):
+        a = tmp_path / "a"
+        b = tmp_path / "b"
+        a.mkdir()
+        b.mkdir()
+        # Non-envelope files alone (manifest, trace) leave nothing to compare.
+        _write(a, "manifest.json", {"git_sha": "abc"})
+        code = main(["diff-artifacts", str(a), str(b), "--ignore", "wall_time_s"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "error: no artifacts to compare" in captured.err
+        assert "identical" not in captured.out
+
+    def test_one_empty_side_names_the_missing_artifacts(self, tmp_path, capsys):
+        a = _artifact_dir(tmp_path / "a")
+        b = tmp_path / "b"
+        b.mkdir()
+        assert main(["diff-artifacts", str(a), str(b)]) == 1
+        assert "only in" in capsys.readouterr().err
+
     def test_missing_directory_is_a_usage_error(self, tmp_path):
         with pytest.raises(SystemExit):
             main(["diff-artifacts", str(tmp_path / "nope"), str(tmp_path)])

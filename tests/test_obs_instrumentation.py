@@ -14,7 +14,6 @@ from test_obs import _validate_trace_events
 
 from repro.cli import main
 from repro.core.api import evaluate
-from repro.experiments.harness import run_experiment
 from repro.experiments.runner import run_experiments
 from repro.experiments.store import ArtifactStore
 from repro.machine.theta import ThetaMachine
@@ -36,9 +35,9 @@ def _counters(rec) -> dict:
 class TestTracingDoesNotPerturbResults:
     @pytest.mark.parametrize("experiment_id", ["fig10", "table1", "headline"])
     def test_results_identical_with_tracing_on(self, experiment_id):
-        baseline = run_experiment(experiment_id, scale=8.0).to_dict()
+        baseline = evaluate(experiment_id, scale=8.0).result.to_dict()
         with collecting():
-            traced = run_experiment(experiment_id, scale=8.0).to_dict()
+            traced = evaluate(experiment_id, scale=8.0).result.to_dict()
         assert json.dumps(traced, sort_keys=True) == json.dumps(
             baseline, sort_keys=True
         )
@@ -98,7 +97,7 @@ class TestModelAndPlacementInstrumentation:
 
     def test_tapioca_run_records_phase_and_placement_counters(self):
         with collecting() as rec:
-            run_experiment("fig10", scale=8.0)
+            evaluate("fig10", scale=8.0)
         counters = _counters(rec)
         assert counters[("model.phase_seconds", (("phase", "io"),))] > 0.0
         assert counters[("costmodel.candidates", ())] > 0
@@ -197,61 +196,6 @@ class TestCliSurfaces:
             recorder_module.disable()
         assert "trace written to" in capsys.readouterr().err
         _validate_trace_events(json.loads(trace_path.read_text()))
-
-
-def _bench_payload(placement_rate: float) -> dict:
-    return {
-        "schema": "repro-bench-v1",
-        "git_sha": "deadbeef",
-        "created_utc": "2026-01-01T00:00:00Z",
-        "results": {
-            "placement_theta": {
-                "fast": {"candidates_per_s": placement_rate, "wall_s": 1.0},
-                "scalar": {"candidates_per_s": placement_rate / 10, "wall_s": 10.0},
-                "speedup": 10.0,
-            },
-            "tune": {"fast": {"points_per_s": 100.0}},
-            "run_all": {"wall_s": 2.0},
-        },
-    }
-
-
-class TestBenchHistory:
-    def test_history_table_and_floor(self, tmp_path, capsys):
-        (tmp_path / "BENCH_1.json").write_text(json.dumps(_bench_payload(9_000.0)))
-        (tmp_path / "BENCH_2.json").write_text(json.dumps(_bench_payload(16_000.0)))
-        code = main(["bench", "--history", "--history-root", str(tmp_path)])
-        output = capsys.readouterr().out
-        assert code == 0
-        assert "BENCH_1.json" in output and "BENCH_2.json" in output
-        assert "16,000" in output
-
-    def test_history_fails_below_floor(self, tmp_path, capsys):
-        (tmp_path / "BENCH_1.json").write_text(json.dumps(_bench_payload(9_000.0)))
-        (tmp_path / "BENCH_2.json").write_text(json.dumps(_bench_payload(800.0)))
-        code = main(["bench", "--history", "--history-root", str(tmp_path)])
-        assert code == 1
-        assert "below the 1,500" in capsys.readouterr().err
-
-    def test_history_gate_skips_serve_only_artifacts(self, tmp_path, capsys):
-        (tmp_path / "BENCH_1.json").write_text(json.dumps(_bench_payload(9_000.0)))
-        serve_only = {"schema": "repro-bench-v1", "results": {"serve": {}}}
-        (tmp_path / "BENCH_2.json").write_text(json.dumps(serve_only))
-        assert main(["bench", "--history", "--history-root", str(tmp_path)]) == 0
-        capsys.readouterr()
-
-    def test_history_csv(self, tmp_path, capsys):
-        (tmp_path / "BENCH_1.json").write_text(json.dumps(_bench_payload(9_000.0)))
-        assert (
-            main(["bench", "--history", "--csv", "--history-root", str(tmp_path)]) == 0
-        )
-        lines = capsys.readouterr().out.strip().splitlines()
-        assert lines[0].startswith("artifact,commit,")
-        assert lines[1].startswith("BENCH_1.json,deadbeef,")
-
-    def test_empty_history_is_an_error(self, tmp_path, capsys):
-        assert main(["bench", "--history", "--history-root", str(tmp_path)]) == 1
-        assert "no BENCH_*.json" in capsys.readouterr().err
 
 
 class TestReportTimings:

@@ -414,39 +414,3 @@ class TestAnnealTunerStrategy:
         assert trace.evaluations() <= 5
         assert trace.best_point() is not None
 
-
-class TestBenchCase:
-    def test_bench_placement_opt_reports_throughputs(self):
-        from repro.experiments.bench import bench_placement_opt
-
-        payload = bench_placement_opt(exact_nodes=32, anneal_nodes=64)
-        assert payload["exact"]["proven_optimal"]
-        assert payload["exact"]["nodes_per_s"] > 0
-        assert payload["exact"]["gap_percent"] >= 0.0
-        assert payload["anneal"]["flips"] > 0
-        assert payload["anneal"]["flips_per_s"] > 0
-
-    def test_history_row_and_columns_pick_up_the_new_case(self):
-        from repro.experiments.bench import history_row, render_history
-
-        new = history_row(
-            "BENCH_8.json",
-            {
-                "results": {
-                    "placement_opt": {
-                        "exact": {"nodes_per_s": 1_000_000.0},
-                        "anneal": {"flips_per_s": 90_000.0},
-                    }
-                }
-            },
-        )
-        assert new["opt_exact_nodes_per_s"] == 1_000_000.0
-        assert new["opt_anneal_flips_per_s"] == 90_000.0
-        old = history_row("BENCH_5.json", {"results": {}})
-        assert old["opt_exact_nodes_per_s"] is None
-        rendered = render_history([old, new])
-        assert "exact nodes/s" in rendered and "anneal flips/s" in rendered
-        assert "1,000,000" in rendered
-        # Pre-subsystem artifacts render as "-" in the new columns.
-        old_line = rendered.splitlines()[2]
-        assert "-" in old_line

@@ -1,4 +1,4 @@
-"""The ``repro figures`` and ``repro dash`` subcommands end to end."""
+"""The ``repro figures`` subcommand end to end."""
 
 from __future__ import annotations
 
@@ -7,7 +7,6 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.experiments.bench import BENCH_SCHEMA
 from repro.experiments.store import ArtifactStore
 from repro.reporting.figures import FIGURES
 
@@ -95,83 +94,3 @@ class TestFiguresCommand:
         names = {event.get("name") for event in document["traceEvents"]}
         assert "reporting.render:fig10" in names
 
-
-def _bench_file(root, number: int, *, placement=None, wall=None) -> None:
-    results: dict = {}
-    if placement is not None:
-        results["placement_theta"] = {"fast": {"candidates_per_s": placement}}
-    if wall is not None:
-        results["run_all"] = {"wall_s": wall}
-    (root / f"BENCH_{number}.json").write_text(
-        json.dumps({"schema": BENCH_SCHEMA, "git_sha": "abc", "results": results})
-    )
-
-
-class TestDashCommand:
-    def test_renders_trajectory_csv_and_passes(self, tmp_path, capsys):
-        _bench_file(tmp_path, 5, placement=16000.0, wall=1.2)
-        _bench_file(tmp_path, 8, placement=11000.0, wall=2.0)
-        out = tmp_path / "figs"
-        code = main(
-            ["dash", "--history-root", str(tmp_path), "--out", str(out), "--check"]
-        )
-        assert code == 0
-        csv_text = (out / "dashboard.csv").read_text()
-        lines = csv_text.strip().splitlines()
-        assert lines[0].startswith("artifact,commit,placement cand/s")
-        assert len(lines) == 3
-        assert "Floor gate: PASS" in capsys.readouterr().out
-
-    def test_check_fails_on_placement_floor_breach(self, tmp_path, capsys):
-        _bench_file(tmp_path, 5, placement=16000.0)
-        _bench_file(tmp_path, 9, placement=100.0)  # below the 1,500 gate
-        code = main(
-            [
-                "dash",
-                "--history-root",
-                str(tmp_path),
-                "--out",
-                str(tmp_path / "figs"),
-                "--check",
-            ]
-        )
-        assert code == 1
-        captured = capsys.readouterr()
-        assert "REGRESSION" in captured.out
-        assert "placement cand/s" in captured.out
-
-    def test_without_check_regressions_are_reported_but_exit_zero(self, tmp_path):
-        _bench_file(tmp_path, 5, placement=100.0)
-        code = main(
-            ["dash", "--history-root", str(tmp_path), "--out", str(tmp_path / "figs")]
-        )
-        assert code == 0
-
-    def test_corrupt_bench_file_warns_but_renders(self, tmp_path, capsys):
-        _bench_file(tmp_path, 5, placement=16000.0)
-        (tmp_path / "BENCH_6.json").write_text("{truncated")
-        code = main(
-            ["dash", "--history-root", str(tmp_path), "--out", str(tmp_path / "figs")]
-        )
-        assert code == 0
-        assert "warning: skipping BENCH_6.json" in capsys.readouterr().out
-
-    def test_no_bench_files_is_an_error(self, tmp_path, capsys):
-        code = main(
-            ["dash", "--history-root", str(tmp_path), "--out", str(tmp_path / "figs")]
-        )
-        assert code == 1
-        assert "no BENCH_" in capsys.readouterr().err
-
-    def test_committed_trajectory_renders_bench_5_onward(self, tmp_path):
-        """The repo's own BENCH_*.json history passes the dashboard gate."""
-        from pathlib import Path
-
-        repo_root = Path(__file__).resolve().parent.parent
-        out = tmp_path / "figs"
-        code = main(
-            ["dash", "--history-root", str(repo_root), "--out", str(out), "--check"]
-        )
-        assert code == 0
-        csv_text = (out / "dashboard.csv").read_text()
-        assert "BENCH_5.json" in csv_text and "BENCH_6.json" in csv_text

@@ -348,28 +348,28 @@ class TestRegistry:
 
 
 class TestExperimentOverrides:
-    def test_run_experiment_accepts_scenario_overrides(self):
-        from repro.experiments.harness import run_experiment
+    def test_evaluate_accepts_experiment_overrides(self):
+        from repro.core.api import evaluate
 
-        stock = run_experiment("fig10", scale=16.0)
-        detuned = run_experiment(
+        stock = evaluate("fig10", scale=16.0).result
+        detuned = evaluate(
             "fig10", scale=16.0, overrides={"storage.stripe_count": 4}
-        )
+        ).result
         assert stock.series_by_label("TAPIOCA").max() != detuned.series_by_label(
             "TAPIOCA"
         ).max()
 
     def test_unknown_override_key_raises_scenario_error(self):
-        from repro.experiments.harness import run_experiment
+        from repro.core.api import evaluate
 
         with pytest.raises(ScenarioError):
-            run_experiment("fig10", scale=16.0, overrides={"io.bufsize": 1})
+            evaluate("fig10", scale=16.0, overrides={"io.bufsize": 1})
 
     def test_unknown_experiment_id_suggests_close_matches(self):
-        from repro.experiments.harness import run_experiment
+        from repro.core.api import evaluate
 
         with pytest.raises(KeyError, match="did you mean"):
-            run_experiment("fig13x")
+            evaluate("fig13x")
 
     def test_override_changes_the_artifact_cache_key(self):
         from repro.experiments.store import cache_key
@@ -451,37 +451,37 @@ class TestExperimentOverrides:
         assert list(tmp_path.glob("*.json")) == [store.manifest_path]
 
     def test_override_of_a_swept_field_is_rejected(self):
-        from repro.experiments.harness import run_experiment
+        from repro.core.api import evaluate
 
         # io.kind is a sweep axis of fig10: a silent clobber would run the
         # unmodified experiment under an override cache key.
         with pytest.raises(ScenarioError, match="swept"):
-            run_experiment("fig10", scale=16.0, overrides={"io.kind": "mpiio"})
+            evaluate("fig10", scale=16.0, overrides={"io.kind": "mpiio"})
         with pytest.raises(ScenarioError, match="swept"):
-            run_experiment(
+            evaluate(
                 "interference_alloc_policy",
                 scale=16.0,
                 overrides={"multijob.allocation_policy": "scattered"},
             )
 
     def test_placement_override_reaches_the_io_locality_ablation(self):
-        from repro.experiments.harness import run_experiment
+        from repro.core.api import evaluate
 
-        stock = run_experiment("ablation_io_locality", scale=16.0)
-        random_placement = run_experiment(
+        stock = evaluate("ablation_io_locality", scale=16.0).result
+        random_placement = evaluate(
             "ablation_io_locality",
             scale=16.0,
             overrides={"placement.strategy": "random", "placement.seed": 3},
-        )
+        ).result
         stock_cost = stock.series_by_label("objective cost C1+C2 (ms)")
         random_cost = random_placement.series_by_label("objective cost C1+C2 (ms)")
         assert stock_cost.points != random_cost.points
 
     def test_incompatible_storage_override_is_a_scenario_error(self):
-        from repro.experiments.harness import run_experiment
+        from repro.core.api import evaluate
 
         with pytest.raises(ScenarioError, match="burst-buffer"):
-            run_experiment(
+            evaluate(
                 "ablation_burst_buffer",
                 scale=16.0,
                 overrides={"storage.kind": "machine-default"},
