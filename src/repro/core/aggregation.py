@@ -121,13 +121,6 @@ class AggregationSchedule:
     buffer_size: int
     num_rounds: int
 
-    def schedule_of_rank(self, rank: int) -> PartitionSchedule:
-        """The partition schedule containing ``rank``."""
-        for schedule in self.partitions:
-            if rank in schedule.partition.bytes_per_rank:
-                return schedule
-        raise KeyError(f"rank {rank} is not in any partition schedule")
-
     def total_bytes(self) -> int:
         """Total bytes aggregated across all partitions."""
         return sum(schedule.total_bytes() for schedule in self.partitions)
@@ -140,7 +133,7 @@ def _schedule_partition(
     schedule = PartitionSchedule(partition=partition, buffer_size=buffer_size)
     segments = [
         segment
-        for rank in partition.ranks
+        for rank in partition.ranks.tolist()
         for segment in workload.segments_for_rank(rank)
         if segment.nbytes > 0
     ]

@@ -162,80 +162,80 @@ class AggregationCostModel:
         )
 
     def best_candidate(
-        self, candidates: list[int], volumes: Mapping[int, int]
+        self, candidates: Sequence[int], volumes: Mapping[int, int]
     ) -> tuple[int, list[CostBreakdown]]:
         """Evaluate every candidate and return (winner, all breakdowns).
 
         Ties are broken towards the lowest rank, matching the behaviour of
         ``MPI_Allreduce(MINLOC)``.
 
-        All candidates are evaluated against precomputed per-node-pair hop
-        and bottleneck-bandwidth arrays instead of O(candidates × senders)
-        scalar interface calls; the per-term arithmetic and the accumulation
-        order match :meth:`evaluate` exactly, so the breakdowns are
-        bit-identical to evaluating each candidate on its own.
+        C1 is one reduction over a producers × candidates matrix of
+        ``l·d + ω/B`` terms gathered from per-node-pair arrays, with each
+        candidate's own term zeroed (adding ``+0.0`` to a non-negative sum
+        is exact).  ``np.add.accumulate`` along the producer axis adds the
+        terms strictly left to right, so every breakdown is bit-identical to
+        :meth:`evaluate`; ``np.sum`` would add pairwise and is not.  C2 is
+        a gather over the candidates' batched I/O distances and bandwidths.
         """
-        if not candidates:
+        if len(candidates) == 0:
             raise ValueError("no candidates to evaluate")
-        breakdowns = self._batched_breakdowns(candidates, volumes)
-        rec = obs_recorder()
-        if rec is not None:
-            rec.inc("costmodel.candidates", len(candidates))
-        winner = min(breakdowns, key=lambda b: (b.total, b.candidate))
-        return winner.candidate, breakdowns
-
-    def _batched_breakdowns(
-        self, candidates: list[int], volumes: Mapping[int, int]
-    ) -> list[CostBreakdown]:
-        """All candidates' breakdowns from per-node-pair arrays."""
+        cands = np.asarray(candidates, dtype=np.int64)
+        producers = np.fromiter(volumes.keys(), dtype=np.int64, count=len(volumes))
+        vols = np.fromiter(volumes.values(), dtype=np.int64, count=len(volumes))
         # Mirror evaluate()'s validation: a rank's volume is checked by every
         # candidate except the rank itself.
-        for rank, nbytes in volumes.items():
-            if nbytes >= 0:
-                continue
-            if all(c == rank for c in candidates):
-                continue
-            require_non_negative(nbytes, f"volume of rank {rank}")
-        producer_ranks = list(volumes.keys())
-        producer_nodes = [self.iface.node_of_rank(r) for r in producer_ranks]
-        candidate_nodes = [self.iface.node_of_rank(c) for c in candidates]
-        node_list = list(dict.fromkeys(producer_nodes + candidate_nodes))
-        index_of = {node: i for i, node in enumerate(node_list)}
-        hops, bandwidths = self.iface.node_pair_arrays(node_list)
-        rows = np.asarray(
-            [index_of[node] for node in producer_nodes], dtype=np.int64
+        for position in np.flatnonzero(vols < 0).tolist():
+            rank = int(producers[position])
+            if (cands != rank).any():
+                require_non_negative(int(vols[position]), f"volume of rank {rank}")
+        io_bytes = int(vols.sum())
+        require_non_negative(io_bytes, "io_bytes")
+        aggregation = self._aggregation_costs(cands, producers, vols)
+        io = np.zeros(len(cands))
+        if self.iface.io_locality_known():
+            candidate_nodes = self.iface.rank_nodes(cands)
+            io = self.iface.get_latency() * self.iface.io_distances(
+                candidate_nodes
+            ) + float(io_bytes) / self.iface.io_bandwidths(candidate_nodes)
+        rec = obs_recorder()
+        if rec is not None:
+            rec.inc("costmodel.candidates", len(cands))
+        winner = int(cands[np.lexsort((cands, aggregation + io))[0]])
+        breakdowns = [
+            CostBreakdown(candidate=c, aggregation=c1, io=c2)
+            for c, c1, c2 in zip(cands.tolist(), aggregation.tolist(), io.tolist())
+        ]
+        return winner, breakdowns
+
+    def _aggregation_costs(
+        self, candidates: np.ndarray, producers: np.ndarray, vols: np.ndarray
+    ) -> np.ndarray:
+        """C1 of every candidate (float64, aligned with ``candidates``)."""
+        if producers.size == 0:
+            return np.zeros(len(candidates))
+        producer_nodes = self.iface.rank_nodes(producers)
+        candidate_nodes = self.iface.rank_nodes(candidates)
+        node_list, inverse = np.unique(
+            np.concatenate([producer_nodes, candidate_nodes]), return_inverse=True
         )
-        vols = np.asarray(
-            [float(volumes[r]) for r in producer_ranks], dtype=np.float64
-        )
-        latency = self.iface.get_latency()
-        io_bytes = sum(volumes.values())
-        position = {rank: i for i, rank in enumerate(producer_ranks)}
-        breakdowns = []
-        for candidate, candidate_node in zip(candidates, candidate_nodes):
-            column = index_of[candidate_node]
-            # Identical per-term IEEE arithmetic to aggregation_cost(); the
-            # final reduction must stay a sequential left-to-right sum over
-            # the producers' iteration order to keep the floats bit-equal.
-            effective_bw = bandwidths[rows, column]
-            if self.contention is not None:
+        hops, bandwidths = self.iface.node_pair_arrays(node_list.tolist())
+        grid = np.ix_(inverse[: producers.size], inverse[producers.size :])
+        effective_bw = bandwidths[grid]
+        if self.contention is not None:
+            producer_ranks = producers.tolist()
+            for column, node in enumerate(candidate_nodes.tolist()):
                 factors = np.asarray(
-                    self.contention.bandwidth_factors(producer_ranks, candidate_node),
+                    self.contention.bandwidth_factors(producer_ranks, node),
                     dtype=np.float64,
                 )
-                effective_bw = effective_bw / np.maximum(1.0, factors)
-            terms = (latency * hops[rows, column] + vols / effective_bw).tolist()
-            skip = position.get(candidate)
-            total = 0.0
-            for index, term in enumerate(terms):
-                if index == skip:
-                    continue
-                total += term
-            breakdowns.append(
-                CostBreakdown(
-                    candidate=candidate,
-                    aggregation=total,
-                    io=self.io_cost(candidate, io_bytes),
+                effective_bw[:, column] = effective_bw[:, column] / np.maximum(
+                    1.0, factors
                 )
-            )
-        return breakdowns
+        # Same per-term IEEE arithmetic as aggregation_cost().
+        terms = (
+            self.iface.get_latency() * hops[grid]
+            + vols.astype(np.float64)[:, None] / effective_bw
+        )
+        # Zero each candidate's own term (a candidate need not be a producer).
+        terms[producers[:, None] == candidates] = 0.0
+        return np.add.accumulate(terms, axis=0)[-1]

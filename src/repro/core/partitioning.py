@@ -9,11 +9,18 @@ contiguous file regions, so partitions are built as contiguous rank blocks —
 either ``num_aggregators`` equal blocks (``partition_by="contiguous"``), or
 aligned with the machine's I/O partitions (Psets on Mira,
 ``partition_by="pset"``) with the aggregators spread evenly across them.
+
+Partitions hold their ranks and volumes as aligned int64 arrays, sliced from
+the workload's :meth:`~repro.workloads.base.Workload.rank_bytes`, so building
+them costs no per-rank Python work even at full-machine scale.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
+
+import numpy as np
 
 from repro.iolib.aggregators import partition_ranks
 from repro.machine.machine import Machine
@@ -22,40 +29,43 @@ from repro.utils.validation import require, require_positive
 from repro.workloads.base import Workload
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Partition:
     """One aggregation partition.
 
     Attributes:
         index: partition index (also the aggregator index).
-        ranks: world ranks belonging to the partition, ascending.
-        bytes_per_rank: bytes each member rank contributes (ω(i, A)).
+        ranks: world ranks belonging to the partition, ascending (int64).
+        volumes: bytes each member rank contributes (ω(i, A)), aligned with
+            ``ranks`` (int64).
     """
 
     index: int
-    ranks: tuple[int, ...]
-    bytes_per_rank: dict[int, int]
+    ranks: np.ndarray
+    volumes: np.ndarray
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "ranks", np.asarray(self.ranks, dtype=np.int64))
+        object.__setattr__(self, "volumes", np.asarray(self.volumes, dtype=np.int64))
+        require(self.ranks.size > 0, "a partition needs at least one rank")
+        require(
+            self.ranks.ndim == 1 and self.ranks.shape == self.volumes.shape,
+            "volumes must be aligned with the partition ranks",
+        )
 
     @property
     def total_bytes(self) -> int:
         """Total bytes aggregated by this partition (ω(A, IO))."""
-        return sum(self.bytes_per_rank.values())
+        return int(self.volumes.sum())
 
     @property
     def size(self) -> int:
         """Number of ranks in the partition."""
         return len(self.ranks)
 
-    def __post_init__(self) -> None:
-        require(len(self.ranks) > 0, "a partition needs at least one rank")
-        require(
-            set(self.bytes_per_rank) == set(self.ranks),
-            "bytes_per_rank keys must match the partition ranks",
-        )
-
-
-def _volumes(workload: Workload, ranks: list[int]) -> dict[int, int]:
-    return {rank: workload.bytes_per_rank(rank) for rank in ranks}
+    def volume_map(self) -> dict[int, int]:
+        """``{rank: bytes}`` for the scalar cost-model API (``evaluate``)."""
+        return dict(zip(self.ranks.tolist(), self.volumes.tolist()))
 
 
 def build_partitions(
@@ -82,10 +92,14 @@ def build_partitions(
     require_positive(num_aggregators, "num_aggregators")
     num_ranks = workload.num_ranks
     if partition_by == "contiguous":
-        blocks = partition_ranks(num_ranks, num_aggregators)
+        volumes = workload.rank_bytes()
         return [
-            Partition(index, tuple(block), _volumes(workload, block))
-            for index, block in enumerate(blocks)
+            Partition(
+                index,
+                np.arange(block.start, block.stop),
+                volumes[block.start : block.stop],
+            )
+            for index, block in enumerate(partition_ranks(num_ranks, num_aggregators))
         ]
     if partition_by != "pset":
         raise ValueError(
@@ -95,31 +109,28 @@ def build_partitions(
         raise ValueError("partition_by='pset' requires machine and mapping")
     # Group ranks by the machine's I/O partition of their node, then split
     # each group into its share of the aggregators.
-    groups: dict[int, list[int]] = {}
-    for rank in range(num_ranks):
-        node = mapping.node(rank)
-        groups.setdefault(machine.partition_of_node(node), []).append(rank)
-    group_ids = sorted(groups)
-    num_groups = len(group_ids)
-    per_group = max(1, num_aggregators // num_groups)
+    groups = machine.partitions_of_nodes(mapping.nodes(np.arange(num_ranks)))
+    order = np.argsort(groups, kind="stable")
+    _ids, starts, counts = np.unique(groups[order], return_index=True, return_counts=True)
+    per_group = max(1, num_aggregators // len(starts))
+    volumes = workload.rank_bytes()
     partitions: list[Partition] = []
-    for group_id in group_ids:
-        members = sorted(groups[group_id])
-        for block in partition_ranks(len(members), per_group):
-            ranks = [members[i] for i in block]
-            partitions.append(
-                Partition(len(partitions), tuple(ranks), _volumes(workload, ranks))
-            )
+    for start, count in zip(starts.tolist(), counts.tolist()):
+        members = order[start : start + count]
+        for block in partition_ranks(count, per_group):
+            ranks = members[block.start : block.stop]
+            partitions.append(Partition(len(partitions), ranks, volumes[ranks]))
     return partitions
 
 
-def partition_of_rank(partitions: list[Partition], rank: int) -> Partition:
-    """The partition containing ``rank``.
+def rank_owners(partitions: Sequence[Partition]) -> np.ndarray:
+    """``owners[rank]``: index of the partition holding ``rank`` (-1: none).
 
-    Raises:
-        KeyError: if no partition contains the rank.
+    Built once per partition list; the runtime and the tests look ranks up
+    in it instead of scanning the partitions.
     """
+    size = max(int(partition.ranks.max()) for partition in partitions) + 1
+    owners = np.full(size, -1, dtype=np.int64)
     for partition in partitions:
-        if rank in partition.bytes_per_rank:
-            return partition
-    raise KeyError(f"rank {rank} is not in any partition")
+        owners[partition.ranks] = partition.index
+    return owners

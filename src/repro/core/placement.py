@@ -21,6 +21,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.core.cost_model import AggregationCostModel, CostBreakdown
 from repro.core.partitioning import Partition
 from repro.core.topology_iface import TopologyInterface
@@ -57,7 +59,7 @@ def _topology_aware(
     partition: Partition, model: AggregationCostModel
 ) -> tuple[int, CostBreakdown]:
     winner, breakdowns = model.best_candidate(
-        list(partition.ranks), partition.bytes_per_rank
+        partition.ranks.tolist(), partition.volume_map()
     )
     winning = next(b for b in breakdowns if b.candidate == winner)
     return winner, winning
@@ -73,15 +75,33 @@ def _shortest_io(
     here would report breakdowns that ignore multi-job background traffic.
     """
     candidates = []
-    for rank in partition.ranks:
+    for rank in partition.ranks.tolist():
         distance = iface.distance_to_io_node(rank)
         candidates.append((distance if distance is not None else 0, rank))
     _distance, winner = min(candidates)
-    return winner, model.evaluate(winner, partition.bytes_per_rank)
+    return winner, model.evaluate(winner, partition.volume_map())
 
 
 def _max_volume(partition: Partition) -> int:
-    return max(partition.ranks, key=lambda r: (partition.bytes_per_rank[r], -r))
+    """The rank holding the most bytes (ties: the lowest rank)."""
+    return int(partition.ranks[np.lexsort((partition.ranks, -partition.volumes))[0]])
+
+
+def collapse_to_nodes(
+    partition: Partition, iface: TopologyInterface
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(nodes, representatives, volumes)`` of a partition, one entry per node.
+
+    ``nodes`` ascend; each node's representative is its lowest member rank
+    and its volume the integer sum of its members' bytes.
+    """
+    nodes, first, inverse = np.unique(
+        iface.rank_nodes(partition.ranks), return_index=True, return_inverse=True
+    )
+    volumes = np.zeros(len(nodes), dtype=np.int64)
+    np.add.at(volumes, inverse, partition.volumes)
+    # Ranks ascend, so a node's first member is its lowest rank.
+    return nodes, partition.ranks[first], volumes
 
 
 def _node_level_partition(partition: Partition, iface: TopologyInterface) -> Partition:
@@ -91,20 +111,12 @@ def _node_level_partition(partition: Partition, iface: TopologyInterface) -> Par
     bandwidths) and on per-node volumes, so evaluating one candidate per node
     is equivalent to evaluating every rank while being quadratically cheaper.
     This is what the large-scale analytic path uses; the winning node's
-    lowest rank is reported as the aggregator.
+    lowest rank is reported as the aggregator.  Producers stay in ascending
+    representative-rank order.
     """
-    volumes_by_node: dict[int, int] = {}
-    representative: dict[int, int] = {}
-    for rank in partition.ranks:
-        node = iface.node_of_rank(rank)
-        volumes_by_node[node] = volumes_by_node.get(node, 0) + partition.bytes_per_rank[rank]
-        if node not in representative or rank < representative[node]:
-            representative[node] = rank
-    ranks = tuple(sorted(representative[node] for node in representative))
-    bytes_per_rank = {
-        representative[node]: volumes_by_node[node] for node in representative
-    }
-    return Partition(partition.index, ranks, bytes_per_rank)
+    _nodes, representatives, volumes = collapse_to_nodes(partition, iface)
+    order = np.argsort(representatives)
+    return Partition(partition.index, representatives[order], volumes[order])
 
 
 def place_aggregators(
@@ -164,7 +176,7 @@ def place_aggregators(
             elif strategy == "max-volume":
                 winner = _max_volume(partition)
             elif strategy == "rank-order":
-                winner = partition.ranks[0]
+                winner = int(partition.ranks[0])
             elif strategy == "random":
                 assert rng is not None
                 winner = int(partition.ranks[rng.integers(0, partition.size)])
@@ -190,5 +202,5 @@ def placement_cost(
     model = AggregationCostModel(iface)
     total = 0.0
     for partition, aggregator in zip(partitions, placement.aggregators):
-        total += model.evaluate(aggregator, partition.bytes_per_rank).total
+        total += model.evaluate(aggregator, partition.volume_map()).total
     return total

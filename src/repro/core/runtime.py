@@ -28,7 +28,7 @@ from typing import Any, Generator
 from repro.core.aggregation import AggregationSchedule, build_schedule
 from repro.core.config import TapiocaConfig
 from repro.core.cost_model import AggregationCostModel
-from repro.core.partitioning import Partition, build_partitions
+from repro.core.partitioning import Partition, build_partitions, rank_owners
 from repro.core.placement import PlacementResult, place_aggregators
 from repro.core.topology_iface import TopologyInterface
 from repro.obs import recorder as obs_recorder
@@ -98,6 +98,10 @@ class TapiocaIO:
             path, filesystem, shared_locks=self.config.shared_locks
         )
         self._cost_model = AggregationCostModel(self.iface, contention=contention)
+        #: Partition index of every world rank.
+        self._owners = rank_owners(self.partitions)
+        #: Per-partition ``{rank: bytes}`` for the election's cost evaluations.
+        self._volumes = [partition.volume_map() for partition in self.partitions]
         #: Diagnostics: flush (file write) operations issued by aggregators.
         self.flush_count = 0
         #: Diagnostics: elected aggregator world rank per partition index.
@@ -107,17 +111,10 @@ class TapiocaIO:
     # Helpers
     # ------------------------------------------------------------------ #
 
-    def partition_index_of_rank(self, rank: int) -> int:
-        """Index of the partition containing ``rank``."""
-        for partition in self.partitions:
-            if rank in partition.bytes_per_rank:
-                return partition.index
-        raise KeyError(f"rank {rank} is not in any partition")
-
     def _election_value(self, rank: int, partition: Partition) -> tuple[float, int]:
         """The (cost, rank) pair this rank contributes to the MINLOC election."""
         if self.config.placement == "topology-aware":
-            cost = self._cost_model.evaluate(rank, partition.bytes_per_rank).total
+            cost = self._cost_model.evaluate(rank, self._volumes[partition.index]).total
             return (cost, rank)
         # Other strategies do not rely on the distributed election: every rank
         # contributes the precomputed winner so MINLOC trivially selects it,
@@ -134,7 +131,7 @@ class TapiocaIO:
 
         Returns the number of bytes this rank contributed.
         """
-        partition_index = self.partition_index_of_rank(ctx.rank)
+        partition_index = int(self._owners[ctx.rank])
         partition = self.partitions[partition_index]
         part_schedule = self.schedule.partitions[partition_index]
         # Partition sub-communicator (fences must only involve the partition).
@@ -226,7 +223,7 @@ class TapiocaIO:
         (the read-side counterpart of the write pipeline).  Returns a mapping
         ``{segment.offset: bytes}`` for this rank's segments.
         """
-        partition_index = self.partition_index_of_rank(ctx.rank)
+        partition_index = int(self._owners[ctx.rank])
         partition = self.partitions[partition_index]
         part_schedule = self.schedule.partitions[partition_index]
         sub = yield from ctx.comm.split(partition_index)

@@ -146,6 +146,18 @@ class TopologyInterface:
     # Batch queries (the placement cost model)
     # ------------------------------------------------------------------ #
 
+    def rank_nodes(self, ranks: np.ndarray) -> np.ndarray:
+        """Nodes hosting ``ranks`` (int64 array aligned with ``ranks``)."""
+        return self.mapping.nodes(ranks)
+
+    def io_distances(self, nodes: np.ndarray) -> np.ndarray:
+        """Batched hops from each node to its I/O node (locality known only)."""
+        return self.machine.io_distances(nodes)
+
+    def io_bandwidths(self, nodes: np.ndarray) -> np.ndarray:
+        """Batched gateway-to-storage bandwidth of each node (locality known only)."""
+        return self.machine.io_bandwidths(nodes)
+
     def node_pair_arrays(
         self, nodes: Sequence[int]
     ) -> tuple[np.ndarray, np.ndarray]:

@@ -290,7 +290,7 @@ def ablation_io_locality(
         full_iface = TopologyInterface(machine, mapping)
         model = AggregationCostModel(full_iface)
         cost = sum(
-            model.evaluate(aggregator, partition.bytes_per_rank).total
+            model.evaluate(aggregator, partition.volume_map()).total
             for partition, aggregator in zip(partitions, placement.aggregators)
         )
         distances = [

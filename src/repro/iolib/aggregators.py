@@ -19,6 +19,8 @@ topology-aware placement in :mod:`repro.core.placement`.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.machine.machine import Machine
 from repro.machine.mira import MiraMachine
 from repro.topology.mapping import RankMapping
@@ -26,7 +28,7 @@ from repro.utils.rng import seeded_rng
 from repro.utils.validation import require, require_positive
 
 
-def partition_ranks(num_ranks: int, num_partitions: int) -> list[list[int]]:
+def partition_ranks(num_ranks: int, num_partitions: int) -> list[range]:
     """Split ranks into ``num_partitions`` contiguous blocks (first blocks larger).
 
     Contiguous rank blocks own contiguous file regions for all the paper's
@@ -41,7 +43,7 @@ def partition_ranks(num_ranks: int, num_partitions: int) -> list[list[int]]:
     start = 0
     for index in range(num_partitions):
         size = base + (1 if index < extra else 0)
-        partitions.append(list(range(start, start + size)))
+        partitions.append(range(start, start + size))
         start += size
     return partitions
 
@@ -63,20 +65,15 @@ def bridge_first_aggregators(
     becomes the aggregator; otherwise the partition's first rank is used.
     On machines without bridge nodes this degenerates to rank order.
     """
-    partitions = partition_ranks(mapping.num_ranks, num_aggregators)
-    bridge_nodes: set[int] = set()
     if isinstance(machine, MiraMachine):
-        bridge_nodes = set(machine.bridge_nodes())
+        bridge_nodes = machine.bridge_nodes()
     else:
-        bridge_nodes = {gateway.node for gateway in machine.io_gateways()}
+        bridge_nodes = [gateway.node for gateway in machine.io_gateways()]
+    on_bridge = np.isin(mapping.node_array, bridge_nodes)
     aggregators = []
-    for partition in partitions:
-        chosen = partition[0]
-        for rank in partition:
-            if mapping.node(rank) in bridge_nodes:
-                chosen = rank
-                break
-        aggregators.append(chosen)
+    for block in partition_ranks(mapping.num_ranks, num_aggregators):
+        hits = np.flatnonzero(on_bridge[block.start : block.stop])
+        aggregators.append(block.start + (int(hits[0]) if hits.size else 0))
     return aggregators
 
 

@@ -12,6 +12,9 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
+from functools import cached_property
+
+import numpy as np
 
 from repro.machine.node import NodeSpec
 from repro.storage.base import FileSystemModel
@@ -37,6 +40,15 @@ class IOGateway:
     node: int
     io_node: int
     bandwidth: float
+
+
+def _gather(table: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """``table[nodes]``, rejecting node ids outside the table."""
+    nodes = np.asarray(nodes, dtype=np.int64)
+    outside = (nodes < 0) | (nodes >= table.size)
+    if outside.any():
+        raise ValueError(f"node must be in [0, {table.size}), got {int(nodes[outside][0])}")
+    return table[nodes]
 
 
 class Machine(abc.ABC):
@@ -106,6 +118,25 @@ class Machine(abc.ABC):
             return None
         return gateway.bandwidth
 
+    def io_distances(self, nodes: np.ndarray) -> np.ndarray:
+        """Batched :meth:`distance_to_io` (int64), a gather over a per-node
+        table built once; every node must have a gateway
+        (:meth:`io_locality_known`)."""
+        return _gather(self._io_table[0], nodes)
+
+    def io_bandwidths(self, nodes: np.ndarray) -> np.ndarray:
+        """Batched :meth:`io_bandwidth_for_node` (float64), same precondition."""
+        return _gather(self._io_table[1], nodes)
+
+    @cached_property
+    def _io_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """(hops to the I/O node, gateway bandwidth) of every node."""
+        nodes = range(self.num_nodes)
+        return (
+            np.array([self.distance_to_io(n) for n in nodes], dtype=np.int64),
+            np.array([self.io_bandwidth_for_node(n) for n in nodes], dtype=np.float64),
+        )
+
     # ------------------------------------------------------------------ #
     # Multi-job allocation surfaces
     # ------------------------------------------------------------------ #
@@ -143,10 +174,23 @@ class Machine(abc.ABC):
     def partition_of_node(self, node: int) -> int:
         """Index of the I/O partition containing ``node``."""
         self.topology.validate_node(node)
-        for index, nodes in enumerate(self.io_partitions()):
-            if node in nodes:
-                return index
-        raise ValueError(f"node {node} is not in any I/O partition")
+        return int(self.partitions_of_nodes(np.array([node]))[0])
+
+    def partitions_of_nodes(self, nodes: np.ndarray) -> np.ndarray:
+        """I/O partition index of every node of ``nodes`` (one table gather)."""
+        result = _gather(self._partition_table, nodes)
+        if (result < 0).any():
+            bad = int(np.asarray(nodes)[result < 0][0])
+            raise ValueError(f"node {bad} is not in any I/O partition")
+        return result
+
+    @cached_property
+    def _partition_table(self) -> np.ndarray:
+        """``table[node]``: first I/O partition holding the node, -1 for none."""
+        table = np.full(self.num_nodes, -1, dtype=np.int64)
+        for index, nodes in reversed(list(enumerate(self.io_partitions()))):
+            table[nodes] = index
+        return table
 
     # ------------------------------------------------------------------ #
     # Convenience

@@ -15,6 +15,10 @@ the allocation's Psets.
 
 from __future__ import annotations
 
+from functools import cached_property
+
+import numpy as np
+
 from repro.machine.machine import IOGateway, Machine
 from repro.machine.node import bgq_node
 from repro.storage.gpfs import GPFSModel
@@ -151,6 +155,20 @@ class MiraMachine(Machine):
     def partition_of_node(self, node: int) -> int:
         """O(1) override: a node's I/O partition is simply its Pset."""
         return self.pset_of_node(node)
+
+    @cached_property
+    def _io_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per-node I/O distances from two ``distances_from`` calls per Pset
+        (one per bridge node); every bridge link has the same bandwidth."""
+        distances = np.empty(self.num_nodes, dtype=np.int64)
+        for pset in range(self.num_psets):
+            members = self.nodes_of_pset(pset)
+            hops = [
+                self.topology.distances_from(bridge, members)
+                for bridge in self.bridge_nodes_of_pset(pset)
+            ]
+            distances[members] = np.min(hops, axis=0) + 1
+        return distances, np.full(self.num_nodes, MIRA_BRIDGE_LINK_BANDWIDTH)
 
     # ------------------------------------------------------------------ #
     # Paper-specific derived quantities

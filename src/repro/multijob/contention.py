@@ -341,13 +341,7 @@ class LinkContentionFactors:
         ``ValueError`` as :meth:`RankMapping.node` (numpy would otherwise
         wrap a negative rank onto the last node).
         """
-        ranks = np.asarray(src_ranks, dtype=np.intp)
-        num_ranks = self.mapping.num_ranks
-        outside = (ranks < 0) | (ranks >= num_ranks)
-        if outside.any():
-            bad = int(ranks[outside][0])
-            raise ValueError(f"rank {bad} out of range [0, {num_ranks})")
-        src_nodes = self.mapping.node_array[ranks]
+        src_nodes = self.mapping.nodes(src_ranks)
         if not self._loads:
             return np.ones(src_nodes.shape)
         nodes, inverse = np.unique(src_nodes, return_inverse=True)

@@ -92,7 +92,7 @@ def model_tapioca(
     ]
     senders_by_aggregator: dict[int, list[int]] = {}
     for partition, node in zip(partitions, aggregator_nodes):
-        senders = context.nodes_of_ranks(list(partition.ranks))
+        senders = context.nodes_of_ranks(partition.ranks)
         existing = senders_by_aggregator.setdefault(node, [])
         senders_by_aggregator[node] = sorted(set(existing) | set(senders))
     flows = analyze_flows(machine.topology, senders_by_aggregator)

@@ -34,7 +34,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from repro.core.partitioning import Partition
+from repro.core.placement import collapse_to_nodes
 from repro.utils.validation import require
 
 
@@ -165,44 +168,26 @@ def _candidates_for_partition(
     partition: Partition, iface
 ) -> PartitionCandidates:
     """Per-candidate (latency_s, transfer_s) splits for one partition."""
-    volumes_by_node: dict[int, int] = {}
-    representative: dict[int, int] = {}
-    for rank in partition.ranks:
-        node = iface.node_of_rank(rank)
-        volumes_by_node[node] = (
-            volumes_by_node.get(node, 0) + partition.bytes_per_rank[rank]
-        )
-        if node not in representative or rank < representative[node]:
-            representative[node] = rank
-    node_list = sorted(volumes_by_node)
+    nodes, representatives, volumes = collapse_to_nodes(partition, iface)
     latency = iface.get_latency()
-    total_bytes = sum(volumes_by_node.values())
-    hops, bandwidths = iface.node_pair_arrays(node_list)
-    candidates = []
-    for column, node in enumerate(node_list):
-        lat_s = 0.0
-        xfer_s = 0.0
-        for row, producer in enumerate(node_list):
-            if producer == node:
-                continue
-            lat_s += latency * float(hops[row, column])
-            xfer_s += float(volumes_by_node[producer]) / float(
-                bandwidths[row, column]
-            )
-        if iface.io_locality_known():
-            distance = iface.distance_to_io_node(representative[node])
-            if distance is not None:
-                lat_s += latency * distance
-                xfer_s += float(total_bytes) / iface.io_bandwidth_of_rank(
-                    representative[node]
-                )
-        candidates.append(
-            CandidateCost(
-                node=node,
-                rank=representative[node],
-                latency_s=lat_s,
-                transfer_s=xfer_s,
-            )
+    hops, bandwidths = iface.node_pair_arrays(nodes.tolist())
+    # Producer rows × candidate columns.  A candidate's own node contributes
+    # +0.0, and accumulating down the producer axis adds left to right, so
+    # each sum equals the scalar loop over producers bit for bit.
+    latency_terms = latency * hops.astype(np.float64)
+    transfer_terms = volumes.astype(np.float64)[:, None] / bandwidths
+    np.fill_diagonal(latency_terms, 0.0)
+    np.fill_diagonal(transfer_terms, 0.0)
+    lat_s = np.add.accumulate(latency_terms, axis=0)[-1]
+    xfer_s = np.add.accumulate(transfer_terms, axis=0)[-1]
+    if iface.io_locality_known():
+        lat_s = lat_s + latency * iface.io_distances(nodes)
+        xfer_s = xfer_s + float(volumes.sum()) / iface.io_bandwidths(nodes)
+    candidates = [
+        CandidateCost(node=node, rank=rank, latency_s=lat, transfer_s=xfer)
+        for node, rank, lat, xfer in zip(
+            nodes.tolist(), representatives.tolist(), lat_s.tolist(), xfer_s.tolist()
         )
+    ]
     candidates.sort(key=lambda c: (c.base_s, c.node))
     return PartitionCandidates(index=partition.index, candidates=tuple(candidates))

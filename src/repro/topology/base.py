@@ -275,12 +275,17 @@ class Topology(abc.ABC):
         return self._batch_path_bandwidths(node, self._as_node_array(nodes))
 
     @abc.abstractmethod
-    def _batch_distances(self, node: int, ids: np.ndarray) -> np.ndarray:
-        """Vectorised hop counts from ``node`` to validated node ids (int64)."""
+    def _batch_distances(self, node, ids: np.ndarray) -> np.ndarray:
+        """Vectorised hop counts from ``node`` to validated node ids (int64).
+
+        ``node`` is one validated id, or a column of ids that broadcasts
+        against ``ids`` into a pair matrix (:meth:`pair_metrics`).
+        """
 
     @abc.abstractmethod
-    def _batch_path_bandwidths(self, node: int, ids: np.ndarray) -> np.ndarray:
-        """Vectorised bottleneck bandwidths from ``node`` (``inf`` on self)."""
+    def _batch_path_bandwidths(self, node, ids: np.ndarray) -> np.ndarray:
+        """Vectorised bottleneck bandwidths from ``node`` (``inf`` on self);
+        ``node`` broadcasts as in :meth:`_batch_distances`."""
 
     def pair_metrics(self, nodes: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
         """``(hops, bandwidths)`` matrices over a node set, cached per set.
@@ -307,12 +312,10 @@ class Topology(abc.ABC):
         if hit is not None:
             return hit
         size = len(key)
-        hops = np.empty((size, size), dtype=np.int64)
-        bandwidths = np.empty((size, size), dtype=np.float64)
-        ids = np.asarray(key, dtype=np.int64)
-        for row, node in enumerate(key):
-            hops[row] = self.distances_from(node, ids)
-            bandwidths[row] = self.path_bandwidths_from(node, ids)
+        ids = self._as_node_array(key)
+        # One broadcast of the closed-form batch kernels over every pair.
+        hops = self._batch_distances(ids[:, None], ids).astype(np.int64)
+        bandwidths = self._batch_path_bandwidths(ids[:, None], ids).astype(np.float64)
         # The eviction budget counts matrix cells, not entries: thousands of
         # small partition sets fit alongside a handful of machine-wide ones.
         if self.__dict__["_fp_pair_cells"] + size * size > _MAX_PAIR_CELLS:

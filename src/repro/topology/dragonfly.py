@@ -188,7 +188,7 @@ class DragonflyTopology(Topology):
             return 0
         return self.router_distance(self.router_of(src), self.router_of(dst))
 
-    def _batch_distances(self, node: int, ids: np.ndarray) -> np.ndarray:
+    def _batch_distances(self, node, ids: np.ndarray) -> np.ndarray:
         """Closed-form hops from the dragonfly's group arithmetic.
 
         Same group: one local hop unless the routers coincide.  Different
@@ -198,7 +198,7 @@ class DragonflyTopology(Topology):
         rpg = self._routers_per_group
         routers = ids // self._nodes_per_router
         groups = routers // rpg
-        router_0 = self.router_of(node)
+        router_0 = node // self._nodes_per_router
         group_0 = router_0 // rpg
         local_0 = router_0 - group_0 * rpg
         # Gateway mismatch at the source (towards each destination group) and
@@ -209,7 +209,7 @@ class DragonflyTopology(Topology):
         hops = np.where(groups == group_0, (routers != router_0).astype(np.int64), cross)
         return np.where(ids == node, 0, hops)
 
-    def _batch_path_bandwidths(self, node: int, ids: np.ndarray) -> np.ndarray:
+    def _batch_path_bandwidths(self, node, ids: np.ndarray) -> np.ndarray:
         """Bottleneck bandwidth from the link kinds a minimal route crosses.
 
         Every route enters and leaves through injection/ejection links; a
@@ -220,7 +220,7 @@ class DragonflyTopology(Topology):
         rpg = self._routers_per_group
         routers = ids // self._nodes_per_router
         groups = routers // rpg
-        router_0 = self.router_of(node)
+        router_0 = node // self._nodes_per_router
         group_0 = router_0 // rpg
         local_0 = router_0 - group_0 * rpg
         same_router = self._injection_bw

@@ -111,12 +111,12 @@ class FatTreeTopology(Topology):
             return 1
         return 2
 
-    def _batch_distances(self, node: int, ids: np.ndarray) -> np.ndarray:
+    def _batch_distances(self, node, ids: np.ndarray) -> np.ndarray:
         """Closed form: 0 same node, 1 same leaf, 2 via a spine."""
-        same_leaf = (ids // self._nodes_per_leaf) == self.leaf_of(node)
+        same_leaf = (ids // self._nodes_per_leaf) == node // self._nodes_per_leaf
         return np.where(ids == node, 0, np.where(same_leaf, 1, 2))
 
-    def _batch_path_bandwidths(self, node: int, ids: np.ndarray) -> np.ndarray:
+    def _batch_path_bandwidths(self, node, ids: np.ndarray) -> np.ndarray:
         """Every fat-tree link has the same bandwidth; self-pairs are ``inf``."""
         return np.where(ids == node, np.inf, self._bandwidth)
 

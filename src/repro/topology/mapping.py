@@ -53,6 +53,20 @@ class RankMapping:
             raise ValueError(f"rank {rank} out of range [0, {self.num_ranks})")
         return self.node_of_rank[rank]
 
+    def nodes(self, ranks: Sequence[int] | np.ndarray) -> np.ndarray:
+        """Batched :meth:`node`: the nodes hosting ``ranks`` (int64 array).
+
+        Out-of-range ranks raise the same ``ValueError`` as :meth:`node`
+        (numpy would otherwise wrap a negative rank onto the last node).
+        """
+        ranks = np.asarray(ranks, dtype=np.int64)
+        outside = (ranks < 0) | (ranks >= self.num_ranks)
+        if outside.any():
+            raise ValueError(
+                f"rank {int(ranks[outside][0])} out of range [0, {self.num_ranks})"
+            )
+        return self.node_array[ranks]
+
     def ranks_on_node(self, node: int) -> list[int]:
         """All ranks hosted on ``node`` (ascending)."""
         if not 0 <= node < self.num_nodes:

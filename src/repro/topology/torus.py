@@ -146,17 +146,16 @@ class TorusTopology(Topology):
             for a, b, dim in zip(src_coords, dst_coords, self._dims)
         )
 
-    def _coordinates_of(self, ids: np.ndarray) -> np.ndarray:
-        """Coordinates of many node ids at once, shape ``(len(ids), ndims)``."""
-        return (ids[:, None] // self._strides_array) % self._dims_array
+    def _coordinates_of(self, ids) -> np.ndarray:
+        """Coordinates of many node ids at once, shape ``ids.shape + (ndims,)``."""
+        return (np.asarray(ids)[..., None] // self._strides_array) % self._dims_array
 
-    def _batch_distances(self, node: int, ids: np.ndarray) -> np.ndarray:
+    def _batch_distances(self, node, ids: np.ndarray) -> np.ndarray:
         """Closed-form hop count: per-axis shortest ring distance, summed."""
-        base = np.asarray(self.coordinates(node), dtype=np.int64)
-        diff = np.abs(self._coordinates_of(ids) - base)
-        return np.minimum(diff, self._dims_array - diff).sum(axis=1)
+        diff = np.abs(self._coordinates_of(ids) - self._coordinates_of(node))
+        return np.minimum(diff, self._dims_array - diff).sum(axis=-1)
 
-    def _batch_path_bandwidths(self, node: int, ids: np.ndarray) -> np.ndarray:
+    def _batch_path_bandwidths(self, node, ids: np.ndarray) -> np.ndarray:
         """Every torus link has the same bandwidth; self-pairs are ``inf``."""
         return np.where(ids == node, np.inf, self._bandwidth)
 

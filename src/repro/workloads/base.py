@@ -17,6 +17,7 @@ declaration).
 from __future__ import annotations
 
 import abc
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,10 +45,12 @@ class Segment:
     variable: str = "data"
 
     def __post_init__(self) -> None:
-        require_non_negative(self.rank, "rank")
-        require_non_negative(self.offset, "offset")
-        require_non_negative(self.nbytes, "nbytes")
-        require_non_negative(self.call_index, "call_index")
+        # Payload seeds digest these fields' repr, so a numpy integer must
+        # become the equal Python int it stands for.
+        for name in ("rank", "offset", "nbytes", "call_index"):
+            value = operator.index(getattr(self, name))
+            require_non_negative(value, name)
+            object.__setattr__(self, name, value)
 
     @property
     def end(self) -> int:
@@ -102,6 +105,19 @@ class Workload(abc.ABC):
     def bytes_per_rank(self, rank: int = 0) -> int:
         """Total bytes written/read by one rank."""
         return sum(s.nbytes for s in self.segments_for_rank(rank))
+
+    def rank_bytes(self) -> np.ndarray:
+        """Bytes of every rank as an int64 array (index = rank).
+
+        The analytic path reads volumes from this array instead of calling
+        :meth:`bytes_per_rank` once per rank; uniform workloads override it
+        with a constant fill.
+        """
+        return np.fromiter(
+            (self.bytes_per_rank(rank) for rank in range(self.num_ranks)),
+            dtype=np.int64,
+            count=self.num_ranks,
+        )
 
     def total_bytes(self) -> int:
         """Total bytes moved by all ranks."""

@@ -29,6 +29,8 @@ Two data layouts are produced, matching the paper's evaluation:
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.utils.validation import require, require_positive
 from repro.workloads.base import Segment, Workload
 
@@ -99,6 +101,9 @@ class HACCIOWorkload(Workload):
 
     def bytes_per_rank(self, rank: int = 0) -> int:
         return self.particles_per_rank * hacc_particle_size()
+
+    def rank_bytes(self) -> np.ndarray:
+        return np.full(self.num_ranks, self.bytes_per_rank(), dtype=np.int64)
 
     def total_bytes(self) -> int:
         return self.total_particles * hacc_particle_size()

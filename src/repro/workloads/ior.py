@@ -13,6 +13,8 @@ Each iteration is one collective call.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.utils.units import MIB
 from repro.utils.validation import require_positive
 from repro.workloads.base import Segment, Workload
@@ -73,6 +75,9 @@ class IORWorkload(Workload):
 
     def bytes_per_rank(self, rank: int = 0) -> int:
         return self.transfer_size * self.iterations
+
+    def rank_bytes(self) -> np.ndarray:
+        return np.full(self.num_ranks, self.bytes_per_rank(), dtype=np.int64)
 
     def file_size(self) -> int:
         return self.total_bytes()

@@ -39,7 +39,7 @@ class TestWorkflowShape:
         commands = [
             s.get("run", "") for s in workflow["jobs"]["tests"]["steps"]
         ]
-        assert any("python -m pytest -x -q" in c for c in commands)
+        assert any("python -m pytest -x -q --durations=15" in c for c in commands)
 
     def test_every_job_caches_pip(self, workflow):
         for name, job in workflow["jobs"].items():

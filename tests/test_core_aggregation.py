@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.aggregation import build_schedule
-from repro.core.partitioning import build_partitions
+from repro.core.partitioning import build_partitions, rank_owners
 from repro.workloads.hacc import HACCIOWorkload
 from repro.workloads.ior import IORWorkload
 from repro.workloads.synthetic import SyntheticWorkload
@@ -98,9 +98,9 @@ class TestBasicScheduling:
     def test_schedule_of_rank_lookup(self):
         workload = IORWorkload(8, transfer_size=128)
         schedule = schedule_for(workload, 2, buffer_size=256)
-        assert schedule.schedule_of_rank(7).partition.index == 1
-        with pytest.raises(KeyError):
-            schedule.schedule_of_rank(100)
+        owners = rank_owners([part.partition for part in schedule.partitions])
+        assert schedule.partitions[owners[7]].partition.index == 1
+        assert len(owners) == 8
 
     def test_invalid_buffer_size(self):
         workload = IORWorkload(4, transfer_size=128)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.cost_model import AggregationCostModel, CostBreakdown
-from repro.core.partitioning import Partition, build_partitions, partition_of_rank
+from repro.core.partitioning import Partition, build_partitions, rank_owners
 from repro.core.placement import place_aggregators, placement_cost
 from repro.core.topology_iface import (
     LEVEL_INTERCONNECT,
@@ -149,9 +149,9 @@ class TestPartitioning:
         workload = HACCIOWorkload(16, 100, layout="soa")
         partitions = build_partitions(workload, 4)
         for partition in partitions:
-            for rank in partition.ranks:
-                assert partition.bytes_per_rank[rank] == workload.bytes_per_rank(rank)
-            assert partition.total_bytes == sum(partition.bytes_per_rank.values())
+            for rank, nbytes in zip(partition.ranks, partition.volumes):
+                assert nbytes == workload.bytes_per_rank(int(rank))
+            assert partition.total_bytes == sum(partition.volumes.tolist())
 
     def test_pset_partitioning_respects_pset_boundaries(self):
         machine = MiraMachine(32, pset_size=16)
@@ -172,15 +172,15 @@ class TestPartitioning:
     def test_partition_of_rank(self):
         workload = IORWorkload(12, transfer_size=64)
         partitions = build_partitions(workload, 3)
-        assert partition_of_rank(partitions, 11).index == 2
-        with pytest.raises(KeyError):
-            partition_of_rank(partitions, 99)
+        owners = rank_owners(partitions)
+        assert owners[11] == 2
+        assert owners.tolist() == [p.index for p in partitions for _ in p.ranks]
 
     def test_partition_validation(self):
         with pytest.raises(ValueError):
-            Partition(0, (), {})
+            Partition(0, (), ())
         with pytest.raises(ValueError):
-            Partition(0, (1, 2), {1: 10})
+            Partition(0, (1, 2), (10,))
 
 
 class TestPlacement:
@@ -264,9 +264,7 @@ class TestPlacement:
         _mapping, iface, partitions = self._setup(machine, 32, 2, workload, 4)
         placement = place_aggregators(partitions, iface, strategy="max-volume")
         for partition, aggregator in zip(partitions, placement.aggregators):
-            assert partition.bytes_per_rank[aggregator] == max(
-                partition.bytes_per_rank.values()
-            )
+            assert partition.volume_map()[aggregator] == partition.volumes.max()
 
     def test_unknown_strategy_rejected(self):
         machine = ThetaMachine(16)

@@ -54,12 +54,12 @@ class TestHints:
 
 class TestPartitionRanks:
     def test_even_split(self):
-        assert partition_ranks(8, 4) == [[0, 1], [2, 3], [4, 5], [6, 7]]
+        assert partition_ranks(8, 4) == [range(0, 2), range(2, 4), range(4, 6), range(6, 8)]
 
     def test_uneven_split_front_loaded(self):
         parts = partition_ranks(10, 3)
         assert [len(p) for p in parts] == [4, 3, 3]
-        assert sum(parts, []) == list(range(10))
+        assert [rank for part in parts for rank in part] == list(range(10))
 
     def test_more_partitions_than_ranks(self):
         parts = partition_ranks(3, 8)

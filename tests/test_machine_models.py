@@ -1,5 +1,6 @@
 """Tests for the node specs and the Mira / Theta / generic machine models."""
 
+import numpy as np
 import pytest
 
 from repro.machine.generic import generic_cluster
@@ -150,3 +151,47 @@ class TestGenericCluster:
     def test_rejects_indivisible_node_count(self):
         with pytest.raises(ValueError):
             generic_cluster(30, nodes_per_leaf=8)
+
+
+def _machines():
+    return [
+        MiraMachine(512),
+        MiraMachine(48, pset_size=16),
+        ThetaMachine(200),
+        generic_cluster(64, nodes_per_leaf=8, num_gateways=3),
+    ]
+
+
+@pytest.mark.parametrize("machine", _machines(), ids=lambda m: f"{m.name}-{m.num_nodes}")
+class TestBatchedNodeQueries:
+    """The batched node queries equal their per-node scalar counterparts."""
+
+    def test_partitions_of_nodes_equal_per_node_lookup(self, machine):
+        nodes = np.random.default_rng(5).permutation(machine.num_nodes)
+        batched = machine.partitions_of_nodes(nodes).tolist()
+        assert batched == [machine.partition_of_node(int(n)) for n in nodes]
+        groups = machine.io_partitions()
+        assert batched == [
+            next(i for i, members in enumerate(groups) if n in members) for n in nodes
+        ]
+
+    def test_partitions_of_nodes_reject_invalid_nodes(self, machine):
+        with pytest.raises(ValueError):
+            machine.partitions_of_nodes(np.array([0, -1]))
+        with pytest.raises(ValueError):
+            machine.partitions_of_nodes(np.array([machine.topology.num_nodes]))
+
+
+@pytest.mark.parametrize(
+    "machine",
+    [m for m in _machines() if m.io_locality_known()],
+    ids=lambda m: f"{m.name}-{m.num_nodes}",
+)
+def test_io_distances_and_bandwidths_equal_per_node_lookup(machine):
+    nodes = np.random.default_rng(9).permutation(machine.num_nodes)[:100]
+    assert machine.io_distances(nodes).tolist() == [
+        machine.distance_to_io(int(n)) for n in nodes
+    ]
+    assert machine.io_bandwidths(nodes).tolist() == [
+        machine.io_bandwidth_for_node(int(n)) for n in nodes
+    ]

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.config import TapiocaConfig
+from repro.core.partitioning import build_partitions
 from repro.iolib.hints import MPIIOHints
 from repro.machine.mira import MiraMachine
 from repro.machine.theta import ThetaMachine
@@ -189,6 +190,21 @@ class TestTapiocaModel:
         assert estimate.num_aggregators == 48
         assert estimate.num_rounds >= 1
         assert estimate.elapsed > 0
+
+    def test_full_mira_machine(self):
+        """786,432 ranks on all 49,152 Mira nodes: one aggregator per partition."""
+        machine = MiraMachine(49152)
+        workload = HACCIOWorkload(49152 * 16, 5_000)
+        config = TapiocaConfig(partition_by="contiguous")
+        estimate = model_tapioca(machine, workload, config, ranks_per_node=16)
+        partitions = build_partitions(workload, estimate.num_aggregators)
+        assert estimate.num_aggregators == 16 * machine.num_psets == len(partitions)
+        aggregator_nodes = estimate.details["aggregator_nodes"]
+        assert len(aggregator_nodes) == len(partitions)
+        for partition, node in zip(partitions, aggregator_nodes):
+            assert partition.ranks[0] // 16 <= node <= partition.ranks[-1] // 16
+        assert sum(p.total_bytes for p in partitions) == workload.total_bytes()
+        assert estimate.total_bytes == workload.total_bytes()
 
     def test_beats_mpiio_on_theta_hacc(self):
         machine = ThetaMachine(64)

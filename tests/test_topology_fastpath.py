@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
 from repro.core.cost_model import AggregationCostModel
@@ -84,6 +85,19 @@ def test_batch_queries_equal_scalar_loops(topology):
 
 
 @pytest.mark.parametrize("topology", _topologies(), ids=lambda t: t.name)
+def test_pair_metrics_equal_scalar_loops(topology):
+    rng = random.Random(13)
+    nodes = rng.sample(range(topology.num_nodes), min(topology.num_nodes, 40))
+    hops, bandwidths = topology.pair_metrics(nodes)
+    assert hops.tolist() == [
+        [topology._distance_impl(a, b) for b in nodes] for a in nodes
+    ]
+    assert bandwidths.tolist() == [
+        [_path_bandwidth_impl(topology, a, b) for b in nodes] for a in nodes
+    ]
+
+
+@pytest.mark.parametrize("topology", _topologies(), ids=lambda t: t.name)
 def test_batch_queries_reject_invalid_nodes(topology):
     with pytest.raises(ValueError):
         topology.distances_from(0, [0, topology.num_nodes])
@@ -141,6 +155,42 @@ def test_best_candidate_batched_equals_scalar(machine_cls):
         )
         assert fast_winner == scalar_winner
         assert fast_breakdowns == scalar_breakdowns
+
+
+@pytest.mark.parametrize("num_candidates", [1, 3, 40])
+def test_best_candidate_c1_is_a_sequential_sum(num_candidates):
+    """C1 adds the producers' terms left to right, as evaluate() does.
+
+    The volumes span twelve orders of magnitude, so a pairwise (``np.sum``)
+    reduction of the same terms rounds differently; the batched C1 must
+    still equal the per-candidate oracle exactly.
+    """
+    from repro.topology.mapping import block_mapping
+
+    machine = MiraMachine(64)
+    iface = TopologyInterface(machine, block_mapping(256, 64, 4))
+    model = AggregationCostModel(iface)
+    rng = random.Random(3)
+    producers = rng.sample(range(256), 200)
+    volumes = {rank: rng.randrange(1, 1 << 40) for rank in producers}
+    candidates = producers[:num_candidates]
+    candidate = candidates[0]
+    latency = iface.get_latency()
+    terms = [
+        latency * iface.distance_between_ranks(rank, candidate)
+        + float(nbytes) / iface.bandwidth_between_ranks(rank, candidate)
+        for rank, nbytes in volumes.items()
+        if rank != candidate
+    ]
+    sequential = 0.0
+    for term in terms:
+        sequential += term
+    assert float(np.sum(np.asarray(terms))) != sequential
+    _winner, breakdowns = model.best_candidate(candidates, volumes)
+    _winner, expected = reference.best_candidate(model, candidates, volumes)
+    assert breakdowns[0].aggregation == sequential
+    assert [b.aggregation for b in breakdowns] == [b.aggregation for b in expected]
+    assert breakdowns == expected
 
 
 def test_best_candidate_batched_handles_candidates_outside_volumes():

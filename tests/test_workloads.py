@@ -1,8 +1,10 @@
 """Tests for the IOR, HACC-IO and synthetic workload generators."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.api import DeclaredWorkload
 from repro.utils.units import MIB
 from repro.workloads.base import Segment, check_no_overlap
 from repro.workloads.hacc import HACC_VARIABLES, HACCIOWorkload, hacc_particle_size
@@ -20,6 +22,39 @@ class TestSegment:
             Segment(rank=-1, offset=0, nbytes=1)
         with pytest.raises(ValueError):
             Segment(rank=0, offset=-1, nbytes=1)
+
+    def test_numpy_integer_fields_become_python_ints(self):
+        segment = Segment(
+            rank=np.int64(1), offset=np.int64(8), nbytes=np.int32(4), call_index=np.int64(0)
+        )
+        for name in ("rank", "offset", "nbytes", "call_index"):
+            assert type(getattr(segment, name)) is int
+        with pytest.raises(TypeError):
+            Segment(rank=0, offset=1.5, nbytes=1)
+
+    def test_numpy_rank_yields_the_same_payload(self):
+        workload = HACCIOWorkload(4, 10)
+        from_numpy = workload.segments_for_rank(np.int64(1))[0]
+        from_int = workload.segments_for_rank(1)[0]
+        assert from_numpy == from_int
+        assert workload.payload(from_numpy) == workload.payload(from_int)
+
+
+@pytest.mark.parametrize(
+    "workload",
+    [
+        HACCIOWorkload(12, 100, layout="aos"),
+        HACCIOWorkload(12, 100, layout="soa"),
+        IORWorkload(12, transfer_size=100, iterations=3),
+        SyntheticWorkload(12, seed=4, max_segment_bytes=512),
+        DeclaredWorkload([[(r, 4, 64 * r), (2, 8, 4096 + 16 * r)] for r in range(12)]),
+    ],
+    ids=lambda w: w.name,
+)
+def test_rank_bytes_array_equals_per_rank_scalar(workload):
+    array = workload.rank_bytes()
+    assert array.dtype == np.int64
+    assert array.tolist() == [workload.bytes_per_rank(r) for r in range(workload.num_ranks)]
 
 
 class TestIORWorkload:
