@@ -174,7 +174,7 @@ def _candidates_for_partition(
     # Producer rows × candidate columns.  A candidate's own node contributes
     # +0.0, and accumulating down the producer axis adds left to right, so
     # each sum equals the scalar loop over producers bit for bit.
-    latency_terms = latency * hops.astype(np.float64)
+    latency_terms = latency * hops
     transfer_terms = volumes.astype(np.float64)[:, None] / bandwidths
     np.fill_diagonal(latency_terms, 0.0)
     np.fill_diagonal(transfer_terms, 0.0)
