@@ -179,27 +179,29 @@ class AggregationCostModel:
         """
         if len(candidates) == 0:
             raise ValueError("no candidates to evaluate")
-        cands = np.asarray(candidates, dtype=np.int64)
-        producers = np.fromiter(volumes.keys(), dtype=np.int64, count=len(volumes))
+        cands = np.array(candidates, dtype=np.int64)
+        producers = np.fromiter(volumes, dtype=np.int64, count=len(volumes))
         vols = np.fromiter(volumes.values(), dtype=np.int64, count=len(volumes))
-        # Mirror evaluate()'s validation: a rank's volume is checked by every
-        # candidate except the rank itself.
-        for position in np.flatnonzero(vols < 0).tolist():
-            rank = int(producers[position])
-            if (cands != rank).any():
-                require_non_negative(int(vols[position]), f"volume of rank {rank}")
+        if (vols < 0).any():
+            # Mirror evaluate()'s validation: a rank's volume is checked by
+            # every candidate except the rank itself.
+            for position in np.flatnonzero(vols < 0).tolist():
+                rank = int(producers[position])
+                if (cands != rank).any():
+                    require_non_negative(int(vols[position]), f"volume of rank {rank}")
         io_bytes = int(vols.sum())
         require_non_negative(io_bytes, "io_bytes")
-        aggregation = self._aggregation_costs(cands, producers, vols)
-        io = np.zeros(len(cands))
+        nodes = self.iface.rank_nodes(np.concatenate((producers, cands)))
+        candidate_nodes = nodes[producers.size :]
+        aggregation = self._aggregation_costs(cands, producers, vols, nodes)
+        io = np.zeros(cands.size)
         if self.iface.io_locality_known():
-            candidate_nodes = self.iface.rank_nodes(cands)
             io = self.iface.get_latency() * self.iface.io_distances(
                 candidate_nodes
             ) + float(io_bytes) / self.iface.io_bandwidths(candidate_nodes)
         rec = obs_recorder()
         if rec is not None:
-            rec.inc("costmodel.candidates", len(cands))
+            rec.inc("costmodel.candidates", cands.size)
         winner = int(cands[np.lexsort((cands, aggregation + io))[0]])
         breakdowns = [
             CostBreakdown(candidate=c, aggregation=c1, io=c2)
@@ -208,22 +210,26 @@ class AggregationCostModel:
         return winner, breakdowns
 
     def _aggregation_costs(
-        self, candidates: np.ndarray, producers: np.ndarray, vols: np.ndarray
+        self,
+        candidates: np.ndarray,
+        producers: np.ndarray,
+        vols: np.ndarray,
+        nodes: np.ndarray,
     ) -> np.ndarray:
-        """C1 of every candidate (float64, aligned with ``candidates``)."""
+        """C1 of every candidate (float64, aligned with ``candidates``).
+
+        ``nodes`` holds the producers' nodes followed by the candidates'.
+        """
         if producers.size == 0:
-            return np.zeros(len(candidates))
-        producer_nodes = self.iface.rank_nodes(producers)
-        candidate_nodes = self.iface.rank_nodes(candidates)
-        node_list, inverse = np.unique(
-            np.concatenate([producer_nodes, candidate_nodes]), return_inverse=True
-        )
+            return np.zeros(candidates.size)
+        node_list = np.unique(nodes)
+        index = np.searchsorted(node_list, nodes)
+        rows, columns = index[: producers.size, None], index[producers.size :]
         hops, bandwidths = self.iface.node_pair_arrays(node_list.tolist())
-        grid = np.ix_(inverse[: producers.size], inverse[producers.size :])
-        effective_bw = bandwidths[grid]
+        effective_bw = bandwidths[rows, columns]
         if self.contention is not None:
             producer_ranks = producers.tolist()
-            for column, node in enumerate(candidate_nodes.tolist()):
+            for column, node in enumerate(nodes[producers.size :].tolist()):
                 factors = np.asarray(
                     self.contention.bandwidth_factors(producer_ranks, node),
                     dtype=np.float64,
@@ -232,10 +238,7 @@ class AggregationCostModel:
                     1.0, factors
                 )
         # Same per-term IEEE arithmetic as aggregation_cost().
-        terms = (
-            self.iface.get_latency() * hops[grid]
-            + vols.astype(np.float64)[:, None] / effective_bw
-        )
+        terms = self.iface.get_latency() * hops[rows, columns] + vols[:, None] / effective_bw
         # Zero each candidate's own term (a candidate need not be a producer).
         terms[producers[:, None] == candidates] = 0.0
         return np.add.accumulate(terms, axis=0)[-1]

@@ -100,8 +100,8 @@ class TapiocaIO:
         self._cost_model = AggregationCostModel(self.iface, contention=contention)
         #: Partition index of every world rank.
         self._owners = rank_owners(self.partitions)
-        #: Per-partition ``{rank: bytes}`` for the election's cost evaluations.
-        self._volumes = [partition.volume_map() for partition in self.partitions]
+        #: Per-partition ``{rank: C1 + C2}`` election values, filled on first use.
+        self._election_costs: dict[int, dict[int, float]] = {}
         #: Diagnostics: flush (file write) operations issued by aggregators.
         self.flush_count = 0
         #: Diagnostics: elected aggregator world rank per partition index.
@@ -114,8 +114,16 @@ class TapiocaIO:
     def _election_value(self, rank: int, partition: Partition) -> tuple[float, int]:
         """The (cost, rank) pair this rank contributes to the MINLOC election."""
         if self.config.placement == "topology-aware":
-            cost = self._cost_model.evaluate(rank, self._volumes[partition.index]).total
-            return (cost, rank)
+            costs = self._election_costs.get(partition.index)
+            if costs is None:
+                # One batched evaluation per partition: each breakdown is
+                # bit-identical to the rank's own evaluate() call.
+                _winner, breakdowns = self._cost_model.best_candidate(
+                    partition.ranks.tolist(), partition.volume_map()
+                )
+                costs = {b.candidate: b.total for b in breakdowns}
+                self._election_costs[partition.index] = costs
+            return (costs[rank], rank)
         # Other strategies do not rely on the distributed election: every rank
         # contributes the precomputed winner so MINLOC trivially selects it,
         # but the collective is still performed (and timed).

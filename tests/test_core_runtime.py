@@ -109,6 +109,21 @@ class TestWriteCorrectness:
         for partition_index, aggregator in runtime.elected.items():
             assert aggregator == runtime.placement.aggregator_of(partition_index)
 
+    def test_election_values_equal_per_rank_evaluation(self):
+        """The batched election costs are each rank's own C1 + C2, bit for bit."""
+        from repro.core.cost_model import AggregationCostModel
+
+        machine = MiraMachine(16, pset_size=8)
+        workload = SyntheticWorkload(32, calls=3, seed=5, max_segment_bytes=900)
+        config = TapiocaConfig(num_aggregators=3, buffer_size=1024)
+        _world, runtime, _result = run_tapioca_write(machine, workload, config)
+        model = AggregationCostModel(runtime.iface)
+        for partition in runtime.partitions:
+            volumes = partition.volume_map()
+            for rank in volumes:
+                cost, _rank = runtime._election_value(rank, partition)
+                assert cost == model.evaluate(rank, volumes).total
+
     def test_workload_world_mismatch_rejected(self):
         machine = MiraMachine(16, pset_size=16)
         world = SimWorld(machine, ranks_per_node=2)
