@@ -5,9 +5,9 @@ The ``repro figures`` CLI wraps exactly this flow: reproduce the figure
 experiments once into an artifact store, then render CSV (+ plots when
 matplotlib is installed) and a deviation report purely from the stored
 envelopes — no re-simulation.  Here the store is a temporary directory;
-point ``ArtifactStore`` (or a ``sharded:``/``sqlite:`` spec via
-``ArtifactStore.from_spec``) at a real artifact directory to render
-figures from a previous ``repro run-all``.
+point ``ArtifactStore`` (or a ``sqlite:`` spec via
+``ArtifactStore.from_spec``) at a real artifact store to render figures
+from a previous ``repro run-all``.
 
 Run with:  python examples/render_figures.py
 """

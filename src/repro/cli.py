@@ -8,8 +8,7 @@ Usage (after ``pip install -e .``)::
     python -m repro run fig13 --scale 8        # reduced-scale quick run
     python -m repro run fig13 --set io.buffer_size=8388608   # scenario override
     python -m repro run-all --jobs 4 --out artifacts/   # parallel sweep + JSON artifacts
-    python -m repro report -o EXPERIMENTS.md   # regenerate the full report
-    python -m repro report --from artifacts/ -o EXPERIMENTS.md  # from artifacts only
+    python -m repro report --from artifacts/ -o EXPERIMENTS.md  # render the report
     python -m repro scenario list              # named base scenarios
     python -m repro scenario show fig10        # export a scenario as JSON
     python -m repro scenario run my.json       # run a scenario JSON file
@@ -17,10 +16,8 @@ Usage (after ``pip install -e .``)::
     python -m repro tune fig08 --strategy random --budget 32 --out artifacts/
                                                # search the scenario's tuning space
     python -m repro serve --port 8731 --out artifacts/ --jobs 4
-                                               # evaluation daemon (HTTP + job queue)
+                                               # HTTP evaluation daemon
     python -m repro submit fig08 --scale 16    # evaluate through a running daemon
-    python -m repro estimate --machine theta --nodes 1024 \
-        --particles 25000 --layout soa         # one-off TAPIOCA vs MPI I/O estimate
     python -m repro profile fig08 --scale 8    # per-phase time breakdown
     python -m repro run fig08 --trace t.json   # ...any run with a Chrome trace
     python -m repro figures --all --from artifacts/ --out figures/
@@ -34,17 +31,17 @@ Chrome trace-event JSON (loadable in Perfetto / ``chrome://tracing``) is
 written on exit.  Tracing never changes simulated results — only host-side
 clocks and tallies are recorded.
 
-Every ``--out`` accepts a store spec, not just a directory: ``DIR`` or
-``dir:DIR`` (the historical flat layout), ``sharded:DIR`` (fan-out over
-hashed shard directories with per-key file locks, for concurrent writers),
-``sqlite:FILE.db`` (a single SQLite file).  ``run``, ``run-all``, ``tune``,
-``scenario run``, ``serve`` and ``submit`` all share the same cache through
-whichever backend the spec names.
+Every ``--out`` (and the ``--from`` of ``report`` and ``figures``) accepts
+a store spec, not just a directory: ``DIR`` or ``dir:DIR`` (the historical
+flat layout) or ``sqlite:FILE.db`` (a single SQLite file, safe for
+concurrent writers).  ``run``, ``run-all``, ``tune``, ``scenario run`` and
+``serve`` all share the same cache through whichever backend the spec
+names; ``report`` and ``figures`` only ever read it.
 
 The CLI only wraps functionality available from the library
-(:mod:`repro.experiments`, :mod:`repro.scenario`, :mod:`repro.perfmodel`);
-it exists so the figures can be regenerated — and new scenarios explored —
-without writing any Python.
+(:mod:`repro.experiments`, :mod:`repro.scenario`, :mod:`repro.core`); it
+exists so the figures can be regenerated — and new scenarios explored, e.g.
+``scenario run fig13 --set io.kind=mpiio`` — without writing any Python.
 """
 
 from __future__ import annotations
@@ -62,26 +59,16 @@ from repro.autotune.space import AutotuneError
 from repro.autotune.strategies import strategy_names
 from repro.autotune.tuner import TuneTarget, Tuner, rescale_scenario
 from repro.core.api import evaluate
-from repro.core.config import TapiocaConfig
 from repro.experiments.harness import (
     describe_experiments,
     list_experiments,
     unknown_experiment_message,
 )
-from repro.experiments.report import generate_report, generate_report_from_store
+from repro.experiments.report import generate_report_from_store
 from repro.experiments.runner import RunOutcome, run_experiments
 from repro.experiments.store import ArtifactStore, git_sha
-from repro.iolib.hints import MPIIOHints
-from repro.machine.mira import MiraMachine
-from repro.machine.theta import ThetaMachine
-from repro.perfmodel.mpiio import model_mpiio
-from repro.perfmodel.tapioca import model_tapioca
 from repro.scenario.registry import describe_scenarios, get_scenario
 from repro.scenario.spec import Scenario, ScenarioError, parse_overrides
-from repro.storage.gpfs import GPFSModel
-from repro.storage.lustre import LustreStripeConfig
-from repro.utils.units import MIB
-from repro.workloads.hacc import HACCIOWorkload
 
 
 def _experiment_id(text: str) -> str:
@@ -143,7 +130,7 @@ def add_out_option(parser: argparse.ArgumentParser, help: str | None = None) -> 
         default=None,
         metavar="SPEC",
         help=help
-        or "artifact store: a directory, dir:DIR, sharded:DIR, or sqlite:FILE.db",
+        or "artifact store: a directory, dir:DIR, or sqlite:FILE.db",
     )
 
 
@@ -170,15 +157,15 @@ def add_trace_option(parser: argparse.ArgumentParser, help: str | None = None) -
 
 
 def _open_store(
-    parser: argparse.ArgumentParser, spec: str | None
+    parser: argparse.ArgumentParser, spec: str | None, option: str = "--out"
 ) -> ArtifactStore | None:
-    """An :class:`ArtifactStore` for an ``--out`` spec (``None`` passes through)."""
+    """An :class:`ArtifactStore` for a store spec (``None`` passes through)."""
     if spec is None:
         return None
     try:
         return ArtifactStore.from_spec(spec)
     except (ValueError, OSError) as error:
-        parser.error(f"--out: {error}")
+        parser.error(f"{option}: {error}")
 
 
 def _cmd_list(args: argparse.Namespace) -> int:
@@ -279,16 +266,13 @@ def _cmd_run_all(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    if args.from_dir:
-        try:
-            report = generate_report_from_store(
-                ArtifactStore(args.from_dir), ids=args.experiments
-            )
-        except (OSError, ValueError) as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 1
-    else:
-        report = generate_report(scale=args.scale, ids=args.experiments)
+    """Render EXPERIMENTS.md from stored artifacts (never re-simulates)."""
+    store = _open_store(args.parser, args.from_spec, "--from")
+    try:
+        report = generate_report_from_store(store, ids=args.experiments)
+    except (OSError, ValueError) as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 1
     with open(args.output, "w", encoding="utf-8") as handle:
         handle.write(report)
     print(f"wrote {args.output}")
@@ -444,7 +428,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     """Run the evaluation daemon until interrupted."""
     import asyncio
 
-    from repro.serve import EvaluationService, HttpFrontend, JobQueueFrontend
+    from repro.serve import EvaluationService, HttpFrontend
 
     store = _open_store(args.parser, args.out)
 
@@ -454,21 +438,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         )
         frontend = HttpFrontend(service, host=args.host, port=args.port)
         await frontend.start()
-        queue = None
-        if args.queue:
-            queue = JobQueueFrontend(service, args.queue)
-            await queue.start()
         where = f"http://{frontend.host}:{frontend.port}"
-        if args.queue:
-            where += f" and job queue {args.queue}"
         backing = store.backend.describe() if store else "no store (dedup only)"
         print(f"serving on {where} [{backing}, jobs={args.jobs}]", flush=True)
         try:
             await asyncio.Event().wait()
         finally:
             await frontend.stop()
-            if queue is not None:
-                await queue.stop()
 
     try:
         asyncio.run(main())
@@ -480,7 +456,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 def _cmd_submit(args: argparse.Namespace) -> int:
     """Submit one scenario to a running daemon and print its result."""
     from repro.experiments.results import ExperimentResult
-    from repro.serve import ServeClient, collect_job, submit_job
+    from repro.serve import ServeClient
     from repro.serve.client import ServeError
 
     overrides = _parse_set_args(args.parser, args.set)
@@ -490,11 +466,7 @@ def _cmd_submit(args: argparse.Namespace) -> int:
     except ScenarioError as error:
         args.parser.error(str(error))
     try:
-        if args.queue:
-            job_id = submit_job(args.queue, payload)
-            envelope = collect_job(args.queue, job_id, timeout_s=args.timeout)
-        else:
-            envelope = ServeClient(args.url, timeout_s=args.timeout).evaluate(payload)
+        envelope = ServeClient(args.url, timeout_s=args.timeout).evaluate(payload)
     except (ServeError, TimeoutError, OSError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 1
@@ -509,59 +481,6 @@ def _cmd_submit(args: argparse.Namespace) -> int:
         source = "cache" if envelope.get("cached") else "fresh evaluation"
         print(f"({source}, hash {envelope.get('scenario_hash', '?')[:12]})")
     return 0 if result.all_checks_pass() else 1
-
-
-def _cmd_estimate(args: argparse.Namespace) -> int:
-    """One-off TAPIOCA vs MPI I/O estimate for a HACC-IO style workload."""
-    ranks = args.nodes * args.ranks_per_node
-    workload = HACCIOWorkload(ranks, args.particles, layout=args.layout)
-    if args.machine == "theta":
-        machine = ThetaMachine(args.nodes)
-        stripe = LustreStripeConfig(48, args.buffer_mib * MIB)
-        aggregators_per_ost = max(1, args.aggregators // 48)
-        tapioca = model_tapioca(
-            machine,
-            workload,
-            TapiocaConfig(num_aggregators=args.aggregators, buffer_size=args.buffer_mib * MIB),
-            stripe=stripe,
-            ranks_per_node=args.ranks_per_node,
-        )
-        mpiio = model_mpiio(
-            machine,
-            workload,
-            MPIIOHints(
-                cb_buffer_size=args.buffer_mib * MIB,
-                striping_factor=48,
-                striping_unit=args.buffer_mib * MIB,
-                aggregators_per_ost=aggregators_per_ost,
-            ),
-            ranks_per_node=args.ranks_per_node,
-        )
-    else:
-        machine = MiraMachine(args.nodes)
-        gpfs = GPFSModel.for_mira_psets(machine.num_psets, subfiling=True)
-        tapioca = model_tapioca(
-            machine,
-            workload,
-            TapiocaConfig(
-                num_aggregators=args.aggregators,
-                buffer_size=args.buffer_mib * MIB,
-                partition_by="pset",
-            ),
-            filesystem=gpfs,
-            ranks_per_node=args.ranks_per_node,
-        )
-        mpiio = model_mpiio(
-            machine,
-            workload,
-            MPIIOHints(cb_nodes=args.aggregators, cb_buffer_size=args.buffer_mib * MIB),
-            filesystem=gpfs,
-            ranks_per_node=args.ranks_per_node,
-        )
-    print(tapioca.summary())
-    print(mpiio.summary())
-    print(f"speedup: {tapioca.bandwidth / mpiio.bandwidth:.2f}x")
-    return 0
 
 
 # --------------------------------------------------------------------------- #
@@ -583,7 +502,7 @@ def _cmd_figures(args: argparse.Namespace) -> int:
         ids = resolve_figure_ids([] if args.all else args.figures)
     except KeyError as error:
         args.parser.error(str(error.args[0]))
-    store = _open_store(args.parser, args.from_spec)
+    store = _open_store(args.parser, args.from_spec, "--from")
     report = render_figures(store, ids, args.out)
     print(report.summary())
     if report.skipped:
@@ -739,7 +658,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_out_option(
         run_all_parser,
         help="artifact store for per-experiment JSON + manifest "
-        "(a directory, dir:DIR, sharded:DIR, or sqlite:FILE.db)",
+        "(a directory, dir:DIR, or sqlite:FILE.db)",
     )
     run_all_parser.add_argument(
         "--no-cache",
@@ -766,15 +685,17 @@ def build_parser() -> argparse.ArgumentParser:
     add_trace_option(run_all_parser)
     run_all_parser.set_defaults(func=_cmd_run_all, parser=run_all_parser)
 
-    report_parser = subparsers.add_parser("report", help="regenerate EXPERIMENTS.md")
+    report_parser = subparsers.add_parser(
+        "report", help="render EXPERIMENTS.md from stored artifacts"
+    )
     report_parser.add_argument("-o", "--output", default="EXPERIMENTS.md")
-    report_parser.add_argument("--scale", type=_positive_scale, default=1.0)
     report_parser.add_argument(
         "--from",
-        dest="from_dir",
-        default=None,
-        metavar="DIR",
-        help="regenerate from a JSON artifact directory instead of re-running",
+        dest="from_spec",
+        required=True,
+        metavar="SPEC",
+        help="artifact store to render from (a directory, dir:DIR, or "
+        "sqlite:FILE.db); the report never re-simulates",
     )
     report_parser.add_argument(
         "--experiment",
@@ -880,7 +801,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     serve_parser = subparsers.add_parser(
         "serve",
-        help="evaluation daemon: HTTP + file job queue over one shared cache",
+        help="HTTP evaluation daemon over one shared cache",
     )
     serve_parser.add_argument(
         "--host", default="127.0.0.1", help="bind address (default: loopback)"
@@ -896,14 +817,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_out_option(
         serve_parser,
-        help="artifact store backing the scenario cache; prefer sharded:DIR "
-        "or sqlite:FILE.db when other writers share it",
-    )
-    serve_parser.add_argument(
-        "--queue",
-        default=None,
-        metavar="DIR",
-        help="also serve a file job queue rooted at DIR (inbox/ -> done/)",
+        help="artifact store backing the scenario cache; prefer "
+        "sqlite:FILE.db when other writers share it",
     )
     serve_parser.add_argument(
         "--batch-window",
@@ -930,12 +845,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="http://127.0.0.1:8731",
         help="daemon endpoint (default: http://127.0.0.1:8731)",
     )
-    submit_parser.add_argument(
-        "--queue",
-        default=None,
-        metavar="DIR",
-        help="submit through the file job queue at DIR instead of HTTP",
-    )
     add_scale_option(
         submit_parser, help="node-count divisor for registered scenario names (> 0)"
     )
@@ -953,18 +862,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="emit the full response envelope as JSON",
     )
     submit_parser.set_defaults(func=_cmd_submit, parser=submit_parser)
-
-    estimate_parser = subparsers.add_parser(
-        "estimate", help="one-off TAPIOCA vs MPI I/O estimate (HACC-IO style workload)"
-    )
-    estimate_parser.add_argument("--machine", choices=("theta", "mira"), default="theta")
-    estimate_parser.add_argument("--nodes", type=_positive_int, default=1024)
-    estimate_parser.add_argument("--ranks-per-node", type=_positive_int, default=16)
-    estimate_parser.add_argument("--particles", type=_positive_int, default=25_000)
-    estimate_parser.add_argument("--layout", choices=("aos", "soa"), default="aos")
-    estimate_parser.add_argument("--aggregators", type=_positive_int, default=192)
-    estimate_parser.add_argument("--buffer-mib", type=_positive_int, default=16)
-    estimate_parser.set_defaults(func=_cmd_estimate)
 
     figures_parser = subparsers.add_parser(
         "figures",
@@ -985,8 +882,8 @@ def build_parser() -> argparse.ArgumentParser:
         dest="from_spec",
         required=True,
         metavar="SPEC",
-        help="artifact store to render from (a directory, dir:DIR, "
-        "sharded:DIR, or sqlite:FILE.db); rendering never re-simulates",
+        help="artifact store to render from (a directory, dir:DIR, or "
+        "sqlite:FILE.db); rendering never re-simulates",
     )
     figures_parser.add_argument(
         "--out",

@@ -13,11 +13,7 @@ records paper-vs-measured values.
 """
 
 from repro.experiments.results import ExperimentResult, Series, SeriesPoint
-from repro.experiments.harness import (
-    EXPERIMENTS,
-    list_experiments,
-    run_all,
-)
+from repro.experiments.harness import EXPERIMENTS, list_experiments
 from repro.experiments.runner import RunOutcome, RunReport, run_experiments
 from repro.experiments.store import ArtifactStore
 
@@ -27,7 +23,6 @@ __all__ = [
     "SeriesPoint",
     "EXPERIMENTS",
     "list_experiments",
-    "run_all",
     "RunOutcome",
     "RunReport",
     "run_experiments",

@@ -13,32 +13,29 @@ the layout is now behind a small key-value abstraction:
   re-encode, so the default backend's files stay byte-identical to the
   pre-backend layout.
 
-Three implementations ship:
+Two implementations ship:
 
 :class:`DirectoryBackend`
     The historical flat directory, unchanged byte for byte.  Single-writer
     (the store's own atomic-rename writes keep readers safe, but concurrent
     manifest refreshes may interleave).  This is the default everywhere.
 
-:class:`ShardedJSONBackend`
-    Keys hashed into 256 shard directories, every write serialised through
-    a per-key ``fcntl`` file lock (with an ``O_EXCL`` spin fallback where
-    ``fcntl`` is unavailable).  Many processes can write — even the same
-    key — without corrupting anything.
-
 :class:`SQLiteBackend`
     One ``sqlite3`` database file in WAL mode; concurrency is delegated to
-    SQLite's own locking.  A single file is the easiest thing to ship
-    between hosts.
+    SQLite's own locking, and read-modify-write sections take a sibling
+    ``fcntl`` lock file.  Many processes can write — even the same key —
+    without corrupting anything, and a single file is the easiest thing to
+    ship between hosts.
 
 Backends are selected by an ``--out`` spec string (see :func:`open_backend`):
-``DIR`` (directory), ``sharded:DIR``, and ``sqlite:FILE.db``.
+``DIR`` or ``dir:DIR`` (directory) and ``sqlite:FILE.db``.
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
+import re
 import sqlite3
 import threading
 import time
@@ -56,7 +53,7 @@ except ImportError:  # pragma: no cover - non-POSIX fallback exercised via flag
 class StoreBackend(ABC):
     """Key-value storage of JSON texts, keyed by logical relative path."""
 
-    #: Registry name of the backend (``"dir"``, ``"sharded"``, ``"sqlite"``).
+    #: Registry name of the backend (``"dir"``, ``"sqlite"``).
     name: str = ""
 
     @abstractmethod
@@ -163,14 +160,14 @@ class DirectoryBackend(StoreBackend):
 
 
 # --------------------------------------------------------------------------- #
-# Sharded JSON backend (directory-sharded, file-locked)
+# Cross-process file locks
 # --------------------------------------------------------------------------- #
 
 
 #: Locks currently held by this process: path -> (fd, pid, tid, depth).
 #: ``flock`` on a *new* file descriptor blocks even against the same process,
-#: so a ``put`` issued inside ``lock()`` of the same key (the manifest
-#: refresh pattern) must re-enter the held lock instead of re-acquiring it.
+#: so a nested ``lock()`` of the same key must re-enter the held lock
+#: instead of re-acquiring it.
 #: Re-entry is per *thread*, not per process: a second thread must block on
 #: the flock like any other writer, or two threads would share the critical
 #: section.  The pid guards against entries inherited across ``fork``.
@@ -245,107 +242,6 @@ class _FileLock:
                 self.path.unlink()
             except OSError:
                 pass
-
-
-class ShardedJSONBackend(StoreBackend):
-    """Directory-sharded JSON blobs with per-key file locks.
-
-    Keys are hashed into 256 two-hex-digit shard directories so a
-    million-entry cache never puts a million files in one directory; the
-    ``/`` of namespaced keys is percent-encoded inside the shard so file
-    names decode back to keys losslessly.  Every
-    write takes the key's file lock and lands via temp file + atomic rename,
-    so two processes writing the same key serialise cleanly and a writer
-    killed mid-write leaves (at worst) an orphaned ``*.tmp`` — never a
-    corrupt shard.
-    """
-
-    name = "sharded"
-
-    #: Marker file identifying a sharded store root.
-    MARKER = ".sharded-store"
-
-    def __init__(self, root: Path | str):
-        self.root = Path(root)
-
-    def _mark(self) -> None:
-        marker = self.root / self.MARKER
-        if not marker.exists():
-            self.root.mkdir(parents=True, exist_ok=True)
-            marker.touch()
-
-    @staticmethod
-    def _shard(key: str) -> str:
-        return hashlib.sha256(key.encode("utf-8")).hexdigest()[:2]
-
-    @staticmethod
-    def _flatten(key: str) -> str:
-        """Encode a key as one path component, losslessly.
-
-        ``%`` is escaped before ``/`` so the mapping is a bijection —
-        a plain ``"/" -> "__"`` substitution would make a key that
-        legitimately contains ``__`` decode to the wrong key.
-        """
-        return key.replace("%", "%25").replace("/", "%2F")
-
-    @staticmethod
-    def _unflatten(name: str) -> str:
-        return name.replace("%2F", "/").replace("%25", "%")
-
-    def path_hint(self, key: str) -> Path:
-        _check_key(key)
-        return self.root / self._shard(key) / self._flatten(key)
-
-    def _lock_path(self, key: str) -> Path:
-        return self.path_hint(key).with_name(self.path_hint(key).name + ".lock")
-
-    @contextmanager
-    def lock(self, key: str) -> Iterator[None]:
-        with _FileLock(self._lock_path(key)):
-            yield
-
-    def get(self, key: str) -> str | None:
-        try:
-            return self.path_hint(key).read_text(encoding="utf-8")
-        except OSError:
-            return None
-
-    def put(self, key: str, text: str) -> None:
-        self._mark()
-        path = self.path_hint(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with _FileLock(self._lock_path(key)):
-            tmp = path.with_name(
-                f"{path.name}.{os.getpid()}-{threading.get_ident()}.tmp"
-            )
-            tmp.write_text(text, encoding="utf-8")
-            tmp.replace(path)
-
-    def delete(self, key: str) -> bool:
-        with _FileLock(self._lock_path(key)):
-            try:
-                self.path_hint(key).unlink()
-                return True
-            except OSError:
-                return False
-
-    def keys(self, prefix: str = "") -> list[str]:
-        if not self.root.is_dir():
-            return []
-        found = []
-        for shard in self.root.iterdir():
-            if not (shard.is_dir() and len(shard.name) == 2):
-                continue
-            for path in shard.iterdir():
-                if path.suffix in (".lock", ".tmp") or not path.is_file():
-                    continue
-                key = self._unflatten(path.name)
-                if key.startswith(prefix):
-                    found.append(key)
-        return sorted(found)
-
-    def describe(self) -> str:
-        return f"sharded JSON store at {self.root} (file-locked)"
 
 
 # --------------------------------------------------------------------------- #
@@ -459,7 +355,11 @@ class SQLiteBackend(StoreBackend):
 # --------------------------------------------------------------------------- #
 
 #: Registered backend names, for CLI help and validation.
-BACKENDS = ("dir", "sharded", "sqlite")
+BACKENDS = ("dir", "sqlite")
+
+#: A ``word:`` spec prefix.  Two letters at least, so a Windows drive letter
+#: (``C:\artifacts``) still reads as a plain path.
+_PREFIX = re.compile(r"([A-Za-z][A-Za-z0-9_-]+):")
 
 
 def open_backend(spec: str | Path) -> StoreBackend:
@@ -469,23 +369,31 @@ def open_backend(spec: str | Path) -> StoreBackend:
 
         artifacts/              # plain path: the default directory backend
         dir:artifacts/          # explicit directory backend
-        sharded:artifacts/      # directory-sharded JSON with file locks
         sqlite:artifacts.db     # one SQLite database file
 
-    A plain path that is an existing sharded root (it carries the
-    ``.sharded-store`` marker) or an existing SQLite file reopens with its
-    own backend, so follow-up commands need not repeat the prefix.
+    A plain path to an existing SQLite file reopens with its own backend,
+    so follow-up commands need not repeat the prefix.  Any other ``word:``
+    prefix is rejected rather than read as a directory name, so a typo such
+    as ``sqllite:cache.db`` cannot silently create a directory; a directory
+    whose name contains a colon stays reachable as ``dir:NAME``.
+
+    Raises:
+        ValueError: for a ``word:`` prefix that names no backend.
     """
     text = str(spec)
     if text.startswith("dir:"):
         return DirectoryBackend(text[len("dir:"):])
-    if text.startswith("sharded:"):
-        return ShardedJSONBackend(text[len("sharded:"):])
     if text.startswith("sqlite:"):
         return SQLiteBackend(text[len("sqlite:"):])
+    prefix = _PREFIX.match(text)
+    if prefix is not None:
+        valid = ", ".join(f"{name}:" for name in BACKENDS)
+        raise ValueError(
+            f"unknown store backend {prefix.group(1)!r} in {text!r} "
+            f"(valid prefixes: {valid}; use dir:{text} for a directory "
+            f"whose name contains a colon)"
+        )
     path = Path(text)
-    if (path / ShardedJSONBackend.MARKER).is_file():
-        return ShardedJSONBackend(path)
     if path.is_file():
         with path.open("rb") as handle:
             if handle.read(16).startswith(b"SQLite format 3"):
@@ -496,7 +404,6 @@ def open_backend(spec: str | Path) -> StoreBackend:
 __all__ = [
     "BACKENDS",
     "DirectoryBackend",
-    "ShardedJSONBackend",
     "SQLiteBackend",
     "StoreBackend",
     "open_backend",

@@ -125,21 +125,3 @@ def _maybe_certify(
         maybe_certify_result(result, scenario)
     except (KeyError, ScenarioError):
         return
-
-
-def run_all(
-    *,
-    scale: float = 1.0,
-    ids: list[str] | None = None,
-    jobs: int = 1,
-    overrides: Mapping[str, Any] | None = None,
-) -> dict[str, ExperimentResult]:
-    """Run several (default: all) experiments and return their results by id.
-
-    Delegates to :func:`repro.experiments.runner.run_experiments`; with
-    ``jobs > 1`` the experiments execute in parallel worker processes.
-    """
-    # Imported lazily: the runner imports this module for the registry.
-    from repro.experiments.runner import run_experiments
-
-    return run_experiments(ids, scale=scale, jobs=jobs, overrides=overrides).results()

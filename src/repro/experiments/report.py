@@ -1,19 +1,15 @@
 """Generate EXPERIMENTS.md — the paper-vs-measured record.
 
-Running ``python -m repro.experiments.report`` executes every registered
-experiment (at the paper's scale by default) and writes a Markdown report
-with, per figure/table: the paper's reported behaviour, the reproduced
-series, and the outcome of each qualitative check.
+``repro report --from STORE`` renders a Markdown report purely from the
+artifacts a ``repro run-all --out STORE`` sweep wrote: per figure/table, the
+paper's reported behaviour, the reproduced series, and the outcome of each
+qualitative check.  Like ``repro figures``, it never re-simulates.
 """
 
 from __future__ import annotations
 
-import argparse
-import sys
 from datetime import date
 
-from repro.core.api import evaluate
-from repro.experiments.harness import list_experiments
 from repro.experiments.results import ExperimentResult, format_optimality_gap
 from repro.experiments.store import ArtifactStore
 
@@ -46,7 +42,7 @@ Topology-Aware Data Aggregation on Large-Scale Supercomputers* (CLUSTER
 **absolute bandwidths are not expected to match**; what each section records
 is whether the *shape* of the paper's result is reproduced — who wins, by
 roughly what factor, and where optima/crossovers lie.  Every table below is
-regenerated by ``repro report`` or ``python -m repro.experiments.report``.
+regenerated from stored artifacts by ``repro report --from STORE``.
 
 Known deviations of this reproduction (details in DESIGN.md):
 
@@ -102,26 +98,15 @@ def _paper_order(available: list[str]) -> list[str]:
     return ordered
 
 
-def generate_report(*, scale: float = 1.0, ids: list[str] | None = None) -> str:
-    """Build the full Markdown report (running every experiment)."""
-    experiment_ids = ids or _paper_order(list_experiments())
-    sections = [_PREAMBLE]
-    sections.append(f"_Generated on {date.today().isoformat()} at scale divisor {scale:g}._\n")
-    for experiment_id in experiment_ids:
-        result = evaluate(experiment_id, scale=scale).result
-        sections.append(_section(result))
-    return "\n".join(sections)
-
-
 def generate_report_from_store(
     store: ArtifactStore, *, ids: list[str] | None = None
 ) -> str:
     """Build the Markdown report purely from stored JSON artifacts.
 
-    Unlike :func:`generate_report` this never re-simulates anything: every
-    section is rebuilt from the artifact directory, so the report can be
-    regenerated (e.g. in CI, or on a machine without the compute budget)
-    long after the sweep that produced it.
+    This never re-simulates anything: every section is rebuilt from the
+    stored artifacts, so the report can be regenerated (e.g. in CI, or on a
+    machine without the compute budget) long after the sweep that produced
+    it.
 
     Raises:
         FileNotFoundError: if the store is empty or a requested id has no
@@ -218,51 +203,3 @@ def _tuning_sections(store: ArtifactStore) -> list[str]:
         lines.append("")
         sections.append("\n".join(lines))
     return sections
-
-
-def main(argv: list[str] | None = None) -> int:
-    """Command-line entry point."""
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--scale",
-        type=float,
-        default=1.0,
-        help="node-count divisor (1.0 reproduces the paper's scale)",
-    )
-    parser.add_argument(
-        "--output",
-        default="EXPERIMENTS.md",
-        help="output Markdown file (default: EXPERIMENTS.md)",
-    )
-    parser.add_argument(
-        "--experiment",
-        action="append",
-        dest="experiments",
-        help="run only the given experiment id(s); may be repeated",
-    )
-    parser.add_argument(
-        "--from",
-        dest="from_dir",
-        default=None,
-        metavar="DIR",
-        help="regenerate from a JSON artifact directory instead of re-running",
-    )
-    args = parser.parse_args(argv)
-    if args.from_dir:
-        try:
-            report = generate_report_from_store(
-                ArtifactStore(args.from_dir), ids=args.experiments
-            )
-        except (OSError, ValueError) as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 1
-    else:
-        report = generate_report(scale=args.scale, ids=args.experiments)
-    with open(args.output, "w", encoding="utf-8") as handle:
-        handle.write(report)
-    print(f"wrote {args.output}")
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())

@@ -111,8 +111,7 @@ class ExperimentResult:
     # Mirrors Scenario's to_dict/from_dict/to_json/from_json so the two
     # halves of every (scenario in, result out) exchange — the artifact
     # store, the evaluation daemon, the CLI's --json modes — share one
-    # serialisation idiom.  The former module-level helpers in
-    # repro.experiments.store remain as deprecated aliases.
+    # serialisation idiom.
 
     def to_dict(self) -> dict:
         """Plain-dict form (JSON-serialisable; inverse of :meth:`from_dict`)."""

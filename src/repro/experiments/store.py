@@ -19,10 +19,9 @@ the historical flat directory — byte-identical to the pre-backend layout::
         tuning-points/       # per-candidate tuning cache
         scenario-results/    # per-scenario-hash cache (the serving layer)
 
-— while ``sharded:DIR`` (file-locked, directory-sharded JSON) and
-``sqlite:FILE.db`` back the same store API with concurrent-safe storage so
-the runner, the tuner, and the evaluation daemon can all share one warm
-cache (see :meth:`ArtifactStore.from_spec`).
+— while ``sqlite:FILE.db`` backs the same store API with concurrent-safe
+storage so the runner, the tuner, and the evaluation daemon can all share
+one warm cache (see :meth:`ArtifactStore.from_spec`).
 
 Artifacts are plain JSON so downstream tooling (CI uploads, notebooks,
 plotting scripts) can consume them without importing this package.
@@ -148,10 +147,10 @@ class ArtifactStore:
     def from_spec(cls, spec: str | Path) -> "ArtifactStore":
         """A store from an ``--out`` spec string.
 
-        ``DIR`` (or ``dir:DIR``) opens the default directory layout,
-        ``sharded:DIR`` the file-locked sharded layout, ``sqlite:FILE.db``
-        the SQLite backend; a plain path to an existing sharded root or
-        SQLite file reopens with its own backend.
+        ``DIR`` (or ``dir:DIR``) opens the default directory layout and
+        ``sqlite:FILE.db`` the SQLite backend; a plain path to an existing
+        SQLite file reopens with its own backend.  An unknown ``word:``
+        prefix raises :class:`ValueError`.
         """
         backend = open_backend(spec)
         root = getattr(backend, "root", None) or getattr(backend, "path")

@@ -3,8 +3,8 @@
 Each :class:`FigureSpec` maps one paper figure/table to the artifact
 experiment id and series it consumes.  Rendering is store-driven and never
 simulates: :func:`render_figures` loads envelopes from any
-:class:`~repro.experiments.store.ArtifactStore` backend (flat directory,
-sharded, sqlite), emits one tidy CSV per figure with the digitised paper
+:class:`~repro.experiments.store.ArtifactStore` backend (flat directory
+or sqlite), emits one tidy CSV per figure with the digitised paper
 value and both deviations beside every reproduced point, optionally a
 PNG/SVG when matplotlib is importable (see
 :mod:`repro.reporting.plotting`), and one ``deviation_report.json`` for

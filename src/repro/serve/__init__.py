@@ -3,15 +3,13 @@
 ``repro serve`` turns the toolkit into a long-lived evaluation service:
 clients submit :class:`~repro.scenario.spec.Scenario` JSON and receive the
 experiment result, without paying interpreter start-up, registry imports, or
-worker-pool spin-up per request.  Two front ends share one
-:class:`~repro.serve.service.EvaluationService`:
-
-* an HTTP endpoint (:mod:`repro.serve.http`) — ``POST /evaluate`` with a
-  scenario payload, ``POST /evaluate-batch`` streaming NDJSON responses as
-  evaluations complete, plus ``GET /healthz`` and ``GET /stats``;
-* a file-based job queue (:mod:`repro.serve.jobqueue`) — drop scenario JSON
-  into ``inbox/``, collect the response envelope from ``done/``; useful from
-  batch schedulers and shells where opening sockets is awkward.
+worker-pool spin-up per request.  The HTTP front end
+(:mod:`repro.serve.http`) wraps one
+:class:`~repro.serve.service.EvaluationService`: ``POST /evaluate`` with a
+scenario payload, ``POST /evaluate-batch`` streaming NDJSON responses as
+evaluations complete, plus ``GET /healthz``, ``GET /stats`` and
+``GET /metrics``.  :class:`~repro.serve.client.ServeClient` (and
+``repro submit``) is its stdlib client.
 
 The service dedupes concurrent identical scenarios by content hash (two
 clients submitting the same description trigger exactly one evaluation),
@@ -22,15 +20,11 @@ worker pool from :mod:`repro.experiments.runner`.
 
 from repro.serve.client import ServeClient
 from repro.serve.http import HttpFrontend, ServerThread
-from repro.serve.jobqueue import JobQueueFrontend, collect_job, submit_job
 from repro.serve.service import EvaluationService
 
 __all__ = [
     "EvaluationService",
     "HttpFrontend",
-    "JobQueueFrontend",
     "ServeClient",
     "ServerThread",
-    "collect_job",
-    "submit_job",
 ]

@@ -1,8 +1,8 @@
 """The evaluation service: dedup, cache, and microbatching.
 
-:class:`EvaluationService` is the single asyncio-side brain both front ends
-(HTTP and the file job queue) talk to.  One request flows through three
-gates, each cheaper than the next:
+:class:`EvaluationService` is the single asyncio-side brain the HTTP front
+end talks to.  One request flows through three gates, each cheaper than the
+next:
 
 1. **Warm cache** — the scenario's content hash is looked up in the shared
    :class:`~repro.experiments.store.ArtifactStore`; a hit is returned
@@ -245,7 +245,7 @@ class EvaluationService:
     # ------------------------------------------------------------------ #
 
     def snapshot(self) -> dict:
-        """Stats payload for ``GET /stats`` and the queue's ``stats`` op.
+        """Stats payload for ``GET /stats``.
 
         On top of the lifetime counters: ``inflight`` (requests awaiting a
         result), ``pending`` (queue depth of the next microbatch), and the

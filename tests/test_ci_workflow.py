@@ -1,5 +1,6 @@
 """Sanity checks for the CI pipeline definition (.github/workflows/ci.yml)."""
 
+import re
 from pathlib import Path
 
 import pytest
@@ -289,3 +290,22 @@ class TestWorkflowShape:
         assert scrape, "serve job must scrape the daemon's /metrics endpoint"
         assert "repro_serve_requests_total" in scrape[0]
         assert "repro_serve_request_seconds_count" in scrape[0]
+
+    def test_every_store_spec_names_a_live_backend(self, workflow):
+        """Every ``--out``/``--from`` spec in the workflow opens a backend,
+        so CI can never name a deleted store backend again."""
+        from repro.experiments.backends import open_backend
+
+        commands = [
+            step.get("run", "")
+            for job in workflow["jobs"].values()
+            for step in job["steps"]
+        ]
+        specs = [
+            spec
+            for command in commands
+            for spec in re.findall(r"--(?:out|from)[= ]+(\S+)", command)
+        ]
+        assert "sqlite:serve-store.db" in specs
+        for spec in specs:
+            open_backend(spec)  # raises ValueError on an unknown prefix

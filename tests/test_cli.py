@@ -17,19 +17,13 @@ class TestParser:
     @pytest.mark.parametrize("scale", ["0", "-1", "-0.5", "nan", "inf", "nan-ish"])
     @pytest.mark.parametrize(
         "command",
-        [["run", "fig10"], ["run-all"], ["report"]],
+        [["run", "fig10"], ["run-all"], ["scenario", "show", "fig10"]],
     )
     def test_rejects_non_positive_scale(self, command, scale, capsys):
         with pytest.raises(SystemExit) as excinfo:
             build_parser().parse_args([*command, "--scale", scale])
         assert excinfo.value.code == 2  # argparse usage error, not a traceback
         assert "--scale" in capsys.readouterr().err
-
-    def test_estimate_rejects_non_positive_counts(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["estimate", "--nodes", "0"])
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["estimate", "--particles", "-5"])
 
 
 class TestCommands:
@@ -55,43 +49,44 @@ class TestCommands:
         assert "TAPIOCA" in output and "PASS" in output
 
     def test_report(self, tmp_path, capsys):
+        store = tmp_path / "store"
+        assert main(
+            ["run-all", "--scale", "32", "--experiment", "fig07", "--out", str(store)]
+        ) == 0
         output_file = tmp_path / "exp.md"
-        assert main(["report", "-o", str(output_file), "--scale", "32"]) == 0
+        assert main(["report", "--from", str(store), "-o", str(output_file)]) == 0
         assert "fig07" in output_file.read_text()
 
-    def test_estimate_theta(self, capsys):
-        code = main(
-            [
-                "estimate",
-                "--machine",
-                "theta",
-                "--nodes",
-                "64",
-                "--particles",
-                "5000",
-                "--layout",
-                "soa",
-                "--aggregators",
-                "96",
-            ]
-        )
-        assert code == 0
-        output = capsys.readouterr().out
-        assert "TAPIOCA" in output and "speedup" in output
+    def test_report_requires_a_store(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["report"])
+        assert excinfo.value.code == 2
+        assert "--from" in capsys.readouterr().err
 
-    def test_estimate_mira(self, capsys):
-        code = main(
-            [
-                "estimate",
-                "--machine",
-                "mira",
-                "--nodes",
-                "128",
-                "--particles",
-                "5000",
-                "--aggregators",
-                "16",
-            ]
-        )
-        assert code == 0
-        assert "speedup" in capsys.readouterr().out
+    def test_report_reads_a_sqlite_store(self, tmp_path, capsys):
+        """``report --from`` opens store specs exactly like ``figures``."""
+        spec = f"sqlite:{tmp_path / 'store.db'}"
+        assert main(
+            ["run-all", "--scale", "32", "--experiment", "fig10", "--out", spec]
+        ) == 0
+        output_file = tmp_path / "exp.md"
+        assert main(["report", "--from", spec, "-o", str(output_file)]) == 0
+        assert "## fig10" in output_file.read_text()
+        # The prefix-less path to the .db file reopens the same store.
+        assert main(
+            ["report", "--from", str(tmp_path / "store.db"), "-o", str(output_file)]
+        ) == 0
+        assert "## fig10" in output_file.read_text()
+
+    @pytest.mark.parametrize("spec", ["sqllite:x.db", "sharded:x"])
+    def test_unknown_store_prefix_is_a_usage_error(
+        self, tmp_path, monkeypatch, spec, capsys
+    ):
+        """A mistyped backend prefix must not silently create a directory."""
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", "fig10", "--scale", "32", "--out", spec])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "--out:" in err and "sqlite:" in err
+        assert list(tmp_path.iterdir()) == []

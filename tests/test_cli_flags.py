@@ -81,7 +81,7 @@ class TestJobsFlag:
 class TestOutFlag:
     @pytest.mark.parametrize("command", WITH_OUT, ids="/".join)
     @pytest.mark.parametrize(
-        "spec", ["artifacts", "dir:artifacts", "sharded:artifacts", "sqlite:cache.db"]
+        "spec", ["artifacts", "dir:artifacts", "sqlite:cache.db"]
     )
     def test_accepts_backend_specs(self, command, spec):
         base, _ = FLAG_TABLE[command]

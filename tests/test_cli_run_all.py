@@ -2,7 +2,6 @@
 
 import json
 
-import repro.experiments.report as report_module
 from repro.cli import main
 from repro.experiments.harness import EXPERIMENTS
 from repro.experiments.results import ExperimentResult, Series
@@ -88,7 +87,8 @@ class TestReportFromArtifacts:
         def explode(*args, **kwargs):  # pragma: no cover - must never run
             raise AssertionError("report --from must not re-simulate")
 
-        monkeypatch.setattr(report_module, "evaluate", explode)
+        for experiment_id in ("table1", "fig10"):
+            monkeypatch.setitem(EXPERIMENTS, experiment_id, explode)
         report_file = tmp_path / "EXPERIMENTS.md"
         code = main(["report", "--from", str(out_dir), "-o", str(report_file)])
         assert code == 0

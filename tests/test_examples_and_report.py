@@ -6,7 +6,10 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments.report import generate_report, main as report_main
+from repro.cli import main as cli_main
+from repro.experiments.report import generate_report_from_store
+from repro.experiments.runner import run_experiments
+from repro.experiments.store import ArtifactStore
 
 EXAMPLES_DIR = Path(__file__).resolve().parent.parent / "examples"
 
@@ -77,21 +80,30 @@ class TestExamples:
 
 
 class TestReportGenerator:
-    def test_generate_report_subset(self):
-        report = generate_report(scale=16.0, ids=["table1"])
-        assert "table1" in report
+    """``run-all`` writes the store; the report renders only from it."""
+
+    @pytest.fixture(scope="class")
+    def store(self, tmp_path_factory):
+        store = ArtifactStore(tmp_path_factory.mktemp("report-store"))
+        run_experiments(["table1", "fig10"], scale=16.0, store=store)
+        return store
+
+    def test_generate_report_subset(self, store):
+        report = generate_report_from_store(store, ids=["table1"])
+        assert "table1" in report and "## fig10" not in report
         assert "paper vs. reproduction" in report
         assert "- [x]" in report  # at least one passing check box
 
-    def test_cli_writes_file(self, tmp_path):
+    def test_cli_writes_file(self, store, tmp_path):
         output = tmp_path / "report.md"
-        code = report_main(
-            ["--scale", "16", "--output", str(output), "--experiment", "fig10"]
+        code = cli_main(
+            ["report", "--from", str(store.root), "-o", str(output),
+             "--experiment", "fig10"]
         )
         assert code == 0
         text = output.read_text()
         assert "fig10" in text
 
-    def test_unknown_experiment_id_fails(self):
-        with pytest.raises(KeyError):
-            generate_report(scale=16.0, ids=["fig99"])
+    def test_unknown_experiment_id_fails(self, store):
+        with pytest.raises(FileNotFoundError):
+            generate_report_from_store(store, ids=["fig99"])

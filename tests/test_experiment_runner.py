@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.experiments.harness import EXPERIMENTS, run_all
+from repro.experiments.harness import EXPERIMENTS
 from repro.experiments.results import ExperimentResult, Series
 from repro.experiments.runner import run_experiments
 from repro.experiments.store import ArtifactStore
@@ -45,8 +45,8 @@ class TestValidationAndOrdering:
         assert [o.experiment_id for o in report.outcomes] == ["table1"]
         assert report.executed() == ["table1"]
 
-    def test_run_all_delegates(self):
-        results = run_all(scale=TEST_SCALE, ids=QUICK_IDS, jobs=1)
+    def test_results_map_ids_in_request_order(self):
+        results = run_experiments(QUICK_IDS, scale=TEST_SCALE, jobs=1).results()
         assert list(results) == QUICK_IDS
         for result in results.values():
             assert isinstance(result, ExperimentResult)

@@ -8,7 +8,7 @@ from repro.experiments import (
     ExperimentResult,
     Series,
     list_experiments,
-    run_all,
+    run_experiments,
 )
 
 #: Scale divisor used in tests: node counts are divided by this to keep the
@@ -75,7 +75,7 @@ class TestRegistry:
             evaluate("fig99")
 
     def test_run_all_subset(self):
-        results = run_all(scale=TEST_SCALE, ids=["table1", "fig10"])
+        results = run_experiments(["table1", "fig10"], scale=TEST_SCALE).results()
         assert set(results) == {"table1", "fig10"}
 
 

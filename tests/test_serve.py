@@ -1,4 +1,4 @@
-"""Tests for the evaluation daemon: service, HTTP front end, job queue.
+"""Tests for the evaluation daemon: service and HTTP front end.
 
 No ``pytest-asyncio`` in the container, so async tests run their own event
 loop via ``asyncio.run`` — which also mirrors how the daemon itself runs.
@@ -14,14 +14,7 @@ import pytest
 
 from repro.experiments.store import ArtifactStore
 from repro.scenario.registry import get_scenario
-from repro.serve import (
-    EvaluationService,
-    JobQueueFrontend,
-    ServeClient,
-    ServerThread,
-    collect_job,
-    submit_job,
-)
+from repro.serve import EvaluationService, ServeClient, ServerThread
 from repro.serve.client import ServeError
 
 SCALE = 16.0
@@ -239,68 +232,6 @@ class TestHttpFrontend:
         client = ServeClient("http://127.0.0.1:1", timeout_s=2)
         with pytest.raises(ServeError):
             client.health()
-
-
-class TestJobQueue:
-    def test_submit_and_collect(self, tmp_path):
-        store = ArtifactStore(tmp_path / "store")
-        queue = tmp_path / "queue"
-
-        async def main():
-            service = EvaluationService(store)
-            frontend = JobQueueFrontend(service, queue, poll_s=0.01)
-            await frontend.start()
-            job = await asyncio.to_thread(submit_job, queue, payload_for())
-            envelope = await asyncio.to_thread(collect_job, queue, job, timeout_s=120)
-            await frontend.stop()
-            return envelope
-
-        envelope = asyncio.run(main())
-        assert envelope["status"] == "ok"
-        assert envelope["job_id"]
-        assert not envelope["cached"]
-        # The response also lives in done/ for later collection.
-        done = queue / "done" / f"{envelope['job_id']}.json"
-        assert json.loads(done.read_text())["status"] == "ok"
-
-    def test_queue_shares_cache_with_direct_requests(self, tmp_path):
-        store = ArtifactStore(tmp_path / "store")
-        queue = tmp_path / "queue"
-        payload = payload_for()
-        asyncio.run(EvaluationService(store).evaluate(payload))  # warm it
-
-        async def main():
-            service = EvaluationService(store)
-            frontend = JobQueueFrontend(service, queue, poll_s=0.01)
-            await frontend.start()
-            job = await asyncio.to_thread(submit_job, queue, payload)
-            envelope = await asyncio.to_thread(collect_job, queue, job, timeout_s=120)
-            await frontend.stop()
-            return envelope
-
-        assert asyncio.run(main())["cached"] is True
-
-    def test_malformed_job_yields_error_envelope(self, tmp_path):
-        queue = tmp_path / "queue"
-
-        async def main():
-            frontend = JobQueueFrontend(EvaluationService(), queue, poll_s=0.01)
-            await frontend.start()
-            (queue / "inbox").mkdir(parents=True, exist_ok=True)
-            (queue / "inbox" / "bad.json").write_text("{not json")
-            envelope = await asyncio.to_thread(
-                collect_job, queue, "bad", timeout_s=60
-            )
-            await frontend.stop()
-            return envelope
-
-        envelope = asyncio.run(main())
-        assert envelope["status"] == "error"
-        assert "unreadable" in envelope["error"]
-
-    def test_collect_times_out(self, tmp_path):
-        with pytest.raises(TimeoutError):
-            collect_job(tmp_path, "missing", timeout_s=0.1, poll_s=0.02)
 
 
 class TestFiguresEndpoint:

@@ -1,8 +1,8 @@
-"""Tests for the pluggable store backends (dir, sharded, sqlite).
+"""Tests for the pluggable store backends (dir, sqlite).
 
-The concurrency tests fork real processes: the whole point of the sharded
-and SQLite backends is that several writers — a daemon, a tuner, a shell
-``repro run`` — can share one cache without corrupting it.
+The concurrency tests fork real processes: the whole point of the SQLite
+backend is that several writers — a daemon, a tuner, a shell ``repro run``
+— can share one cache without corrupting it.
 """
 
 import json
@@ -16,7 +16,6 @@ import pytest
 from repro.experiments.backends import (
     BACKENDS,
     DirectoryBackend,
-    ShardedJSONBackend,
     SQLiteBackend,
     open_backend,
 )
@@ -32,8 +31,6 @@ _mp = multiprocessing.get_context("fork")
 def _make_backend(kind: str, tmp_path):
     if kind == "dir":
         return DirectoryBackend(tmp_path / "store")
-    if kind == "sharded":
-        return ShardedJSONBackend(tmp_path / "store")
     return SQLiteBackend(tmp_path / "store.db")
 
 
@@ -103,14 +100,7 @@ class TestOpenBackend:
 
     def test_explicit_prefixes(self, tmp_path):
         assert isinstance(open_backend(f"dir:{tmp_path}/a"), DirectoryBackend)
-        assert isinstance(open_backend(f"sharded:{tmp_path}/b"), ShardedJSONBackend)
         assert isinstance(open_backend(f"sqlite:{tmp_path}/c.db"), SQLiteBackend)
-
-    def test_reopens_sharded_root_without_prefix(self, tmp_path):
-        ShardedJSONBackend(tmp_path / "s").put("x.json", "{}")
-        reopened = open_backend(tmp_path / "s")
-        assert isinstance(reopened, ShardedJSONBackend)
-        assert reopened.get("x.json") == "{}"
 
     def test_reopens_sqlite_file_without_prefix(self, tmp_path):
         SQLiteBackend(tmp_path / "c.db").put("x.json", "{}")
@@ -119,10 +109,33 @@ class TestOpenBackend:
         assert reopened.get("x.json") == "{}"
 
     def test_store_from_spec(self, tmp_path):
-        store = ArtifactStore.from_spec(f"sharded:{tmp_path}/s")
+        store = ArtifactStore.from_spec(f"sqlite:{tmp_path}/c.db")
         store.save(make_result(), scale=8.0, wall_time_s=0.1)
         assert store.load("demo") == make_result()
-        assert isinstance(store.backend, ShardedJSONBackend)
+        assert isinstance(store.backend, SQLiteBackend)
+
+    @pytest.mark.parametrize("spec", ["sqllite:x.db", "sharded:x", "Dir:x"])
+    def test_rejects_unknown_prefix(self, tmp_path, monkeypatch, spec):
+        """A mistyped prefix is an error, never a directory named after it."""
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(ValueError, match="valid prefixes: dir:, sqlite:"):
+            open_backend(spec)
+        with pytest.raises(ValueError):
+            ArtifactStore.from_spec(spec)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_colon_directory_stays_reachable_with_dir_prefix(self, tmp_path):
+        backend = open_backend(f"dir:{tmp_path}/odd:name")
+        assert isinstance(backend, DirectoryBackend)
+        backend.put("x.json", "{}")
+        assert (tmp_path / "odd:name" / "x.json").is_file()
+        # An absolute path is never mistaken for a prefix.
+        assert open_backend(f"{tmp_path}/odd:name").get("x.json") == "{}"
+
+    def test_drive_letter_is_a_plain_path(self):
+        backend = open_backend("C:artifacts")
+        assert isinstance(backend, DirectoryBackend)
+        assert str(backend.root) == "C:artifacts"
 
 
 # --------------------------------------------------------------------------- #
@@ -145,25 +158,15 @@ def _hammer_store_shard(kind: str, root: str, worker: int) -> None:
         store.save(make_result("contended"), scale=8.0, wall_time_s=0.1)
 
 
-def _crash_holding_sharded_lock(root: str) -> None:
-    backend = ShardedJSONBackend(root)
-    lock = backend._lock_path("victim.json")
-    lock.parent.mkdir(parents=True, exist_ok=True)
-    fd = os.open(lock, os.O_CREAT | os.O_RDWR)
-    import fcntl
-
-    fcntl.flock(fd, fcntl.LOCK_EX)
-    os._exit(1)  # die without unlocking: flock must evaporate with us
+def _crash_holding_sqlite_lock(path: str) -> None:
+    with SQLiteBackend(path).lock("victim.json"):
+        os._exit(1)  # die without unlocking: flock must evaporate with us
 
 
-def _crash_mid_sharded_write(root: str) -> None:
-    backend = ShardedJSONBackend(root)
-    path = backend.path_hint("victim.json")
-    path.parent.mkdir(parents=True, exist_ok=True)
-    # The exact temp-file pattern the backend uses, abandoned mid-write.
-    tmp = path.with_name(f"{path.name}.{os.getpid()}-{threading.get_ident()}.tmp")
-    tmp.write_text('{"torn": ', encoding="utf-8")
-    os._exit(1)
+def _take_sqlite_lock(path: str) -> None:
+    backend = SQLiteBackend(path)
+    with backend.lock("victim.json"):
+        backend.put("victim.json", '{"after": 1}')
 
 
 def _crash_mid_sqlite_txn(path: str) -> None:
@@ -186,13 +189,13 @@ def _run(target, *args) -> int:
     return process.exitcode
 
 
-@pytest.mark.parametrize("kind", ["sharded", "sqlite"])
+@pytest.mark.parametrize("kind", ["sqlite"])
 class TestConcurrentWriters:
     def test_same_key_from_many_processes(self, kind, tmp_path):
         """N processes rewriting one key leave a complete, valid JSON value."""
         backend = _make_backend(kind, tmp_path)
         backend.put("seed.json", "{}")  # create the store up-front
-        root = f"{kind}:{backend.root if kind == 'sharded' else backend.path}"
+        root = f"{kind}:{backend.path}"
         workers = [
             _mp.Process(target=_hammer_same_key, args=(kind, root, worker, 20))
             for worker in range(4)
@@ -271,7 +274,7 @@ class TestConcurrentWriters:
         """Two processes saving the same (id, scale) artifact stay consistent."""
         backend = _make_backend(kind, tmp_path)
         backend.put("seed.json", "{}")
-        root = f"{kind}:{backend.root if kind == 'sharded' else backend.path}"
+        root = f"{kind}:{backend.path}"
         workers = [
             _mp.Process(target=_hammer_store_shard, args=(kind, root, worker))
             for worker in range(2)
@@ -288,21 +291,13 @@ class TestConcurrentWriters:
 
 
 class TestCrashSafety:
-    def test_sharded_crash_mid_write_leaves_no_corrupt_shard(self, tmp_path):
-        backend = ShardedJSONBackend(tmp_path / "s")
-        backend.put("victim.json", '{"ok": true}')
-        assert _run(_crash_mid_sharded_write, str(backend.root)) == 1
-        # The abandoned temp file is invisible to readers and key listings.
-        assert backend.get("victim.json") == '{"ok": true}'
-        assert backend.keys() == ["victim.json"]
-        backend.put("victim.json", '{"ok": 2}')
-        assert backend.get("victim.json") == '{"ok": 2}'
-
-    def test_sharded_lock_dies_with_its_holder(self, tmp_path):
-        backend = ShardedJSONBackend(tmp_path / "s")
-        assert _run(_crash_holding_sharded_lock, str(backend.root)) == 1
-        # A crashed holder must not wedge later writers (flock semantics).
-        backend.put("victim.json", '{"after": 1}')
+    def test_sqlite_lock_dies_with_its_holder(self, tmp_path):
+        backend = SQLiteBackend(tmp_path / "c.db")
+        assert _run(_crash_holding_sqlite_lock, str(backend.path)) == 1
+        # A crashed holder must not wedge later writers (flock semantics):
+        # the next process takes the same sibling .lock file within the
+        # join timeout instead of hanging.
+        assert _run(_take_sqlite_lock, str(backend.path)) == 0
         assert backend.get("victim.json") == '{"after": 1}'
 
     def test_sqlite_crash_mid_transaction_rolls_back(self, tmp_path):
@@ -326,7 +321,6 @@ class TestDefaultLayoutUnchanged:
     def test_all_backends_serve_the_same_store_api(self, tmp_path):
         specs = {
             "dir": f"dir:{tmp_path}/d",
-            "sharded": f"sharded:{tmp_path}/s",
             "sqlite": f"sqlite:{tmp_path}/c.db",
         }
         texts = {}
@@ -336,4 +330,4 @@ class TestDefaultLayoutUnchanged:
             texts[kind] = store.backend.get("demo.json")
         # The stored JSON text is identical across backends: the store
         # serialises, backends only place blobs.
-        assert texts["dir"] == texts["sharded"] == texts["sqlite"]
+        assert texts["dir"] == texts["sqlite"]
