@@ -15,18 +15,37 @@ For one partition and one candidate aggregator ``A``:
 
 On platforms where the I/O node locality is not exposed (Theta), ``C2`` is
 set to zero, exactly as the paper does.
+
+:meth:`AggregationCostModel.evaluate` costs one candidate with scalar
+topology queries.  :meth:`AggregationCostModel.elect` costs every candidate
+of a whole partition list at once (the segmented election): the partitions
+are flattened into :class:`CandidateSets`, grouped by candidate count, and
+each group is evaluated as one stack of producer × candidate pair tensors,
+in chunks of at most :data:`_MAX_PAIR_CELLS` cells.  Every C1 and C2 it
+returns is bit-identical to :meth:`~AggregationCostModel.evaluate`.
+:meth:`AggregationCostModel.best_candidate` elects each partition's
+minimum from those costs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Protocol, Sequence
+from functools import cached_property
+from typing import Iterator, Mapping, Protocol, Sequence
 
 import numpy as np
 
+from repro.core.partitioning import Partition
 from repro.core.topology_iface import TopologyInterface
 from repro.obs import recorder as obs_recorder
-from repro.utils.validation import require_non_negative
+from repro.utils.validation import require, require_non_negative
+
+#: Pair-tensor cells (partitions × producers × candidates) evaluated per
+#: kernel call of the election: same-size partitions are stacked
+#: ``_MAX_PAIR_CELLS // n²`` at a time, and a partition larger than the
+#: budget is split into blocks of candidate columns, so peak memory stays
+#: flat however many partitions a placement covers and however large.
+_MAX_PAIR_CELLS = 1 << 17
 
 
 class ContentionFactors(Protocol):
@@ -48,8 +67,8 @@ class ContentionFactors(Protocol):
     ) -> np.ndarray:
         """Batched twin: the factor of each source rank towards one node.
 
-        :meth:`AggregationCostModel.best_candidate` evaluates every
-        candidate of a partition through this call.
+        :meth:`AggregationCostModel.elect` weighs every candidate column of
+        a partition through this call.
         """
         ...
 
@@ -72,6 +91,142 @@ class CostBreakdown:
     def total(self) -> float:
         """The objective value ``C1 + C2``."""
         return self.aggregation + self.io
+
+
+def _offsets(counts: np.ndarray) -> np.ndarray:
+    """Segment bounds ``[0, c0, c0 + c1, ...]`` of consecutive segment sizes."""
+    offsets = np.zeros(counts.size + 1, dtype=np.int64)
+    np.cumsum(counts, out=offsets[1:])
+    return offsets
+
+
+@dataclass(frozen=True, eq=False)
+class CandidateSets:
+    """Every partition's election candidates, flattened partition by partition.
+
+    Partition ``p`` owns the slice ``offsets[p]:offsets[p + 1]`` of every
+    array.  Its candidates are also its producers, listed in the order C1
+    adds their terms.  At ``"rank"`` granularity they are the partition's
+    ranks as given.  At ``"node"`` granularity there is one per node: the
+    node's lowest rank represents it and carries the integer sum of its
+    ranks' bytes, in ascending representative order.  The cost model only
+    depends on nodes and per-node volumes, so ``"node"`` evaluates the same
+    objective with quadratically fewer producer × candidate pairs.
+
+    Attributes:
+        offsets: int64 segment bounds, ``len(partitions) + 1`` entries.
+        ranks: candidate world ranks.
+        nodes: the node hosting each candidate.
+        volumes: int64 bytes each candidate produces.
+    """
+
+    offsets: np.ndarray
+    ranks: np.ndarray
+    nodes: np.ndarray
+    volumes: np.ndarray
+
+    @classmethod
+    def of(
+        cls,
+        partitions: Sequence[Partition],
+        iface: TopologyInterface,
+        granularity: str = "rank",
+    ) -> "CandidateSets":
+        """The candidates of ``partitions``, from one node gather."""
+        sizes = np.fromiter(
+            (partition.size for partition in partitions), np.int64, len(partitions)
+        )
+        ranks = np.concatenate([partition.ranks for partition in partitions])
+        volumes = np.concatenate([partition.volumes for partition in partitions])
+        return cls.of_blocks(sizes, ranks, volumes, iface, granularity)
+
+    @classmethod
+    def of_blocks(
+        cls,
+        sizes: np.ndarray,
+        ranks: np.ndarray,
+        volumes: np.ndarray,
+        iface: TopologyInterface,
+        granularity: str = "rank",
+    ) -> "CandidateSets":
+        """The candidates of consecutive blocks of ``ranks``.
+
+        Block ``p`` holds the next ``sizes[p]`` entries of ``ranks`` and of
+        their int64 ``volumes``; :meth:`of` passes each partition as a
+        block.
+        """
+        require(
+            granularity in ("rank", "node"),
+            f"granularity must be 'rank' or 'node', got {granularity!r}",
+        )
+        sizes = np.asarray(sizes, dtype=np.int64)
+        nodes = iface.rank_nodes(ranks)
+        if granularity == "rank":
+            return cls(_offsets(sizes), ranks, nodes, volumes)
+        # One stable sort over (partition, node) keys puts each partition's
+        # ranks on a node next to each other; the runs collapse to one
+        # candidate each (lowest rank, integer volume sum).
+        span = int(nodes.max()) + 1
+        keys = np.repeat(np.arange(sizes.size), sizes) * span + nodes
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+        representatives = np.minimum.reduceat(ranks[order], starts)
+        sums = np.add.reduceat(volumes[order], starts)
+        segments, unit_nodes = np.divmod(keys[starts], span)
+        order = np.lexsort((representatives, segments))
+        return cls(
+            _offsets(np.bincount(segments, minlength=sizes.size)),
+            representatives[order],
+            unit_nodes[order],
+            sums[order],
+        )
+
+    def __len__(self) -> int:
+        """Number of candidates, over all partitions."""
+        return int(self.ranks.size)
+
+    @cached_property
+    def segments(self) -> np.ndarray:
+        """Partition position of every candidate."""
+        return np.repeat(np.arange(self.offsets.size - 1), np.diff(self.offsets))
+
+    def totals(self, values: np.ndarray) -> np.ndarray:
+        """Per-partition sums of a per-candidate array."""
+        return np.add.reduceat(values, self.offsets[:-1])
+
+    def argmin(self, values: np.ndarray) -> np.ndarray:
+        """Flat index of each partition's smallest value.
+
+        Ties go to the lowest rank, as ``MPI_Allreduce(MINLOC)`` breaks them.
+        """
+        return np.lexsort((self.ranks, values, self.segments))[self.offsets[:-1]]
+
+    def chunks(
+        self, chosen: np.ndarray | None = None
+    ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """``(producers, candidates)`` flat-index matrices, one pair per chunk.
+
+        ``producers`` has shape ``(G, n)``: ``G`` partitions of ``n``
+        candidates each.  ``candidates`` is a block of its columns, or the
+        single column ``chosen`` names for each of those partitions, so a
+        chunk spans at most :data:`_MAX_PAIR_CELLS` producer × candidate
+        cells (at least one column of one partition).
+        """
+        sizes = np.diff(self.offsets)
+        order = np.argsort(sizes, kind="stable")
+        for group in np.split(order, np.flatnonzero(np.diff(sizes[order])) + 1):
+            n = int(sizes[group[0]])
+            width = 1 if chosen is not None else max(1, min(n, _MAX_PAIR_CELLS // n))
+            step = max(1, _MAX_PAIR_CELLS // (n * width))
+            for start in range(0, group.size, step):
+                block = group[start : start + step]
+                rows = self.offsets[block, None] + np.arange(n)
+                if chosen is not None:
+                    yield rows, chosen[block, None]
+                    continue
+                for first in range(0, n, width):
+                    yield rows, rows[:, first : first + width]
 
 
 class AggregationCostModel:
@@ -161,84 +316,109 @@ class AggregationCostModel:
             io=self.io_cost(candidate, io_bytes),
         )
 
-    def best_candidate(
-        self, candidates: Sequence[int], volumes: Mapping[int, int]
-    ) -> tuple[int, list[CostBreakdown]]:
-        """Evaluate every candidate and return (winner, all breakdowns).
+    def elect(
+        self, sets: CandidateSets, chosen: np.ndarray | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``(C1, C2)`` of every candidate in ``sets``, aligned with it.
 
-        Ties are broken towards the lowest rank, matching the behaviour of
-        ``MPI_Allreduce(MINLOC)``.
+        The segmented election: per chunk of same-size partitions, one
+        ``(G, producers, candidates)`` tensor of ``l·d + ω/B`` terms from
+        the interface's pair tensors, with each candidate's own term zeroed
+        (adding ``+0.0`` to a non-negative sum is exact).
+        ``np.add.accumulate`` along the producer axis adds the terms
+        strictly left to right, so every C1 is bit-identical to
+        :meth:`aggregation_cost`; ``np.sum`` would add pairwise and is
+        not.  C2 is a gather over the candidates' I/O distances and
+        bandwidths.  Invalid volumes raise the ``ValueError`` that
+        evaluating the same candidates one by one raises first.
 
-        C1 is one reduction over a producers × candidates matrix of
-        ``l·d + ω/B`` terms gathered from per-node-pair arrays, with each
-        candidate's own term zeroed (adding ``+0.0`` to a non-negative sum
-        is exact).  ``np.add.accumulate`` along the producer axis adds the
-        terms strictly left to right, so every breakdown is bit-identical to
-        :meth:`evaluate`; ``np.sum`` would add pairwise and is not.  C2 is
-        a gather over the candidates' batched I/O distances and bandwidths.
+        Args:
+            sets: the partitions' candidates.
+            chosen: optional flat index of one candidate per partition;
+                only those are costed, and the arrays are aligned with
+                ``chosen`` instead.
         """
-        if len(candidates) == 0:
-            raise ValueError("no candidates to evaluate")
-        cands = np.array(candidates, dtype=np.int64)
-        producers = np.fromiter(volumes, dtype=np.int64, count=len(volumes))
-        vols = np.fromiter(volumes.values(), dtype=np.int64, count=len(volumes))
-        if (vols < 0).any():
-            # Mirror evaluate()'s validation: a rank's volume is checked by
-            # every candidate except the rank itself.
-            for position in np.flatnonzero(vols < 0).tolist():
-                rank = int(producers[position])
-                if (cands != rank).any():
-                    require_non_negative(int(vols[position]), f"volume of rank {rank}")
-        io_bytes = int(vols.sum())
-        require_non_negative(io_bytes, "io_bytes")
-        nodes = self.iface.rank_nodes(np.concatenate((producers, cands)))
-        candidate_nodes = nodes[producers.size :]
-        aggregation = self._aggregation_costs(cands, producers, vols, nodes)
-        io = np.zeros(cands.size)
+        io_bytes = sets.totals(sets.volumes)
+        self._check_volumes(sets, io_bytes, chosen)
+        latency = self.iface.get_latency()
+        aggregation = np.zeros(sets.ranks.size)
+        for rows, columns in sets.chunks(chosen):
+            if rows.shape[1] == 1:
+                continue  # a lone candidate ships nothing: C1 = 0
+            hops, bandwidths = self.iface.pair_metrics(
+                sets.nodes[rows], sets.nodes[columns]
+            )
+            if self.contention is not None:
+                self._apply_contention(bandwidths, sets.ranks[rows], sets.nodes[columns])
+            # Same per-term IEEE arithmetic as aggregation_cost(); producers
+            # run along axis 1, candidates along axis 2.
+            terms = latency * hops + sets.volumes[rows][:, :, None] / bandwidths
+            terms[rows[:, :, None] == columns[:, None, :]] = 0.0
+            aggregation[columns] = np.add.accumulate(terms, axis=1)[:, -1, :]
+        io = np.zeros(sets.ranks.size)
         if self.iface.io_locality_known():
-            io = self.iface.get_latency() * self.iface.io_distances(
-                candidate_nodes
-            ) + float(io_bytes) / self.iface.io_bandwidths(candidate_nodes)
+            distances = self.iface.io_distances(sets.nodes)
+            bandwidths = self.iface.io_bandwidths(sets.nodes)
+            io = latency * distances + io_bytes[sets.segments] / bandwidths
+        if chosen is not None:
+            return aggregation[chosen], io[chosen]
+        return aggregation, io
+
+    def best_candidate(
+        self, sets: CandidateSets
+    ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+        """Each partition's winner and the ``(C1, C2)`` of every candidate.
+
+        The winner is the flat index into ``sets`` of the partition's
+        smallest ``C1 + C2``; ties go to the lowest rank, as
+        ``MPI_Allreduce(MINLOC)`` breaks them.
+        """
+        aggregation, io = self.elect(sets)
         rec = obs_recorder()
         if rec is not None:
-            rec.inc("costmodel.candidates", cands.size)
-        winner = int(cands[np.lexsort((cands, aggregation + io))[0]])
-        breakdowns = [
-            CostBreakdown(candidate=c, aggregation=c1, io=c2)
-            for c, c1, c2 in zip(cands.tolist(), aggregation.tolist(), io.tolist())
-        ]
-        return winner, breakdowns
+            rec.inc("costmodel.candidates", len(sets))
+        return sets.argmin(aggregation + io), (aggregation, io)
 
-    def _aggregation_costs(
-        self,
-        candidates: np.ndarray,
-        producers: np.ndarray,
-        vols: np.ndarray,
-        nodes: np.ndarray,
-    ) -> np.ndarray:
-        """C1 of every candidate (float64, aligned with ``candidates``).
-
-        ``nodes`` holds the producers' nodes followed by the candidates'.
-        """
-        if producers.size == 0:
-            return np.zeros(candidates.size)
-        node_list = np.unique(nodes)
-        index = np.searchsorted(node_list, nodes)
-        rows, columns = index[: producers.size, None], index[producers.size :]
-        hops, bandwidths = self.iface.node_pair_arrays(node_list.tolist())
-        effective_bw = bandwidths[rows, columns]
-        if self.contention is not None:
-            producer_ranks = producers.tolist()
-            for column, node in enumerate(nodes[producers.size :].tolist()):
+    def _apply_contention(
+        self, bandwidths: np.ndarray, ranks: np.ndarray, nodes: np.ndarray
+    ) -> None:
+        """Divide each candidate column by ``max(1, factors)`` in place."""
+        for stack, (producers, candidates) in enumerate(
+            zip(ranks.tolist(), nodes.tolist())
+        ):
+            for column, node in enumerate(candidates):
                 factors = np.asarray(
-                    self.contention.bandwidth_factors(producer_ranks, node),
+                    self.contention.bandwidth_factors(producers, node),
                     dtype=np.float64,
                 )
-                effective_bw[:, column] = effective_bw[:, column] / np.maximum(
-                    1.0, factors
-                )
-        # Same per-term IEEE arithmetic as aggregation_cost().
-        terms = self.iface.get_latency() * hops[rows, columns] + vols[:, None] / effective_bw
-        # Zero each candidate's own term (a candidate need not be a producer).
-        terms[producers[:, None] == candidates] = 0.0
-        return np.add.accumulate(terms, axis=0)[-1]
+                bandwidths[stack, :, column] = bandwidths[
+                    stack, :, column
+                ] / np.maximum(1.0, factors)
+
+    @staticmethod
+    def _check_volumes(
+        sets: CandidateSets, io_bytes: np.ndarray, chosen: np.ndarray | None
+    ) -> None:
+        """Raise what per-candidate evaluate() calls would raise first.
+
+        Partitions are evaluated in order, and each partition's candidates
+        in order (only its ``chosen`` one if given).  A candidate's C1
+        checks every producer but itself, then its C2 checks the partition
+        total; so with all candidates, the first partition holding a
+        negative volume always fails, at its second candidate at the latest.
+        """
+        negative = np.flatnonzero(sets.volumes < 0)
+        for partition in np.unique(sets.segments[negative]).tolist():
+            first, stop = int(sets.offsets[partition]), int(sets.offsets[partition + 1])
+            shippers = negative[(negative >= first) & (negative < stop)].tolist()
+            tried = [first, first + 1] if chosen is None else [int(chosen[partition])]
+            for candidate in tried:
+                if candidate == stop:
+                    break
+                shipped = [position for position in shippers if position != candidate]
+                if shipped:
+                    require_non_negative(
+                        int(sets.volumes[shipped[0]]),
+                        f"volume of rank {int(sets.ranks[shipped[0]])}",
+                    )
+                require_non_negative(int(io_bytes[partition]), "io_bytes")

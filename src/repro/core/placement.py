@@ -12,9 +12,10 @@ the simpler strategies the paper argues against:
   (a pure data-locality strategy, cf. the Hungarian-assignment related work);
 * ``"random"`` — a seeded random member.
 
-All strategies are pure functions of (partition, topology interface), so the
+All strategies are pure functions of (partitions, topology interface), so the
 same placement is obtained by the analytic model and by the discrete-event
-election (which still performs the actual allreduce for timing fidelity).
+election (which still performs the actual allreduce for timing fidelity,
+with the per-candidate costs of :attr:`PlacementResult.costs`).
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.cost_model import AggregationCostModel, CostBreakdown
+from repro.core.cost_model import AggregationCostModel, CandidateSets, CostBreakdown
 from repro.core.partitioning import Partition
 from repro.core.topology_iface import TopologyInterface
 from repro.obs import recorder as obs_recorder, span as obs_span
@@ -40,11 +41,17 @@ class PlacementResult:
         aggregators: elected aggregator world rank per partition (by index).
         breakdowns: cost breakdowns per partition for the winning candidate
             (only populated by the topology-aware and shortest-io strategies).
+        candidates: the candidate sets the strategy chose from (one per node
+            at ``"node"`` granularity, one per rank at ``"rank"``).
+        costs: ``(C1, C2)`` of every candidate, aligned with ``candidates``
+            (topology-aware only).
     """
 
     strategy: str
     aggregators: list[int]
     breakdowns: dict[int, CostBreakdown] = field(default_factory=dict)
+    candidates: CandidateSets | None = None
+    costs: tuple[np.ndarray, np.ndarray] | None = None
 
     def aggregator_of(self, partition_index: int) -> int:
         """Elected aggregator of a partition."""
@@ -55,68 +62,22 @@ class PlacementResult:
         return dict(enumerate(self.aggregators))
 
 
-def _topology_aware(
-    partition: Partition, model: AggregationCostModel
-) -> tuple[int, CostBreakdown]:
-    winner, breakdowns = model.best_candidate(
-        partition.ranks.tolist(), partition.volume_map()
+def _shortest_io(sets: CandidateSets, iface: TopologyInterface) -> np.ndarray:
+    """Each partition's candidate closest to its I/O node (unknown: 0 hops)."""
+    if iface.io_locality_known():
+        return sets.argmin(iface.io_distances(sets.nodes))
+    return sets.argmin(np.zeros(sets.nodes.size, dtype=np.int64))
+
+
+def _random(sets: CandidateSets, seed: int | None) -> np.ndarray:
+    """A seeded uniform member of each partition, drawn partition by partition."""
+    rng = seeded_rng(seed)
+    starts = sets.offsets[:-1].tolist()
+    sizes = np.diff(sets.offsets).tolist()
+    return np.array(
+        [start + int(rng.integers(0, size)) for start, size in zip(starts, sizes)],
+        dtype=np.int64,
     )
-    winning = next(b for b in breakdowns if b.candidate == winner)
-    return winner, winning
-
-
-def _shortest_io(
-    partition: Partition, iface: TopologyInterface, model: AggregationCostModel
-) -> tuple[int, CostBreakdown]:
-    """Winner by distance-to-I/O-node alone, costed with the caller's model.
-
-    The model is the one ``place_aggregators`` built (it may carry the
-    caller's contention factors); constructing a fresh contention-free model
-    here would report breakdowns that ignore multi-job background traffic.
-    """
-    candidates = []
-    for rank in partition.ranks.tolist():
-        distance = iface.distance_to_io_node(rank)
-        candidates.append((distance if distance is not None else 0, rank))
-    _distance, winner = min(candidates)
-    return winner, model.evaluate(winner, partition.volume_map())
-
-
-def _max_volume(partition: Partition) -> int:
-    """The rank holding the most bytes (ties: the lowest rank)."""
-    return int(partition.ranks[np.lexsort((partition.ranks, -partition.volumes))[0]])
-
-
-def collapse_to_nodes(
-    partition: Partition, iface: TopologyInterface
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(nodes, representatives, volumes)`` of a partition, one entry per node.
-
-    ``nodes`` ascend; each node's representative is its lowest member rank
-    and its volume the integer sum of its members' bytes.
-    """
-    nodes, first, inverse = np.unique(
-        iface.rank_nodes(partition.ranks), return_index=True, return_inverse=True
-    )
-    volumes = np.zeros(len(nodes), dtype=np.int64)
-    np.add.at(volumes, inverse, partition.volumes)
-    # Ranks ascend, so a node's first member is its lowest rank.
-    return nodes, partition.ranks[first], volumes
-
-
-def _node_level_partition(partition: Partition, iface: TopologyInterface) -> Partition:
-    """Collapse a partition to one representative rank per node.
-
-    The cost model only depends on the *nodes* involved (distances,
-    bandwidths) and on per-node volumes, so evaluating one candidate per node
-    is equivalent to evaluating every rank while being quadratically cheaper.
-    This is what the large-scale analytic path uses; the winning node's
-    lowest rank is reported as the aggregator.  Producers stay in ascending
-    representative-rank order.
-    """
-    _nodes, representatives, volumes = collapse_to_nodes(partition, iface)
-    order = np.argsort(representatives)
-    return Partition(partition.index, representatives[order], volumes[order])
 
 
 def place_aggregators(
@@ -144,45 +105,50 @@ def place_aggregators(
             the one cost model every strategy's breakdowns come from;
             ``None`` reproduces the paper's dedicated-machine costs.
 
-    The cost model is built once and shared by all partitions and
-    strategies; the topology-aware election is evaluated against
-    precomputed per-node distance/bandwidth arrays (bit-identical to
-    per-candidate evaluation, see
-    :meth:`~repro.core.cost_model.AggregationCostModel.best_candidate`).
+    Every strategy picks from the same :class:`CandidateSets`.  The
+    topology-aware strategy costs every candidate of every partition in one
+    segmented election
+    (:meth:`~repro.core.cost_model.AggregationCostModel.best_candidate`,
+    bit-identical to per-candidate evaluation); shortest-io costs only its
+    winners, for their breakdowns.
     """
     require(len(partitions) > 0, "no partitions to place aggregators for")
-    require(
-        granularity in ("rank", "node"),
-        f"granularity must be 'rank' or 'node', got {granularity!r}",
-    )
-    model = AggregationCostModel(iface, contention=contention)
-    result = PlacementResult(strategy=strategy, aggregators=[])
-    rng = seeded_rng(seed) if strategy == "random" else None
     with obs_span(
         "placement", cat="core", strategy=strategy, partitions=len(partitions)
     ):
-        for original in partitions:
-            partition = (
-                _node_level_partition(original, iface)
-                if granularity == "node"
-                else original
-            )
-            if strategy == "topology-aware":
-                winner, breakdown = _topology_aware(partition, model)
-                result.breakdowns[partition.index] = breakdown
-            elif strategy == "shortest-io":
-                winner, breakdown = _shortest_io(partition, iface, model)
-                result.breakdowns[partition.index] = breakdown
-            elif strategy == "max-volume":
-                winner = _max_volume(partition)
-            elif strategy == "rank-order":
-                winner = int(partition.ranks[0])
-            elif strategy == "random":
-                assert rng is not None
-                winner = int(partition.ranks[rng.integers(0, partition.size)])
-            else:
-                raise ValueError(f"unknown placement strategy {strategy!r}")
-            result.aggregators.append(winner)
+        sets = CandidateSets.of(partitions, iface, granularity)
+        model = AggregationCostModel(iface, contention=contention)
+        costs = winner_costs = None
+        if strategy == "topology-aware":
+            chosen, costs = model.best_candidate(sets)
+            winner_costs = (costs[0][chosen], costs[1][chosen])
+        elif strategy == "shortest-io":
+            chosen = _shortest_io(sets, iface)
+            winner_costs = model.elect(sets, chosen)
+        elif strategy == "max-volume":
+            chosen = sets.argmin(-sets.volumes)
+        elif strategy == "rank-order":
+            chosen = sets.offsets[:-1]
+        elif strategy == "random":
+            chosen = _random(sets, seed)
+        else:
+            raise ValueError(f"unknown placement strategy {strategy!r}")
+        result = PlacementResult(
+            strategy=strategy,
+            aggregators=sets.ranks[chosen].tolist(),
+            candidates=sets,
+            costs=costs,
+        )
+        if winner_costs is not None:
+            result.breakdowns = {
+                partition.index: CostBreakdown(rank, c1, c2)
+                for partition, rank, c1, c2 in zip(
+                    partitions,
+                    result.aggregators,
+                    winner_costs[0].tolist(),
+                    winner_costs[1].tolist(),
+                )
+            }
     rec = obs_recorder()
     if rec is not None:
         rec.inc("placement.partitions", len(partitions), strategy=strategy)

@@ -27,7 +27,6 @@ from typing import Any, Generator
 
 from repro.core.aggregation import AggregationSchedule, build_schedule
 from repro.core.config import TapiocaConfig
-from repro.core.cost_model import AggregationCostModel
 from repro.core.partitioning import Partition, build_partitions, rank_owners
 from repro.core.placement import PlacementResult, place_aggregators
 from repro.core.topology_iface import TopologyInterface
@@ -90,6 +89,7 @@ class TapiocaIO:
             self.iface,
             strategy=self.config.placement,
             seed=self.config.placement_seed,
+            contention=contention,
         )
         self.schedule: AggregationSchedule = build_schedule(
             workload, self.partitions, self.config.buffer_size
@@ -97,11 +97,16 @@ class TapiocaIO:
         self.file = world.open_file(
             path, filesystem, shared_locks=self.config.shared_locks
         )
-        self._cost_model = AggregationCostModel(self.iface, contention=contention)
         #: Partition index of every world rank.
         self._owners = rank_owners(self.partitions)
-        #: Per-partition ``{rank: C1 + C2}`` election values, filled on first use.
-        self._election_costs: dict[int, dict[int, float]] = {}
+        #: ``{rank: C1 + C2}`` election value of every rank, taken from the
+        #: placement's one rank-granularity pass (topology-aware only).
+        self._election_costs: dict[int, float] = {}
+        if self.placement.costs is not None:
+            aggregation, io = self.placement.costs
+            self._election_costs = dict(
+                zip(self.placement.candidates.ranks.tolist(), (aggregation + io).tolist())
+            )
         #: Diagnostics: flush (file write) operations issued by aggregators.
         self.flush_count = 0
         #: Diagnostics: elected aggregator world rank per partition index.
@@ -114,16 +119,8 @@ class TapiocaIO:
     def _election_value(self, rank: int, partition: Partition) -> tuple[float, int]:
         """The (cost, rank) pair this rank contributes to the MINLOC election."""
         if self.config.placement == "topology-aware":
-            costs = self._election_costs.get(partition.index)
-            if costs is None:
-                # One batched evaluation per partition: each breakdown is
-                # bit-identical to the rank's own evaluate() call.
-                _winner, breakdowns = self._cost_model.best_candidate(
-                    partition.ranks.tolist(), partition.volume_map()
-                )
-                costs = {b.candidate: b.total for b in breakdowns}
-                self._election_costs[partition.index] = costs
-            return (costs[rank], rank)
+            # Bit-identical to the rank's own evaluate() call.
+            return (self._election_costs[rank], rank)
         # Other strategies do not rely on the distributed election: every rank
         # contributes the precomputed winner so MINLOC trivially selects it,
         # but the collective is still performed (and timed).

@@ -21,8 +21,6 @@ core changes, which is the portability argument of the paper.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Sequence
-
 import numpy as np
 
 from repro.machine.machine import Machine
@@ -158,18 +156,21 @@ class TopologyInterface:
         """Batched gateway-to-storage bandwidth of each node (locality known only)."""
         return self.machine.io_bandwidths(nodes)
 
-    def node_pair_arrays(
-        self, nodes: Sequence[int]
+    def pair_metrics(
+        self, sources: np.ndarray, targets: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Per-node-pair ``(hops, bandwidths)`` matrices over ``nodes``.
+        """Per-node-pair ``(hops, bandwidths)`` tensors between stacked node rows.
 
-        ``hops[i, j]`` equals :meth:`distance_between_ranks` for ranks on
-        ``nodes[i]``/``nodes[j]``; ``bandwidths[i, j]`` equals
-        :meth:`bandwidth_between_ranks` — the narrowest link on the route,
+        ``sources`` has shape ``(..., n)``, ``targets`` ``(..., m)`` and both
+        results ``(..., n, m)``.  ``hops[..., i, j]`` equals
+        :meth:`distance_between_ranks` for ranks on ``sources[..., i]`` and
+        ``targets[..., j]``; ``bandwidths[..., i, j]`` equals
+        :meth:`bandwidth_between_ranks` -- the narrowest link on the route,
         with same-node pairs charged at the node's main-memory bandwidth.
-        The placement cost model evaluates every candidate of a partition
-        against these arrays instead of issuing per-pair scalar queries.
+        The placement election evaluates every candidate of a stack of
+        same-size partitions against these tensors instead of issuing
+        per-pair scalar queries.
         """
-        hops, bandwidths = self._topology.pair_metrics(nodes)
+        hops, bandwidths = self._topology.pair_metrics(sources, targets)
         memory_bw = self.machine.node_spec.main_memory.bandwidth
         return hops, np.where(np.isinf(bandwidths), memory_bw, bandwidths)

@@ -18,10 +18,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
+
+import numpy as np
 
 from repro.machine.machine import Machine
 from repro.perfmodel.flows import FlowAnalysis
-from repro.utils.validation import require_non_negative, require_positive
+from repro.utils.validation import require
 
 
 @dataclass
@@ -38,38 +41,47 @@ class AggregationPhaseModel:
     flows: FlowAnalysis
     ranks_per_node: int = 16
 
-    def round_fill_time(
+    def round_fill_times(
         self,
-        aggregator_node: int,
-        num_sender_nodes: int,
-        round_bytes: float,
-        *,
-        local_fraction: float | None = None,
-    ) -> float:
-        """Time to fill one aggregation buffer of ``round_bytes`` bytes.
+        aggregator_nodes: Sequence[int],
+        num_sender_nodes: Sequence[int],
+        round_bytes,
+    ) -> np.ndarray:
+        """Time to fill one aggregation buffer, for many aggregators at once.
 
         Args:
-            aggregator_node: node hosting the aggregator.
-            num_sender_nodes: number of distinct sender nodes in the partition.
-            round_bytes: bytes deposited during the round.
-            local_fraction: fraction of the round's data produced on the
-                aggregator's own node; defaults to ``1 / num_sender_nodes``
-                (uniform workloads).
+            aggregator_nodes: node hosting each aggregator.
+            num_sender_nodes: number of distinct sender nodes feeding each
+                aggregator (its partition's nodes).
+            round_bytes: bytes deposited per round, one value per aggregator
+                or one shared value.
+
+        The fraction of a round produced on the aggregator's own node is
+        ``1 / num_sender_nodes`` (uniform workloads).  Element by element
+        this is the same IEEE arithmetic, in the same order, as the scalar
+        form kept in ``tests/reference/`` as its oracle.
         """
-        require_non_negative(round_bytes, "round_bytes")
-        require_positive(num_sender_nodes, "num_sender_nodes")
-        if round_bytes == 0:
-            return 0.0
-        if local_fraction is None:
-            local_fraction = 1.0 / num_sender_nodes
-        local_fraction = min(max(local_fraction, 0.0), 1.0)
-        topology = self.machine.topology
-        contention = self.flows.aggregator_contention.get(aggregator_node, 1.0)
-        incoming_bw = self.flows.aggregator_min_bandwidth.get(
-            aggregator_node, topology.link_bandwidth("default")
+        senders = np.asarray(num_sender_nodes, dtype=np.int64)
+        round_bytes = np.broadcast_to(
+            np.asarray(round_bytes, dtype=np.float64), senders.shape
         )
-        effective_bw = incoming_bw / max(contention, 1.0)
-        distance = self.flows.aggregator_distance.get(aggregator_node, 1.0)
+        require((round_bytes >= 0).all(), "round_bytes must be non-negative")
+        require((senders > 0).all(), "num_sender_nodes must be positive")
+        topology = self.machine.topology
+        default_bw = topology.link_bandwidth("default")
+        flows = self.flows
+        contention = np.array(
+            [flows.aggregator_contention.get(n, 1.0) for n in aggregator_nodes]
+        )
+        incoming_bw = np.array(
+            [flows.aggregator_min_bandwidth.get(n, default_bw) for n in aggregator_nodes]
+        )
+        distance = np.array(
+            [flows.aggregator_distance.get(n, 1.0) for n in aggregator_nodes],
+            dtype=np.float64,
+        )
+        local_fraction = np.minimum(np.maximum(1.0 / senders, 0.0), 1.0)
+        effective_bw = incoming_bw / np.maximum(contention, 1.0)
         network_bytes = round_bytes * (1.0 - local_fraction)
         local_bytes = round_bytes * local_fraction
         memory_bw = self.machine.node_spec.main_memory.bandwidth
@@ -79,13 +91,13 @@ class AggregationPhaseModel:
         # exposed, plus a small per-message software cost serialised at the
         # aggregator's NIC).
         per_message_overhead = 1.0e-6
-        messages = max(1, num_sender_nodes - 1) * max(1, self.ranks_per_node)
-        software = per_message_overhead * messages / max(1, num_sender_nodes)
+        messages = np.maximum(1, senders - 1) * max(1, self.ranks_per_node)
+        software = per_message_overhead * messages / np.maximum(1, senders)
         network_time = (
             topology.latency() * distance + network_bytes / effective_bw + software
         )
         local_time = local_bytes / memory_bw
-        return max(network_time, local_time)
+        return np.where(round_bytes == 0, 0.0, np.maximum(network_time, local_time))
 
     def election_time(self, partition_ranks: int) -> float:
         """Time of the ``Allreduce(MINLOC)`` aggregator election (one-off)."""

@@ -4,8 +4,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.machine.machine import Machine
 from repro.storage.base import FileSystemModel
 from repro.storage.lustre import LustreModel, LustreStripeConfig
@@ -44,22 +42,6 @@ class ModelContext:
     def num_nodes(self) -> int:
         """Number of compute nodes used."""
         return max(1, -(-self.num_ranks // self.ranks_per_node))
-
-    def nodes_of_ranks(self, ranks: list[int]) -> list[int]:
-        """Distinct nodes hosting ``ranks`` (ascending)."""
-        if len(ranks) > 8:
-            # One gather + unique instead of a Python bounds-checked lookup
-            # per rank.  The threshold skips partitions small enough that
-            # building the index array costs more than it saves; both sides
-            # carry real work (interference scenarios routinely ask for
-            # 16-32-rank partitions, scenario sweeps for 2-8-rank ones).
-            # Out-of-range ranks (numpy would wrap negatives silently) drop
-            # to the per-rank loop, which raises the mapping's own error.
-            indices = np.asarray(ranks)
-            table = self.mapping.node_array
-            if indices.size and 0 <= indices.min() and indices.max() < table.size:
-                return np.unique(table[indices]).tolist()
-        return sorted({self.mapping.node(r) for r in ranks})
 
 
 def build_context(

@@ -14,6 +14,10 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
+from repro.core.cost_model import CandidateSets
+from repro.core.topology_iface import TopologyInterface
 from repro.iolib.aggregators import partition_ranks, select_default_aggregators
 from repro.iolib.hints import MPIIOHints
 from repro.machine.machine import Machine
@@ -116,20 +120,32 @@ def model_mpiio(
         machine, context.mapping, num_aggregators, policy=aggregator_policy
     )
     aggregator_nodes = [context.mapping.node(r) for r in aggregator_ranks]
-    sender_blocks = partition_ranks(context.num_ranks, num_aggregators)
-    senders_by_aggregator = {}
-    for node, block in zip(aggregator_nodes, sender_blocks):
-        senders = context.nodes_of_ranks(block)
-        senders_by_aggregator.setdefault(node, [])
-        senders_by_aggregator[node] = sorted(
-            set(senders_by_aggregator[node]) | set(senders)
-        )
+    # Each aggregator's sender nodes: its rank block collapsed to one
+    # candidate per node, as the placement collapses a partition.  The
+    # blocks are contiguous and cover every rank once.
+    blocks = partition_ranks(context.num_ranks, num_aggregators)
+    sets = CandidateSets.of_blocks(
+        [len(block) for block in blocks],
+        np.arange(context.num_ranks),
+        np.zeros(context.num_ranks, dtype=np.int64),
+        TopologyInterface(machine, context.mapping),
+        "node",
+    )
+    bounds = sets.offsets.tolist()
+    block_nodes = sets.nodes.tolist()
+    senders_by_aggregator: dict[int, list[int]] = {}
+    for node, start, stop in zip(aggregator_nodes, bounds, bounds[1:]):
+        senders = block_nodes[start:stop]
+        existing = senders_by_aggregator.setdefault(node, [])
+        senders_by_aggregator[node] = sorted(set(existing) | set(senders))
     flows = analyze_flows(machine.topology, senders_by_aggregator)
     aggregation_model = AggregationPhaseModel(
         machine=machine, flows=flows, ranks_per_node=context.ranks_per_node
     )
     unit = context.filesystem.alignment_unit()
     num_ranks = context.num_ranks
+    fill_nodes = list(senders_by_aggregator)
+    fill_senders = [max(1, len(senders_by_aggregator[node])) for node in fill_nodes]
     for call_index, per_rank_bytes in enumerate(workload.segment_sizes_per_call()):
         if per_rank_bytes == 0:
             continue
@@ -153,15 +169,11 @@ def model_mpiio(
             aligned = is_aligned(int(round_bytes), unit) and is_aligned(
                 int(domain_bytes), unit
             )
-        fill_times = []
-        for node in senders_by_aggregator:
-            senders = senders_by_aggregator[node]
-            fill_times.append(
-                aggregation_model.round_fill_time(
-                    node, max(1, len(senders)), round_bytes
-                )
-            )
-        t_fill = max(fill_times)
+        t_fill = float(
+            aggregation_model.round_fill_times(
+                fill_nodes, fill_senders, round_bytes
+            ).max()
+        )
         profile = IOPhaseProfile(
             total_bytes=round_bytes * num_aggregators,
             streams=num_aggregators,

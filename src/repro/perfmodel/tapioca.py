@@ -16,7 +16,7 @@ Mirrors :class:`repro.core.runtime.TapiocaIO` at large scale:
 
 from __future__ import annotations
 
-import math
+import numpy as np
 
 from repro.core.config import TapiocaConfig
 from repro.core.partitioning import build_partitions
@@ -87,14 +87,15 @@ def model_tapioca(
         seed=config.placement_seed,
         granularity="node",
     )
-    aggregator_nodes = [
-        context.mapping.node(rank) for rank in placement.aggregators
-    ]
+    sets = placement.candidates
+    aggregator_nodes = context.mapping.nodes(placement.aggregators).tolist()
+    # Sender node sets come from the placement's per-node collapse.
+    node_lists = sets.nodes.tolist()
+    bounds = sets.offsets.tolist()
     senders_by_aggregator: dict[int, list[int]] = {}
-    for partition, node in zip(partitions, aggregator_nodes):
-        senders = context.nodes_of_ranks(partition.ranks)
+    for node, start, stop in zip(aggregator_nodes, bounds, bounds[1:]):
         existing = senders_by_aggregator.setdefault(node, [])
-        senders_by_aggregator[node] = sorted(set(existing) | set(senders))
+        senders_by_aggregator[node] = sorted(set(existing) | set(node_lists[start:stop]))
     flows = analyze_flows(machine.topology, senders_by_aggregator)
     aggregation_model = AggregationPhaseModel(
         machine=machine, flows=flows, ranks_per_node=context.ranks_per_node
@@ -102,22 +103,12 @@ def model_tapioca(
     buffer_size = config.buffer_size
     unit = context.filesystem.alignment_unit()
     # Per-partition rounds; partitions run concurrently, so the slowest
-    # partition (most rounds / slowest fill) bounds the pipeline.
-    max_rounds = 0
-    worst_fill = 0.0
-    election = 0.0
-    for partition, node in zip(partitions, aggregator_nodes):
-        total = partition.total_bytes
-        if total == 0:
-            continue
-        rounds = max(1, math.ceil(total / buffer_size))
-        max_rounds = max(max_rounds, rounds)
-        round_bytes = total / rounds
-        senders = senders_by_aggregator[node]
-        fill = aggregation_model.round_fill_time(node, max(1, len(senders)), round_bytes)
-        worst_fill = max(worst_fill, fill)
-        election = max(election, aggregation_model.election_time(partition.size))
-    if max_rounds == 0:
+    # partition (most rounds / slowest fill) bounds the pipeline.  Empty
+    # partitions take no part.
+    totals = sets.totals(sets.volumes)
+    active = np.flatnonzero(totals > 0)
+    num_partitions = len(partitions)
+    if active.size == 0:
         phases = PhaseBreakdown()
         return IOEstimate(
             method=label,
@@ -126,11 +117,26 @@ def model_tapioca(
             access=access,
             total_bytes=0.0,
             phases=phases,
-            num_aggregators=num_aggregators,
+            num_aggregators=num_partitions,
             num_rounds=0,
         )
+    rounds_of = np.maximum(1, np.ceil(totals[active] / buffer_size)).astype(np.int64)
+    max_rounds = int(rounds_of.max())
+    nodes_of = [aggregator_nodes[i] for i in active.tolist()]
+    worst_fill = float(
+        aggregation_model.round_fill_times(
+            nodes_of,
+            [len(senders_by_aggregator[node]) for node in nodes_of],
+            totals[active] / rounds_of,
+        ).max()
+    )
+    # election_time grows with the partition size: the largest active
+    # partition sets the one-off election cost.
+    election = aggregation_model.election_time(
+        max(partitions[i].size for i in active.tolist())
+    )
     total_bytes = float(workload.total_bytes())
-    mean_round_bytes = min(buffer_size, total_bytes / num_aggregators / max_rounds)
+    mean_round_bytes = min(buffer_size, total_bytes / num_partitions / max_rounds)
     # TAPIOCA flushes full buffers at buffer-aligned boundaries of each
     # partition's data stream; alignment to the storage unit holds when the
     # buffer is a multiple of it (the buffer-size = stripe-size rule of
@@ -138,8 +144,8 @@ def model_tapioca(
     # potentially unaligned, which is negligible over many rounds.
     aligned = is_aligned(buffer_size, unit)
     profile = IOPhaseProfile(
-        total_bytes=mean_round_bytes * num_aggregators,
-        streams=num_aggregators,
+        total_bytes=mean_round_bytes * num_partitions,
+        streams=num_partitions,
         request_size=max(1.0, mean_round_bytes),
         access=access,
         aligned=aligned,
@@ -193,7 +199,7 @@ def model_tapioca(
         access=access,
         total_bytes=total_bytes,
         phases=phases,
-        num_aggregators=num_aggregators,
+        num_aggregators=num_partitions,
         num_rounds=rounds,
         details=details,
     )

@@ -24,9 +24,10 @@ minimises; greedy can only be suboptimal when partitions share candidate
 nodes (boundary nodes of contiguous partitions whose size is not a whole
 number of nodes).
 
-Candidate costs are computed from the same vectorised
-:meth:`~repro.core.topology_iface.TopologyInterface.node_pair_arrays`
-kernels the placement cost model uses.
+Candidate costs are computed from the same
+:class:`~repro.core.cost_model.CandidateSets` and stacked
+:meth:`~repro.core.topology_iface.TopologyInterface.pair_metrics` tensors
+the placement election uses.
 """
 
 from __future__ import annotations
@@ -36,8 +37,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.core.partitioning import Partition
-from repro.core.placement import collapse_to_nodes
+from repro.core.cost_model import CandidateSets
 from repro.utils.validation import require
 
 
@@ -128,13 +128,10 @@ class PlacementProblem:
         Mirrors the placement path: each partition is collapsed to one
         representative rank per node (the cost model only depends on nodes
         and per-node volumes), then every node of the partition is costed as
-        a candidate, through the interface's vectorised ``node_pair_arrays``
-        kernel.
+        a candidate, through the interface's stacked ``pair_metrics``
+        tensors.
         """
-        out = []
-        for partition in partitions:
-            out.append(_candidates_for_partition(partition, iface))
-        return cls(out)
+        return cls(_partition_candidates(partitions, iface))
 
 
 def assignment_cost(problem: PlacementProblem, choice: Sequence[int]) -> float:
@@ -164,30 +161,49 @@ def greedy_choice(problem: PlacementProblem) -> tuple[int, ...]:
     return (0,) * problem.num_partitions
 
 
-def _candidates_for_partition(
-    partition: Partition, iface
-) -> PartitionCandidates:
-    """Per-candidate (latency_s, transfer_s) splits for one partition."""
-    nodes, representatives, volumes = collapse_to_nodes(partition, iface)
+def _partition_candidates(partitions, iface) -> list[PartitionCandidates]:
+    """Per-candidate (latency_s, transfer_s) splits of every partition.
+
+    Uses the placement's node-level :class:`CandidateSets` and the same
+    stacked pair tensors as the segmented election, one kernel call per
+    chunk of same-size partitions.
+    """
+    sets = CandidateSets.of(partitions, iface, "node")
     latency = iface.get_latency()
-    hops, bandwidths = iface.node_pair_arrays(nodes.tolist())
-    # Producer rows × candidate columns.  A candidate's own node contributes
-    # +0.0, and accumulating down the producer axis adds left to right, so
-    # each sum equals the scalar loop over producers bit for bit.
-    latency_terms = latency * hops
-    transfer_terms = volumes.astype(np.float64)[:, None] / bandwidths
-    np.fill_diagonal(latency_terms, 0.0)
-    np.fill_diagonal(transfer_terms, 0.0)
-    lat_s = np.add.accumulate(latency_terms, axis=0)[-1]
-    xfer_s = np.add.accumulate(transfer_terms, axis=0)[-1]
+    lat_s = np.zeros(sets.nodes.size)
+    xfer_s = np.zeros(sets.nodes.size)
+    for rows, columns in sets.chunks():
+        # The problem sums its producers in ascending node order; candidate
+        # sets list them by representative rank, which may differ.
+        rows = np.take_along_axis(rows, np.argsort(sets.nodes[rows], axis=1), axis=1)
+        hops, bandwidths = iface.pair_metrics(sets.nodes[rows], sets.nodes[columns])
+        # Producer rows × candidate columns per partition.  A candidate's own
+        # node contributes +0.0, and accumulating down the producer axis adds
+        # left to right, so each sum equals the scalar loop bit for bit.
+        own = rows[:, :, None] == columns[:, None, :]
+        latency_terms = latency * hops
+        transfer_terms = sets.volumes[rows].astype(np.float64)[:, :, None] / bandwidths
+        latency_terms[own] = 0.0
+        transfer_terms[own] = 0.0
+        lat_s[columns] = np.add.accumulate(latency_terms, axis=1)[:, -1, :]
+        xfer_s[columns] = np.add.accumulate(transfer_terms, axis=1)[:, -1, :]
     if iface.io_locality_known():
-        lat_s = lat_s + latency * iface.io_distances(nodes)
-        xfer_s = xfer_s + float(volumes.sum()) / iface.io_bandwidths(nodes)
+        totals = sets.totals(sets.volumes)[sets.segments]
+        lat_s = lat_s + latency * iface.io_distances(sets.nodes)
+        xfer_s = xfer_s + totals.astype(np.float64) / iface.io_bandwidths(sets.nodes)
+    bounds = sets.offsets.tolist()
     candidates = [
         CandidateCost(node=node, rank=rank, latency_s=lat, transfer_s=xfer)
         for node, rank, lat, xfer in zip(
-            nodes.tolist(), representatives.tolist(), lat_s.tolist(), xfer_s.tolist()
+            sets.nodes.tolist(), sets.ranks.tolist(), lat_s.tolist(), xfer_s.tolist()
         )
     ]
-    candidates.sort(key=lambda c: (c.base_s, c.node))
-    return PartitionCandidates(index=partition.index, candidates=tuple(candidates))
+    return [
+        PartitionCandidates(
+            index=partition.index,
+            candidates=tuple(
+                sorted(candidates[start:stop], key=lambda c: (c.base_s, c.node))
+            ),
+        )
+        for partition, start, stop in zip(partitions, bounds, bounds[1:])
+    ]

@@ -19,8 +19,9 @@ topology instance (the uncached computations are ``_distance_impl`` /
 ``_route_impl``), ``Link`` objects are interned (one object per directed
 link of the machine instead of a fresh allocation per route), and the batch
 queries :meth:`Topology.distances_from` / :meth:`Topology.routes_from` /
-:meth:`Topology.path_bandwidths_from` let the cost model evaluate a whole
-candidate set without per-pair Python dispatch.  Every concrete topology
+:meth:`Topology.path_bandwidths_from` / :meth:`Topology.pair_metrics` let
+the cost model evaluate whole candidate sets without per-pair Python
+dispatch.  Every concrete topology
 implements them with closed-form vectorised kernels (``_batch_distances`` /
 ``_batch_path_bandwidths``) that equal the per-pair answers exactly.
 """
@@ -33,8 +34,6 @@ from typing import Hashable, Iterable, Sequence
 
 import numpy as np
 
-from repro.obs import recorder as obs_recorder
-
 #: A route endpoint: either a compute node id (int) or a tagged auxiliary
 #: vertex such as ``("router", 12)`` or ``("switch", 3)``.
 Endpoint = Hashable
@@ -44,7 +43,6 @@ Endpoint = Hashable
 #: full clear-and-refill far cheaper than per-entry LRU bookkeeping.
 _MAX_DISTANCE_CACHE = 1 << 20
 _MAX_ROUTE_CACHE = 1 << 18
-_MAX_PAIR_CELLS = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -244,7 +242,9 @@ class Topology(abc.ABC):
 
     def _as_node_array(self, nodes: Iterable[int]) -> np.ndarray:
         """Validated int64 array of compute-node ids."""
-        ids = np.asarray(list(nodes), dtype=np.int64)
+        if not isinstance(nodes, np.ndarray):
+            nodes = list(nodes)
+        ids = np.asarray(nodes, dtype=np.int64)
         if ids.size and (ids.min() < 0 or ids.max() >= self.num_nodes):
             bad = ids[(ids < 0) | (ids >= self.num_nodes)][0]
             raise ValueError(
@@ -278,8 +278,8 @@ class Topology(abc.ABC):
     def _batch_distances(self, node, ids: np.ndarray) -> np.ndarray:
         """Vectorised hop counts from ``node`` to validated node ids (int64).
 
-        ``node`` is one validated id, or a column of ids that broadcasts
-        against ``ids`` into a pair matrix (:meth:`pair_metrics`).
+        ``node`` is one validated id, or an array of ids that broadcasts
+        against ``ids`` into pair tensors (:meth:`pair_metrics`).
         """
 
     @abc.abstractmethod
@@ -287,47 +287,23 @@ class Topology(abc.ABC):
         """Vectorised bottleneck bandwidths from ``node`` (``inf`` on self);
         ``node`` broadcasts as in :meth:`_batch_distances`."""
 
-    def pair_metrics(self, nodes: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-        """``(hops, bandwidths)`` matrices over a node set, cached per set.
+    def pair_metrics(self, sources, targets) -> tuple[np.ndarray, np.ndarray]:
+        """``(hops, bandwidths)`` from each entry of a row of ``sources`` to
+        each entry of the matching row of ``targets``.
 
-        ``hops[i, j]`` is ``distance(nodes[i], nodes[j])`` and
-        ``bandwidths[i, j]`` is ``path_bandwidth(nodes[i], nodes[j])``
-        (``inf`` on the diagonal).  Placement sweeps evaluate the same
-        partition node sets over and over (one call per sweep point, per
-        tuning candidate, per co-scheduled job), so the matrices are cached
-        per node tuple on the topology instance.
+        ``sources`` has shape ``(..., n)`` and ``targets`` ``(..., m)``;
+        both results have shape ``(..., n, m)`` with ``hops[..., i, j] =
+        distance(sources[..., i], targets[..., j])`` and
+        ``bandwidths[..., i, j]`` the matching ``path_bandwidth`` (``inf``
+        on same-node pairs).  One broadcast of the closed-form batch
+        kernels covers a whole stack of node sets, so the placement
+        election builds every same-size partition's pair tensors in one
+        call.
         """
-        key = tuple(int(n) for n in nodes)
-        cache = self.__dict__.get("_fp_pair_metrics")
-        if cache is None:
-            cache = self.__dict__["_fp_pair_metrics"] = {}
-            self.__dict__["_fp_pair_cells"] = 0
-        hit = cache.get(key)
-        rec = obs_recorder()
-        if rec is not None:
-            rec.inc(
-                "topo.pair_metrics",
-                outcome="hit" if hit is not None else "miss",
-            )
-        if hit is not None:
-            return hit
-        size = len(key)
-        ids = self._as_node_array(key)
-        # One broadcast of the closed-form batch kernels over every pair.
-        hops = self._batch_distances(ids[:, None], ids).astype(np.int64)
-        bandwidths = self._batch_path_bandwidths(ids[:, None], ids).astype(np.float64)
-        # The eviction budget counts matrix cells, not entries: thousands of
-        # small partition sets fit alongside a handful of machine-wide ones.
-        if self.__dict__["_fp_pair_cells"] + size * size > _MAX_PAIR_CELLS:
-            cache.clear()
-            self.__dict__["_fp_pair_cells"] = 0
-        # Cached matrices are shared by reference with every later placement
-        # on this topology; freeze them so a consumer mutation cannot
-        # silently poison the cache.
-        hops.setflags(write=False)
-        bandwidths.setflags(write=False)
-        cache[key] = (hops, bandwidths)
-        self.__dict__["_fp_pair_cells"] += size * size
+        rows = self._as_node_array(sources)[..., :, None]
+        columns = self._as_node_array(targets)[..., None, :]
+        hops = self._batch_distances(rows, columns).astype(np.int64)
+        bandwidths = self._batch_path_bandwidths(rows, columns).astype(np.float64)
         return hops, bandwidths
 
     # ------------------------------------------------------------------ #

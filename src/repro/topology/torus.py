@@ -65,9 +65,6 @@ class TorusTopology(Topology):
         for i in range(len(dims) - 2, -1, -1):
             self._strides[i] = self._strides[i + 1] * dims[i + 1]
         self.name = f"{len(dims)}D torus {'x'.join(str(d) for d in dims)}"
-        # Vectorised copies of the geometry for the batch kernels.
-        self._dims_array = np.asarray(dims, dtype=np.int64)
-        self._strides_array = np.asarray(self._strides, dtype=np.int64)
 
     # ------------------------------------------------------------------ #
     # Structure
@@ -146,14 +143,18 @@ class TorusTopology(Topology):
             for a, b, dim in zip(src_coords, dst_coords, self._dims)
         )
 
-    def _coordinates_of(self, ids) -> np.ndarray:
-        """Coordinates of many node ids at once, shape ``ids.shape + (ndims,)``."""
-        return (np.asarray(ids)[..., None] // self._strides_array) % self._dims_array
-
     def _batch_distances(self, node, ids: np.ndarray) -> np.ndarray:
-        """Closed-form hop count: per-axis shortest ring distance, summed."""
-        diff = np.abs(self._coordinates_of(ids) - self._coordinates_of(node))
-        return np.minimum(diff, self._dims_array - diff).sum(axis=-1)
+        """Closed-form hop count: per-axis shortest ring distance, summed.
+
+        One axis at a time, so a broadcast pair tensor needs temporaries the
+        size of the result, not ``ndims`` times it.
+        """
+        node, ids = np.asarray(node), np.asarray(ids)
+        hops = 0
+        for stride, dim in zip(self._strides, self._dims):
+            diff = np.abs(ids // stride % dim - node // stride % dim)
+            hops = hops + np.minimum(diff, dim - diff)
+        return hops
 
     def _batch_path_bandwidths(self, node, ids: np.ndarray) -> np.ndarray:
         """Every torus link has the same bandwidth; self-pairs are ``inf``."""

@@ -284,6 +284,18 @@ class TestWorkflowShape:
         assert "deviation_report.json" in path
         assert "*.csv" in path and "*.png" in path
 
+    def test_figures_job_gates_paper_scale_figures(self, workflow):
+        commands = [s.get("run", "") for s in workflow["jobs"]["figures"]["steps"]]
+        sweeps = [c for c in commands if "repro run-all" in c and "--scale 1 " in c]
+        assert sweeps, "the figures job must run the paper-scale sweep"
+        assert "--jobs 2" in sweeps[0]
+        store = re.search(r"--out[= ]+(\S+)", sweeps[0]).group(1)
+        assert store != "artifacts/", "the scale-1 sweep needs its own store"
+        gates = [c for c in commands if "repro figures" in c and f"--from {store}" in c]
+        assert gates, "the scale-1 figures must be rendered from the scale-1 store"
+        assert "--all" in gates[0] and "--check" in gates[0]
+        assert commands.index(sweeps[0]) < commands.index(gates[0])
+
     def test_serve_job_scrapes_prometheus_metrics(self, workflow):
         commands = [s.get("run", "") for s in workflow["jobs"]["serve"]["steps"]]
         scrape = [c for c in commands if "/metrics" in c]

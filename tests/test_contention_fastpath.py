@@ -24,6 +24,7 @@ from repro.obs.recorder import collecting
 from repro.utils.rng import seeded_rng
 from reference import contention as reference
 from reference.cost_model import best_candidate as reference_best_candidate
+from reference.cost_model import elect as reference_elect
 
 #: (name, capacity range, demand range) — the three freeze regimes: flows
 #: that stop at their own demand, flows frozen by saturated resources, and
@@ -301,15 +302,52 @@ class TestPlacementContentionFastPath:
         with pytest.raises(ValueError, match=message):
             contention.bandwidth_factors([0, bad_rank, 5], 9)
 
+    @pytest.mark.parametrize("granularity", ["rank", "node"])
+    def test_election_with_contention_is_bit_identical(self, granularity):
+        """Mixed-size partitions: each candidate column divided by its
+        factors equals per-candidate evaluation under contention."""
+        from repro.core.cost_model import CandidateSets
+        from repro.core.partitioning import Partition
+
+        rng = seeded_rng(7)
+        background = [(int(a), int(b)) for a, b in rng.integers(0, 16, (12, 2))]
+        model, _, _ = self.build_model(background)
+        partitions = [
+            Partition(index, ranks, [1024 * (1 + rank % 7) for rank in ranks])
+            for index, ranks in enumerate(
+                [range(0, 64, 2), range(1, 9), [5], range(20, 60, 3), range(40, 46)]
+            )
+        ]
+        sets = CandidateSets.of(partitions, model.iface, granularity)
+        aggregation, io = model.elect(sets)
+        expected = reference_elect(model, partitions, granularity)
+        winners = sets.ranks[sets.argmin(aggregation + io)].tolist()
+        assert winners == [winner for winner, _ in expected]
+        breakdowns = [b for _, rows in expected for b in rows]
+        assert sets.ranks.tolist() == [b.candidate for b in breakdowns]
+        assert aggregation.tolist() == [b.aggregation for b in breakdowns]
+        assert io.tolist() == [b.io for b in breakdowns]
+
     def test_best_candidate_with_contention_is_bit_identical(self):
         rng = seeded_rng(5)
         background = [(int(a), int(b)) for a, b in rng.integers(0, 16, (12, 2))]
         model, _, _ = self.build_model(background)
-        volumes = {rank: int(1024 * (1 + rank % 7)) for rank in range(0, 64, 2)}
-        candidates = list(volumes)[:16]
-        fast_winner, fast_breakdowns = model.best_candidate(candidates, volumes)
-        scalar_winner, scalar_breakdowns = reference_best_candidate(
-            model, candidates, volumes
+        from repro.core.partitioning import Partition
+        from repro.core.placement import place_aggregators
+
+        ranks = list(range(0, 64, 2))
+        partition = Partition(0, ranks, [int(1024 * (1 + rank % 7)) for rank in ranks])
+        volumes = partition.volume_map()
+        placement = place_aggregators(
+            [partition], model.iface, contention=model.contention
         )
-        assert fast_winner == scalar_winner
-        assert fast_breakdowns == scalar_breakdowns
+        scalar_winner, scalar_breakdowns = reference_best_candidate(
+            model, ranks, volumes
+        )
+        assert placement.aggregators == [scalar_winner]
+        assert placement.breakdowns[0] == next(
+            b for b in scalar_breakdowns if b.candidate == scalar_winner
+        )
+        aggregation, io = placement.costs
+        assert aggregation.tolist() == [b.aggregation for b in scalar_breakdowns]
+        assert io.tolist() == [b.io for b in scalar_breakdowns]

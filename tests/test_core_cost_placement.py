@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.cost_model import AggregationCostModel, CostBreakdown
+from repro.core.cost_model import AggregationCostModel, CandidateSets, CostBreakdown
 from repro.core.partitioning import Partition, build_partitions, rank_owners
 from repro.core.placement import place_aggregators, placement_cost
 from repro.core.topology_iface import (
@@ -126,9 +126,12 @@ class TestCostModel:
     def test_best_candidate_ties_break_to_lowest_rank(self, theta_iface):
         _machine, _mapping, iface = theta_iface
         model = AggregationCostModel(iface)
-        # Two ranks on the same node with identical volumes: identical costs.
-        winner, _ = model.best_candidate([1, 0], {0: 100, 1: 100})
-        assert winner == 0
+        # Two ranks on the same node with identical volumes: identical costs,
+        # listed highest rank first.
+        sets = CandidateSets.of([Partition(0, [1, 0], [100, 100])], iface)
+        aggregation, io = model.elect(sets)
+        assert aggregation[0] == aggregation[1] and io[0] == io[1]
+        assert sets.ranks[sets.argmin(aggregation + io)].tolist() == [0]
 
     def test_negative_volume_rejected(self, mira_iface):
         _machine, _mapping, iface = mira_iface

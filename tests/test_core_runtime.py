@@ -234,3 +234,39 @@ class TestQualitativeBehaviour:
             return world.run(runtime.write_program()).elapsed
 
         assert elapsed(2000) > elapsed(100)
+
+
+class TestElectionUnderContention:
+    """With background traffic, skipping the allreduce elects what it elects."""
+
+    #: Background streams that move every partition's winner off its
+    #: contention-free choice (ranks 0, 4, 8, 12).
+    BACKGROUND = [(5, 2), (1, 7), (1, 2), (5, 6), (5, 6), (0, 3)]
+
+    def _elected(self, elect_with_allreduce):
+        from repro.multijob.contention import LinkContentionFactors
+
+        machine = ThetaMachine(8)
+        workload = IORWorkload(16, transfer_size=4096)
+        config = TapiocaConfig(
+            num_aggregators=4,
+            buffer_size=8192,
+            elect_with_allreduce=elect_with_allreduce,
+        )
+        world = SimWorld(machine, ranks_per_node=2)
+        contention = LinkContentionFactors(machine.topology, world.mapping, self.BACKGROUND)
+        writer = TapiocaIO(world, workload, config, path="/out/c.dat", contention=contention)
+        written = world.run(writer.write_program())
+        read_world = SimWorld(machine, ranks_per_node=2)
+        read_world.files = written.files
+        reader = TapiocaIO(
+            read_world, workload, config, path="/out/c.dat", contention=contention
+        )
+        read_world.run(reader.read_program())
+        return writer.elected, reader.elected
+
+    def test_placement_fallback_elects_the_allreduce_winners(self):
+        written, read = self._elected(elect_with_allreduce=True)
+        assert sorted(written.values()) == [2, 6, 10, 14]
+        assert self._elected(elect_with_allreduce=False) == (written, read)
+        assert read == written

@@ -18,6 +18,7 @@ from repro.storage.lustre import LustreStripeConfig
 from repro.utils.units import MB, MIB
 from repro.workloads.hacc import HACCIOWorkload
 from repro.workloads.ior import IORWorkload
+from reference.aggregation import round_fill_time as reference_fill_time
 
 
 class TestPhaseBreakdown:
@@ -79,13 +80,44 @@ class TestAggregationPhaseModel:
 
     def test_fill_time_scales_with_bytes(self):
         model = self._model(ThetaMachine(16))
-        small = model.round_fill_time(0, 16, 1 * MIB)
-        large = model.round_fill_time(0, 16, 64 * MIB)
+        small, large = model.round_fill_times([0, 0], [16, 16], [1 * MIB, 64 * MIB])
         assert large > small > 0
 
     def test_zero_bytes_is_free(self):
         model = self._model(ThetaMachine(16))
-        assert model.round_fill_time(0, 16, 0) == 0.0
+        assert model.round_fill_times([0], [16], 0).tolist() == [0.0]
+
+    @pytest.mark.parametrize("machine_cls", [ThetaMachine, MiraMachine])
+    def test_fill_times_equal_scalar_oracle(self, machine_cls):
+        """Element by element, the array form equals the scalar fill time,
+        including aggregators the flow analysis never saw (defaults)."""
+        import random
+
+        machine = machine_cls(64)
+        analysis = analyze_flows(
+            machine.topology, {0: list(range(16)), 21: list(range(16, 40)), 50: [50]}
+        )
+        model = AggregationPhaseModel(machine=machine, flows=analysis, ranks_per_node=16)
+        rng = random.Random(5)
+        nodes = [rng.choice([0, 21, 50, 7]) for _ in range(200)]
+        senders = [rng.randint(1, 64) for _ in nodes]
+        round_bytes = [rng.choice([0.0, rng.uniform(1, 1 << 30)]) for _ in nodes]
+        fills = model.round_fill_times(nodes, senders, round_bytes).tolist()
+        assert fills == [
+            reference_fill_time(model, n, k, b)
+            for n, k, b in zip(nodes, senders, round_bytes)
+        ]
+        shared = model.round_fill_times(nodes, senders, 3.0 * MIB).tolist()
+        assert shared == [
+            reference_fill_time(model, n, k, 3.0 * MIB) for n, k in zip(nodes, senders)
+        ]
+
+    def test_fill_times_reject_invalid_inputs(self):
+        model = self._model(ThetaMachine(16))
+        with pytest.raises(ValueError):
+            model.round_fill_times([0], [16], -1.0)
+        with pytest.raises(ValueError):
+            model.round_fill_times([0], [0], 1.0)
 
     def test_election_and_collective_overheads(self):
         model = self._model(ThetaMachine(16))
@@ -205,6 +237,25 @@ class TestTapiocaModel:
             assert partition.ranks[0] // 16 <= node <= partition.ranks[-1] // 16
         assert sum(p.total_bytes for p in partitions) == workload.total_bytes()
         assert estimate.total_bytes == workload.total_bytes()
+
+    @pytest.mark.parametrize("requested", [30, 3])
+    def test_pset_partitioning_reports_the_partitions_it_built(self, requested):
+        """``partition_by="pset"`` spreads the aggregators evenly over the
+        Psets, so it may build more or fewer partitions than requested; the
+        estimate must count (and stream through) the ones it built."""
+        machine = MiraMachine(512)
+        workload = IORWorkload(8192, 1 * MIB)
+        config = TapiocaConfig(num_aggregators=requested, partition_by="pset")
+        estimate = model_tapioca(machine, workload, config)
+        built = len(estimate.details["aggregator_nodes"])
+        assert built != requested
+        assert estimate.num_aggregators == built
+        same = model_tapioca(
+            machine, workload, TapiocaConfig(num_aggregators=built, partition_by="pset")
+        )
+        assert same.details["aggregator_nodes"] == estimate.details["aggregator_nodes"]
+        assert estimate.elapsed == same.elapsed
+        assert estimate.num_aggregators == same.num_aggregators
 
     def test_beats_mpiio_on_theta_hacc(self):
         machine = ThetaMachine(64)

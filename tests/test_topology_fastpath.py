@@ -1,13 +1,14 @@
 """Cached/batched routing and cost results equal their uncached oracles.
 
 The topologies memoise ``distance``/``route``, answer batch queries with
-vectorised kernels, and the placement cost model evaluates whole candidate
-sets from per-node-pair arrays.  These property-style tests pin each of
-them bit for bit to an oracle — the uncached ``_distance_impl`` /
-``_route_impl`` and per-candidate :meth:`AggregationCostModel.evaluate`
-(through ``tests/reference/cost_model.py``) — over randomised node pairs on
-all three topologies, and check that cache state never leaks across
-machine instances.
+vectorised kernels, and the placement cost model elects every partition of
+a list in one segmented pass over stacked pair tensors.  These
+property-style tests pin each of them bit for bit to an oracle — the
+uncached ``_distance_impl`` / ``_route_impl`` and per-candidate
+:meth:`AggregationCostModel.evaluate` (through
+``tests/reference/cost_model.py``) — over randomised node pairs and
+partition lists on all three topologies, and check that cache state never
+leaks across machine instances.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ import random
 import numpy as np
 import pytest
 
-from repro.core.cost_model import AggregationCostModel
-from repro.core.partitioning import build_partitions
+from repro.core.cost_model import AggregationCostModel, CandidateSets, CostBreakdown
+from repro.core.partitioning import Partition, build_partitions
 from repro.core.placement import place_aggregators
 from repro.core.topology_iface import TopologyInterface
 from repro.machine.mira import MiraMachine
@@ -86,15 +87,20 @@ def test_batch_queries_equal_scalar_loops(topology):
 
 @pytest.mark.parametrize("topology", _topologies(), ids=lambda t: t.name)
 def test_pair_metrics_equal_scalar_loops(topology):
+    """One node set, and a stack of node sets broadcast in one call."""
     rng = random.Random(13)
-    nodes = rng.sample(range(topology.num_nodes), min(topology.num_nodes, 40))
-    hops, bandwidths = topology.pair_metrics(nodes)
-    assert hops.tolist() == [
-        [topology._distance_impl(a, b) for b in nodes] for a in nodes
-    ]
-    assert bandwidths.tolist() == [
-        [_path_bandwidth_impl(topology, a, b) for b in nodes] for a in nodes
-    ]
+    size = min(topology.num_nodes, 40)
+    stack = np.array([rng.sample(range(topology.num_nodes), size) for _ in range(3)])
+    stacked_hops, stacked_bandwidths = topology.pair_metrics(stack, stack)
+    assert stacked_hops.shape == stacked_bandwidths.shape == (3, size, size)
+    for row, nodes in enumerate(stack.tolist()):
+        hops, bandwidths = topology.pair_metrics(nodes, nodes)
+        assert hops.tolist() == stacked_hops[row].tolist() == [
+            [topology._distance_impl(a, b) for b in nodes] for a in nodes
+        ]
+        assert bandwidths.tolist() == stacked_bandwidths[row].tolist() == [
+            [_path_bandwidth_impl(topology, a, b) for b in nodes] for a in nodes
+        ]
 
 
 @pytest.mark.parametrize("topology", _topologies(), ids=lambda t: t.name)
@@ -134,6 +140,71 @@ def test_interned_links_are_shared_within_one_instance():
     assert first.links[0] is other.links[0]
 
 
+def _segmented(model, partitions, granularity="rank"):
+    """The segmented election as per-partition ``(winner, breakdowns)``,
+    the shape of :func:`reference.elect`."""
+    sets = CandidateSets.of(partitions, model.iface, granularity)
+    chosen, (aggregation, io) = model.best_candidate(sets)
+    winners = sets.ranks[chosen].tolist()
+    rows = [
+        CostBreakdown(rank, c1, c2)
+        for rank, c1, c2 in zip(sets.ranks.tolist(), aggregation.tolist(), io.tolist())
+    ]
+    bounds = sets.offsets.tolist()
+    return [
+        (winner, rows[start:stop])
+        for winner, start, stop in zip(winners, bounds, bounds[1:])
+    ]
+
+
+def _random_partitions(rng, mapping, count, max_nodes=40):
+    """Partitions over 1 to ``max_nodes`` random nodes each (mixed sizes),
+    some ranks dropped, volumes spanning twelve orders of magnitude."""
+    by_node = {}
+    for rank in range(mapping.num_ranks):
+        by_node.setdefault(mapping.node(rank), []).append(rank)
+    nodes = sorted(by_node)
+    partitions = []
+    for index in range(count):
+        chosen = rng.sample(nodes, rng.randint(1, min(max_nodes, len(nodes))))
+        ranks = sorted(
+            rank
+            for node in chosen
+            for rank in by_node[node]
+            if rng.random() < 0.8 or rank == by_node[node][0]
+        )
+        volumes = [rng.choice((0, rng.randrange(1, 1 << 40))) for _ in ranks]
+        partitions.append(Partition(index, ranks, volumes))
+    return partitions
+
+
+def _machines():
+    from repro.machine.generic import generic_cluster
+
+    return [
+        MiraMachine(64, pset_size=32),  # torus, C2 known
+        ThetaMachine(64),  # dragonfly, C2 = 0
+        generic_cluster(64, nodes_per_leaf=8, num_gateways=4),  # fat tree, C2 known
+    ]
+
+
+@pytest.mark.parametrize("machine", _machines(), ids=lambda m: m.topology.name)
+@pytest.mark.parametrize("granularity", ["rank", "node"])
+def test_segmented_election_equals_per_candidate_oracle(machine, granularity):
+    """Mixed-size partition lists on every topology: every winner, C1 and C2
+    equals evaluating each candidate on its own."""
+    from repro.topology.mapping import random_mapping
+
+    rng = random.Random(23)
+    mapping = random_mapping(machine.num_nodes * 2, machine.num_nodes, 2, seed=9)
+    model = AggregationCostModel(TopologyInterface(machine, mapping))
+    partitions = _random_partitions(rng, mapping, 40)
+    assert len({p.size for p in partitions}) > 10
+    assert _segmented(model, partitions, granularity) == reference.elect(
+        model, partitions, granularity
+    )
+
+
 @pytest.mark.parametrize("machine_cls", [ThetaMachine, MiraMachine])
 def test_best_candidate_batched_equals_scalar(machine_cls):
     """Winner and every breakdown equal per-candidate evaluation exactly."""
@@ -143,18 +214,14 @@ def test_best_candidate_batched_equals_scalar(machine_cls):
     rng = random.Random(11)
     num_ranks = 64 * 4
     mapping = random_mapping(num_ranks, machine.num_nodes, 4, seed=5)
-    iface = TopologyInterface(machine, mapping)
-    model = AggregationCostModel(iface)
-    for trial in range(5):
+    model = AggregationCostModel(TopologyInterface(machine, mapping))
+    partitions = []
+    for index in range(5):
         ranks = rng.sample(range(num_ranks), 40)
-        volumes = {rank: rng.randrange(1, 1 << 24) for rank in ranks}
-        candidates = list(volumes)
-        fast_winner, fast_breakdowns = model.best_candidate(candidates, volumes)
-        scalar_winner, scalar_breakdowns = reference.best_candidate(
-            model, candidates, volumes
+        partitions.append(
+            Partition(index, ranks, [rng.randrange(1, 1 << 24) for _ in ranks])
         )
-        assert fast_winner == scalar_winner
-        assert fast_breakdowns == scalar_breakdowns
+    assert _segmented(model, partitions) == reference.elect(model, partitions)
 
 
 @pytest.mark.parametrize("num_candidates", [1, 3, 40])
@@ -162,8 +229,9 @@ def test_best_candidate_c1_is_a_sequential_sum(num_candidates):
     """C1 adds the producers' terms left to right, as evaluate() does.
 
     The volumes span twelve orders of magnitude, so a pairwise (``np.sum``)
-    reduction of the same terms rounds differently; the batched C1 must
-    still equal the per-candidate oracle exactly.
+    reduction of the same terms rounds differently; the segmented C1 of
+    each of the first ``num_candidates`` candidates must still equal the
+    sequential sum and the per-candidate oracle exactly.
     """
     from repro.topology.mapping import block_mapping
 
@@ -172,66 +240,70 @@ def test_best_candidate_c1_is_a_sequential_sum(num_candidates):
     model = AggregationCostModel(iface)
     rng = random.Random(3)
     producers = rng.sample(range(256), 200)
-    volumes = {rank: rng.randrange(1, 1 << 40) for rank in producers}
-    candidates = producers[:num_candidates]
-    candidate = candidates[0]
+    partition = Partition(0, producers, [rng.randrange(1, 1 << 40) for _ in producers])
+    volumes = partition.volume_map()
     latency = iface.get_latency()
-    terms = [
-        latency * iface.distance_between_ranks(rank, candidate)
-        + float(nbytes) / iface.bandwidth_between_ranks(rank, candidate)
-        for rank, nbytes in volumes.items()
-        if rank != candidate
-    ]
-    sequential = 0.0
-    for term in terms:
-        sequential += term
-    assert float(np.sum(np.asarray(terms))) != sequential
-    _winner, breakdowns = model.best_candidate(candidates, volumes)
-    _winner, expected = reference.best_candidate(model, candidates, volumes)
-    assert breakdowns[0].aggregation == sequential
-    assert [b.aggregation for b in breakdowns] == [b.aggregation for b in expected]
-    assert breakdowns == expected
+    [(_winner, breakdowns)] = _segmented(model, [partition])
+    for candidate, breakdown in zip(producers[:num_candidates], breakdowns):
+        terms = [
+            latency * iface.distance_between_ranks(rank, candidate)
+            + float(nbytes) / iface.bandwidth_between_ranks(rank, candidate)
+            for rank, nbytes in volumes.items()
+            if rank != candidate
+        ]
+        sequential = 0.0
+        for term in terms:
+            sequential += term
+        if candidate == producers[0]:
+            assert float(np.sum(np.asarray(terms))) != sequential
+        assert breakdown.aggregation == sequential
+    assert _segmented(model, [partition]) == reference.elect(model, [partition])
 
 
 def test_best_candidate_batched_handles_candidates_outside_volumes():
+    """Candidates holding no data are still costed like everyone else."""
     machine = ThetaMachine(16)
     from repro.topology.mapping import block_mapping
 
     mapping = block_mapping(64, 16, 4)
-    iface = TopologyInterface(machine, mapping)
-    model = AggregationCostModel(iface)
-    volumes = {rank: 1024 * (rank + 1) for rank in range(8)}
-    candidates = [0, 4, 40, 63]  # two candidates hold no data
-    fast = model.best_candidate(candidates, volumes)
-    assert fast == reference.best_candidate(model, candidates, volumes)
+    model = AggregationCostModel(TopologyInterface(machine, mapping))
+    ranks = [0, 1, 4, 7, 40, 63]
+    volumes = [1024, 2048, 0, 4096, 0, 0]  # three candidates hold no data
+    partitions = [Partition(0, ranks, volumes)]
+    for granularity in ("rank", "node"):
+        assert _segmented(model, partitions, granularity) == reference.elect(
+            model, partitions, granularity
+        )
 
 
 def test_best_candidate_empty_volumes_matches_scalar_path():
+    """Zero bytes on one node: every total is 0.0 and MINLOC picks rank 2."""
     machine = ThetaMachine(8)
     from repro.topology.mapping import block_mapping
 
     mapping = block_mapping(16, 8, 2)
-    iface = TopologyInterface(machine, mapping)
-    model = AggregationCostModel(iface)
-    fast = model.best_candidate([1, 2], {})
-    assert reference.best_candidate(model, [1, 2], {}) == fast
-    assert fast[0] == 1
-    assert all(b.total == 0.0 for b in fast[1])
+    model = AggregationCostModel(TopologyInterface(machine, mapping))
+    partitions = [Partition(0, [3, 2], [0, 0])]
+    [(winner, breakdowns)] = _segmented(model, partitions)
+    assert [(winner, breakdowns)] == reference.elect(model, partitions)
+    assert winner == 2
+    assert all(b.total == 0.0 for b in breakdowns)
 
 
 def test_nodes_of_ranks_rejects_invalid_ranks_on_both_paths():
-    from repro.perfmodel.common import build_context
-
+    """The candidates' node gather rejects out-of-range ranks at both
+    granularities (numpy would wrap a negative rank onto the last node)."""
     machine = ThetaMachine(8)
-    workload = HACCIOWorkload(128, 1_000, layout="aos")
-    context = build_context(machine, workload, ranks_per_node=16)
-    # Above eight ranks the nodes come from one array gather, at or below
-    # it from a per-rank lookup; both must reject out-of-range ranks.
-    for valid in (list(range(40)), list(range(0, 128, 20))):
-        assert context.nodes_of_ranks(valid) == sorted({r // 16 for r in valid})
-        for bad in ([-1] + valid, valid + [context.num_ranks]):
-            with pytest.raises(ValueError):
-                context.nodes_of_ranks(bad)
+    from repro.topology.mapping import block_mapping
+
+    iface = TopologyInterface(machine, block_mapping(128, 8, 16))
+    for granularity in ("rank", "node"):
+        for valid in (list(range(40)), list(range(0, 128, 20))):
+            sets = CandidateSets.of([Partition(0, valid, [1] * len(valid))], iface, granularity)
+            assert sorted(set(sets.nodes.tolist())) == sorted({r // 16 for r in valid})
+            for bad in ([-1] + valid, valid + [128]):
+                with pytest.raises(ValueError, match="out of range"):
+                    CandidateSets.of([Partition(0, bad, [1] * len(bad))], iface, granularity)
 
 
 def test_best_candidate_negative_volume_raises_on_both_paths():
@@ -239,21 +311,182 @@ def test_best_candidate_negative_volume_raises_on_both_paths():
     from repro.topology.mapping import block_mapping
 
     mapping = block_mapping(16, 8, 2)
-    iface = TopologyInterface(machine, mapping)
+    model = AggregationCostModel(TopologyInterface(machine, mapping))
+    partitions = [Partition(0, [0, 1, 2], [100, -5, 100])]
+    with pytest.raises(ValueError, match="volume of rank 1"):
+        _segmented(model, partitions)
+    with pytest.raises(ValueError, match="volume of rank 1"):
+        reference.elect(model, partitions)
+
+
+@pytest.mark.parametrize(
+    "volumes",
+    [[100, -5, 100], [-5, 100, -7], [-5, 100, 100], [-500, 100, 100], [-5]],
+    ids=["middle", "first-and-last", "first-only", "negative-total", "lone"],
+)
+@pytest.mark.parametrize("granularity", ["rank", "node"])
+def test_negative_volume_raises_what_evaluate_raises(volumes, granularity):
+    """The segmented pass raises the ValueError that per-candidate
+    evaluate() calls raise first, after a clean partition."""
+    from repro.topology.mapping import block_mapping
+
+    iface = TopologyInterface(ThetaMachine(16), block_mapping(32, 16, 2))
     model = AggregationCostModel(iface)
-    volumes = {0: 100, 1: -5, 2: 100}
-    with pytest.raises(ValueError, match="volume of rank 1"):
-        model.best_candidate([0, 2], volumes)
-    with pytest.raises(ValueError, match="volume of rank 1"):
-        reference.best_candidate(model, [0, 2], volumes)
+    ranks = [0, 2, 4][: len(volumes)]
+    partitions = [Partition(0, [6, 7], [1, 1]), Partition(1, ranks, volumes)]
+    with pytest.raises(ValueError) as expected:
+        reference.elect(model, partitions, granularity)
+    with pytest.raises(ValueError) as segmented:
+        _segmented(model, partitions, granularity)
+    assert str(segmented.value) == str(expected.value)
+
+
+@pytest.mark.parametrize(
+    "volumes, winner",
+    [([100, -5, 100], 0), ([-5, 100, 100], 0), ([-5, 100, 100], 2), ([-500, 100, 100], 0)],
+    ids=["other-negative", "winner-negative", "other-first-negative", "negative-total"],
+)
+def test_winner_only_election_raises_what_evaluate_raises(volumes, winner):
+    """Costing one chosen candidate per partition validates what evaluate()
+    on that candidate validates: its own negative volume alone is not
+    shipped, so only a negative total fails."""
+    from repro.topology.mapping import block_mapping
+
+    iface = TopologyInterface(ThetaMachine(16), block_mapping(32, 16, 2))
+    model = AggregationCostModel(iface)
+    partitions = [Partition(0, [6, 7], [1, 1]), Partition(1, [0, 2, 4], volumes)]
+    sets = CandidateSets.of(partitions, iface)
+    chosen = np.array([0, 2 + winner])
+    try:
+        expected = [
+            model.evaluate(int(sets.ranks[i]), p.volume_map())
+            for i, p in zip(chosen, partitions)
+        ]
+    except ValueError as error:
+        with pytest.raises(ValueError) as segmented:
+            model.elect(sets, chosen)
+        assert str(segmented.value) == str(error)
+    else:
+        aggregation, io = model.elect(sets, chosen)
+        assert [(b.aggregation, b.io) for b in expected] == list(
+            zip(aggregation.tolist(), io.tolist())
+        )
+
+
+@pytest.mark.parametrize("machine", _machines(), ids=lambda m: m.topology.name)
+@pytest.mark.parametrize("granularity", ["rank", "node"])
+def test_winner_only_election_equals_full_election(machine, granularity):
+    """Costing one chosen candidate per partition gives exactly that
+    candidate's entries of the full election."""
+    from repro.topology.mapping import random_mapping
+
+    rng = random.Random(41)
+    mapping = random_mapping(machine.num_nodes * 2, machine.num_nodes, 2, seed=3)
+    model = AggregationCostModel(TopologyInterface(machine, mapping))
+    sets = CandidateSets.of(_random_partitions(rng, mapping, 40), model.iface, granularity)
+    chosen = np.array(
+        [rng.randrange(start, stop) for start, stop in zip(sets.offsets[:-1], sets.offsets[1:])]
+    )
+    aggregation, io = model.elect(sets)
+    winners = model.elect(sets, chosen)
+    assert winners[0].tolist() == aggregation[chosen].tolist()
+    assert winners[1].tolist() == io[chosen].tolist()
+
+
+def test_ties_break_to_lowest_rank_with_unsorted_ranks():
+    """Identical costs on one node: the lowest rank wins wherever it is
+    listed, and represents its node at node granularity."""
+    from repro.topology.mapping import block_mapping
+
+    machine = MiraMachine(32, pset_size=16)
+    iface = TopologyInterface(machine, block_mapping(128, 32, 4))
+    model = AggregationCostModel(iface)
+    partitions = [
+        Partition(0, [3, 1, 2, 0], [100, 100, 100, 100]),
+        Partition(1, [7, 5], [100, 100]),
+    ]
+    for granularity in ("rank", "node"):
+        segmented = _segmented(model, partitions, granularity)
+        assert [winner for winner, _ in segmented] == [0, 5]
+        assert segmented == reference.elect(model, partitions, granularity)
+        placement = place_aggregators(partitions, iface, granularity=granularity)
+        assert placement.aggregators == [0, 5]
+
+
+@pytest.mark.parametrize("granularity", ["rank", "node"])
+@pytest.mark.parametrize("split", ["partitions", "columns"])
+def test_chunked_election_equals_unchunked(granularity, split, monkeypatch):
+    """A cell budget that splits size groups unevenly, or the largest
+    partitions into blocks of candidate columns, changes nothing."""
+    from repro.core import cost_model
+    from repro.topology.mapping import random_mapping
+
+    machine = MiraMachine(64, pset_size=32)
+    mapping = random_mapping(256, 64, 4, seed=4)
+    model = AggregationCostModel(TopologyInterface(machine, mapping))
+    rng = random.Random(31)
+    partitions = _random_partitions(rng, mapping, 40, max_nodes=3)
+    whole = _segmented(model, partitions, granularity)
+    sets = CandidateSets.of(partitions, model.iface, granularity)
+    sizes = np.diff(sets.offsets)
+    largest = int(sizes.max())
+    budget = 2 * largest * largest + 1 if split == "partitions" else 2 * largest + 1
+    monkeypatch.setattr(cost_model, "_MAX_PAIR_CELLS", budget)
+    chunks = list(sets.chunks())
+    assert len(chunks) > len(set(sizes.tolist()))
+    assert all(rows.size * columns.shape[1] <= budget for rows, columns in chunks)
+    covered = sorted(i for _, columns in chunks for i in columns.ravel().tolist())
+    assert covered == list(range(sets.ranks.size))
+    assert _segmented(model, partitions, granularity) == whole
+    assert whole == reference.elect(model, partitions, granularity)
+    # One chosen column per partition: whole partitions per chunk, each
+    # chunk under the budget.
+    chosen = sets.offsets[1:] - 1
+    assert all(
+        rows.size <= budget and columns.shape[1] == 1
+        for rows, columns in sets.chunks(chosen)
+    )
+    aggregation, io = model.elect(sets, chosen)
+    last = [breakdowns[-1] for _, breakdowns in whole]
+    assert [(b.aggregation, b.io) for b in last] == list(
+        zip(aggregation.tolist(), io.tolist())
+    )
+
+
+def test_full_mira_election_makes_one_kernel_call_per_chunk(monkeypatch):
+    """6,144 partitions over all 49,152 Mira nodes: pair tensors are built
+    once per chunk of same-size partitions, not once per partition."""
+    from repro.core import cost_model
+    from repro.topology.mapping import block_mapping
+
+    machine = MiraMachine(49152)
+    workload = HACCIOWorkload(49152 * 16, 5_000)
+    mapping = block_mapping(workload.num_ranks, machine.num_nodes, 16)
+    iface = TopologyInterface(machine, mapping)
+    partitions = build_partitions(workload, 6144)
+    calls = []
+    original = TopologyInterface.pair_metrics
+
+    def counting(self, sources, targets):
+        calls.append(sources.shape)
+        return original(self, sources, targets)
+
+    monkeypatch.setattr(TopologyInterface, "pair_metrics", counting)
+    placement = place_aggregators(partitions, iface, granularity="node")
+    assert len(placement.aggregators) == 6144
+    sizes = np.diff(placement.candidates.offsets)
+    bound = 0
+    for size in set(sizes.tolist()):
+        per_chunk = max(1, cost_model._MAX_PAIR_CELLS // (size * size))
+        blocks = -(-size // max(1, min(size, cost_model._MAX_PAIR_CELLS // size)))
+        bound += -(-int((sizes == size).sum()) // per_chunk) * blocks
+    assert 0 < len(calls) <= bound < len(partitions)
 
 
 @pytest.mark.parametrize("machine_cls", [ThetaMachine, MiraMachine])
 @pytest.mark.parametrize("granularity", ["rank", "node"])
-def test_place_aggregators_identical_on_both_paths(
-    machine_cls, granularity, monkeypatch
-):
-    """Batched election == an election that evaluates candidates one by one."""
+def test_place_aggregators_identical_on_both_paths(machine_cls, granularity):
+    """Segmented election == an election that evaluates candidates one by one."""
     machine = machine_cls(64)
     workload = HACCIOWorkload(64 * 4, 10_000, layout="aos")
     from repro.topology.mapping import block_mapping
@@ -264,11 +497,9 @@ def test_place_aggregators_identical_on_both_paths(
     fast = place_aggregators(
         partitions, iface, strategy="topology-aware", granularity=granularity
     )
-    monkeypatch.setattr(
-        AggregationCostModel, "best_candidate", reference.best_candidate
-    )
-    scalar = place_aggregators(
-        partitions, iface, strategy="topology-aware", granularity=granularity
-    )
-    assert fast.aggregators == scalar.aggregators
-    assert fast.breakdowns == scalar.breakdowns
+    scalar = reference.elect(AggregationCostModel(iface), partitions, granularity)
+    assert fast.aggregators == [winner for winner, _ in scalar]
+    assert fast.breakdowns == {
+        partition.index: next(b for b in breakdowns if b.candidate == winner)
+        for partition, (winner, breakdowns) in zip(partitions, scalar)
+    }
