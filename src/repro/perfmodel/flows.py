@@ -6,18 +6,25 @@ hop-count and link bandwidth of each route (what the placement cost model
 uses) but also on how many *other* flows squeeze through the same links.
 
 This module counts, for a given set of ``sender node → aggregator node``
-flows, how many flows traverse each link (using the topology's deterministic
-routes) and derives per-aggregator contention factors: the worst sharing
-factor seen by any link on the routes into that aggregator.  A topology-aware
-placement that spreads aggregators produces factors close to 1; the default
-rank-order placement that packs aggregators onto neighbouring nodes (or onto
-the same dragonfly routers) produces larger factors.
+flows, how many aggregation streams traverse each link (using the
+topology's deterministic routes) and derives per-aggregator contention
+factors: the worst sharing factor seen by any link on the routes into that
+aggregator.  A topology-aware placement that spreads aggregators produces
+factors close to 1; the default rank-order placement that packs aggregators
+onto neighbouring nodes (or onto the same dragonfly routers) produces larger
+factors.
+
+The routes come from :meth:`repro.topology.base.Topology.route_links` as one
+matrix of integer link ids, so the whole analysis is a handful of array
+reductions; ``tests/reference/flows.py`` keeps the route walk it equals.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
+
+import numpy as np
 
 from repro.topology.base import Topology
 from repro.utils.validation import require
@@ -31,7 +38,6 @@ class FlowAnalysis:
     """Result of the flow-counting pass.
 
     Attributes:
-        link_load: number of flows per directed link key ``(src, dst)``.
         aggregator_contention: worst link sharing factor on the incoming
             routes of each aggregator node.
         aggregator_distance: mean hop distance from an aggregator's senders.
@@ -39,7 +45,6 @@ class FlowAnalysis:
             route of each aggregator (bytes/s).
     """
 
-    link_load: Counter = field(default_factory=Counter)
     aggregator_contention: dict[int, float] = field(default_factory=dict)
     aggregator_distance: dict[int, float] = field(default_factory=dict)
     aggregator_min_bandwidth: dict[int, float] = field(default_factory=dict)
@@ -64,7 +69,7 @@ def analyze_flows(
     *,
     max_senders_per_aggregator: int = 128,
 ) -> FlowAnalysis:
-    """Count link loads for the aggregation traffic pattern.
+    """Count link sharing for the aggregation traffic pattern.
 
     Args:
         topology: the interconnect.
@@ -76,13 +81,18 @@ def analyze_flows(
             cap) to bound the analysis cost on very large partitions.
 
     Returns:
-        A :class:`FlowAnalysis` with per-link loads and per-aggregator
-        contention factors.  The contention factor of an aggregator is the
-        maximum, over the links of its incoming routes, of the number of
-        *distinct aggregators* whose traffic crosses that link — i.e. how
-        many aggregation streams the link is shared between.
+        A :class:`FlowAnalysis` with per-aggregator contention factors,
+        mean route hops and bottleneck bandwidths.  The contention factor
+        of an aggregator is the maximum, over the links of its incoming
+        routes, of the number of *distinct aggregators* whose traffic
+        crosses that link — i.e. how many aggregation streams the link is
+        shared between.
     """
     require(len(senders_by_aggregator) > 0, "no aggregation flows to analyse")
+    require(
+        max_senders_per_aggregator >= 1,
+        f"max_senders_per_aggregator must be >= 1, got {max_senders_per_aggregator}",
+    )
     # The analysis is a pure function of (topology, flow pattern) and every
     # consumer treats it as read-only, so it is memoised on the topology
     # instance: tuning candidates and sweep points that differ only in
@@ -100,51 +110,77 @@ def analyze_flows(
     hit = cache.get(cache_key)
     if hit is not None:
         return hit
-    analysis = FlowAnalysis()
-    # First pass: per-link set of aggregators using the link.  Routes come
-    # out of the topology's per-instance route cache: pairs the placement or
-    # an earlier sweep point / tuning candidate / co-scheduled job already
-    # materialised are served as dictionary hits instead of being re-routed.
-    aggregators_on_link: dict[tuple, set[int]] = {}
-    routes_by_aggregator: dict[int, list] = {}
-    for aggregator, senders in senders_by_aggregator.items():
-        senders = [s for s in senders if s != aggregator]
-        if len(senders) > max_senders_per_aggregator:
-            step = len(senders) / max_senders_per_aggregator
-            senders = [senders[int(i * step)] for i in range(max_senders_per_aggregator)]
-        routes = [topology.route(sender, aggregator) for sender in senders]
-        for route in routes:
-            for link in route.links:
-                analysis.link_load[link.key] += 1
-                aggregators_on_link.setdefault(link.key, set()).add(aggregator)
-        routes_by_aggregator[aggregator] = routes
-    # Second pass: per-aggregator contention, distance and bottleneck
-    # bandwidth.  The sharing degree of a link is fixed after the first
-    # pass, so it is flattened to an int per link once instead of taking
-    # ``len()`` of the aggregator set again for every route that crosses it.
-    sharing_of_link = {
-        key: len(aggregators) for key, aggregators in aggregators_on_link.items()
-    }
-    for aggregator, routes in routes_by_aggregator.items():
-        worst_sharing = 1.0
-        min_bandwidth = float("inf")
-        total_hops = 0
-        for route in routes:
-            for link in route.links:
-                sharing = sharing_of_link.get(link.key, 1)
-                worst_sharing = max(worst_sharing, float(sharing))
-                min_bandwidth = min(min_bandwidth, link.bandwidth)
-            total_hops += route.hops
-        analysis.aggregator_contention[aggregator] = worst_sharing
-        analysis.aggregator_distance[aggregator] = (
-            total_hops / len(routes) if routes else 0.0
+    aggregators = list(senders_by_aggregator)
+    count = len(aggregators)
+    src, dst, owner = _sampled_flows(
+        aggregators, list(senders_by_aggregator.values()), max_senders_per_aggregator
+    )
+    links = topology.route_links(src, dst)
+    valid = links >= 0
+    hops = valid.sum(axis=1)
+    # One sort of ``link * count + aggregator`` keys leaves the distinct
+    # (link, aggregator) pairs grouped by link; the length of a link's run
+    # of pairs is the number of aggregation streams sharing it.
+    keys = np.sort(links[valid] * count + np.repeat(owner, hops))
+    pairs = keys[_run_starts(keys)]
+    pair_link = pairs // count
+    run = np.cumsum(_run_starts(pair_link)) - 1
+    contention = np.ones(count)
+    np.maximum.at(contention, pairs - pair_link * count, np.bincount(run)[run])
+    # Flows come in contiguous per-aggregator blocks (``owner`` ascends).
+    routes = np.bincount(owner, minlength=count)
+    distance = np.bincount(owner, weights=hops, minlength=count) / np.maximum(routes, 1)
+    bandwidth = np.full(count, topology.link_bandwidth("default"))
+    if src.size:
+        active = routes > 0
+        bandwidth[active] = np.minimum.reduceat(
+            topology._batch_path_bandwidths(src, dst), (np.cumsum(routes) - routes)[active]
         )
-        analysis.aggregator_min_bandwidth[aggregator] = (
-            min_bandwidth
-            if min_bandwidth != float("inf")
-            else topology.link_bandwidth("default")
-        )
+    analysis = FlowAnalysis(
+        aggregator_contention=dict(zip(aggregators, contention.tolist())),
+        aggregator_distance=dict(zip(aggregators, distance.tolist())),
+        aggregator_min_bandwidth=dict(zip(aggregators, bandwidth.tolist())),
+    )
     if len(cache) >= _MAX_FLOW_CACHE:
         cache.clear()
     cache[cache_key] = analysis
     return analysis
+
+
+def _run_starts(values: np.ndarray) -> np.ndarray:
+    """Mask of the entries of a sorted array that differ from their
+    predecessor (the first entry always does)."""
+    starts = np.ones(values.size, dtype=bool)
+    np.not_equal(values[1:], values[:-1], out=starts[1:])
+    return starts
+
+
+def _sampled_flows(
+    aggregators: list[int], sender_lists: list[list[int]], cap: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(sender node, aggregator node, aggregator index)`` of every flow
+    the analysis routes, in contiguous per-aggregator blocks.
+
+    Self-flows are dropped; an aggregator left with more than ``cap``
+    senders keeps ``senders[int(i * step)]`` for ``i < cap``, with ``step =
+    len(senders) / cap`` in float64, as a per-aggregator list sample does.
+    """
+    sizes = np.fromiter(map(len, sender_lists), dtype=np.int64, count=len(aggregators))
+    senders = np.fromiter(
+        chain.from_iterable(sender_lists), dtype=np.int64, count=int(sizes.sum())
+    )
+    owner = np.repeat(np.arange(len(aggregators)), sizes)
+    targets = np.asarray(aggregators, dtype=np.int64)[owner]
+    remote = senders != targets
+    senders, targets, owner = senders[remote], targets[remote], owner[remote]
+    kept = np.bincount(owner, minlength=len(aggregators))
+    over = kept > cap
+    if over.any():
+        starts = (np.cumsum(kept) - kept)[over]
+        picks = starts[:, None] + (np.arange(cap) * (kept[over] / cap)[:, None]).astype(
+            np.int64
+        )
+        take = ~over[owner]
+        take[picks.ravel()] = True
+        senders, targets, owner = senders[take], targets[take], owner[take]
+    return senders, targets, owner

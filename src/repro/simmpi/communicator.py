@@ -142,6 +142,9 @@ class Communicator:
         # Collective bookkeeping: per-rank call counters + active slots.
         self._collective_counter: dict[int, int] = {r: 0 for r in range(self.size)}
         self._collective_slots: dict[int, _CollectiveSlot] = {}
+        #: Sampled mean hop distance between member nodes, set by the world
+        #: the first time a collective on this communicator is priced.
+        self.mean_hops: float | None = None
 
     # ------------------------------------------------------------------ #
     # Introspection

@@ -252,7 +252,6 @@ class SimWorld:
         self.comm_world = Communicator(
             self, list(range(self.num_ranks)), name="MPI_COMM_WORLD"
         )
-        self._avg_hops_cache: dict[int, float] = {}
         # Intra-node copies move at the node's main-memory bandwidth.
         self._intra_node_bandwidth = machine.node_spec.main_memory.bandwidth
 
@@ -273,12 +272,16 @@ class SimWorld:
         return self.machine.topology.transfer_time(src_node, dst_node, nbytes)
 
     def _average_hops(self, comm: Communicator) -> float:
-        """Mean hop distance between the nodes of a communicator (sampled)."""
-        key = id(comm)
-        if key not in self._avg_hops_cache:
+        """Mean hop distance between the nodes of a communicator (sampled).
+
+        Kept on the communicator itself: a cache keyed by ``id(comm)`` would
+        hand a freed communicator's mean to whichever one CPython allocates
+        at the same address next.
+        """
+        if comm.mean_hops is None:
             nodes = sorted({self.node_of_rank(wr) for wr in comm.world_ranks})
             if len(nodes) < 2:
-                self._avg_hops_cache[key] = 0.0
+                comm.mean_hops = 0.0
             else:
                 # Deterministic sparse sample: pair each sampled node with a
                 # "far" partner; enough for a representative mean at low cost.
@@ -292,8 +295,8 @@ class SimWorld:
                         continue
                     total += topo.distance(a, b)
                     count += 1
-                self._avg_hops_cache[key] = total / max(count, 1)
-        return self._avg_hops_cache[key]
+                comm.mean_hops = total / max(count, 1)
+        return comm.mean_hops
 
     def collective_step_cost(self, comm: Communicator, nbytes: int) -> float:
         """Cost of one step of a log-tree collective on ``comm``."""

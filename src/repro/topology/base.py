@@ -18,12 +18,13 @@ Caching and batching.  ``distance``/``route`` answers are memoised per
 topology instance (the uncached computations are ``_distance_impl`` /
 ``_route_impl``), ``Link`` objects are interned (one object per directed
 link of the machine instead of a fresh allocation per route), and the batch
-queries :meth:`Topology.distances_from` / :meth:`Topology.routes_from` /
-:meth:`Topology.path_bandwidths_from` / :meth:`Topology.pair_metrics` let
-the cost model evaluate whole candidate sets without per-pair Python
-dispatch.  Every concrete topology
-implements them with closed-form vectorised kernels (``_batch_distances`` /
-``_batch_path_bandwidths``) that equal the per-pair answers exactly.
+queries :meth:`Topology.distances_from` / :meth:`Topology.path_bandwidths_from`
+/ :meth:`Topology.pair_metrics` / :meth:`Topology.route_links` let the cost
+model and the flow analysis evaluate whole candidate sets and flow patterns
+without per-pair Python dispatch.  Every concrete topology implements them
+with closed-form vectorised kernels (``_batch_distances`` /
+``_batch_path_bandwidths`` / ``_batch_route_links``) that equal the per-pair
+answers exactly.
 """
 
 from __future__ import annotations
@@ -260,11 +261,6 @@ class Topology(abc.ABC):
         self.validate_node(node)
         return self._batch_distances(node, self._as_node_array(nodes))
 
-    def routes_from(self, node: int, nodes: Iterable[int]) -> list[Route]:
-        """Routes from ``node`` to each node of ``nodes`` (cache-served)."""
-        self.validate_node(node)
-        return [self.route(node, int(n)) for n in self._as_node_array(nodes)]
-
     def path_bandwidths_from(self, node: int, nodes: Iterable[int]) -> np.ndarray:
         """Narrowest-link bandwidth from ``node`` to each of ``nodes``.
 
@@ -286,6 +282,29 @@ class Topology(abc.ABC):
     def _batch_path_bandwidths(self, node, ids: np.ndarray) -> np.ndarray:
         """Vectorised bottleneck bandwidths from ``node`` (``inf`` on self);
         ``node`` broadcasts as in :meth:`_batch_distances`."""
+
+    def route_links(self, src: Iterable[int], dst: Iterable[int]) -> np.ndarray:
+        """Integer link ids of the deterministic route of each ``(src, dst)``.
+
+        Returns an int64 ``(flows, slots)`` matrix with one fixed slot per
+        hop a route of this topology can take (``slots`` is the longest
+        possible route).  Row ``i``'s non-negative entries, read left to
+        right, are the links of ``route(src[i], dst[i])``; slots that route
+        skips hold ``-1`` (a self-pair's row is all ``-1``).  Within one
+        topology two ids are equal exactly when they name the same directed
+        link, so flow counting is a reduction over ids instead of a walk
+        over :class:`Link` objects.
+        """
+        src, dst = self._as_node_array(src), self._as_node_array(dst)
+        if src.shape != dst.shape or src.ndim != 1:
+            raise ValueError(
+                f"src and dst must be equal-length 1-D, got {src.shape} and {dst.shape}"
+            )
+        return self._batch_route_links(src, dst)
+
+    @abc.abstractmethod
+    def _batch_route_links(self, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+        """Closed-form :meth:`route_links` over validated, equal-length ids."""
 
     def pair_metrics(self, sources, targets) -> tuple[np.ndarray, np.ndarray]:
         """``(hops, bandwidths)`` from each entry of a row of ``sources`` to

@@ -237,6 +237,41 @@ class DragonflyTopology(Topology):
         )
         return np.where(ids == node, np.inf, bandwidth)
 
+    def _batch_route_links(self, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+        """Closed-form minimal route in five slots: injection, three router
+        hops, ejection.
+
+        Link ids: injection out of node ``n`` is ``n``, ejection into it is
+        ``N + n``, and the router-to-router link ``a -> b`` is
+        ``2N + a·R + b`` (``N`` nodes, ``R`` routers; a router pair is either
+        local or global, never both).  The router slots are ``router_a ->
+        gateway_a -> gateway_b -> router_b`` across groups (the gateways of
+        :meth:`_gateway_router`) and ``router_a -> router_b`` within one; a
+        slot whose two ends are the same router is not taken.
+        """
+        num_nodes = self.num_nodes
+        rpg = self._routers_per_group
+        router_a = src // self._nodes_per_router
+        router_b = dst // self._nodes_per_router
+        group_a = router_a // rpg
+        group_b = router_b // rpg
+        gateway_a = group_a * rpg + group_b % rpg
+        gateway_b = group_b * rpg + group_a % rpg
+        hop_from = np.array([router_a, gateway_a, gateway_b])
+        hop_to = np.where(
+            group_a != group_b,
+            [gateway_a, gateway_b, router_b],
+            [router_b, gateway_a, gateway_b],
+        )
+        links = np.empty((5, src.size), dtype=np.int64)
+        links[0] = src
+        links[1:4] = np.where(
+            hop_from != hop_to, 2 * num_nodes + hop_from * self.num_routers + hop_to, -1
+        )
+        links[4] = num_nodes + dst
+        links[:, src == dst] = -1
+        return links.T
+
     def _router_path(self, router_a: int, router_b: int) -> list[tuple[int, int, str]]:
         """Sequence of (router, router, kind) hops between two routers."""
         if router_a == router_b:

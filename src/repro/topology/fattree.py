@@ -120,6 +120,29 @@ class FatTreeTopology(Topology):
         """Every fat-tree link has the same bandwidth; self-pairs are ``inf``."""
         return np.where(ids == node, np.inf, self._bandwidth)
 
+    def _batch_route_links(self, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+        """Closed-form route in four slots: injection, uplink to the hashed
+        spine, downlink, ejection; same-leaf routes skip the spine slots.
+
+        Link ids: injection out of node ``n`` is ``n``, ejection into it is
+        ``N + n``, uplink ``leaf -> spine`` is ``2N + leaf·S + spine`` and
+        downlink ``spine -> leaf`` is ``2N + L·S + spine·L + leaf`` (``N``
+        nodes, ``L`` leaves, ``S`` spines).
+        """
+        num_nodes = self.num_nodes
+        leaves, spines = self._leaves, self._spines
+        leaf_a = src // self._nodes_per_leaf
+        leaf_b = dst // self._nodes_per_leaf
+        spine = (leaf_a + leaf_b) % spines
+        links = np.empty((4, src.size), dtype=np.int64)
+        links[0] = src
+        links[1] = 2 * num_nodes + leaf_a * spines + spine
+        links[2] = 2 * num_nodes + leaves * spines + spine * leaves + leaf_b
+        links[3] = num_nodes + dst
+        links[1:3, leaf_a == leaf_b] = -1
+        links[:, src == dst] = -1
+        return links.T
+
     def _spine_for(self, src_leaf: int, dst_leaf: int) -> int:
         """Deterministic spine choice for a leaf pair (static ECMP hash)."""
         return (src_leaf + dst_leaf) % self._spines

@@ -160,6 +160,32 @@ class TorusTopology(Topology):
         """Every torus link has the same bandwidth; self-pairs are ``inf``."""
         return np.where(ids == node, np.inf, self._bandwidth)
 
+    def _batch_route_links(self, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+        """Closed-form dimension-order walk, ``dim // 2`` slots per axis.
+
+        Link id ``(here·ndims + axis)·2 + dir``: ``here`` is the node a hop
+        leaves and ``dir`` is 1 for a ``-1`` step.  Axis ``a``'s walk starts
+        at the node whose earlier axes are already ``dst``'s and whose later
+        axes are still ``src``'s, and takes ``min(forward, backward)`` steps
+        the way :meth:`_ring_step` picks (ties go ``+1``).  On a ring of two
+        both directions reach the same neighbour, but ties always step
+        ``+1`` there, so one link never gets two ids.
+        """
+        ndims = len(self._dims)
+        blocks = []
+        for axis, (stride, dim) in enumerate(zip(self._strides, self._dims)):
+            a = src // stride % dim
+            forward = (dst // stride % dim - a) % dim
+            backward = (dim - forward) % dim
+            step = np.where(forward <= backward, 1, -1)
+            count = np.minimum(forward, backward)
+            base = dst - dst % (stride * dim) + src % stride
+            t = np.arange(dim // 2)
+            here = base[:, None] + (a[:, None] + t * step[:, None]) % dim * stride
+            ids = (here * ndims + axis) * 2 + (step < 0)[:, None]
+            blocks.append(np.where(t < count[:, None], ids, -1))
+        return np.concatenate(blocks, axis=1)
+
     def _route_impl(self, src: int, dst: int) -> Route:
         """Dimension-order route: correct each dimension in turn."""
         self.validate_node(src, "src")

@@ -296,6 +296,34 @@ class TestWorkflowShape:
         assert "--all" in gates[0] and "--check" in gates[0]
         assert commands.index(sweeps[0]) < commands.index(gates[0])
 
+    def test_figures_job_reverifies_paper_scale_artifacts_under_tracing(
+        self, workflow
+    ):
+        commands = [s.get("run", "") for s in workflow["jobs"]["figures"]["steps"]]
+        traced = [c for c in commands if "REPRO_TRACE=1" in c]
+        assert traced, (
+            "the figures job must re-run the scale-1 sweep with tracing on"
+        )
+        sweep = next(
+            line for line in traced[0].splitlines() if "repro run-all" in line
+        )
+        assert "--scale 1 " in sweep and "--jobs 2" in sweep
+        assert "--no-cache" in sweep, "the traced re-run must not hit the cache"
+        store = re.search(r"--out[= ]+(\S+)", sweep).group(1).rstrip("/")
+        plain = next(
+            c for c in commands if "repro run-all" in c and "--scale 1 " in c
+        )
+        assert commands.index(plain) < commands.index(traced[0])
+        diff = next(
+            line for line in traced[0].splitlines() if "repro diff-artifacts" in line
+        )
+        assert diff.split()[4:6] == ["artifacts-scale1", store], (
+            "the traced store must be compared against the untraced scale-1 one"
+        )
+        assert "--ignore wall_time_s" in diff, (
+            "only wall_time_s may be excluded from the byte-identical comparison"
+        )
+
     def test_serve_job_scrapes_prometheus_metrics(self, workflow):
         commands = [s.get("run", "") for s in workflow["jobs"]["serve"]["steps"]]
         scrape = [c for c in commands if "/metrics" in c]

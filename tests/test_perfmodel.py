@@ -1,10 +1,13 @@
 """Tests for the flow analysis and the analytic MPI I/O / TAPIOCA models."""
 
+import random
+
 import pytest
 
 from repro.core.config import TapiocaConfig
 from repro.core.partitioning import build_partitions
 from repro.iolib.hints import MPIIOHints
+from repro.machine.generic import generic_cluster
 from repro.machine.mira import MiraMachine
 from repro.machine.theta import ThetaMachine
 from repro.perfmodel.aggregation import AggregationPhaseModel
@@ -18,6 +21,7 @@ from repro.storage.lustre import LustreStripeConfig
 from repro.utils.units import MB, MIB
 from repro.workloads.hacc import HACCIOWorkload
 from repro.workloads.ior import IORWorkload
+from reference import flows as reference_flows
 from reference.aggregation import round_fill_time as reference_fill_time
 
 
@@ -43,6 +47,22 @@ class TestPhaseBreakdown:
         assert "x" in estimate.summary()
 
 
+def _items(analysis):
+    """The three per-aggregator dictionaries as ordered item lists."""
+    return [
+        list(analysis.aggregator_contention.items()),
+        list(analysis.aggregator_distance.items()),
+        list(analysis.aggregator_min_bandwidth.items()),
+    ]
+
+
+_FLOW_MACHINES = [
+    ThetaMachine(64),
+    MiraMachine(512, pset_size=128),
+    generic_cluster(48, nodes_per_leaf=8),
+]
+
+
 class TestFlows:
     def test_spread_aggregators_have_less_contention_than_packed(self):
         topo = MiraMachine(64, pset_size=64).topology
@@ -61,12 +81,70 @@ class TestFlows:
         assert analysis.aggregator_contention[0] == 1.0
 
     def test_sender_sampling_cap(self):
+        """Above the cap the analysis routes exactly the oracle's 8-sender
+        sample: the distance is the mean hop count over those 8 routes."""
         topo = ThetaMachine(64).topology
-        analysis = analyze_flows(
-            topo, {0: list(range(64))}, max_senders_per_aggregator=8
+        senders = list(range(64))
+        analysis = analyze_flows(topo, {0: senders}, max_senders_per_aggregator=8)
+        sample = reference_flows.sampled_senders(senders, 0, 8)
+        assert sample == [1, 8, 16, 24, 32, 40, 48, 56]
+        hops = [topo._route_impl(s, 0).hops for s in sample]
+        assert analysis.aggregator_distance[0] == sum(hops) / 8
+        uncapped = analyze_flows(topo, {0: senders})
+        assert uncapped.aggregator_distance != analysis.aggregator_distance
+        assert _items(analysis) == _items(
+            reference_flows.analyze_flows(topo, {0: senders}, max_senders_per_aggregator=8)
         )
-        # At most 8 routes were enumerated.
-        assert sum(analysis.link_load.values()) <= 8 * 6
+
+    @pytest.mark.parametrize("machine", _FLOW_MACHINES, ids=lambda m: m.topology.name)
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_analysis_equals_route_walk_oracle(self, machine, seed):
+        """Seeded patterns: self-only aggregators, senders above the
+        128-sender cap, senders shared between aggregators, duplicates."""
+        topology = machine.topology
+        rng = random.Random(seed)
+        n = topology.num_nodes
+        aggregators = rng.sample(range(n), rng.randint(1, min(n, 12)))
+        pattern = {}
+        for index, aggregator in enumerate(aggregators):
+            if index % 5 == 1:
+                pattern[aggregator] = [aggregator]  # only itself
+            elif index % 5 == 2:
+                pattern[aggregator] = []
+            else:
+                size = rng.choice([1, 7, 130, 300, n])
+                senders = sorted(rng.sample(range(n), min(size, n)))
+                pattern[aggregator] = senders + senders[:3]
+        expected = reference_flows.analyze_flows(topology, pattern)
+        analysis = analyze_flows(topology, pattern)
+        assert _items(analysis) == _items(expected)
+        # A cache hit returns the same object.
+        assert analyze_flows(topology, pattern) is analysis
+        for cap in (1, 5):
+            assert _items(
+                analyze_flows(topology, pattern, max_senders_per_aggregator=cap)
+            ) == _items(
+                reference_flows.analyze_flows(
+                    topology, pattern, max_senders_per_aggregator=cap
+                )
+            )
+
+    def test_aggregators_sharing_every_sender(self):
+        topo = MiraMachine(128, pset_size=128).topology
+        pattern = {node: list(range(128)) for node in (0, 5, 64, 127)}
+        analysis = analyze_flows(topo, pattern)
+        assert _items(analysis) == _items(reference_flows.analyze_flows(topo, pattern))
+        assert analysis.max_contention() > 1.0
+
+    @pytest.mark.parametrize("machine", _FLOW_MACHINES, ids=lambda m: m.topology.name)
+    def test_invalid_nodes_raise_instead_of_wrapping(self, machine):
+        topology = machine.topology
+        n = topology.num_nodes
+        for pattern in ({0: [1, -1]}, {0: [n]}, {-1: [0]}, {n: [0]}):
+            with pytest.raises(ValueError):
+                analyze_flows(topology, pattern)
+        with pytest.raises(ValueError):
+            analyze_flows(topology, {0: [1]}, max_senders_per_aggregator=0)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):

@@ -4,6 +4,7 @@ import pytest
 
 from repro.machine.mira import MiraMachine
 from repro.machine.theta import ThetaMachine
+from repro.simmpi.communicator import Communicator
 from repro.simmpi.errors import RankProgramError, SimMPIError
 from repro.simmpi.world import INTRA_NODE_LATENCY, SimWorld
 from repro.topology.mapping import random_mapping, round_robin_mapping
@@ -76,6 +77,30 @@ class TestTimingQueries:
         small = world.collective_step_cost(world.comm_world, 8)
         large = world.collective_step_cost(world.comm_world, 10**7)
         assert large > small > 0
+
+    def test_collective_cost_never_inherits_a_freed_communicators_hops(self):
+        """A communicator allocated where a freed one lived is priced on its
+        own nodes, not on the mean hop count the freed one left behind."""
+        machine = ThetaMachine(64)
+        spread = range(0, 1024, 64)
+        fresh = SimWorld(machine)
+        expected = fresh.collective_step_cost(Communicator(fresh, spread), 0)
+        world = SimWorld(machine)
+        reused = False
+        # CPython hands a freed object's address to the next allocation of
+        # the same size; retry until the spread communicator lands there.
+        for _ in range(50):
+            one_node = Communicator(world, range(16))
+            assert world.collective_step_cost(one_node, 0) < expected
+            address = id(one_node)
+            del one_node
+            comm = Communicator(world, spread)
+            reused = id(comm) == address
+            assert world.collective_step_cost(comm, 0) == expected
+            if reused:
+                break
+            del comm
+        assert reused, "no communicator reused a freed one's address"
 
 
 class TestExecution:

@@ -66,6 +66,105 @@ def test_cached_distance_and_route_equal_scalar_path(topology):
         assert topology.path_bandwidth(a, b) == scalar_bandwidth
 
 
+def _assert_links_name_routes(topology, pairs, names=None):
+    """``route_links`` rows spell the ``_route_impl`` routes of ``pairs``.
+
+    Each row's non-negative ids, left to right, must be its route's links,
+    every other slot ``-1``; and ids must name links one to one: every
+    occurrence of a link gets the same id and no id stands for two links.
+    ``names`` carries that id <-> link naming across calls on one topology.
+    """
+    names = {} if names is None else names
+    src = np.array([a for a, _ in pairs], dtype=np.int64)
+    dst = np.array([b for _, b in pairs], dtype=np.int64)
+    links = topology.route_links(src, dst)
+    assert links.dtype == np.int64 and links.shape[0] == len(pairs)
+    for (a, b), row in zip(pairs, links.tolist()):
+        route = topology._route_impl(a, b)
+        ids = [x for x in row if x >= 0]
+        assert len(ids) == route.hops
+        assert len(ids) + row.count(-1) == len(row)
+        for link, link_id in zip(route.links, ids):
+            assert names.setdefault(("link", link.key), link_id) == link_id
+            assert names.setdefault(("id", link_id), link.key) == link.key
+    return names
+
+
+def _all_pairs(topology):
+    nodes = range(topology.num_nodes)
+    return [(a, b) for a in nodes for b in nodes]
+
+
+@pytest.mark.parametrize("topology", _topologies(), ids=lambda t: t.name)
+def test_route_links_equal_scalar_routes(topology):
+    """Seeded random pairs and every self-pair."""
+    rng = random.Random(19)
+    n = topology.num_nodes
+    pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(2000)]
+    names = _assert_links_name_routes(topology, pairs)
+    _assert_links_name_routes(topology, [(a, a) for a in range(n)], names)
+    assert topology.route_links([], []).shape[0] == 0
+
+
+@pytest.mark.parametrize("dims", [(1,), (2,), (5,), (6,), (2, 3, 1, 4), (4, 4, 4, 4, 2)])
+def test_torus_route_links_on_every_ring_shape(dims):
+    """Rings of size 1, 2, odd and even, with ties exactly half way round."""
+    topology = TorusTopology(dims)
+    sources = range(0, topology.num_nodes, 1 if topology.num_nodes <= 64 else 31)
+    pairs = [(a, b) for a in sources for b in range(topology.num_nodes)]
+    _assert_links_name_routes(topology, pairs)
+
+
+def test_dragonfly_route_links_cover_every_route_shape():
+    topology = DragonflyTopology(groups=3, routers_per_group=4, nodes_per_router=2)
+    pairs = _all_pairs(topology)
+    _assert_links_name_routes(topology, pairs)
+    router = topology.router_of
+    group = topology.group_of
+    gateway = topology._gateway_router
+    shapes = {
+        "same router": [(a, b) for a, b in pairs if a != b and router(a) == router(b)],
+        "same group": [
+            (a, b) for a, b in pairs if router(a) != router(b) and group(a) == group(b)
+        ],
+        "source is the gateway": [
+            (a, b)
+            for a, b in pairs
+            if group(a) != group(b) and router(a) == gateway(group(a), group(b))
+        ],
+        "destination is the gateway": [
+            (a, b)
+            for a, b in pairs
+            if group(a) != group(b) and router(b) == gateway(group(b), group(a))
+        ],
+    }
+    for shape, members in shapes.items():
+        assert members, shape
+        _assert_links_name_routes(topology, members)
+    hops = (topology.route_links(*zip(*shapes["same router"])) >= 0).sum(axis=1)
+    assert set(hops.tolist()) == {2}
+
+
+def test_fattree_route_links_on_and_across_leaves():
+    topology = FatTreeTopology(4, 3, 3)
+    pairs = _all_pairs(topology)
+    _assert_links_name_routes(topology, pairs)
+    hops = (topology.route_links(*zip(*pairs)) >= 0).sum(axis=1).tolist()
+    for (a, b), count in zip(pairs, hops):
+        same_leaf = topology.leaf_of(a) == topology.leaf_of(b)
+        assert count == (0 if a == b else 2 if same_leaf else 4)
+
+
+@pytest.mark.parametrize("topology", _topologies(), ids=lambda t: t.name)
+def test_route_links_reject_invalid_nodes(topology):
+    n = topology.num_nodes
+    for src, dst in ([-1], [0]), ([0], [-1]), ([n], [0]), ([0], [n]):
+        with pytest.raises(ValueError):
+            topology.route_links(src, dst)
+    with pytest.raises(ValueError):
+        topology.route_links([0, 1], [0])
+
+
 @pytest.mark.parametrize("topology", _topologies(), ids=lambda t: t.name)
 def test_batch_queries_equal_scalar_loops(topology):
     rng = random.Random(7)
@@ -75,14 +174,13 @@ def test_batch_queries_equal_scalar_loops(topology):
         src = rng.randrange(n)
         distances = topology.distances_from(src, nodes)
         bandwidths = topology.path_bandwidths_from(src, nodes)
-        routes = topology.routes_from(src, nodes)
         assert [int(d) for d in distances] == [
             topology._distance_impl(src, m) for m in nodes
         ]
         assert [float(b) for b in bandwidths] == [
             _path_bandwidth_impl(topology, src, m) for m in nodes
         ]
-        assert routes == [topology._route_impl(src, m) for m in nodes]
+        _assert_links_name_routes(topology, [(src, m) for m in nodes])
 
 
 @pytest.mark.parametrize("topology", _topologies(), ids=lambda t: t.name)
