@@ -248,7 +248,7 @@ def _evaluate_scenario(
     start = now()
     with obs_span("evaluate.scenario", cat="api", scenario=scenario.id):
         if jobs > 1:
-            # Route through the shared persistent pool: a follow-up evaluation
+            # Run through the shared persistent pool: a follow-up evaluation
             # (or a daemon batch) lands on warm workers.
             from repro.experiments.runner import submit_scenario_batch
 

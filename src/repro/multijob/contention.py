@@ -166,36 +166,34 @@ class ContentionLedger:
         """Progressive filling over a flows×resources weight matrix.
 
         Bit-for-bit equal to a dict-based loop that accumulates flow by
-        flow (the tests' scalar oracle): ``np.add.reduce`` along axis 0
-        accumulates rows strictly in order (numpy's pairwise summation only
-        applies along the contiguous axis), so the per-key weight sums and
-        usage updates run through the identical sequence of IEEE additions —
-        adding a zero weight is an exact no-op on the non-negative partial
-        sums — and the binding-resource scan replays the scalar loop's
-        sequential first-hit semantics.
+        flow (the tests' scalar oracle): ``np.add.accumulate`` along axis 0
+        adds rows strictly in order (never pairwise, even for a single
+        resource column), so the last row of each accumulation — the
+        per-key weight sums and the usage updates — runs through the
+        identical sequence of IEEE additions (adding a zero weight is an
+        exact no-op on the non-negative partial sums), and the
+        binding-resource scan replays the scalar loop's sequential
+        first-hit semantics.
         """
-        res_keys = list(self.resources)
+        # A resource no active flow touches never binds, fills or freezes
+        # anything, so the matrix spans only the touched ones, still in
+        # registration order.
+        touched = set().union(*(self.flows[fid].weights for fid in ids))
+        res_keys = [key for key in self.resources if key in touched]
         index_of = {key: j for j, key in enumerate(res_keys)}
         num_flows, num_res = len(ids), len(res_keys)
-        # np.add.reduce only walks rows sequentially when the reduction
-        # stride is non-contiguous; a single resource column degenerates to
-        # a contiguous vector where numpy switches to pairwise summation,
-        # so always keep at least two columns via a zero-weight dummy
-        # resource (weightless -> never shared, never saturated, inert).
-        width = max(num_res, 2)
-        weight = np.zeros((num_flows, width))
+        weight = np.zeros((num_flows, num_res))
         for i, flow_id in enumerate(ids):
             for key, value in self.flows[flow_id].weights.items():
                 weight[i, index_of[key]] = value
         touches = weight > 0.0
-        caps = np.ones(width)
-        caps[:num_res] = [self.resources[key] for key in res_keys]
+        caps = np.array([self.resources[key] for key in res_keys], dtype=float)
         tol = _EPS * caps
         sat_caps = caps * (1.0 - _EPS)
         demand = np.array([self.flows[fid].demand for fid in ids], dtype=float)
         demand_caps = demand * (1.0 - _EPS)
         rate = np.zeros(num_flows)
-        used = np.zeros((1, width))
+        used = np.zeros(num_res)
         unfrozen = np.ones(num_flows, dtype=bool)
         iterations = 0
         while unfrozen.any():
@@ -203,19 +201,19 @@ class ContentionLedger:
             live = np.flatnonzero(unfrozen)
             live_weights = weight[live]
             step = float(np.min(demand[live] - rate[live]))
-            weight_sum = np.add.reduce(live_weights, axis=0)
+            weight_sum = np.add.accumulate(live_weights, axis=0)[-1]
             shared = weight_sum > 0.0
-            headroom = np.full(width, np.inf)
-            np.divide(caps - used[0], weight_sum, out=headroom, where=shared)
+            headroom = np.full(num_res, np.inf)
+            np.divide(caps - used, weight_sum, out=headroom, where=shared)
             step, binding = self._binding_scan(step, headroom, tol, shared)
             if step > 0.0:
                 rate[live] += step
-                # One seeded row reduction == the scalar loop's interleaved
-                # ``used[key] += step * weight`` per unfrozen flow.
-                used = np.add.reduce(
-                    np.concatenate([used, step * live_weights]), axis=0, keepdims=True
-                )
-            saturated = binding | (used[0] >= sat_caps)
+                # One seeded row accumulation == the scalar loop's
+                # interleaved ``used[key] += step * weight`` per unfrozen flow.
+                used = np.add.accumulate(
+                    np.vstack((used, step * live_weights)), axis=0
+                )[-1]
+            saturated = binding | (used >= sat_caps)
             newly_frozen = unfrozen & (
                 (rate >= demand_caps) | np.any(touches & saturated, axis=1)
             )
@@ -284,12 +282,6 @@ class LinkContentionFactors:
     (other jobs' traffic) sharing any link of the route, plus this job's own
     stream.
 
-    The factor only depends on the endpoint *nodes*, so worst-link background
-    loads are memoised per node pair: the batched
-    :meth:`bandwidth_factors` used by the placement cost model walks each
-    distinct route once (served from the topology's route cache) instead of
-    re-walking ``topology.route()`` for every rank pair.
-
     Args:
         topology: the machine interconnect.
         mapping: rank-to-node mapping of the job being placed.
@@ -305,47 +297,36 @@ class LinkContentionFactors:
     ) -> None:
         self.topology = topology
         self.mapping = mapping
-        self._loads = topology.link_loads(background_flows)
-        self._pair_factors: dict[tuple[int, int], float] = {}
-
-    def _node_pair_factor(self, src_node: int, dst_node: int) -> float:
-        """Worst background sharing factor between two nodes (memoised)."""
-        if src_node == dst_node or not self._loads:
-            return 1.0
-        pair = (src_node, dst_node)
-        factor = self._pair_factors.get(pair)
-        if factor is None:
-            worst = 0
-            for link in self.topology.route(src_node, dst_node).links:
-                load = self._loads.get(link.key)
-                if load is not None:
-                    worst = max(worst, load.flows)
-            factor = 1.0 + float(worst)
-            self._pair_factors[pair] = factor
-        return factor
+        ids, counts = topology.link_loads(background_flows)
+        # Sorted by id for the searchsorted gather in bandwidth_factors.
+        order = np.argsort(ids)
+        self._link_ids, self._link_counts = ids[order], counts[order]
 
     def bandwidth_factor(self, src_rank: int, dst_rank: int) -> float:
         """Sharing factor (>= 1) on the route between two ranks."""
-        return self._node_pair_factor(
-            self.mapping.node(src_rank), self.mapping.node(dst_rank)
-        )
+        dst_node = self.mapping.node(dst_rank)
+        return float(self.bandwidth_factors([src_rank], dst_node)[0])
 
     def bandwidth_factors(
         self, src_ranks: Sequence[int], dst_node: int
     ) -> np.ndarray:
         """Sharing factor of each rank's route to one destination node.
 
-        The batched twin of :meth:`bandwidth_factor` used by the placement
-        cost model: one node-array gather plus one memoised route walk per
-        distinct source node.  Out-of-range ranks raise the same
-        ``ValueError`` as :meth:`RankMapping.node` (numpy would otherwise
-        wrap a negative rank onto the last node).
+        One ``route_links`` call over the distinct source nodes, a gather of
+        each link's background count and a row max.  Out-of-range ranks
+        raise the same ``ValueError`` as :meth:`RankMapping.node` (numpy
+        would otherwise wrap a negative rank onto the last node).
         """
         src_nodes = self.mapping.nodes(src_ranks)
-        if not self._loads:
+        if not self._link_ids.size:
             return np.ones(src_nodes.shape)
         nodes, inverse = np.unique(src_nodes, return_inverse=True)
-        factors = np.array(
-            [self._node_pair_factor(int(node), int(dst_node)) for node in nodes]
+        links = self.topology.route_links(nodes, np.full(nodes.shape, dst_node))
+        slot = np.minimum(
+            np.searchsorted(self._link_ids, links), self._link_ids.size - 1
         )
-        return factors[inverse]
+        loads = np.where(
+            self._link_ids[slot] == links, self._link_counts[slot], 0
+        )
+        worst = loads.max(axis=1, initial=0)
+        return (1.0 + worst.astype(np.float64))[inverse]

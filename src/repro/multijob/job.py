@@ -238,8 +238,10 @@ def network_demand_weights(
     on large jobs (weights stay normalised over the sample).
 
     Returns:
-        ``(weights, capacities)`` — both keyed by ``("link", src, dst)``;
-        capacities are the links' bandwidths for ledger registration.
+        ``(weights, capacities)`` — both keyed by ``("link", id)`` with the
+        topology's link ids, in first-traversal order (the order the ledger
+        registers them in); capacities are the links' bandwidths for ledger
+        registration.
     """
     flows = [
         (sender, aggregator)
@@ -252,14 +254,12 @@ def network_demand_weights(
         flows = [flows[int(i * step)] for i in range(max_flows)]
     if not flows:
         return {}, {}
-    loads = machine.topology.link_loads(flows)
+    topology = machine.topology
+    ids, counts = topology.link_loads(flows)
+    keys = [("link", link) for link in ids.tolist()]
     total = float(len(flows))
-    weights: dict[tuple, float] = {}
-    capacities: dict[tuple, float] = {}
-    for key, load in loads.items():
-        ledger_key = ("link",) + tuple(key)
-        weights[ledger_key] = load.flows / total
-        capacities[ledger_key] = load.link.bandwidth
+    weights = {key: count / total for key, count in zip(keys, counts.tolist())}
+    capacities = dict(zip(keys, topology._link_bandwidths(ids).tolist()))
     return weights, capacities
 
 

@@ -3,10 +3,10 @@
 The placement cost model of TAPIOCA only needs a handful of quantities from
 the interconnect: hop distances between nodes, the distance to the I/O
 gateway, link latencies and bandwidths.  The performance model additionally
-needs the *routes* taken by messages so it can count flows per link and model
-contention.  This package provides those quantities for the two platforms of
-the paper and a couple of extra topologies used to exercise the generic
-interface:
+needs the links each message's route crosses (as integer link ids) so it can
+count flows per link and model contention.  This package provides those
+quantities for the two platforms of the paper and a couple of extra
+topologies used to exercise the generic interface:
 
 * :class:`~repro.topology.torus.TorusTopology` — n-dimensional torus; the 5D
   configuration models the IBM BG/Q (Mira) partitions.
@@ -21,7 +21,7 @@ All topologies expose the same :class:`~repro.topology.base.Topology`
 interface.
 """
 
-from repro.topology.base import Link, Route, Topology
+from repro.topology.base import Topology
 from repro.topology.torus import TorusTopology
 from repro.topology.dragonfly import DragonflyTopology
 from repro.topology.fattree import FatTreeTopology
@@ -33,8 +33,6 @@ from repro.topology.mapping import (
 )
 
 __all__ = [
-    "Link",
-    "Route",
     "Topology",
     "TorusTopology",
     "DragonflyTopology",

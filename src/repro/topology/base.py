@@ -1,117 +1,40 @@
 """Abstract interconnect topology interface.
 
 Every concrete topology (torus, dragonfly, fat tree) implements
-:class:`Topology`.  The interface deliberately mirrors the quantities used in
-the paper's cost model (Section IV-B):
+:class:`Topology`.  The interface mirrors the quantities of the paper's cost
+model (Section IV-B, Listing 1's ``DistanceBetweenRanks``):
 
 * ``distance(a, b)`` — the number of hops ``d(u, v)``;
+* ``path_bandwidth(a, b)`` — ``B``, the narrowest link bandwidth on the
+  route, so a transfer costs ``l·d + ω/B`` (:meth:`Topology.transfer_time`);
 * ``latency()`` — the per-hop link latency ``l``;
-* ``link_bandwidth(link)`` — ``B_{i→j}`` for the link actually traversed;
-* ``route(a, b)`` — the sequence of links a message crosses, which the
-  flow-level performance model uses to count contending flows per link.
+* ``route_links(src, dst)`` — the links each route crosses, as integer link
+  ids, which the flow analysis and the contention ledger count flows over.
 
-Nodes are integers in ``range(num_nodes)``.  Routes may traverse auxiliary
-vertices (switches, routers); these are represented as hashable endpoint
-identifiers so that flow counting does not need to know the topology type.
+Nodes are integers in ``range(num_nodes)``.  A route is a row of link ids:
+within one topology two ids are equal exactly when they name the same
+directed link, whatever auxiliary vertex (router, switch) it leaves from.
 
-Caching and batching.  ``distance``/``route`` answers are memoised per
-topology instance (the uncached computations are ``_distance_impl`` /
-``_route_impl``), ``Link`` objects are interned (one object per directed
-link of the machine instead of a fresh allocation per route), and the batch
-queries :meth:`Topology.distances_from` / :meth:`Topology.path_bandwidths_from`
-/ :meth:`Topology.pair_metrics` / :meth:`Topology.route_links` let the cost
-model and the flow analysis evaluate whole candidate sets and flow patterns
-without per-pair Python dispatch.  Every concrete topology implements them
-with closed-form vectorised kernels (``_batch_distances`` /
-``_batch_path_bandwidths`` / ``_batch_route_links``) that equal the per-pair
-answers exactly.
+Every concrete topology answers with closed-form vectorised kernels:
+``_batch_distances`` and ``_batch_path_bandwidths`` for hop counts and
+bottleneck bandwidths (broadcast over pair tensors by
+:meth:`Topology.pair_metrics`), ``_batch_route_links`` for the link-id
+matrix and ``_link_bandwidths`` for each link's bandwidth.  The scalar
+``distance``/``path_bandwidth``/``transfer_time`` share one per-instance
+``(src, dst) → (hops, bandwidth)`` memo filled from the same kernels.
 """
 
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass
-from typing import Hashable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-#: A route endpoint: either a compute node id (int) or a tagged auxiliary
-#: vertex such as ``("router", 12)`` or ``("switch", 3)``.
-Endpoint = Hashable
-
-#: Cache-size caps.  The caches are cleared wholesale when they overflow —
-#: the access pattern (placement sweeps over a fixed node set) makes a
-#: full clear-and-refill far cheaper than per-entry LRU bookkeeping.
+#: Pair-memo cap.  The memo is cleared wholesale when it overflows — the
+#: access pattern (placement sweeps over a fixed node set) makes a full
+#: clear-and-refill far cheaper than per-entry LRU bookkeeping.
 _MAX_DISTANCE_CACHE = 1 << 20
-_MAX_ROUTE_CACHE = 1 << 18
-
-
-@dataclass(frozen=True)
-class Link:
-    """A directed link in the interconnect.
-
-    Attributes:
-        src: source endpoint (node id or tagged auxiliary vertex).
-        dst: destination endpoint.
-        kind: link class, e.g. ``"torus"``, ``"local"`` (electrical),
-            ``"global"`` (optical), ``"injection"`` (node to router/switch).
-        bandwidth: link bandwidth in bytes per second.
-    """
-
-    src: Endpoint
-    dst: Endpoint
-    kind: str
-    bandwidth: float
-
-    def reversed(self) -> "Link":
-        """Return the same link in the opposite direction."""
-        return Link(self.dst, self.src, self.kind, self.bandwidth)
-
-    @property
-    def key(self) -> tuple[Endpoint, Endpoint]:
-        """Hashable (src, dst) pair identifying this directed link."""
-        return (self.src, self.dst)
-
-
-@dataclass(frozen=True)
-class LinkLoad:
-    """Flow count on one directed link (per-link flow accounting).
-
-    Attributes:
-        link: the directed link.
-        flows: number of flows whose deterministic route traverses it.
-    """
-
-    link: Link
-    flows: int
-
-
-@dataclass(frozen=True)
-class Route:
-    """The path a message takes between two compute nodes.
-
-    Attributes:
-        src: source node id.
-        dst: destination node id.
-        links: ordered sequence of :class:`Link` traversed.  Empty when the
-            source and destination are the same node (intra-node transfer).
-    """
-
-    src: int
-    dst: int
-    links: tuple[Link, ...]
-
-    @property
-    def hops(self) -> int:
-        """Number of network links traversed."""
-        return len(self.links)
-
-    @property
-    def min_bandwidth(self) -> float:
-        """Bandwidth of the narrowest link on the route (inf for self-routes)."""
-        if not self.links:
-            return float("inf")
-        return min(link.bandwidth for link in self.links)
 
 
 class Topology(abc.ABC):
@@ -159,47 +82,33 @@ class Topology(abc.ABC):
     # Metric quantities used by the cost model
     # ------------------------------------------------------------------ #
 
-    def distance(self, src: int, dst: int) -> int:
-        """Number of hops ``d(src, dst)`` between two compute nodes.
+    def _pair(self, src: int, dst: int) -> tuple[int, float]:
+        """Memoised ``(hops, bottleneck bandwidth)`` of one node pair.
 
-        Memoised per instance; the uncached computation lives in
-        :meth:`_distance_impl`.
+        Both nodes are validated on a miss (self-pairs too), which is then
+        filled from the closed-form batch kernels as plain Python numbers.
         """
-        cache = self.__dict__.get("_fp_distances")
+        cache = self.__dict__.get("_fp_pairs")
         if cache is None:
-            cache = self.__dict__["_fp_distances"] = {}
+            cache = self.__dict__["_fp_pairs"] = {}
         key = (src, dst)
         hit = cache.get(key)
         if hit is None:
+            self.validate_node(src, "src")
+            self.validate_node(dst, "dst")
+            ids = np.array([dst], dtype=np.int64)
+            hit = (
+                int(self._batch_distances(src, ids)[0]),
+                float(self._batch_path_bandwidths(src, ids)[0]),
+            )
             if len(cache) >= _MAX_DISTANCE_CACHE:
                 cache.clear()
-            hit = cache[key] = self._distance_impl(src, dst)
+            cache[key] = hit
         return hit
 
-    def route(self, src: int, dst: int) -> Route:
-        """The deterministic (minimal) route between two compute nodes.
-
-        Memoised per instance; the uncached computation lives in
-        :meth:`_route_impl`.
-        """
-        cache = self.__dict__.get("_fp_routes")
-        if cache is None:
-            cache = self.__dict__["_fp_routes"] = {}
-        key = (src, dst)
-        hit = cache.get(key)
-        if hit is None:
-            if len(cache) >= _MAX_ROUTE_CACHE:
-                cache.clear()
-            hit = cache[key] = self._route_impl(src, dst)
-        return hit
-
-    @abc.abstractmethod
-    def _distance_impl(self, src: int, dst: int) -> int:
-        """Uncached hop count between two compute nodes."""
-
-    @abc.abstractmethod
-    def _route_impl(self, src: int, dst: int) -> Route:
-        """Uncached deterministic route between two compute nodes."""
+    def distance(self, src: int, dst: int) -> int:
+        """Number of hops ``d(src, dst)`` between two compute nodes."""
+        return self._pair(src, dst)[0]
 
     @abc.abstractmethod
     def latency(self) -> float:
@@ -212,30 +121,6 @@ class Topology(abc.ABC):
         ``kind="default"`` returns the bandwidth of the most common
         node-to-node link class; concrete topologies document their classes.
         """
-
-    # ------------------------------------------------------------------ #
-    # Link interning
-    # ------------------------------------------------------------------ #
-
-    def _intern_link(
-        self, src: Endpoint, dst: Endpoint, kind: str, bandwidth: float
-    ) -> Link:
-        """One shared :class:`Link` object per directed link of the machine.
-
-        Routes traverse the same physical links over and over; interning
-        keeps one frozen ``Link`` per ``(src, dst, kind)`` instead of
-        allocating an identical object on every ``route()`` call.  Interning
-        is keyed per topology instance, so two machines with different link
-        bandwidths never share objects.
-        """
-        pool = self.__dict__.get("_fp_links")
-        if pool is None:
-            pool = self.__dict__["_fp_links"] = {}
-        key = (src, dst, kind)
-        link = pool.get(key)
-        if link is None:
-            link = pool[key] = Link(src, dst, kind, bandwidth)
-        return link
 
     # ------------------------------------------------------------------ #
     # Batch queries (the placement cost model)
@@ -289,11 +174,11 @@ class Topology(abc.ABC):
         Returns an int64 ``(flows, slots)`` matrix with one fixed slot per
         hop a route of this topology can take (``slots`` is the longest
         possible route).  Row ``i``'s non-negative entries, read left to
-        right, are the links of ``route(src[i], dst[i])``; slots that route
-        skips hold ``-1`` (a self-pair's row is all ``-1``).  Within one
-        topology two ids are equal exactly when they name the same directed
-        link, so flow counting is a reduction over ids instead of a walk
-        over :class:`Link` objects.
+        right, are the links ``src[i]``'s message crosses to ``dst[i]``;
+        slots that route skips hold ``-1`` (a self-pair's row is all
+        ``-1``).  Within one topology two ids are equal exactly when they
+        name the same directed link, so flow counting is a reduction over
+        ids; :meth:`_link_bandwidths` gives each id's bandwidth.
         """
         src, dst = self._as_node_array(src), self._as_node_array(dst)
         if src.shape != dst.shape or src.ndim != 1:
@@ -305,6 +190,10 @@ class Topology(abc.ABC):
     @abc.abstractmethod
     def _batch_route_links(self, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
         """Closed-form :meth:`route_links` over validated, equal-length ids."""
+
+    @abc.abstractmethod
+    def _link_bandwidths(self, ids: np.ndarray) -> np.ndarray:
+        """Bandwidth (float64, bytes/s) of each link id of :meth:`route_links`."""
 
     def pair_metrics(self, sources, targets) -> tuple[np.ndarray, np.ndarray]:
         """``(hops, bandwidths)`` from each entry of a row of ``sources`` to
@@ -330,51 +219,42 @@ class Topology(abc.ABC):
     # ------------------------------------------------------------------ #
 
     def path_bandwidth(self, src: int, dst: int) -> float:
-        """Bandwidth of the narrowest link on the route from src to dst."""
-        if src == dst:
-            return float("inf")
-        return self.route(src, dst).min_bandwidth
+        """Bandwidth of the narrowest link on the route (``inf`` on self)."""
+        return self._pair(src, dst)[1]
 
     def transfer_time(self, src: int, dst: int, nbytes: float) -> float:
         """Uncontended time to move ``nbytes`` from ``src`` to ``dst``.
 
         This is the latency/bandwidth model used by the paper's cost terms:
         ``l * d(src, dst) + nbytes / B_{src→dst}``.  Intra-node transfers are
-        modelled as free (the cost model only counts network movement).
+        free (zero hops over an infinite bandwidth): the cost model only
+        counts network movement.
         """
-        if src == dst:
-            return 0.0
-        hops = self.distance(src, dst)
-        return self.latency() * hops + float(nbytes) / self.path_bandwidth(src, dst)
+        hops, bandwidth = self._pair(src, dst)
+        return self.latency() * hops + float(nbytes) / bandwidth
 
     def link_loads(
         self, flows: Iterable[tuple[int, int]]
-    ) -> dict[tuple[Endpoint, Endpoint], LinkLoad]:
+    ) -> tuple[np.ndarray, np.ndarray]:
         """Per-link flow accounting over the deterministic routes of ``flows``.
 
         Args:
-            flows: ``(src, dst)`` node pairs; self-flows are ignored (they do
-                not touch the network).
+            flows: ``(src, dst)`` node pairs; self-flows cross no link.
 
         Returns:
-            Mapping from directed link key to the :class:`LinkLoad` counting
-            how many of the given flows traverse that link.  This is the
-            primitive the multi-job contention ledger uses to decide which
-            links two concurrent jobs share.
+            ``(ids, counts)`` int64 arrays: each link id that any flow
+            crosses and how many of the flows cross it, in first-traversal
+            order (flows in the given order, each along its route).  This is
+            the primitive the multi-job contention ledger uses to decide
+            which links two concurrent jobs share, and that order is the
+            order it registers them in.
         """
-        # Accumulate plain counters and materialise one LinkLoad per link at
-        # the end instead of allocating a fresh frozen dataclass on every
-        # increment (large background-flow sets hit each link many times).
-        counts: dict[tuple[Endpoint, Endpoint], int] = {}
-        links: dict[tuple[Endpoint, Endpoint], Link] = {}
-        for src, dst in flows:
-            if src == dst:
-                continue
-            for link in self.route(src, dst).links:
-                key = link.key
-                counts[key] = counts.get(key, 0) + 1
-                links[key] = link
-        return {key: LinkLoad(links[key], count) for key, count in counts.items()}
+        pairs = np.array(list(flows), dtype=np.int64).reshape(-1, 2)
+        links = self.route_links(pairs[:, 0], pairs[:, 1]).ravel()
+        links = links[links >= 0]
+        ids, first, counts = np.unique(links, return_index=True, return_counts=True)
+        order = np.argsort(first)
+        return ids[order], counts[order]
 
     def average_distance(self, nodes: Iterable[int] | None = None) -> float:
         """Mean pairwise hop distance over ``nodes`` (defaults to all nodes).

@@ -11,18 +11,18 @@ Theta's interconnect is an Aries dragonfly (paper, Section V-A2):
   links (local, global, local).
 
 Nodes are numbered ``group * routers_per_group * nodes_per_router + router *
-nodes_per_router + slot``.  Auxiliary route endpoints are tagged tuples
-``("router", router_id)`` so flow counting can distinguish injection, local
-and global links.
+nodes_per_router + slot``.  Link ids (:meth:`DragonflyTopology._batch_route_links`)
+number injection, ejection and router-to-router links apart, and a
+router-to-router link is local or global by its two routers' groups.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from repro.topology.base import Endpoint, Link, LinkLoad, Route, Topology
+from repro.topology.base import Topology
 from repro.utils.units import gbps
 from repro.utils.validation import require, require_positive
 
@@ -159,37 +159,9 @@ class DragonflyTopology(Topology):
         local_index = dst_group % self._routers_per_group
         return src_group * self._routers_per_group + local_index
 
-    def router_distance(self, router_a: int, router_b: int) -> int:
-        """Minimal number of router-to-router links between two routers."""
-        if router_a == router_b:
-            return 0
-        group_a = router_a // self._routers_per_group
-        group_b = router_b // self._routers_per_group
-        if group_a == group_b:
-            return 1  # all-to-all within the group
-        hops = 1  # the global link itself
-        gw_a = self._gateway_router(group_a, group_b)
-        gw_b = self._gateway_router(group_b, group_a)
-        if gw_a != router_a:
-            hops += 1  # local hop to the gateway router
-        if gw_b != router_b:
-            hops += 1  # local hop from the remote gateway to the destination
-        return hops
-
-    def _distance_impl(self, src: int, dst: int) -> int:
-        """Router-to-router hops between the nodes' routers (0 if same router).
-
-        This matches the paper's statement that the minimal node-to-node
-        distance on the XC40 is at most three hops.
-        """
-        self.validate_node(src, "src")
-        self.validate_node(dst, "dst")
-        if src == dst:
-            return 0
-        return self.router_distance(self.router_of(src), self.router_of(dst))
-
     def _batch_distances(self, node, ids: np.ndarray) -> np.ndarray:
-        """Closed-form hops from the dragonfly's group arithmetic.
+        """Closed-form router-to-router hops (0 on one router): at most
+        three, the paper's minimal node-to-node distance on the XC40.
 
         Same group: one local hop unless the routers coincide.  Different
         groups: the global link, plus a local hop at either end whenever the
@@ -272,62 +244,20 @@ class DragonflyTopology(Topology):
         links[:, src == dst] = -1
         return links.T
 
-    def _router_path(self, router_a: int, router_b: int) -> list[tuple[int, int, str]]:
-        """Sequence of (router, router, kind) hops between two routers."""
-        if router_a == router_b:
-            return []
-        group_a = router_a // self._routers_per_group
-        group_b = router_b // self._routers_per_group
-        if group_a == group_b:
-            return [(router_a, router_b, "local")]
-        gw_a = self._gateway_router(group_a, group_b)
-        gw_b = self._gateway_router(group_b, group_a)
-        path: list[tuple[int, int, str]] = []
-        if router_a != gw_a:
-            path.append((router_a, gw_a, "local"))
-        path.append((gw_a, gw_b, "global"))
-        if gw_b != router_b:
-            path.append((gw_b, router_b, "local"))
-        return path
-
-    def _route_impl(self, src: int, dst: int) -> Route:
-        self.validate_node(src, "src")
-        self.validate_node(dst, "dst")
-        if src == dst:
-            return Route(src, dst, ())
-        router_src = self.router_of(src)
-        router_dst = self.router_of(dst)
-        links: list[Link] = [
-            self._intern_link(
-                src, ("router", router_src), "injection", self._injection_bw
-            )
-        ]
-        for a, b, kind in self._router_path(router_src, router_dst):
-            bandwidth = self._local_bw if kind == "local" else self._global_bw
-            links.append(
-                self._intern_link(("router", a), ("router", b), kind, bandwidth)
-            )
-        links.append(
-            self._intern_link(("router", router_dst), dst, "ejection", self._injection_bw)
+    def _link_bandwidths(self, ids: np.ndarray) -> np.ndarray:
+        """Injection and ejection ids (``< 2N``) carry the injection
+        bandwidth; a router link ``2N + a·R + b`` is local when routers
+        ``a`` and ``b`` share a group and global otherwise."""
+        ids = np.asarray(ids, dtype=np.int64)
+        router_a, router_b = np.divmod(ids - 2 * self.num_nodes, self.num_routers)
+        same_group = router_a // self._routers_per_group == (
+            router_b // self._routers_per_group
         )
-        return Route(src, dst, tuple(links))
-
-    def global_link_loads(
-        self, flows: Iterable[tuple[int, int]]
-    ) -> dict[tuple[Endpoint, Endpoint], LinkLoad]:
-        """Flow accounting restricted to the scarce optical inter-group links.
-
-        The dragonfly's global links are the resource concurrent jobs are
-        most likely to fight over (each group pair is served by a single
-        optical link in this model).  Analysis/diagnostics helper: the
-        contention ledger itself consumes the full :meth:`link_loads`
-        accounting; this view isolates the optical subset of it.
-        """
-        return {
-            key: load
-            for key, load in self.link_loads(flows).items()
-            if load.link.kind == "global"
-        }
+        return np.where(
+            ids < 2 * self.num_nodes,
+            self._injection_bw,
+            np.where(same_group, self._local_bw, self._global_bw),
+        ).astype(np.float64)
 
     def latency(self) -> float:
         return self._latency

@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.topology.base import Link, Route, Topology
+from repro.topology.base import Topology
 from repro.utils.units import gbps
 from repro.utils.validation import require, require_positive
 
@@ -101,16 +101,6 @@ class FatTreeTopology(Topology):
     # Metrics
     # ------------------------------------------------------------------ #
 
-    def _distance_impl(self, src: int, dst: int) -> int:
-        """Switch-to-switch hops: 0 same node, 1 same leaf, 2 via a spine."""
-        self.validate_node(src, "src")
-        self.validate_node(dst, "dst")
-        if src == dst:
-            return 0
-        if self.leaf_of(src) == self.leaf_of(dst):
-            return 1
-        return 2
-
     def _batch_distances(self, node, ids: np.ndarray) -> np.ndarray:
         """Closed form: 0 same node, 1 same leaf, 2 via a spine."""
         same_leaf = (ids // self._nodes_per_leaf) == node // self._nodes_per_leaf
@@ -121,8 +111,9 @@ class FatTreeTopology(Topology):
         return np.where(ids == node, np.inf, self._bandwidth)
 
     def _batch_route_links(self, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
-        """Closed-form route in four slots: injection, uplink to the hashed
-        spine, downlink, ejection; same-leaf routes skip the spine slots.
+        """Closed-form route in four slots: injection, uplink to spine
+        ``(leaf_a + leaf_b) % S`` (a static ECMP hash), downlink, ejection;
+        same-leaf routes skip the spine slots.
 
         Link ids: injection out of node ``n`` is ``n``, ejection into it is
         ``N + n``, uplink ``leaf -> spine`` is ``2N + leaf·S + spine`` and
@@ -143,36 +134,9 @@ class FatTreeTopology(Topology):
         links[:, src == dst] = -1
         return links.T
 
-    def _spine_for(self, src_leaf: int, dst_leaf: int) -> int:
-        """Deterministic spine choice for a leaf pair (static ECMP hash)."""
-        return (src_leaf + dst_leaf) % self._spines
-
-    def _route_impl(self, src: int, dst: int) -> Route:
-        self.validate_node(src, "src")
-        self.validate_node(dst, "dst")
-        if src == dst:
-            return Route(src, dst, ())
-        leaf_src = self.leaf_of(src)
-        leaf_dst = self.leaf_of(dst)
-        links: list[Link] = [
-            self._intern_link(src, ("leaf", leaf_src), "injection", self._bandwidth)
-        ]
-        if leaf_src != leaf_dst:
-            spine = self._spine_for(leaf_src, leaf_dst)
-            links.append(
-                self._intern_link(
-                    ("leaf", leaf_src), ("spine", spine), "uplink", self._bandwidth
-                )
-            )
-            links.append(
-                self._intern_link(
-                    ("spine", spine), ("leaf", leaf_dst), "downlink", self._bandwidth
-                )
-            )
-        links.append(
-            self._intern_link(("leaf", leaf_dst), dst, "ejection", self._bandwidth)
-        )
-        return Route(src, dst, tuple(links))
+    def _link_bandwidths(self, ids: np.ndarray) -> np.ndarray:
+        """Every fat-tree link has the same bandwidth."""
+        return np.full(np.shape(ids), self._bandwidth, dtype=np.float64)
 
     def latency(self) -> float:
         return self._latency

@@ -11,11 +11,11 @@ measures).
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from repro.topology.base import Link, Route, Topology
+from repro.topology.base import Topology
 from repro.utils.units import gbps
 from repro.utils.validation import require, require_positive
 
@@ -116,33 +116,6 @@ class TorusTopology(Topology):
     # Metrics
     # ------------------------------------------------------------------ #
 
-    @staticmethod
-    def _ring_distance(a: int, b: int, size: int) -> int:
-        """Shortest distance between two positions on a ring of ``size``."""
-        diff = abs(a - b)
-        return min(diff, size - diff)
-
-    @staticmethod
-    def _ring_step(a: int, b: int, size: int) -> int:
-        """Direction (+1/-1) of the shortest path from a to b on a ring.
-
-        Ties (exactly half way around an even ring) are broken towards +1,
-        which matches a deterministic routing choice.
-        """
-        if a == b:
-            return 0
-        forward = (b - a) % size
-        backward = (a - b) % size
-        return +1 if forward <= backward else -1
-
-    def _distance_impl(self, src: int, dst: int) -> int:
-        src_coords = self.coordinates(src)
-        dst_coords = self.coordinates(dst)
-        return sum(
-            self._ring_distance(a, b, dim)
-            for a, b, dim in zip(src_coords, dst_coords, self._dims)
-        )
-
     def _batch_distances(self, node, ids: np.ndarray) -> np.ndarray:
         """Closed-form hop count: per-axis shortest ring distance, summed.
 
@@ -167,7 +140,8 @@ class TorusTopology(Topology):
         leaves and ``dir`` is 1 for a ``-1`` step.  Axis ``a``'s walk starts
         at the node whose earlier axes are already ``dst``'s and whose later
         axes are still ``src``'s, and takes ``min(forward, backward)`` steps
-        the way :meth:`_ring_step` picks (ties go ``+1``).  On a ring of two
+        in the shorter direction (ties, exactly half way round an even ring,
+        go ``+1``: a deterministic routing choice).  On a ring of two
         both directions reach the same neighbour, but ties always step
         ``+1`` there, so one link never gets two ids.
         """
@@ -186,23 +160,9 @@ class TorusTopology(Topology):
             blocks.append(np.where(t < count[:, None], ids, -1))
         return np.concatenate(blocks, axis=1)
 
-    def _route_impl(self, src: int, dst: int) -> Route:
-        """Dimension-order route: correct each dimension in turn."""
-        self.validate_node(src, "src")
-        self.validate_node(dst, "dst")
-        if src == dst:
-            return Route(src, dst, ())
-        links: list[Link] = []
-        current = list(self.coordinates(src))
-        dst_coords = self.coordinates(dst)
-        for axis, dim in enumerate(self._dims):
-            step = self._ring_step(current[axis], dst_coords[axis], dim)
-            while current[axis] != dst_coords[axis]:
-                here = self.node_from_coordinates(current)
-                current[axis] = (current[axis] + step) % dim
-                there = self.node_from_coordinates(current)
-                links.append(self._intern_link(here, there, "torus", self._bandwidth))
-        return Route(src, dst, tuple(links))
+    def _link_bandwidths(self, ids: np.ndarray) -> np.ndarray:
+        """Every torus link has the same bandwidth."""
+        return np.full(np.shape(ids), self._bandwidth, dtype=np.float64)
 
     def latency(self) -> float:
         return self._latency
@@ -211,30 +171,6 @@ class TorusTopology(Topology):
         if kind in ("default", "torus"):
             return self._bandwidth
         raise ValueError(f"unknown link kind {kind!r} for a torus")
-
-    def links_within(self, nodes: Iterable[int]) -> list[Link]:
-        """Directed torus links with both endpoints inside ``nodes``.
-
-        These are the links a torus *partition* owns outright: traffic
-        between two members of a contiguous sub-box allocation stays on them
-        (minimal ring routing never leaves a box smaller than half of each
-        ring), so a contiguous allocation shares no links with other jobs,
-        while scattered allocations own far fewer internal links than their
-        traffic needs.  Analysis/diagnostics helper (the contention ledger
-        consumes :meth:`link_loads` instead); tests use it to prove the
-        sub-box isolation property.
-        """
-        member = set(nodes)
-        for node in member:
-            self.validate_node(node)
-        links: list[Link] = []
-        for node in sorted(member):
-            for neighbor in self.neighbors(node):
-                if neighbor in member:
-                    links.append(
-                        self._intern_link(node, neighbor, "torus", self._bandwidth)
-                    )
-        return links
 
     # ------------------------------------------------------------------ #
     # Convenience constructors

@@ -3,7 +3,7 @@
 :func:`repro.perfmodel.flows.analyze_flows` computes the per-aggregator
 contention, distance and bottleneck bandwidth as array reductions over the
 topology's route-link ids; :func:`analyze_flows` here walks one
-:class:`~repro.topology.base.Route` per sender and must give the same three
+:func:`reference.routes.route` per sender and must give the same three
 dictionaries, key order included.  It is not memoised.
 """
 
@@ -12,6 +12,8 @@ from __future__ import annotations
 from repro.perfmodel.flows import FlowAnalysis
 from repro.topology.base import Topology
 from repro.utils.validation import require
+
+from reference import routes as reference_routes
 
 
 def sampled_senders(
@@ -40,10 +42,12 @@ def analyze_flows(
     routes_by_aggregator: dict[int, list] = {}
     for aggregator, senders in senders_by_aggregator.items():
         senders = sampled_senders(senders, aggregator, max_senders_per_aggregator)
-        routes = [topology._route_impl(sender, aggregator) for sender in senders]
+        routes = [
+            reference_routes.route(topology, sender, aggregator) for sender in senders
+        ]
         for route in routes:
-            for link in route.links:
-                aggregators_on_link.setdefault(link.key, set()).add(aggregator)
+            for link in route:
+                aggregators_on_link.setdefault(link[:2], set()).add(aggregator)
         routes_by_aggregator[aggregator] = routes
     # Second pass: per-aggregator contention, distance and bottleneck
     # bandwidth.
@@ -55,11 +59,11 @@ def analyze_flows(
         min_bandwidth = float("inf")
         total_hops = 0
         for route in routes:
-            for link in route.links:
-                sharing = sharing_of_link.get(link.key, 1)
+            for link in route:
+                sharing = sharing_of_link.get(link[:2], 1)
                 worst_sharing = max(worst_sharing, float(sharing))
-                min_bandwidth = min(min_bandwidth, link.bandwidth)
-            total_hops += route.hops
+                min_bandwidth = min(min_bandwidth, link[3])
+            total_hops += len(route)
         analysis.aggregator_contention[aggregator] = worst_sharing
         analysis.aggregator_distance[aggregator] = (
             total_hops / len(routes) if routes else 0.0

@@ -76,6 +76,14 @@ class TestWorkflowShape:
         assert interference, "smoke job must gate on an interference_* experiment"
         assert "--scale 8" in interference[0]
 
+    def test_smoke_job_gates_on_link_sharing_by_ledger_key(self, workflow):
+        """interference_alloc_policy's checks count the links two jobs share
+        by ledger key, so the smoke job runs it as its own command."""
+        commands = [s.get("run", "") for s in workflow["jobs"]["smoke"]["steps"]]
+        assert any(
+            "repro run interference_alloc_policy --scale 8" in c for c in commands
+        )
+
     def test_smoke_job_gates_on_a_scenario_json_run(self, workflow):
         commands = [
             s.get("run", "") for s in workflow["jobs"]["smoke"]["steps"]
@@ -253,7 +261,7 @@ class TestWorkflowShape:
         commands = [s.get("run", "") for s in steps]
         interference = [c for c in commands if "repro run interference_" in c]
         assert interference, "smoke job must run an interference experiment"
-        assert interference[0].count("repro run interference_") == 1
+        assert all(c.count("repro run interference_") == 1 for c in interference)
         # The contention engine has one implementation; no step may switch
         # the program onto another path through the environment.
         for step in steps:

