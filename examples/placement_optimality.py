@@ -4,17 +4,15 @@
 TAPIOCA elects each partition's aggregator independently (Section IV-B) —
 optimal when partitions do not interact, but co-located aggregators share
 their node's injection link.  This example builds the coupled assignment
-problem for a HACC-IO write on Theta at 64 nodes and solves it three ways:
+problem for a HACC-IO write on Theta at 64 nodes and solves it two ways:
 
 * greedy  — the paper's per-partition argmin (the reproduction's default);
-* exact   — branch-and-bound, which *certifies* the optimum at this size;
-* anneal  — simulated-annealing local search, warm-started from greedy.
+* exact   — branch-and-bound, which *proves* the optimum.
 
 Run with:  python examples/placement_optimality.py
 """
 
 from repro.placement_opt import (
-    anneal,
     assignment_cost,
     branch_and_bound,
     greedy_choice,
@@ -38,7 +36,6 @@ print(
 greedy = greedy_choice(problem)
 greedy_cost = assignment_cost(problem, greedy)
 exact = branch_and_bound(problem, warm_start=greedy)
-annealed = anneal(problem, seed=2017, warm_start=greedy)
 
 table = Table(
     headers=["solver", "aggregation cost (ms)", "gap vs greedy (%)", "notes"],
@@ -50,17 +47,16 @@ for name, cost, notes in [
         "exact",
         exact.cost_s,
         (
-            f"{'certified optimum' if exact.proven_optimal else 'best effort'}, "
+            f"{'proven optimum' if exact.proven_optimal else 'best effort'}, "
             f"{exact.nodes_explored:,} nodes explored"
         ),
     ),
-    ("anneal", annealed.cost_s, f"{annealed.flips:,} flips, warm-started"),
 ]:
     gap = 100.0 * (greedy_cost - cost) / greedy_cost if greedy_cost else 0.0
     table.add_row(name, round(cost * 1e3, 4), round(gap, 4), notes)
 
 print(table.render())
-assert annealed.cost_s <= greedy_cost * (1 + 1e-9), "anneal must not lose to greedy"
+assert exact.cost_s <= greedy_cost * (1 + 1e-9), "exact must not lose to greedy"
 if exact.proven_optimal:
     gap = 100.0 * max(0.0, greedy_cost - exact.cost_s) / greedy_cost
     print(
@@ -71,5 +67,6 @@ if exact.proven_optimal:
 else:
     print(
         "\nBranch-and-bound hit its node limit before proving the optimum; "
-        "the exact row is a best-effort bound."
+        "the exact row is a best-effort bound (lower bound "
+        f"{exact.lower_bound_s * 1e3:.4f} ms)."
     )

@@ -14,8 +14,7 @@ strategies stay pure search logic:
   ``--scale`` fidelity (fewer nodes), keep the top ``1/eta``, and re-rank
   at successively finer fidelities until the survivors run at full scale;
 * :class:`Anneal` — a Metropolis walk over single-field mutations with
-  geometric cooling, the scenario-space sibling of the placement annealer
-  in :mod:`repro.placement_opt.anneal`.
+  geometric cooling and re-heats.
 
 All randomness flows through :func:`repro.utils.rng.derive_seed`
 substreams, so a tuning trace is a pure function of ``(target, strategy,

@@ -3,20 +3,18 @@
 How far from optimal is the paper's greedy aggregator election?  Four cells
 — Theta (dragonfly) at two node counts, Mira (5-D torus) at two node counts
 — each build the aggregator-node assignment problem of
-:mod:`repro.placement_opt` and compare three solvers under the coupled
+:mod:`repro.placement_opt` and compare two solvers under the coupled
 objective (co-located aggregators share their node's injection link):
 
 * **greedy** — the paper's independent per-partition election;
-* **exact** — branch-and-bound, run on cells at or below
-  :data:`~repro.placement_opt.certify.EXACT_NODE_LIMIT` nodes, where it
-  *certifies* the gap (0 or a reported positive percentage);
-* **anneal** — the simulated-annealing local search, run on every cell,
-  warm-started from greedy (so it can only match or beat it).
+* **exact** — branch-and-bound, warm-started from greedy and run on every
+  cell; a proven cell's gap is exact (0 or a reported positive percentage).
 
-The reported gap per cell is measured against the best placement found
-(the certified optimum where exact ran).  With ``placement.certify=true``
-the worst cell gap also lands in the artifact envelope's
-``optimality_gap`` field, like any other certified experiment.
+A cell the search-node budget cannot prove reports its incumbent and its
+lower bound, gets no "certified gap" point, and fails the proof check.
+With ``placement.certify=true`` the worst cell gap also lands in the
+artifact envelope's ``optimality_gap`` field, like any other certified
+experiment.
 """
 
 from __future__ import annotations
@@ -24,10 +22,7 @@ from __future__ import annotations
 from typing import Any, Mapping
 
 from repro.experiments.results import ExperimentResult, Series
-from repro.placement_opt.anneal import anneal
-from repro.placement_opt.certify import EXACT_NODE_LIMIT, problem_for_scenario
-from repro.placement_opt.exact import branch_and_bound
-from repro.placement_opt.problem import assignment_cost, greedy_choice
+from repro.placement_opt.certify import certify_problem, problem_for_scenario
 from repro.scenario.registry import register_scenario
 from repro.scenario.spec import (
     IOStrategySpec,
@@ -37,7 +32,6 @@ from repro.scenario.spec import (
     WorkloadSpec,
 )
 from repro.scenario.sweep import Sweep, axis, zipped
-from repro.utils.rng import derive_seed
 from repro.utils.scaling import scaled_nodes
 from repro.utils.units import MIB
 
@@ -83,82 +77,49 @@ def placement_optimality(
 
     Greedy is globally optimal under the paper's separable objective; the
     coupled objective (injection-link sharing between co-located
-    aggregators) is where it can lose, and this experiment measures by how
-    much — exactly where the machine is small enough, by annealing above
-    that.
+    aggregators) is where it can lose, and this experiment proves by how
+    much with branch-and-bound on every cell.
     """
     base = placement_optimality_scenario(scale).with_overrides(overrides)
     sweep = Sweep(_cell_axes(scale))
     sweep.reject_overrides(overrides)
     nodes_series = Series("machine nodes")
     greedy_series = Series("greedy cost (ms)")
-    anneal_series = Series("anneal cost (ms)")
     exact_series = Series("exact cost (ms)")
     gap_series = Series("certified gap (%)")
     cells = []
     worst_gap = 0.0
     gap_nonnegative = True
-    anneal_never_worse = True
-    anneal_respects_optimum = True
-    exact_proven_in_limit = True
+    all_proven = True
     for index, scenario in enumerate(sweep.expand(base)):
         problem, machine_nodes = problem_for_scenario(scenario)
-        greedy = greedy_choice(problem)
-        greedy_cost = assignment_cost(problem, greedy)
-        solution = anneal(
-            problem,
-            seed=derive_seed(base.placement.seed, "placement_optimality", index),
-            warm_start=greedy,
-        )
-        best_cost = solution.cost_s
-        method = "anneal"
-        if machine_nodes <= EXACT_NODE_LIMIT:
-            exact = branch_and_bound(problem, warm_start=greedy)
-            exact_series.add(index, exact.cost_s * 1e3)
-            exact_proven_in_limit &= exact.proven_optimal
-            anneal_respects_optimum &= (
-                not exact.proven_optimal
-                or solution.cost_s >= exact.cost_s * (1.0 - _RTOL)
-            )
-            if exact.cost_s < best_cost:
-                best_cost = exact.cost_s
-                method = "exact"
-            elif exact.proven_optimal:
-                method = "exact"
-        gap = 0.0
-        if greedy_cost > 0.0:
-            gap = max(0.0, (greedy_cost - best_cost) / greedy_cost)
-        worst_gap = max(worst_gap, gap)
-        gap_nonnegative &= best_cost <= greedy_cost * (1.0 + _RTOL)
-        anneal_never_worse &= solution.cost_s <= greedy_cost * (1.0 + _RTOL)
+        certificate = certify_problem(problem, machine_nodes=machine_nodes)
+        greedy_cost = certificate.greedy_cost_s
+        worst_gap = max(worst_gap, certificate.gap)
+        gap_nonnegative &= certificate.best_cost_s <= greedy_cost * (1.0 + _RTOL)
+        all_proven &= certificate.proven_optimal
         nodes_series.add(index, machine_nodes)
         greedy_series.add(index, greedy_cost * 1e3)
-        anneal_series.add(index, solution.cost_s * 1e3)
-        gap_series.add(index, round(100.0 * gap, 6))
-        cells.append(f"{scenario.machine.kind}@{machine_nodes} ({method})")
+        exact_series.add(index, certificate.best_cost_s * 1e3)
+        if certificate.proven_optimal:
+            gap_series.add(index, round(certificate.gap_percent, 6))
+            status = "proven"
+        else:
+            status = (
+                f"unproven, lower bound {certificate.lower_bound_s * 1e3:.6g} ms"
+            )
+        cells.append(f"{scenario.machine.kind}@{machine_nodes} ({status})")
     result = ExperimentResult(
         experiment_id=base.id,
         title=base.title,
         machine="Theta (Cray XC40) + Mira (IBM BG/Q)",
         x_label="cell index",
-        series=[
-            nodes_series,
-            greedy_series,
-            anneal_series,
-            exact_series,
-            gap_series,
-        ],
+        series=[nodes_series, greedy_series, exact_series, gap_series],
         checks={
             "the best placement never costs more than greedy (gap >= 0)": (
                 gap_nonnegative
             ),
-            "annealing matches or beats its greedy warm start on every cell": (
-                anneal_never_worse
-            ),
-            "annealing never beats a certified optimum": anneal_respects_optimum,
-            f"exact certifies every cell at or below {EXACT_NODE_LIMIT} nodes": (
-                exact_proven_in_limit
-            ),
+            "branch-and-bound proves every cell optimal": all_proven,
         },
         paper_reference=(
             "ROADMAP item 1: model placement as an assignment problem; the "
@@ -168,9 +129,7 @@ def placement_optimality(
         ),
     )
     result.notes = (
-        "Cells: "
-        + ", ".join(cells)
-        + f"; exact node limit {EXACT_NODE_LIMIT}; anneal warm-started from greedy"
+        "Cells: " + ", ".join(cells) + "; branch-and-bound warm-started from greedy"
     )
     if base.placement.certify:
         result.optimality_gap = worst_gap
@@ -180,5 +139,5 @@ def placement_optimality(
 register_scenario(
     "placement_optimality",
     placement_optimality_scenario,
-    "greedy vs exact vs anneal placement, base Theta cell",
+    "greedy vs exact placement, base Theta cell",
 )

@@ -1,4 +1,4 @@
-"""Optimal aggregator placement: exact search, local search, certificates.
+"""Optimal aggregator placement: exact search and optimality certificates.
 
 The paper elects each partition's aggregator independently (a greedy argmin
 of the C1+C2 objective, Section IV-B).  Under the paper's separable
@@ -11,13 +11,12 @@ vocabulary as :class:`repro.core.cost_model.ContentionFactors`).  With no
 co-location the coupled objective equals the sum of the paper's TopoAware
 values, and the greedy placement is provably optimal.
 
-Three solvers operate on a :class:`~repro.placement_opt.problem.PlacementProblem`:
+Two solvers operate on a :class:`~repro.placement_opt.problem.PlacementProblem`:
 
 * :func:`~repro.placement_opt.problem.greedy_choice` — the paper's election;
-* :func:`~repro.placement_opt.exact.branch_and_bound` — exact search with
-  admissible lower bounds, symmetry breaking and safe variable fixing;
-* :func:`~repro.placement_opt.anneal.anneal` — simulated-annealing flip/swap
-  local search warm-started from the greedy solution.
+* :func:`~repro.placement_opt.exact.branch_and_bound` — exact search over
+  the connected components of the partition–candidate-node graph, with
+  admissible lower bounds and symmetry breaking, warm-started from greedy.
 
 :mod:`~repro.placement_opt.certify` turns a scenario into an
 :class:`~repro.placement_opt.certify.OptimalityCertificate` (the
@@ -25,9 +24,7 @@ Three solvers operate on a :class:`~repro.placement_opt.problem.PlacementProblem
 ``placement.certify`` is on).
 """
 
-from repro.placement_opt.anneal import AnnealSolution, anneal
 from repro.placement_opt.certify import (
-    EXACT_NODE_LIMIT,
     OptimalityCertificate,
     certify_problem,
     certify_scenario,
@@ -44,14 +41,11 @@ from repro.placement_opt.problem import (
 )
 
 __all__ = [
-    "AnnealSolution",
     "CandidateCost",
-    "EXACT_NODE_LIMIT",
     "ExactSolution",
     "OptimalityCertificate",
     "PartitionCandidates",
     "PlacementProblem",
-    "anneal",
     "assignment_cost",
     "branch_and_bound",
     "certify_problem",

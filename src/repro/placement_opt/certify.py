@@ -4,13 +4,11 @@
 single-job TAPIOCA scenario implies (the same partitions, mapping and
 topology interface the analytic model uses), scores the paper's greedy
 election under the coupled objective of
-:mod:`repro.placement_opt.problem`, and certifies its optimality gap:
-
-* machines at or below :data:`EXACT_NODE_LIMIT` nodes are solved exactly by
-  :func:`~repro.placement_opt.exact.branch_and_bound` — the gap is either a
-  certified 0 or a certified positive percentage;
-* larger machines fall back to the annealing local search, giving a
-  best-effort upper bound on the optimum (a *lower* bound on the gap).
+:mod:`repro.placement_opt.problem`, and runs
+:func:`~repro.placement_opt.exact.branch_and_bound` on it, whatever the
+machine size.  A proven certificate carries the exact gap (0 or a positive
+percentage); one the search-node budget cannot finish carries the best
+placement found and a proven lower bound, which bracket the true gap.
 
 Certification is opportunistic and default-off: it never runs unless the
 scenario carries ``placement.certify = true`` (``--set
@@ -24,22 +22,16 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.obs import span as obs_span
-from repro.placement_opt.anneal import anneal
 from repro.placement_opt.exact import branch_and_bound
 from repro.placement_opt.problem import (
     PlacementProblem,
     assignment_cost,
     greedy_choice,
 )
-from repro.utils.rng import DEFAULT_SEED, derive_seed
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.experiments.results import ExperimentResult
     from repro.scenario.spec import Scenario
-
-#: Largest machine (in nodes) the exact solver certifies; matches the
-#: paper-scale Theta/Mira cells the CI smoke budget can afford.
-EXACT_NODE_LIMIT = 128
 
 
 @dataclass(frozen=True)
@@ -48,34 +40,36 @@ class OptimalityCertificate:
 
     Attributes:
         greedy_cost_s: coupled-objective value of the paper's election.
-        best_cost_s: best placement found (certified optimum when
+        best_cost_s: best placement found (the optimum when
             ``proven_optimal``).
+        lower_bound_s: proven lower bound on the optimum (``best_cost_s``,
+            up to rounding, when ``proven_optimal``).
         gap: ``(greedy - best) / greedy``, a fraction >= 0.
-        method: ``"exact"`` or ``"anneal"``.
-        proven_optimal: True when ``best_cost_s`` is a certified optimum.
-        nodes_explored: branch-and-bound search nodes (0 for anneal).
-        flips: annealing moves proposed (0 for exact).
+        proven_optimal: True when ``best_cost_s`` is a proven optimum.
+        nodes_explored: branch-and-bound search nodes.
     """
 
     greedy_cost_s: float
     best_cost_s: float
+    lower_bound_s: float
     gap: float
-    method: str
     proven_optimal: bool
     nodes_explored: int
-    flips: int
 
     @property
     def gap_percent(self) -> float:
         return 100.0 * self.gap
 
+    @property
+    def max_gap_percent(self) -> float:
+        """Largest gap the lower bound allows, ``(greedy - bound) / greedy``."""
+        if self.greedy_cost_s <= 0.0:
+            return 0.0
+        return 100.0 * max(0.0, 1.0 - self.lower_bound_s / self.greedy_cost_s)
+
 
 def certify_problem(
-    problem: PlacementProblem,
-    *,
-    machine_nodes: int,
-    seed: int = DEFAULT_SEED,
-    exact_node_limit: int = EXACT_NODE_LIMIT,
+    problem: PlacementProblem, *, machine_nodes: int
 ) -> OptimalityCertificate:
     """Certify the greedy election's gap on one assignment problem."""
     greedy = greedy_choice(problem)
@@ -86,35 +80,17 @@ def certify_problem(
         partitions=problem.num_partitions,
         machine_nodes=machine_nodes,
     ):
-        if machine_nodes <= exact_node_limit:
-            solution = branch_and_bound(problem, warm_start=greedy)
-            best_cost = solution.cost_s
-            method = "exact"
-            proven = solution.proven_optimal
-            nodes_explored = solution.nodes_explored
-            flips = 0
-        else:
-            solution = anneal(
-                problem,
-                seed=derive_seed(seed, "placement-certify"),
-                warm_start=greedy,
-            )
-            best_cost = solution.cost_s
-            method = "anneal"
-            proven = False
-            nodes_explored = 0
-            flips = solution.flips
+        solution = branch_and_bound(problem, warm_start=greedy)
     gap = 0.0
     if greedy_cost > 0.0:
-        gap = max(0.0, (greedy_cost - best_cost) / greedy_cost)
+        gap = max(0.0, (greedy_cost - solution.cost_s) / greedy_cost)
     return OptimalityCertificate(
         greedy_cost_s=greedy_cost,
-        best_cost_s=best_cost,
+        best_cost_s=solution.cost_s,
+        lower_bound_s=solution.lower_bound_s,
         gap=gap,
-        method=method,
-        proven_optimal=proven,
-        nodes_explored=nodes_explored,
-        flips=flips,
+        proven_optimal=solution.proven_optimal,
+        nodes_explored=solution.nodes_explored,
     )
 
 
@@ -169,9 +145,7 @@ def problem_for_scenario(scenario: "Scenario") -> tuple[PlacementProblem, int]:
     return PlacementProblem.from_partitions(partitions, iface), machine.num_nodes
 
 
-def certify_scenario(
-    scenario: "Scenario", *, seed: int | None = None
-) -> OptimalityCertificate | None:
+def certify_scenario(scenario: "Scenario") -> OptimalityCertificate | None:
     """Certificate for a scenario, or ``None`` when it does not apply.
 
     Multi-job and non-TAPIOCA scenarios return ``None`` — certification is
@@ -180,11 +154,7 @@ def certify_scenario(
     if scenario.multijob is not None or scenario.io.kind != "tapioca":
         return None
     problem, machine_nodes = problem_for_scenario(scenario)
-    if seed is None:
-        seed = scenario.placement.seed
-    if seed is None:
-        seed = DEFAULT_SEED
-    return certify_problem(problem, machine_nodes=machine_nodes, seed=seed)
+    return certify_problem(problem, machine_nodes=machine_nodes)
 
 
 def maybe_certify_result(
@@ -200,11 +170,10 @@ def maybe_certify_result(
         return None
     result.optimality_gap = certificate.gap
     qualifier = (
-        "certified optimum" if certificate.proven_optimal else "best-effort bound"
+        "proven optimum"
+        if certificate.proven_optimal
+        else f"unproven, gap ≤ {certificate.max_gap_percent:.3f}%"
     )
-    note = (
-        f"placement optimality gap {certificate.gap_percent:.3f}% "
-        f"({certificate.method}, {qualifier})"
-    )
+    note = f"placement optimality gap {certificate.gap_percent:.3f}% ({qualifier})"
     result.notes = f"{result.notes}; {note}" if result.notes else note
     return certificate

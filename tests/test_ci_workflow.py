@@ -142,6 +142,13 @@ class TestWorkflowShape:
         assert "Optimality gap:" in certify[0], (
             "the rendered gap line must be asserted in the run output"
         )
+        assert "repro run fig14 --scale 8" in certify[0], (
+            "certification must also run on fig14, an instance that needs "
+            "search beyond the root lower bound"
+        )
+        assert 'grep -q "proven optimum"' in certify[0], (
+            "the fig14 certificate must be asserted proven in the run output"
+        )
 
     def test_smoke_job_reverifies_artifacts_with_certification_off(self, workflow):
         commands = [

@@ -12,11 +12,9 @@ from repro.experiments.results import (
     format_optimality_gap,
 )
 from repro.placement_opt import (
-    EXACT_NODE_LIMIT,
     CandidateCost,
     PartitionCandidates,
     PlacementProblem,
-    anneal,
     assignment_cost,
     branch_and_bound,
     certify_problem,
@@ -24,7 +22,7 @@ from repro.placement_opt import (
     greedy_choice,
     problem_for_scenario,
 )
-from repro.scenario.registry import get_scenario
+from repro.scenario.registry import get_scenario, scenario_ids
 from repro.scenario.spec import (
     IOStrategySpec,
     MachineSpec,
@@ -51,20 +49,44 @@ def make_problem(spec: list[list[tuple[int, float, float]]]) -> PlacementProblem
     return PlacementProblem(partitions)
 
 
-def random_problem(rng, *, max_partitions: int = 5, num_nodes: int = 5):
-    """A random small colliding problem (partitions share a node pool)."""
+def random_problem(
+    rng, *, max_partitions: int = 5, num_nodes: int = 5, max_pools: int = 3
+):
+    """A random small colliding problem.
+
+    Each partition draws its candidates from one of up to ``max_pools``
+    disjoint node pools (pool ``k`` is nodes ``k*num_nodes ..``), so the
+    partitions sharing a pool may collide and the problem can split into
+    several connected components.
+    """
     num_partitions = int(rng.integers(2, max_partitions + 1))
+    num_pools = int(rng.integers(1, max_pools + 1))
     spec = []
     for _ in range(num_partitions):
+        offset = num_nodes * int(rng.integers(0, num_pools))
         count = int(rng.integers(1, num_nodes + 1))
         nodes = list(rng.permutation(num_nodes))[:count]
         spec.append(
             [
-                (int(node), float(rng.random()) * 1e-3, float(rng.random()) * 1e-2)
+                (
+                    offset + int(node),
+                    float(rng.random()) * 1e-3,
+                    float(rng.random()) * 1e-2,
+                )
                 for node in nodes
             ]
         )
     return make_problem(spec)
+
+
+def single_job_tapioca_scenarios() -> list[str]:
+    """Every registered scenario that certification applies to."""
+    names = []
+    for name in scenario_ids():
+        scenario = get_scenario(name, scale=8.0)
+        if scenario.multijob is None and scenario.io.kind == "tapioca":
+            names.append(name)
+    return names
 
 
 def brute_force_optimum(problem: PlacementProblem) -> float:
@@ -110,13 +132,19 @@ class TestProblem:
 class TestExactSolver:
     def test_matches_brute_force_on_randomized_problems(self):
         rng = seeded_rng(42)
+        searched_split_problems = 0
         for _ in range(40):
             problem = random_problem(rng)
             solution = branch_and_bound(problem)
             assert solution.proven_optimal
-            assert solution.cost_s == pytest.approx(
-                brute_force_optimum(problem), rel=1e-9
-            )
+            optimum = brute_force_optimum(problem)
+            assert solution.cost_s == pytest.approx(optimum, rel=1e-9)
+            assert solution.lower_bound_s == pytest.approx(optimum, rel=1e-9)
+            if solution.components > 1 and solution.nodes_explored > 0:
+                searched_split_problems += 1
+        # The draw must exercise the search on decomposed problems, not
+        # only the root lower-bound shortcut.
+        assert searched_split_problems >= 5
 
     def test_never_worse_than_greedy_on_randomized_problems(self):
         rng = seeded_rng(7)
@@ -139,6 +167,7 @@ class TestExactSolver:
         solution = branch_and_bound(problem)
         assert solution.proven_optimal
         assert solution.nodes_explored == 0
+        assert solution.components == 3
         assert solution.cost_s == pytest.approx(
             assignment_cost(problem, greedy_choice(problem))
         )
@@ -169,6 +198,42 @@ class TestExactSolver:
         assert not solution.proven_optimal
         greedy_cost = assignment_cost(problem, greedy_choice(problem))
         assert solution.cost_s <= greedy_cost * (1 + 1e-12)
+        assert solution.lower_bound_s <= solution.cost_s
+
+    def test_node_limit_is_one_budget_over_all_components(self):
+        # Two copies of the avoidable collision on disjoint nodes: each
+        # component needs search, and the shared budget runs out in the
+        # second one, which keeps greedy and contributes its root bound.
+        pair = [
+            [(0, 0.0, 10.0), (1, 1.0, 10.0)],
+            [(0, 0.1, 10.0), (2, 1.0, 10.0)],
+        ]
+        shifted = [[(node + 3, lat, xfer) for node, lat, xfer in p] for p in pair]
+        problem = make_problem(pair + shifted)
+        full = branch_and_bound(problem)
+        assert full.proven_optimal and full.components == 2
+        assert full.cost_s == pytest.approx(2 * 21.0)
+        limited = branch_and_bound(
+            problem, node_limit=full.nodes_explored // 2 + 1
+        )
+        assert not limited.proven_optimal
+        assert limited.nodes_explored <= full.nodes_explored // 2 + 1
+        assert limited.cost_s == pytest.approx(21.0 + 40.1)
+        assert limited.lower_bound_s == pytest.approx(21.0 + 20.1)
+
+    def test_search_goes_past_the_root_shortcut_where_greedy_co_locates(self):
+        # placement_optimality's Theta cell at 32 nodes: contiguous
+        # partitions share boundary nodes and greedy co-locates aggregators,
+        # so only the search can prove the optimum.
+        problem, _ = problem_for_scenario(
+            get_scenario("placement_optimality", scale=8.0)
+        )
+        greedy = greedy_choice(problem)
+        assert len(set(problem.choice_nodes(greedy))) < problem.num_partitions
+        solution = branch_and_bound(problem, warm_start=greedy)
+        assert solution.proven_optimal
+        assert solution.nodes_explored > 0
+        assert solution.cost_s <= assignment_cost(problem, greedy) * (1 + 1e-12)
 
     def test_deterministic(self):
         rng = seeded_rng(3)
@@ -178,70 +243,39 @@ class TestExactSolver:
         assert first == second
 
 
-class TestAnneal:
-    def test_never_worse_than_warm_start_on_randomized_problems(self):
-        rng = seeded_rng(11)
-        for trial in range(25):
-            problem = random_problem(rng)
-            warm = tuple(
-                int(rng.integers(0, len(p.candidates))) for p in problem.partitions
-            )
-            warm_cost = assignment_cost(problem, warm)
-            solution = anneal(
-                problem, seed=trial, warm_start=warm, steps=200, restarts=1
-            )
-            assert solution.cost_s <= warm_cost * (1 + 1e-12)
-
-    def test_never_beats_the_certified_optimum(self):
-        rng = seeded_rng(13)
-        for trial in range(25):
-            problem = random_problem(rng)
-            exact = branch_and_bound(problem)
-            solution = anneal(problem, seed=trial, steps=300, restarts=2)
-            assert exact.proven_optimal
-            assert solution.cost_s >= exact.cost_s * (1 - 1e-9)
-
-    def test_deterministic_under_fixed_seed(self):
-        rng = seeded_rng(17)
-        problem = random_problem(rng, max_partitions=5, num_nodes=6)
-        first = anneal(problem, seed=99, steps=500)
-        second = anneal(problem, seed=99, steps=500)
-        assert first == second
-        other = anneal(problem, seed=100, steps=500)
-        assert other.cost_s <= assignment_cost(problem, greedy_choice(problem))
-
-    def test_escapes_a_greedy_collision(self):
-        problem = make_problem(
-            [
-                [(0, 0.0, 10.0), (1, 1.0, 10.0)],
-                [(0, 0.1, 10.0), (2, 1.0, 10.0)],
-            ]
-        )
-        greedy_cost = assignment_cost(problem, greedy_choice(problem))
-        solution = anneal(problem, seed=1, steps=500)
-        assert solution.cost_s < greedy_cost
-
-
 class TestCertification:
     def test_exact_method_at_or_below_node_limit(self):
         problem = make_problem(
             [[(0, 0.0, 1.0), (1, 0.5, 1.0)], [(0, 0.1, 1.0), (2, 0.5, 1.0)]]
         )
-        certificate = certify_problem(problem, machine_nodes=EXACT_NODE_LIMIT)
-        assert certificate.method == "exact"
+        certificate = certify_problem(problem, machine_nodes=3)
         assert certificate.proven_optimal
         assert certificate.gap >= 0.0
+        assert certificate.lower_bound_s == pytest.approx(certificate.best_cost_s)
         assert math.isfinite(certificate.gap_percent)
 
-    def test_anneal_method_above_node_limit(self):
-        problem = make_problem(
-            [[(0, 0.0, 1.0), (1, 0.5, 1.0)], [(0, 0.1, 1.0), (2, 0.5, 1.0)]]
-        )
-        certificate = certify_problem(problem, machine_nodes=EXACT_NODE_LIMIT + 1)
-        assert certificate.method == "anneal"
-        assert not certificate.proven_optimal
-        assert certificate.flips > 0
-        assert certificate.gap >= 0.0
+    def test_proves_a_problem_above_128_nodes(self):
+        # 80 copies of the avoidable collision on 240 nodes: every pair is
+        # its own component, so the proof stays cheap at any machine size.
+        spec = []
+        for j in range(80):
+            a, b, c = 3 * j, 3 * j + 1, 3 * j + 2
+            spec.append([(a, 0.0, 10.0), (b, 1.0, 10.0)])
+            spec.append([(a, 0.1, 10.0), (c, 1.0, 10.0)])
+        problem = make_problem(spec)
+        certificate = certify_problem(problem, machine_nodes=240)
+        assert certificate.proven_optimal
+        assert certificate.nodes_explored > 0
+        assert certificate.greedy_cost_s == pytest.approx(80 * 40.1)
+        assert certificate.best_cost_s == pytest.approx(80 * 21.0)
+        assert certificate.gap == pytest.approx((40.1 - 21.0) / 40.1)
+
+    @pytest.mark.parametrize("scale", (8.0, 1.0))
+    @pytest.mark.parametrize("name", single_job_tapioca_scenarios())
+    def test_every_registered_scenario_is_certified(self, name, scale):
+        certificate = certify_scenario(get_scenario(name, scale=scale))
+        assert certificate is not None
+        assert certificate.proven_optimal
 
     def test_certify_scenario_skips_multijob_and_non_tapioca(self):
         multijob = SimpleNamespace(
@@ -274,7 +308,6 @@ class TestCertification:
             scenario = get_scenario("placement_optimality").with_overrides(overrides)
             certificate = certify_scenario(scenario)
             assert certificate is not None
-            assert certificate.method == "exact"
             assert certificate.proven_optimal
             assert certificate.gap >= 0.0
 
@@ -292,6 +325,34 @@ class TestCertification:
         assert certified.optimality_gap is not None
         assert certified.optimality_gap >= 0.0
         assert "placement optimality gap" in certified.notes
+        assert "(proven optimum)" in certified.notes
+
+    def test_unproven_note_reports_the_gap_bound(self, monkeypatch):
+        import functools
+
+        from repro.placement_opt import certify
+
+        monkeypatch.setattr(
+            certify,
+            "branch_and_bound",
+            functools.partial(certify.branch_and_bound, node_limit=1),
+        )
+        result = ExperimentResult(
+            experiment_id="placement_optimality",
+            title="t",
+            machine="m",
+            x_label="x",
+            series=[],
+            checks={},
+        )
+        certificate = certify.maybe_certify_result(
+            result, get_scenario("placement_optimality", scale=8.0)
+        )
+        assert not certificate.proven_optimal
+        assert certificate.lower_bound_s <= certificate.best_cost_s
+        assert certificate.max_gap_percent >= certificate.gap_percent
+        assert f"unproven, gap ≤ {certificate.max_gap_percent:.3f}%" in result.notes
+        assert "proven optimum" not in result.notes
 
     def test_certify_spec_field_is_validated_and_default_off(self):
         assert PlacementSpec().certify is False
