@@ -14,6 +14,8 @@ Structure reproduced here:
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.machine.machine import IOGateway, Machine
 from repro.machine.node import knl_node
 from repro.storage.lustre import LustreModel, LustreStripeConfig
@@ -111,7 +113,4 @@ class ThetaMachine(Machine):
 
     def routers_used(self) -> list[int]:
         """Aries routers hosting at least one allocated node."""
-        routers = sorted(
-            {self.topology.router_of(node) for node in range(self.num_nodes)}
-        )
-        return routers
+        return np.unique(self.topology.routers_of(range(self.num_nodes))).tolist()

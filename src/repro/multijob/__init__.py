@@ -9,11 +9,7 @@ slowdown versus its isolated run.
 """
 
 from repro.multijob.allocator import ALLOCATION_POLICIES, Allocation, NodeAllocator
-from repro.multijob.contention import (
-    ContentionLedger,
-    Flow,
-    LinkContentionFactors,
-)
+from repro.multijob.contention import ContentionLedger, LinkContentionFactors
 from repro.multijob.job import Job, JobSpec, bind_job
 from repro.multijob.runtime import InterferenceReport, JobOutcome, MultiJobRuntime
 
@@ -21,7 +17,6 @@ __all__ = [
     "ALLOCATION_POLICIES",
     "Allocation",
     "ContentionLedger",
-    "Flow",
     "InterferenceReport",
     "Job",
     "JobOutcome",

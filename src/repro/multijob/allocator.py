@@ -19,6 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.machine.machine import Machine
 from repro.utils.validation import require, require_positive
 
@@ -60,31 +62,14 @@ class NodeAllocator:
         )
         self.machine = machine
         self.policy = policy
-        self._free = sorted(machine.allocatable_nodes())
-        self._allocations: dict[str, Allocation] = {}
-
-    # ------------------------------------------------------------------ #
-    # Queries
-    # ------------------------------------------------------------------ #
-
-    @property
-    def free_nodes(self) -> list[int]:
-        """Currently unallocated node ids (ascending)."""
-        return list(self._free)
-
-    def allocation_of(self, job_name: str) -> Allocation:
-        """The allocation previously granted to ``job_name``."""
-        return self._allocations[job_name]
-
-    # ------------------------------------------------------------------ #
-    # Allocation / release
-    # ------------------------------------------------------------------ #
+        self._free = np.unique(np.asarray(machine.allocatable_nodes(), dtype=np.int64))
+        self._granted: set[str] = set()
 
     def allocate(self, job_name: str, num_nodes: int) -> Allocation:
         """Grant ``num_nodes`` nodes to ``job_name`` under the policy."""
         require_positive(num_nodes, "num_nodes")
         require(
-            job_name not in self._allocations,
+            job_name not in self._granted,
             f"job {job_name!r} already holds an allocation",
         )
         require(
@@ -92,67 +77,47 @@ class NodeAllocator:
             f"job {job_name!r} requests {num_nodes} nodes but only "
             f"{len(self._free)} are free",
         )
-        ordered = self._ordered_free(num_nodes)
-        nodes = tuple(ordered[:num_nodes])
-        taken = set(nodes)
-        self._free = [node for node in self._free if node not in taken]
-        allocation = Allocation(job_name, nodes)
-        self._allocations[job_name] = allocation
-        return allocation
-
-    def release(self, job_name: str) -> None:
-        """Return a job's nodes to the free pool."""
-        allocation = self._allocations.pop(job_name)
-        self._free = sorted(set(self._free) | set(allocation.nodes))
+        nodes = self._ordered_free(num_nodes)[:num_nodes]
+        self._free = np.setdiff1d(self._free, nodes)
+        self._granted.add(job_name)
+        return Allocation(job_name, tuple(nodes.tolist()))
 
     # ------------------------------------------------------------------ #
     # Policy orderings
     # ------------------------------------------------------------------ #
 
-    def _ordered_free(self, num_nodes: int) -> list[int]:
+    def _ordered_free(self, num_nodes: int) -> np.ndarray:
         if self.policy == "contiguous":
-            return list(self._free)
+            return self._free
         if self.policy == "scattered":
             return self._scattered_order(num_nodes)
         return self._topology_order()
 
-    def _scattered_order(self, num_nodes: int) -> list[int]:
+    def _scattered_order(self, num_nodes: int) -> np.ndarray:
         """Stride the free pool so the job lands spread across the machine.
 
         Picks every ``len(free) / num_nodes``-th free node first, then the
         remainder — the non-contiguous shape a fragmented machine produces.
         """
-        free = self._free
-        stride = max(1, len(free) // num_nodes)
-        primary = [free[i] for i in range(0, len(free), stride)]
-        taken = set(primary)
-        remainder = [node for node in free if node not in taken]
-        return primary + remainder
+        stride = max(1, len(self._free) // num_nodes)
+        remainder = np.ones(len(self._free), dtype=bool)
+        remainder[::stride] = False
+        return np.concatenate((self._free[::stride], self._free[remainder]))
 
-    def _topology_order(self) -> list[int]:
+    def _topology_order(self) -> np.ndarray:
         """Group free nodes by their first-hop device and fill groups whole.
 
         On a dragonfly, nodes sharing an Aries router come first as a unit;
-        on a torus/Pset machine the I/O partition plays that role; any other
-        topology falls back to coordinate order.  Groups with the most free
-        nodes are preferred so jobs occupy as few partially-shared devices
-        as possible.
+        on any other machine the I/O partition (the Pset of a torus) plays
+        that role.  Groups with the most free nodes are preferred so jobs
+        occupy as few partially-shared devices as possible; ties go to the
+        lower group key, and nodes within a group ascend.
         """
+        free = self._free
         topology = self.machine.topology
-        groups: dict[object, list[int]] = {}
-        for node in self._free:
-            if hasattr(topology, "router_of"):
-                key = topology.router_of(node)
-            else:
-                try:
-                    key = self.machine.partition_of_node(node)
-                except ValueError:
-                    key = topology.coordinates(node)[:-1]
-            groups.setdefault(key, []).append(node)
-        ordered_groups = sorted(
-            groups.items(), key=lambda item: (-len(item[1]), item[0])
-        )
-        result: list[int] = []
-        for _key, members in ordered_groups:
-            result.extend(sorted(members))
-        return result
+        if hasattr(topology, "routers_of"):
+            key = topology.routers_of(free)
+        else:
+            key = self.machine.partitions_of_nodes(free)
+        _, group, size = np.unique(key, return_inverse=True, return_counts=True)
+        return free[np.lexsort((free, key, -size[group]))]

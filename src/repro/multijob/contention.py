@@ -2,9 +2,11 @@
 
 A production machine's interconnect and file system are shared: the paper's
 Theta numbers were collected while other jobs loaded the same Lustre OSTs and
-dragonfly global links.  This module models that sharing as a *ledger* of
-shared resources (each with a saturated capacity in bytes/s) and *flows*
-(jobs) that place weighted demands on subsets of them.
+dragonfly global links.  This module models that sharing as a *ledger*: one
+flow × resource weight matrix over the shared resources (each with a
+saturated capacity in bytes/s) and the flows (jobs) that place weighted
+demands on them.  The ledger is built once, from every resource and flow,
+and never changes; callers pick the active flows by row.
 
 The ledger allocates rates by progressive filling — the classic max-min fair
 algorithm: every unfrozen flow's rate grows at the same speed until either
@@ -14,16 +16,14 @@ the flow freezes.  By construction the allocation *conserves bandwidth*: on
 every resource the weighted sum of the granted rates never exceeds the
 capacity, which the property tests assert for random instances.
 
-The solver water-fills over a flows×resources numpy weight matrix in one
-fixed accumulation order (flows in the order the caller listed them,
-resources in registration order), so its rates are bit-for-bit equal to the
-plain dict-based loop kept as a test oracle; whole allocations are memoised
-per active-flow tuple (a fluid runtime re-requests the same set every slice).
+The solver water-fills over the active rows in one fixed accumulation order
+(flows in the order the caller listed them, resources in registration
+order), so its rates are bit-for-bit equal to the plain dict-based loop kept
+as a test oracle.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -37,164 +37,118 @@ from repro.utils.validation import require, require_positive
 #: flow has reached its demand.
 _EPS = 1e-9
 
-#: Cap on memoised allocations per ledger (cleared wholesale when full).
-_MAX_ALLOC_CACHE = 512
 
+class ContentionLedger:
+    """The flow × resource weight matrix of one machine's shared resources.
 
-@dataclass(frozen=True)
-class Flow:
-    """One job's demand on the shared machine.
+    Built once from every resource and flow; its arrays are read-only.
+
+    Args:
+        resources: ``(key, capacity)`` pairs in registration order (the
+            column order).  A key may repeat with the same capacity.
+        flows: ``(flow_id, demand, weights)`` triples in row order: the
+            flow's rate cap in bytes/s (its isolated bandwidth) and, per
+            resource key, the fraction of its bytes crossing the resource.
+            A file striped over 8 OSTs puts weight 1/8 on each; the LNET
+            pipe every byte crosses gets weight 1.
 
     Attributes:
-        flow_id: unique identifier (the job name).
-        demand: the flow's rate cap in bytes/s — its isolated bandwidth.
-        weights: per-resource-key fraction of the flow's bytes crossing the
-            resource.  A file striped over 8 OSTs puts weight 1/8 on each;
-            the LNET pipe every byte crosses gets weight 1.
+        keys: resource keys, one per column.
+        capacity: saturated capacity of each column (bytes/s).
+        flow_ids: flow ids, one per row.
+        demand: each row's rate cap (bytes/s).
+        weight: the ``(flows, resources)`` weight matrix.
+        touches: ``weight > 0`` — which resources each flow loads.
     """
 
-    flow_id: str
-    demand: float
-    weights: Mapping[tuple, float]
-
-
-@dataclass
-class ContentionLedger:
-    """Capacity bookkeeping for the shared resources of one machine.
-
-    Resources are registered once with their saturated capacity; flows come
-    and go as jobs start and finish.  :meth:`allocate` returns the max-min
-    fair rates of the currently registered (or an explicitly given subset of)
-    flows.
-    """
-
-    resources: dict[tuple, float] = field(default_factory=dict)
-    flows: dict[str, Flow] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        # Allocation memo: active-flow tuple -> (rates, water-fill iteration
-        # count).  Any registration change invalidates every entry.
-        self._alloc_cache: dict[tuple[str, ...], tuple[dict[str, float], int]] = {}
-
-    # ------------------------------------------------------------------ #
-    # Registration
-    # ------------------------------------------------------------------ #
-
-    def add_resource(self, key: tuple, capacity: float) -> None:
-        """Register a shared resource (idempotent for identical capacity)."""
-        require_positive(capacity, f"capacity of {key!r}")
-        existing = self.resources.get(key)
-        if existing is not None and abs(existing - capacity) > _EPS * existing:
-            raise ValueError(
-                f"resource {key!r} already registered with capacity {existing}, "
-                f"refusing to change it to {capacity}"
-            )
-        self.resources[key] = capacity
-        self._alloc_cache.clear()
-
-    def register_flow(
-        self, flow_id: str, demand: float, weights: Mapping[tuple, float]
-    ) -> Flow:
-        """Register a job's demand; every weighted resource must be known."""
-        require_positive(demand, f"demand of flow {flow_id!r}")
-        require(flow_id not in self.flows, f"flow {flow_id!r} already registered")
-        clean = {}
-        for key, weight in weights.items():
-            if weight <= 0:
-                continue
+    def __init__(
+        self,
+        resources: Iterable[tuple[tuple, float]],
+        flows: Iterable[tuple[str, float, Mapping[tuple, float]]],
+    ) -> None:
+        capacity: dict[tuple, float] = {}
+        for key, value in resources:
+            require_positive(value, f"capacity of {key!r}")
+            existing = capacity.get(key)
+            if existing is not None and abs(existing - value) > _EPS * existing:
+                raise ValueError(
+                    f"resource {key!r} already registered with capacity "
+                    f"{existing}, refusing to change it to {value}"
+                )
+            capacity[key] = float(value)
+        self.keys = tuple(capacity)
+        self.capacity = np.array(list(capacity.values()), dtype=float)
+        column = {key: j for j, key in enumerate(self.keys)}
+        flows = list(flows)
+        self.flow_ids = tuple(flow_id for flow_id, _, _ in flows)
+        self.demand = np.zeros(len(flows))
+        self.weight = np.zeros((len(flows), len(self.keys)))
+        for row, (flow_id, demand, weights) in enumerate(flows):
+            require_positive(demand, f"demand of flow {flow_id!r}")
             require(
-                key in self.resources,
-                f"flow {flow_id!r} references unregistered resource {key!r}",
+                flow_id not in self.flow_ids[:row],
+                f"flow {flow_id!r} already registered",
             )
-            clean[key] = float(weight)
-        flow = Flow(flow_id, float(demand), clean)
-        self.flows[flow_id] = flow
-        self._alloc_cache.clear()
-        return flow
-
-    def remove_flow(self, flow_id: str) -> None:
-        """Drop a finished job's flow."""
-        self.flows.pop(flow_id, None)
-        self._alloc_cache.clear()
+            self.demand[row] = demand
+            for key, value in weights.items():
+                if value <= 0:
+                    continue
+                require(
+                    key in column,
+                    f"flow {flow_id!r} references unregistered resource {key!r}",
+                )
+                self.weight[row, column[key]] = value
+        self.touches = self.weight > 0.0
+        for array in (self.capacity, self.demand, self.weight, self.touches):
+            array.flags.writeable = False
 
     # ------------------------------------------------------------------ #
     # Allocation
     # ------------------------------------------------------------------ #
 
-    def allocate(self, active: Iterable[str] | None = None) -> dict[str, float]:
-        """Max-min fair rates (bytes/s) for the active flows.
+    def allocate(self, rows: Sequence[int] | None = None) -> np.ndarray:
+        """Max-min fair rates (bytes/s) of the flows in ``rows``.
 
         Args:
-            active: flow ids to allocate for (default: every registered
-                flow).  Jobs that are between I/O phases are simply omitted.
+            rows: row indices of the active flows, in the order the solver
+                visits them (default: every flow).  Jobs that are between
+                I/O phases are simply omitted.
 
         Returns:
-            Rate per flow id.  The rates satisfy, for every resource ``k``,
-            ``sum_i rate_i * w_ik <= capacity_k`` and, for every flow,
-            ``rate_i <= demand_i``; no flow can raise its rate without
-            lowering that of a flow with a smaller or equal rate.
+            One rate per entry of ``rows``.  The rates satisfy, for every
+            resource ``k``, ``sum_i rate_i * w_ik <= capacity_k`` and, for
+            every flow, ``rate_i <= demand_i``; no flow can raise its rate
+            without lowering that of a flow with a smaller or equal rate.
 
-        Observability: ``sim.contention_iterations`` counts water-fill
-        iterations (a memo hit re-counts the iterations the cached
-        allocation cost); ``sim.contention_allocations`` counts allocations
-        actually solved, so it drops when the memo hits.
+        The solve restricts the matrix to the active rows and to the
+        columns they touch, in registration order: a resource no active
+        flow touches never binds, fills or freezes anything.  It is
+        bit-for-bit equal to a dict-based loop that accumulates flow by flow
+        (the tests' scalar oracle): ``np.add.accumulate`` along axis 0 adds
+        rows strictly in order (never pairwise, even for a single resource
+        column), so the last row of each accumulation — the per-key weight
+        sums and the usage updates — runs through the identical sequence of
+        IEEE additions (adding a zero weight is an exact no-op on the
+        non-negative partial sums), and the binding-resource scan replays
+        the scalar loop's sequential first-hit semantics.
+
+        Observability: ``sim.contention_allocations`` counts solves and
+        ``sim.contention_iterations`` their water-fill iterations.
         """
-        ids = list(self.flows) if active is None else list(active)
-        for flow_id in ids:
-            require(flow_id in self.flows, f"unknown flow {flow_id!r}")
-        rec = obs_recorder()
-        key = tuple(ids)
-        cached = self._alloc_cache.get(key)
-        if cached is not None:
-            rate, iterations = cached
-            if rec is not None:
-                rec.inc("sim.contention_iterations", iterations)
-                rec.inc("sim.contention_cache_hits")
-            return dict(rate)
-        rate, iterations = self._allocate_vectorised(ids)
-        if len(self._alloc_cache) >= _MAX_ALLOC_CACHE:
-            self._alloc_cache.clear()
-        self._alloc_cache[key] = (rate, iterations)
-        if rec is not None:
-            rec.inc("sim.contention_iterations", iterations)
-            rec.inc("sim.contention_allocations")
-        return dict(rate)
-
-    def _allocate_vectorised(
-        self, ids: Sequence[str]
-    ) -> tuple[dict[str, float], int]:
-        """Progressive filling over a flows×resources weight matrix.
-
-        Bit-for-bit equal to a dict-based loop that accumulates flow by
-        flow (the tests' scalar oracle): ``np.add.accumulate`` along axis 0
-        adds rows strictly in order (never pairwise, even for a single
-        resource column), so the last row of each accumulation — the
-        per-key weight sums and the usage updates — runs through the
-        identical sequence of IEEE additions (adding a zero weight is an
-        exact no-op on the non-negative partial sums), and the
-        binding-resource scan replays the scalar loop's sequential
-        first-hit semantics.
-        """
-        # A resource no active flow touches never binds, fills or freezes
-        # anything, so the matrix spans only the touched ones, still in
-        # registration order.
-        touched = set().union(*(self.flows[fid].weights for fid in ids))
-        res_keys = [key for key in self.resources if key in touched]
-        index_of = {key: j for j, key in enumerate(res_keys)}
-        num_flows, num_res = len(ids), len(res_keys)
-        weight = np.zeros((num_flows, num_res))
-        for i, flow_id in enumerate(ids):
-            for key, value in self.flows[flow_id].weights.items():
-                weight[i, index_of[key]] = value
+        if rows is None:
+            rows = range(len(self.flow_ids))
+        rows = np.asarray(rows, dtype=np.intp)
+        columns = np.flatnonzero(self.touches[rows].any(axis=0))
+        weight = self.weight[np.ix_(rows, columns)]
         touches = weight > 0.0
-        caps = np.array([self.resources[key] for key in res_keys], dtype=float)
+        caps = self.capacity[columns]
         tol = _EPS * caps
         sat_caps = caps * (1.0 - _EPS)
-        demand = np.array([self.flows[fid].demand for fid in ids], dtype=float)
+        demand = self.demand[rows]
         demand_caps = demand * (1.0 - _EPS)
-        rate = np.zeros(num_flows)
-        used = np.zeros(num_res)
-        unfrozen = np.ones(num_flows, dtype=bool)
+        rate = np.zeros(rows.size)
+        used = np.zeros(columns.size)
+        unfrozen = np.ones(rows.size, dtype=bool)
         iterations = 0
         while unfrozen.any():
             iterations += 1
@@ -203,7 +157,7 @@ class ContentionLedger:
             step = float(np.min(demand[live] - rate[live]))
             weight_sum = np.add.accumulate(live_weights, axis=0)[-1]
             shared = weight_sum > 0.0
-            headroom = np.full(num_res, np.inf)
+            headroom = np.full(columns.size, np.inf)
             np.divide(caps - used, weight_sum, out=headroom, where=shared)
             step, binding = self._binding_scan(step, headroom, tol, shared)
             if step > 0.0:
@@ -220,8 +174,11 @@ class ContentionLedger:
             if not newly_frozen.any():
                 break
             unfrozen &= ~newly_frozen
-        rates = {flow_id: float(rate[i]) for i, flow_id in enumerate(ids)}
-        return rates, iterations
+        rec = obs_recorder()
+        if rec is not None:
+            rec.inc("sim.contention_iterations", iterations)
+            rec.inc("sim.contention_allocations")
+        return rate
 
     @staticmethod
     def _binding_scan(
@@ -258,19 +215,37 @@ class ContentionLedger:
         binding |= near
         return step, binding
 
-    def utilization(self, rates: Mapping[str, float]) -> dict[tuple, float]:
-        """Per-resource bandwidth consumed by ``rates`` (for conservation checks)."""
-        used = {key: 0.0 for key in self.resources}
-        for flow_id, flow_rate in rates.items():
-            for key, weight in self.flows[flow_id].weights.items():
-                used[key] += flow_rate * weight
-        return used
+    # ------------------------------------------------------------------ #
+    # Queries
+    # ------------------------------------------------------------------ #
 
-    def shared_between(self, flow_a: str, flow_b: str) -> list[tuple]:
-        """Resource keys two flows both place demand on."""
-        a = self.flows[flow_a].weights
-        b = self.flows[flow_b].weights
-        return sorted(set(a) & set(b), key=repr)
+    def utilization(self, rows: Sequence[int], rates: np.ndarray) -> np.ndarray:
+        """Bandwidth each resource carries when ``rows`` run at ``rates``.
+
+        One row accumulation in ``rows`` order: ``np.add.accumulate`` adds
+        each column's ``rate * weight`` terms flow by flow, as a per-flow
+        loop does (a BLAS ``rates @ weight`` would block the sum).
+        """
+        rows = np.asarray(rows, dtype=np.intp)
+        terms = np.asarray(rates)[:, None] * self.weight[rows]
+        return np.add.accumulate(
+            np.vstack((np.zeros(len(self.keys)), terms)), axis=0
+        )[-1]
+
+    def sharing(self, columns: np.ndarray | None = None) -> np.ndarray:
+        """``(flows, flows)`` count of the resources both flows touch.
+
+        One product of the boolean touch matrix with its transpose,
+        restricted to the ``columns`` mask when one is given.
+        """
+        touches = self.touches if columns is None else self.touches[:, columns]
+        counts = touches.astype(float)
+        return counts @ counts.T
+
+    def shared_between(self, row_a: int, row_b: int) -> list[tuple]:
+        """Resource keys two flows both place demand on (``repr`` order)."""
+        both = np.flatnonzero(self.touches[row_a] & self.touches[row_b])
+        return sorted((self.keys[j] for j in both.tolist()), key=repr)
 
 
 class LinkContentionFactors:

@@ -263,13 +263,7 @@ def network_demand_weights(
     return weights, capacities
 
 
-def bind_job(
-    machine: Machine,
-    spec: JobSpec,
-    nodes: Sequence[int],
-    *,
-    include_network: bool = True,
-) -> Job:
+def bind_job(machine: Machine, spec: JobSpec, nodes: Sequence[int]) -> Job:
     """Bind a spec to its allocation: mapping, isolated estimate, demands."""
     mapping = allocation_mapping(
         spec.num_ranks,
@@ -285,10 +279,9 @@ def bind_job(
         isolated=isolated,
         storage_weights=storage_demand_weights(machine, spec, nodes),
     )
-    if include_network:
-        senders_by_aggregator = isolated.details.get("senders_by_aggregator", {})
-        if senders_by_aggregator:
-            job.network_weights, job.network_capacities = network_demand_weights(
-                machine, senders_by_aggregator
-            )
+    senders_by_aggregator = isolated.details.get("senders_by_aggregator", {})
+    if senders_by_aggregator:
+        job.network_weights, job.network_capacities = network_demand_weights(
+            machine, senders_by_aggregator
+        )
     return job

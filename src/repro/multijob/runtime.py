@@ -3,17 +3,18 @@
 :class:`MultiJobRuntime` runs several simulated jobs against one machine.
 Each job is allocated nodes by a :class:`~repro.multijob.allocator.NodeAllocator`,
 estimated in isolation on exactly that allocation (the baseline), and
-registered as a flow in a :class:`~repro.multijob.contention.ContentionLedger`
-whose resources are the machine's shared storage surfaces (OSTs, LNET, I/O
-nodes, backend, burst-buffer drain) plus the interconnect links the job's
+becomes one row of a :class:`~repro.multijob.contention.ContentionLedger`,
+built once over the machine's shared storage surfaces (OSTs, LNET, I/O
+nodes, backend, burst-buffer drain) plus the interconnect links the jobs'
 aggregation traffic crosses.
 
 Execution is a fluid (rate-based) simulation advanced in time slices: within
 a slice the ledger's max-min fair rates are constant, so progress integrates
 exactly; slices additionally end at every arrival and completion, which is
-where the active flow set — and therefore the fair allocation — changes.
-Each job's *slowdown* is its shared-machine I/O time divided by its isolated
-I/O time; a job whose resources nobody else touches reports exactly 1.0.
+where the active rows — and therefore the fair allocation — change.  Rates
+are solved only on those changes.  Each job's *slowdown* is its
+shared-machine I/O time divided by its isolated I/O time; a job whose
+resources nobody else touches reports exactly 1.0.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from repro.machine.machine import Machine
 from repro.multijob.allocator import NodeAllocator
 from repro.multijob.contention import ContentionLedger
 from repro.multijob.job import Job, JobSpec, bind_job
-from repro.utils.validation import require, require_positive
+from repro.utils.validation import require
 
 #: Completion tolerance: a job is done when this close to its total bytes.
 _BYTES_EPS = 1e-6
@@ -37,6 +38,11 @@ _BYTES_EPS = 1e-6
 #: term a job could sit within rounding error of completion while
 #: ``now + remaining/rate == now`` — a zero-width slice loop.
 _REL_BYTES_EPS = 1e-12
+
+#: Longest fluid time slice (seconds).  Rates are also recomputed at every
+#: arrival and completion, so the slice only bounds reporting granularity,
+#: not correctness.
+_SLICE_S = 1.0
 
 
 class StarvedFlowError(RuntimeError):
@@ -125,11 +131,6 @@ class MultiJobRuntime:
         specs: the jobs to run (names must be unique).
         allocation_policy: node-allocator policy (``"contiguous"``,
             ``"scattered"`` or ``"topology-aware"``).
-        slice_s: maximum fluid time slice; rates are also recomputed at every
-            arrival and completion, so the slice only bounds reporting
-            granularity, not correctness.
-        include_network: whether interconnect links join the ledger next to
-            the storage resources.
     """
 
     def __init__(
@@ -138,49 +139,44 @@ class MultiJobRuntime:
         specs: Sequence[JobSpec],
         *,
         allocation_policy: str = "contiguous",
-        slice_s: float = 1.0,
-        include_network: bool = True,
     ) -> None:
         require(len(specs) > 0, "no jobs to run")
         names = [spec.name for spec in specs]
         require(len(set(names)) == len(names), "job names must be unique")
-        require_positive(slice_s, "slice_s")
         self.machine = machine
-        self.slice_s = float(slice_s)
         self.allocator = NodeAllocator(machine, allocation_policy)
-        self.ledger = ContentionLedger()
         self.jobs: list[Job] = []
         # Storage resources exist machine-wide, before any job arrives.
         # Capacities follow the scenario's access direction; mixed read/write
         # scenarios conservatively use the (lower) write capacities.
-        self._access = (
+        access = (
             "read"
             if all(spec.workload.access == "read" for spec in specs)
             else "write"
         )
-        for resource in machine.storage_resources(self._access):
-            self.ledger.add_resource(resource.key, resource.capacity)
+        resources = [(r.key, r.capacity) for r in machine.storage_resources(access)]
+        registered = {key for key, _ in resources}
         for spec in specs:
             allocation = self.allocator.allocate(spec.name, spec.num_nodes)
-            job = bind_job(
-                machine, spec, allocation.nodes, include_network=include_network
-            )
+            job = bind_job(machine, spec, allocation.nodes)
             self.jobs.append(job)
-            self._register(job)
-
-    def _register(self, job: Job) -> None:
-        """Register a job's resources (idempotent) and its flow in the ledger."""
-        for key, capacity in job.network_capacities.items():
-            self.ledger.add_resource(key, capacity)
-        # A job staging through its own file-system override (e.g. a shared
-        # burst buffer) may reference resources the machine model does not
-        # enumerate; register them from the override.
-        missing = set(job.storage_weights) - set(self.ledger.resources)
-        if missing and job.spec.filesystem is not None:
-            for resource in job.spec.filesystem.shared_resources(self._access):
-                if resource.key in missing:
-                    self.ledger.add_resource(resource.key, resource.capacity)
-        self.ledger.register_flow(job.name, job.isolated_rate, job.weights())
+            # Its links follow in first-traversal order (the binding scan's
+            # first-hit tie-breaking depends on the column order).  A job
+            # staging through its own file-system override (e.g. a shared
+            # burst buffer) may reference resources the machine model does
+            # not enumerate; the first job naming one registers it.
+            resources += job.network_capacities.items()
+            registered.update(job.network_capacities)
+            if spec.filesystem is not None:
+                for resource in spec.filesystem.shared_resources(access):
+                    key = resource.key
+                    if key in job.storage_weights and key not in registered:
+                        resources.append((key, resource.capacity))
+                        registered.add(key)
+        self.ledger = ContentionLedger(
+            resources,
+            [(job.name, job.isolated_rate, job.weights()) for job in self.jobs],
+        )
 
     # ------------------------------------------------------------------ #
     # Execution
@@ -188,22 +184,21 @@ class MultiJobRuntime:
 
     def run(self) -> InterferenceReport:
         """Advance all jobs to completion and report per-job slowdowns."""
+        ledger = self.ledger
+        names = ledger.flow_ids
         report = InterferenceReport()
-        for index, job_a in enumerate(self.jobs):
-            for job_b in self.jobs[index + 1 :]:
-                shared = self.ledger.shared_between(job_a.name, job_b.name)
-                if shared:
-                    report.shared_resources[(job_a.name, job_b.name)] = shared
-        peak = {key: 0.0 for key in self.ledger.resources}
-        solo_io_s = {
-            job.name: job.total_bytes / self.ledger.allocate([job.name])[job.name]
-            for job in self.jobs
-        }
-        now = min(job.ready_s for job in self.jobs)
-        self._advance(peak, now)
-        for job in self.jobs:
+        pairs = np.argwhere(np.triu(ledger.sharing(), 1)).tolist()
+        for row_a, row_b in pairs:
+            report.shared_resources[(names[row_a], names[row_b])] = (
+                ledger.shared_between(row_a, row_b)
+            )
+        solo_io_s = [
+            job.total_bytes / float(ledger.allocate([row])[0])
+            for row, job in enumerate(self.jobs)
+        ]
+        peak = self._advance(min(job.ready_s for job in self.jobs))
+        for job, isolated_io in zip(self.jobs, solo_io_s):
             shared_io = max(job.finish_s - job.io_start_s, 0.0)
-            isolated_io = solo_io_s[job.name]
             report.outcomes.append(
                 JobOutcome(
                     name=job.name,
@@ -217,35 +212,33 @@ class MultiJobRuntime:
                 )
             )
         report.peak_utilization = {
-            key: value for key, value in peak.items() if value > 0.0
+            ledger.keys[j]: float(peak[j]) for j in np.flatnonzero(peak > 0.0)
         }
         return report
 
-    def _starved(self, names: Sequence[str]) -> StarvedFlowError:
-        keys = sorted(
-            {key for name in names for key in self.ledger.flows[name].weights},
-            key=repr,
-        )
+    def _starved(self, rows: Sequence[int]) -> StarvedFlowError:
+        touched = np.flatnonzero(self.ledger.touches[rows].any(axis=0))
+        keys = sorted((self.ledger.keys[j] for j in touched), key=repr)
+        names = sorted(self.ledger.flow_ids[row] for row in rows)
         return StarvedFlowError(
-            f"jobs {sorted(names)} were allocated rate 0.0 with no pending "
+            f"jobs {names} were allocated rate 0.0 with no pending "
             f"arrival or completion left to free capacity; every shared "
             f"resource they touch is saturated: {keys}"
         )
 
-    def _advance(self, peak: dict[tuple, float], now: float) -> None:
+    def _advance(self, now: float) -> np.ndarray:
         """The fluid slice loop: run every pending job to completion.
 
-        Per-job bytes and readiness live in numpy arrays, every completion
-        horizon folds into one ``np.min``, and — because the ledger memoises
-        allocations per active-flow tuple — the per-slice ``allocate`` call
-        is a dict hit whenever the active set is unchanged.  Peak
-        utilization only changes when the active set (and therefore the
-        memoised allocation) does, so it is re-folded just on those slices;
-        each individual update uses the same arithmetic as a plain per-job
-        loop (the tests' scalar oracle), keeping the report bit-identical.
+        Returns each resource's peak utilization (fraction of capacity).
+        Per-job bytes and readiness live in numpy arrays, and every
+        completion horizon folds into one ``np.min``.  Rates are solved
+        only when the active rows change, and the peak utilization is
+        folded on exactly those slices: the ledger's ordered row
+        accumulation keeps each update equal to a plain per-job loop (the
+        tests' scalar oracle), keeping the report bit-identical.
         """
+        ledger = self.ledger
         jobs = self.jobs
-        names = [job.name for job in jobs]
         ready = np.array([job.ready_s for job in jobs])
         total = np.array([job.total_bytes for job in jobs])
         done_at = total - np.maximum(_BYTES_EPS, total * _REL_BYTES_EPS)
@@ -253,31 +246,29 @@ class MultiJobRuntime:
         io_start: list[float | None] = [job.io_start_s for job in jobs]
         finish: list[float | None] = [job.finish_s for job in jobs]
         pending = np.ones(len(jobs), dtype=bool)
-        last_active: tuple[int, ...] | None = None
+        peak = np.zeros(len(ledger.keys))
+        live, rates = np.empty(0, dtype=np.intp), np.empty(0)
         while pending.any():
             active = pending & (ready <= now + _BYTES_EPS)
             future = ready[pending & (ready > now)]
             if not active.any():
                 now = float(np.min(future))
                 continue
-            live = np.flatnonzero(active)
-            for i in live:
-                if io_start[i] is None:
-                    io_start[i] = max(now, float(ready[i]))
-            rates_by_name = self.ledger.allocate([names[i] for i in live])
-            rates = np.array([rates_by_name[names[i]] for i in live])
+            if not np.array_equal(np.flatnonzero(active), live):
+                live = np.flatnonzero(active)
+                for i in live:
+                    if io_start[i] is None:
+                        io_start[i] = max(now, float(ready[i]))
+                rates = ledger.allocate(live)
+                if rates.any():
+                    used = ledger.utilization(live, rates)
+                    peak = np.maximum(peak, used / ledger.capacity)
             if not rates.any():
                 if future.size == 0:
-                    raise self._starved([names[i] for i in live])
+                    raise self._starved(live)
                 now = float(np.min(future))
                 continue
-            key = tuple(live)
-            if key != last_active:
-                last_active = key
-                for res_key, usage in self.ledger.utilization(rates_by_name).items():
-                    capacity = self.ledger.resources[res_key]
-                    peak[res_key] = max(peak[res_key], usage / capacity)
-            horizon = now + self.slice_s
+            horizon = now + _SLICE_S
             if future.size:
                 horizon = min(horizon, float(np.min(future)))
             moving = rates > 0.0
@@ -292,16 +283,16 @@ class MultiJobRuntime:
             completed = live[done[live] >= done_at[live]]
             for i in completed:
                 finish[i] = now
-                self.ledger.remove_flow(names[i])
-                pending[i] = False
+            pending[completed] = False
             if dt == 0.0 and completed.size == 0:
                 # A zero-width slice that completes nothing recomputes the
                 # identical state next iteration — a numerical stall.
-                raise self._starved([names[i] for i in live])
+                raise self._starved(live)
         for i, job in enumerate(jobs):
             job.bytes_done = float(done[i])
             job.io_start_s = io_start[i]
             job.finish_s = finish[i]
+        return peak
 
     # ------------------------------------------------------------------ #
     # Diagnostics
@@ -314,9 +305,11 @@ class MultiJobRuntime:
         zero; a scattered allocation interleaves jobs on routers and shares
         many links.
         """
-        sharing: dict[tuple[str, str], int] = {}
-        for index, job_a in enumerate(self.jobs):
-            for job_b in self.jobs[index + 1 :]:
-                shared = set(job_a.network_weights) & set(job_b.network_weights)
-                sharing[(job_a.name, job_b.name)] = len(shared)
-        return sharing
+        ledger = self.ledger
+        links = np.array([key[0] == "link" for key in ledger.keys], dtype=bool)
+        counts = ledger.sharing(links)
+        names = ledger.flow_ids
+        return {
+            (names[a], names[b]): int(counts[a, b])
+            for a, b in zip(*np.triu_indices(len(names), 1))
+        }

@@ -18,7 +18,7 @@ router-to-router link is local or global by its two routers' groups.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -123,8 +123,11 @@ class DragonflyTopology(Topology):
 
     def router_of(self, node: int) -> int:
         """Global router id the node attaches to."""
-        self.validate_node(node)
-        return node // self._nodes_per_router
+        return int(self.routers_of([node])[0])
+
+    def routers_of(self, nodes: Iterable[int]) -> np.ndarray:
+        """Global router id of every node of ``nodes`` (int64, validated)."""
+        return self._as_node_array(nodes) // self._nodes_per_router
 
     def group_of(self, node: int) -> int:
         """Group id of the node."""

@@ -6,20 +6,69 @@
 :class:`repro.multijob.runtime.MultiJobRuntime` replaced with numpy array
 code.  Both visit flows in the caller's order and resources in registration
 order everywhere a float accumulates, so the ``src/`` implementations must
-match them bit for bit.
+match them bit for bit.  :class:`ScalarLedger` reads the matrix ledger back
+into the plain dicts the loops walk.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from dataclasses import dataclass
+from types import SimpleNamespace
+from typing import Mapping, Sequence
 
+import numpy as np
+
+from repro.multijob import runtime as multijob_runtime
 from repro.multijob.contention import _EPS, ContentionLedger
 from repro.multijob.runtime import _BYTES_EPS, _REL_BYTES_EPS, MultiJobRuntime
 from repro.utils.validation import require
 
 
+@dataclass(frozen=True)
+class Flow:
+    """One row of the ledger: its demand and its non-zero weights by key."""
+
+    demand: float
+    weights: dict[tuple, float]
+
+
+class ScalarLedger:
+    """A :class:`ContentionLedger` as dicts: ``resources`` and ``flows``.
+
+    Both are in registration order; a flow's weights hold only the
+    resources it touches.
+    """
+
+    def __init__(self, ledger: ContentionLedger) -> None:
+        self.resources = dict(zip(ledger.keys, ledger.capacity.tolist()))
+        self.flows = {
+            flow_id: Flow(
+                demand,
+                {key: w for key, w in zip(ledger.keys, row) if w > 0.0},
+            )
+            for flow_id, demand, row in zip(
+                ledger.flow_ids, ledger.demand.tolist(), ledger.weight.tolist()
+            )
+        }
+
+    def allocate(self, active=None) -> dict[str, float]:
+        """The scalar loop's rates by flow id (default: every flow)."""
+        ids = list(self.flows) if active is None else list(active)
+        for flow_id in ids:
+            require(flow_id in self.flows, f"unknown flow {flow_id!r}")
+        return allocate_scalar(self, ids)[0]
+
+    def utilization(self, rates: Mapping[str, float]) -> dict[tuple, float]:
+        """Per-resource bandwidth consumed by ``rates``, flow by flow."""
+        used = {key: 0.0 for key in self.resources}
+        for flow_id, flow_rate in rates.items():
+            for key, weight in self.flows[flow_id].weights.items():
+                used[key] += flow_rate * weight
+        return used
+
+
 def allocate_scalar(
-    ledger: ContentionLedger, ids: Sequence[str]
+    ledger: ScalarLedger, ids: Sequence[str]
 ) -> tuple[dict[str, float], int]:
     """Reference progressive-filling loop over plain dicts.
 
@@ -75,12 +124,20 @@ def allocate_scalar(
     return rate, iterations
 
 
-def allocate(ledger: ContentionLedger, active=None) -> dict[str, float]:
-    """:meth:`ContentionLedger.allocate` without the memo or the numpy solver."""
-    ids = list(ledger.flows) if active is None else list(active)
-    for flow_id in ids:
-        require(flow_id in ledger.flows, f"unknown flow {flow_id!r}")
-    return allocate_scalar(ledger, ids)[0]
+def allocate(ledger: ContentionLedger, rows=None) -> list[float]:
+    """:meth:`ContentionLedger.allocate` by the scalar loop, in ``rows`` order."""
+    ids = list(ledger.flow_ids)
+    if rows is not None:
+        ids = [ids[row] for row in rows]
+    rates = ScalarLedger(ledger).allocate(ids)
+    return [rates[flow_id] for flow_id in ids]
+
+
+def utilization(ledger: ContentionLedger, rows, rates) -> list[float]:
+    """:meth:`ContentionLedger.utilization` by the per-flow dict fold."""
+    scalar = ScalarLedger(ledger)
+    by_id = {ledger.flow_ids[row]: float(rate) for row, rate in zip(rows, rates)}
+    return list(scalar.utilization(by_id).values())
 
 
 def advance_scalar(runtime: MultiJobRuntime, peak: dict[tuple, float], now: float) -> None:
@@ -116,7 +173,7 @@ def advance_scalar(runtime: MultiJobRuntime, peak: dict[tuple, float], now: floa
             capacity = runtime.ledger.resources[key]
             peak[key] = max(peak[key], usage / capacity)
         # Advance to the earliest of: slice end, a completion, an arrival.
-        horizon = now + runtime.slice_s
+        horizon = now + multijob_runtime._SLICE_S
         if future_ready:
             horizon = min(horizon, min(future_ready))
         for job in active:
@@ -132,7 +189,6 @@ def advance_scalar(runtime: MultiJobRuntime, peak: dict[tuple, float], now: floa
         for job in list(active):
             if job.bytes_done >= done_at[job.name]:
                 job.finish_s = now
-                runtime.ledger.remove_flow(job.name)
                 del pending[job.name]
                 completed = True
         if dt == 0.0 and not completed:
@@ -143,7 +199,23 @@ def advance_scalar(runtime: MultiJobRuntime, peak: dict[tuple, float], now: floa
 
 def run_scalar(runtime: MultiJobRuntime):
     """:meth:`MultiJobRuntime.run` on the scalar ledger and slice loop."""
-    ledger = runtime.ledger
-    ledger.allocate = lambda active=None: allocate(ledger, active)
-    runtime._advance = lambda peak, now: advance_scalar(runtime, peak, now)
+    scalar = ScalarLedger(runtime.ledger)
+    names = list(runtime.ledger.flow_ids)
+    oracle = SimpleNamespace(
+        jobs=runtime.jobs,
+        ledger=scalar,
+        _starved=lambda active: runtime._starved([names.index(n) for n in active]),
+    )
+
+    def allocate(rows=None):
+        ids = names if rows is None else [names[row] for row in rows]
+        return np.array(list(scalar.allocate(ids).values()))
+
+    def advance(now):
+        peak = {key: 0.0 for key in scalar.resources}
+        advance_scalar(oracle, peak, now)
+        return np.array(list(peak.values()))
+
+    runtime.ledger.allocate = allocate
+    runtime._advance = advance
     return runtime.run()

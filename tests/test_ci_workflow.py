@@ -198,6 +198,16 @@ class TestWorkflowShape:
             "the bench job must exercise the one benchmark harness"
         )
 
+    def test_bench_job_gates_on_the_contention_mix_digest(self, workflow):
+        """The multi-job runtime must reproduce perfbench's committed
+        contention_mix digest, and every scenario must pass its check."""
+        commands = [s.get("run", "") for s in workflow["jobs"]["bench"]["steps"]]
+        gate = [c for c in commands if "--workload contention_mix" in c]
+        assert gate, "the bench job must run the contention_mix workload"
+        assert "python perfbench/run.py --workload contention_mix --seed 1 --seconds 20" in gate[0]
+        assert "digest contention_mix/1/60 [0-9a-f]+ reference match" in gate[0]
+        assert "grep -F '\"correct\": true'" in gate[0]
+
     def test_serve_job_submits_twice_and_asserts_cache_hit(self, workflow):
         steps = workflow["jobs"]["serve"]["steps"]
         commands = [s.get("run", "") for s in steps]

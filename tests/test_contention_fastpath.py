@@ -1,24 +1,26 @@
 """The vectorised contention engine against its scalar oracles.
 
-Three contracts, checked against ``tests/reference/contention.py``:
+Two contracts, checked against ``tests/reference/contention.py``:
 
-- ``ContentionLedger.allocate`` (numpy water-filling) is *bit-for-bit*
-  equal to the dict-based scalar loop — both run the identical sequence of
-  IEEE additions — across seeded instances spanning the demand-capped,
-  resource-capped and mixed freeze regimes.
-- The allocation memo only changes how often the solver runs
-  (``sim.contention_allocations``), never the water-fill work it reports
-  (``sim.contention_iterations``) or the rates, and every registration
-  change invalidates it.
-- ``MultiJobRuntime`` produces outcomes and peak utilizations identical to
-  the per-job scalar slice loop, and raises :class:`StarvedFlowError`
-  instead of spinning when no byte can ever move again.
+- ``ContentionLedger.allocate`` (numpy water-filling over the active rows of
+  the weight matrix) is *bit-for-bit* equal to the dict-based scalar loop —
+  both run the identical sequence of IEEE additions — across seeded
+  instances spanning the demand-capped, resource-capped and mixed freeze
+  regimes, in rates and in water-fill iterations.
+- ``MultiJobRuntime`` produces outcomes, peak utilizations and shared
+  resources identical to the per-job scalar slice loop, and raises
+  :class:`StarvedFlowError` instead of spinning when no byte can ever move
+  again.
 """
 
 from __future__ import annotations
 
+import random
+
+import numpy as np
 import pytest
 
+from repro.multijob import runtime as runtime_module
 from repro.multijob.contention import ContentionLedger, LinkContentionFactors
 from repro.obs.recorder import collecting
 from repro.utils.rng import seeded_rng
@@ -37,39 +39,36 @@ _REGIMES = (
 
 
 def build_instance(rng, capacity_range, demand_range) -> ContentionLedger:
-    ledger = ContentionLedger()
     num_resources = int(rng.integers(1, 9))
     num_flows = int(rng.integers(1, 10))
     keys = [("res", index) for index in range(num_resources)]
-    for key in keys:
-        ledger.add_resource(key, float(rng.uniform(*capacity_range)))
+    resources = [(key, float(rng.uniform(*capacity_range))) for key in keys]
+    flows = []
     for flow_index in range(num_flows):
         touched = rng.choice(
             num_resources, size=int(rng.integers(1, num_resources + 1)), replace=False
         )
         weights = {keys[k]: float(rng.uniform(0.05, 1.0)) for k in touched}
-        ledger.register_flow(
-            f"flow{flow_index}", float(rng.uniform(*demand_range)), weights
-        )
-    return ledger
+        flows.append((f"flow{flow_index}", float(rng.uniform(*demand_range)), weights))
+    return ContentionLedger(resources, flows)
 
 
-def assert_valid_max_min(ledger: ContentionLedger, rates: dict) -> None:
+def assert_valid_max_min(ledger: ContentionLedger, rates) -> None:
     """Conservation, demand caps, and max-min (work-conserving) optimality."""
-    used = ledger.utilization(rates)
-    for key, usage in used.items():
-        assert usage <= ledger.resources[key] * (1.0 + 1e-6)
-    for flow_id, rate in rates.items():
-        flow = ledger.flows[flow_id]
-        assert 0.0 <= rate <= flow.demand * (1.0 + 1e-6)
+    rows = range(len(ledger.flow_ids))
+    rates = np.asarray(rates)
+    used = ledger.utilization(rows, rates)
+    assert np.all(used <= ledger.capacity * (1.0 + 1e-6))
+    assert np.all((rates >= 0.0) & (rates <= ledger.demand * (1.0 + 1e-6)))
+    saturated = used >= ledger.capacity * (1.0 - 1e-6)
+    for row in rows:
         # Max-min optimality: a flow below its demand must touch a
         # saturated resource — otherwise its rate could rise without
         # lowering anyone's, contradicting max-min fairness.
-        if rate < flow.demand * (1.0 - 1e-6):
-            assert any(
-                used[key] >= ledger.resources[key] * (1.0 - 1e-6)
-                for key in flow.weights
-            ), f"{flow_id} is below demand with headroom everywhere"
+        if rates[row] < ledger.demand[row] * (1.0 - 1e-6):
+            assert (ledger.touches[row] & saturated).any(), (
+                f"{ledger.flow_ids[row]} is below demand with headroom everywhere"
+            )
 
 
 class TestVectorisedEqualsScalar:
@@ -90,9 +89,8 @@ class TestVectorisedEqualsScalar:
         rng = seeded_rng(2017)
         for _ in range(70):
             ledger = build_instance(rng, capacity_range, demand_range)
-            ids = list(ledger.flows)
-            fast = ledger.allocate(ids)
-            scalar = reference.allocate(ledger, ids)
+            fast = ledger.allocate().tolist()
+            scalar = reference.allocate(ledger)
             assert fast == scalar, f"{regime}: fast and scalar rates diverged"
             assert_valid_max_min(ledger, fast)
             assert_valid_max_min(ledger, scalar)
@@ -100,81 +98,106 @@ class TestVectorisedEqualsScalar:
     def test_subset_and_reordered_active_sets_stay_bit_equal(self):
         rng = seeded_rng(7)
         ledger = build_instance(rng, (0.5, 20.0), (0.1, 30.0))
-        ids = list(ledger.flows)
-        for active in (ids[::2], list(reversed(ids)), ids[:1]):
+        rows = list(range(len(ledger.flow_ids)))
+        for active in (rows[::2], list(reversed(rows)), rows[:1]):
             fast = ledger.allocate(active)
-            assert reference.allocate(ledger, active) == fast
+            assert reference.allocate(ledger, active) == fast.tolist()
+            assert reference.utilization(ledger, active, fast) == (
+                ledger.utilization(active, fast).tolist()
+            )
 
     def test_single_resource_instances_stay_bit_equal(self):
         """One shared resource is the degenerate matrix shape (one column)."""
         rng = seeded_rng(13)
         for _ in range(30):
-            ledger = ContentionLedger()
-            ledger.add_resource(("pipe",), float(rng.uniform(0.5, 10.0)))
-            for index in range(int(rng.integers(1, 8))):
-                ledger.register_flow(
+            flows = [
+                (
                     f"flow{index}",
                     float(rng.uniform(0.1, 10.0)),
                     {("pipe",): float(rng.uniform(0.05, 1.0))},
                 )
-            fast = ledger.allocate()
-            assert reference.allocate(ledger) == fast
+                for index in range(int(rng.integers(1, 8)))
+            ]
+            ledger = ContentionLedger([(("pipe",), float(rng.uniform(0.5, 10.0)))], flows)
+            assert reference.allocate(ledger) == ledger.allocate().tolist()
 
-
-class TestAllocationMemo:
-    def build(self) -> ContentionLedger:
-        ledger = ContentionLedger()
-        ledger.add_resource(("ost", 0), 4.0)
-        ledger.add_resource(("ost", 1), 2.0)
-        ledger.register_flow("a", 10.0, {("ost", 0): 1.0, ("ost", 1): 0.5})
-        ledger.register_flow("b", 10.0, {("ost", 1): 1.0})
-        return ledger
-
-    def test_repeat_allocations_are_served_from_the_memo(self):
-        ledger = self.build()
+    def test_iteration_count_equals_scalar(self):
+        ledger = ContentionLedger(
+            [(("ost", 0), 4.0), (("ost", 1), 2.0)],
+            [
+                ("a", 10.0, {("ost", 0): 1.0, ("ost", 1): 0.5}),
+                ("b", 10.0, {("ost", 1): 1.0}),
+            ],
+        )
         with collecting() as rec:
-            first = ledger.allocate(["a", "b"])
-            for _ in range(4):
-                assert ledger.allocate(["a", "b"]) == first
-            assert rec.counter("sim.contention_allocations").value == 1
-            assert rec.counter("sim.contention_cache_hits").value == 4
-
-    def test_iteration_count_is_identical_on_both_paths_and_on_memo_hits(self):
-        ledger = self.build()
-        with collecting() as rec:
-            ledger.allocate(["a", "b"])
+            ledger.allocate([0, 1])
             solved = rec.counter("sim.contention_iterations").value
-            ledger.allocate(["a", "b"])  # memo hit re-counts the same work
-            assert rec.counter("sim.contention_iterations").value == 2 * solved
-        _, scalar_iterations = reference.allocate_scalar(ledger, ["a", "b"])
+            assert rec.counter("sim.contention_allocations").value == 1
+        _, scalar_iterations = reference.allocate_scalar(
+            reference.ScalarLedger(ledger), ["a", "b"]
+        )
         assert solved == scalar_iterations
 
-    @pytest.mark.parametrize(
-        "invalidate",
-        [
-            lambda ledger: ledger.register_flow("c", 1.0, {("ost", 0): 1.0}),
-            lambda ledger: ledger.remove_flow("b"),
-            lambda ledger: ledger.add_resource(("lnet",), 8.0),
-        ],
-        ids=["register_flow", "remove_flow", "add_resource"],
-    )
-    def test_registration_changes_invalidate_the_memo(self, invalidate):
-        ledger = self.build()
-        with collecting() as rec:
-            ledger.allocate(["a"])
-            invalidate(ledger)
-            ledger.allocate(["a"])
-            assert rec.counter("sim.contention_allocations").value == 2
-            assert rec.counter("sim.contention_cache_hits").value == 0
 
-    def test_memo_hits_return_independent_copies(self):
-        ledger = self.build()
-        first = ledger.allocate(["a", "b"])
-        first["a"] = -1.0
-        assert ledger.allocate(["a", "b"])["a"] != -1.0
+def mix_scenario(rng: random.Random, index: int) -> dict:
+    """A contention_mix-shaped scenario on a 256-node Theta.
+
+    8–24 jobs of 2–8 nodes arriving over 3 s, reading or writing, each
+    through a narrow Lustre stripe anchored anywhere or (about 15%) one of
+    two shared burst buffers whose drain capacities disagree between jobs;
+    the allocation policy cycles through all three.
+    """
+    from repro.scenario.spec import ALLOCATION_POLICIES
+
+    jobs = []
+    for job in range(rng.randint(8, 24)):
+        if rng.random() < 0.15:
+            storage = {
+                "kind": "burst-buffer",
+                "name": f"bb{rng.randint(0, 1)}",
+                "drain_gbps": rng.choice((1.0, 2.0, 4.0)),
+            }
+        else:
+            storage = {
+                "kind": "lustre",
+                "stripe_count": rng.choice((2, 4, 8)),
+                "ost_start": rng.randrange(56),
+            }
+        jobs.append(
+            {
+                "name": f"J{job}",
+                "num_nodes": rng.randint(2, 8),
+                "workload": {
+                    "kind": "ior",
+                    "access": rng.choice(("write", "read")),
+                    "bytes_per_rank": rng.choice((1, 2, 4, 8)) * 1_000_000,
+                },
+                "io": {
+                    "kind": "tapioca",
+                    "num_aggregators": rng.choice((1, 2, 4, 8)),
+                    "buffer_size": rng.choice((4, 8, 16)) * 1_048_576,
+                },
+                "storage": storage,
+                "arrival_s": round(rng.uniform(0.0, 3.0), 3),
+            }
+        )
+    return {
+        "id": f"mix/{index}",
+        "machine": {"kind": "theta", "num_nodes": 256},
+        "workload": {"kind": "ior"},
+        "io": {"kind": "tapioca"},
+        "multijob": {
+            "jobs": jobs,
+            "allocation_policy": ALLOCATION_POLICIES[index % len(ALLOCATION_POLICIES)],
+        },
+    }
 
 
 class TestRuntimeEquivalence:
+    @pytest.fixture(autouse=True)
+    def half_second_slices(self, monkeypatch):
+        monkeypatch.setattr(runtime_module, "_SLICE_S", 0.5)
+
     def build_runtime(self, mb_per_rank: int = 64, jobs: int = 4):
         from repro.core.config import TapiocaConfig
         from repro.machine.theta import ThetaMachine
@@ -197,7 +220,7 @@ class TestRuntimeEquivalence:
             )
             for index in range(jobs)
         ]
-        return MultiJobRuntime(machine, specs, slice_s=0.5)
+        return MultiJobRuntime(machine, specs)
 
     def test_fast_and_scalar_runs_are_bit_identical(self):
         fast = self.build_runtime().run()
@@ -205,6 +228,20 @@ class TestRuntimeEquivalence:
         assert fast.peak_utilization == scalar.peak_utilization
         for fast_outcome, scalar_outcome in zip(fast.outcomes, scalar.outcomes):
             assert fast_outcome == scalar_outcome
+
+    def test_seeded_mixed_scenarios_match_the_scalar_loop(self):
+        """Seeded contention_mix-shaped scenarios, every allocation policy."""
+        from repro.scenario.simulation import Simulation
+        from repro.scenario.spec import Scenario
+
+        rng = random.Random(22)
+        for index in range(6):
+            simulation = Simulation(Scenario.from_dict(mix_scenario(rng, index)))
+            fast = simulation.multijob_runtime().run()
+            scalar = reference.run_scalar(simulation.multijob_runtime())
+            assert fast.outcomes == scalar.outcomes
+            assert fast.peak_utilization == scalar.peak_utilization
+            assert fast.shared_resources == scalar.shared_resources
 
     def test_multi_gigabyte_jobs_complete_on_both_paths(self):
         """Regression: totals whose float ulp exceeds the absolute byte
@@ -231,7 +268,7 @@ class TestStarvedFlowDetection:
             if solo_calls["left"] > 0:
                 solo_calls["left"] -= 1
                 return rates
-            return {name: 0.0 for name in rates}
+            return np.zeros_like(rates)
 
         monkeypatch.setattr(runtime.ledger, "allocate", saturated)
         with pytest.raises(StarvedFlowError, match="job0.*saturated"):
@@ -251,9 +288,9 @@ class TestStarvedFlowDetection:
             if solo_calls["left"] > 0:
                 solo_calls["left"] -= 1
                 return rates
-            calls.append(sorted(rates))
+            calls.append(len(rates))
             if len(rates) < 2:
-                return {name: 0.0 for name in rates}
+                return np.zeros_like(rates)
             return rates
 
         monkeypatch.setattr(runtime.ledger, "allocate", starve_until_both_arrive)
@@ -263,7 +300,7 @@ class TestStarvedFlowDetection:
             pytest.fail("a pending arrival must rescue a zero-rate slice")
         # The solo job was starved, so nothing finished before job1 arrived.
         assert min(o.start_s for o in report.outcomes) >= 0.0
-        assert any(len(names) == 2 for names in calls)
+        assert 2 in calls
 
 
 class TestPlacementContentionFastPath:
@@ -280,8 +317,6 @@ class TestPlacementContentionFastPath:
         return AggregationCostModel(iface, contention=contention), mapping, contention
 
     def test_batched_factors_match_the_scalar_accessor(self):
-        import numpy as np
-
         background = [(0, 9), (1, 12), (3, 15)]
         _, mapping, contention = self.build_model(background)
         src_ranks = list(range(0, 64, 3))

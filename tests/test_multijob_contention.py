@@ -1,5 +1,6 @@
 """Property tests for the contention ledger and link contention factors."""
 
+import numpy as np
 import pytest
 
 from repro.multijob.contention import ContentionLedger, LinkContentionFactors
@@ -9,19 +10,30 @@ from repro.utils.rng import seeded_rng
 
 
 def build_random_instance(rng, num_resources: int, num_flows: int) -> ContentionLedger:
-    ledger = ContentionLedger()
     keys = [("res", index) for index in range(num_resources)]
-    for key in keys:
-        ledger.add_resource(key, float(rng.uniform(0.5, 20.0)))
+    resources = [(key, float(rng.uniform(0.5, 20.0))) for key in keys]
+    flows = []
     for flow_index in range(num_flows):
         touched = rng.choice(
             num_resources, size=int(rng.integers(1, num_resources + 1)), replace=False
         )
         weights = {keys[k]: float(rng.uniform(0.05, 1.0)) for k in touched}
-        ledger.register_flow(
-            f"flow{flow_index}", float(rng.uniform(0.1, 30.0)), weights
-        )
-    return ledger
+        flows.append((f"flow{flow_index}", float(rng.uniform(0.1, 30.0)), weights))
+    return ContentionLedger(resources, flows)
+
+
+def rates_by_flow(ledger: ContentionLedger, rows=None) -> dict:
+    rows = range(len(ledger.flow_ids)) if rows is None else rows
+    rates = ledger.allocate(rows).tolist()
+    return {ledger.flow_ids[row]: rate for row, rate in zip(rows, rates)}
+
+
+def pipe_ledger(capacity, *demands) -> ContentionLedger:
+    """Flows ``a``, ``b``, ... with the given demands on one pipe."""
+    return ContentionLedger(
+        [(("pipe",), capacity)],
+        [(chr(ord("a") + i), demand, {("pipe",): 1.0}) for i, demand in enumerate(demands)],
+    )
 
 
 class TestLedgerProperties:
@@ -33,12 +45,11 @@ class TestLedgerProperties:
             ledger = build_random_instance(rng, num_resources, num_flows)
             rates = ledger.allocate()
             # Bandwidth conservation: no resource is allocated beyond capacity.
-            for key, used in ledger.utilization(rates).items():
-                assert used <= ledger.resources[key] * (1.0 + 1e-6)
+            used = ledger.utilization(range(num_flows), rates)
+            assert np.all(used <= ledger.capacity * (1.0 + 1e-6))
             # No flow exceeds its own demand.
-            for flow_id, rate in rates.items():
-                assert rate <= ledger.flows[flow_id].demand * (1.0 + 1e-6)
-                assert rate >= 0.0
+            assert np.all(rates <= ledger.demand * (1.0 + 1e-6))
+            assert np.all(rates >= 0.0)
 
     def test_allocation_is_work_conserving(self):
         """Every flow is limited by its demand or by a saturated resource."""
@@ -47,103 +58,87 @@ class TestLedgerProperties:
             ledger = build_random_instance(
                 rng, int(rng.integers(1, 5)), int(rng.integers(1, 6))
             )
+            rows = range(len(ledger.flow_ids))
             rates = ledger.allocate()
-            used = ledger.utilization(rates)
-            for flow_id, rate in rates.items():
-                flow = ledger.flows[flow_id]
-                at_demand = rate >= flow.demand * (1.0 - 1e-6)
-                at_bottleneck = any(
-                    used[key] >= ledger.resources[key] * (1.0 - 1e-6)
-                    for key in flow.weights
-                )
+            used = ledger.utilization(rows, rates)
+            saturated = used >= ledger.capacity * (1.0 - 1e-6)
+            for row in rows:
+                at_demand = rates[row] >= ledger.demand[row] * (1.0 - 1e-6)
+                at_bottleneck = (ledger.touches[row] & saturated).any()
                 assert at_demand or at_bottleneck
 
     def test_single_flow_gets_min_of_demand_and_capacity(self):
-        ledger = ContentionLedger()
-        ledger.add_resource(("pipe",), 4.0)
-        ledger.register_flow("a", 10.0, {("pipe",): 1.0})
-        assert ledger.allocate() == {"a": pytest.approx(4.0)}
-        ledger.remove_flow("a")
-        ledger.register_flow("a", 3.0, {("pipe",): 1.0})
-        assert ledger.allocate() == {"a": pytest.approx(3.0)}
+        assert rates_by_flow(pipe_ledger(4.0, 10.0)) == {"a": pytest.approx(4.0)}
+        assert rates_by_flow(pipe_ledger(4.0, 3.0)) == {"a": pytest.approx(3.0)}
 
     def test_equal_flows_split_a_resource_evenly(self):
-        ledger = ContentionLedger()
-        ledger.add_resource(("ost", 0), 6.0)
-        for name in ("a", "b", "c"):
-            ledger.register_flow(name, 10.0, {("ost", 0): 1.0})
-        rates = ledger.allocate()
+        rates = rates_by_flow(pipe_ledger(6.0, 10.0, 10.0, 10.0))
         for name in ("a", "b", "c"):
             assert rates[name] == pytest.approx(2.0)
 
     def test_max_min_fairness_protects_small_flows(self):
         """A small flow keeps its demand; big flows split the remainder."""
-        ledger = ContentionLedger()
-        ledger.add_resource(("pipe",), 10.0)
-        ledger.register_flow("small", 1.0, {("pipe",): 1.0})
-        ledger.register_flow("big1", 100.0, {("pipe",): 1.0})
-        ledger.register_flow("big2", 100.0, {("pipe",): 1.0})
-        rates = ledger.allocate()
-        assert rates["small"] == pytest.approx(1.0)
-        assert rates["big1"] == pytest.approx(4.5)
-        assert rates["big2"] == pytest.approx(4.5)
+        rates = rates_by_flow(pipe_ledger(10.0, 1.0, 100.0, 100.0))
+        assert rates["a"] == pytest.approx(1.0)
+        assert rates["b"] == pytest.approx(4.5)
+        assert rates["c"] == pytest.approx(4.5)
 
     def test_disjoint_resources_do_not_interact(self):
-        ledger = ContentionLedger()
-        ledger.add_resource(("ost", 0), 2.0)
-        ledger.add_resource(("ost", 1), 2.0)
-        ledger.register_flow("a", 5.0, {("ost", 0): 1.0})
-        ledger.register_flow("b", 5.0, {("ost", 1): 1.0})
-        rates = ledger.allocate()
+        ledger = ContentionLedger(
+            [(("ost", 0), 2.0), (("ost", 1), 2.0)],
+            [("a", 5.0, {("ost", 0): 1.0}), ("b", 5.0, {("ost", 1): 1.0})],
+        )
+        rates = rates_by_flow(ledger)
         assert rates["a"] == pytest.approx(2.0)
         assert rates["b"] == pytest.approx(2.0)
 
     def test_weighted_demand_consumes_proportionally(self):
         """A file striped over two OSTs puts half its rate on each."""
-        ledger = ContentionLedger()
-        ledger.add_resource(("ost", 0), 1.0)
-        ledger.add_resource(("ost", 1), 1.0)
-        ledger.register_flow("a", 100.0, {("ost", 0): 0.5, ("ost", 1): 0.5})
+        ledger = ContentionLedger(
+            [(("ost", 0), 1.0), (("ost", 1), 1.0)],
+            [("a", 100.0, {("ost", 0): 0.5, ("ost", 1): 0.5})],
+        )
         rates = ledger.allocate()
-        assert rates["a"] == pytest.approx(2.0)
-        used = ledger.utilization(rates)
-        assert used[("ost", 0)] == pytest.approx(1.0)
+        assert rates.tolist() == [pytest.approx(2.0)]
+        used = ledger.utilization([0], rates)
+        assert used[ledger.keys.index(("ost", 0))] == pytest.approx(1.0)
 
     def test_active_subset_allocation(self):
-        ledger = ContentionLedger()
-        ledger.add_resource(("pipe",), 4.0)
-        ledger.register_flow("a", 10.0, {("pipe",): 1.0})
-        ledger.register_flow("b", 10.0, {("pipe",): 1.0})
-        assert ledger.allocate(["a"]) == {"a": pytest.approx(4.0)}
-        both = ledger.allocate()
+        ledger = pipe_ledger(4.0, 10.0, 10.0)
+        assert rates_by_flow(ledger, [0]) == {"a": pytest.approx(4.0)}
+        both = rates_by_flow(ledger)
         assert both["a"] == pytest.approx(2.0)
         assert both["b"] == pytest.approx(2.0)
 
 
 class TestLedgerValidation:
     def test_rejects_capacity_change(self):
-        ledger = ContentionLedger()
-        ledger.add_resource(("pipe",), 4.0)
-        ledger.add_resource(("pipe",), 4.0)  # idempotent
+        pipe = ("pipe",)
+        ledger = ContentionLedger([(pipe, 4.0), (pipe, 4.0)], [])  # idempotent
+        assert ledger.keys == (pipe,)
         with pytest.raises(ValueError):
-            ledger.add_resource(("pipe",), 5.0)
+            ContentionLedger([(pipe, 4.0), (pipe, 5.0)], [])
 
     def test_rejects_unknown_resource_and_duplicate_flow(self):
-        ledger = ContentionLedger()
-        ledger.add_resource(("pipe",), 4.0)
+        pipe = [(("pipe",), 4.0)]
         with pytest.raises(ValueError):
-            ledger.register_flow("a", 1.0, {("nope",): 1.0})
-        ledger.register_flow("a", 1.0, {("pipe",): 1.0})
+            ContentionLedger(pipe, [("a", 1.0, {("nope",): 1.0})])
+        ContentionLedger(pipe, [("a", 1.0, {("pipe",): 1.0})])
         with pytest.raises(ValueError):
-            ledger.register_flow("a", 1.0, {("pipe",): 1.0})
+            ContentionLedger(
+                pipe, [("a", 1.0, {("pipe",): 1.0}), ("a", 1.0, {("pipe",): 1.0})]
+            )
 
     def test_shared_between(self):
-        ledger = ContentionLedger()
-        ledger.add_resource(("ost", 0), 1.0)
-        ledger.add_resource(("ost", 1), 1.0)
-        ledger.register_flow("a", 1.0, {("ost", 0): 1.0, ("ost", 1): 1.0})
-        ledger.register_flow("b", 1.0, {("ost", 1): 1.0})
-        assert ledger.shared_between("a", "b") == [("ost", 1)]
+        ledger = ContentionLedger(
+            [(("ost", 0), 1.0), (("ost", 1), 1.0)],
+            [
+                ("a", 1.0, {("ost", 0): 1.0, ("ost", 1): 1.0}),
+                ("b", 1.0, {("ost", 1): 1.0}),
+            ],
+        )
+        assert ledger.shared_between(0, 1) == [("ost", 1)]
+        assert ledger.sharing().tolist() == [[2.0, 1.0], [1.0, 1.0]]
 
 
 class TestLinkContentionFactors:

@@ -1,8 +1,11 @@
 """Tests for the multi-job subsystem: allocator, job binding, fluid runtime."""
 
+import random
+
 import pytest
 
 from repro.core.config import TapiocaConfig
+from repro.machine.generic import generic_cluster
 from repro.machine.mira import MiraMachine
 from repro.machine.theta import ThetaMachine
 from repro.multijob import JobSpec, MultiJobRuntime, NodeAllocator
@@ -10,6 +13,7 @@ from repro.multijob.job import bind_job
 from repro.storage.burst_buffer import BurstBufferModel
 from repro.utils.units import MB, MIB, gbps
 from repro.workloads.ior import IORWorkload
+from reference.allocator import topology_order as reference_topology_order
 
 
 def theta_spec(
@@ -73,15 +77,29 @@ class TestNodeAllocator:
         # 8 nodes at 4 nodes/router need exactly 2 routers when router-aligned.
         assert len(routers) == 2
 
-    def test_release_returns_nodes(self):
-        machine = ThetaMachine(16)
-        allocator = NodeAllocator(machine, "contiguous")
-        allocator.allocate("a", 10)
-        with pytest.raises(ValueError):
-            allocator.allocate("b", 10)
-        allocator.release("a")
-        assert len(allocator.free_nodes) == machine.num_nodes
-        allocator.allocate("b", 10)
+    @pytest.mark.parametrize(
+        "machine",
+        [
+            ThetaMachine(256),
+            MiraMachine(512, pset_size=128),
+            MiraMachine(96, pset_size=16),
+            generic_cluster(128),
+        ],
+        ids=["theta", "mira-128", "mira-16", "fat-tree"],
+    )
+    def test_topology_order_matches_the_scalar_grouping(self, machine):
+        """Fragmented free pools: scattered grants punch holes first."""
+        rng = random.Random(machine.num_nodes)
+        allocator = NodeAllocator(machine, "scattered")
+        for index in range(6):
+            allocator.allocate(f"hole{index}", rng.randint(1, machine.num_nodes // 12))
+        allocator.policy = "topology-aware"
+        for index in range(4):
+            free = allocator._free.tolist()
+            expected = reference_topology_order(machine, free)
+            assert allocator._topology_order().tolist() == expected
+            size = rng.randint(1, len(free) // 4)
+            assert allocator.allocate(f"job{index}", size).nodes == tuple(expected[:size])
 
     def test_rejects_duplicate_and_oversized_requests(self):
         machine = ThetaMachine(16)
@@ -228,6 +246,30 @@ class TestMultiJobRuntime:
             )
         with pytest.raises(ValueError):
             MultiJobRuntime(machine, [])
+
+    def test_ledger_columns_follow_registration_order(self):
+        """Storage first, then each job's links in first-traversal order and
+        the resources its file-system override adds: the binding scan's
+        first-hit tie-breaking depends on this column order."""
+        machine = ThetaMachine(32)
+        tier = BurstBufferModel(name="bb", num_devices=16, drain_bandwidth=gbps(2.0))
+        runtime = MultiJobRuntime(
+            machine,
+            [
+                theta_spec(machine, "A", 8, aggregators=2),
+                theta_spec(machine, "B", 8, aggregators=2, filesystem=tier, stripe=None),
+                theta_spec(machine, "C", 8, aggregators=2),
+            ],
+            allocation_policy="scattered",
+        )
+        expected = [resource.key for resource in machine.storage_resources("write")]
+        for job in runtime.jobs:
+            expected += list(job.network_capacities) + [
+                key for key in job.storage_weights if key[0] == "bb-drain"
+            ]
+        assert ("bb-drain", "bb") in expected
+        assert runtime.ledger.keys == tuple(dict.fromkeys(expected))
+        assert runtime.ledger.flow_ids == ("A", "B", "C")
 
     def test_cross_job_link_sharing_by_policy(self):
         machine = ThetaMachine(16)
