@@ -49,9 +49,6 @@ class TapiocaConfig:
         aggregation_tier: memory tier hosting aggregation buffers.
         shared_locks: whether collective lock sharing is enabled on the file.
         placement_seed: RNG seed for the ``"random"`` placement strategy.
-        elect_with_allreduce: in the discrete-event path, perform the
-            ``Allreduce(MINLOC)`` election (costs a real collective); when
-            False the precomputed placement is used silently (model-only).
     """
 
     num_aggregators: int | None = None
@@ -62,7 +59,6 @@ class TapiocaConfig:
     aggregation_tier: str = "dram"
     shared_locks: bool = True
     placement_seed: int | None = None
-    elect_with_allreduce: bool = True
 
     def __post_init__(self) -> None:
         if self.num_aggregators is not None:

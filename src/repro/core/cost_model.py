@@ -16,29 +16,32 @@ For one partition and one candidate aggregator ``A``:
 On platforms where the I/O node locality is not exposed (Theta), ``C2`` is
 set to zero, exactly as the paper does.
 
-:meth:`AggregationCostModel.evaluate` costs one candidate with scalar
-topology queries.  :meth:`AggregationCostModel.elect` costs every candidate
-of a whole partition list at once (the segmented election): the partitions
-are flattened into :class:`CandidateSets`, grouped by candidate count, and
-each group is evaluated as one stack of producer × candidate pair tensors,
-in chunks of at most :data:`_MAX_PAIR_CELLS` cells.  Every C1 and C2 it
-returns is bit-identical to :meth:`~AggregationCostModel.evaluate`.
-:meth:`AggregationCostModel.best_candidate` elects each partition's
-minimum from those costs.
+:meth:`AggregationCostModel.elect` is the only code that computes C1 and
+C2: it costs every candidate of a whole partition list at once (the
+segmented election).  The partitions are flattened into
+:class:`CandidateSets`, grouped by candidate count, and each group is
+evaluated as one stack of producer × candidate term tensors
+(:meth:`AggregationCostModel.pair_terms`), in chunks of at most
+:data:`_MAX_PAIR_CELLS` cells.  :meth:`AggregationCostModel.best_candidate`
+elects each partition's minimum from those costs, and the
+placement-optimisation problem (:mod:`repro.placement_opt.problem`) reads
+the same term tensors.  The per-pair scalar loop survives only as the test
+oracle ``tests/reference/cost_model.py``, which ``elect`` matches bit for
+bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Mapping, Protocol, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from repro.core.partitioning import Partition
 from repro.core.topology_iface import TopologyInterface
 from repro.obs import recorder as obs_recorder
-from repro.utils.validation import require, require_non_negative
+from repro.utils.validation import require
 
 #: Pair-tensor cells (partitions × producers × candidates) evaluated per
 #: kernel call of the election: same-size partitions are stacked
@@ -46,31 +49,6 @@ from repro.utils.validation import require, require_non_negative
 #: budget is split into blocks of candidate columns, so peak memory stays
 #: flat however many partitions a placement covers and however large.
 _MAX_PAIR_CELLS = 1 << 17
-
-
-class ContentionFactors(Protocol):
-    """Background-traffic slowdown factors for the cost model.
-
-    When other jobs share the machine, the bandwidth available between two
-    ranks is no longer the link's nominal bandwidth.  Implementations (e.g.
-    :class:`repro.multijob.contention.LinkContentionFactors`) report a
-    multiplicative factor >= 1 describing how many concurrent streams the
-    narrowest link on the route is shared between.
-    """
-
-    def bandwidth_factor(self, src_rank: int, dst_rank: int) -> float:
-        """Sharing factor (>= 1) on the route between two ranks."""
-        ...
-
-    def bandwidth_factors(
-        self, src_ranks: Sequence[int], dst_node: int
-    ) -> np.ndarray:
-        """Batched twin: the factor of each source rank towards one node.
-
-        :meth:`AggregationCostModel.elect` weighs every candidate column of
-        a partition through this call.
-        """
-        ...
 
 
 @dataclass(frozen=True)
@@ -234,103 +212,44 @@ class AggregationCostModel:
 
     Args:
         iface: the topology abstraction for the machine + mapping.
-        contention: optional background-traffic factors from concurrently
-            running jobs; ``None`` (the default) reproduces the paper's
-            dedicated-machine costs exactly.
     """
 
-    def __init__(
-        self,
-        iface: TopologyInterface,
-        *,
-        contention: ContentionFactors | None = None,
-    ) -> None:
+    def __init__(self, iface: TopologyInterface) -> None:
         self.iface = iface
-        self.contention = contention
 
-    def _effective_bandwidth(self, src_rank: int, dst_rank: int) -> float:
-        """Rank-to-rank bandwidth after background contention (bytes/s)."""
-        bandwidth = self.iface.bandwidth_between_ranks(src_rank, dst_rank)
-        if self.contention is not None:
-            bandwidth /= max(1.0, self.contention.bandwidth_factor(src_rank, dst_rank))
-        return bandwidth
+    def pair_terms(
+        self, sets: CandidateSets, rows: np.ndarray, columns: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The ``(l·d, ω/B)`` term tensors of one chunk of ``sets``.
 
-    # ------------------------------------------------------------------ #
-    # Individual terms
-    # ------------------------------------------------------------------ #
-
-    def aggregation_cost(
-        self, candidate: int, volumes: Mapping[int, int]
-    ) -> float:
-        """C1: cost of every producer rank shipping its bytes to ``candidate``.
-
-        Args:
-            candidate: candidate aggregator (world rank).
-            volumes: bytes each producer rank of the partition would send,
-                keyed by world rank (``ω(i, A)``).
+        ``rows`` and ``columns`` are a chunk of :meth:`CandidateSets.chunks`
+        (the rows possibly reordered); both tensors have shape
+        ``(G, producers, candidates)``, from one
+        :meth:`~repro.core.topology_iface.TopologyInterface.pair_metrics`
+        gather.  Each candidate's own term is zeroed in both, since it ships
+        nothing to itself (adding ``+0.0`` to a non-negative sum is exact).
         """
-        latency = self.iface.get_latency()
-        total = 0.0
-        for rank, nbytes in volumes.items():
-            if rank == candidate:
-                continue
-            require_non_negative(nbytes, f"volume of rank {rank}")
-            hops = self.iface.distance_between_ranks(rank, candidate)
-            bandwidth = self._effective_bandwidth(rank, candidate)
-            total += latency * hops + float(nbytes) / bandwidth
-        return total
-
-    def io_cost(self, candidate: int, io_bytes: int) -> float:
-        """C2: cost of the candidate shipping ``io_bytes`` to its I/O node.
-
-        Returns 0 when the platform does not expose I/O node locality, per
-        the paper's rule for Theta.
-        """
-        require_non_negative(io_bytes, "io_bytes")
-        if not self.iface.io_locality_known():
-            return 0.0
-        distance = self.iface.distance_to_io_node(candidate)
-        if distance is None:
-            return 0.0
-        latency = self.iface.get_latency()
-        bandwidth = self.iface.io_bandwidth_of_rank(candidate)
-        return latency * distance + float(io_bytes) / bandwidth
-
-    # ------------------------------------------------------------------ #
-    # Objective
-    # ------------------------------------------------------------------ #
-
-    def evaluate(
-        self, candidate: int, volumes: Mapping[int, int]
-    ) -> CostBreakdown:
-        """The full objective for one candidate.
-
-        ``ω(A, IO)`` is the sum of every producer's contribution — the total
-        amount the aggregator will eventually push to storage (including its
-        own data).
-        """
-        io_bytes = sum(volumes.values())
-        return CostBreakdown(
-            candidate=candidate,
-            aggregation=self.aggregation_cost(candidate, volumes),
-            io=self.io_cost(candidate, io_bytes),
+        hops, bandwidths = self.iface.pair_metrics(
+            sets.nodes[rows], sets.nodes[columns]
         )
+        latency = self.iface.get_latency() * hops
+        transfer = sets.volumes[rows][:, :, None] / bandwidths
+        own = rows[:, :, None] == columns[:, None, :]
+        latency[own] = 0.0
+        transfer[own] = 0.0
+        return latency, transfer
 
     def elect(
         self, sets: CandidateSets, chosen: np.ndarray | None = None
     ) -> tuple[np.ndarray, np.ndarray]:
         """``(C1, C2)`` of every candidate in ``sets``, aligned with it.
 
-        The segmented election: per chunk of same-size partitions, one
-        ``(G, producers, candidates)`` tensor of ``l·d + ω/B`` terms from
-        the interface's pair tensors, with each candidate's own term zeroed
-        (adding ``+0.0`` to a non-negative sum is exact).
-        ``np.add.accumulate`` along the producer axis adds the terms
-        strictly left to right, so every C1 is bit-identical to
-        :meth:`aggregation_cost`; ``np.sum`` would add pairwise and is
-        not.  C2 is a gather over the candidates' I/O distances and
-        bandwidths.  Invalid volumes raise the ``ValueError`` that
-        evaluating the same candidates one by one raises first.
+        The segmented election: per chunk of same-size partitions, the
+        :meth:`pair_terms` tensors are added term by term into ``l·d + ω/B``
+        and ``np.add.accumulate`` along the producer axis sums each
+        candidate's terms strictly left to right (``np.sum`` would add
+        pairwise and round differently).  C2 is a gather over the
+        candidates' I/O distances and bandwidths.
 
         Args:
             sets: the partitions' candidates.
@@ -338,28 +257,19 @@ class AggregationCostModel:
                 only those are costed, and the arrays are aligned with
                 ``chosen`` instead.
         """
-        io_bytes = sets.totals(sets.volumes)
-        self._check_volumes(sets, io_bytes, chosen)
-        latency = self.iface.get_latency()
         aggregation = np.zeros(sets.ranks.size)
         for rows, columns in sets.chunks(chosen):
             if rows.shape[1] == 1:
                 continue  # a lone candidate ships nothing: C1 = 0
-            hops, bandwidths = self.iface.pair_metrics(
-                sets.nodes[rows], sets.nodes[columns]
-            )
-            if self.contention is not None:
-                self._apply_contention(bandwidths, sets.ranks[rows], sets.nodes[columns])
-            # Same per-term IEEE arithmetic as aggregation_cost(); producers
-            # run along axis 1, candidates along axis 2.
-            terms = latency * hops + sets.volumes[rows][:, :, None] / bandwidths
-            terms[rows[:, :, None] == columns[:, None, :]] = 0.0
-            aggregation[columns] = np.add.accumulate(terms, axis=1)[:, -1, :]
+            latency, transfer = self.pair_terms(sets, rows, columns)
+            aggregation[columns] = np.add.accumulate(latency + transfer, axis=1)[:, -1, :]
         io = np.zeros(sets.ranks.size)
         if self.iface.io_locality_known():
-            distances = self.iface.io_distances(sets.nodes)
-            bandwidths = self.iface.io_bandwidths(sets.nodes)
-            io = latency * distances + io_bytes[sets.segments] / bandwidths
+            io_bytes = sets.totals(sets.volumes)[sets.segments]
+            io = (
+                self.iface.get_latency() * self.iface.io_distances(sets.nodes)
+                + io_bytes / self.iface.io_bandwidths(sets.nodes)
+            )
         if chosen is not None:
             return aggregation[chosen], io[chosen]
         return aggregation, io
@@ -378,47 +288,3 @@ class AggregationCostModel:
         if rec is not None:
             rec.inc("costmodel.candidates", len(sets))
         return sets.argmin(aggregation + io), (aggregation, io)
-
-    def _apply_contention(
-        self, bandwidths: np.ndarray, ranks: np.ndarray, nodes: np.ndarray
-    ) -> None:
-        """Divide each candidate column by ``max(1, factors)`` in place."""
-        for stack, (producers, candidates) in enumerate(
-            zip(ranks.tolist(), nodes.tolist())
-        ):
-            for column, node in enumerate(candidates):
-                factors = np.asarray(
-                    self.contention.bandwidth_factors(producers, node),
-                    dtype=np.float64,
-                )
-                bandwidths[stack, :, column] = bandwidths[
-                    stack, :, column
-                ] / np.maximum(1.0, factors)
-
-    @staticmethod
-    def _check_volumes(
-        sets: CandidateSets, io_bytes: np.ndarray, chosen: np.ndarray | None
-    ) -> None:
-        """Raise what per-candidate evaluate() calls would raise first.
-
-        Partitions are evaluated in order, and each partition's candidates
-        in order (only its ``chosen`` one if given).  A candidate's C1
-        checks every producer but itself, then its C2 checks the partition
-        total; so with all candidates, the first partition holding a
-        negative volume always fails, at its second candidate at the latest.
-        """
-        negative = np.flatnonzero(sets.volumes < 0)
-        for partition in np.unique(sets.segments[negative]).tolist():
-            first, stop = int(sets.offsets[partition]), int(sets.offsets[partition + 1])
-            shippers = negative[(negative >= first) & (negative < stop)].tolist()
-            tried = [first, first + 1] if chosen is None else [int(chosen[partition])]
-            for candidate in tried:
-                if candidate == stop:
-                    break
-                shipped = [position for position in shippers if position != candidate]
-                if shipped:
-                    require_non_negative(
-                        int(sets.volumes[shipped[0]]),
-                        f"volume of rank {int(sets.ranks[shipped[0]])}",
-                    )
-                require_non_negative(int(io_bytes[partition]), "io_bytes")

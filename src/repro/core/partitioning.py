@@ -37,7 +37,8 @@ class Partition:
         index: partition index (also the aggregator index).
         ranks: world ranks belonging to the partition, ascending (int64).
         volumes: bytes each member rank contributes (ω(i, A)), aligned with
-            ``ranks`` (int64).
+            ``ranks`` (int64).  Negative volumes are rejected here, where
+            they enter, naming the first such rank.
     """
 
     index: int
@@ -52,6 +53,12 @@ class Partition:
             self.ranks.ndim == 1 and self.ranks.shape == self.volumes.shape,
             "volumes must be aligned with the partition ranks",
         )
+        if self.volumes.min() < 0:
+            first = int(np.flatnonzero(self.volumes < 0)[0])
+            raise ValueError(
+                f"volume of rank {int(self.ranks[first])} must be >= 0, "
+                f"got {int(self.volumes[first])}"
+            )
 
     @property
     def total_bytes(self) -> int:
@@ -62,10 +69,6 @@ class Partition:
     def size(self) -> int:
         """Number of ranks in the partition."""
         return len(self.ranks)
-
-    def volume_map(self) -> dict[int, int]:
-        """``{rank: bytes}`` for the scalar cost-model API (``evaluate``)."""
-        return dict(zip(self.ranks.tolist(), self.volumes.tolist()))
 
 
 def build_partitions(

@@ -15,7 +15,9 @@ the simpler strategies the paper argues against:
 All strategies are pure functions of (partitions, topology interface), so the
 same placement is obtained by the analytic model and by the discrete-event
 election (which still performs the actual allreduce for timing fidelity,
-with the per-candidate costs of :attr:`PlacementResult.costs`).
+with the per-candidate costs of :attr:`PlacementResult.costs`).  Every cost
+a strategy reports, and :func:`placement_cost`, comes from the one segmented
+election kernel, :meth:`~repro.core.cost_model.AggregationCostModel.elect`.
 """
 
 from __future__ import annotations
@@ -57,10 +59,6 @@ class PlacementResult:
         """Elected aggregator of a partition."""
         return self.aggregators[partition_index]
 
-    def as_dict(self) -> dict[int, int]:
-        """Mapping partition index -> aggregator world rank."""
-        return dict(enumerate(self.aggregators))
-
 
 def _shortest_io(sets: CandidateSets, iface: TopologyInterface) -> np.ndarray:
     """Each partition's candidate closest to its I/O node (unknown: 0 hops)."""
@@ -87,7 +85,6 @@ def place_aggregators(
     strategy: str = "topology-aware",
     seed: int | None = None,
     granularity: str = "rank",
-    contention=None,
 ) -> PlacementResult:
     """Elect one aggregator per partition with the requested strategy.
 
@@ -100,24 +97,19 @@ def place_aggregators(
             candidate (what the distributed election does); ``"node"``
             evaluates one candidate per node, which is equivalent under the
             cost model and is used by the large-scale analytic path.
-        contention: optional background-traffic factors
-            (:class:`~repro.core.cost_model.ContentionFactors`) folded into
-            the one cost model every strategy's breakdowns come from;
-            ``None`` reproduces the paper's dedicated-machine costs.
 
     Every strategy picks from the same :class:`CandidateSets`.  The
     topology-aware strategy costs every candidate of every partition in one
     segmented election
-    (:meth:`~repro.core.cost_model.AggregationCostModel.best_candidate`,
-    bit-identical to per-candidate evaluation); shortest-io costs only its
-    winners, for their breakdowns.
+    (:meth:`~repro.core.cost_model.AggregationCostModel.best_candidate`);
+    shortest-io costs only its winners, for their breakdowns.
     """
     require(len(partitions) > 0, "no partitions to place aggregators for")
     with obs_span(
         "placement", cat="core", strategy=strategy, partitions=len(partitions)
     ):
         sets = CandidateSets.of(partitions, iface, granularity)
-        model = AggregationCostModel(iface, contention=contention)
+        model = AggregationCostModel(iface)
         costs = winner_costs = None
         if strategy == "topology-aware":
             chosen, costs = model.best_candidate(sets)
@@ -162,11 +154,17 @@ def placement_cost(
 ) -> float:
     """Total objective value (sum of C1+C2 over partitions) of a placement.
 
+    Each partition's aggregator is costed as one chosen candidate of the
+    segmented election at rank granularity, whatever granularity placed it.
     Used by tests and ablations to verify that the topology-aware strategy
     never does worse than the alternatives under the paper's own metric.
     """
-    model = AggregationCostModel(iface)
-    total = 0.0
-    for partition, aggregator in zip(partitions, placement.aggregators):
-        total += model.evaluate(aggregator, partition.volume_map()).total
-    return total
+    sets = CandidateSets.of(partitions, iface)
+    aggregators = np.asarray(placement.aggregators, dtype=np.int64)
+    chosen = np.flatnonzero(sets.ranks == aggregators[sets.segments])
+    require(
+        chosen.size == len(partitions),
+        "every aggregator must be a rank of its own partition",
+    )
+    aggregation, io = AggregationCostModel(iface).elect(sets, chosen)
+    return sum((aggregation + io).tolist())

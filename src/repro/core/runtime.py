@@ -48,10 +48,6 @@ class TapiocaIO:
         path: output file path in the world's file registry.
         filesystem: optional file-system model override (defaults to the
             machine's).
-        contention: optional background-traffic factors from concurrent jobs
-            (:class:`repro.core.cost_model.ContentionFactors`); the elections
-            then weigh candidates by the bandwidth actually left on their
-            links.  ``None`` keeps the dedicated-machine behaviour.
     """
 
     def __init__(
@@ -62,7 +58,6 @@ class TapiocaIO:
         *,
         path: str = "/out/tapioca.dat",
         filesystem=None,
-        contention=None,
     ) -> None:
         self.world = world
         self.workload = workload
@@ -89,7 +84,6 @@ class TapiocaIO:
             self.iface,
             strategy=self.config.placement,
             seed=self.config.placement_seed,
-            contention=contention,
         )
         self.schedule: AggregationSchedule = build_schedule(
             workload, self.partitions, self.config.buffer_size
@@ -119,7 +113,7 @@ class TapiocaIO:
     def _election_value(self, rank: int, partition: Partition) -> tuple[float, int]:
         """The (cost, rank) pair this rank contributes to the MINLOC election."""
         if self.config.placement == "topology-aware":
-            # Bit-identical to the rank's own evaluate() call.
+            # This rank's entry of the placement's segmented election.
             return (self._election_costs[rank], rank)
         # Other strategies do not rely on the distributed election: every rank
         # contributes the precomputed winner so MINLOC trivially selects it,
@@ -142,13 +136,10 @@ class TapiocaIO:
         # Partition sub-communicator (fences must only involve the partition).
         sub = yield from ctx.comm.split(partition_index)
         # --- aggregator election ------------------------------------------------
-        if self.config.elect_with_allreduce:
-            cost, winner = yield from sub.allreduce(
-                self._election_value(ctx.rank, partition), op="minloc", nbytes=16
-            )
-            aggregator_rank = int(winner)
-        else:
-            aggregator_rank = self.placement.aggregator_of(partition_index)
+        _cost, winner = yield from sub.allreduce(
+            self._election_value(ctx.rank, partition), op="minloc", nbytes=16
+        )
+        aggregator_rank = int(winner)
         self.elected[partition_index] = aggregator_rank
         is_aggregator = ctx.rank == aggregator_rank
         aggregator_sub_rank = sub.raw.comm_rank_of_world(aggregator_rank)
@@ -232,13 +223,10 @@ class TapiocaIO:
         partition = self.partitions[partition_index]
         part_schedule = self.schedule.partitions[partition_index]
         sub = yield from ctx.comm.split(partition_index)
-        if self.config.elect_with_allreduce:
-            _cost, winner = yield from sub.allreduce(
-                self._election_value(ctx.rank, partition), op="minloc", nbytes=16
-            )
-            aggregator_rank = int(winner)
-        else:
-            aggregator_rank = self.placement.aggregator_of(partition_index)
+        _cost, winner = yield from sub.allreduce(
+            self._election_value(ctx.rank, partition), op="minloc", nbytes=16
+        )
+        aggregator_rank = int(winner)
         self.elected[partition_index] = aggregator_rank
         is_aggregator = ctx.rank == aggregator_rank
         aggregator_sub_rank = sub.raw.comm_rank_of_world(aggregator_rank)

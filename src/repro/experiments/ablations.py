@@ -242,9 +242,8 @@ def ablation_io_locality(
     gateways than a C1-only objective that ignores them.  The two cells are
     the same scenario with ``machine.hide_gateways`` toggled (the Theta rule).
     """
-    from repro.core.cost_model import AggregationCostModel
     from repro.core.partitioning import build_partitions
-    from repro.core.placement import place_aggregators
+    from repro.core.placement import place_aggregators, placement_cost
     from repro.core.topology_iface import TopologyInterface
     from repro.topology.mapping import random_mapping
 
@@ -287,11 +286,8 @@ def ablation_io_locality(
         )
         # Evaluate both placements under the *full-information* cost model so
         # the comparison is apples to apples.
-        full_iface = TopologyInterface(machine, mapping)
-        model = AggregationCostModel(full_iface)
-        cost = sum(
-            model.evaluate(aggregator, partition.volume_map()).total
-            for partition, aggregator in zip(partitions, placement.aggregators)
+        cost = placement_cost(
+            placement, partitions, TopologyInterface(machine, mapping)
         )
         distances = [
             machine.distance_to_io(mapping.node(aggregator))

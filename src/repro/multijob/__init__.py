@@ -9,7 +9,7 @@ slowdown versus its isolated run.
 """
 
 from repro.multijob.allocator import ALLOCATION_POLICIES, Allocation, NodeAllocator
-from repro.multijob.contention import ContentionLedger, LinkContentionFactors
+from repro.multijob.contention import ContentionLedger
 from repro.multijob.job import Job, JobSpec, bind_job
 from repro.multijob.runtime import InterferenceReport, JobOutcome, MultiJobRuntime
 
@@ -21,7 +21,6 @@ __all__ = [
     "Job",
     "JobOutcome",
     "JobSpec",
-    "LinkContentionFactors",
     "MultiJobRuntime",
     "NodeAllocator",
     "bind_job",

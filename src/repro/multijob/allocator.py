@@ -40,11 +40,6 @@ class Allocation:
     job_name: str
     nodes: tuple[int, ...]
 
-    @property
-    def num_nodes(self) -> int:
-        """Size of the allocation."""
-        return len(self.nodes)
-
 
 class NodeAllocator:
     """Grants machine nodes to jobs under a placement policy.

@@ -29,8 +29,6 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from repro.obs import recorder as obs_recorder
-from repro.topology.base import Topology
-from repro.topology.mapping import RankMapping
 from repro.utils.validation import require, require_positive
 
 #: Relative tolerance used when deciding that a resource is saturated or a
@@ -247,61 +245,3 @@ class ContentionLedger:
         both = np.flatnonzero(self.touches[row_a] & self.touches[row_b])
         return sorted((self.keys[j] for j in both.tolist()), key=repr)
 
-
-class LinkContentionFactors:
-    """Background-traffic factors for the placement cost model.
-
-    Implements :class:`repro.core.cost_model.ContentionFactors` on top of the
-    per-link flow accounting of :meth:`repro.topology.base.Topology.link_loads`:
-    the factor between two ranks is the worst number of *background* flows
-    (other jobs' traffic) sharing any link of the route, plus this job's own
-    stream.
-
-    Args:
-        topology: the machine interconnect.
-        mapping: rank-to-node mapping of the job being placed.
-        background_flows: ``(src_node, dst_node)`` pairs of the other jobs'
-            concurrently active traffic.
-    """
-
-    def __init__(
-        self,
-        topology: Topology,
-        mapping: RankMapping,
-        background_flows: Iterable[tuple[int, int]],
-    ) -> None:
-        self.topology = topology
-        self.mapping = mapping
-        ids, counts = topology.link_loads(background_flows)
-        # Sorted by id for the searchsorted gather in bandwidth_factors.
-        order = np.argsort(ids)
-        self._link_ids, self._link_counts = ids[order], counts[order]
-
-    def bandwidth_factor(self, src_rank: int, dst_rank: int) -> float:
-        """Sharing factor (>= 1) on the route between two ranks."""
-        dst_node = self.mapping.node(dst_rank)
-        return float(self.bandwidth_factors([src_rank], dst_node)[0])
-
-    def bandwidth_factors(
-        self, src_ranks: Sequence[int], dst_node: int
-    ) -> np.ndarray:
-        """Sharing factor of each rank's route to one destination node.
-
-        One ``route_links`` call over the distinct source nodes, a gather of
-        each link's background count and a row max.  Out-of-range ranks
-        raise the same ``ValueError`` as :meth:`RankMapping.node` (numpy
-        would otherwise wrap a negative rank onto the last node).
-        """
-        src_nodes = self.mapping.nodes(src_ranks)
-        if not self._link_ids.size:
-            return np.ones(src_nodes.shape)
-        nodes, inverse = np.unique(src_nodes, return_inverse=True)
-        links = self.topology.route_links(nodes, np.full(nodes.shape, dst_node))
-        slot = np.minimum(
-            np.searchsorted(self._link_ids, links), self._link_ids.size - 1
-        )
-        loads = np.where(
-            self._link_ids[slot] == links, self._link_counts[slot], 0
-        )
-        worst = loads.max(axis=1, initial=0)
-        return (1.0 + worst.astype(np.float64))[inverse]

@@ -133,11 +133,6 @@ class Job:
         return self.isolated.bandwidth
 
     @property
-    def isolated_io_s(self) -> float:
-        """Isolated wall time of the I/O phase (seconds)."""
-        return self.isolated.elapsed
-
-    @property
     def ready_s(self) -> float:
         """Time the job's I/O phase becomes runnable."""
         return self.spec.arrival_s + self.spec.compute_s

@@ -16,21 +16,79 @@ Mirrors :class:`repro.core.runtime.TapiocaIO` at large scale:
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from repro.core.config import TapiocaConfig
-from repro.core.partitioning import build_partitions
-from repro.core.placement import place_aggregators
+from repro.core.partitioning import Partition, build_partitions
+from repro.core.placement import PlacementResult, place_aggregators
 from repro.core.topology_iface import TopologyInterface
 from repro.machine.machine import Machine
 from repro.obs import recorder as obs_recorder
 from repro.perfmodel.aggregation import AggregationPhaseModel
-from repro.perfmodel.common import build_context, is_aligned
+from repro.perfmodel.common import ModelContext, build_context, is_aligned
 from repro.perfmodel.flows import analyze_flows
 from repro.perfmodel.results import IOEstimate, PhaseBreakdown
 from repro.storage.base import IOPhaseProfile
 from repro.storage.lustre import LustreStripeConfig, LustreModel
 from repro.workloads.base import Workload
+
+
+class TapiocaPlacement(NamedTuple):
+    """The analytic model's election and everything it was built from."""
+
+    context: ModelContext
+    partitions: list[Partition]
+    iface: TopologyInterface
+    placement: PlacementResult
+
+
+def place_tapioca(
+    machine: Machine,
+    workload: Workload,
+    config: TapiocaConfig,
+    *,
+    ranks_per_node: int | None = None,
+    filesystem=None,
+    stripe: LustreStripeConfig | None = None,
+    mapping=None,
+) -> TapiocaPlacement:
+    """Context → partitions → interface → node-granularity placement.
+
+    The one construction behind :func:`model_tapioca` and the placement
+    optimality certificate
+    (:func:`repro.placement_opt.certify.problem_for_scenario`), so the
+    certificate speaks about exactly the placement the model elects.
+    Arguments are those of :func:`model_tapioca`.
+    """
+    base_fs = filesystem if filesystem is not None else machine.filesystem()
+    context = build_context(
+        machine,
+        workload,
+        ranks_per_node=ranks_per_node,
+        mapping=mapping,
+        filesystem=base_fs,
+        stripe=stripe if isinstance(base_fs, LustreModel) else None,
+        shared_locks=config.shared_locks,
+    )
+    num_aggregators = config.resolve_num_aggregators(machine, context.num_ranks)
+    partitions = build_partitions(
+        workload,
+        num_aggregators,
+        machine=machine,
+        mapping=context.mapping,
+        partition_by=config.partition_by,
+    )
+    iface = TopologyInterface(machine, context.mapping)
+    placement = place_aggregators(
+        partitions,
+        iface,
+        strategy=config.placement,
+        seed=config.placement_seed,
+        granularity="node",
+    )
+    return TapiocaPlacement(context, partitions, iface, placement)
 
 
 def model_tapioca(
@@ -61,31 +119,14 @@ def model_tapioca(
     """
     config = config or TapiocaConfig()
     access = access or workload.access
-    base_fs = filesystem if filesystem is not None else machine.filesystem()
-    context = build_context(
+    context, partitions, _iface, placement = place_tapioca(
         machine,
         workload,
+        config,
         ranks_per_node=ranks_per_node,
+        filesystem=filesystem,
+        stripe=stripe,
         mapping=mapping,
-        filesystem=base_fs,
-        stripe=stripe if isinstance(base_fs, LustreModel) else None,
-        shared_locks=config.shared_locks,
-    )
-    num_aggregators = config.resolve_num_aggregators(machine, context.num_ranks)
-    partitions = build_partitions(
-        workload,
-        num_aggregators,
-        machine=machine,
-        mapping=context.mapping,
-        partition_by=config.partition_by,
-    )
-    iface = TopologyInterface(machine, context.mapping)
-    placement = place_aggregators(
-        partitions,
-        iface,
-        strategy=config.placement,
-        seed=config.placement_seed,
-        granularity="node",
     )
     sets = placement.candidates
     aggregator_nodes = context.mapping.nodes(placement.aggregators).tolist()

@@ -6,14 +6,14 @@ objective that greedy election *is* globally optimal, so this package scores
 placements under a coupled extension of the objective: aggregators elected
 onto the same compute node share that node's injection link, so every
 bandwidth-derived term of a partition's cost is multiplied by the number of
-aggregators co-located on the chosen node (the same "sharing factor >= 1"
-vocabulary as :class:`repro.core.cost_model.ContentionFactors`).  With no
+aggregators co-located on the chosen node (a "sharing factor >= 1").  With no
 co-location the coupled objective equals the sum of the paper's TopoAware
 values, and the greedy placement is provably optimal.
 
 Two solvers operate on a :class:`~repro.placement_opt.problem.PlacementProblem`:
 
-* :func:`~repro.placement_opt.problem.greedy_choice` — the paper's election;
+* :func:`~repro.placement_opt.problem.greedy_choice` — the paper's election,
+  read from the placement the analytic model elected;
 * :func:`~repro.placement_opt.exact.branch_and_bound` — exact search over
   the connected components of the partition–candidate-node graph, with
   admissible lower bounds and symmetry breaking, warm-started from greedy.

@@ -1,9 +1,9 @@
 """Optimality certificates for the paper's greedy aggregator election.
 
 :func:`certify_scenario` builds the aggregator-node assignment problem a
-single-job TAPIOCA scenario implies (the same partitions, mapping and
-topology interface the analytic model uses), scores the paper's greedy
-election under the coupled objective of
+single-job TAPIOCA scenario implies, from the placement the analytic model
+elects (both call :func:`repro.perfmodel.tapioca.place_tapioca`), scores
+that election under the coupled objective of
 :mod:`repro.placement_opt.problem`, and runs
 :func:`~repro.placement_opt.exact.branch_and_bound` on it, whatever the
 machine size.  A proven certificate carries the exact gap (0 or a positive
@@ -97,16 +97,14 @@ def certify_problem(
 def problem_for_scenario(scenario: "Scenario") -> tuple[PlacementProblem, int]:
     """``(problem, machine_nodes)`` for a single-job TAPIOCA scenario.
 
-    Mirrors :func:`repro.perfmodel.tapioca.model_tapioca`'s construction —
-    same context, partitions and topology interface — so the certificate
+    Calls :func:`repro.perfmodel.tapioca.place_tapioca` with the arguments
+    :meth:`~repro.scenario.simulation.Simulation.estimate` gives
+    :func:`~repro.perfmodel.tapioca.model_tapioca`, so the certificate
     speaks about exactly the placement the analytic model elected.
     """
-    from repro.core.partitioning import build_partitions
-    from repro.core.topology_iface import TopologyInterface
-    from repro.perfmodel.common import build_context
+    from repro.perfmodel.tapioca import place_tapioca
     from repro.scenario.simulation import Simulation
     from repro.scenario.spec import ScenarioError
-    from repro.storage.lustre import LustreModel
 
     if scenario.multijob is not None:
         raise ScenarioError(
@@ -119,30 +117,17 @@ def problem_for_scenario(scenario: "Scenario") -> tuple[PlacementProblem, int]:
             f"applies to TAPIOCA scenarios"
         )
     resolved = Simulation(scenario).resolve()
-    machine = resolved.machine
-    config = resolved.config
-    assert config is not None  # guarded by the io.kind check above
-    base_fs = (
-        resolved.filesystem if resolved.filesystem is not None else machine.filesystem()
-    )
-    context = build_context(
-        machine,
+    assert resolved.config is not None  # guarded by the io.kind check above
+    placed = place_tapioca(
+        resolved.machine,
         resolved.workload,
+        resolved.config,
         ranks_per_node=scenario.machine.ranks_per_node,
-        filesystem=base_fs,
-        stripe=resolved.stripe if isinstance(base_fs, LustreModel) else None,
-        shared_locks=config.shared_locks,
+        filesystem=resolved.filesystem,
+        stripe=resolved.stripe,
     )
-    num_aggregators = config.resolve_num_aggregators(machine, context.num_ranks)
-    partitions = build_partitions(
-        resolved.workload,
-        num_aggregators,
-        machine=machine,
-        mapping=context.mapping,
-        partition_by=config.partition_by,
-    )
-    iface = TopologyInterface(machine, context.mapping)
-    return PlacementProblem.from_partitions(partitions, iface), machine.num_nodes
+    problem = PlacementProblem.from_placement(placed.placement, placed.iface)
+    return problem, resolved.machine.num_nodes
 
 
 def certify_scenario(scenario: "Scenario") -> OptimalityCertificate | None:

@@ -9,25 +9,27 @@ electing each of its candidate nodes, split into two components:
 * ``transfer_s`` — the bandwidth-derived terms (bytes over link bandwidth
   for every producer, plus the C2 volume term).  These streams all cross the
   elected node's injection link, so when ``m`` partitions elect aggregators
-  on the same node each one's transfer seconds are scaled by ``m`` — the
-  multiplicative sharing-factor convention of
-  :class:`repro.core.cost_model.ContentionFactors`.
+  on the same node each one's transfer seconds are scaled by ``m`` (a
+  multiplicative sharing factor).
 
 The coupled objective of an assignment ``a`` is therefore::
 
     T(a) = Σ_p  latency_p(a_p) + m(a_p) · transfer_p(a_p)
 
 with ``m(n)`` the number of partitions assigned to node ``n``.  With all
-multiplicities equal to one this is exactly the sum of the paper's
-``TopoAware`` values, which is what the greedy per-partition election
-minimises; greedy can only be suboptimal when partitions share candidate
-nodes (boundary nodes of contiguous partitions whose size is not a whole
-number of nodes).
+multiplicities equal to one this is the sum of the paper's ``TopoAware``
+values (up to the rounding of summing latency and transfer apart), which is
+what the greedy per-partition election minimises; greedy can only be
+suboptimal when partitions share candidate nodes (boundary nodes of
+contiguous partitions whose size is not a whole number of nodes).
 
-Candidate costs are computed from the same
-:class:`~repro.core.cost_model.CandidateSets` and stacked
-:meth:`~repro.core.topology_iface.TopologyInterface.pair_metrics` tensors
-the placement election uses.
+A problem is built from a node-granularity placement
+(:meth:`PlacementProblem.from_placement`): its candidates are the
+placement's :class:`~repro.core.cost_model.CandidateSets`, costed from the
+election's own term tensors
+(:meth:`~repro.core.cost_model.AggregationCostModel.pair_terms`), and its
+greedy choice (:func:`greedy_choice`) is the node the placement elected in
+each partition.
 """
 
 from __future__ import annotations
@@ -37,7 +39,9 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.core.cost_model import CandidateSets
+from repro.core.cost_model import AggregationCostModel, CandidateSets
+from repro.core.placement import PlacementResult
+from repro.core.topology_iface import TopologyInterface
 from repro.utils.validation import require
 
 
@@ -47,15 +51,12 @@ class CandidateCost:
 
     Attributes:
         node: the candidate compute node.
-        rank: representative (lowest) world rank on the node — what the
-            distributed election would report as the aggregator.
         latency_s: hop-latency seconds (unaffected by co-location).
         transfer_s: bandwidth-derived seconds (scaled by the node's
             aggregator multiplicity in the coupled objective).
     """
 
     node: int
-    rank: int
     latency_s: float
     transfer_s: float
 
@@ -67,23 +68,26 @@ class CandidateCost:
 
 @dataclass(frozen=True)
 class PartitionCandidates:
-    """One partition's candidate nodes, sorted ascending by (base_s, node)."""
+    """One partition's candidate nodes, sorted ascending by (base_s, node).
+
+    Attributes:
+        index: partition index.
+        candidates: the candidate nodes' costs.
+        elected: position in ``candidates`` of the node the placement
+            elected for this partition.
+    """
 
     index: int
     candidates: tuple[CandidateCost, ...]
+    elected: int
 
     def __post_init__(self) -> None:
         require(len(self.candidates) > 0, f"partition {self.index} has no candidates")
-
-    @property
-    def nodes(self) -> tuple[int, ...]:
-        return tuple(c.node for c in self.candidates)
-
-    def position_of_node(self, node: int) -> int | None:
-        for position, candidate in enumerate(self.candidates):
-            if candidate.node == node:
-                return position
-        return None
+        require(
+            0 <= self.elected < len(self.candidates),
+            f"partition {self.index} elects position {self.elected} of "
+            f"{len(self.candidates)} candidates",
+        )
 
     def signature(self) -> tuple[tuple[int, float, float], ...]:
         """Hashable identity used for symmetry breaking in the exact solver."""
@@ -114,24 +118,42 @@ class PlacementProblem:
             for part, position in zip(self.partitions, choice)
         )
 
-    def choice_ranks(self, choice: Sequence[int]) -> tuple[int, ...]:
-        """The aggregator world rank per partition under ``choice``."""
-        return tuple(
-            part.candidates[position].rank
-            for part, position in zip(self.partitions, choice)
-        )
-
     @classmethod
-    def from_partitions(cls, partitions, iface) -> "PlacementProblem":
-        """Build the assignment problem for partitions over a topology.
+    def from_placement(
+        cls, placement: PlacementResult, iface: TopologyInterface
+    ) -> "PlacementProblem":
+        """The assignment problem behind a node-granularity placement.
 
-        Mirrors the placement path: each partition is collapsed to one
-        representative rank per node (the cost model only depends on nodes
-        and per-node volumes), then every node of the partition is costed as
-        a candidate, through the interface's stacked ``pair_metrics``
-        tensors.
+        Every candidate node of :attr:`PlacementResult.candidates` is costed
+        from the election's own term tensors
+        (:meth:`~repro.core.cost_model.AggregationCostModel.pair_terms`),
+        one kernel call per chunk of same-size partitions, and each
+        partition's ``elected`` position is the node the placement chose.
         """
-        return cls(_partition_candidates(partitions, iface))
+        sets = placement.candidates
+        lat_s, xfer_s = _split_costs(sets, iface)
+        base_s = lat_s + xfer_s
+        # Each partition's candidates ascending by (base_s, node); the
+        # election's winner is the representative rank it reported.
+        order = np.lexsort((sets.nodes, base_s, sets.segments))
+        position = np.empty_like(order)
+        position[order] = np.arange(order.size)
+        winners = np.asarray(placement.aggregators, dtype=np.int64)
+        chosen = np.flatnonzero(sets.ranks == winners[sets.segments])
+        elected = (position[chosen] - sets.offsets[:-1]).tolist()
+        candidates = [
+            CandidateCost(node=node, latency_s=lat, transfer_s=xfer)
+            for node, lat, xfer in zip(
+                sets.nodes[order].tolist(), lat_s[order].tolist(), xfer_s[order].tolist()
+            )
+        ]
+        bounds = sets.offsets.tolist()
+        return cls(
+            [
+                PartitionCandidates(index, tuple(candidates[start:stop]), elected[index])
+                for index, (start, stop) in enumerate(zip(bounds, bounds[1:]))
+            ]
+        )
 
 
 def assignment_cost(problem: PlacementProblem, choice: Sequence[int]) -> float:
@@ -152,58 +174,36 @@ def assignment_cost(problem: PlacementProblem, choice: Sequence[int]) -> float:
 
 
 def greedy_choice(problem: PlacementProblem) -> tuple[int, ...]:
-    """The paper's independent per-partition election.
+    """The paper's independent per-partition election: the placement's own.
 
-    Candidates are pre-sorted ascending by ``(base_s, node)``, so greedy is
-    position 0 everywhere — the argmin with ties broken towards the lowest
-    node, matching ``MPI_Allreduce(MINLOC)``.
+    For a topology-aware placement this is each partition's ``(C1 + C2,
+    rank)`` argmin from the segmented election, ties broken towards the
+    lowest rank as ``MPI_Allreduce(MINLOC)`` does.
     """
-    return (0,) * problem.num_partitions
+    return tuple(part.elected for part in problem.partitions)
 
 
-def _partition_candidates(partitions, iface) -> list[PartitionCandidates]:
-    """Per-candidate (latency_s, transfer_s) splits of every partition.
+def _split_costs(sets: CandidateSets, iface: TopologyInterface) -> tuple[np.ndarray, np.ndarray]:
+    """Per-candidate ``(latency_s, transfer_s)`` of node-granularity ``sets``.
 
-    Uses the placement's node-level :class:`CandidateSets` and the same
-    stacked pair tensors as the segmented election, one kernel call per
-    chunk of same-size partitions.
+    The producers of each candidate are summed in ascending node order
+    (candidate sets list them by representative rank, which may differ),
+    latency and transfer terms apart; accumulating down the producer axis
+    adds left to right.  C2, when the I/O locality is known, adds its hop
+    latency to one sum and its volume term to the other.
     """
-    sets = CandidateSets.of(partitions, iface, "node")
-    latency = iface.get_latency()
+    model = AggregationCostModel(iface)
     lat_s = np.zeros(sets.nodes.size)
     xfer_s = np.zeros(sets.nodes.size)
     for rows, columns in sets.chunks():
-        # The problem sums its producers in ascending node order; candidate
-        # sets list them by representative rank, which may differ.
+        if rows.shape[1] == 1:
+            continue  # a lone candidate ships nothing
         rows = np.take_along_axis(rows, np.argsort(sets.nodes[rows], axis=1), axis=1)
-        hops, bandwidths = iface.pair_metrics(sets.nodes[rows], sets.nodes[columns])
-        # Producer rows × candidate columns per partition.  A candidate's own
-        # node contributes +0.0, and accumulating down the producer axis adds
-        # left to right, so each sum equals the scalar loop bit for bit.
-        own = rows[:, :, None] == columns[:, None, :]
-        latency_terms = latency * hops
-        transfer_terms = sets.volumes[rows].astype(np.float64)[:, :, None] / bandwidths
-        latency_terms[own] = 0.0
-        transfer_terms[own] = 0.0
+        latency_terms, transfer_terms = model.pair_terms(sets, rows, columns)
         lat_s[columns] = np.add.accumulate(latency_terms, axis=1)[:, -1, :]
         xfer_s[columns] = np.add.accumulate(transfer_terms, axis=1)[:, -1, :]
     if iface.io_locality_known():
         totals = sets.totals(sets.volumes)[sets.segments]
-        lat_s = lat_s + latency * iface.io_distances(sets.nodes)
-        xfer_s = xfer_s + totals.astype(np.float64) / iface.io_bandwidths(sets.nodes)
-    bounds = sets.offsets.tolist()
-    candidates = [
-        CandidateCost(node=node, rank=rank, latency_s=lat, transfer_s=xfer)
-        for node, rank, lat, xfer in zip(
-            sets.nodes.tolist(), sets.ranks.tolist(), lat_s.tolist(), xfer_s.tolist()
-        )
-    ]
-    return [
-        PartitionCandidates(
-            index=partition.index,
-            candidates=tuple(
-                sorted(candidates[start:stop], key=lambda c: (c.base_s, c.node))
-            ),
-        )
-        for partition, start, stop in zip(partitions, bounds, bounds[1:])
-    ]
+        lat_s = lat_s + iface.get_latency() * iface.io_distances(sets.nodes)
+        xfer_s = xfer_s + totals / iface.io_bandwidths(sets.nodes)
+    return lat_s, xfer_s

@@ -146,8 +146,15 @@ class TestWorkflowShape:
             "certification must also run on fig14, an instance that needs "
             "search beyond the root lower bound"
         )
-        assert 'grep -q "proven optimum"' in certify[0], (
+        assert 'grep -q "proven optimum" certify-fig14.out' in certify[0], (
             "the fig14 certificate must be asserted proven in the run output"
+        )
+        assert "repro run ablation_burst_buffer --scale 8" in certify[0], (
+            "certification must also run on ablation_burst_buffer, whose "
+            "greedy warm start is not every partition's root-bound candidate"
+        )
+        assert 'grep -q "proven optimum" certify-burst-buffer.out' in certify[0], (
+            "the ablation_burst_buffer certificate must be asserted proven"
         )
 
     def test_smoke_job_reverifies_artifacts_with_certification_off(self, workflow):

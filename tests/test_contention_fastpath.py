@@ -21,12 +21,10 @@ import numpy as np
 import pytest
 
 from repro.multijob import runtime as runtime_module
-from repro.multijob.contention import ContentionLedger, LinkContentionFactors
+from repro.multijob.contention import ContentionLedger
 from repro.obs.recorder import collecting
 from repro.utils.rng import seeded_rng
 from reference import contention as reference
-from reference.cost_model import best_candidate as reference_best_candidate
-from reference.cost_model import elect as reference_elect
 
 #: (name, capacity range, demand range) — the three freeze regimes: flows
 #: that stop at their own demand, flows frozen by saturated resources, and
@@ -302,87 +300,3 @@ class TestStarvedFlowDetection:
         assert min(o.start_s for o in report.outcomes) >= 0.0
         assert 2 in calls
 
-
-class TestPlacementContentionFastPath:
-    def build_model(self, background):
-        from repro.core.cost_model import AggregationCostModel
-        from repro.core.topology_iface import TopologyInterface
-        from repro.machine.theta import ThetaMachine
-        from repro.topology.mapping import block_mapping
-
-        machine = ThetaMachine(16)
-        mapping = block_mapping(64, machine.num_nodes, 4)
-        iface = TopologyInterface(machine, mapping)
-        contention = LinkContentionFactors(machine.topology, mapping, background)
-        return AggregationCostModel(iface, contention=contention), mapping, contention
-
-    def test_batched_factors_match_the_scalar_accessor(self):
-        background = [(0, 9), (1, 12), (3, 15)]
-        _, mapping, contention = self.build_model(background)
-        src_ranks = list(range(0, 64, 3))
-        factors = contention.bandwidth_factors(src_ranks, 9)
-        dst_rank = 9 * 4  # first rank mapped to node 9 under block mapping
-        expected = [
-            contention.bandwidth_factor(rank, dst_rank) for rank in src_ranks
-        ]
-        assert np.asarray(factors).tolist() == expected
-
-    @pytest.mark.parametrize("bad_rank", [-1, 64], ids=["negative", "num_ranks"])
-    def test_batched_factors_reject_out_of_range_ranks(self, bad_rank):
-        """A negative rank must not wrap onto the last node."""
-        _, _, contention = self.build_model([(0, 9), (15, 3)])
-        message = f"rank {bad_rank} out of range \\[0, 64\\)"
-        with pytest.raises(ValueError, match=message):
-            contention.bandwidth_factor(bad_rank, 0)
-        with pytest.raises(ValueError, match=message):
-            contention.bandwidth_factors([0, bad_rank, 5], 9)
-
-    @pytest.mark.parametrize("granularity", ["rank", "node"])
-    def test_election_with_contention_is_bit_identical(self, granularity):
-        """Mixed-size partitions: each candidate column divided by its
-        factors equals per-candidate evaluation under contention."""
-        from repro.core.cost_model import CandidateSets
-        from repro.core.partitioning import Partition
-
-        rng = seeded_rng(7)
-        background = [(int(a), int(b)) for a, b in rng.integers(0, 16, (12, 2))]
-        model, _, _ = self.build_model(background)
-        partitions = [
-            Partition(index, ranks, [1024 * (1 + rank % 7) for rank in ranks])
-            for index, ranks in enumerate(
-                [range(0, 64, 2), range(1, 9), [5], range(20, 60, 3), range(40, 46)]
-            )
-        ]
-        sets = CandidateSets.of(partitions, model.iface, granularity)
-        aggregation, io = model.elect(sets)
-        expected = reference_elect(model, partitions, granularity)
-        winners = sets.ranks[sets.argmin(aggregation + io)].tolist()
-        assert winners == [winner for winner, _ in expected]
-        breakdowns = [b for _, rows in expected for b in rows]
-        assert sets.ranks.tolist() == [b.candidate for b in breakdowns]
-        assert aggregation.tolist() == [b.aggregation for b in breakdowns]
-        assert io.tolist() == [b.io for b in breakdowns]
-
-    def test_best_candidate_with_contention_is_bit_identical(self):
-        rng = seeded_rng(5)
-        background = [(int(a), int(b)) for a, b in rng.integers(0, 16, (12, 2))]
-        model, _, _ = self.build_model(background)
-        from repro.core.partitioning import Partition
-        from repro.core.placement import place_aggregators
-
-        ranks = list(range(0, 64, 2))
-        partition = Partition(0, ranks, [int(1024 * (1 + rank % 7)) for rank in ranks])
-        volumes = partition.volume_map()
-        placement = place_aggregators(
-            [partition], model.iface, contention=model.contention
-        )
-        scalar_winner, scalar_breakdowns = reference_best_candidate(
-            model, ranks, volumes
-        )
-        assert placement.aggregators == [scalar_winner]
-        assert placement.breakdowns[0] == next(
-            b for b in scalar_breakdowns if b.candidate == scalar_winner
-        )
-        aggregation, io = placement.costs
-        assert aggregation.tolist() == [b.aggregation for b in scalar_breakdowns]
-        assert io.tolist() == [b.io for b in scalar_breakdowns]

@@ -1,16 +1,12 @@
 """Tests for the topology interface, the C1/C2 cost model and aggregator placement."""
 
+import numpy as np
 import pytest
 
 from repro.core.cost_model import AggregationCostModel, CandidateSets, CostBreakdown
 from repro.core.partitioning import Partition, build_partitions, rank_owners
 from repro.core.placement import place_aggregators, placement_cost
-from repro.core.topology_iface import (
-    LEVEL_INTERCONNECT,
-    LEVEL_IO,
-    LEVEL_MEMORY,
-    TopologyInterface,
-)
+from repro.core.topology_iface import TopologyInterface
 from repro.machine.generic import generic_cluster
 from repro.machine.mira import MiraMachine
 from repro.machine.theta import ThetaMachine
@@ -36,45 +32,51 @@ def theta_iface():
 
 class TestTopologyInterface:
     def test_bandwidth_levels(self, mira_iface):
+        """Interconnect, I/O and memory levels, from the batch queries."""
         _machine, _mapping, iface = mira_iface
-        assert iface.get_bandwidth(LEVEL_INTERCONNECT) > 0
-        assert iface.get_bandwidth(LEVEL_IO) > 0
-        assert iface.get_bandwidth(LEVEL_MEMORY) > iface.get_bandwidth(LEVEL_INTERCONNECT)
-        with pytest.raises(ValueError):
-            iface.get_bandwidth(42)
+        hops, bandwidths = iface.pair_metrics(np.array([0]), np.array([0, 1]))
+        memory, interconnect = bandwidths[0].tolist()
+        assert hops[0].tolist() == [0, 1]
+        assert interconnect > 0
+        assert memory > interconnect
+        assert (iface.io_bandwidths(np.arange(32)) > 0).all()
 
     def test_latency_positive(self, mira_iface):
         assert mira_iface[2].get_latency() > 0
 
     def test_rank_to_coordinates(self, mira_iface):
+        """RankToCoordinates is answered by the batched rank-to-node gather."""
         machine, mapping, iface = mira_iface
-        assert iface.rank_to_coordinates(5) == machine.topology.coordinates(
+        nodes = iface.rank_nodes(np.arange(64))
+        assert nodes.tolist() == [mapping.node(rank) for rank in range(64)]
+        assert machine.topology.coordinates(int(nodes[5])) == machine.topology.coordinates(
             mapping.node(5)
         )
 
     def test_distance_between_ranks_same_node(self, mira_iface):
-        _machine, _mapping, iface = mira_iface
+        _machine, mapping, iface = mira_iface
         # Ranks 0 and 1 share node 0 under the block mapping.
-        assert iface.distance_between_ranks(0, 1) == 0
+        nodes = iface.rank_nodes(np.array([0, 1]))
+        hops, _bandwidths = iface.pair_metrics(nodes[:1], nodes[1:])
+        assert hops.tolist() == [[0]]
 
     def test_distance_to_io_on_mira(self, mira_iface):
-        _machine, _mapping, iface = mira_iface
+        machine, _mapping, iface = mira_iface
         assert iface.io_locality_known()
-        assert iface.distance_to_io_node(0) >= 1
-        assert iface.io_nodes_per_file() != []
+        distances = iface.io_distances(np.arange(32))
+        assert (distances >= 1).all()
+        assert distances.tolist() == [machine.distance_to_io(n) for n in range(32)]
 
     def test_distance_to_io_unknown_on_theta(self, theta_iface):
-        _machine, _mapping, iface = theta_iface
+        machine, _mapping, iface = theta_iface
         assert not iface.io_locality_known()
-        assert iface.distance_to_io_node(0) is None
-        assert iface.io_nodes_per_file() == []
+        assert machine.distance_to_io(0) is None
 
     def test_bandwidth_between_ranks_intra_node_is_memory(self, mira_iface):
         machine, _mapping, iface = mira_iface
-        assert (
-            iface.bandwidth_between_ranks(0, 1)
-            == machine.node_spec.main_memory.bandwidth
-        )
+        nodes = iface.rank_nodes(np.array([0, 1]))
+        _hops, bandwidths = iface.pair_metrics(nodes[:1], nodes[1:])
+        assert bandwidths.tolist() == [[machine.node_spec.main_memory.bandwidth]]
 
     def test_mapping_machine_mismatch_rejected(self):
         machine = MiraMachine(32, pset_size=16)
@@ -82,46 +84,53 @@ class TestTopologyInterface:
             TopologyInterface(machine, block_mapping(256, 128, 2))
 
 
+def _costs(iface, ranks, volumes):
+    """``(C1, C2)`` of every rank of one partition, from the election."""
+    sets = CandidateSets.of([Partition(0, ranks, volumes)], iface)
+    return AggregationCostModel(iface).elect(sets)
+
+
 class TestCostModel:
     def test_zero_volume_only_latency(self, mira_iface):
         _machine, _mapping, iface = mira_iface
-        model = AggregationCostModel(iface)
-        volumes = {0: 0, 8: 0, 16: 0}
-        cost = model.aggregation_cost(8, volumes)
+        aggregation, _io = _costs(iface, [0, 8, 16], [0, 0, 0])
         # Pure latency term: hops * latency for the two remote producers.
-        assert cost > 0
-        assert cost < 1e-3
+        hops, _bandwidths = iface.pair_metrics(np.array([0, 8]), np.array([4]))
+        cost = float(aggregation[1])
+        assert cost == iface.get_latency() * hops[0, 0] + iface.get_latency() * hops[1, 0]
+        assert 0 < cost < 1e-3
 
     def test_candidate_excluded_from_c1(self, mira_iface):
         _machine, _mapping, iface = mira_iface
-        model = AggregationCostModel(iface)
         # A single producer that is also the candidate: no aggregation cost.
-        assert model.aggregation_cost(4, {4: 10**9}) == 0.0
+        aggregation, _io = _costs(iface, [4], [10**9])
+        assert aggregation.tolist() == [0.0]
 
     def test_c1_grows_with_volume(self, mira_iface):
         _machine, _mapping, iface = mira_iface
-        model = AggregationCostModel(iface)
-        small = model.aggregation_cost(0, {32: 10**6})
-        large = model.aggregation_cost(0, {32: 10**8})
-        assert large > small
+        small, _io = _costs(iface, [0, 32], [0, 10**6])
+        large, _io = _costs(iface, [0, 32], [0, 10**8])
+        assert large[0] > small[0]
 
     def test_c2_zero_when_locality_unknown(self, theta_iface):
         _machine, _mapping, iface = theta_iface
-        model = AggregationCostModel(iface)
-        assert model.io_cost(3, 10**9) == 0.0
+        _aggregation, io = _costs(iface, [3, 9], [10**9, 10**9])
+        assert io.tolist() == [0.0, 0.0]
 
     def test_c2_positive_on_mira(self, mira_iface):
         _machine, _mapping, iface = mira_iface
-        model = AggregationCostModel(iface)
-        assert model.io_cost(3, 10**8) > 0.0
+        _aggregation, io = _costs(iface, [3], [10**8])
+        assert io[0] > 0.0
 
     def test_evaluate_total_is_sum(self, mira_iface):
         _machine, _mapping, iface = mira_iface
-        model = AggregationCostModel(iface)
-        volumes = {0: 1000, 17: 2000, 33: 500}
-        breakdown = model.evaluate(17, volumes)
+        partitions = [Partition(0, [0, 17, 33], [1000, 2000, 500])]
+        placement = place_aggregators(partitions, iface)
+        aggregation, io = placement.costs
+        breakdown = placement.breakdowns[0]
         assert isinstance(breakdown, CostBreakdown)
-        assert breakdown.total == pytest.approx(breakdown.aggregation + breakdown.io)
+        assert breakdown.total == breakdown.aggregation + breakdown.io
+        assert breakdown.total == min((aggregation + io).tolist())
 
     def test_best_candidate_ties_break_to_lowest_rank(self, theta_iface):
         _machine, _mapping, iface = theta_iface
@@ -133,11 +142,14 @@ class TestCostModel:
         assert aggregation[0] == aggregation[1] and io[0] == io[1]
         assert sets.ranks[sets.argmin(aggregation + io)].tolist() == [0]
 
-    def test_negative_volume_rejected(self, mira_iface):
-        _machine, _mapping, iface = mira_iface
-        model = AggregationCostModel(iface)
-        with pytest.raises(ValueError):
-            model.aggregation_cost(0, {5: -1})
+    def test_negative_volume_rejected(self):
+        """A partition rejects negative volumes where they enter, naming the
+        first such rank, so no election ever sees one."""
+        with pytest.raises(ValueError, match=r"^volume of rank 5 must be >= 0, got -1$"):
+            Partition(0, [0, 5, 7], [3, -1, -2])
+        with pytest.raises(ValueError, match="volume of rank 9 "):
+            Partition(1, [9], [-5])
+        assert Partition(2, [1, 2], [0, 0]).total_bytes == 0
 
 
 class TestPartitioning:
@@ -267,7 +279,8 @@ class TestPlacement:
         _mapping, iface, partitions = self._setup(machine, 32, 2, workload, 4)
         placement = place_aggregators(partitions, iface, strategy="max-volume")
         for partition, aggregator in zip(partitions, placement.aggregators):
-            assert partition.volume_map()[aggregator] == partition.volumes.max()
+            position = partition.ranks.tolist().index(aggregator)
+            assert partition.volumes[position] == partition.volumes.max()
 
     def test_unknown_strategy_rejected(self):
         machine = ThetaMachine(16)

@@ -18,6 +18,7 @@ from repro.simmpi.world import SimWorld
 from repro.workloads.hacc import HACCIOWorkload
 from repro.workloads.ior import IORWorkload
 from repro.workloads.synthetic import SyntheticWorkload
+from reference import cost_model as reference
 
 
 def run_tapioca_write(machine, workload, config, *, ranks_per_node=2, path="/out/tap.dat"):
@@ -111,18 +112,16 @@ class TestWriteCorrectness:
 
     def test_election_values_equal_per_rank_evaluation(self):
         """The batched election costs are each rank's own C1 + C2, bit for bit."""
-        from repro.core.cost_model import AggregationCostModel
-
         machine = MiraMachine(16, pset_size=8)
         workload = SyntheticWorkload(32, calls=3, seed=5, max_segment_bytes=900)
         config = TapiocaConfig(num_aggregators=3, buffer_size=1024)
-        _world, runtime, _result = run_tapioca_write(machine, workload, config)
-        model = AggregationCostModel(runtime.iface)
+        world, runtime, _result = run_tapioca_write(machine, workload, config)
         for partition in runtime.partitions:
-            volumes = partition.volume_map()
+            volumes = dict(zip(partition.ranks.tolist(), partition.volumes.tolist()))
             for rank in volumes:
                 cost, _rank = runtime._election_value(rank, partition)
-                assert cost == model.evaluate(rank, volumes).total
+                expected = reference.evaluate(machine, world.mapping, rank, volumes)
+                assert cost == expected.total
 
     def test_workload_world_mismatch_rejected(self):
         machine = MiraMachine(16, pset_size=16)
@@ -236,37 +235,29 @@ class TestQualitativeBehaviour:
         assert elapsed(2000) > elapsed(100)
 
 
-class TestElectionUnderContention:
-    """With background traffic, skipping the allreduce elects what it elects."""
+class TestElectionAwayFromFirstRank:
+    """The DES Allreduce(MINLOC) elects what the placement elects, on skewed
+    per-rank volumes where no partition's winner is its first rank."""
 
-    #: Background streams that move every partition's winner off its
-    #: contention-free choice (ranks 0, 4, 8, 12).
-    BACKGROUND = [(5, 2), (1, 7), (1, 2), (5, 6), (5, 6), (0, 3)]
-
-    def _elected(self, elect_with_allreduce):
-        from repro.multijob.contention import LinkContentionFactors
-
+    def _roundtrip(self):
         machine = ThetaMachine(8)
-        workload = IORWorkload(16, transfer_size=4096)
-        config = TapiocaConfig(
-            num_aggregators=4,
-            buffer_size=8192,
-            elect_with_allreduce=elect_with_allreduce,
-        )
+        workload = SyntheticWorkload(16, seed=6, max_segment_bytes=4096)
+        config = TapiocaConfig(num_aggregators=4, buffer_size=8192)
         world = SimWorld(machine, ranks_per_node=2)
-        contention = LinkContentionFactors(machine.topology, world.mapping, self.BACKGROUND)
-        writer = TapiocaIO(world, workload, config, path="/out/c.dat", contention=contention)
+        writer = TapiocaIO(world, workload, config, path="/out/c.dat")
         written = world.run(writer.write_program())
         read_world = SimWorld(machine, ranks_per_node=2)
         read_world.files = written.files
-        reader = TapiocaIO(
-            read_world, workload, config, path="/out/c.dat", contention=contention
-        )
+        reader = TapiocaIO(read_world, workload, config, path="/out/c.dat")
         read_world.run(reader.read_program())
-        return writer.elected, reader.elected
+        return writer, reader
 
-    def test_placement_fallback_elects_the_allreduce_winners(self):
-        written, read = self._elected(elect_with_allreduce=True)
-        assert sorted(written.values()) == [2, 6, 10, 14]
-        assert self._elected(elect_with_allreduce=False) == (written, read)
-        assert read == written
+    def test_allreduce_elects_the_placement(self):
+        writer, reader = self._roundtrip()
+        winners = [writer.elected[index] for index in range(len(writer.partitions))]
+        assert winners == writer.placement.aggregators == [2, 6, 11, 13]
+        assert all(
+            winner != partition.ranks[0]
+            for winner, partition in zip(winners, writer.partitions)
+        )
+        assert reader.elected == writer.elected

@@ -1,11 +1,9 @@
-"""Property tests for the contention ledger and link contention factors."""
+"""Property tests for the contention ledger."""
 
 import numpy as np
 import pytest
 
-from repro.multijob.contention import ContentionLedger, LinkContentionFactors
-from repro.topology.dragonfly import DragonflyTopology
-from repro.topology.mapping import block_mapping
+from repro.multijob.contention import ContentionLedger
 from repro.utils.rng import seeded_rng
 
 
@@ -140,33 +138,3 @@ class TestLedgerValidation:
         assert ledger.shared_between(0, 1) == [("ost", 1)]
         assert ledger.sharing().tolist() == [[2.0, 1.0], [1.0, 1.0]]
 
-
-class TestLinkContentionFactors:
-    def test_background_traffic_raises_the_factor(self):
-        topology = DragonflyTopology(groups=2, routers_per_group=2, nodes_per_router=2)
-        mapping = block_mapping(topology.num_nodes, topology.num_nodes, 1)
-        quiet = LinkContentionFactors(topology, mapping, [])
-        # Background flow crossing the same inter-group link as rank 0 -> 7.
-        busy = LinkContentionFactors(topology, mapping, [(1, 6)])
-        assert quiet.bandwidth_factor(0, 7) == 1.0
-        assert busy.bandwidth_factor(0, 7) > 1.0
-        # Same-node transfers are never slowed down.
-        assert busy.bandwidth_factor(0, 0) == 1.0
-
-    def test_cost_model_accepts_contention(self, small_theta):
-        from repro.core.cost_model import AggregationCostModel
-        from repro.core.topology_iface import TopologyInterface
-
-        mapping = block_mapping(16, small_theta.num_nodes, 2)
-        iface = TopologyInterface(small_theta, mapping)
-        volumes = {rank: 1024 for rank in range(8)}
-        baseline = AggregationCostModel(iface).evaluate(0, volumes)
-        # Saturate every link with background flows; costs must not decrease.
-        flows = [(a, b) for a in range(8) for b in range(8) if a != b]
-        contention = LinkContentionFactors(
-            small_theta.topology, mapping, flows
-        )
-        loaded = AggregationCostModel(iface, contention=contention).evaluate(
-            0, volumes
-        )
-        assert loaded.total >= baseline.total

@@ -23,6 +23,7 @@ from repro.placement_opt import (
     problem_for_scenario,
 )
 from repro.scenario.registry import get_scenario, scenario_ids
+from repro.scenario.simulation import Simulation
 from repro.scenario.spec import (
     IOStrategySpec,
     MachineSpec,
@@ -39,12 +40,13 @@ def make_problem(spec: list[list[tuple[int, float, float]]]) -> PlacementProblem
     partitions = []
     for index, raw in enumerate(spec):
         candidates = [
-            CandidateCost(node=node, rank=node * 100, latency_s=lat, transfer_s=xfer)
+            CandidateCost(node=node, latency_s=lat, transfer_s=xfer)
             for node, lat, xfer in raw
         ]
         candidates.sort(key=lambda c: (c.base_s, c.node))
+        # Hand-built problems elect the (base_s, node) minimum, position 0.
         partitions.append(
-            PartitionCandidates(index=index, candidates=tuple(candidates))
+            PartitionCandidates(index=index, candidates=tuple(candidates), elected=0)
         )
     return PlacementProblem(partitions)
 
@@ -117,6 +119,17 @@ class TestProblem:
         problem = make_problem([[(0, 0.0, 1.0)]])
         with pytest.raises(Exception):
             assignment_cost(problem, (0, 0))
+
+    @pytest.mark.parametrize("scale", (8.0, 1.0))
+    @pytest.mark.parametrize("name", single_job_tapioca_scenarios())
+    def test_greedy_is_the_placement_the_model_elects(self, name, scale):
+        """The certificate's greedy is the analytic model's own election,
+        also where the problem's latency + transfer sums break an exact
+        tie of C1 + C2 differently (ablation_burst_buffer)."""
+        scenario = get_scenario(name, scale=scale)
+        problem, _machine_nodes = problem_for_scenario(scenario)
+        elected = Simulation(scenario).estimate().details["aggregator_nodes"]
+        assert list(problem.choice_nodes(greedy_choice(problem))) == elected
 
     def test_scenario_problem_matches_machine_and_greedy_election(self):
         scenario = get_scenario("placement_optimality", scale=8.0)

@@ -5,9 +5,8 @@ queries with vectorised kernels, count link loads over link-id matrices,
 and the placement cost model elects every partition of a list in one
 segmented pass over stacked pair tensors.  These property-style tests pin
 each of them bit for bit to an oracle — the route walks of
-``tests/reference/routes.py`` and per-candidate
-:meth:`AggregationCostModel.evaluate` (through
-``tests/reference/cost_model.py``) — over randomised node pairs and
+``tests/reference/routes.py`` and the self-contained per-pair cost loop of
+``tests/reference/cost_model.py`` — over randomised node pairs and
 partition lists on all three topologies, and check that cache state never
 leaks across machine instances.
 """
@@ -25,7 +24,6 @@ from repro.core.placement import place_aggregators
 from repro.core.topology_iface import TopologyInterface
 from repro.machine.mira import MiraMachine
 from repro.machine.theta import ThetaMachine
-from repro.multijob.contention import LinkContentionFactors
 from repro.topology.dragonfly import DragonflyTopology
 from repro.topology.fattree import FatTreeTopology
 from repro.topology.mapping import block_mapping
@@ -271,39 +269,6 @@ def test_link_loads_equal_a_walk_of_oracle_routes(topology):
 
 
 @pytest.mark.parametrize("topology", _topologies(), ids=lambda t: t.name)
-def test_link_contention_factors_equal_oracle_worst_link(topology):
-    """Each rank's factor is 1 + the largest background count along its
-    oracle route (1 on a self-route or with no background)."""
-    n = topology.num_nodes
-    mapping = block_mapping(2 * n, n, 2)
-    background = _random_flows(topology, 60, seed=8)
-    counts = _oracle_link_counts(topology, background)
-    contention = LinkContentionFactors(topology, mapping, background)
-    quiet = LinkContentionFactors(topology, mapping, [])
-    rng = random.Random(12)
-    src_ranks = [rng.randrange(2 * n) for _ in range(50)]
-    for dst_node in rng.sample(range(n), 4):
-        expected = [
-            1.0
-            + max(
-                (
-                    counts.get(link[:2], 0)
-                    for link in reference_routes.route(
-                        topology, mapping.node(rank), dst_node
-                    )
-                ),
-                default=0,
-            )
-            for rank in src_ranks
-        ]
-        assert contention.bandwidth_factors(src_ranks, dst_node).tolist() == expected
-        assert [
-            contention.bandwidth_factor(rank, 2 * dst_node) for rank in src_ranks
-        ] == expected
-        assert quiet.bandwidth_factors(src_ranks, dst_node).tolist() == [1.0] * 50
-
-
-@pytest.mark.parametrize("topology", _topologies(), ids=lambda t: t.name)
 def test_out_of_range_self_pairs_raise(topology):
     """Validation comes before the self-pair shortcut on every query."""
     n = topology.num_nodes
@@ -381,7 +346,7 @@ def test_segmented_election_equals_per_candidate_oracle(machine, granularity):
     partitions = _random_partitions(rng, mapping, 40)
     assert len({p.size for p in partitions}) > 10
     assert _segmented(model, partitions, granularity) == reference.elect(
-        model, partitions, granularity
+        model.iface, partitions, granularity
     )
 
 
@@ -401,34 +366,41 @@ def test_best_candidate_batched_equals_scalar(machine_cls):
         partitions.append(
             Partition(index, ranks, [rng.randrange(1, 1 << 24) for _ in ranks])
         )
-    assert _segmented(model, partitions) == reference.elect(model, partitions)
+    assert _segmented(model, partitions) == reference.elect(model.iface, partitions)
 
 
 @pytest.mark.parametrize("num_candidates", [1, 3, 40])
 def test_best_candidate_c1_is_a_sequential_sum(num_candidates):
-    """C1 adds the producers' terms left to right, as evaluate() does.
+    """C1 adds the producers' terms left to right, in partition order.
 
     The volumes span twelve orders of magnitude, so a pairwise (``np.sum``)
     reduction of the same terms rounds differently; the segmented C1 of
     each of the first ``num_candidates`` candidates must still equal the
-    sequential sum and the per-candidate oracle exactly.
+    sequential sum and the per-pair oracle exactly.
     """
     from repro.topology.mapping import block_mapping
 
     machine = MiraMachine(64)
-    iface = TopologyInterface(machine, block_mapping(256, 64, 4))
-    model = AggregationCostModel(iface)
+    mapping = block_mapping(256, 64, 4)
+    model = AggregationCostModel(TopologyInterface(machine, mapping))
+    topology = machine.topology
     rng = random.Random(3)
     producers = rng.sample(range(256), 200)
     partition = Partition(0, producers, [rng.randrange(1, 1 << 40) for _ in producers])
-    volumes = partition.volume_map()
-    latency = iface.get_latency()
+    latency = topology.latency()
+    memory_bw = machine.node_spec.main_memory.bandwidth
     [(_winner, breakdowns)] = _segmented(model, [partition])
     for candidate, breakdown in zip(producers[:num_candidates], breakdowns):
+        target = mapping.node(candidate)
         terms = [
-            latency * iface.distance_between_ranks(rank, candidate)
-            + float(nbytes) / iface.bandwidth_between_ranks(rank, candidate)
-            for rank, nbytes in volumes.items()
+            latency * topology.distance(mapping.node(rank), target)
+            + float(nbytes)
+            / (
+                memory_bw
+                if mapping.node(rank) == target
+                else topology.path_bandwidth(mapping.node(rank), target)
+            )
+            for rank, nbytes in zip(producers, partition.volumes.tolist())
             if rank != candidate
         ]
         sequential = 0.0
@@ -437,7 +409,7 @@ def test_best_candidate_c1_is_a_sequential_sum(num_candidates):
         if candidate == producers[0]:
             assert float(np.sum(np.asarray(terms))) != sequential
         assert breakdown.aggregation == sequential
-    assert _segmented(model, [partition]) == reference.elect(model, [partition])
+    assert _segmented(model, [partition]) == reference.elect(model.iface, [partition])
 
 
 def test_best_candidate_batched_handles_candidates_outside_volumes():
@@ -452,7 +424,7 @@ def test_best_candidate_batched_handles_candidates_outside_volumes():
     partitions = [Partition(0, ranks, volumes)]
     for granularity in ("rank", "node"):
         assert _segmented(model, partitions, granularity) == reference.elect(
-            model, partitions, granularity
+            model.iface, partitions, granularity
         )
 
 
@@ -465,7 +437,7 @@ def test_best_candidate_empty_volumes_matches_scalar_path():
     model = AggregationCostModel(TopologyInterface(machine, mapping))
     partitions = [Partition(0, [3, 2], [0, 0])]
     [(winner, breakdowns)] = _segmented(model, partitions)
-    assert [(winner, breakdowns)] == reference.elect(model, partitions)
+    assert [(winner, breakdowns)] == reference.elect(model.iface, partitions)
     assert winner == 2
     assert all(b.total == 0.0 for b in breakdowns)
 
@@ -484,73 +456,6 @@ def test_nodes_of_ranks_rejects_invalid_ranks_on_both_paths():
             for bad in ([-1] + valid, valid + [128]):
                 with pytest.raises(ValueError, match="out of range"):
                     CandidateSets.of([Partition(0, bad, [1] * len(bad))], iface, granularity)
-
-
-def test_best_candidate_negative_volume_raises_on_both_paths():
-    machine = ThetaMachine(8)
-    from repro.topology.mapping import block_mapping
-
-    mapping = block_mapping(16, 8, 2)
-    model = AggregationCostModel(TopologyInterface(machine, mapping))
-    partitions = [Partition(0, [0, 1, 2], [100, -5, 100])]
-    with pytest.raises(ValueError, match="volume of rank 1"):
-        _segmented(model, partitions)
-    with pytest.raises(ValueError, match="volume of rank 1"):
-        reference.elect(model, partitions)
-
-
-@pytest.mark.parametrize(
-    "volumes",
-    [[100, -5, 100], [-5, 100, -7], [-5, 100, 100], [-500, 100, 100], [-5]],
-    ids=["middle", "first-and-last", "first-only", "negative-total", "lone"],
-)
-@pytest.mark.parametrize("granularity", ["rank", "node"])
-def test_negative_volume_raises_what_evaluate_raises(volumes, granularity):
-    """The segmented pass raises the ValueError that per-candidate
-    evaluate() calls raise first, after a clean partition."""
-    from repro.topology.mapping import block_mapping
-
-    iface = TopologyInterface(ThetaMachine(16), block_mapping(32, 16, 2))
-    model = AggregationCostModel(iface)
-    ranks = [0, 2, 4][: len(volumes)]
-    partitions = [Partition(0, [6, 7], [1, 1]), Partition(1, ranks, volumes)]
-    with pytest.raises(ValueError) as expected:
-        reference.elect(model, partitions, granularity)
-    with pytest.raises(ValueError) as segmented:
-        _segmented(model, partitions, granularity)
-    assert str(segmented.value) == str(expected.value)
-
-
-@pytest.mark.parametrize(
-    "volumes, winner",
-    [([100, -5, 100], 0), ([-5, 100, 100], 0), ([-5, 100, 100], 2), ([-500, 100, 100], 0)],
-    ids=["other-negative", "winner-negative", "other-first-negative", "negative-total"],
-)
-def test_winner_only_election_raises_what_evaluate_raises(volumes, winner):
-    """Costing one chosen candidate per partition validates what evaluate()
-    on that candidate validates: its own negative volume alone is not
-    shipped, so only a negative total fails."""
-    from repro.topology.mapping import block_mapping
-
-    iface = TopologyInterface(ThetaMachine(16), block_mapping(32, 16, 2))
-    model = AggregationCostModel(iface)
-    partitions = [Partition(0, [6, 7], [1, 1]), Partition(1, [0, 2, 4], volumes)]
-    sets = CandidateSets.of(partitions, iface)
-    chosen = np.array([0, 2 + winner])
-    try:
-        expected = [
-            model.evaluate(int(sets.ranks[i]), p.volume_map())
-            for i, p in zip(chosen, partitions)
-        ]
-    except ValueError as error:
-        with pytest.raises(ValueError) as segmented:
-            model.elect(sets, chosen)
-        assert str(segmented.value) == str(error)
-    else:
-        aggregation, io = model.elect(sets, chosen)
-        assert [(b.aggregation, b.io) for b in expected] == list(
-            zip(aggregation.tolist(), io.tolist())
-        )
 
 
 @pytest.mark.parametrize("machine", _machines(), ids=lambda m: m.topology.name)
@@ -588,7 +493,7 @@ def test_ties_break_to_lowest_rank_with_unsorted_ranks():
     for granularity in ("rank", "node"):
         segmented = _segmented(model, partitions, granularity)
         assert [winner for winner, _ in segmented] == [0, 5]
-        assert segmented == reference.elect(model, partitions, granularity)
+        assert segmented == reference.elect(model.iface, partitions, granularity)
         placement = place_aggregators(partitions, iface, granularity=granularity)
         assert placement.aggregators == [0, 5]
 
@@ -618,7 +523,7 @@ def test_chunked_election_equals_unchunked(granularity, split, monkeypatch):
     covered = sorted(i for _, columns in chunks for i in columns.ravel().tolist())
     assert covered == list(range(sets.ranks.size))
     assert _segmented(model, partitions, granularity) == whole
-    assert whole == reference.elect(model, partitions, granularity)
+    assert whole == reference.elect(model.iface, partitions, granularity)
     # One chosen column per partition: whole partitions per chunk, each
     # chunk under the budget.
     chosen = sets.offsets[1:] - 1
@@ -677,7 +582,7 @@ def test_place_aggregators_identical_on_both_paths(machine_cls, granularity):
     fast = place_aggregators(
         partitions, iface, strategy="topology-aware", granularity=granularity
     )
-    scalar = reference.elect(AggregationCostModel(iface), partitions, granularity)
+    scalar = reference.elect(iface, partitions, granularity)
     assert fast.aggregators == [winner for winner, _ in scalar]
     assert fast.breakdowns == {
         partition.index: next(b for b in breakdowns if b.candidate == winner)
