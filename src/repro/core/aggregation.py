@@ -71,12 +71,17 @@ class FlushOp:
 class PartitionSchedule:
     """The complete aggregation schedule of one partition.
 
+    Puts and flushes are indexed by round, so a rank looks up what it moves
+    in a round instead of scanning its whole put list every round.
+
     Attributes:
         partition: the partition being scheduled.
         buffer_size: aggregation buffer size in bytes.
         num_rounds: number of rounds needed to drain the partition.
-        puts_by_rank: puts of each member rank, in round order.
-        flushes: aggregator flushes, in round order.
+        rounds_by_rank: ``{rank: {round: puts}}`` for every member rank with
+            data, rounds ascending; a rank has no entry for a round in which
+            it puts nothing.
+        flushes_by_round: aggregator flush extents of each round.
         round_bytes: bytes aggregated in each round (== buffer_size except
             possibly the last round).
     """
@@ -84,21 +89,23 @@ class PartitionSchedule:
     partition: Partition
     buffer_size: int
     num_rounds: int = 0
-    puts_by_rank: dict[int, list[PutOp]] = field(default_factory=dict)
-    flushes: list[FlushOp] = field(default_factory=list)
+    rounds_by_rank: dict[int, dict[int, list[PutOp]]] = field(default_factory=dict)
+    flushes_by_round: list[list[FlushOp]] = field(default_factory=list)
     round_bytes: list[int] = field(default_factory=list)
 
-    def puts_for_round(self, rank: int, round_index: int) -> list[PutOp]:
-        """The puts of ``rank`` in ``round_index`` (possibly empty)."""
-        return [
-            op
-            for op in self.puts_by_rank.get(rank, [])
-            if op.round_index == round_index
-        ]
+    @property
+    def puts_by_rank(self) -> dict[int, list[PutOp]]:
+        """The puts of each member rank, in round order."""
+        return {
+            rank: [op for ops in rounds.values() for op in ops]
+            for rank, rounds in self.rounds_by_rank.items()
+        }
 
     def flushes_for_round(self, round_index: int) -> list[FlushOp]:
         """The flush extents of ``round_index`` (possibly empty)."""
-        return [op for op in self.flushes if op.round_index == round_index]
+        if 0 <= round_index < len(self.flushes_by_round):
+            return self.flushes_by_round[round_index]
+        return []
 
     def total_bytes(self) -> int:
         """Bytes aggregated by this partition over all rounds."""
@@ -147,8 +154,8 @@ def _schedule_partition(
     schedule.round_bytes = [
         min(buffer_size, total - r * buffer_size) for r in range(schedule.num_rounds)
     ]
+    schedule.flushes_by_round = [[] for _ in range(schedule.num_rounds)]
     cursor = 0  # running byte position within the partition's aggregate stream
-    flush_accumulator: dict[int, list[FlushOp]] = {}
     for segment in segments:
         consumed = 0
         while consumed < segment.nbytes:
@@ -163,10 +170,11 @@ def _schedule_partition(
                 buffer_offset=buffer_offset,
                 file_offset=segment.offset + consumed,
             )
-            schedule.puts_by_rank.setdefault(segment.rank, []).append(put)
+            rounds = schedule.rounds_by_rank.setdefault(segment.rank, {})
+            rounds.setdefault(round_index, []).append(put)
             # Build the matching flush extent, merging with the previous one
             # when both the file range and the buffer range are contiguous.
-            extents = flush_accumulator.setdefault(round_index, [])
+            extents = schedule.flushes_by_round[round_index]
             if (
                 extents
                 and extents[-1].file_offset + extents[-1].nbytes == put.file_offset
@@ -180,8 +188,6 @@ def _schedule_partition(
                 extents.append(FlushOp(round_index, put.file_offset, take, buffer_offset))
             consumed += take
             cursor += take
-    for round_index in sorted(flush_accumulator):
-        schedule.flushes.extend(flush_accumulator[round_index])
     return schedule
 
 

@@ -8,7 +8,9 @@ simulated MPI runtime:
    candidate computed locally (Section IV-B);
 2. the aggregator exposes ``pipeline_depth`` aggregation buffers in an RMA
    window; every round is a fence → ``Put`` → fence epoch during which each
-   rank deposits the pieces the round scheduler assigned to it;
+   rank deposits the pieces the round scheduler assigned to it (a rank with
+   nothing to put passes through the fences up to its next put in one
+   call, which changes no simulated time);
 3. at the end of a round the aggregator issues a **non-blocking** flush of
    the filled buffer (``iFlush`` in the paper) and immediately proceeds to
    the next round, which fills the other buffer — the overlap of aggregation
@@ -150,7 +152,12 @@ class TapiocaIO:
         window = yield from sub.create_window(window_size)
         pending_flush: dict[int, list[Request]] = {i: [] for i in range(depth)}
         bytes_contributed = 0
-        my_puts = part_schedule.puts_by_rank.get(ctx.rank, [])
+        my_rounds = part_schedule.rounds_by_rank.get(ctx.rank, {})
+        # Fences this rank still has to pass: a rank with nothing to do
+        # between fences passes through all of them in one call.  The
+        # aggregator acts after every round's second fence, so it never
+        # carries any across a round.
+        fences = 0
         for round_index in range(part_schedule.num_rounds):
             buffer_id = round_index % depth
             # Back-pressure: the aggregator must not let anyone fill a buffer
@@ -160,24 +167,28 @@ class TapiocaIO:
             if is_aggregator and pending_flush[buffer_id]:
                 yield from Request.wait_all(ctx.env, pending_flush[buffer_id])
                 pending_flush[buffer_id] = []
-            yield from sub.fence(window)
+            fences += 1
             # Aggregation phase: RMA put this round's pieces.
-            for put in my_puts:
-                if put.round_index != round_index:
-                    continue
-                payload = self.workload.payload(put.segment)
-                chunk = payload[put.segment_offset : put.segment_offset + put.nbytes]
-                yield from sub.put(
-                    window,
-                    chunk,
-                    aggregator_sub_rank,
-                    buffer_id * buffer_size + put.buffer_offset,
-                )
-                bytes_contributed += put.nbytes
-            yield from sub.fence(window)
+            puts = my_rounds.get(round_index)
+            if puts:
+                yield from sub.fence(window, fences)
+                fences = 0
+                for put in puts:
+                    payload = self.workload.payload(put.segment)
+                    chunk = payload[put.segment_offset : put.segment_offset + put.nbytes]
+                    yield from sub.put(
+                        window,
+                        chunk,
+                        aggregator_sub_rank,
+                        buffer_id * buffer_size + put.buffer_offset,
+                    )
+                    bytes_contributed += put.nbytes
+            fences += 1
             # I/O phase: non-blocking flush, overlapped with the next round
             # when pipeline_depth > 1.
             if is_aggregator:
+                yield from sub.fence(window, fences)
+                fences = 0
                 buffer = window.buffer(aggregator_sub_rank)
                 base = buffer_id * buffer_size
                 for flush in part_schedule.flushes_for_round(round_index):
@@ -200,6 +211,8 @@ class TapiocaIO:
                     # No pipelining: wait for this round's flush immediately.
                     yield from Request.wait_all(ctx.env, pending_flush[buffer_id])
                     pending_flush[buffer_id] = []
+        if fences:
+            yield from sub.fence(window, fences)
         # Drain outstanding flushes, then leave collectively.
         if is_aggregator:
             outstanding = [r for requests in pending_flush.values() for r in requests]
@@ -234,11 +247,13 @@ class TapiocaIO:
         buffer_size = self.config.buffer_size
         window_size = depth * buffer_size if is_aggregator else 0
         window = yield from sub.create_window(window_size)
-        my_puts = part_schedule.puts_by_rank.get(ctx.rank, [])
+        my_rounds = part_schedule.rounds_by_rank.get(ctx.rank, {})
+        # Every segment with data has exactly one piece at segment offset 0.
         assembled: dict[int, bytearray] = {
-            segment.offset: bytearray(segment.nbytes)
-            for segment in self.workload.segments_for_rank(ctx.rank)
-            if segment.nbytes > 0
+            put.segment.offset: bytearray(put.segment.nbytes)
+            for puts in my_rounds.values()
+            for put in puts
+            if put.segment_offset == 0
         }
 
         def prefetch(round_index: int) -> list[tuple[Request, int, int]]:
@@ -252,6 +267,7 @@ class TapiocaIO:
         inflight: dict[int, list[tuple[Request, int, int]]] = {}
         if is_aggregator and part_schedule.num_rounds > 0:
             inflight[0] = prefetch(0)
+        fences = 0  # fences to pass through, as in :meth:`write`
         for round_index in range(part_schedule.num_rounds):
             buffer_id = round_index % depth
             if is_aggregator:
@@ -266,21 +282,28 @@ class TapiocaIO:
                 # Prefetch the next round before serving this one.
                 if depth > 1 and round_index + 1 < part_schedule.num_rounds:
                     inflight[round_index + 1] = prefetch(round_index + 1)
-            yield from sub.fence(window)
-            for put in my_puts:
-                if put.round_index != round_index:
-                    continue
-                data = yield from window.get(
-                    sub.rank,
-                    aggregator_sub_rank,
-                    buffer_id * buffer_size + put.buffer_offset,
-                    put.nbytes,
-                )
-                target = assembled[put.segment.offset]
-                target[put.segment_offset : put.segment_offset + put.nbytes] = data
-            yield from sub.fence(window)
-            if is_aggregator and depth == 1 and round_index + 1 < part_schedule.num_rounds:
-                inflight[round_index + 1] = prefetch(round_index + 1)
+            fences += 1
+            gets = my_rounds.get(round_index)
+            if gets:
+                yield from sub.fence(window, fences)
+                fences = 0
+                for put in gets:
+                    data = yield from window.get(
+                        sub.rank,
+                        aggregator_sub_rank,
+                        buffer_id * buffer_size + put.buffer_offset,
+                        put.nbytes,
+                    )
+                    target = assembled[put.segment.offset]
+                    target[put.segment_offset : put.segment_offset + put.nbytes] = data
+            fences += 1
+            if is_aggregator:
+                yield from sub.fence(window, fences)
+                fences = 0
+                if depth == 1 and round_index + 1 < part_schedule.num_rounds:
+                    inflight[round_index + 1] = prefetch(round_index + 1)
+        if fences:
+            yield from sub.fence(window, fences)
         yield from ctx.comm.barrier()
         return {offset: bytes(buf) for offset, buf in assembled.items()}
 
@@ -290,18 +313,8 @@ class TapiocaIO:
 
     def write_program(self):
         """A rank-program function running :meth:`write` (for ``SimWorld.run``)."""
-
-        def program(ctx: RankContext) -> Generator[Event, Any, int]:
-            result = yield from self.write(ctx)
-            return result
-
-        return program
+        return self.write
 
     def read_program(self):
         """A rank-program function running :meth:`read` (for ``SimWorld.run``)."""
-
-        def program(ctx: RankContext) -> Generator[Event, Any, dict[int, bytes]]:
-            result = yield from self.read(ctx)
-            return result
-
-        return program
+        return self.read

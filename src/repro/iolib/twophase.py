@@ -403,18 +403,8 @@ class TwoPhaseCollectiveIO:
 
     def write_program(self):
         """A rank-program function running :meth:`write` (for ``SimWorld.run``)."""
-
-        def program(ctx: RankContext) -> Generator[Event, Any, int]:
-            result = yield from self.write(ctx)
-            return result
-
-        return program
+        return self.write
 
     def read_program(self):
         """A rank-program function running :meth:`read` (for ``SimWorld.run``)."""
-
-        def program(ctx: RankContext) -> Generator[Event, Any, bytes]:
-            result = yield from self.read(ctx)
-            return result
-
-        return program
+        return self.read

@@ -19,6 +19,19 @@ and ``v`` costs ``l * d(u, v) + n / B(u, v)`` (the same expression the
 paper's cost model uses); intra-node transfers cost ``n / B_mem``.
 Collectives cost ``ceil(log2(P))`` such steps on the communicator's average
 hop distance.
+
+Event ordering.  A collective has one completion event that every
+participant waits on; processing it resumes the participants in arrival
+order.  The last arrival releases it through two plain heap entries: one
+now, which schedules one at ``now + cost``, which triggers the completion.
+These take exactly the ``(time, seq)`` slots of a release process's
+bootstrap and timeout, and the completion takes the ``seq`` the first of
+``P`` per-rank completion events would have had, so every simulated time
+equals that of a per-rank release.  A rank that passes through ``count``
+consecutive barriers (``barrier(rank, count)``, which RMA fences use for
+ranks idle between epochs) is not resumed in between: each completion's
+callback enters the next barrier at the callback position where the rank's
+own resume would have entered it, so arrivals keep their order.
 """
 
 from __future__ import annotations
@@ -109,15 +122,64 @@ class _PendingRecv:
     completion: Event
 
 
-@dataclass
+@dataclass(slots=True)
 class _CollectiveSlot:
     """Rendezvous state for one collective call instance."""
 
     name: str
-    expected: int
+    #: The one event every participant waits on; its value maps a rank to
+    #: that rank's result.
+    completion: Event
+    nbytes: int
     contributions: dict[int, Any] = field(default_factory=dict)
-    completions: dict[int, Event] = field(default_factory=dict)
-    nbytes: int = 8
+
+
+def _no_result(_contributions: dict[int, Any]) -> Callable[[int], None]:
+    return _none_for_rank
+
+
+def _none_for_rank(_rank: int) -> None:
+    return None
+
+
+class _PassThrough(Event):
+    """What a rank waits on while it passes through consecutive barriers.
+
+    Each barrier's completion callback enters the next barrier for the rank;
+    the last barrier's completion resumes the rank's process directly.  A
+    barrier entry that fails (a collective mismatch) is thrown into the
+    rank's process at that same callback position.
+    """
+
+    __slots__ = ("_comm", "_rank", "_remaining", "_current", "_waiter")
+
+    def __init__(self, comm: "Communicator", rank: int, count: int, first: Event) -> None:
+        super().__init__(comm.world.env)
+        self._comm = comm
+        self._rank = rank
+        self._remaining = count - 1
+        self._current = first
+        self._waiter: Callable[[Event], None] | None = None
+
+    def add_callback(self, callback: Callable[[Event], None]) -> None:
+        self._waiter = callback
+        self._current.add_callback(self._enter_next)
+
+    def _enter_next(self, event: Event) -> None:
+        if not event.ok:
+            self._waiter(event)
+            return
+        try:
+            self._current = self._comm._enter_collective(
+                self._rank, "barrier", None, 0, _no_result
+            )
+        except SimMPIError as exc:
+            # Fail in place, where the rank's own resume would have raised.
+            self.ok, self.value = False, exc
+            self._waiter(self)
+            return
+        self._remaining -= 1
+        self._current.add_callback(self._waiter if self._remaining == 0 else self._enter_next)
 
 
 class Communicator:
@@ -135,12 +197,15 @@ class Communicator:
         self.world = world
         self.name = name
         self.world_ranks: tuple[int, ...] = tuple(world_ranks)
+        #: Number of ranks in the communicator.
+        self.size = len(self.world_ranks)
+        self._nodes = tuple(world.node_of_rank(wr) for wr in self.world_ranks)
         self._rank_of_world = {wr: r for r, wr in enumerate(self.world_ranks)}
         # Point-to-point matching queues keyed by destination comm rank.
         self._pending_sends: list[_PendingSend] = []
         self._pending_recvs: list[_PendingRecv] = []
         # Collective bookkeeping: per-rank call counters + active slots.
-        self._collective_counter: dict[int, int] = {r: 0 for r in range(self.size)}
+        self._collective_counter = [0] * self.size
         self._collective_slots: dict[int, _CollectiveSlot] = {}
         #: Sampled mean hop distance between member nodes, set by the world
         #: the first time a collective on this communicator is priced.
@@ -149,11 +214,6 @@ class Communicator:
     # ------------------------------------------------------------------ #
     # Introspection
     # ------------------------------------------------------------------ #
-
-    @property
-    def size(self) -> int:
-        """Number of ranks in the communicator."""
-        return len(self.world_ranks)
 
     def world_rank(self, rank: int) -> int:
         """World rank of communicator rank ``rank``."""
@@ -170,7 +230,7 @@ class Communicator:
 
     def node_of(self, rank: int) -> int:
         """Compute node hosting communicator rank ``rank``."""
-        return self.world.node_of_rank(self.world_rank(rank))
+        return self._nodes[self._validate_rank(rank)]
 
     def _validate_rank(self, rank: int, name: str = "rank") -> int:
         if not 0 <= rank < self.size:
@@ -211,15 +271,16 @@ class Communicator:
         dst_node = self.node_of(send.dst)
         transfer = self.world.transfer_time(src_node, dst_node, send.nbytes)
         # Rendezvous: the transfer starts when both sides are posted, which is
-        # "now" (the moment the second of the two is posted).
-        def _deliver(payload: Any = send.payload) -> Generator[Event, Any, None]:
-            yield env.timeout(transfer)
+        # "now" (the moment the second of the two is posted).  Like a
+        # collective's release, the delivery is two plain heap entries in the
+        # slots of a delivery process's bootstrap and timeout.
+        def _deliver() -> None:
             if not recv.completion.triggered:
-                recv.completion.succeed((payload, send.src, send.tag))
+                recv.completion.succeed((send.payload, send.src, send.tag))
             if not send.completion.triggered:
                 send.completion.succeed(None)
 
-        env.process(_deliver(), name=f"{self.name}:xfer:{send.src}->{send.dst}")
+        env.call_later(0.0, lambda: env.call_later(transfer, _deliver))
 
     def send(
         self, src: int, dst: int, payload: Any, nbytes: int, tag: int = 0
@@ -287,48 +348,50 @@ class Communicator:
         return steps * self.world.collective_step_cost(self, int(nbytes))
 
     def _enter_collective(
-        self, rank: int, name: str, value: Any, nbytes: int
-    ) -> tuple[_CollectiveSlot, Event, bool]:
-        """Register a rank's arrival at its next collective; returns the slot."""
+        self,
+        rank: int,
+        name: str,
+        value: Any,
+        nbytes: int,
+        result_builder: Callable[[dict[int, Any]], Callable[[int], Any]],
+    ) -> Event:
+        """Register a rank's arrival at its next collective; returns its completion.
+
+        The last arrival builds the per-rank results and schedules the
+        release (see the module docstring for the slots it takes).  A
+        malformed collective (e.g. a scatter root supplying the wrong number
+        of values) fails every participant rather than deadlocking the others.
+        """
         self._validate_rank(rank)
         seq = self._collective_counter[rank]
         self._collective_counter[rank] = seq + 1
         slot = self._collective_slots.get(seq)
         if slot is None:
-            slot = _CollectiveSlot(name=name, expected=self.size, nbytes=nbytes)
+            slot = _CollectiveSlot(name, Event(self.world.env), nbytes)
             self._collective_slots[seq] = slot
-        if slot.name != name:
+        elif slot.name != name:
             raise SimMPIError(
                 f"collective mismatch on {self.name!r}: rank {rank} called "
                 f"{name!r} while others called {slot.name!r}"
             )
-        if rank in slot.contributions:
-            raise SimMPIError(
-                f"rank {rank} entered collective {name!r} twice at sequence {seq}"
-            )
+        elif nbytes > slot.nbytes:
+            slot.nbytes = nbytes
         slot.contributions[rank] = value
-        slot.nbytes = max(slot.nbytes, nbytes)
-        completion = self.world.env.event()
-        slot.completions[rank] = completion
-        complete = len(slot.contributions) == slot.expected
-        if complete:
+        completion = slot.completion
+        if len(slot.contributions) == self.size:
             del self._collective_slots[seq]
-        return slot, completion, complete
-
-    def _finish_collective(
-        self, slot: _CollectiveSlot, result_for_rank: Callable[[int], Any]
-    ) -> None:
-        """Schedule completion of every participant after the collective cost."""
-        env = self.world.env
-        cost = self._collective_cost(slot.nbytes)
-
-        def _release() -> Generator[Event, Any, None]:
-            yield env.timeout(cost)
-            for rank, event in slot.completions.items():
-                if not event.triggered:
-                    event.succeed(result_for_rank(rank))
-
-        env.process(_release(), name=f"{self.name}:{slot.name}")
+            try:
+                result_for_rank = result_builder(slot.contributions)
+            except Exception as exc:
+                completion.fail(exc)
+            else:
+                env = self.world.env
+                cost = self._collective_cost(slot.nbytes)
+                env.call_later(
+                    0.0,
+                    lambda: env.call_later(cost, lambda: completion.succeed(result_for_rank)),
+                )
+        return completion
 
     def _run_collective(
         self,
@@ -338,39 +401,36 @@ class Communicator:
         nbytes: int,
         result_builder: Callable[[dict[int, Any]], Callable[[int], Any]],
     ) -> Generator[Event, Any, Any]:
-        slot, completion, is_last = self._enter_collective(rank, name, value, nbytes)
-        if is_last:
-            try:
-                builder = result_builder(slot.contributions)
-            except Exception as exc:
-                # A malformed collective (e.g. a scatter root supplying the
-                # wrong number of values) fails every participant rather than
-                # deadlocking the others.
-                for event in slot.completions.values():
-                    if not event.triggered:
-                        event.fail(exc)
-            else:
-                self._finish_collective(slot, builder)
-        result = yield completion
-        return result
+        result_for_rank = yield self._enter_collective(rank, name, value, nbytes, result_builder)
+        return result_for_rank(rank)
 
-    def barrier(self, rank: int) -> Generator[Event, Any, None]:
-        """Synchronise all ranks of the communicator."""
-        yield from self._run_collective(
-            rank, "barrier", None, 0, lambda contrib: (lambda r: None)
-        )
+    def barrier(self, rank: int, count: int = 1) -> Generator[Event, Any, None]:
+        """Synchronise all ranks of the communicator.
+
+        ``count > 1`` passes through that many consecutive barriers and
+        resumes the rank only after the last one; the other ranks see
+        ``count`` ordinary barriers.
+        """
+        if count == 1:
+            return self._run_collective(rank, "barrier", None, 0, _no_result)
+        if count < 1:
+            raise SimMPIError(f"barrier count must be >= 1, got {count}")
+        return self._pass_through(rank, count)
+
+    def _pass_through(self, rank: int, count: int) -> Generator[Event, Any, None]:
+        first = self._enter_collective(rank, "barrier", None, 0, _no_result)
+        yield _PassThrough(self, rank, count, first)
 
     def bcast(self, rank: int, value: Any, root: int = 0, nbytes: int = 8) -> Generator[Event, Any, Any]:
         """Broadcast ``value`` from ``root``; every rank returns the root's value."""
         self._validate_rank(root, "root")
-        result = yield from self._run_collective(
+        return self._run_collective(
             rank,
             "bcast",
             value if rank == root else None,
             nbytes,
             lambda contrib: (lambda r, v=contrib[root]: v),
         )
-        return result
 
     def reduce(
         self, rank: int, value: Any, op: str = ReduceOp.SUM, root: int = 0, nbytes: int = 8
@@ -382,8 +442,7 @@ class Communicator:
             combined = ReduceOp.combine(op, [contrib[r] for r in sorted(contrib)])
             return lambda r: combined if r == root else None
 
-        result = yield from self._run_collective(rank, f"reduce:{op}", value, nbytes, build)
-        return result
+        return self._run_collective(rank, f"reduce:{op}", value, nbytes, build)
 
     def allreduce(
         self, rank: int, value: Any, op: str = ReduceOp.SUM, nbytes: int = 8
@@ -398,8 +457,7 @@ class Communicator:
             combined = ReduceOp.combine(op, [contrib[r] for r in sorted(contrib)])
             return lambda r: combined
 
-        result = yield from self._run_collective(rank, f"allreduce:{op}", value, nbytes, build)
-        return result
+        return self._run_collective(rank, f"allreduce:{op}", value, nbytes, build)
 
     def gather(
         self, rank: int, value: Any, root: int = 0, nbytes: int = 8
@@ -411,8 +469,7 @@ class Communicator:
             ordered = [contrib[r] for r in sorted(contrib)]
             return lambda r: list(ordered) if r == root else None
 
-        result = yield from self._run_collective(rank, "gather", value, nbytes, build)
-        return result
+        return self._run_collective(rank, "gather", value, nbytes, build)
 
     def allgather(
         self, rank: int, value: Any, nbytes: int = 8
@@ -423,8 +480,7 @@ class Communicator:
             ordered = [contrib[r] for r in sorted(contrib)]
             return lambda r: list(ordered)
 
-        result = yield from self._run_collective(rank, "allgather", value, nbytes, build)
-        return result
+        return self._run_collective(rank, "allgather", value, nbytes, build)
 
     def scatter(
         self, rank: int, values: Sequence[Any] | None, root: int = 0, nbytes: int = 8
@@ -441,8 +497,7 @@ class Communicator:
             items = list(source)
             return lambda r: items[r]
 
-        result = yield from self._run_collective(rank, "scatter", values, nbytes, build)
-        return result
+        return self._run_collective(rank, "scatter", values, nbytes, build)
 
     def alltoall(
         self, rank: int, values: Sequence[Any], nbytes: int = 8
@@ -454,10 +509,9 @@ class Communicator:
         def build(contrib: dict[int, Any]) -> Callable[[int], Any]:
             return lambda r: [contrib[peer][r] for peer in sorted(contrib)]
 
-        result = yield from self._run_collective(
+        return self._run_collective(
             rank, "alltoall", list(values), nbytes * self.size, build
         )
-        return result
 
     # ------------------------------------------------------------------ #
     # RMA window allocation (collective, like MPI_Win_allocate)
@@ -477,10 +531,9 @@ class Communicator:
             window = Window(self.world, self, sizes=sizes)
             return lambda r: window
 
-        result = yield from self._run_collective(
+        return self._run_collective(
             rank, "create_window", int(size), 16, build
         )
-        return result
 
     # ------------------------------------------------------------------ #
     # Sub-communicators
@@ -509,10 +562,9 @@ class Communicator:
                 )
             return lambda r, _comms=comms, _contrib=contrib: _comms[_contrib[r][0]]
 
-        result = yield from self._run_collective(
+        return self._run_collective(
             rank, "split", (color, key), 16, build
         )
-        return result
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<Communicator {self.name!r} size={self.size}>"

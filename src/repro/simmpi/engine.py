@@ -9,8 +9,15 @@ A deliberately small process-oriented engine in the style of SimPy:
   of the ``yield`` expression;
 * composition uses plain ``yield from`` — helper coroutines simply delegate.
 
-The engine is single-threaded and fully deterministic: events scheduled for
-the same timestamp are processed in insertion order.
+The engine is single-threaded and fully deterministic: every heap entry is a
+``(time, seq, action)`` triple, and entries of the same timestamp run in
+``seq`` (insertion) order.  An entry is either a triggered :class:`Event`,
+whose action resumes its waiters in the order they started waiting, or a
+plain callback scheduled with :meth:`Environment.call_later`, which costs no
+:class:`Event` and no process.  The MPI layer relies on this: a collective
+keeps one completion event for all its participants and releases it through
+plain entries that take the ``(time, seq)`` slots a per-participant release
+process would have taken (see :mod:`repro.simmpi.communicator`).
 """
 
 from __future__ import annotations
@@ -104,7 +111,8 @@ class AllOf(Event):
     """An event that triggers once all child events have triggered.
 
     The value delivered is the list of the children's values, in the order
-    the children were given.
+    the children were given.  If a child fails, the event fails with that
+    child's exception as soon as the failure is processed.
     """
 
     __slots__ = ("_children", "_pending")
@@ -119,9 +127,16 @@ class AllOf(Event):
         for child in self._children:
             child.add_callback(self._child_done)
 
-    def _child_done(self, _event: Event) -> None:
+    def _child_done(self, event: Event) -> None:
+        if self._triggered:
+            return
+        if not event.ok:
+            # The first failing child fails the whole wait, as MPI_Waitall
+            # reports an error instead of a value.
+            self.fail(event.value)
+            return
         self._pending -= 1
-        if self._pending == 0 and not self._triggered:
+        if self._pending == 0:
             self.succeed([child.value for child in self._children])
 
 
@@ -142,31 +157,37 @@ class Process(Event):
         bootstrap.succeed(None)
 
     def _resume(self, event: Event) -> None:
-        try:
-            if event.ok:
-                target = self.generator.send(event.value)
-            else:
-                target = self.generator.throw(event.value)
-        except StopIteration as stop:
-            if not self._triggered:
-                self.succeed(stop.value)
-            return
-        except BaseException as exc:  # propagate failures to waiters
-            if not self._triggered:
-                self.fail(exc)
-            else:  # pragma: no cover - defensive
-                raise
-            return
-        if not isinstance(target, Event):
-            error = TypeError(
-                f"process {self.name!r} yielded {target!r}; "
-                "processes must yield Event/Timeout/AllOf instances"
-            )
-            self.generator.close()
-            if not self._triggered:
-                self.fail(error)
-            return
-        target.add_callback(self._resume)
+        # A loop, not recursion: a target that has already been processed
+        # (e.g. a completed request) is fed straight back into the generator.
+        while True:
+            try:
+                if event.ok:
+                    target = self.generator.send(event.value)
+                else:
+                    target = self.generator.throw(event.value)
+            except StopIteration as stop:
+                if not self._triggered:
+                    self.succeed(stop.value)
+                return
+            except BaseException as exc:  # propagate failures to waiters
+                if not self._triggered:
+                    self.fail(exc)
+                else:  # pragma: no cover - defensive
+                    raise
+                return
+            if not isinstance(target, Event):
+                error = TypeError(
+                    f"process {self.name!r} yielded {target!r}; "
+                    "processes must yield Event/Timeout/AllOf instances"
+                )
+                self.generator.close()
+                if not self._triggered:
+                    self.fail(error)
+                return
+            if target._callbacks is not None:
+                target.add_callback(self._resume)
+                return
+            event = target
 
 
 class Environment:
@@ -174,7 +195,7 @@ class Environment:
 
     def __init__(self) -> None:
         self._now = 0.0
-        self._queue: list[tuple[float, int, Event]] = []
+        self._queue: list[tuple[float, int, Callable[[], None]]] = []
         self._counter = count()
         #: Events processed so far (diagnostics; read by the obs layer).
         self.events_processed = 0
@@ -209,20 +230,30 @@ class Environment:
     # ------------------------------------------------------------------ #
 
     def _schedule(self, delay: float, event: Event) -> None:
-        heapq.heappush(self._queue, (self._now + delay, next(self._counter), event))
+        heapq.heappush(
+            self._queue, (self._now + delay, next(self._counter), event._process_callbacks)
+        )
+
+    def call_later(self, delay: float, callback: Callable[[], None]) -> None:
+        """Run ``callback()`` ``delay`` simulated seconds from now.
+
+        A plain heap entry: it takes the next ``seq`` slot like an event
+        would, but nothing can wait on it.
+        """
+        heapq.heappush(self._queue, (self._now + delay, next(self._counter), callback))
 
     def step(self) -> None:
-        """Process the next scheduled event."""
-        when, _seq, event = heapq.heappop(self._queue)
+        """Process the next heap entry."""
+        when, _seq, action = heapq.heappop(self._queue)
         self._now = when
         self.events_processed += 1
-        event._process_callbacks()
+        action()
 
     def run(self, until: float | None = None) -> float:
         """Run until the queue drains (or simulated time ``until``); returns the final time."""
-        while self._queue:
-            when = self._queue[0][0]
-            if until is not None and when > until:
+        queue = self._queue
+        while queue:
+            if until is not None and queue[0][0] > until:
                 self._now = until
                 return self._now
             self.step()

@@ -41,7 +41,8 @@ class Request:
     ) -> Generator[Event, Any, list[Any]]:
         """Wait for all requests; returns their values in order.
 
-        Usage: ``values = yield from Request.wait_all(env, reqs)``.
+        Raises the exception of the first request to fail.  Usage:
+        ``values = yield from Request.wait_all(env, reqs)``.
         """
         requests = list(requests)
         if not requests:

@@ -135,6 +135,6 @@ class Window:
         yield self.world.env.timeout(cost)
         return bytes(target[target_offset : target_offset + nbytes])
 
-    def fence(self, rank: int) -> Generator[Event, Any, None]:
-        """Synchronise the RMA epoch (barrier over the window's communicator)."""
-        yield from self.comm.barrier(rank)
+    def fence(self, rank: int, count: int = 1) -> Generator[Event, Any, None]:
+        """Synchronise ``count`` consecutive RMA epochs (barriers over the window's communicator)."""
+        return self.comm.barrier(rank, count)

@@ -19,14 +19,14 @@ Example::
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Generator, Sequence
 
 from repro.machine.machine import Machine
 from repro.obs import recorder as obs_recorder, span as obs_span
 from repro.simmpi.communicator import Communicator, ReduceOp
-from repro.simmpi.engine import Environment, Event
-from repro.simmpi.errors import RankProgramError, SimMPIError
+from repro.simmpi.engine import Environment, Event, Process
+from repro.simmpi.errors import DeadlockError, RankProgramError, SimMPIError
 from repro.simmpi.file import SimMPIFile
 from repro.simmpi.rma import Window
 from repro.storage.base import FileSystemModel
@@ -137,11 +137,15 @@ class BoundComm:
         window = yield from self._comm.create_window(self._rank, size)
         return window
 
-    def fence(self, window: Window) -> Generator[Event, Any, None]:
-        """Fence an RMA epoch on ``window`` (must belong to this communicator)."""
+    def fence(self, window: Window, count: int = 1) -> Generator[Event, Any, None]:
+        """Fence ``count`` consecutive RMA epochs on ``window`` (of this communicator).
+
+        ``count > 1`` is for a rank with nothing to put or get between the
+        fences: it passes through them and resumes after the last one.
+        """
         if window.comm is not self._comm:
             raise SimMPIError("fence called with a window of a different communicator")
-        yield from window.fence(self._rank)
+        return window.fence(self._rank, count)
 
     def put(
         self,
@@ -153,7 +157,7 @@ class BoundComm:
         """RMA put into ``target_rank``'s buffer of ``window`` from this rank."""
         if window.comm is not self._comm:
             raise SimMPIError("put called with a window of a different communicator")
-        yield from window.put(self._rank, data, target_rank, target_offset)
+        return window.put(self._rank, data, target_rank, target_offset)
 
 
 @dataclass
@@ -365,9 +369,10 @@ class SimWorld:
                 keyword arguments for that rank (overrides common ones).
 
         Raises:
-            RankProgramError: if any rank program raised.
-            DeadlockError: if the programs deadlocked (blocked collectives,
-                unmatched receives...).
+            RankProgramError: if any rank program raised, naming the lowest
+                such rank, also when the failure left other ranks blocked.
+            DeadlockError: if no rank failed but the programs deadlocked
+                (blocked collectives, unmatched receives...).
         """
         common = dict(program_kwargs or {})
         processes = []
@@ -389,14 +394,23 @@ class SimWorld:
                     kwargs.update(per_rank_kwargs(rank))
                 generator = program(ctx, **kwargs)
                 processes.append(self.env.process(generator, name=f"rank{rank}"))
-            elapsed = self.env.run_all(expect_processes=processes)
+            try:
+                elapsed = self.env.run_all(expect_processes=processes)
+            except DeadlockError:
+                # A failed rank leaves its peers blocked: report the cause.
+                _raise_first_failure(processes)
+                raise
         rec = obs_recorder()
         if rec is not None:
             rec.inc("sim.events", self.env.events_processed - events_before)
             rec.inc("sim.world_runs")
-        returns: list[Any] = []
-        for rank, process in enumerate(processes):
-            if not process.ok:
-                raise RankProgramError(rank, process.value)
-            returns.append(process.value)
+        _raise_first_failure(processes)
+        returns = [process.value for process in processes]
         return WorldResult(elapsed=elapsed, returns=returns, files=self.files)
+
+
+def _raise_first_failure(processes: list[Process]) -> None:
+    """Raise :class:`RankProgramError` for the lowest rank whose program failed."""
+    for rank, process in enumerate(processes):
+        if not process.ok:
+            raise RankProgramError(rank, process.value)

@@ -215,6 +215,16 @@ class TestWorkflowShape:
         assert "digest contention_mix/1/60 [0-9a-f]+ reference match" in gate[0]
         assert "grep -F '\"correct\": true'" in gate[0]
 
+    def test_bench_job_gates_on_the_des_roundtrip_digest(self, workflow):
+        """The discrete-event engine must reproduce perfbench's committed
+        des_roundtrip digest, and every write and read must pass its check."""
+        commands = [s.get("run", "") for s in workflow["jobs"]["bench"]["steps"]]
+        gate = [c for c in commands if "--workload des_roundtrip" in c]
+        assert gate, "the bench job must run the des_roundtrip workload"
+        assert "python perfbench/run.py --workload des_roundtrip --seed 1 --seconds 20" in gate[0]
+        assert "digest des_roundtrip/1/72 [0-9a-f]+ reference match" in gate[0]
+        assert "grep -F '\"correct\": true'" in gate[0]
+
     def test_serve_job_submits_twice_and_asserts_cache_hit(self, workflow):
         steps = workflow["jobs"]["serve"]["steps"]
         commands = [s.get("run", "") for s in steps]
