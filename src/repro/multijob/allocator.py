@@ -72,8 +72,8 @@ class NodeAllocator:
             f"job {job_name!r} requests {num_nodes} nodes but only "
             f"{len(self._free)} are free",
         )
-        nodes = self._ordered_free(num_nodes)[:num_nodes]
-        self._free = np.setdiff1d(self._free, nodes)
+        taken = self._ordered_free(num_nodes)[:num_nodes]
+        nodes, self._free = self._free[taken], np.delete(self._free, taken)
         self._granted.add(job_name)
         return Allocation(job_name, tuple(nodes.tolist()))
 
@@ -82,8 +82,9 @@ class NodeAllocator:
     # ------------------------------------------------------------------ #
 
     def _ordered_free(self, num_nodes: int) -> np.ndarray:
+        """Positions in the (ascending) free pool, in the policy's order."""
         if self.policy == "contiguous":
-            return self._free
+            return np.arange(len(self._free))
         if self.policy == "scattered":
             return self._scattered_order(num_nodes)
         return self._topology_order()
@@ -97,7 +98,7 @@ class NodeAllocator:
         stride = max(1, len(self._free) // num_nodes)
         remainder = np.ones(len(self._free), dtype=bool)
         remainder[::stride] = False
-        return np.concatenate((self._free[::stride], self._free[remainder]))
+        return np.concatenate((np.flatnonzero(~remainder), np.flatnonzero(remainder)))
 
     def _topology_order(self) -> np.ndarray:
         """Group free nodes by their first-hop device and fill groups whole.
@@ -115,4 +116,4 @@ class NodeAllocator:
         else:
             key = self.machine.partitions_of_nodes(free)
         _, group, size = np.unique(key, return_inverse=True, return_counts=True)
-        return free[np.lexsort((free, key, -size[group]))]
+        return np.lexsort((free, key, -size[group]))

@@ -16,10 +16,13 @@ the flow freezes.  By construction the allocation *conserves bandwidth*: on
 every resource the weighted sum of the granted rates never exceeds the
 capacity, which the property tests assert for random instances.
 
-The solver water-fills over the active rows in one fixed accumulation order
-(flows in the order the caller listed them, resources in registration
-order), so its rates are bit-for-bit equal to the plain dict-based loop kept
-as a test oracle.
+A solve runs the plain sequential filling loop, in the fixed order of the
+dict-based loop kept as a test oracle (flows in the order the caller listed
+them, resources in registration order), over only the resources that can
+bind: one whose active load fits within its capacity with a margin of
+``_EPS`` times one plus its weight sum, plus rounding, never binds or
+saturates (the lemma is derived in :meth:`ContentionLedger.allocate`), so
+rates, freeze decisions and iteration counts are bit-for-bit the oracle's.
 """
 
 from __future__ import annotations
@@ -57,6 +60,8 @@ class ContentionLedger:
         demand: each row's rate cap (bytes/s).
         weight: the ``(flows, resources)`` weight matrix.
         touches: ``weight > 0`` — which resources each flow loads.
+        bind_floor: the active load ``demand @ weight`` a column must
+            exceed to bind or saturate in a solve (see :meth:`allocate`).
     """
 
     def __init__(
@@ -97,7 +102,9 @@ class ContentionLedger:
                 )
                 self.weight[row, column[key]] = value
         self.touches = self.weight > 0.0
-        for array in (self.capacity, self.demand, self.weight, self.touches):
+        margin = _EPS * (1 + self.weight.sum(axis=0)) + (len(flows) + 2) ** 2 * 2.0**-52
+        self.bind_floor = self.capacity * (1.0 - margin)
+        for array in (self.capacity, self.demand, self.weight, self.touches, self.bind_floor):
             array.flags.writeable = False
 
     # ------------------------------------------------------------------ #
@@ -118,17 +125,33 @@ class ContentionLedger:
             every flow, ``rate_i <= demand_i``; no flow can raise its rate
             without lowering that of a flow with a smaller or equal rate.
 
-        The solve restricts the matrix to the active rows and to the
-        columns they touch, in registration order: a resource no active
-        flow touches never binds, fills or freezes anything.  It is
-        bit-for-bit equal to a dict-based loop that accumulates flow by flow
-        (the tests' scalar oracle): ``np.add.accumulate`` along axis 0 adds
-        rows strictly in order (never pairwise, even for a single resource
-        column), so the last row of each accumulation — the per-key weight
-        sums and the usage updates — runs through the identical sequence of
-        IEEE additions (adding a zero weight is an exact no-op on the
-        non-negative partial sums), and the binding-resource scan replays
-        the scalar loop's sequential first-hit semantics.
+        One ``demand @ weight`` test keeps the columns whose active load
+        exceeds :attr:`bind_floor`; the oracle's loop then runs as Python
+        floats over per-row ``(column, weight)`` lists of those alone.
+
+        **Candidate-column lemma.**  Over ``n`` active rows, let ``D_c =
+        sum_r demand_r * w_rc`` and ``W_c = sum_r w_rc``.  If ``D_c <= cap_c
+        * (1 - delta_c)`` with ``delta_c = _EPS * (1 + W_c) + (n + 2)**2 *
+        2**-52``, column ``c`` never saturates nor enters the binding set:
+
+        - A flow stays unfrozen only while ``rate < demand * (1 - _EPS)``
+          and a step never exceeds the smallest gap ``demand - rate``, so
+          ``used_c <= D_c < cap_c * (1 - _EPS)``: never saturated.
+        - With unfrozen rows ``U`` the step never exceeds ``s = min_U
+          (demand_r - rate_r)``, so ``used_c + s * W^U_c <= D_c`` and the
+          headroom ``(cap_c - used_c) / W^U_c >= s + cap_c * delta_c / W_c
+          > step + _EPS * cap_c``: never a strict undercut, never within
+          the ``_EPS * cap_c`` tolerance.
+
+        The ``(n + 2)**2`` term covers rounding: every float above is a sum
+        of at most ``(n + 2)**2`` non-negative rounded terms (``n``
+        iterations of at most ``n`` usage updates, plus the rate and load
+        sums), off by less than ``(n + 2)**2 * 2**-53`` relative; the factor
+        2 covers the comparisons.  :attr:`bind_floor` takes ``n`` and
+        ``W_c`` over the whole ledger, which only widens the margin.  A
+        pruned column thus never moves the step or freezes a flow, and no
+        other column's usage reads it: rates, binding and freeze decisions
+        and the iteration count are bit-for-bit the oracle's.
 
         Observability: ``sim.contention_allocations`` counts solves and
         ``sim.contention_iterations`` their water-fill iterations.
@@ -136,82 +159,58 @@ class ContentionLedger:
         if rows is None:
             rows = range(len(self.flow_ids))
         rows = np.asarray(rows, dtype=np.intp)
-        columns = np.flatnonzero(self.touches[rows].any(axis=0))
-        weight = self.weight[np.ix_(rows, columns)]
-        touches = weight > 0.0
-        caps = self.capacity[columns]
-        tol = _EPS * caps
-        sat_caps = caps * (1.0 - _EPS)
+        weight = self.weight[rows]
         demand = self.demand[rows]
-        demand_caps = demand * (1.0 - _EPS)
-        rate = np.zeros(rows.size)
-        used = np.zeros(columns.size)
-        unfrozen = np.ones(rows.size, dtype=bool)
+        columns = np.flatnonzero(demand @ weight > self.bind_floor)
+        caps = self.capacity[columns].tolist()
+        terms = [
+            [(j, w) for j, w in enumerate(row) if w > 0.0]
+            for row in weight[:, columns].tolist()
+        ]
+        demand = demand.tolist()
+        rate = [0.0] * len(demand)
+        used = [0.0] * len(caps)
+        unfrozen = list(range(len(demand)))
         iterations = 0
-        while unfrozen.any():
+        while unfrozen:
             iterations += 1
-            live = np.flatnonzero(unfrozen)
-            live_weights = weight[live]
-            step = float(np.min(demand[live] - rate[live]))
-            weight_sum = np.add.accumulate(live_weights, axis=0)[-1]
-            shared = weight_sum > 0.0
-            headroom = np.full(columns.size, np.inf)
-            np.divide(caps - used, weight_sum, out=headroom, where=shared)
-            step, binding = self._binding_scan(step, headroom, tol, shared)
+            step = min(demand[i] - rate[i] for i in unfrozen)
+            weight_sum = [0.0] * len(caps)
+            for i in unfrozen:
+                for j, w in terms[i]:
+                    weight_sum[j] += w
+            binding = []
+            for j, cap in enumerate(caps):
+                if weight_sum[j] <= 0.0:
+                    continue
+                headroom = (cap - used[j]) / weight_sum[j]
+                if headroom < step - _EPS * cap:
+                    step = max(0.0, headroom)
+                    binding = [j]
+                elif abs(headroom - step) <= _EPS * cap:
+                    binding.append(j)
             if step > 0.0:
-                rate[live] += step
-                # One seeded row accumulation == the scalar loop's
-                # interleaved ``used[key] += step * weight`` per unfrozen flow.
-                used = np.add.accumulate(
-                    np.vstack((used, step * live_weights)), axis=0
-                )[-1]
-            saturated = binding | (used >= sat_caps)
-            newly_frozen = unfrozen & (
-                (rate >= demand_caps) | np.any(touches & saturated, axis=1)
-            )
-            if not newly_frozen.any():
+                for i in unfrozen:
+                    rate[i] += step
+                    for j, w in terms[i]:
+                        used[j] += step * w
+            saturated = set(binding)
+            saturated.update(j for j, cap in enumerate(caps) if used[j] >= cap * (1 - _EPS))
+            running = [
+                i
+                for i in unfrozen
+                if rate[i] < demand[i] * (1.0 - _EPS)
+                and not any(j in saturated for j, _ in terms[i])
+            ]
+            if len(running) == len(unfrozen):
+                # Every remaining flow advanced to its demand cap.
                 break
-            unfrozen &= ~newly_frozen
+            unfrozen = running
         rec = obs_recorder()
         if rec is not None:
             rec.inc("sim.contention_iterations", iterations)
             rec.inc("sim.contention_allocations")
-        return rate
-
-    @staticmethod
-    def _binding_scan(
-        step: float, headroom: np.ndarray, tol: np.ndarray, shared: np.ndarray
-    ) -> tuple[float, np.ndarray]:
-        """Replay the scalar loop's sequential binding-resource scan.
-
-        The scalar loop walks resources in order, lowering ``step`` at every
-        resource whose headroom undercuts it and restarting the binding list
-        there.  Between two strict undercuts ``step`` is constant, so the
-        next undercut is simply the first later resource below the current
-        step — a vector compare and ``flatnonzero`` per jump instead of a
-        Python loop over every resource.
-        """
-        binding = np.zeros(headroom.shape, dtype=bool)
-        position = 0
-        last_strict = -1
-        while True:
-            strict = shared & (headroom < step - tol)
-            if position:
-                strict[:position] = False
-            hits = np.flatnonzero(strict)
-            if hits.size == 0:
-                break
-            last_strict = int(hits[0])
-            step = max(0.0, float(headroom[last_strict]))
-            position = last_strict + 1
-        # Near-binding resources are only collected at the final step value,
-        # and only from resources scanned after the last strict undercut.
-        near = shared & (np.abs(headroom - step) <= tol)
-        if last_strict >= 0:
-            near[: last_strict + 1] = False
-            binding[last_strict] = True
-        binding |= near
-        return step, binding
+        return np.array(rate)
 
     # ------------------------------------------------------------------ #
     # Queries
@@ -239,9 +238,3 @@ class ContentionLedger:
         touches = self.touches if columns is None else self.touches[:, columns]
         counts = touches.astype(float)
         return counts @ counts.T
-
-    def shared_between(self, row_a: int, row_b: int) -> list[tuple]:
-        """Resource keys two flows both place demand on (``repr`` order)."""
-        both = np.flatnonzero(self.touches[row_a] & self.touches[row_b])
-        return sorted((self.keys[j] for j in both.tolist()), key=repr)
-

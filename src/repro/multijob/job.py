@@ -101,9 +101,6 @@ class Job:
             the baseline the per-job slowdown is measured against.
         storage_weights: ledger weights on storage resources.
         network_weights: ledger weights on interconnect links.
-        bytes_done: I/O progress in bytes (mutated by the runtime).
-        io_start_s: time the I/O phase became runnable.
-        finish_s: time the I/O phase completed (``None`` while running).
     """
 
     spec: JobSpec
@@ -113,9 +110,6 @@ class Job:
     storage_weights: dict[tuple, float] = field(default_factory=dict)
     network_weights: dict[tuple, float] = field(default_factory=dict)
     network_capacities: dict[tuple, float] = field(default_factory=dict)
-    bytes_done: float = 0.0
-    io_start_s: float | None = None
-    finish_s: float | None = None
 
     @property
     def name(self) -> str:

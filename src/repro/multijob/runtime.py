@@ -185,20 +185,14 @@ class MultiJobRuntime:
     def run(self) -> InterferenceReport:
         """Advance all jobs to completion and report per-job slowdowns."""
         ledger = self.ledger
-        names = ledger.flow_ids
-        report = InterferenceReport()
-        pairs = np.argwhere(np.triu(ledger.sharing(), 1)).tolist()
-        for row_a, row_b in pairs:
-            report.shared_resources[(names[row_a], names[row_b])] = (
-                ledger.shared_between(row_a, row_b)
-            )
+        report = InterferenceReport(shared_resources=self._shared_resources())
         solo_io_s = [
             job.total_bytes / float(ledger.allocate([row])[0])
             for row, job in enumerate(self.jobs)
         ]
-        peak = self._advance(min(job.ready_s for job in self.jobs))
-        for job, isolated_io in zip(self.jobs, solo_io_s):
-            shared_io = max(job.finish_s - job.io_start_s, 0.0)
+        peak, io_start, finish = self._advance(min(job.ready_s for job in self.jobs))
+        for job, isolated_io, start, end in zip(self.jobs, solo_io_s, io_start, finish):
+            shared_io = max(end - start, 0.0)
             report.outcomes.append(
                 JobOutcome(
                     name=job.name,
@@ -206,8 +200,8 @@ class MultiJobRuntime:
                     isolated_io_s=isolated_io,
                     shared_io_s=shared_io,
                     slowdown=shared_io / isolated_io if isolated_io > 0 else 1.0,
-                    start_s=job.io_start_s,
-                    finish_s=job.finish_s,
+                    start_s=start,
+                    finish_s=end,
                     total_bytes=job.total_bytes,
                 )
             )
@@ -215,6 +209,26 @@ class MultiJobRuntime:
             ledger.keys[j]: float(peak[j]) for j in np.flatnonzero(peak > 0.0)
         }
         return report
+
+    def _shared_resources(self) -> dict[tuple[str, str], list[tuple]]:
+        """The keys each sharing job pair both touches, in ``repr`` order:
+        one AND of the touch matrix over the sharing pairs, with the shared
+        columns permuted into ``repr`` order, and one ``np.nonzero`` split
+        per pair."""
+        ledger = self.ledger
+        common = np.flatnonzero(ledger.touches.sum(axis=0) > 1).tolist()
+        order = sorted(common, key=lambda j: repr(ledger.keys[j]))
+        keys = [ledger.keys[j] for j in order]
+        touches = ledger.touches[:, order]
+        row_a, row_b = np.nonzero(np.triu(ledger.sharing(), 1))
+        pair, column = np.nonzero(touches[row_a] & touches[row_b])
+        shared = [keys[j] for j in column.tolist()]
+        bounds = [0, *(np.flatnonzero(np.diff(pair)) + 1).tolist(), len(shared)]
+        names = ledger.flow_ids
+        return {
+            (names[a], names[b]): shared[lo:hi]
+            for a, b, lo, hi in zip(row_a.tolist(), row_b.tolist(), bounds, bounds[1:])
+        }
 
     def _starved(self, rows: Sequence[int]) -> StarvedFlowError:
         touched = np.flatnonzero(self.ledger.touches[rows].any(axis=0))
@@ -226,25 +240,27 @@ class MultiJobRuntime:
             f"resource they touch is saturated: {keys}"
         )
 
-    def _advance(self, now: float) -> np.ndarray:
-        """The fluid slice loop: run every pending job to completion.
+    def _advance(self, now: float) -> tuple[np.ndarray, list[float], list[float]]:
+        """The fluid slice loop: run every job to completion from zero bytes.
 
-        Returns each resource's peak utilization (fraction of capacity).
-        Per-job bytes and readiness live in numpy arrays, and every
-        completion horizon folds into one ``np.min``.  Rates are solved
-        only when the active rows change, and the peak utilization is
-        folded on exactly those slices: the ledger's ordered row
-        accumulation keeps each update equal to a plain per-job loop (the
-        tests' scalar oracle), keeping the report bit-identical.
+        Returns each resource's peak utilization (fraction of capacity) and
+        each job's I/O start and finish times; the jobs hold no run state,
+        so a second :meth:`run` repeats the first.  Per-job bytes and
+        readiness live in numpy arrays, and every completion horizon folds
+        into one ``np.min``.  Rates are solved only when the active rows
+        change, and the peak utilization is folded on exactly those slices:
+        the ledger's ordered row accumulation keeps each update equal to a
+        plain per-job loop (the tests' scalar oracle), keeping the report
+        bit-identical.
         """
         ledger = self.ledger
         jobs = self.jobs
         ready = np.array([job.ready_s for job in jobs])
         total = np.array([job.total_bytes for job in jobs])
         done_at = total - np.maximum(_BYTES_EPS, total * _REL_BYTES_EPS)
-        done = np.array([job.bytes_done for job in jobs])
-        io_start: list[float | None] = [job.io_start_s for job in jobs]
-        finish: list[float | None] = [job.finish_s for job in jobs]
+        done = np.zeros(len(jobs))
+        io_start: list[float | None] = [None] * len(jobs)
+        finish: list[float | None] = [None] * len(jobs)
         pending = np.ones(len(jobs), dtype=bool)
         peak = np.zeros(len(ledger.keys))
         live, rates = np.empty(0, dtype=np.intp), np.empty(0)
@@ -288,11 +304,7 @@ class MultiJobRuntime:
                 # A zero-width slice that completes nothing recomputes the
                 # identical state next iteration — a numerical stall.
                 raise self._starved(live)
-        for i, job in enumerate(jobs):
-            job.bytes_done = float(done[i])
-            job.io_start_s = io_start[i]
-            job.finish_s = finish[i]
-        return peak
+        return peak, io_start, finish
 
     # ------------------------------------------------------------------ #
     # Diagnostics

@@ -1,10 +1,11 @@
 """Scalar oracles for the contention engine.
 
-:func:`allocate_scalar` is the dict-based progressive-filling loop and
-:func:`advance_scalar` the per-job fluid loop that
-:class:`repro.multijob.contention.ContentionLedger` and
-:class:`repro.multijob.runtime.MultiJobRuntime` replaced with numpy array
-code.  Both visit flows in the caller's order and resources in registration
+:func:`allocate_scalar` is the dict-based progressive-filling loop over
+every resource, which
+:meth:`repro.multijob.contention.ContentionLedger.allocate` runs over only
+the resources that can bind, and :func:`advance_scalar` the per-job fluid
+loop that :class:`repro.multijob.runtime.MultiJobRuntime` replaced with numpy
+array code.  Both visit flows in the caller's order and resources in registration
 order everywhere a float accumulates, so the ``src/`` implementations must
 match them bit for bit.  :class:`ScalarLedger` reads the matrix ledger back
 into the plain dicts the loops walk.
@@ -68,13 +69,14 @@ class ScalarLedger:
 
 
 def allocate_scalar(
-    ledger: ScalarLedger, ids: Sequence[str]
+    ledger: ScalarLedger, ids: Sequence[str], bound: set | None = None
 ) -> tuple[dict[str, float], int]:
     """Reference progressive-filling loop over plain dicts.
 
     Flows are visited in ``ids`` order and resources in registration
     order everywhere a float accumulates, so the result is reproducible
-    and bit-comparable with the vectorised path.
+    and bit-comparable with the ledger's solver.  Every key that enters an
+    iteration's binding or saturated set is added to ``bound`` when given.
     """
     rate = {flow_id: 0.0 for flow_id in ids}
     used = {key: 0.0 for key in ledger.resources}
@@ -109,6 +111,8 @@ def allocate_scalar(
         for key, capacity in ledger.resources.items():
             if used[key] >= capacity * (1.0 - _EPS):
                 saturated.add(key)
+        if bound is not None:
+            bound.update(saturated)
         newly_frozen = {
             flow_id
             for flow_id in unfrozen
@@ -140,14 +144,22 @@ def utilization(ledger: ContentionLedger, rows, rates) -> list[float]:
     return list(scalar.utilization(by_id).values())
 
 
-def advance_scalar(runtime: MultiJobRuntime, peak: dict[tuple, float], now: float) -> None:
-    """The original per-job fluid loop over plain Python state."""
+def advance_scalar(
+    runtime: MultiJobRuntime, peak: dict[tuple, float], now: float
+) -> tuple[dict[str, float], dict[str, float]]:
+    """The original per-job fluid loop over plain Python state.
+
+    Returns each job's I/O start and finish times by name.
+    """
     done_at = {
         job.name: job.total_bytes
         - max(_BYTES_EPS, job.total_bytes * _REL_BYTES_EPS)
         for job in runtime.jobs
     }
     pending = {job.name: job for job in runtime.jobs}
+    done = {job.name: 0.0 for job in runtime.jobs}
+    io_start: dict[str, float] = {}
+    finish: dict[str, float] = {}
     while pending:
         active = [
             job for job in pending.values() if job.ready_s <= now + _BYTES_EPS
@@ -159,8 +171,8 @@ def advance_scalar(runtime: MultiJobRuntime, peak: dict[tuple, float], now: floa
             now = min(future_ready)
             continue
         for job in active:
-            if job.io_start_s is None:
-                job.io_start_s = max(now, job.ready_s)
+            if job.name not in io_start:
+                io_start[job.name] = max(now, job.ready_s)
         rates = runtime.ledger.allocate([job.name for job in active])
         if all(rates[job.name] == 0.0 for job in active):
             # Nothing moves this slice; jump to the next arrival, or —
@@ -179,22 +191,23 @@ def advance_scalar(runtime: MultiJobRuntime, peak: dict[tuple, float], now: floa
         for job in active:
             rate = rates[job.name]
             if rate > 0.0:
-                remaining = job.total_bytes - job.bytes_done
+                remaining = job.total_bytes - done[job.name]
                 horizon = min(horizon, now + remaining / rate)
         dt = max(horizon - now, 0.0)
         for job in active:
-            job.bytes_done += rates[job.name] * dt
+            done[job.name] += rates[job.name] * dt
         now = horizon
         completed = False
         for job in list(active):
-            if job.bytes_done >= done_at[job.name]:
-                job.finish_s = now
+            if done[job.name] >= done_at[job.name]:
+                finish[job.name] = now
                 del pending[job.name]
                 completed = True
         if dt == 0.0 and not completed:
             # A zero-width slice that completes nothing recomputes the
             # identical state next iteration — a numerical stall.
             raise runtime._starved([job.name for job in active])
+    return io_start, finish
 
 
 def run_scalar(runtime: MultiJobRuntime):
@@ -213,8 +226,12 @@ def run_scalar(runtime: MultiJobRuntime):
 
     def advance(now):
         peak = {key: 0.0 for key in scalar.resources}
-        advance_scalar(oracle, peak, now)
-        return np.array(list(peak.values()))
+        io_start, finish = advance_scalar(oracle, peak, now)
+        return (
+            np.array(list(peak.values())),
+            [io_start[name] for name in names],
+            [finish[name] for name in names],
+        )
 
     runtime.ledger.allocate = allocate
     runtime._advance = advance

@@ -207,13 +207,20 @@ class TestWorkflowShape:
 
     def test_bench_job_gates_on_the_contention_mix_digest(self, workflow):
         """The multi-job runtime must reproduce perfbench's committed
-        contention_mix digest, and every scenario must pass its check."""
+        contention_mix digests of seeds 1 and 7, and every scenario must
+        pass its check."""
         commands = [s.get("run", "") for s in workflow["jobs"]["bench"]["steps"]]
         gate = [c for c in commands if "--workload contention_mix" in c]
         assert gate, "the bench job must run the contention_mix workload"
-        assert "python perfbench/run.py --workload contention_mix --seed 1 --seconds 20" in gate[0]
-        assert "digest contention_mix/1/60 [0-9a-f]+ reference match" in gate[0]
-        assert "grep -F '\"correct\": true'" in gate[0]
+        for seed in (1, 7):
+            assert (
+                f"python perfbench/run.py --workload contention_mix --seed {seed} --seconds 20"
+                in gate[0]
+            )
+            assert f"grep -E '^digest contention_mix/{seed}/60 [0-9a-f]+ reference match$'" in (
+                gate[0]
+            )
+        assert gate[0].count("grep -F '\"correct\": true'") == 2
 
     def test_bench_job_gates_on_the_des_roundtrip_digest(self, workflow):
         """The discrete-event engine must reproduce perfbench's committed

@@ -1,12 +1,15 @@
-"""The vectorised contention engine against its scalar oracles.
+"""The contention engine against its scalar oracles.
 
 Two contracts, checked against ``tests/reference/contention.py``:
 
-- ``ContentionLedger.allocate`` (numpy water-filling over the active rows of
-  the weight matrix) is *bit-for-bit* equal to the dict-based scalar loop —
-  both run the identical sequence of IEEE additions — across seeded
-  instances spanning the demand-capped, resource-capped and mixed freeze
-  regimes, in rates and in water-fill iterations.
+- ``ContentionLedger.allocate`` (the filling loop over only the columns
+  that can bind) is *bit-for-bit* equal to the dict-based scalar loop over
+  every resource — both run the identical sequence of IEEE additions on
+  everything that decides a freeze — across seeded instances spanning the
+  demand-capped, resource-capped and mixed freeze regimes, columns loaded
+  to within 1e-9..1e-5 of their capacity on both sides of the pruning
+  threshold, and dense instances where nothing can be pruned, in rates and
+  in water-fill iterations.
 - ``MultiJobRuntime`` produces outcomes, peak utilizations and shared
   resources identical to the per-job scalar slice loop, and raises
   :class:`StarvedFlowError` instead of spinning when no byte can ever move
@@ -36,18 +39,31 @@ _REGIMES = (
 )
 
 
-def build_instance(rng, capacity_range, demand_range) -> ContentionLedger:
-    num_resources = int(rng.integers(1, 9))
-    num_flows = int(rng.integers(1, 10))
+def random_flows(rng, num_resources, num_flows, demand_range, touch_all=False):
+    """Resource keys and ``(flow_id, demand, weights)`` triples over them."""
     keys = [("res", index) for index in range(num_resources)]
-    resources = [(key, float(rng.uniform(*capacity_range))) for key in keys]
     flows = []
     for flow_index in range(num_flows):
-        touched = rng.choice(
-            num_resources, size=int(rng.integers(1, num_resources + 1)), replace=False
+        touched = (
+            range(num_resources)
+            if touch_all
+            else rng.choice(
+                num_resources, size=int(rng.integers(1, num_resources + 1)), replace=False
+            )
         )
         weights = {keys[k]: float(rng.uniform(0.05, 1.0)) for k in touched}
         flows.append((f"flow{flow_index}", float(rng.uniform(*demand_range)), weights))
+    return keys, flows
+
+
+def build_instance(rng, capacity_range, demand_range) -> ContentionLedger:
+    num_resources = int(rng.integers(1, 9))
+    num_flows = int(rng.integers(1, 10))
+    resources = [
+        (("res", index), float(rng.uniform(*capacity_range)))
+        for index in range(num_resources)
+    ]
+    _, flows = random_flows(rng, num_resources, num_flows, demand_range)
     return ContentionLedger(resources, flows)
 
 
@@ -135,6 +151,99 @@ class TestVectorisedEqualsScalar:
             reference.ScalarLedger(ledger), ["a", "b"]
         )
         assert solved == scalar_iterations
+
+
+def solve_both(ledger: ContentionLedger, bound: set | None = None):
+    """``(rates, iterations)`` of the ledger and of the scalar oracle."""
+    with collecting() as rec:
+        rates = ledger.allocate().tolist()
+        iterations = rec.counter("sim.contention_iterations").value
+    scalar, scalar_iterations = reference.allocate_scalar(
+        reference.ScalarLedger(ledger), list(ledger.flow_ids), bound
+    )
+    return (rates, iterations), (list(scalar.values()), scalar_iterations)
+
+
+def candidates(ledger: ContentionLedger) -> np.ndarray:
+    """The columns a solve over every flow keeps (the ledger's own test)."""
+    return ledger.demand @ ledger.weight > ledger.bind_floor
+
+
+class TestCandidateColumns:
+    def test_near_capacity_columns_on_both_sides_of_the_prune_threshold(self):
+        """Columns whose active load sits within 1e-9..1e-5 of capacity,
+        above and below: some are pruned, some kept, rates never move."""
+        rng = seeded_rng(2025)
+        kept = pruned = 0
+        for _ in range(300):
+            keys, flows = random_flows(
+                rng, int(rng.integers(1, 9)), int(rng.integers(1, 10)), (0.1, 30.0)
+            )
+            caps = {key: float(rng.uniform(0.5, 50.0)) for key in keys}
+            load = dict.fromkeys(keys, 0.0)
+            for _, demand, weights in flows:
+                for key, weight in weights.items():
+                    load[key] += demand * weight
+            near = [key for key in keys if load[key] > 0.0]
+            for key in rng.choice(len(near), size=int(rng.integers(1, len(near) + 1))):
+                offset = float(rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-9.0, -5.0))
+                caps[near[key]] = load[near[key]] / (1.0 + offset)
+            ledger = ContentionLedger(list(caps.items()), flows)
+            bound: set = set()
+            solved, scalar = solve_both(ledger, bound)
+            assert solved == scalar
+            keep = candidates(ledger)
+            assert {ledger.keys.index(key) for key in bound} <= set(np.flatnonzero(keep))
+            for key in near:
+                column = ledger.keys.index(key)
+                if abs(load[key] / caps[key] - 1.0) <= 1.01e-5:
+                    kept += bool(keep[column])
+                    pruned += not keep[column]
+        assert kept > 50 and pruned > 50
+
+    @pytest.mark.parametrize("seed", [3, 11, 29])
+    def test_dense_instances_where_nothing_can_be_pruned(self, seed):
+        """Every flow on every resource, each resource oversubscribed; the
+        flows below their fair share freeze at their demands first."""
+        rng = seeded_rng(seed)
+        iterations = []
+        for _ in range(5):
+            keys, flows = random_flows(
+                rng, int(rng.integers(8, 40)), int(rng.integers(20, 60)), (-2.0, 1.5),
+                touch_all=True,
+            )
+            # Log-uniform demands, 0.01 to ~30.
+            flows = [(flow_id, 10.0**exponent, w) for flow_id, exponent, w in flows]
+            resources = [(key, float(rng.uniform(0.5, 10.0))) for key in keys]
+            ledger = ContentionLedger(resources, flows)
+            assert candidates(ledger).all()
+            solved, scalar = solve_both(ledger)
+            assert solved == scalar
+            iterations.append(solved[1])
+        assert max(iterations) > 2
+
+    def test_a_prunable_column_never_enters_the_binding_set(self):
+        """Two equal flows on one pipe of capacity 10.  Their common step
+        ``d`` lands within ``_EPS * cap`` of the headroom 5 once ``2d >=
+        10 * (1 - 2e-9)``, so the pipe binds by tolerance although it never
+        fills: the margin must cover ``_EPS`` times the column's weight sum
+        (2), not ``_EPS`` alone."""
+        pipe = ("pipe",)
+
+        def run(demand):
+            ledger = ContentionLedger(
+                [(pipe, 10.0)], [("a", demand, {pipe: 1.0}), ("b", demand, {pipe: 1.0})]
+            )
+            bound: set = set()
+            solved, scalar = solve_both(ledger, bound)
+            assert solved == scalar == ([demand, demand], 1)
+            return bool(candidates(ledger)[0]), bound
+
+        # Load 10 * (1 - 3.5e-9): prunable, and the oracle never binds it.
+        assert run(5.0 * (1.0 - 3.5e-9)) == (False, set())
+        # Load 10 * (1 - 1.5e-9): within _EPS * (1 + W) of capacity, so
+        # kept — and the oracle does bind it by tolerance.
+        assert run(5.0 * (1.0 - 1.5e-9)) == (True, {pipe})
 
 
 def mix_scenario(rng: random.Random, index: int) -> dict:

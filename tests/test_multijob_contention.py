@@ -127,7 +127,7 @@ class TestLedgerValidation:
                 pipe, [("a", 1.0, {("pipe",): 1.0}), ("a", 1.0, {("pipe",): 1.0})]
             )
 
-    def test_shared_between(self):
+    def test_sharing(self):
         ledger = ContentionLedger(
             [(("ost", 0), 1.0), (("ost", 1), 1.0)],
             [
@@ -135,6 +135,5 @@ class TestLedgerValidation:
                 ("b", 1.0, {("ost", 1): 1.0}),
             ],
         )
-        assert ledger.shared_between(0, 1) == [("ost", 1)]
         assert ledger.sharing().tolist() == [[2.0, 1.0], [1.0, 1.0]]
 

@@ -97,7 +97,7 @@ class TestNodeAllocator:
         for index in range(4):
             free = allocator._free.tolist()
             expected = reference_topology_order(machine, free)
-            assert allocator._topology_order().tolist() == expected
+            assert allocator._free[allocator._topology_order()].tolist() == expected
             size = rng.randint(1, len(free) // 4)
             assert allocator.allocate(f"job{index}", size).nodes == tuple(expected[:size])
 
@@ -233,6 +233,57 @@ class TestMultiJobRuntime:
         ).run()
         assert shared.outcome_of("A").slowdown > 1.05
         assert shared.conserves_bandwidth()
+
+    def test_report_lists_the_resources_each_pair_shares(self):
+        """Every job pair that touches a common ledger column, with the
+        keys both touch in ``repr`` order; pairs sharing nothing are
+        absent."""
+        machine = ThetaMachine(32)
+        runtime = MultiJobRuntime(
+            machine,
+            [
+                theta_spec(machine, "A", 8, ost_start=0, aggregators=2),
+                theta_spec(machine, "B", 8, ost_start=1, aggregators=2),
+                theta_spec(machine, "C", 8, ost_start=4, aggregators=2),
+                theta_spec(machine, "D", 8, ost_start=8, aggregators=2),
+            ],
+            allocation_policy="scattered",
+        )
+        ledger = runtime.ledger
+        expected = {}
+        for a in range(len(ledger.flow_ids)):
+            for b in range(a + 1, len(ledger.flow_ids)):
+                both = [
+                    key
+                    for key, ta, tb in zip(ledger.keys, ledger.touches[a], ledger.touches[b])
+                    if ta and tb
+                ]
+                if both:
+                    expected[(ledger.flow_ids[a], ledger.flow_ids[b])] = sorted(
+                        both, key=repr
+                    )
+        shared = runtime.run().shared_resources
+        assert shared == expected
+        assert list(shared) == list(expected)
+        assert ("lustre-ost", 1) in shared[("A", "B")]
+        assert ("lustre-ost", 1) not in shared[("A", "C")]
+        assert any(key[0] == "link" for keys in shared.values() for key in keys)
+
+    def test_run_twice_reports_the_same(self):
+        """Regression: a second run used to resume from the first run's
+        finished jobs and report zero shared I/O time for every job."""
+        machine = ThetaMachine(16)
+        runtime = MultiJobRuntime(
+            machine,
+            [
+                theta_spec(machine, "A", 8, ost_start=0),
+                theta_spec(machine, "B", 8, ost_start=0, arrival_s=0.01),
+            ],
+        )
+        first = runtime.run()
+        second = runtime.run()
+        assert first.max_slowdown() > 1.05
+        assert second == first
 
     def test_rejects_duplicate_names_and_empty_runs(self):
         machine = ThetaMachine(16)
