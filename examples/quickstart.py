@@ -41,11 +41,13 @@ tapioca.init(declarations)
 # --- Inspect the topology-aware placement ------------------------------------
 placement = tapioca.placement_report()
 print("Aggregator placement (topology-aware objective, C1 + C2):")
-for partition, aggregator in zip(tapioca.partitions(), placement.aggregators):
-    breakdown = placement.breakdowns[partition.index]
+partitions = tapioca.partitions()
+for index, aggregator in enumerate(placement.aggregators):
+    breakdown = placement.breakdowns[index]
+    ranks = partitions.ranks_of(index)
     print(
-        f"  partition {partition.index}: ranks {partition.ranks[0]}..."
-        f"{partition.ranks[-1]} -> aggregator rank {aggregator} "
+        f"  partition {index}: ranks {ranks[0]}..."
+        f"{ranks[-1]} -> aggregator rank {aggregator} "
         f"(C1={breakdown.aggregation * 1e6:.1f} us, C2={breakdown.io * 1e6:.1f} us)"
     )
 

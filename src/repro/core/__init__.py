@@ -22,15 +22,9 @@ The user-facing entry point is :class:`repro.core.api.Tapioca`.
 from repro.core.config import TapiocaConfig
 from repro.core.topology_iface import TopologyInterface
 from repro.core.cost_model import AggregationCostModel, CostBreakdown
-from repro.core.partitioning import Partition, build_partitions
+from repro.core.partitioning import Partitions, build_partitions
 from repro.core.placement import PlacementResult, place_aggregators
-from repro.core.aggregation import (
-    AggregationSchedule,
-    FlushOp,
-    PartitionSchedule,
-    PutOp,
-    build_schedule,
-)
+from repro.core.aggregation import AggregationSchedule, build_schedule
 from repro.core.runtime import TapiocaIO
 from repro.core.memory import AggregationBufferPlacement, choose_aggregation_tier
 from repro.core.api import Tapioca
@@ -40,14 +34,11 @@ __all__ = [
     "TopologyInterface",
     "AggregationCostModel",
     "CostBreakdown",
-    "Partition",
+    "Partitions",
     "build_partitions",
     "PlacementResult",
     "place_aggregators",
     "AggregationSchedule",
-    "PartitionSchedule",
-    "PutOp",
-    "FlushOp",
     "build_schedule",
     "TapiocaIO",
     "AggregationBufferPlacement",

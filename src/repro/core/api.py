@@ -40,7 +40,7 @@ from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
 from repro.core.aggregation import AggregationSchedule, build_schedule
 from repro.core.config import TapiocaConfig
-from repro.core.partitioning import Partition, build_partitions
+from repro.core.partitioning import Partitions, build_partitions
 from repro.core.placement import PlacementResult, place_aggregators
 from repro.core.topology_iface import TopologyInterface
 from repro.machine.machine import Machine
@@ -433,7 +433,7 @@ class Tapioca:
         num_nodes = -(-workload.num_ranks // self.ranks_per_node)
         return block_mapping(workload.num_ranks, num_nodes, self.ranks_per_node)
 
-    def partitions(self) -> list[Partition]:
+    def partitions(self) -> Partitions:
         """The aggregation partitions implied by the configuration."""
         workload = self._require_workload()
         num_aggregators = self.config.resolve_num_aggregators(

@@ -18,7 +18,7 @@ set to zero, exactly as the paper does.
 
 :meth:`AggregationCostModel.elect` is the only code that computes C1 and
 C2: it costs every candidate of a whole partition list at once (the
-segmented election).  The partitions are flattened into
+segmented election).  The partitions' offsets table becomes
 :class:`CandidateSets`, grouped by candidate count, and each group is
 evaluated as one stack of producer × candidate term tensors
 (:meth:`AggregationCostModel.pair_terms`), in chunks of at most
@@ -34,11 +34,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
-from repro.core.partitioning import Partition
+from repro.core.partitioning import Partitions, offsets_of
 from repro.core.topology_iface import TopologyInterface
 from repro.obs import recorder as obs_recorder
 from repro.utils.validation import require
@@ -71,13 +71,6 @@ class CostBreakdown:
         return self.aggregation + self.io
 
 
-def _offsets(counts: np.ndarray) -> np.ndarray:
-    """Segment bounds ``[0, c0, c0 + c1, ...]`` of consecutive segment sizes."""
-    offsets = np.zeros(counts.size + 1, dtype=np.int64)
-    np.cumsum(counts, out=offsets[1:])
-    return offsets
-
-
 @dataclass(frozen=True, eq=False)
 class CandidateSets:
     """Every partition's election candidates, flattened partition by partition.
@@ -106,46 +99,24 @@ class CandidateSets:
     @classmethod
     def of(
         cls,
-        partitions: Sequence[Partition],
+        partitions: Partitions,
         iface: TopologyInterface,
         granularity: str = "rank",
     ) -> "CandidateSets":
         """The candidates of ``partitions``, from one node gather."""
-        sizes = np.fromiter(
-            (partition.size for partition in partitions), np.int64, len(partitions)
-        )
-        ranks = np.concatenate([partition.ranks for partition in partitions])
-        volumes = np.concatenate([partition.volumes for partition in partitions])
-        return cls.of_blocks(sizes, ranks, volumes, iface, granularity)
-
-    @classmethod
-    def of_blocks(
-        cls,
-        sizes: np.ndarray,
-        ranks: np.ndarray,
-        volumes: np.ndarray,
-        iface: TopologyInterface,
-        granularity: str = "rank",
-    ) -> "CandidateSets":
-        """The candidates of consecutive blocks of ``ranks``.
-
-        Block ``p`` holds the next ``sizes[p]`` entries of ``ranks`` and of
-        their int64 ``volumes``; :meth:`of` passes each partition as a
-        block.
-        """
         require(
             granularity in ("rank", "node"),
             f"granularity must be 'rank' or 'node', got {granularity!r}",
         )
-        sizes = np.asarray(sizes, dtype=np.int64)
+        ranks, volumes = partitions.ranks, partitions.volumes
         nodes = iface.rank_nodes(ranks)
         if granularity == "rank":
-            return cls(_offsets(sizes), ranks, nodes, volumes)
+            return cls(partitions.offsets, ranks, nodes, volumes)
         # One stable sort over (partition, node) keys puts each partition's
         # ranks on a node next to each other; the runs collapse to one
         # candidate each (lowest rank, integer volume sum).
         span = int(nodes.max()) + 1
-        keys = np.repeat(np.arange(sizes.size), sizes) * span + nodes
+        keys = partitions.segments * span + nodes
         order = np.argsort(keys, kind="stable")
         keys = keys[order]
         starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
@@ -154,7 +125,7 @@ class CandidateSets:
         segments, unit_nodes = np.divmod(keys[starts], span)
         order = np.lexsort((representatives, segments))
         return cls(
-            _offsets(np.bincount(segments, minlength=sizes.size)),
+            offsets_of(np.bincount(segments, minlength=len(partitions))),
             representatives[order],
             unit_nodes[order],
             sums[order],

@@ -10,65 +10,121 @@ either ``num_aggregators`` equal blocks (``partition_by="contiguous"``), or
 aligned with the machine's I/O partitions (Psets on Mira,
 ``partition_by="pset"``) with the aggregators spread evenly across them.
 
-Partitions hold their ranks and volumes as aligned int64 arrays, sliced from
-the workload's :meth:`~repro.workloads.base.Workload.rank_bytes`, so building
-them costs no per-rank Python work even at full-machine scale.
+All partitions are one segmented array, :class:`Partitions`: every
+partition's ranks concatenated, their int64 volumes (from the workload's
+:meth:`~repro.workloads.base.Workload.rank_bytes`) alongside, and an int64
+``offsets`` table of ``len(partitions) + 1`` bounds::
+
+    offsets  [0,        3,        6,     8]
+    ranks    [0  1  2 | 3  4  5 | 6  7]        partition 1 = ranks[3:6]
+    volumes  [v0 v1 v2| v3 v4 v5| v6 v7]
+
+The partition index is also the aggregator index.  The arrays are
+validated once, where they are built, with no per-partition or per-rank
+Python work; the election (:class:`~repro.core.cost_model.CandidateSets`),
+the analytic model and the round schedule
+(:func:`repro.core.aggregation.build_schedule`) read them by partition id.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from functools import cached_property
 
 import numpy as np
 
-from repro.iolib.aggregators import partition_ranks
+from repro.iolib.aggregators import block_sizes
 from repro.machine.machine import Machine
 from repro.topology.mapping import RankMapping
 from repro.utils.validation import require, require_positive
 from repro.workloads.base import Workload
 
 
+def offsets_of(sizes: np.ndarray) -> np.ndarray:
+    """Segment bounds ``[0, s0, s0 + s1, ...]`` of consecutive segment sizes."""
+    sizes = np.asarray(sizes, dtype=np.int64)
+    offsets = np.zeros(sizes.size + 1, dtype=np.int64)
+    np.cumsum(sizes, out=offsets[1:])
+    return offsets
+
+
 @dataclass(frozen=True, eq=False)
-class Partition:
-    """One aggregation partition.
+class Partitions:
+    """Every aggregation partition, as one segmented array.
 
     Attributes:
-        index: partition index (also the aggregator index).
-        ranks: world ranks belonging to the partition, ascending (int64).
-        volumes: bytes each member rank contributes (ω(i, A)), aligned with
+        offsets: int64 segment bounds, ``len(partitions) + 1`` entries from
+            0; partition ``p`` owns entries ``offsets[p]:offsets[p + 1]``.
+        ranks: the world ranks of every partition, concatenated (int64).
+        volumes: bytes each rank contributes (ω(i, A)), aligned with
             ``ranks`` (int64).  Negative volumes are rejected here, where
             they enter, naming the first such rank.
     """
 
-    index: int
+    offsets: np.ndarray
     ranks: np.ndarray
     volumes: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "ranks", np.asarray(self.ranks, dtype=np.int64))
-        object.__setattr__(self, "volumes", np.asarray(self.volumes, dtype=np.int64))
-        require(self.ranks.size > 0, "a partition needs at least one rank")
+        for name in ("offsets", "ranks", "volumes"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=np.int64))
+        offsets, ranks, volumes = self.offsets, self.ranks, self.volumes
         require(
-            self.ranks.ndim == 1 and self.ranks.shape == self.volumes.shape,
+            ranks.ndim == 1 and ranks.shape == volumes.shape,
             "volumes must be aligned with the partition ranks",
         )
-        if self.volumes.min() < 0:
-            first = int(np.flatnonzero(self.volumes < 0)[0])
+        require(
+            offsets.ndim == 1
+            and offsets.size > 0
+            and offsets[0] == 0
+            and offsets[-1] == ranks.size,
+            "offsets must run from 0 to the number of partition ranks",
+        )
+        require(bool((offsets[1:] > offsets[:-1]).all()), "a partition needs at least one rank")
+        if volumes.size and volumes.min() < 0:
+            first = int(np.flatnonzero(volumes < 0)[0])
             raise ValueError(
-                f"volume of rank {int(self.ranks[first])} must be >= 0, "
-                f"got {int(self.volumes[first])}"
+                f"volume of rank {int(ranks[first])} must be >= 0, "
+                f"got {int(volumes[first])}"
             )
 
-    @property
-    def total_bytes(self) -> int:
-        """Total bytes aggregated by this partition (ω(A, IO))."""
-        return int(self.volumes.sum())
+    @classmethod
+    def from_sizes(cls, sizes, ranks, volumes) -> "Partitions":
+        """Partitions holding the next ``sizes[p]`` entries of ``ranks``."""
+        return cls(offsets_of(sizes), ranks, volumes)
+
+    def __len__(self) -> int:
+        """Number of partitions."""
+        return self.offsets.size - 1
 
     @property
-    def size(self) -> int:
-        """Number of ranks in the partition."""
-        return len(self.ranks)
+    def sizes(self) -> np.ndarray:
+        """Number of ranks of every partition."""
+        return np.diff(self.offsets)
+
+    @cached_property
+    def segments(self) -> np.ndarray:
+        """Partition index of every entry of ``ranks``."""
+        return np.repeat(np.arange(len(self)), self.sizes)
+
+    @cached_property
+    def owners(self) -> np.ndarray:
+        """``owners[rank]``: index of the partition holding ``rank`` (-1: none)."""
+        owners = np.full(int(self.ranks.max(initial=-1)) + 1, -1, dtype=np.int64)
+        owners[self.ranks] = self.segments
+        return owners
+
+    def totals(self) -> np.ndarray:
+        """Total bytes aggregated by every partition (ω(A, IO))."""
+        return np.diff(offsets_of(self.volumes)[self.offsets])
+
+    def ranks_of(self, index: int) -> np.ndarray:
+        """The ranks of partition ``index``."""
+        return self.ranks[self.offsets[index] : self.offsets[index + 1]]
+
+    def volumes_of(self, index: int) -> np.ndarray:
+        """The volumes of partition ``index``, aligned with :meth:`ranks_of`."""
+        return self.volumes[self.offsets[index] : self.offsets[index + 1]]
 
 
 def build_partitions(
@@ -78,7 +134,7 @@ def build_partitions(
     machine: Machine | None = None,
     mapping: RankMapping | None = None,
     partition_by: str = "contiguous",
-) -> list[Partition]:
+) -> Partitions:
     """Split the workload's ranks into aggregation partitions.
 
     Args:
@@ -95,15 +151,11 @@ def build_partitions(
     require_positive(num_aggregators, "num_aggregators")
     num_ranks = workload.num_ranks
     if partition_by == "contiguous":
-        volumes = workload.rank_bytes()
-        return [
-            Partition(
-                index,
-                np.arange(block.start, block.stop),
-                volumes[block.start : block.stop],
-            )
-            for index, block in enumerate(partition_ranks(num_ranks, num_aggregators))
-        ]
+        return Partitions.from_sizes(
+            block_sizes([num_ranks], num_aggregators),
+            np.arange(num_ranks),
+            workload.rank_bytes(),
+        )
     if partition_by != "pset":
         raise ValueError(
             f"partition_by must be 'contiguous' or 'pset', got {partition_by!r}"
@@ -114,26 +166,8 @@ def build_partitions(
     # each group into its share of the aggregators.
     groups = machine.partitions_of_nodes(mapping.nodes(np.arange(num_ranks)))
     order = np.argsort(groups, kind="stable")
-    _ids, starts, counts = np.unique(groups[order], return_index=True, return_counts=True)
-    per_group = max(1, num_aggregators // len(starts))
-    volumes = workload.rank_bytes()
-    partitions: list[Partition] = []
-    for start, count in zip(starts.tolist(), counts.tolist()):
-        members = order[start : start + count]
-        for block in partition_ranks(count, per_group):
-            ranks = members[block.start : block.stop]
-            partitions.append(Partition(len(partitions), ranks, volumes[ranks]))
-    return partitions
-
-
-def rank_owners(partitions: Sequence[Partition]) -> np.ndarray:
-    """``owners[rank]``: index of the partition holding ``rank`` (-1: none).
-
-    Built once per partition list; the runtime and the tests look ranks up
-    in it instead of scanning the partitions.
-    """
-    size = max(int(partition.ranks.max()) for partition in partitions) + 1
-    owners = np.full(size, -1, dtype=np.int64)
-    for partition in partitions:
-        owners[partition.ranks] = partition.index
-    return owners
+    _ids, counts = np.unique(groups[order], return_counts=True)
+    per_group = max(1, num_aggregators // counts.size)
+    return Partitions.from_sizes(
+        block_sizes(counts, per_group), order, workload.rank_bytes()[order]
+    )

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.cost_model import AggregationCostModel, CandidateSets, CostBreakdown
-from repro.core.partitioning import Partition
+from repro.core.partitioning import Partitions
 from repro.core.topology_iface import TopologyInterface
 from repro.obs import recorder as obs_recorder, span as obs_span
 from repro.utils.rng import seeded_rng
@@ -79,7 +79,7 @@ def _random(sets: CandidateSets, seed: int | None) -> np.ndarray:
 
 
 def place_aggregators(
-    partitions: list[Partition],
+    partitions: Partitions,
     iface: TopologyInterface,
     *,
     strategy: str = "topology-aware",
@@ -133,12 +133,9 @@ def place_aggregators(
         )
         if winner_costs is not None:
             result.breakdowns = {
-                partition.index: CostBreakdown(rank, c1, c2)
-                for partition, rank, c1, c2 in zip(
-                    partitions,
-                    result.aggregators,
-                    winner_costs[0].tolist(),
-                    winner_costs[1].tolist(),
+                index: CostBreakdown(rank, c1, c2)
+                for index, (rank, c1, c2) in enumerate(
+                    zip(result.aggregators, winner_costs[0].tolist(), winner_costs[1].tolist())
                 )
             }
     rec = obs_recorder()
@@ -149,7 +146,7 @@ def place_aggregators(
 
 def placement_cost(
     placement: PlacementResult,
-    partitions: list[Partition],
+    partitions: Partitions,
     iface: TopologyInterface,
 ) -> float:
     """Total objective value (sum of C1+C2 over partitions) of a placement.

@@ -29,7 +29,7 @@ from typing import Any, Generator
 
 from repro.core.aggregation import AggregationSchedule, build_schedule
 from repro.core.config import TapiocaConfig
-from repro.core.partitioning import Partition, build_partitions, rank_owners
+from repro.core.partitioning import Partitions, build_partitions
 from repro.core.placement import PlacementResult, place_aggregators
 from repro.core.topology_iface import TopologyInterface
 from repro.obs import recorder as obs_recorder
@@ -71,16 +71,16 @@ class TapiocaIO:
                 f"{world.num_ranks}"
             )
         self.iface = TopologyInterface(world.machine, world.mapping)
-        self.num_aggregators = self.config.resolve_num_aggregators(
-            world.machine, world.num_ranks
-        )
-        self.partitions: list[Partition] = build_partitions(
+        self.partitions: Partitions = build_partitions(
             workload,
-            self.num_aggregators,
+            self.config.resolve_num_aggregators(world.machine, world.num_ranks),
             machine=world.machine,
             mapping=world.mapping,
             partition_by=self.config.partition_by,
         )
+        #: Partitions (and aggregators) built: Pset partitioning can build
+        #: fewer than the configuration asks for.
+        self.num_aggregators = len(self.partitions)
         self.placement: PlacementResult = place_aggregators(
             self.partitions,
             self.iface,
@@ -90,11 +90,15 @@ class TapiocaIO:
         self.schedule: AggregationSchedule = build_schedule(
             workload, self.partitions, self.config.buffer_size
         )
+        #: ``{rank: {round: [(segment, segment_offset, nbytes, buffer_offset)]}}``.
+        self._rank_rounds = self.schedule.rank_rounds()
+        #: ``[partition][round]``: ``(file_offset, nbytes, buffer_offset)`` extents.
+        self._flush_rounds = self.schedule.flush_rounds()
+        #: ``(rank, offset, nbytes, call_index)`` of every declared segment.
+        self._segments = list(zip(*(column.tolist() for column in self.schedule.segments)))
         self.file = world.open_file(
             path, filesystem, shared_locks=self.config.shared_locks
         )
-        #: Partition index of every world rank.
-        self._owners = rank_owners(self.partitions)
         #: ``{rank: C1 + C2}`` election value of every rank, taken from the
         #: placement's one rank-granularity pass (topology-aware only).
         self._election_costs: dict[int, float] = {}
@@ -112,7 +116,7 @@ class TapiocaIO:
     # Helpers
     # ------------------------------------------------------------------ #
 
-    def _election_value(self, rank: int, partition: Partition) -> tuple[float, int]:
+    def _election_value(self, rank: int, partition_index: int) -> tuple[float, int]:
         """The (cost, rank) pair this rank contributes to the MINLOC election."""
         if self.config.placement == "topology-aware":
             # This rank's entry of the placement's segmented election.
@@ -120,8 +124,27 @@ class TapiocaIO:
         # Other strategies do not rely on the distributed election: every rank
         # contributes the precomputed winner so MINLOC trivially selects it,
         # but the collective is still performed (and timed).
-        winner = self.placement.aggregator_of(partition.index)
+        winner = self.placement.aggregator_of(partition_index)
         return ((0.0 if rank == winner else 1.0), rank)
+
+    def _elect(self, ctx: RankContext) -> Generator[Event, Any, tuple]:
+        """Join the partition, elect its aggregator and expose its buffers.
+
+        Returns ``(partition_index, sub, aggregator_sub_rank, window)``:
+        the partition sub-communicator (fences must only involve the
+        partition), the aggregator's rank in it, and the RMA window holding
+        the aggregator's ``pipeline_depth`` buffers.
+        """
+        partition_index = int(self.partitions.owners[ctx.rank])
+        sub = yield from ctx.comm.split(partition_index)
+        _cost, winner = yield from sub.allreduce(
+            self._election_value(ctx.rank, partition_index), op="minloc", nbytes=16
+        )
+        aggregator_rank = int(winner)
+        self.elected[partition_index] = aggregator_rank
+        buffers = self.config.pipeline_depth * self.config.buffer_size
+        window = yield from sub.create_window(buffers if ctx.rank == aggregator_rank else 0)
+        return partition_index, sub, sub.raw.comm_rank_of_world(aggregator_rank), window
 
     # ------------------------------------------------------------------ #
     # Write path (Algorithm 3)
@@ -132,33 +155,24 @@ class TapiocaIO:
 
         Returns the number of bytes this rank contributed.
         """
-        partition_index = int(self._owners[ctx.rank])
-        partition = self.partitions[partition_index]
-        part_schedule = self.schedule.partitions[partition_index]
-        # Partition sub-communicator (fences must only involve the partition).
-        sub = yield from ctx.comm.split(partition_index)
-        # --- aggregator election ------------------------------------------------
-        _cost, winner = yield from sub.allreduce(
-            self._election_value(ctx.rank, partition), op="minloc", nbytes=16
-        )
-        aggregator_rank = int(winner)
-        self.elected[partition_index] = aggregator_rank
-        is_aggregator = ctx.rank == aggregator_rank
-        aggregator_sub_rank = sub.raw.comm_rank_of_world(aggregator_rank)
-        # --- buffers -------------------------------------------------------------
+        partition_index, sub, aggregator_sub_rank, window = yield from self._elect(ctx)
+        is_aggregator = sub.rank == aggregator_sub_rank
+        flush_rounds = self._flush_rounds[partition_index]
+        num_rounds = len(flush_rounds)
         depth = self.config.pipeline_depth
         buffer_size = self.config.buffer_size
-        window_size = depth * buffer_size if is_aggregator else 0
-        window = yield from sub.create_window(window_size)
         pending_flush: dict[int, list[Request]] = {i: [] for i in range(depth)}
         bytes_contributed = 0
-        my_rounds = part_schedule.rounds_by_rank.get(ctx.rank, {})
+        my_rounds = self._rank_rounds.get(ctx.rank, {})
+        # A segment's pieces are consecutive in this rank's puts, so its
+        # payload is generated once, at its first piece.
+        segment = payload = None
         # Fences this rank still has to pass: a rank with nothing to do
         # between fences passes through all of them in one call.  The
         # aggregator acts after every round's second fence, so it never
         # carries any across a round.
         fences = 0
-        for round_index in range(part_schedule.num_rounds):
+        for round_index in range(num_rounds):
             buffer_id = round_index % depth
             # Back-pressure: the aggregator must not let anyone fill a buffer
             # whose previous flush is still in flight.  It waits before the
@@ -173,16 +187,17 @@ class TapiocaIO:
             if puts:
                 yield from sub.fence(window, fences)
                 fences = 0
-                for put in puts:
-                    payload = self.workload.payload(put.segment)
-                    chunk = payload[put.segment_offset : put.segment_offset + put.nbytes]
+                for piece, segment_offset, nbytes, buffer_offset in puts:
+                    if piece != segment:
+                        segment = piece
+                        payload = self.workload.segment_payload(*self._segments[segment])
                     yield from sub.put(
                         window,
-                        chunk,
+                        payload[segment_offset : segment_offset + nbytes],
                         aggregator_sub_rank,
-                        buffer_id * buffer_size + put.buffer_offset,
+                        buffer_id * buffer_size + buffer_offset,
                     )
-                    bytes_contributed += put.nbytes
+                    bytes_contributed += nbytes
             fences += 1
             # I/O phase: non-blocking flush, overlapped with the next round
             # when pipeline_depth > 1.
@@ -191,22 +206,16 @@ class TapiocaIO:
                 fences = 0
                 buffer = window.buffer(aggregator_sub_rank)
                 base = buffer_id * buffer_size
-                for flush in part_schedule.flushes_for_round(round_index):
-                    data = bytes(
-                        buffer[
-                            base
-                            + flush.buffer_offset : base
-                            + flush.buffer_offset
-                            + flush.nbytes
-                        ]
-                    )
-                    request = self.file.iwrite_at(flush.file_offset, data)
+                for file_offset, nbytes, buffer_offset in flush_rounds[round_index]:
+                    start = base + buffer_offset
+                    data = bytes(buffer[start : start + nbytes])
+                    request = self.file.iwrite_at(file_offset, data)
                     pending_flush[buffer_id].append(request)
                     self.flush_count += 1
                     rec = obs_recorder()
                     if rec is not None:
                         rec.inc("sim.buffer_fills", io="tapioca")
-                        rec.inc("sim.flush_bytes", flush.nbytes, io="tapioca")
+                        rec.inc("sim.flush_bytes", nbytes, io="tapioca")
                 if depth == 1:
                     # No pipelining: wait for this round's flush immediately.
                     yield from Request.wait_all(ctx.env, pending_flush[buffer_id])
@@ -232,43 +241,34 @@ class TapiocaIO:
         (the read-side counterpart of the write pipeline).  Returns a mapping
         ``{segment.offset: bytes}`` for this rank's segments.
         """
-        partition_index = int(self._owners[ctx.rank])
-        partition = self.partitions[partition_index]
-        part_schedule = self.schedule.partitions[partition_index]
-        sub = yield from ctx.comm.split(partition_index)
-        _cost, winner = yield from sub.allreduce(
-            self._election_value(ctx.rank, partition), op="minloc", nbytes=16
-        )
-        aggregator_rank = int(winner)
-        self.elected[partition_index] = aggregator_rank
-        is_aggregator = ctx.rank == aggregator_rank
-        aggregator_sub_rank = sub.raw.comm_rank_of_world(aggregator_rank)
+        partition_index, sub, aggregator_sub_rank, window = yield from self._elect(ctx)
+        is_aggregator = sub.rank == aggregator_sub_rank
+        flush_rounds = self._flush_rounds[partition_index]
+        num_rounds = len(flush_rounds)
         depth = self.config.pipeline_depth
         buffer_size = self.config.buffer_size
-        window_size = depth * buffer_size if is_aggregator else 0
-        window = yield from sub.create_window(window_size)
-        my_rounds = part_schedule.rounds_by_rank.get(ctx.rank, {})
-        # Every segment with data has exactly one piece at segment offset 0.
+        my_rounds = self._rank_rounds.get(ctx.rank, {})
+        # ``{segment: bytes}``: every segment with data has exactly one
+        # piece at segment offset 0.
         assembled: dict[int, bytearray] = {
-            put.segment.offset: bytearray(put.segment.nbytes)
-            for puts in my_rounds.values()
-            for put in puts
-            if put.segment_offset == 0
+            segment: bytearray(self._segments[segment][2])
+            for pieces in my_rounds.values()
+            for segment, segment_offset, _nbytes, _buffer_offset in pieces
+            if segment_offset == 0
         }
 
         def prefetch(round_index: int) -> list[tuple[Request, int, int]]:
             """Issue non-blocking reads of a round's extents (aggregator only)."""
-            requests = []
-            for flush in part_schedule.flushes_for_round(round_index):
-                request = self.file.iread_at(flush.file_offset, flush.nbytes)
-                requests.append((request, flush.buffer_offset, flush.nbytes))
-            return requests
+            return [
+                (self.file.iread_at(file_offset, nbytes), buffer_offset, nbytes)
+                for file_offset, nbytes, buffer_offset in flush_rounds[round_index]
+            ]
 
         inflight: dict[int, list[tuple[Request, int, int]]] = {}
-        if is_aggregator and part_schedule.num_rounds > 0:
+        if is_aggregator and num_rounds > 0:
             inflight[0] = prefetch(0)
         fences = 0  # fences to pass through, as in :meth:`write`
-        for round_index in range(part_schedule.num_rounds):
+        for round_index in range(num_rounds):
             buffer_id = round_index % depth
             if is_aggregator:
                 # Land this round's data into the staging buffer.
@@ -280,32 +280,33 @@ class TapiocaIO:
                         bytearray(data)
                     )
                 # Prefetch the next round before serving this one.
-                if depth > 1 and round_index + 1 < part_schedule.num_rounds:
+                if depth > 1 and round_index + 1 < num_rounds:
                     inflight[round_index + 1] = prefetch(round_index + 1)
             fences += 1
             gets = my_rounds.get(round_index)
             if gets:
                 yield from sub.fence(window, fences)
                 fences = 0
-                for put in gets:
+                for segment, segment_offset, nbytes, buffer_offset in gets:
                     data = yield from window.get(
                         sub.rank,
                         aggregator_sub_rank,
-                        buffer_id * buffer_size + put.buffer_offset,
-                        put.nbytes,
+                        buffer_id * buffer_size + buffer_offset,
+                        nbytes,
                     )
-                    target = assembled[put.segment.offset]
-                    target[put.segment_offset : put.segment_offset + put.nbytes] = data
+                    assembled[segment][segment_offset : segment_offset + nbytes] = data
             fences += 1
             if is_aggregator:
                 yield from sub.fence(window, fences)
                 fences = 0
-                if depth == 1 and round_index + 1 < part_schedule.num_rounds:
+                if depth == 1 and round_index + 1 < num_rounds:
                     inflight[round_index + 1] = prefetch(round_index + 1)
         if fences:
             yield from sub.fence(window, fences)
         yield from ctx.comm.barrier()
-        return {offset: bytes(buf) for offset, buf in assembled.items()}
+        return {
+            self._segments[segment][1]: bytes(buf) for segment, buf in assembled.items()
+        }
 
     # ------------------------------------------------------------------ #
     # Convenience entry points

@@ -37,15 +37,22 @@ def partition_ranks(num_ranks: int, num_partitions: int) -> list[range]:
     """
     require_positive(num_ranks, "num_ranks")
     require_positive(num_partitions, "num_partitions")
-    num_partitions = min(num_partitions, num_ranks)
-    base, extra = divmod(num_ranks, num_partitions)
-    partitions = []
-    start = 0
-    for index in range(num_partitions):
-        size = base + (1 if index < extra else 0)
-        partitions.append(range(start, start + size))
-        start += size
-    return partitions
+    stops = np.cumsum(block_sizes([num_ranks], num_partitions)).tolist()
+    return [range(start, stop) for start, stop in zip([0, *stops], stops)]
+
+
+def block_sizes(counts: np.ndarray | list[int], blocks: int) -> np.ndarray:
+    """Sizes of the contiguous blocks each group of ``counts`` ranks splits into.
+
+    A group of ``count`` ranks splits into ``min(blocks, count)`` blocks, the
+    first ones one rank larger; all groups at once, in group order.
+    """
+    counts = np.asarray(counts, dtype=np.int64)
+    per_group = np.minimum(counts, blocks)
+    base, extra = np.divmod(counts, per_group)
+    group = np.repeat(np.arange(counts.size), per_group)
+    position = np.arange(group.size) - np.repeat(np.cumsum(per_group) - per_group, per_group)
+    return base[group] + (position < extra[group])
 
 
 def rank_order_aggregators(

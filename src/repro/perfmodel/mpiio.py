@@ -17,8 +17,9 @@ import math
 import numpy as np
 
 from repro.core.cost_model import CandidateSets
+from repro.core.partitioning import Partitions
 from repro.core.topology_iface import TopologyInterface
-from repro.iolib.aggregators import partition_ranks, select_default_aggregators
+from repro.iolib.aggregators import block_sizes, select_default_aggregators
 from repro.iolib.hints import MPIIOHints
 from repro.machine.machine import Machine
 from repro.obs import recorder as obs_recorder
@@ -123,14 +124,12 @@ def model_mpiio(
     # Each aggregator's sender nodes: its rank block collapsed to one
     # candidate per node, as the placement collapses a partition.  The
     # blocks are contiguous and cover every rank once.
-    blocks = partition_ranks(context.num_ranks, num_aggregators)
-    sets = CandidateSets.of_blocks(
-        [len(block) for block in blocks],
+    blocks = Partitions.from_sizes(
+        block_sizes([context.num_ranks], num_aggregators),
         np.arange(context.num_ranks),
         np.zeros(context.num_ranks, dtype=np.int64),
-        TopologyInterface(machine, context.mapping),
-        "node",
     )
+    sets = CandidateSets.of(blocks, TopologyInterface(machine, context.mapping), "node")
     bounds = sets.offsets.tolist()
     block_nodes = sets.nodes.tolist()
     senders_by_aggregator: dict[int, list[int]] = {}

@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from repro.core.config import TapiocaConfig
-from repro.core.partitioning import Partition, build_partitions
+from repro.core.partitioning import Partitions, build_partitions
 from repro.core.placement import PlacementResult, place_aggregators
 from repro.core.topology_iface import TopologyInterface
 from repro.machine.machine import Machine
@@ -39,7 +39,7 @@ class TapiocaPlacement(NamedTuple):
     """The analytic model's election and everything it was built from."""
 
     context: ModelContext
-    partitions: list[Partition]
+    partitions: Partitions
     iface: TopologyInterface
     placement: PlacementResult
 
@@ -173,9 +173,7 @@ def model_tapioca(
     )
     # election_time grows with the partition size: the largest active
     # partition sets the one-off election cost.
-    election = aggregation_model.election_time(
-        max(partitions[i].size for i in active.tolist())
-    )
+    election = aggregation_model.election_time(int(partitions.sizes[active].max()))
     total_bytes = float(workload.total_bytes())
     mean_round_bytes = min(buffer_size, total_bytes / num_partitions / max_rounds)
     # TAPIOCA flushes full buffers at buffer-aligned boundaries of each

@@ -9,9 +9,10 @@ The key concept mirrors the paper's API difference (Algorithms 1 and 2):
   (``TAPIOCA_Init(count, type, offset, nVar)``) and can therefore schedule
   aggregation so buffers fill completely before each flush.
 
-A :class:`Workload` exposes both views: :meth:`Workload.calls` (per-call
-segments) and :meth:`Workload.segments_for_rank` (the full per-rank
-declaration).
+A :class:`Workload` exposes both views: every segment carries its call's
+index, and :meth:`Workload.segments_for_rank` is the full per-rank
+declaration.  :meth:`Workload.segment_table` is the same declaration as
+aligned int64 arrays, which the aggregation round schedule reads.
 """
 
 from __future__ import annotations
@@ -19,11 +20,12 @@ from __future__ import annotations
 import abc
 import operator
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from repro.utils.rng import derive_seed
-from repro.utils.validation import require_non_negative, require_positive
+from repro.utils.validation import require_non_negative
 
 
 @dataclass(frozen=True)
@@ -58,6 +60,19 @@ class Segment:
         return self.offset + self.nbytes
 
 
+class SegmentTable(NamedTuple):
+    """Every declared segment as aligned int64 arrays.
+
+    Rows run rank by rank, each rank's segments in
+    :meth:`Workload.segments_for_rank` order (zero-byte segments included).
+    """
+
+    rank: np.ndarray
+    offset: np.ndarray
+    nbytes: np.ndarray
+    call_index: np.ndarray
+
+
 class Workload(abc.ABC):
     """Abstract I/O workload.
 
@@ -89,18 +104,19 @@ class Workload(abc.ABC):
     # Derived quantities
     # ------------------------------------------------------------------ #
 
-    def calls(self) -> list[list[Segment]]:
-        """Segments grouped by collective call (index = call order).
+    def segment_table(self) -> SegmentTable:
+        """Every rank's segments as one :class:`SegmentTable`.
 
-        The default implementation enumerates every rank; uniform workloads
-        with many ranks may override it, but for the discrete-event path
-        (small rank counts) this is sufficient.
+        The default enumerates :meth:`segments_for_rank`; regular workloads
+        override it with array arithmetic.
         """
-        grouped: list[list[Segment]] = [[] for _ in range(self.num_calls())]
-        for rank in range(self.num_ranks):
-            for segment in self.segments_for_rank(rank):
-                grouped[segment.call_index].append(segment)
-        return grouped
+        rows = [
+            (segment.rank, segment.offset, segment.nbytes, segment.call_index)
+            for rank in range(self.num_ranks)
+            for segment in self.segments_for_rank(rank)
+        ]
+        columns = np.array(rows, dtype=np.int64).reshape(-1, 4).T.copy()
+        return SegmentTable(*columns)
 
     def bytes_per_rank(self, rank: int = 0) -> int:
         """Total bytes written/read by one rank."""
@@ -125,11 +141,8 @@ class Workload(abc.ABC):
 
     def file_size(self) -> int:
         """Size of the file image the workload defines (max segment end)."""
-        end = 0
-        for rank in range(self.num_ranks):
-            for segment in self.segments_for_rank(rank):
-                end = max(end, segment.end)
-        return end
+        table = self.segment_table()
+        return int((table.offset + table.nbytes).max(initial=0))
 
     def validate_rank(self, rank: int) -> int:
         """Raise ``ValueError`` for an out-of-range rank."""
@@ -146,18 +159,34 @@ class Workload(abc.ABC):
     #: Seed mixed into payload generation; override for distinct instances.
     payload_seed: int = 0
 
-    def payload(self, segment: Segment) -> bytes:
-        """Deterministic payload bytes for a segment.
+    def segment_payload(self, rank: int, offset: int, nbytes: int, call_index: int) -> bytes:
+        """Deterministic payload bytes of one declared segment.
 
         The bytes depend on the owning rank, the call index and the offset,
         so any misplacement by an I/O library shows up as a content mismatch
-        in the end-to-end tests.
+        in the end-to-end tests.  The seed digests the fields' ``repr``, so
+        each becomes the Python int it stands for first.  The bytes are the
+        first ``nbytes`` of the little-endian 64-bit words PCG64 draws from
+        that seed: the bytes ``Generator.integers(0, 256, nbytes,
+        dtype=np.uint8)`` takes from the same stream, four per 32-bit draw,
+        in one call.
         """
+        nbytes = operator.index(nbytes)
         seed = derive_seed(
-            self.payload_seed, self.name, segment.rank, segment.call_index, segment.offset
+            self.payload_seed,
+            self.name,
+            operator.index(rank),
+            operator.index(call_index),
+            operator.index(offset),
         )
-        rng = np.random.default_rng(seed)
-        return rng.integers(0, 256, size=segment.nbytes, dtype=np.uint8).tobytes()
+        words = np.random.PCG64(seed).random_raw(-(-nbytes // 8))
+        return words.astype("<u8", copy=False).tobytes()[:nbytes]
+
+    def payload(self, segment: Segment) -> bytes:
+        """:meth:`segment_payload` of a :class:`Segment`."""
+        return self.segment_payload(
+            segment.rank, segment.offset, segment.nbytes, segment.call_index
+        )
 
     def expected_file_image(self) -> bytes:
         """The complete expected file contents (zero-filled holes).
@@ -165,9 +194,11 @@ class Workload(abc.ABC):
         Only intended for small (test-scale) workloads.
         """
         image = bytearray(self.file_size())
-        for rank in range(self.num_ranks):
-            for segment in self.segments_for_rank(rank):
-                image[segment.offset : segment.end] = self.payload(segment)
+        table = self.segment_table()
+        for rank, offset, nbytes, call_index in zip(*(column.tolist() for column in table)):
+            image[offset : offset + nbytes] = self.segment_payload(
+                rank, offset, nbytes, call_index
+            )
         return bytes(image)
 
     # ------------------------------------------------------------------ #
@@ -203,23 +234,16 @@ def check_no_overlap(workload: Workload) -> None:
     Raises:
         ValueError: if two segments overlap.
     """
-    intervals: list[tuple[int, int, int]] = []
-    for rank in range(workload.num_ranks):
-        for segment in workload.segments_for_rank(rank):
-            if segment.nbytes:
-                intervals.append((segment.offset, segment.end, rank))
-    intervals.sort()
-    for (start_a, end_a, rank_a), (start_b, _end_b, rank_b) in zip(
-        intervals, intervals[1:]
-    ):
-        if start_b < end_a:
-            raise ValueError(
-                f"segments overlap: rank {rank_a} [{start_a}, {end_a}) and "
-                f"rank {rank_b} starting at {start_b}"
-            )
-
-
-def require_positive_particles(value: int, name: str) -> int:
-    """Shared validation for particle/element counts."""
-    require_positive(value, name)
-    return int(value)
+    table = workload.segment_table()
+    data = table.nbytes > 0
+    start, rank = table.offset[data], table.rank[data]
+    end = start + table.nbytes[data]
+    order = np.lexsort((rank, end, start))
+    start, end, rank = start[order], end[order], rank[order]
+    clashes = np.flatnonzero(start[1:] < end[:-1])
+    if clashes.size:
+        first = int(clashes[0])
+        raise ValueError(
+            f"segments overlap: rank {rank[first]} [{start[first]}, {end[first]}) and "
+            f"rank {rank[first + 1]} starting at {start[first + 1]}"
+        )

@@ -32,7 +32,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.utils.validation import require, require_positive
-from repro.workloads.base import Segment, Workload
+from repro.workloads.base import Segment, SegmentTable, Workload
 
 #: The nine HACC particle variables with their per-particle byte sizes.
 HACC_VARIABLES: tuple[tuple[str, int], ...] = (
@@ -108,41 +108,26 @@ class HACCIOWorkload(Workload):
     def total_bytes(self) -> int:
         return self.total_particles * hacc_particle_size()
 
-    def file_size(self) -> int:
-        return self.total_bytes()
-
     def segments_for_rank(self, rank: int) -> list[Segment]:
+        # One global array per call (AoS: the records; SoA: each variable)
+        # after the earlier calls' arrays; within it, ranks own contiguous
+        # slices in rank order.
         self.validate_rank(rank)
-        if self.layout == "aos":
-            record = hacc_particle_size()
-            offset = rank * self.particles_per_rank * record
-            return [
-                Segment(
-                    rank=rank,
-                    offset=offset,
-                    nbytes=self.particles_per_rank * record,
-                    call_index=0,
-                    variable="particles",
-                )
-            ]
-        # SoA: nine global arrays back to back; within each array, ranks own
-        # contiguous slices in rank order.
-        segments = []
-        array_base = 0
-        for call_index, (variable, var_size) in enumerate(HACC_VARIABLES):
-            array_bytes = self.total_particles * var_size
-            offset = array_base + rank * self.particles_per_rank * var_size
-            segments.append(
-                Segment(
-                    rank=rank,
-                    offset=offset,
-                    nbytes=self.particles_per_rank * var_size,
-                    call_index=call_index,
-                    variable=variable,
-                )
-            )
-            array_base += array_bytes
+        names = ["particles"] if self.layout == "aos" else [n for n, _ in HACC_VARIABLES]
+        segments, base = [], 0
+        for call_index, (name, nbytes) in enumerate(zip(names, self.segment_sizes_per_call())):
+            segments.append(Segment(rank, base + rank * nbytes, nbytes, call_index, name))
+            base += self.num_ranks * nbytes
         return segments
+
+    def segment_table(self) -> SegmentTable:
+        # :meth:`segments_for_rank`'s offsets, for every rank at once.
+        sizes = np.array(self.segment_sizes_per_call(), dtype=np.int64)
+        bases = self.num_ranks * (np.cumsum(sizes) - sizes)
+        rank = np.repeat(np.arange(self.num_ranks, dtype=np.int64), sizes.size)
+        call_index = np.tile(np.arange(sizes.size, dtype=np.int64), self.num_ranks)
+        nbytes = sizes[call_index]
+        return SegmentTable(rank, bases[call_index] + rank * nbytes, nbytes, call_index)
 
     def segment_sizes_per_call(self) -> list[int]:
         if self.layout == "aos":

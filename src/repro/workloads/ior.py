@@ -17,7 +17,7 @@ import numpy as np
 
 from repro.utils.units import MIB
 from repro.utils.validation import require_positive
-from repro.workloads.base import Segment, Workload
+from repro.workloads.base import Segment, SegmentTable, Workload
 
 
 class IORWorkload(Workload):
@@ -55,19 +55,18 @@ class IORWorkload(Workload):
 
     def segments_for_rank(self, rank: int) -> list[Segment]:
         self.validate_rank(rank)
-        segments = []
-        for iteration in range(self.iterations):
-            offset = (iteration * self.num_ranks + rank) * self.transfer_size
-            segments.append(
-                Segment(
-                    rank=rank,
-                    offset=offset,
-                    nbytes=self.transfer_size,
-                    call_index=iteration,
-                    variable=f"block{iteration}",
-                )
-            )
-        return segments
+        size = self.transfer_size
+        return [
+            Segment(rank, (i * self.num_ranks + rank) * size, size, i, f"block{i}")
+            for i in range(self.iterations)
+        ]
+
+    def segment_table(self) -> SegmentTable:
+        rank = np.repeat(np.arange(self.num_ranks, dtype=np.int64), self.iterations)
+        call_index = np.tile(np.arange(self.iterations, dtype=np.int64), self.num_ranks)
+        nbytes = np.full(rank.size, self.transfer_size, dtype=np.int64)
+        offset = (call_index * self.num_ranks + rank) * self.transfer_size
+        return SegmentTable(rank, offset, nbytes, call_index)
 
     def total_bytes(self) -> int:
         # Uniform: avoid the per-rank loop of the base implementation.
@@ -78,9 +77,6 @@ class IORWorkload(Workload):
 
     def rank_bytes(self) -> np.ndarray:
         return np.full(self.num_ranks, self.bytes_per_rank(), dtype=np.int64)
-
-    def file_size(self) -> int:
-        return self.total_bytes()
 
     def segment_sizes_per_call(self) -> list[int]:
         return [self.transfer_size] * self.iterations

@@ -73,7 +73,6 @@ class SyntheticWorkload(Workload):
                     )
                 )
             offset += nbytes
-        self._file_size = offset
         for rank in range(num_ranks):
             self._segments[rank].sort(key=lambda s: s.call_index)
 
@@ -83,9 +82,6 @@ class SyntheticWorkload(Workload):
     def segments_for_rank(self, rank: int) -> list[Segment]:
         self.validate_rank(rank)
         return list(self._segments[rank])
-
-    def file_size(self) -> int:
-        return self._file_size
 
     def is_uniform(self) -> bool:
         return False

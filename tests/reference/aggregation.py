@@ -1,14 +1,29 @@
-"""Scalar oracle for the aggregation-phase fill time.
+"""Scalar oracles for the aggregation phase.
 
 :meth:`repro.perfmodel.aggregation.AggregationPhaseModel.round_fill_times`
 computes the fill time of many aggregators as one array expression;
 :func:`round_fill_time` here is the one-aggregator form it must equal bit
 for bit.
+
+:func:`repro.core.aggregation.build_schedule` cuts every partition's
+declared data into rounds with array arithmetic; :func:`schedule_partition`
+walks one partition's :class:`~repro.workloads.base.Segment` objects byte
+range by byte range and builds one :class:`PutOp` per piece and one
+:class:`FlushOp` per flush extent, which the array schedule must equal
+exactly.  :func:`payload` is the per-segment ``Generator.integers`` draw
+that :meth:`repro.workloads.base.Workload.segment_payload` must reproduce
+byte for byte.
 """
 
 from __future__ import annotations
 
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
 from repro.perfmodel.aggregation import AggregationPhaseModel
+from repro.utils.rng import derive_seed
 from repro.utils.validation import require_non_negative, require_positive
 
 
@@ -43,3 +58,86 @@ def round_fill_time(
     )
     local_time = local_bytes / memory_bw
     return max(network_time, local_time)
+
+
+@dataclass(frozen=True)
+class PutOp:
+    """One piece of a rank's segment shipped to its aggregator in one round."""
+
+    rank: int
+    round_index: int
+    segment: object
+    segment_offset: int
+    nbytes: int
+    buffer_offset: int
+    file_offset: int
+
+
+@dataclass(frozen=True)
+class FlushOp:
+    """One contiguous file extent flushed by the aggregator at a round's end."""
+
+    round_index: int
+    file_offset: int
+    nbytes: int
+    buffer_offset: int
+
+
+def schedule_partition(workload, partition, buffer_size: int):
+    """``(puts, flushes_by_round)`` of one partition, puts in stream order."""
+    segments = [
+        segment
+        for rank in partition.ranks.tolist()
+        for segment in workload.segments_for_rank(rank)
+        if segment.nbytes > 0
+    ]
+    if not segments:
+        return [], []
+    # Buffers fill in ascending file-offset order.
+    segments.sort(key=lambda s: s.offset)
+    total = sum(s.nbytes for s in segments)
+    num_rounds = max(1, math.ceil(total / buffer_size))
+    flushes_by_round: list[list[FlushOp]] = [[] for _ in range(num_rounds)]
+    puts: list[PutOp] = []
+    cursor = 0  # byte position within the partition's aggregate stream
+    for segment in segments:
+        consumed = 0
+        while consumed < segment.nbytes:
+            round_index, buffer_offset = divmod(cursor, buffer_size)
+            take = min(segment.nbytes - consumed, buffer_size - buffer_offset)
+            put = PutOp(
+                rank=segment.rank,
+                round_index=round_index,
+                segment=segment,
+                segment_offset=consumed,
+                nbytes=take,
+                buffer_offset=buffer_offset,
+                file_offset=segment.offset + consumed,
+            )
+            puts.append(put)
+            # Merge with the previous extent when both the file range and
+            # the buffer range continue it.
+            extents = flushes_by_round[round_index]
+            if (
+                extents
+                and extents[-1].file_offset + extents[-1].nbytes == put.file_offset
+                and extents[-1].buffer_offset + extents[-1].nbytes == buffer_offset
+            ):
+                last = extents[-1]
+                extents[-1] = FlushOp(
+                    round_index, last.file_offset, last.nbytes + take, last.buffer_offset
+                )
+            else:
+                extents.append(FlushOp(round_index, put.file_offset, take, buffer_offset))
+            consumed += take
+            cursor += take
+    return puts, flushes_by_round
+
+
+def payload(workload, segment) -> bytes:
+    """A segment's payload, drawn with ``Generator.integers``."""
+    seed = derive_seed(
+        workload.payload_seed, workload.name, segment.rank, segment.call_index, segment.offset
+    )
+    rng = np.random.default_rng(seed)
+    return rng.integers(0, 256, size=segment.nbytes, dtype=np.uint8).tobytes()

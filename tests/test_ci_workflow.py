@@ -224,13 +224,20 @@ class TestWorkflowShape:
 
     def test_bench_job_gates_on_the_des_roundtrip_digest(self, workflow):
         """The discrete-event engine must reproduce perfbench's committed
-        des_roundtrip digest, and every write and read must pass its check."""
+        des_roundtrip digests of seeds 1 and 7, and every write and read
+        must pass its check."""
         commands = [s.get("run", "") for s in workflow["jobs"]["bench"]["steps"]]
         gate = [c for c in commands if "--workload des_roundtrip" in c]
         assert gate, "the bench job must run the des_roundtrip workload"
-        assert "python perfbench/run.py --workload des_roundtrip --seed 1 --seconds 20" in gate[0]
-        assert "digest des_roundtrip/1/72 [0-9a-f]+ reference match" in gate[0]
-        assert "grep -F '\"correct\": true'" in gate[0]
+        for seed in (1, 7):
+            assert (
+                f"python perfbench/run.py --workload des_roundtrip --seed {seed} --seconds 20"
+                in gate[0]
+            )
+            assert f"grep -E '^digest des_roundtrip/{seed}/72 [0-9a-f]+ reference match$'" in (
+                gate[0]
+            )
+        assert gate[0].count("grep -F '\"correct\": true'") == 2
 
     def test_serve_job_submits_twice_and_asserts_cache_hit(self, workflow):
         steps = workflow["jobs"]["serve"]["steps"]

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.aggregation import build_schedule
-from repro.core.partitioning import build_partitions, rank_owners
+from repro.core.partitioning import build_partitions
 from repro.workloads.hacc import HACCIOWorkload
 from repro.workloads.ior import IORWorkload
 from repro.workloads.synthetic import SyntheticWorkload
@@ -17,14 +17,30 @@ def schedule_for(workload, num_aggregators, buffer_size):
     return build_schedule(workload, partitions, buffer_size)
 
 
+def puts_of(schedule, partition):
+    """Partition ``partition``'s puts as ``{field: value}`` rows."""
+    start, stop = schedule.put_offsets[partition : partition + 2].tolist()
+    fields = schedule.puts._fields
+    columns = [column[start:stop].tolist() for column in schedule.puts]
+    return [dict(zip(fields, row)) for row in zip(*columns)]
+
+
+def flushes_of(schedule, partition, round_index):
+    """One round's flush extents as ``{field: value}`` rows."""
+    start, stop = schedule.flush_offsets[partition : partition + 2].tolist()
+    fields = schedule.flushes._fields
+    columns = [column[start:stop].tolist() for column in schedule.flushes]
+    rows = [dict(zip(fields, row)) for row in zip(*columns)]
+    return [row for row in rows if row["round"] == round_index]
+
+
 class TestBasicScheduling:
     def test_round_count_matches_ceiling(self):
         workload = IORWorkload(8, transfer_size=1000)
         schedule = schedule_for(workload, 2, buffer_size=1536)
         # Each partition aggregates 4 * 1000 bytes in 1536-byte buffers.
         assert schedule.num_rounds == math.ceil(4000 / 1536)
-        for part in schedule.partitions:
-            assert part.num_rounds == schedule.num_rounds
+        assert schedule.rounds.tolist() == [schedule.num_rounds] * 2
 
     def test_single_round_when_buffer_is_large(self):
         workload = IORWorkload(8, transfer_size=100)
@@ -34,8 +50,8 @@ class TestBasicScheduling:
     def test_round_bytes_never_exceed_buffer(self):
         workload = HACCIOWorkload(12, 321, layout="soa")
         schedule = schedule_for(workload, 3, buffer_size=2048)
-        for part in schedule.partitions:
-            assert all(0 < b <= 2048 for b in part.round_bytes)
+        for partition in range(3):
+            assert all(0 < b <= 2048 for b in schedule.round_bytes(partition))
 
     def test_total_bytes_preserved(self):
         workload = HACCIOWorkload(12, 321, layout="soa")
@@ -45,35 +61,34 @@ class TestBasicScheduling:
     def test_puts_cover_each_segment_exactly(self):
         workload = HACCIOWorkload(8, 100, layout="soa")
         schedule = schedule_for(workload, 2, buffer_size=1024)
-        for part in schedule.partitions:
-            covered: dict[object, int] = {}
-            for rank, puts in part.puts_by_rank.items():
-                for put in puts:
-                    covered[put.segment] = covered.get(put.segment, 0) + put.nbytes
-                    assert put.rank == rank
-            for rank in part.partition.ranks:
-                for segment in workload.segments_for_rank(rank):
-                    if segment.nbytes:
-                        assert covered[segment] == segment.nbytes
+        table = schedule.segments
+        partitions = build_partitions(workload, 2)
+        for partition in range(2):
+            covered: dict[int, int] = {}
+            for put in puts_of(schedule, partition):
+                covered[put["segment"]] = covered.get(put["segment"], 0) + put["nbytes"]
+                assert put["rank"] == table.rank[put["segment"]]
+            members = set(partitions.ranks_of(partition).tolist())
+            rows = enumerate(zip(table.rank.tolist(), table.nbytes.tolist()))
+            expected = {row: nbytes for row, (rank, nbytes) in rows if rank in members and nbytes}
+            assert covered == expected
 
     def test_flushes_match_round_bytes(self):
         workload = IORWorkload(8, transfer_size=1000)
         schedule = schedule_for(workload, 2, buffer_size=1536)
-        for part in schedule.partitions:
-            for round_index in range(part.num_rounds):
-                flushed = sum(
-                    f.nbytes for f in part.flushes_for_round(round_index)
-                )
-                assert flushed == part.round_bytes[round_index]
+        for partition in range(2):
+            for round_index, nbytes in enumerate(schedule.round_bytes(partition)):
+                flushed = sum(f["nbytes"] for f in flushes_of(schedule, partition, round_index))
+                assert flushed == nbytes
 
     def test_flush_buffer_ranges_do_not_overlap_within_round(self):
         workload = SyntheticWorkload(12, calls=3, seed=4, max_segment_bytes=900)
         schedule = schedule_for(workload, 3, buffer_size=1024)
-        for part in schedule.partitions:
-            for round_index in range(part.num_rounds):
+        for partition in range(3):
+            for round_index in range(int(schedule.rounds[partition])):
                 ranges = sorted(
-                    (f.buffer_offset, f.buffer_offset + f.nbytes)
-                    for f in part.flushes_for_round(round_index)
+                    (f["buffer_offset"], f["buffer_offset"] + f["nbytes"])
+                    for f in flushes_of(schedule, partition, round_index)
                 )
                 for (_start_a, end_a), (start_b, _end_b) in zip(ranges, ranges[1:]):
                     assert start_b >= end_a
@@ -83,9 +98,9 @@ class TestBasicScheduling:
         # exactly one contiguous flush extent (the Fig. 2 behaviour).
         workload = IORWorkload(8, transfer_size=1024)
         schedule = schedule_for(workload, 2, buffer_size=2048)
-        for part in schedule.partitions:
-            for round_index in range(part.num_rounds):
-                assert len(part.flushes_for_round(round_index)) == 1
+        for partition in range(2):
+            for round_index in range(int(schedule.rounds[partition])):
+                assert len(flushes_of(schedule, partition, round_index)) == 1
 
     def test_soa_single_fill_pass_unlike_per_call_flushes(self):
         # TAPIOCA schedules across all nine variables: with a buffer equal to
@@ -97,10 +112,12 @@ class TestBasicScheduling:
 
     def test_schedule_of_rank_lookup(self):
         workload = IORWorkload(8, transfer_size=128)
-        schedule = schedule_for(workload, 2, buffer_size=256)
-        owners = rank_owners([part.partition for part in schedule.partitions])
-        assert schedule.partitions[owners[7]].partition.index == 1
+        partitions = build_partitions(workload, 2)
+        schedule = build_schedule(workload, partitions, 256)
+        owners = partitions.owners
+        assert owners[7] == 1
         assert len(owners) == 8
+        assert list(schedule.rank_rounds()[7]) == [1]
 
     def test_invalid_buffer_size(self):
         workload = IORWorkload(4, transfer_size=128)
@@ -129,27 +146,26 @@ class TestSchedulingProperties:
         schedule = build_schedule(workload, partitions, buffer_size)
         # 1. every byte is scheduled exactly once
         assert schedule.total_bytes() == workload.total_bytes()
-        for part in schedule.partitions:
-            partition_total = part.partition.total_bytes
-            assert sum(part.round_bytes) == partition_total
+        for partition, partition_total in enumerate(partitions.totals().tolist()):
+            round_bytes = schedule.round_bytes(partition)
+            num_rounds = int(schedule.rounds[partition])
+            assert sum(round_bytes) == partition_total
+            assert len(round_bytes) == num_rounds
             # 2. round sizes bounded by the buffer, full except possibly last
-            for index, nbytes in enumerate(part.round_bytes):
+            for index, nbytes in enumerate(round_bytes):
                 assert 0 < nbytes <= buffer_size
-                if index < part.num_rounds - 1:
+                if index < num_rounds - 1:
                     assert nbytes == buffer_size
             # 3. puts land within the buffer
-            for puts in part.puts_by_rank.values():
-                for put in puts:
-                    assert 0 <= put.buffer_offset < buffer_size
-                    assert put.buffer_offset + put.nbytes <= buffer_size
-                    assert 0 <= put.round_index < part.num_rounds
+            puts = puts_of(schedule, partition)
+            for put in puts:
+                assert 0 <= put["buffer_offset"] < buffer_size
+                assert put["buffer_offset"] + put["nbytes"] <= buffer_size
+                assert 0 <= put["round"] < num_rounds
             # 4. flush extents reference bytes that were actually put
-            for round_index in range(part.num_rounds):
-                flushed = sum(f.nbytes for f in part.flushes_for_round(round_index))
-                put_bytes = sum(
-                    put.nbytes
-                    for puts in part.puts_by_rank.values()
-                    for put in puts
-                    if put.round_index == round_index
+            for round_index in range(num_rounds):
+                flushed = sum(
+                    f["nbytes"] for f in flushes_of(schedule, partition, round_index)
                 )
-                assert flushed == put_bytes == part.round_bytes[round_index]
+                put_bytes = sum(put["nbytes"] for put in puts if put["round"] == round_index)
+                assert flushed == put_bytes == round_bytes[round_index]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.cost_model import AggregationCostModel, CandidateSets, CostBreakdown
-from repro.core.partitioning import Partition, build_partitions, rank_owners
+from repro.core.partitioning import Partitions, build_partitions
 from repro.core.placement import place_aggregators, placement_cost
 from repro.core.topology_iface import TopologyInterface
 from repro.machine.generic import generic_cluster
@@ -86,7 +86,7 @@ class TestTopologyInterface:
 
 def _costs(iface, ranks, volumes):
     """``(C1, C2)`` of every rank of one partition, from the election."""
-    sets = CandidateSets.of([Partition(0, ranks, volumes)], iface)
+    sets = CandidateSets.of(Partitions.from_sizes([len(ranks)], ranks, volumes), iface)
     return AggregationCostModel(iface).elect(sets)
 
 
@@ -124,7 +124,7 @@ class TestCostModel:
 
     def test_evaluate_total_is_sum(self, mira_iface):
         _machine, _mapping, iface = mira_iface
-        partitions = [Partition(0, [0, 17, 33], [1000, 2000, 500])]
+        partitions = Partitions.from_sizes([3], [0, 17, 33], [1000, 2000, 500])
         placement = place_aggregators(partitions, iface)
         aggregation, io = placement.costs
         breakdown = placement.breakdowns[0]
@@ -137,7 +137,7 @@ class TestCostModel:
         model = AggregationCostModel(iface)
         # Two ranks on the same node with identical volumes: identical costs,
         # listed highest rank first.
-        sets = CandidateSets.of([Partition(0, [1, 0], [100, 100])], iface)
+        sets = CandidateSets.of(Partitions.from_sizes([2], [1, 0], [100, 100]), iface)
         aggregation, io = model.elect(sets)
         assert aggregation[0] == aggregation[1] and io[0] == io[1]
         assert sets.ranks[sets.argmin(aggregation + io)].tolist() == [0]
@@ -146,27 +146,27 @@ class TestCostModel:
         """A partition rejects negative volumes where they enter, naming the
         first such rank, so no election ever sees one."""
         with pytest.raises(ValueError, match=r"^volume of rank 5 must be >= 0, got -1$"):
-            Partition(0, [0, 5, 7], [3, -1, -2])
+            Partitions.from_sizes([3], [0, 5, 7], [3, -1, -2])
         with pytest.raises(ValueError, match="volume of rank 9 "):
-            Partition(1, [9], [-5])
-        assert Partition(2, [1, 2], [0, 0]).total_bytes == 0
+            Partitions.from_sizes([2, 1], [4, 6, 9], [1, 0, -5])
+        assert Partitions.from_sizes([2], [1, 2], [0, 0]).totals().tolist() == [0]
 
 
 class TestPartitioning:
     def test_contiguous_partitions_cover_all_ranks(self):
         workload = IORWorkload(32, transfer_size=1024)
         partitions = build_partitions(workload, 5)
-        all_ranks = sorted(r for p in partitions for r in p.ranks)
-        assert all_ranks == list(range(32))
+        assert sorted(partitions.ranks.tolist()) == list(range(32))
         assert len(partitions) == 5
 
     def test_partition_volumes_match_workload(self):
         workload = HACCIOWorkload(16, 100, layout="soa")
         partitions = build_partitions(workload, 4)
-        for partition in partitions:
-            for rank, nbytes in zip(partition.ranks, partition.volumes):
-                assert nbytes == workload.bytes_per_rank(int(rank))
-            assert partition.total_bytes == sum(partition.volumes.tolist())
+        for index, total in enumerate(partitions.totals().tolist()):
+            ranks, volumes = partitions.ranks_of(index), partitions.volumes_of(index)
+            for rank, nbytes in zip(ranks.tolist(), volumes.tolist()):
+                assert nbytes == workload.bytes_per_rank(rank)
+            assert total == sum(volumes.tolist())
 
     def test_pset_partitioning_respects_pset_boundaries(self):
         machine = MiraMachine(32, pset_size=16)
@@ -175,9 +175,9 @@ class TestPartitioning:
         partitions = build_partitions(
             workload, 4, machine=machine, mapping=mapping, partition_by="pset"
         )
-        for partition in partitions:
-            psets = {machine.pset_of_node(mapping.node(r)) for r in partition.ranks}
-            assert len(psets) == 1
+        for index in range(len(partitions)):
+            ranks = partitions.ranks_of(index).tolist()
+            assert len({machine.pset_of_node(mapping.node(r)) for r in ranks}) == 1
 
     def test_pset_partitioning_requires_machine(self):
         workload = IORWorkload(8, transfer_size=64)
@@ -187,15 +187,19 @@ class TestPartitioning:
     def test_partition_of_rank(self):
         workload = IORWorkload(12, transfer_size=64)
         partitions = build_partitions(workload, 3)
-        owners = rank_owners(partitions)
+        owners = partitions.owners
         assert owners[11] == 2
-        assert owners.tolist() == [p.index for p in partitions for _ in p.ranks]
+        assert owners.tolist() == [0] * 4 + [1] * 4 + [2] * 4
 
     def test_partition_validation(self):
-        with pytest.raises(ValueError):
-            Partition(0, (), ())
-        with pytest.raises(ValueError):
-            Partition(0, (1, 2), (10,))
+        with pytest.raises(ValueError, match="at least one rank"):
+            Partitions.from_sizes([0], (), ())
+        with pytest.raises(ValueError, match="at least one rank"):
+            Partitions.from_sizes([2, 0], (1, 2), (10, 10))
+        with pytest.raises(ValueError, match="aligned"):
+            Partitions.from_sizes([2], (1, 2), (10,))
+        with pytest.raises(ValueError, match="offsets"):
+            Partitions.from_sizes([1], (1, 2), (10, 10))
 
 
 class TestPlacement:
@@ -212,8 +216,8 @@ class TestPlacement:
         _mapping, iface, partitions = self._setup(machine, 64, 2, workload, 8)
         placement = place_aggregators(partitions, iface)
         assert len(placement.aggregators) == 8
-        for partition, aggregator in zip(partitions, placement.aggregators):
-            assert aggregator in partition.ranks
+        for index, aggregator in enumerate(placement.aggregators):
+            assert aggregator in partitions.ranks_of(index)
 
     def test_full_mira_partition_elects_one_aggregator_per_pset_partition(self):
         """The C1+C2 election on a 512-node Mira allocation at node granularity."""
@@ -229,8 +233,8 @@ class TestPlacement:
             partitions, iface, strategy="topology-aware", granularity="node"
         )
         assert len(placement.aggregators) == len(partitions) == 64
-        for partition, aggregator in zip(partitions, placement.aggregators):
-            assert aggregator in partition.ranks
+        for index, aggregator in enumerate(placement.aggregators):
+            assert aggregator in partitions.ranks_of(index)
 
     def test_topology_aware_is_optimal_under_its_own_objective(self):
         machine = generic_cluster(32, nodes_per_leaf=8, num_gateways=2)
@@ -263,7 +267,7 @@ class TestPlacement:
         workload = IORWorkload(32, transfer_size=1024)
         _mapping, iface, partitions = self._setup(machine, 32, 2, workload, 4)
         placement = place_aggregators(partitions, iface, strategy="rank-order")
-        assert placement.aggregators == [p.ranks[0] for p in partitions]
+        assert placement.aggregators == partitions.ranks[partitions.offsets[:-1]].tolist()
 
     def test_random_strategy_deterministic_for_seed(self):
         machine = ThetaMachine(16)
@@ -278,9 +282,10 @@ class TestPlacement:
         workload = SyntheticWorkload(32, seed=2, max_segment_bytes=4096)
         _mapping, iface, partitions = self._setup(machine, 32, 2, workload, 4)
         placement = place_aggregators(partitions, iface, strategy="max-volume")
-        for partition, aggregator in zip(partitions, placement.aggregators):
-            position = partition.ranks.tolist().index(aggregator)
-            assert partition.volumes[position] == partition.volumes.max()
+        for index, aggregator in enumerate(placement.aggregators):
+            volumes = partitions.volumes_of(index)
+            position = partitions.ranks_of(index).tolist().index(aggregator)
+            assert volumes[position] == volumes.max()
 
     def test_unknown_strategy_rejected(self):
         machine = ThetaMachine(16)
@@ -294,4 +299,4 @@ class TestPlacement:
         workload = IORWorkload(64, transfer_size=1024)
         _mapping, iface, partitions = self._setup(machine, 64, 2, workload, 4)
         placement = place_aggregators(partitions, iface)
-        assert set(placement.breakdowns) == {p.index for p in partitions}
+        assert set(placement.breakdowns) == set(range(len(partitions)))

@@ -100,7 +100,7 @@ class TestWriteCorrectness:
         _world, runtime, _result = run_tapioca_write(machine, workload, config)
         assert len(runtime.elected) == 4
         for partition_index, aggregator in runtime.elected.items():
-            assert aggregator in runtime.partitions[partition_index].ranks
+            assert aggregator in runtime.partitions.ranks_of(partition_index)
 
     def test_election_matches_precomputed_placement(self):
         machine = MiraMachine(16, pset_size=16)
@@ -116,10 +116,12 @@ class TestWriteCorrectness:
         workload = SyntheticWorkload(32, calls=3, seed=5, max_segment_bytes=900)
         config = TapiocaConfig(num_aggregators=3, buffer_size=1024)
         world, runtime, _result = run_tapioca_write(machine, workload, config)
-        for partition in runtime.partitions:
-            volumes = dict(zip(partition.ranks.tolist(), partition.volumes.tolist()))
+        partitions = runtime.partitions
+        for index in range(len(partitions)):
+            ranks, sizes = partitions.ranks_of(index), partitions.volumes_of(index)
+            volumes = dict(zip(ranks.tolist(), sizes.tolist()))
             for rank in volumes:
-                cost, _rank = runtime._election_value(rank, partition)
+                cost, _rank = runtime._election_value(rank, index)
                 expected = reference.evaluate(machine, world.mapping, rank, volumes)
                 assert cost == expected.total
 
@@ -190,8 +192,9 @@ class TestQualitativeBehaviour:
         # TAPIOCA needed fewer aggregation rounds than the application issued
         # collective calls, and every non-final round moved a full buffer.
         assert tapioca.schedule.num_rounds < workload.num_calls()
-        for part in tapioca.schedule.partitions:
-            assert all(b == buffer_size for b in part.round_bytes[:-1])
+        for partition in range(len(tapioca.partitions)):
+            round_bytes = tapioca.schedule.round_bytes(partition)
+            assert all(b == buffer_size for b in round_bytes[:-1])
         world_m = SimWorld(machine, ranks_per_node=2)
         mpiio = TwoPhaseCollectiveIO(
             world_m,
@@ -256,8 +259,6 @@ class TestElectionAwayFromFirstRank:
         writer, reader = self._roundtrip()
         winners = [writer.elected[index] for index in range(len(writer.partitions))]
         assert winners == writer.placement.aggregators == [2, 6, 11, 13]
-        assert all(
-            winner != partition.ranks[0]
-            for winner, partition in zip(winners, writer.partitions)
-        )
+        firsts = writer.partitions.ranks[writer.partitions.offsets[:-1]].tolist()
+        assert all(winner != first for winner, first in zip(winners, firsts))
         assert reader.elected == writer.elected

@@ -114,9 +114,7 @@ class TestPerformanceRelationships:
         )
         world.run(runtime.write_program())
         for partition_index, aggregator in runtime.elected.items():
-            partition = runtime.partitions[partition_index]
+            ranks = runtime.partitions.ranks_of(partition_index).tolist()
             aggregator_pset = machine.pset_of_node(world.node_of_rank(aggregator))
-            member_psets = {
-                machine.pset_of_node(world.node_of_rank(r)) for r in partition.ranks
-            }
+            member_psets = {machine.pset_of_node(world.node_of_rank(r)) for r in ranks}
             assert member_psets == {aggregator_pset}

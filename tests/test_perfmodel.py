@@ -312,9 +312,10 @@ class TestTapiocaModel:
         assert estimate.num_aggregators == 16 * machine.num_psets == len(partitions)
         aggregator_nodes = estimate.details["aggregator_nodes"]
         assert len(aggregator_nodes) == len(partitions)
-        for partition, node in zip(partitions, aggregator_nodes):
-            assert partition.ranks[0] // 16 <= node <= partition.ranks[-1] // 16
-        assert sum(p.total_bytes for p in partitions) == workload.total_bytes()
+        for index, node in enumerate(aggregator_nodes):
+            ranks = partitions.ranks_of(index)
+            assert ranks[0] // 16 <= node <= ranks[-1] // 16
+        assert int(partitions.totals().sum()) == workload.total_bytes()
         assert estimate.total_bytes == workload.total_bytes()
 
     @pytest.mark.parametrize("requested", [30, 3])

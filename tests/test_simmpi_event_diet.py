@@ -213,13 +213,21 @@ class TestScheduleIndex:
         workload = HACCIOWorkload(16, particles_per_rank=37, layout="soa")
         partitions = build_partitions(workload, 3)
         schedule = build_schedule(workload, partitions, 700)
-        for part in schedule.partitions:
-            for rank, rounds in part.rounds_by_rank.items():
-                assert list(rounds) == sorted(rounds)
-                for round_index, puts in rounds.items():
-                    assert puts and all(put.round_index == round_index for put in puts)
-                    assert all(put.rank == rank for put in puts)
-            assert len(part.flushes_by_round) == part.num_rounds
-            for round_index, flushes in enumerate(part.flushes_by_round):
-                assert all(flush.round_index == round_index for flush in flushes)
-            assert part.flushes_for_round(part.num_rounds) == []
+        puts = schedule.puts
+        indexed = []
+        for rank, rounds in schedule.rank_rounds().items():
+            assert list(rounds) == sorted(rounds)
+            for round_index, pieces in rounds.items():
+                assert pieces
+                indexed += [(rank, round_index, *piece) for piece in pieces]
+        fields = (puts.rank, puts.round, puts.segment, puts.segment_offset, puts.nbytes,
+                  puts.buffer_offset)
+        assert sorted(indexed) == sorted(zip(*(field.tolist() for field in fields)))
+        flush_rounds = schedule.flush_rounds()
+        assert [len(rounds) for rounds in flush_rounds] == schedule.rounds.tolist()
+        flushes = schedule.flushes
+        for partition, rounds in enumerate(flush_rounds):
+            start, stop = schedule.flush_offsets[partition : partition + 2].tolist()
+            assert [(r, *extent) for r, extents in enumerate(rounds) for extent in extents] == list(
+                zip(*(field[start:stop].tolist() for field in flushes))
+            )

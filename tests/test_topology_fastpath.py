@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from repro.core.cost_model import AggregationCostModel, CandidateSets, CostBreakdown
-from repro.core.partitioning import Partition, build_partitions
+from repro.core.partitioning import build_partitions
 from repro.core.placement import place_aggregators
 from repro.core.topology_iface import TopologyInterface
 from repro.machine.mira import MiraMachine
@@ -30,6 +30,7 @@ from repro.topology.mapping import block_mapping
 from repro.topology.torus import TorusTopology
 from repro.workloads.hacc import HACCIOWorkload
 from reference import cost_model as reference
+from reference.partitioning import Partition, join, split
 from reference import routes as reference_routes
 
 
@@ -288,7 +289,7 @@ def test_out_of_range_self_pairs_raise(topology):
 def _segmented(model, partitions, granularity="rank"):
     """The segmented election as per-partition ``(winner, breakdowns)``,
     the shape of :func:`reference.elect`."""
-    sets = CandidateSets.of(partitions, model.iface, granularity)
+    sets = CandidateSets.of(join(partitions), model.iface, granularity)
     chosen, (aggregation, io) = model.best_candidate(sets)
     winners = sets.ranks[chosen].tolist()
     rows = [
@@ -451,11 +452,12 @@ def test_nodes_of_ranks_rejects_invalid_ranks_on_both_paths():
     iface = TopologyInterface(machine, block_mapping(128, 8, 16))
     for granularity in ("rank", "node"):
         for valid in (list(range(40)), list(range(0, 128, 20))):
-            sets = CandidateSets.of([Partition(0, valid, [1] * len(valid))], iface, granularity)
+            partitions = join([Partition(0, valid, [1] * len(valid))])
+            sets = CandidateSets.of(partitions, iface, granularity)
             assert sorted(set(sets.nodes.tolist())) == sorted({r // 16 for r in valid})
             for bad in ([-1] + valid, valid + [128]):
                 with pytest.raises(ValueError, match="out of range"):
-                    CandidateSets.of([Partition(0, bad, [1] * len(bad))], iface, granularity)
+                    CandidateSets.of(join([Partition(0, bad, [1] * len(bad))]), iface, granularity)
 
 
 @pytest.mark.parametrize("machine", _machines(), ids=lambda m: m.topology.name)
@@ -468,7 +470,7 @@ def test_winner_only_election_equals_full_election(machine, granularity):
     rng = random.Random(41)
     mapping = random_mapping(machine.num_nodes * 2, machine.num_nodes, 2, seed=3)
     model = AggregationCostModel(TopologyInterface(machine, mapping))
-    sets = CandidateSets.of(_random_partitions(rng, mapping, 40), model.iface, granularity)
+    sets = CandidateSets.of(join(_random_partitions(rng, mapping, 40)), model.iface, granularity)
     chosen = np.array(
         [rng.randrange(start, stop) for start, stop in zip(sets.offsets[:-1], sets.offsets[1:])]
     )
@@ -494,7 +496,7 @@ def test_ties_break_to_lowest_rank_with_unsorted_ranks():
         segmented = _segmented(model, partitions, granularity)
         assert [winner for winner, _ in segmented] == [0, 5]
         assert segmented == reference.elect(model.iface, partitions, granularity)
-        placement = place_aggregators(partitions, iface, granularity=granularity)
+        placement = place_aggregators(join(partitions), iface, granularity=granularity)
         assert placement.aggregators == [0, 5]
 
 
@@ -512,7 +514,7 @@ def test_chunked_election_equals_unchunked(granularity, split, monkeypatch):
     rng = random.Random(31)
     partitions = _random_partitions(rng, mapping, 40, max_nodes=3)
     whole = _segmented(model, partitions, granularity)
-    sets = CandidateSets.of(partitions, model.iface, granularity)
+    sets = CandidateSets.of(join(partitions), model.iface, granularity)
     sizes = np.diff(sets.offsets)
     largest = int(sizes.max())
     budget = 2 * largest * largest + 1 if split == "partitions" else 2 * largest + 1
@@ -582,9 +584,9 @@ def test_place_aggregators_identical_on_both_paths(machine_cls, granularity):
     fast = place_aggregators(
         partitions, iface, strategy="topology-aware", granularity=granularity
     )
-    scalar = reference.elect(iface, partitions, granularity)
+    scalar = reference.elect(iface, split(partitions), granularity)
     assert fast.aggregators == [winner for winner, _ in scalar]
     assert fast.breakdowns == {
-        partition.index: next(b for b in breakdowns if b.candidate == winner)
-        for partition, (winner, breakdowns) in zip(partitions, scalar)
+        index: next(b for b in breakdowns if b.candidate == winner)
+        for index, (winner, breakdowns) in enumerate(scalar)
     }
