@@ -496,23 +496,7 @@ class Tapioca:
 
     def simulate_write(self, *, path: str = "/out/tapioca.dat") -> SimulationOutcome:
         """Run the full TAPIOCA write protocol on the discrete-event MPI."""
-        from repro.core.runtime import TapiocaIO
-
-        workload = self._require_workload()
-        world = self._build_world()
-        filesystem = self._filesystem_with_stripe()
-        runtime = TapiocaIO(
-            world, workload, self.config, path=path, filesystem=filesystem
-        )
-        result = world.run(runtime.write_program())
-        total = workload.total_bytes()
-        return SimulationOutcome(
-            elapsed=result.elapsed,
-            bandwidth=result.bandwidth(total),
-            total_bytes=total,
-            elected=dict(runtime.elected),
-            world_result=result,
-        )
+        return self._simulate(path, "write_program")
 
     def simulate_read(self, *, path: str = "/out/tapioca.dat") -> SimulationOutcome:
         """Run the full TAPIOCA read protocol on the discrete-event MPI.
@@ -521,6 +505,9 @@ class Tapioca:
         :meth:`simulate_write` with the same path, or directly through the
         returned world's file registry).
         """
+        return self._simulate(path, "read_program")
+
+    def _simulate(self, path: str, program: str) -> SimulationOutcome:
         from repro.core.runtime import TapiocaIO
 
         workload = self._require_workload()
@@ -529,7 +516,7 @@ class Tapioca:
         runtime = TapiocaIO(
             world, workload, self.config, path=path, filesystem=filesystem
         )
-        result = world.run(runtime.read_program())
+        result = world.run(getattr(runtime, program)())
         total = workload.total_bytes()
         return SimulationOutcome(
             elapsed=result.elapsed,
@@ -545,27 +532,20 @@ class Tapioca:
 
     def estimate_write(self, **overrides: Any):
         """Flow-level analytic estimate of the declared write (``IOEstimate``)."""
-        from repro.perfmodel.tapioca import model_tapioca
-
-        return model_tapioca(
-            self.machine,
-            self._require_workload(),
-            self.config,
-            access="write",
-            ranks_per_node=self.ranks_per_node,
-            stripe=self.stripe,
-            **overrides,
-        )
+        return self._estimate("write", overrides)
 
     def estimate_read(self, **overrides: Any):
         """Flow-level analytic estimate of the declared read (``IOEstimate``)."""
+        return self._estimate("read", overrides)
+
+    def _estimate(self, access: str, overrides: dict[str, Any]):
         from repro.perfmodel.tapioca import model_tapioca
 
         return model_tapioca(
             self.machine,
             self._require_workload(),
             self.config,
-            access="read",
+            access=access,
             ranks_per_node=self.ranks_per_node,
             stripe=self.stripe,
             **overrides,

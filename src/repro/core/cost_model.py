@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -108,15 +108,27 @@ class CandidateSets:
             granularity in ("rank", "node"),
             f"granularity must be 'rank' or 'node', got {granularity!r}",
         )
-        ranks, volumes = partitions.ranks, partitions.volumes
-        nodes = iface.rank_nodes(ranks)
+        nodes = iface.rank_nodes(partitions.ranks)
         if granularity == "rank":
-            return cls(partitions.offsets, ranks, nodes, volumes)
+            return cls(partitions.offsets, partitions.ranks, nodes, partitions.volumes)
+        return cls.by_node([partitions], [nodes])
+
+    @classmethod
+    def by_node(
+        cls, partitions: Sequence[Partitions], nodes: Sequence[np.ndarray]
+    ) -> "CandidateSets":
+        """Node-granularity candidates of several jobs' partitions, job after
+        job (``nodes[j]``: the node of every rank of ``partitions[j]``); each
+        job's slice is its own ``of(partitions[j], iface, "node")``."""
+        sizes = np.concatenate([p.sizes for p in partitions])
+        ranks = np.concatenate([p.ranks for p in partitions])
+        volumes = np.concatenate([p.volumes for p in partitions])
+        nodes = np.concatenate(nodes)
         # One stable sort over (partition, node) keys puts each partition's
         # ranks on a node next to each other; the runs collapse to one
         # candidate each (lowest rank, integer volume sum).
         span = int(nodes.max()) + 1
-        keys = partitions.segments * span + nodes
+        keys = np.repeat(np.arange(sizes.size), sizes) * span + nodes
         order = np.argsort(keys, kind="stable")
         keys = keys[order]
         starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
@@ -125,11 +137,20 @@ class CandidateSets:
         segments, unit_nodes = np.divmod(keys[starts], span)
         order = np.lexsort((representatives, segments))
         return cls(
-            offsets_of(np.bincount(segments, minlength=len(partitions))),
+            offsets_of(np.bincount(segments, minlength=sizes.size)),
             representatives[order],
             unit_nodes[order],
             sums[order],
         )
+
+    def take(self, segments: np.ndarray) -> tuple["CandidateSets", np.ndarray]:
+        """The candidate sets of partitions ``segments`` (in that order), and
+        the flat index in ``self`` of each of their candidates."""
+        sizes = np.diff(self.offsets)[segments]
+        offsets = offsets_of(sizes)
+        index = np.repeat(self.offsets[segments] - offsets[:-1], sizes) + np.arange(offsets[-1])
+        ranks, nodes, volumes = self.ranks[index], self.nodes[index], self.volumes[index]
+        return CandidateSets(offsets, ranks, nodes, volumes), index
 
     def __len__(self) -> int:
         """Number of candidates, over all partitions."""

@@ -23,6 +23,7 @@ election kernel, :meth:`~repro.core.cost_model.AggregationCostModel.elect`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -62,9 +63,8 @@ class PlacementResult:
 
 def _shortest_io(sets: CandidateSets, iface: TopologyInterface) -> np.ndarray:
     """Each partition's candidate closest to its I/O node (unknown: 0 hops)."""
-    if iface.io_locality_known():
-        return sets.argmin(iface.io_distances(sets.nodes))
-    return sets.argmin(np.zeros(sets.nodes.size, dtype=np.int64))
+    known = iface.io_locality_known()
+    return sets.argmin(iface.io_distances(sets.nodes) if known else np.zeros(sets.nodes.size))
 
 
 def _random(sets: CandidateSets, seed: int | None) -> np.ndarray:
@@ -76,6 +76,55 @@ def _random(sets: CandidateSets, seed: int | None) -> np.ndarray:
         [start + int(rng.integers(0, size)) for start, size in zip(starts, sizes)],
         dtype=np.int64,
     )
+
+
+def elect_partitions(
+    sets: CandidateSets,
+    iface: TopologyInterface,
+    jobs: Sequence[tuple[str, int | None, int, int]],
+) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray] | None]:
+    """Each job's winners by its own strategy; ``jobs`` lists ``(strategy,
+    seed, first, stop)`` over segments ``first:stop`` of ``sets``.
+
+    The topology-aware jobs' partitions are elected by one
+    :meth:`~repro.core.cost_model.AggregationCostModel.best_candidate` call,
+    which stacks same-size partitions across jobs; a candidate's sum never
+    depends on the stack and ``MINLOC`` ties go to the lowest rank of its
+    own partition, so each winner and cost equals the job's alone.  The
+    others pick from their own slice (``iface`` is read for the machine
+    only).  Returns every segment's winner as a flat index into ``sets``
+    (-1: no job) and the topology-aware candidates' ``(C1, C2)`` in
+    ``sets`` order (``None`` without one).
+    """
+    chosen = np.full(sets.offsets.size - 1, -1, dtype=np.int64)
+    costs = None
+    aware = [np.arange(lo, hi) for strategy, _, lo, hi in jobs if strategy == "topology-aware"]
+    with obs_span("placement", cat="core", jobs=len(jobs)):
+        if aware:
+            segments = np.concatenate(aware)
+            joint, index = sets.take(segments)
+            winners, costs = AggregationCostModel(iface).best_candidate(joint)
+            chosen[segments] = index[winners]
+        for strategy, seed, first, stop in jobs:
+            if strategy == "topology-aware":
+                continue
+            job, index = sets.take(np.arange(first, stop))
+            if strategy == "shortest-io":
+                picks = _shortest_io(job, iface)
+            elif strategy == "max-volume":
+                picks = job.argmin(-job.volumes)
+            elif strategy == "rank-order":
+                picks = job.offsets[:-1]
+            elif strategy == "random":
+                picks = _random(job, seed)
+            else:
+                raise ValueError(f"unknown placement strategy {strategy!r}")
+            chosen[first:stop] = index[picks]
+    rec = obs_recorder()
+    if rec is not None:
+        for strategy, _, first, stop in jobs:
+            rec.inc("placement.partitions", stop - first, strategy=strategy)
+    return chosen, costs
 
 
 def place_aggregators(
@@ -98,49 +147,32 @@ def place_aggregators(
             evaluates one candidate per node, which is equivalent under the
             cost model and is used by the large-scale analytic path.
 
-    Every strategy picks from the same :class:`CandidateSets`.  The
-    topology-aware strategy costs every candidate of every partition in one
-    segmented election
-    (:meth:`~repro.core.cost_model.AggregationCostModel.best_candidate`);
+    Every strategy picks from the same :class:`CandidateSets`, through the
+    one-job call of :func:`elect_partitions`: the topology-aware strategy
+    costs every candidate of every partition in one segmented election;
     shortest-io costs only its winners, for their breakdowns.
     """
     require(len(partitions) > 0, "no partitions to place aggregators for")
-    with obs_span(
-        "placement", cat="core", strategy=strategy, partitions=len(partitions)
-    ):
-        sets = CandidateSets.of(partitions, iface, granularity)
-        model = AggregationCostModel(iface)
-        costs = winner_costs = None
-        if strategy == "topology-aware":
-            chosen, costs = model.best_candidate(sets)
-            winner_costs = (costs[0][chosen], costs[1][chosen])
-        elif strategy == "shortest-io":
-            chosen = _shortest_io(sets, iface)
-            winner_costs = model.elect(sets, chosen)
-        elif strategy == "max-volume":
-            chosen = sets.argmin(-sets.volumes)
-        elif strategy == "rank-order":
-            chosen = sets.offsets[:-1]
-        elif strategy == "random":
-            chosen = _random(sets, seed)
-        else:
-            raise ValueError(f"unknown placement strategy {strategy!r}")
-        result = PlacementResult(
-            strategy=strategy,
-            aggregators=sets.ranks[chosen].tolist(),
-            candidates=sets,
-            costs=costs,
-        )
-        if winner_costs is not None:
-            result.breakdowns = {
-                index: CostBreakdown(rank, c1, c2)
-                for index, (rank, c1, c2) in enumerate(
-                    zip(result.aggregators, winner_costs[0].tolist(), winner_costs[1].tolist())
-                )
-            }
-    rec = obs_recorder()
-    if rec is not None:
-        rec.inc("placement.partitions", len(partitions), strategy=strategy)
+    sets = CandidateSets.of(partitions, iface, granularity)
+    chosen, costs = elect_partitions(sets, iface, [(strategy, seed, 0, len(partitions))])
+    result = PlacementResult(
+        strategy=strategy,
+        aggregators=sets.ranks[chosen].tolist(),
+        candidates=sets,
+        costs=costs,
+    )
+    winner_costs = None
+    if costs is not None:
+        winner_costs = (costs[0][chosen], costs[1][chosen])
+    elif strategy == "shortest-io":
+        winner_costs = AggregationCostModel(iface).elect(sets, chosen)
+    if winner_costs is not None:
+        result.breakdowns = {
+            index: CostBreakdown(rank, c1, c2)
+            for index, (rank, c1, c2) in enumerate(
+                zip(result.aggregators, winner_costs[0].tolist(), winner_costs[1].tolist())
+            )
+        }
     return result
 
 

@@ -79,16 +79,6 @@ class RunReport:
         """Whether every check of every experiment passed."""
         return not self.failed()
 
-    def total_wall_time_s(self) -> float:
-        """Sum of the executed experiments' wall times (the serial cost).
-
-        Cached rows are excluded — their ``wall_time_s`` is the *original*
-        run's time, not a cost paid by this sweep.  Use
-        :meth:`fresh_wall_time_s` / :meth:`cached_wall_time_s` when the
-        distinction should be reported explicitly.
-        """
-        return self.fresh_wall_time_s()
-
     def fresh_wall_time_s(self) -> float:
         """Wall time actually spent simulating in this sweep (serial sum)."""
         return sum(o.wall_time_s for o in self.outcomes if not o.cached)

@@ -413,10 +413,6 @@ class ArtifactStore:
     def _tuning_point_key(digest: str) -> str:
         return f"{TUNING_POINT_DIR}/{digest}.json"
 
-    def tuning_point_path(self, digest: str) -> Path:
-        """Where one cached candidate evaluation (would) live, by digest."""
-        return self.backend.path_hint(self._tuning_point_key(digest))
-
     def save_tuning_point(self, digest: str, payload: Mapping) -> Path:
         """Persist one candidate evaluation keyed by ``(scenario, objective)``.
 
@@ -467,12 +463,3 @@ class ArtifactStore:
         if envelope is None or envelope.get("schema") != ARTIFACT_SCHEMA:
             return None
         return envelope
-
-    def scenario_result_hashes(self) -> list[str]:
-        """Hashes with a cached scenario result, sorted."""
-        prefix = f"{SCENARIO_RESULT_DIR}/"
-        return sorted(
-            key[len(prefix) : -len(".json")]
-            for key in self.backend.keys(prefix)
-            if key.endswith(".json")
-        )

@@ -25,6 +25,7 @@ the workload's expected file image.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Any, Generator
@@ -267,13 +268,16 @@ class TwoPhaseCollectiveIO:
                 if my_aggregator_index is not None
                 else []
             )
+            # A file domain may cut a segment into several pieces; its
+            # payload is drawn once, at its first piece.
+            payload_of = functools.cache(self.workload.payload)
             for round_index in range(schedule.num_rounds):
                 yield from window.fence(ctx.rank)
                 # Aggregation phase: ship this round's pieces.
                 for piece in my_pieces:
                     if piece.round_index != round_index:
                         continue
-                    payload = self.workload.payload(piece.segment)
+                    payload = payload_of(piece.segment)
                     chunk = payload[
                         piece.segment_offset : piece.segment_offset + piece.nbytes
                     ]

@@ -10,7 +10,7 @@ slowdown versus its isolated run.
 
 from repro.multijob.allocator import ALLOCATION_POLICIES, Allocation, NodeAllocator
 from repro.multijob.contention import ContentionLedger
-from repro.multijob.job import Job, JobSpec, bind_job
+from repro.multijob.job import Job, JobSpec, bind_jobs
 from repro.multijob.runtime import InterferenceReport, JobOutcome, MultiJobRuntime
 
 __all__ = [
@@ -23,5 +23,5 @@ __all__ = [
     "JobSpec",
     "MultiJobRuntime",
     "NodeAllocator",
-    "bind_job",
+    "bind_jobs",
 ]

@@ -1,25 +1,29 @@
 """Job model for multi-job (interference) simulations.
 
 A :class:`JobSpec` declares what one application wants — nodes, workload, I/O
-method and tuning — independently of where it lands on the machine.  The
-:class:`MultiJobRuntime` binds specs to concrete allocations, producing
+method and tuning — independently of where it lands on the machine.
+:func:`bind_jobs` binds every spec to its allocation in one pass, producing
 :class:`Job` objects that carry the placement, the single-job (isolated)
 performance estimate that anchors the slowdown metric, and the weighted
-demands the contention ledger needs.
+demands the contention ledger needs: one election over all jobs, one
+routing of all their flows, whose matrix both the flow analysis and the
+link weights read (their samples are row selections of it), and one
+fill-time pass.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from repro.core.config import TapiocaConfig
 from repro.iolib.hints import MPIIOHints
 from repro.machine.machine import Machine
 from repro.machine.mira import MiraMachine
-from repro.perfmodel.mpiio import model_mpiio
+from repro.perfmodel.batch import ModelPlan, estimate_plans
+from repro.perfmodel.mpiio import MPIIOPlan
 from repro.perfmodel.results import IOEstimate
-from repro.perfmodel.tapioca import model_tapioca
+from repro.perfmodel.tapioca import TapiocaPlan
 from repro.storage.base import FileSystemModel
 from repro.storage.burst_buffer import BurstBufferModel
 from repro.storage.gpfs import GPFSModel
@@ -27,10 +31,6 @@ from repro.storage.lustre import LustreModel, LustreStripeConfig
 from repro.topology.mapping import RankMapping, allocation_mapping
 from repro.utils.validation import require, require_non_negative, require_positive
 from repro.workloads.base import Workload
-
-#: Cap on the number of sender→aggregator flows enumerated per job when
-#: computing per-link demand weights (a uniform sample is taken above it).
-MAX_SAMPLED_FLOWS = 512
 
 
 @dataclass(frozen=True)
@@ -138,35 +138,6 @@ class Job:
         return combined
 
 
-def estimate_isolated(
-    machine: Machine, spec: JobSpec, mapping: RankMapping
-) -> IOEstimate:
-    """Single-job estimate of ``spec`` on its allocation of ``machine``."""
-    if spec.method == "tapioca":
-        return model_tapioca(
-            machine,
-            spec.workload,
-            spec.config,
-            ranks_per_node=spec.ranks_per_node,
-            filesystem=spec.filesystem,
-            stripe=spec.stripe,
-            mapping=mapping,
-        )
-    # The MPI I/O model takes striping through hints; apply a per-job stripe
-    # (shared/disjoint OST placement) via a pre-striped file-system instead.
-    filesystem = spec.filesystem
-    if filesystem is None and spec.stripe is not None:
-        filesystem = job_filesystem(machine, spec)
-    return model_mpiio(
-        machine,
-        spec.workload,
-        spec.hints or MPIIOHints(),
-        ranks_per_node=spec.ranks_per_node,
-        filesystem=filesystem,
-        mapping=mapping,
-    )
-
-
 def job_filesystem(machine: Machine, spec: JobSpec) -> FileSystemModel:
     """The file-system model the job's output file actually lives on."""
     if spec.filesystem is not None:
@@ -209,68 +180,61 @@ def storage_demand_weights(
     return {("fs", filesystem.name): 1.0}
 
 
-def network_demand_weights(
-    machine: Machine,
-    senders_by_aggregator: Mapping[int, Sequence[int]],
-    *,
-    max_flows: int = MAX_SAMPLED_FLOWS,
-) -> tuple[dict[tuple, float], dict[tuple, float]]:
-    """Per-link weights (and capacities) of the job's aggregation traffic.
-
-    Every workload byte crosses the network once, from its producer node to
-    its partition's aggregator node; a link traversed by ``c`` of the job's
-    ``f`` flows therefore carries roughly ``c / f`` of the job's bytes.  The
-    flow pattern is the one the performance model actually used
-    (``details["senders_by_aggregator"]``), so partitioned TAPIOCA traffic
-    and ROMIO file-domain traffic each load their real links.  Flows are
-    sampled uniformly above ``max_flows`` to bound the routing enumeration
-    on large jobs (weights stay normalised over the sample).
-
-    Returns:
-        ``(weights, capacities)`` — both keyed by ``("link", id)`` with the
-        topology's link ids, in first-traversal order (the order the ledger
-        registers them in); capacities are the links' bandwidths for ledger
-        registration.
-    """
-    flows = [
-        (sender, aggregator)
-        for aggregator, senders in senders_by_aggregator.items()
-        for sender in senders
-        if sender != aggregator
-    ]
-    if len(flows) > max_flows:
-        step = len(flows) / max_flows
-        flows = [flows[int(i * step)] for i in range(max_flows)]
-    if not flows:
-        return {}, {}
-    topology = machine.topology
-    ids, counts = topology.link_loads(flows)
-    keys = [("link", link) for link in ids.tolist()]
-    total = float(len(flows))
-    weights = {key: count / total for key, count in zip(keys, counts.tolist())}
-    capacities = dict(zip(keys, topology._link_bandwidths(ids).tolist()))
-    return weights, capacities
-
-
-def bind_job(machine: Machine, spec: JobSpec, nodes: Sequence[int]) -> Job:
-    """Bind a spec to its allocation: mapping, isolated estimate, demands."""
-    mapping = allocation_mapping(
-        spec.num_ranks,
-        nodes,
-        num_nodes=machine.num_nodes,
-        ranks_per_node=spec.ranks_per_node,
-    )
-    isolated = estimate_isolated(machine, spec, mapping)
-    job = Job(
-        spec=spec,
-        nodes=tuple(int(n) for n in nodes),
-        mapping=mapping,
-        isolated=isolated,
-        storage_weights=storage_demand_weights(machine, spec, nodes),
-    )
-    senders_by_aggregator = isolated.details.get("senders_by_aggregator", {})
-    if senders_by_aggregator:
-        job.network_weights, job.network_capacities = network_demand_weights(
-            machine, senders_by_aggregator
+def bind_jobs(
+    machine: Machine, specs: Sequence[JobSpec], allocations: Sequence[Sequence[int]]
+) -> list[Job]:
+    """Bind every spec to its allocation in one ``estimate_plans`` pass; each
+    job equals binding its spec alone.  A link that ``c`` of a job's ``f``
+    sampled flows cross carries ``c / f`` of its bytes (each byte crosses
+    the network once): its weight, keyed ``("link", id)`` in first-traversal
+    order, the order the ledger registers them in."""
+    mappings = [
+        allocation_mapping(
+            spec.num_ranks, nodes, num_nodes=machine.num_nodes, ranks_per_node=spec.ranks_per_node
         )
-    return job
+        for spec, nodes in zip(specs, allocations)
+    ]
+    plans = [job_plan(machine, spec, mapping) for spec, mapping in zip(specs, mappings)]
+    jobs = []
+    for spec, nodes, mapping, (isolated, loads) in zip(
+        specs, allocations, mappings, estimate_plans(machine, plans, loads=True)
+    ):
+        job = Job(
+            spec=spec,
+            nodes=tuple(int(n) for n in nodes),
+            mapping=mapping,
+            isolated=isolated,
+            storage_weights=storage_demand_weights(machine, spec, nodes),
+        )
+        if loads is not None and loads.flows:
+            keys = [("link", link) for link in loads.ids]
+            total = float(loads.flows)
+            job.network_weights = {key: count / total for key, count in zip(keys, loads.counts)}
+            job.network_capacities = dict(zip(keys, loads.bandwidths))
+        jobs.append(job)
+    return jobs
+
+
+def job_plan(machine: Machine, spec: JobSpec, mapping: RankMapping) -> ModelPlan:
+    """The spec's single-job model on its allocation's mapping."""
+    if spec.method == "tapioca":
+        return TapiocaPlan(
+            machine,
+            spec.workload,
+            spec.config,
+            ranks_per_node=spec.ranks_per_node,
+            filesystem=spec.filesystem,
+            stripe=spec.stripe,
+            mapping=mapping,
+        )
+    # The MPI I/O model takes striping through hints; apply a per-job stripe
+    # (shared/disjoint OST placement) via a pre-striped file-system instead.
+    filesystem = job_filesystem(machine, spec) if spec.stripe is not None else spec.filesystem
+    return MPIIOPlan(
+        machine,
+        spec.workload,
+        spec.hints or MPIIOHints(),
+        ranks_per_node=spec.ranks_per_node,
+        filesystem=filesystem,
+        mapping=mapping,
+    )

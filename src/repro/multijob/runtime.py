@@ -1,8 +1,9 @@
 """Fluid multi-job runtime: time-sliced co-execution of concurrent jobs.
 
 :class:`MultiJobRuntime` runs several simulated jobs against one machine.
-Each job is allocated nodes by a :class:`~repro.multijob.allocator.NodeAllocator`,
-estimated in isolation on exactly that allocation (the baseline), and
+Every job is allocated nodes by a :class:`~repro.multijob.allocator.NodeAllocator`,
+then all are bound in one pass (:func:`~repro.multijob.job.bind_jobs`):
+each is estimated in isolation on exactly its allocation (the baseline) and
 becomes one row of a :class:`~repro.multijob.contention.ContentionLedger`,
 built once over the machine's shared storage surfaces (OSTs, LNET, I/O
 nodes, backend, burst-buffer drain) plus the interconnect links the jobs'
@@ -27,7 +28,7 @@ import numpy as np
 from repro.machine.machine import Machine
 from repro.multijob.allocator import NodeAllocator
 from repro.multijob.contention import ContentionLedger
-from repro.multijob.job import Job, JobSpec, bind_job
+from repro.multijob.job import JobSpec, bind_jobs
 from repro.utils.validation import require
 
 #: Completion tolerance: a job is done when this close to its total bytes.
@@ -111,10 +112,6 @@ class InterferenceReport:
         """The worst per-job slowdown of the scenario."""
         return max(outcome.slowdown for outcome in self.outcomes)
 
-    def makespan_s(self) -> float:
-        """Time the last job finished."""
-        return max(outcome.finish_s for outcome in self.outcomes)
-
     def conserves_bandwidth(self, tolerance: float = 1e-6) -> bool:
         """Whether no shared resource was ever allocated beyond its capacity."""
         return all(
@@ -145,7 +142,6 @@ class MultiJobRuntime:
         require(len(set(names)) == len(names), "job names must be unique")
         self.machine = machine
         self.allocator = NodeAllocator(machine, allocation_policy)
-        self.jobs: list[Job] = []
         # Storage resources exist machine-wide, before any job arrives.
         # Capacities follow the scenario's access direction; mixed read/write
         # scenarios conservatively use the (lower) write capacities.
@@ -156,15 +152,14 @@ class MultiJobRuntime:
         )
         resources = [(r.key, r.capacity) for r in machine.storage_resources(access)]
         registered = {key for key, _ in resources}
-        for spec in specs:
-            allocation = self.allocator.allocate(spec.name, spec.num_nodes)
-            job = bind_job(machine, spec, allocation.nodes)
-            self.jobs.append(job)
-            # Its links follow in first-traversal order (the binding scan's
-            # first-hit tie-breaking depends on the column order).  A job
-            # staging through its own file-system override (e.g. a shared
-            # burst buffer) may reference resources the machine model does
-            # not enumerate; the first job naming one registers it.
+        # Allocation never reads a binding: allocate every job, then bind all.
+        allocations = [self.allocator.allocate(spec.name, spec.num_nodes).nodes for spec in specs]
+        self.jobs = bind_jobs(machine, specs, allocations)
+        for spec, job in zip(specs, self.jobs):
+            # Each job's links follow in first-traversal order, then the
+            # resources of its file-system override (e.g. a shared burst
+            # buffer) the machine model does not enumerate, registered by
+            # the first job naming one.
             resources += job.network_capacities.items()
             registered.update(job.network_capacities)
             if spec.filesystem is not None:

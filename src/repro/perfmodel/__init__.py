@@ -23,7 +23,7 @@ Entry points: :func:`repro.perfmodel.mpiio.model_mpiio` and
 
 from repro.perfmodel.results import IOEstimate, PhaseBreakdown
 from repro.perfmodel.flows import FlowAnalysis, analyze_flows
-from repro.perfmodel.aggregation import AggregationPhaseModel
+from repro.perfmodel.aggregation import fill_times
 from repro.perfmodel.mpiio import model_mpiio
 from repro.perfmodel.tapioca import model_tapioca
 
@@ -32,7 +32,7 @@ __all__ = [
     "PhaseBreakdown",
     "FlowAnalysis",
     "analyze_flows",
-    "AggregationPhaseModel",
+    "fill_times",
     "model_mpiio",
     "model_tapioca",
 ]

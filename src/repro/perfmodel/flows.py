@@ -17,20 +17,29 @@ factors.
 The routes come from :meth:`repro.topology.base.Topology.route_links` as one
 matrix of integer link ids, so the whole analysis is a handful of array
 reductions; ``tests/reference/flows.py`` keeps the route walk it equals.
+:func:`analyze_jobs` serves many jobs from one routed matrix: every job's
+flows are rows of one table, and both the per-aggregator analysis sample
+and the per-job ledger sample are row selections of it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import accumulate, chain
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from repro.core.partitioning import offsets_of
 from repro.topology.base import Topology
 from repro.utils.validation import require
 
 #: Cap on memoised flow analyses per topology instance (cleared wholesale).
 _MAX_FLOW_CACHE = 512
+
+#: Cap on the number of sender→aggregator flows sampled per job for its
+#: contention-ledger link weights (a uniform sample is taken above it).
+MAX_SAMPLED_FLOWS = 512
 
 
 @dataclass
@@ -63,88 +72,151 @@ class FlowAnalysis:
         return sum(values) / len(values)
 
 
+class LinkLoads(NamedTuple):
+    """One job's sampled flows per link: link ids in first-traversal order,
+    how many flows cross each, its bandwidth, and the number of flows."""
+
+    ids: list[int]
+    counts: list[int]
+    bandwidths: list[float]
+    flows: int
+
+
 def analyze_flows(
     topology: Topology,
     senders_by_aggregator: dict[int, list[int]],
     *,
     max_senders_per_aggregator: int = 128,
 ) -> FlowAnalysis:
-    """Count link sharing for the aggregation traffic pattern.
+    """Count link sharing for the aggregation traffic pattern: the
+    one-pattern call of :func:`analyze_jobs`.
 
-    Args:
-        topology: the interconnect.
-        senders_by_aggregator: for each aggregator *node*, the list of sender
-            *nodes* shipping data to it (the aggregator itself may appear;
-            self-flows are ignored since they do not touch the network).
-        max_senders_per_aggregator: cap on the number of sender routes
-            enumerated per aggregator (a uniform sample is taken above the
-            cap) to bound the analysis cost on very large partitions.
-
-    Returns:
-        A :class:`FlowAnalysis` with per-aggregator contention factors,
-        mean route hops and bottleneck bandwidths.  The contention factor
-        of an aggregator is the maximum, over the links of its incoming
-        routes, of the number of *distinct aggregators* whose traffic
-        crosses that link — i.e. how many aggregation streams the link is
-        shared between.
+    ``senders_by_aggregator`` maps each aggregator *node* to the *nodes*
+    shipping data to it (self-flows touch no link and are ignored); above
+    ``max_senders_per_aggregator`` senders a uniform sample is routed.  An
+    aggregator's contention factor is the maximum, over the links of its
+    incoming routes, of the number of distinct aggregators whose traffic
+    crosses the link; its distance is the mean route hop count and its
+    bandwidth the narrowest link on any incoming route.
     """
-    require(len(senders_by_aggregator) > 0, "no aggregation flows to analyse")
+    return analyze_jobs(
+        topology, [senders_by_aggregator], max_senders_per_aggregator=max_senders_per_aggregator
+    )[0][0]
+
+
+def analyze_jobs(
+    topology: Topology,
+    patterns: Sequence[dict[int, list[int]]],
+    *,
+    loads: bool = False,
+    max_senders_per_aggregator: int = 128,
+) -> tuple[list[FlowAnalysis], list[LinkLoads]]:
+    """:func:`analyze_flows` of several jobs' patterns and, with ``loads``,
+    their :class:`LinkLoads`, from one routing.
+
+    Every job's remote flows are rows of one flow table.  Above the caps the
+    analysis keeps an aggregator's rows ``int(i * step)``, ``i <
+    max_senders_per_aggregator``, and the loads a job's rows ``int(i *
+    step)``, ``i <`` :data:`MAX_SAMPLED_FLOWS` (``step`` the float ratio);
+    one ``route_links`` call routes both row selections.  Contention counts
+    only the aggregators of a link's own job.  Analyses are memoised on the
+    topology (a pure function of the pattern), so tuning candidates and
+    sweep points that differ only in buffer or stripe tunables pay once,
+    and a batch routes only the misses' analysis rows.
+    """
+    require(all(patterns), "no aggregation flows to analyse")
     require(
         max_senders_per_aggregator >= 1,
         f"max_senders_per_aggregator must be >= 1, got {max_senders_per_aggregator}",
     )
-    # The analysis is a pure function of (topology, flow pattern) and every
-    # consumer treats it as read-only, so it is memoised on the topology
-    # instance: tuning candidates and sweep points that differ only in
-    # buffer/stripe tunables share one flow pattern and pay for it once.
-    cache_key = (
-        tuple(
-            (aggregator, tuple(senders))
-            for aggregator, senders in senders_by_aggregator.items()
-        ),
-        max_senders_per_aggregator,
-    )
-    cache = topology.__dict__.get("_fp_flow_cache")
-    if cache is None:
-        cache = topology.__dict__["_fp_flow_cache"] = {}
-    hit = cache.get(cache_key)
-    if hit is not None:
-        return hit
-    aggregators = list(senders_by_aggregator)
+    cache, cap = topology.__dict__.setdefault("_fp_flow_cache", {}), max_senders_per_aggregator
+    keys = [(tuple((n, tuple(s)) for n, s in pattern.items()), cap) for pattern in patterns]
+    analyses = [cache.get(key) for key in keys]
+    if not loads and None not in analyses:
+        return analyses, []
+    aggregators = [node for pattern in patterns for node in pattern]
+    sender_lists = [senders for pattern in patterns for senders in pattern.values()]
     count = len(aggregators)
-    src, dst, owner = _sampled_flows(
-        aggregators, list(senders_by_aggregator.values()), max_senders_per_aggregator
+    sizes = np.fromiter(map(len, sender_lists), dtype=np.int64, count=count)
+    src = np.fromiter(chain.from_iterable(sender_lists), dtype=np.int64, count=int(sizes.sum()))
+    group_job = np.repeat(np.arange(len(patterns)), [len(pattern) for pattern in patterns])
+    owner = np.repeat(np.arange(count), sizes)
+    dst = np.asarray(aggregators, dtype=np.int64)[owner]
+    remote = src != dst
+    src, dst, owner = src[remote], dst[remote], owner[remote]
+    job = group_job[owner]
+    missed = np.array([analysis is None for analysis in analyses])
+    analysed = missed[job] & _sample(owner, count, cap)
+    loaded = _sample(job, len(patterns), MAX_SAMPLED_FLOWS) if loads else np.zeros_like(analysed)
+    routed = analysed | loaded
+    links = topology.route_links(src[routed], dst[routed])
+    width = int(links.max(initial=0)) + 1
+    if missed.any():
+        rows = links[analysed[routed]]
+        src, dst, owner = src[analysed], dst[analysed], owner[analysed]
+        valid = rows >= 0
+        hops = valid.sum(axis=1)
+        # One sort of ``(job, link, aggregator)`` keys leaves the distinct
+        # (link, aggregator) pairs of each job grouped by (job, link); the
+        # length of a run of pairs is the number of the job's aggregation
+        # streams sharing the link.
+        pair_owner = np.repeat(owner, hops)
+        pair_keys = np.sort((group_job[pair_owner] * width + rows[valid]) * count + pair_owner)
+        pairs = pair_keys[_run_starts(pair_keys)]
+        pair_link = pairs // count
+        run = np.cumsum(_run_starts(pair_link)) - 1
+        contention = np.ones(count)
+        np.maximum.at(contention, pairs - pair_link * count, np.bincount(run)[run])
+        # Flows come in contiguous per-aggregator blocks (``owner`` ascends).
+        routes = np.bincount(owner, minlength=count)
+        distance = np.bincount(owner, weights=hops, minlength=count) / np.maximum(routes, 1)
+        bandwidth = np.full(count, topology.link_bandwidth("default"))
+        if src.size:
+            active = routes > 0
+            bandwidth[active] = np.minimum.reduceat(
+                topology._batch_path_bandwidths(src, dst), (np.cumsum(routes) - routes)[active]
+            )
+        fresh = [values.tolist() for values in (contention, distance, bandwidth)]
+        bounds = list(accumulate(map(len, patterns), initial=0))
+        for index in np.flatnonzero(missed).tolist():
+            lo, hi = bounds[index], bounds[index + 1]
+            if len(cache) >= _MAX_FLOW_CACHE:
+                cache.clear()
+            analyses[index] = cache[keys[index]] = FlowAnalysis(
+                *(dict(zip(aggregators[lo:hi], values[lo:hi])) for values in fresh)
+            )
+    if not loads:
+        return analyses, []
+    # The loads: one np.unique of (job, link) keys over the ledger rows.
+    rows, job = links[loaded[routed]], job[loaded]
+    ids, first, counts = np.unique(
+        (job[:, None] * width + rows)[rows >= 0], return_index=True, return_counts=True
     )
-    links = topology.route_links(src, dst)
-    valid = links >= 0
-    hops = valid.sum(axis=1)
-    # One sort of ``link * count + aggregator`` keys leaves the distinct
-    # (link, aggregator) pairs grouped by link; the length of a link's run
-    # of pairs is the number of aggregation streams sharing it.
-    keys = np.sort(links[valid] * count + np.repeat(owner, hops))
-    pairs = keys[_run_starts(keys)]
-    pair_link = pairs // count
-    run = np.cumsum(_run_starts(pair_link)) - 1
-    contention = np.ones(count)
-    np.maximum.at(contention, pairs - pair_link * count, np.bincount(run)[run])
-    # Flows come in contiguous per-aggregator blocks (``owner`` ascends).
-    routes = np.bincount(owner, minlength=count)
-    distance = np.bincount(owner, weights=hops, minlength=count) / np.maximum(routes, 1)
-    bandwidth = np.full(count, topology.link_bandwidth("default"))
-    if src.size:
-        active = routes > 0
-        bandwidth[active] = np.minimum.reduceat(
-            topology._batch_path_bandwidths(src, dst), (np.cumsum(routes) - routes)[active]
+    order = np.argsort(first)
+    owner, ids = np.divmod(ids[order], width)
+    bounds = offsets_of(np.bincount(owner, minlength=len(patterns))).tolist()
+    link_ids, link_counts = ids.tolist(), counts[order].tolist()
+    bandwidths = topology._link_bandwidths(ids).tolist()
+    flows = np.bincount(job, minlength=len(patterns)).tolist()
+    return analyses, [
+        LinkLoads(link_ids[lo:hi], link_counts[lo:hi], bandwidths[lo:hi], total)
+        for lo, hi, total in zip(bounds, bounds[1:], flows)
+    ]
+
+
+def _sample(group: np.ndarray, count: int, cap: int) -> np.ndarray:
+    """Row mask keeping each group's rows up to ``cap`` and, above it, rows
+    ``start + int(i * (rows / cap))``, ``i < cap``; ``group`` ascends."""
+    rows = np.bincount(group, minlength=count)
+    over = rows > cap
+    keep = ~over[group]
+    if over.any():
+        starts = (np.cumsum(rows) - rows)[over]
+        picks = starts[:, None] + (np.arange(cap) * (rows[over] / cap)[:, None]).astype(
+            np.int64
         )
-    analysis = FlowAnalysis(
-        aggregator_contention=dict(zip(aggregators, contention.tolist())),
-        aggregator_distance=dict(zip(aggregators, distance.tolist())),
-        aggregator_min_bandwidth=dict(zip(aggregators, bandwidth.tolist())),
-    )
-    if len(cache) >= _MAX_FLOW_CACHE:
-        cache.clear()
-    cache[cache_key] = analysis
-    return analysis
+        keep[picks.ravel()] = True
+    return keep
 
 
 def _run_starts(values: np.ndarray) -> np.ndarray:
@@ -153,34 +225,3 @@ def _run_starts(values: np.ndarray) -> np.ndarray:
     starts = np.ones(values.size, dtype=bool)
     np.not_equal(values[1:], values[:-1], out=starts[1:])
     return starts
-
-
-def _sampled_flows(
-    aggregators: list[int], sender_lists: list[list[int]], cap: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(sender node, aggregator node, aggregator index)`` of every flow
-    the analysis routes, in contiguous per-aggregator blocks.
-
-    Self-flows are dropped; an aggregator left with more than ``cap``
-    senders keeps ``senders[int(i * step)]`` for ``i < cap``, with ``step =
-    len(senders) / cap`` in float64, as a per-aggregator list sample does.
-    """
-    sizes = np.fromiter(map(len, sender_lists), dtype=np.int64, count=len(aggregators))
-    senders = np.fromiter(
-        chain.from_iterable(sender_lists), dtype=np.int64, count=int(sizes.sum())
-    )
-    owner = np.repeat(np.arange(len(aggregators)), sizes)
-    targets = np.asarray(aggregators, dtype=np.int64)[owner]
-    remote = senders != targets
-    senders, targets, owner = senders[remote], targets[remote], owner[remote]
-    kept = np.bincount(owner, minlength=len(aggregators))
-    over = kept > cap
-    if over.any():
-        starts = (np.cumsum(kept) - kept)[over]
-        picks = starts[:, None] + (np.arange(cap) * (kept[over] / cap)[:, None]).astype(
-            np.int64
-        )
-        take = ~over[owner]
-        take[picks.ravel()] = True
-        senders, targets, owner = senders[take], targets[take], owner[take]
-    return senders, targets, owner

@@ -2,7 +2,8 @@
 
 :func:`certify_scenario` builds the aggregator-node assignment problem a
 single-job TAPIOCA scenario implies, from the placement the analytic model
-elects (both call :func:`repro.perfmodel.tapioca.place_tapioca`), scores
+elects (the partitions of :class:`repro.perfmodel.tapioca.TapiocaPlan`,
+elected by :func:`repro.core.placement.elect_partitions`), scores
 that election under the coupled objective of
 :mod:`repro.placement_opt.problem`, and runs
 :func:`~repro.placement_opt.exact.branch_and_bound` on it, whatever the
@@ -97,12 +98,14 @@ def certify_problem(
 def problem_for_scenario(scenario: "Scenario") -> tuple[PlacementProblem, int]:
     """``(problem, machine_nodes)`` for a single-job TAPIOCA scenario.
 
-    Calls :func:`repro.perfmodel.tapioca.place_tapioca` with the arguments
-    :meth:`~repro.scenario.simulation.Simulation.estimate` gives
-    :func:`~repro.perfmodel.tapioca.model_tapioca`, so the certificate
-    speaks about exactly the placement the analytic model elected.
+    Places the :class:`~repro.perfmodel.tapioca.TapiocaPlan` that
+    :meth:`~repro.scenario.simulation.Simulation.estimate` models through
+    the one-job call of the model's election, so the certificate speaks
+    about exactly the placement the analytic model elected.
     """
-    from repro.perfmodel.tapioca import place_tapioca
+    from repro.core.placement import place_aggregators
+    from repro.core.topology_iface import TopologyInterface
+    from repro.perfmodel.tapioca import TapiocaPlan
     from repro.scenario.simulation import Simulation
     from repro.scenario.spec import ScenarioError
 
@@ -118,7 +121,7 @@ def problem_for_scenario(scenario: "Scenario") -> tuple[PlacementProblem, int]:
         )
     resolved = Simulation(scenario).resolve()
     assert resolved.config is not None  # guarded by the io.kind check above
-    placed = place_tapioca(
+    plan = TapiocaPlan(
         resolved.machine,
         resolved.workload,
         resolved.config,
@@ -126,7 +129,11 @@ def problem_for_scenario(scenario: "Scenario") -> tuple[PlacementProblem, int]:
         filesystem=resolved.filesystem,
         stripe=resolved.stripe,
     )
-    problem = PlacementProblem.from_placement(placed.placement, placed.iface)
+    iface = TopologyInterface(resolved.machine, plan.context.mapping)
+    placement = place_aggregators(
+        plan.partitions, iface, strategy=plan.strategy, seed=plan.seed, granularity="node"
+    )
+    problem = PlacementProblem.from_placement(placement, iface)
     return problem, resolved.machine.num_nodes
 
 

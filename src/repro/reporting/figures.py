@@ -28,12 +28,7 @@ from typing import Iterable, Sequence
 from repro.experiments.results import ExperimentResult
 from repro.experiments.store import ArtifactStore
 from repro.obs import recorder, span
-from repro.reporting.paperdata import (
-    PAPER_FIGURES,
-    FigureComparison,
-    compare_result,
-    deviation_report,
-)
+from repro.reporting.paperdata import FigureComparison, compare_result, deviation_report
 
 #: Column order of the tidy per-figure CSV.  One row per reproduced point;
 #: ``paper_bandwidth_gbps``/``deviation``/``shape_deviation`` are empty for
@@ -71,11 +66,6 @@ class FigureSpec:
     experiment_id: str
     title: str
     kind: str = "line"
-
-    @property
-    def has_paper_data(self) -> bool:
-        """Whether digitised reference values exist for this figure."""
-        return self.figure_id in PAPER_FIGURES
 
 
 def _spec(figure_id: str, title: str, kind: str = "line") -> FigureSpec:

@@ -24,6 +24,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field, fields, replace
+from functools import cache
 from typing import Any, Mapping
 
 from repro.core.config import AGGREGATION_TIERS, PLACEMENT_STRATEGIES
@@ -60,11 +61,17 @@ class ScenarioError(ValueError):
     """A scenario description is invalid (bad field, unknown key, bad path)."""
 
 
-def _unknown_key_error(cls: type, key: str, known: list[str]) -> ScenarioError:
+def _unknown_key_error(cls: type, key: str, known: tuple[str, ...]) -> ScenarioError:
     hint = did_you_mean_hint(key, known)
     return ScenarioError(
         f"{cls.__name__} has no field {key!r} (known: {', '.join(known)}){hint}"
     )
+
+
+@cache
+def _field_names(cls: type) -> tuple[str, ...]:
+    """The field names of a spec class, in declaration order (built once)."""
+    return tuple(f.name for f in fields(cls))
 
 
 def _spec_from_dict(cls: type, payload: Mapping[str, Any]):
@@ -76,7 +83,7 @@ def _spec_from_dict(cls: type, payload: Mapping[str, Any]):
     if not isinstance(payload, Mapping):
         raise ScenarioError(f"{cls.__name__} payload must be a mapping, got {payload!r}")
     nested = _NESTED_CONVERTERS.get(cls, {})
-    known = [f.name for f in fields(cls)]
+    known = _field_names(cls)
     kwargs: dict[str, Any] = {}
     for key, value in payload.items():
         if key not in known:
@@ -91,7 +98,7 @@ def _spec_from_dict(cls: type, payload: Mapping[str, Any]):
 def _spec_to_dict(value: Any) -> Any:
     """Recursively convert a spec tree to JSON-serialisable plain data."""
     if hasattr(value, "__dataclass_fields__"):
-        return {f.name: _spec_to_dict(getattr(value, f.name)) for f in fields(value)}
+        return {name: _spec_to_dict(getattr(value, name)) for name in _field_names(type(value))}
     if isinstance(value, (list, tuple)):
         return [_spec_to_dict(item) for item in value]
     return value
@@ -646,7 +653,7 @@ def _set_path(target: Any, path: list[str], value: Any, full_key: str) -> Any:
         return tuple(items)
     if not hasattr(target, "__dataclass_fields__"):
         raise ScenarioError(f"{full_key!r}: {head!r} is not a scenario field")
-    known = [f.name for f in fields(target)]
+    known = _field_names(type(target))
     if head not in known:
         raise _unknown_key_error(type(target), head, known)
     if not rest:

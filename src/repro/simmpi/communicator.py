@@ -224,10 +224,6 @@ class Communicator:
         """Communicator rank of a world rank (KeyError if not a member)."""
         return self._rank_of_world[world_rank]
 
-    def contains_world_rank(self, world_rank: int) -> bool:
-        """Whether the world rank belongs to this communicator."""
-        return world_rank in self._rank_of_world
-
     def node_of(self, rank: int) -> int:
         """Compute node hosting communicator rank ``rank``."""
         return self._nodes[self._validate_rank(rank)]

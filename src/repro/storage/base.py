@@ -167,13 +167,6 @@ class FileSystemModel(abc.ABC):
         overhead = requests_per_stream * self.operation_overhead(profile.access)
         return profile.total_bytes / bandwidth + overhead
 
-    def phase_bandwidth(self, profile: IOPhaseProfile) -> float:
-        """Observed bandwidth (total bytes / phase time), bytes/s."""
-        time = self.phase_time(profile)
-        if time <= 0:
-            return float("inf")
-        return profile.total_bytes / time
-
     def operation_time(
         self,
         nbytes: float,

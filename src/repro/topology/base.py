@@ -233,29 +233,6 @@ class Topology(abc.ABC):
         hops, bandwidth = self._pair(src, dst)
         return self.latency() * hops + float(nbytes) / bandwidth
 
-    def link_loads(
-        self, flows: Iterable[tuple[int, int]]
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Per-link flow accounting over the deterministic routes of ``flows``.
-
-        Args:
-            flows: ``(src, dst)`` node pairs; self-flows cross no link.
-
-        Returns:
-            ``(ids, counts)`` int64 arrays: each link id that any flow
-            crosses and how many of the flows cross it, in first-traversal
-            order (flows in the given order, each along its route).  This is
-            the primitive the multi-job contention ledger uses to decide
-            which links two concurrent jobs share, and that order is the
-            order it registers them in.
-        """
-        pairs = np.array(list(flows), dtype=np.int64).reshape(-1, 2)
-        links = self.route_links(pairs[:, 0], pairs[:, 1]).ravel()
-        links = links[links >= 0]
-        ids, first, counts = np.unique(links, return_index=True, return_counts=True)
-        order = np.argsort(first)
-        return ids[order], counts[order]
-
     def average_distance(self, nodes: Iterable[int] | None = None) -> float:
         """Mean pairwise hop distance over ``nodes`` (defaults to all nodes).
 

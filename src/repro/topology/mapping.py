@@ -113,8 +113,8 @@ def block_mapping(num_ranks: int, num_nodes: int, ranks_per_node: int) -> RankMa
     sweep point and tuning candidate of a scenario.
     """
     _validate(num_ranks, num_nodes, ranks_per_node)
-    nodes = tuple(min(r // ranks_per_node, num_nodes - 1) for r in range(num_ranks))
-    return RankMapping(nodes, num_nodes, ranks_per_node)
+    nodes = np.minimum(np.arange(num_ranks) // ranks_per_node, num_nodes - 1)
+    return RankMapping(tuple(nodes.tolist()), num_nodes, ranks_per_node)
 
 
 def round_robin_mapping(
@@ -166,10 +166,8 @@ def allocation_mapping(
         all(0 <= n < total for n in node_list),
         f"allocation node ids must be in [0, {total})",
     )
-    node_of_rank = tuple(
-        node_list[min(r // ranks_per_node, len(node_list) - 1)]
-        for r in range(num_ranks)
-    )
+    fill = np.minimum(np.arange(num_ranks) // ranks_per_node, len(node_list) - 1)
+    node_of_rank = tuple(np.array(node_list, dtype=np.int64)[fill].tolist())
     return RankMapping(node_of_rank, total, ranks_per_node)
 
 

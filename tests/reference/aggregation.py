@@ -1,9 +1,9 @@
 """Scalar oracles for the aggregation phase.
 
-:meth:`repro.perfmodel.aggregation.AggregationPhaseModel.round_fill_times`
-computes the fill time of many aggregators as one array expression;
-:func:`round_fill_time` here is the one-aggregator form it must equal bit
-for bit.
+:func:`repro.perfmodel.aggregation.fill_times` computes the fill time of
+many aggregators as one array expression; :func:`round_fill_time` here is
+the one-aggregator form, reading the aggregator's flow analysis, that it
+must equal bit for bit.
 
 :func:`repro.core.aggregation.build_schedule` cuts every partition's
 declared data into rounds with array arithmetic; :func:`schedule_partition`
@@ -22,13 +22,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.perfmodel.aggregation import AggregationPhaseModel
+from repro.machine.machine import Machine
+from repro.perfmodel.flows import FlowAnalysis
 from repro.utils.rng import derive_seed
 from repro.utils.validation import require_non_negative, require_positive
 
 
 def round_fill_time(
-    model: AggregationPhaseModel,
+    machine: Machine,
+    flows: FlowAnalysis,
+    ranks_per_node: int,
     aggregator_node: int,
     num_sender_nodes: int,
     round_bytes: float,
@@ -40,18 +43,18 @@ def round_fill_time(
         return 0.0
     local_fraction = 1.0 / num_sender_nodes
     local_fraction = min(max(local_fraction, 0.0), 1.0)
-    topology = model.machine.topology
-    contention = model.flows.aggregator_contention.get(aggregator_node, 1.0)
-    incoming_bw = model.flows.aggregator_min_bandwidth.get(
+    topology = machine.topology
+    contention = flows.aggregator_contention.get(aggregator_node, 1.0)
+    incoming_bw = flows.aggregator_min_bandwidth.get(
         aggregator_node, topology.link_bandwidth("default")
     )
     effective_bw = incoming_bw / max(contention, 1.0)
-    distance = model.flows.aggregator_distance.get(aggregator_node, 1.0)
+    distance = flows.aggregator_distance.get(aggregator_node, 1.0)
     network_bytes = round_bytes * (1.0 - local_fraction)
     local_bytes = round_bytes * local_fraction
-    memory_bw = model.machine.node_spec.main_memory.bandwidth
+    memory_bw = machine.node_spec.main_memory.bandwidth
     per_message_overhead = 1.0e-6
-    messages = max(1, num_sender_nodes - 1) * max(1, model.ranks_per_node)
+    messages = max(1, num_sender_nodes - 1) * max(1, ranks_per_node)
     software = per_message_overhead * messages / max(1, num_sender_nodes)
     network_time = (
         topology.latency() * distance + network_bytes / effective_bw + software

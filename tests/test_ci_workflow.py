@@ -76,6 +76,16 @@ class TestWorkflowShape:
         assert interference, "smoke job must gate on an interference_* experiment"
         assert "--scale 8" in interference[0]
 
+    def test_interference_smoke_gate_runs_all_four_experiments(self, workflow):
+        """Every interference_* experiment is re-simulated at scale 8 in one
+        uncached run-all, so each multi-job binding shape is gated."""
+        steps = {s.get("name"): s.get("run", "") for s in workflow["jobs"]["smoke"]["steps"]}
+        command = steps["Multi-job interference smoke gate"]
+        assert "repro run-all" in command and "--scale 8" in command
+        assert "--no-cache" in command
+        for experiment in ("theta_ost", "job_count", "alloc_policy", "bb_drain"):
+            assert f"--experiment interference_{experiment}" in command
+
     def test_smoke_job_gates_on_link_sharing_by_ledger_key(self, workflow):
         """interference_alloc_policy's checks count the links two jobs share
         by ledger key, so the smoke job runs it as its own command."""

@@ -6,6 +6,8 @@ image exactly, and a collective read must hand every rank exactly its own
 data back.
 """
 
+import hashlib
+
 import pytest
 
 from repro.iolib.hints import MPIIOHints
@@ -14,6 +16,7 @@ from repro.iolib.twophase import TwoPhaseCollectiveIO, _merge_extents
 from repro.machine.mira import MiraMachine
 from repro.machine.theta import ThetaMachine
 from repro.simmpi.world import SimWorld
+from repro.workloads.base import Workload
 from repro.workloads.hacc import HACCIOWorkload
 from repro.workloads.ior import IORWorkload
 from repro.workloads.synthetic import SyntheticWorkload
@@ -94,6 +97,30 @@ class TestCollectiveWriteCorrectness:
             machine,
             workload,
             MPIIOHints(cb_nodes=4, collective_buffering=False),
+        )
+
+    def test_each_segment_payload_is_drawn_once(self, monkeypatch):
+        """A segment cut by file domains into several pieces is drawn once;
+        the file image is the one the per-piece draw wrote."""
+        draws = []
+        draw = Workload.segment_payload
+
+        def counting(workload, *segment):
+            draws.append(segment)
+            return draw(workload, *segment)
+
+        monkeypatch.setattr(Workload, "segment_payload", counting)
+        workload = HACCIOWorkload(32, particles_per_rank=400, layout="soa")
+        world = SimWorld(ThetaMachine(16), ranks_per_node=2)
+        two_phase = TwoPhaseCollectiveIO(
+            world, workload, MPIIOHints(cb_nodes=4, cb_buffer_size=2048), path="/out/t.dat"
+        )
+        result = world.run(two_phase.write_program())
+        assert len(draws) == len(set(draws)) == 32 * 9
+        image = result.files.open("/out/t.dat", create=False).as_bytes()
+        assert image == workload.expected_file_image()
+        assert hashlib.sha256(image).hexdigest() == (
+            "1874b40821fe834e8bbd608f018ceb4e44b2f38e50ca7676102f6c6ed77569fa"
         )
 
     def test_workload_world_size_mismatch_rejected(self):

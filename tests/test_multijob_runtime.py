@@ -9,7 +9,7 @@ from repro.machine.generic import generic_cluster
 from repro.machine.mira import MiraMachine
 from repro.machine.theta import ThetaMachine
 from repro.multijob import JobSpec, MultiJobRuntime, NodeAllocator
-from repro.multijob.job import bind_job
+from repro.multijob.job import bind_jobs
 from repro.storage.burst_buffer import BurstBufferModel
 from repro.utils.units import MB, MIB, gbps
 from repro.workloads.ior import IORWorkload
@@ -128,7 +128,7 @@ class TestJobBinding:
         # Sparse aggregators: partitions span several nodes, so aggregation
         # traffic really crosses the interconnect.
         spec = theta_spec(machine, "a", 8, aggregators=2)
-        job = bind_job(machine, spec, list(range(8)))
+        [job] = bind_jobs(machine, [spec], [list(range(8))])
         assert job.isolated.bandwidth > 0
         ost_keys = [key for key in job.storage_weights if key[0] == "lustre-ost"]
         assert len(ost_keys) == 2
@@ -142,7 +142,7 @@ class TestJobBinding:
         # One aggregator per node's worth of ranks: every partition is
         # node-local, so no aggregation byte touches the network.
         spec = theta_spec(machine, "a", 8, aggregators=8)
-        job = bind_job(machine, spec, list(range(8)))
+        [job] = bind_jobs(machine, [spec], [list(range(8))])
         assert job.network_weights == {}
 
     def test_bind_job_on_mira_loads_its_psets_only(self):
@@ -154,7 +154,7 @@ class TestJobBinding:
             ranks_per_node=4,
             config=TapiocaConfig(num_aggregators=8, buffer_size=4 * MIB),
         )
-        job = bind_job(machine, spec, list(range(16)))
+        [job] = bind_jobs(machine, [spec], [list(range(16))])
         ion_keys = [key for key in job.storage_weights if key[0] == "gpfs-ion"]
         assert ion_keys == [("gpfs-ion", 0)]
         assert ("gpfs-backend",) in job.storage_weights

