@@ -231,8 +231,10 @@ def _evaluate_scenario(
     """Run one concrete scenario, hash-cached against the store."""
     from repro.experiments.results import ExperimentResult
     from repro.scenario.simulation import Simulation
+    from repro.scenario.spec import payload_hash
 
-    scenario_hash = scenario.content_hash()
+    payload = scenario.to_dict()
+    scenario_hash = payload_hash(payload)
     if store is not None and use_cache:
         envelope = store.load_scenario_result(scenario_hash)
         if envelope is not None and "result" in envelope:
@@ -252,7 +254,7 @@ def _evaluate_scenario(
             # (or a daemon batch) lands on warm workers.
             from repro.experiments.runner import submit_scenario_batch
 
-            response = submit_scenario_batch([scenario.to_dict()], jobs=jobs).result()[0]
+            response = submit_scenario_batch([payload], jobs=jobs).result()[0]
             if response["status"] != "ok":
                 from repro.scenario.spec import ScenarioError
 
@@ -271,7 +273,7 @@ def _evaluate_scenario(
             scenario_hash,
             {
                 "scenario_id": scenario.id,
-                "scenario": scenario.to_dict(),
+                "scenario": payload,
                 "wall_time_s": wall_time_s,
                 "result": result.to_dict(),
             },

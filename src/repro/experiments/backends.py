@@ -21,11 +21,13 @@ Two implementations ship:
     manifest refreshes may interleave).  This is the default everywhere.
 
 :class:`SQLiteBackend`
-    One ``sqlite3`` database file in WAL mode; concurrency is delegated to
-    SQLite's own locking, and read-modify-write sections take a sibling
-    ``fcntl`` lock file.  Many processes can write — even the same key —
-    without corrupting anything, and a single file is the easiest thing to
-    ship between hosts.
+    One ``sqlite3`` database file in WAL mode, reached through one
+    long-lived connection per process and thread; concurrency is delegated
+    to SQLite's own locking, and read-modify-write sections take a sibling
+    ``fcntl`` lock file.  Many processes and threads can write — even the
+    same key — without corrupting anything, and once the last connection
+    closes (checkpointing the write-ahead log into the database) a single
+    file is the easiest thing to ship between hosts.
 
 Backends are selected by an ``--out`` spec string (see :func:`open_backend`):
 ``DIR`` or ``dir:DIR`` (directory) and ``sqlite:FILE.db``.
@@ -39,6 +41,7 @@ import re
 import sqlite3
 import threading
 import time
+import weakref
 from abc import ABC, abstractmethod
 from contextlib import contextmanager
 from pathlib import Path
@@ -249,15 +252,47 @@ class _FileLock:
 # --------------------------------------------------------------------------- #
 
 
+#: Connections this process inherited across ``fork``.  SQLite forbids using
+#: a connection in a forked child, closing it included, so the child keeps
+#: them referenced (never finalised) and opens its own.
+_INHERITED: list[sqlite3.Connection] = []
+
+
+def _close_connections(conns: dict[tuple[int, int], sqlite3.Connection]) -> None:
+    """Close a dropped backend's connections that this process opened."""
+    pid = os.getpid()
+    for (owner, _thread), conn in list(conns.items()):
+        if owner == pid:
+            conn.close()
+        else:
+            _INHERITED.append(conn)
+
+
 class SQLiteBackend(StoreBackend):
     """All blobs in one ``sqlite3`` database file.
 
-    A fresh connection per operation keeps the backend safe to share across
-    forked worker processes (SQLite connections must not cross ``fork``);
-    WAL mode lets readers proceed while a writer commits.  ``lock`` uses a
-    sibling lock *file* rather than a long transaction: a transaction held
-    across the ``yield`` would block the backend's own :meth:`put` calls
-    made inside the locked section (they open their own connections).
+    Each (process, thread) keeps one long-lived connection, opened on its
+    first operation, so a read or a write costs one statement rather than a
+    connect, a schema check and a checkpoint-on-close.  The connection is
+    per thread because a ``sqlite3`` connection must not be used by two
+    threads at once (the daemon's event loop and its executor share one
+    backend), and per pid because a connection inherited across ``fork``
+    must never be used in the child: the child opens its own.  Reads run
+    their statement to completion, so an idle connection holds no read
+    snapshot and sees the commits of other processes; each :meth:`put` and
+    :meth:`delete` is one committed transaction, in WAL mode so readers
+    proceed while a writer commits.  The connections close when the backend
+    is dropped or the interpreter exits; the last one to close checkpoints
+    the write-ahead log back into the database file.
+
+    The first connection of each process and thread creates the schema and
+    switches to WAL under a sibling lock file: on a fresh file, two
+    rollback-journal transactions can otherwise dead-lock each other.
+
+    ``lock`` uses a sibling lock *file* rather than a long transaction: a
+    transaction held across the ``yield`` would make the locked section's
+    own :meth:`put` calls, which commit on the same connection, commit it
+    early, and would block every other writer of the database.
     """
 
     name = "sqlite"
@@ -272,69 +307,66 @@ class SQLiteBackend(StoreBackend):
     def __init__(self, path: Path | str, *, timeout_s: float = 30.0):
         self.path = Path(path)
         self.timeout_s = timeout_s
-        self._initialised = False
+        self._conns: dict[tuple[int, int], sqlite3.Connection] = {}
+        weakref.finalize(self, _close_connections, self._conns)
 
-    def _connect(self) -> sqlite3.Connection:
+    def _connection(self) -> sqlite3.Connection:
+        """This process and thread's connection, opened on first use."""
+        owner = (os.getpid(), threading.get_ident())
+        conn = self._conns.get(owner)
+        if conn is not None:
+            return conn
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        conn = sqlite3.connect(self.path, timeout=self.timeout_s)
-        if not self._initialised:
+        # Not checked per thread by sqlite3: a thread id reused after its
+        # thread ended inherits that thread's idle connection, and the
+        # finaliser closes every connection from whichever thread drops us.
+        conn = sqlite3.connect(self.path, timeout=self.timeout_s, check_same_thread=False)
+        with self.lock(".schema"):
             with conn:
                 conn.execute(self._SCHEMA)
             conn.execute("PRAGMA journal_mode=WAL")
-            self._initialised = True
+        self._conns[owner] = conn
         return conn
 
     def get(self, key: str) -> str | None:
         _check_key(key)
-        conn = self._connect()
+        conn = self._connection()
         try:
-            row = conn.execute(
-                "SELECT value FROM blobs WHERE key = ?", (key,)
-            ).fetchone()
-            return None if row is None else row[0]
+            rows = conn.execute("SELECT value FROM blobs WHERE key = ?", (key,)).fetchall()
         except sqlite3.Error:
             return None
-        finally:
-            conn.close()
+        return rows[0][0] if rows else None
 
     def put(self, key: str, text: str) -> None:
         _check_key(key)
-        conn = self._connect()
-        try:
-            with conn:
-                conn.execute(
-                    "INSERT INTO blobs (key, value, updated_utc) VALUES (?, ?, ?) "
-                    "ON CONFLICT(key) DO UPDATE SET value = excluded.value, "
-                    "updated_utc = excluded.updated_utc",
-                    (key, text, time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())),
-                )
-        finally:
-            conn.close()
+        conn = self._connection()
+        with conn:
+            conn.execute(
+                "INSERT INTO blobs (key, value, updated_utc) VALUES (?, ?, ?) "
+                "ON CONFLICT(key) DO UPDATE SET value = excluded.value, "
+                "updated_utc = excluded.updated_utc",
+                (key, text, time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())),
+            )
 
     def delete(self, key: str) -> bool:
         _check_key(key)
-        conn = self._connect()
-        try:
-            with conn:
-                cursor = conn.execute("DELETE FROM blobs WHERE key = ?", (key,))
-                return cursor.rowcount > 0
-        finally:
-            conn.close()
+        conn = self._connection()
+        with conn:
+            cursor = conn.execute("DELETE FROM blobs WHERE key = ?", (key,))
+            return cursor.rowcount > 0
 
     def keys(self, prefix: str = "") -> list[str]:
         if not self.path.is_file():
             return []
-        conn = self._connect()
+        conn = self._connection()
         try:
             rows = conn.execute(
                 "SELECT key FROM blobs WHERE key GLOB ? ORDER BY key",
                 (prefix.replace("[", "[[]") + "*",),
             ).fetchall()
-            return [row[0] for row in rows]
         except sqlite3.Error:
             return []
-        finally:
-            conn.close()
+        return [row[0] for row in rows]
 
     def path_hint(self, key: str) -> Path:
         _check_key(key)

@@ -565,8 +565,7 @@ class Scenario:
         description; the evaluation daemon dedupes in-flight requests and
         the store caches evaluated results by this address.
         """
-        canonical = json.dumps(self.to_dict(), sort_keys=True)
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+        return payload_hash(self.to_dict())
 
     # -- overrides ----------------------------------------------------------
 
@@ -578,6 +577,13 @@ class Scenario:
 # --------------------------------------------------------------------------- #
 # Nested-field converters (shared by from_dict and dotted-path overrides)
 # --------------------------------------------------------------------------- #
+
+
+def payload_hash(payload: Mapping[str, Any]) -> str:
+    """:meth:`Scenario.content_hash` of an already built :meth:`Scenario.to_dict`,
+    for callers that also store or ship that dict."""
+    canonical = json.dumps(payload, sort_keys=True)
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
 def _spec_converter(cls: type):

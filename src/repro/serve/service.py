@@ -29,7 +29,7 @@ from typing import Any, Mapping
 from repro.experiments.store import ArtifactStore
 from repro.obs import Histogram, now, prometheus_text, recorder as obs_recorder
 from repro.obs.clock import round_wall
-from repro.scenario.spec import Scenario
+from repro.scenario.spec import Scenario, payload_hash
 
 
 def _error_envelope(message: str) -> dict:
@@ -64,7 +64,8 @@ class EvaluationService:
         self.batch_window_s = batch_window_s
         self.use_cache = use_cache
         self._inflight: dict[str, asyncio.Future] = {}
-        self._pending: list[tuple[str, Scenario]] = []
+        #: Requests awaiting the next batch: (content hash, ``to_dict`` form).
+        self._pending: list[tuple[str, dict]] = []
         self._flush_task: asyncio.Task | None = None
         self.stats: dict[str, int] = {
             "requests": 0,
@@ -121,7 +122,8 @@ class EvaluationService:
         except (ValueError, TypeError) as error:
             self.stats["errors"] += 1
             return _error_envelope(str(error))
-        scenario_hash = scenario.content_hash()
+        canonical = scenario.to_dict()
+        scenario_hash = payload_hash(canonical)
 
         cached = self._from_cache(scenario, scenario_hash)
         if cached is not None:
@@ -136,7 +138,7 @@ class EvaluationService:
         loop = asyncio.get_running_loop()
         future: asyncio.Future = loop.create_future()
         self._inflight[scenario_hash] = future
-        self._pending.append((scenario_hash, scenario))
+        self._pending.append((scenario_hash, canonical))
         if self._flush_task is None or self._flush_task.done():
             self._flush_task = loop.create_task(self._flush_after_window())
         return dict(await asyncio.shield(future))
@@ -180,7 +182,7 @@ class EvaluationService:
                 return
             self.stats["batches"] += 1
             self.batch_sizes.observe(len(batch))
-            payloads = [scenario.to_dict() for _, scenario in batch]
+            payloads = [canonical for _, canonical in batch]
             batch_start = now()
             try:
                 responses = await self._run_batch(payloads)
@@ -195,8 +197,8 @@ class EvaluationService:
                     cat="serve",
                     args={"size": len(batch)},
                 )
-            for (scenario_hash, scenario), response in zip(batch, responses):
-                self._settle(scenario_hash, scenario, dict(response))
+            for (scenario_hash, canonical), response in zip(batch, responses):
+                self._settle(scenario_hash, canonical, dict(response))
             if not self._pending:
                 return
 
@@ -214,8 +216,12 @@ class EvaluationService:
             None, run_scenario_batch, payloads
         )
 
-    def _settle(self, scenario_hash: str, scenario: Scenario, envelope: dict) -> None:
-        """Persist one batch response and resolve its in-flight future."""
+    def _settle(self, scenario_hash: str, canonical: dict, envelope: dict) -> None:
+        """Persist one batch response and resolve its in-flight future.
+
+        ``canonical`` is the request's ``Scenario.to_dict`` form, the one
+        its hash was computed from.
+        """
         envelope.setdefault("scenario_hash", scenario_hash)
         envelope["cached"] = False
         if envelope.get("status") == "ok":
@@ -224,8 +230,8 @@ class EvaluationService:
                 self.store.save_scenario_result(
                     scenario_hash,
                     {
-                        "scenario_id": scenario.id,
-                        "scenario": scenario.to_dict(),
+                        "scenario_id": canonical["id"],
+                        "scenario": canonical,
                         "wall_time_s": envelope.get("wall_time_s", 0.0),
                         "result": envelope["result"],
                     },

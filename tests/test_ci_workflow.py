@@ -249,6 +249,24 @@ class TestWorkflowShape:
             )
         assert gate[0].count("grep -F '\"correct\": true'") == 2
 
+    def test_bench_job_gates_on_the_scenario_stream_digest(self, workflow):
+        """evaluate() through a SQLite store must reproduce perfbench's
+        committed scenario_stream digests of seeds 1 and 7, store hits
+        included, and every call must pass its check."""
+        commands = [s.get("run", "") for s in workflow["jobs"]["bench"]["steps"]]
+        gate = [c for c in commands if "--workload scenario_stream" in c]
+        assert gate, "the bench job must run the scenario_stream workload"
+        for seed in (1, 7):
+            assert (
+                f"python perfbench/run.py --workload scenario_stream --seed {seed} --seconds 20"
+                in gate[0]
+            )
+            assert (
+                f"grep -E '^digest scenario_stream/{seed}/1488 [0-9a-f]+ reference match$'"
+                in gate[0]
+            )
+        assert gate[0].count("grep -F '\"correct\": true'") == 2
+
     def test_serve_job_submits_twice_and_asserts_cache_hit(self, workflow):
         steps = workflow["jobs"]["serve"]["steps"]
         commands = [s.get("run", "") for s in steps]

@@ -86,6 +86,25 @@ class TestScenarioHashCache:
         changed = scenario.with_overrides({"io.buffer_size": 2 * 1024 * 1024})
         assert changed.content_hash() != scenario.content_hash()
 
+    def test_miss_serialises_the_scenario_once(self, tmp_path, monkeypatch):
+        """The hash and the stored envelope share one ``to_dict``."""
+        scenario = get_scenario("fig08", scale=SCALE)
+        calls = []
+        real = Scenario.to_dict
+
+        def counting(self):
+            calls.append(self.id)
+            return real(self)
+
+        monkeypatch.setattr(Scenario, "to_dict", counting)
+        store = ArtifactStore(tmp_path)
+        evaluation = evaluate(scenario, store=store)
+        assert not evaluation.cached
+        assert calls == [scenario.id]
+        envelope = store.load_scenario_result(evaluation.key)
+        assert envelope["scenario"] == real(scenario)
+        assert evaluation.key == scenario.content_hash()
+
     def test_cache_is_shared_across_store_handles(self, tmp_path):
         scenario = get_scenario("fig08", scale=SCALE)
         evaluate(scenario, store=ArtifactStore(tmp_path))

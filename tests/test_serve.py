@@ -62,6 +62,29 @@ class TestEvaluationService:
         assert warm["cached"] and warm["result"] == cold["result"]
         assert service.stats["cache_hits"] == 1
 
+    def test_miss_serialises_the_scenario_once(self, tmp_path, monkeypatch):
+        """Hash, batch payload and stored envelope share one ``to_dict``;
+        the other call is the batch worker's own ``evaluate`` hashing the
+        scenario it rebuilt (four calls in all before they were shared)."""
+        from repro.scenario.spec import Scenario
+
+        payload = payload_for()
+        calls = []
+        real = Scenario.to_dict
+
+        def counting(self):
+            calls.append(self.id)
+            return real(self)
+
+        monkeypatch.setattr(Scenario, "to_dict", counting)
+        store = ArtifactStore(tmp_path)
+        envelope = asyncio.run(EvaluationService(store).evaluate(payload))
+        assert envelope["status"] == "ok" and not envelope["cached"]
+        assert calls == [payload["id"]] * 2
+        stored = store.load_scenario_result(envelope["scenario_hash"])
+        assert stored["scenario"] == payload
+        assert stored["scenario_id"] == payload["id"]
+
     def test_invalid_scenario_is_an_error_envelope(self):
         service = EvaluationService()
         envelope = asyncio.run(service.evaluate({"bogus": 1}))

@@ -8,8 +8,14 @@ backend is that several writers — a daemon, a tuner, a shell ``repro run``
 import json
 import multiprocessing
 import os
+import shutil
+import sqlite3
+import subprocess
+import sys
 import threading
 import time
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -189,26 +195,34 @@ def _run(target, *args) -> int:
     return process.exitcode
 
 
+def _check_same_key_from_processes(backend, root: str) -> None:
+    workers = [
+        _mp.Process(target=_hammer_same_key, args=(backend.name, root, worker, 20))
+        for worker in range(4)
+    ]
+    for process in workers:
+        process.start()
+    for process in workers:
+        process.join(timeout=120)
+        assert process.exitcode == 0
+    final = backend.get("scenario-results/contended.json")
+    payload = json.loads(final)  # a torn write would fail to parse
+    assert payload["write"] == 19  # every worker's last write was #19
+    assert "x" * 2048 == payload["pad"]
+
+
 @pytest.mark.parametrize("kind", ["sqlite"])
 class TestConcurrentWriters:
     def test_same_key_from_many_processes(self, kind, tmp_path):
         """N processes rewriting one key leave a complete, valid JSON value."""
         backend = _make_backend(kind, tmp_path)
         backend.put("seed.json", "{}")  # create the store up-front
-        root = f"{kind}:{backend.path}"
-        workers = [
-            _mp.Process(target=_hammer_same_key, args=(kind, root, worker, 20))
-            for worker in range(4)
-        ]
-        for process in workers:
-            process.start()
-        for process in workers:
-            process.join(timeout=120)
-            assert process.exitcode == 0
-        final = backend.get("scenario-results/contended.json")
-        payload = json.loads(final)  # a torn write would fail to parse
-        assert payload["write"] == 19  # every worker's last write was #19
-        assert "x" * 2048 == payload["pad"]
+        _check_same_key_from_processes(backend, f"{kind}:{backend.path}")
+
+    def test_same_key_from_many_processes_on_a_cold_store(self, kind, tmp_path):
+        """The same, with the workers the first to touch the database."""
+        backend = _make_backend(kind, tmp_path)
+        _check_same_key_from_processes(backend, f"{kind}:{backend.path}")
 
     def test_lock_excludes_sibling_threads(self, kind, tmp_path):
         """Re-entrancy is per thread: a second thread of the same process
@@ -288,6 +302,157 @@ class TestConcurrentWriters:
         assert store.load("contended") == make_result("contended")
         manifest = store.read_manifest()
         assert "contended" in manifest["experiments"]
+
+
+    def test_repeated_cold_starts_from_sibling_threads(self, kind, tmp_path):
+        """Threads that first touch a fresh database together never trip
+        over each other while one of them creates the schema."""
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads often, to hit the race
+        try:
+            for round_ in range(20):
+                backend = _make_backend(kind, tmp_path / f"round{round_}")
+                errors = []
+                start = threading.Barrier(4)
+
+                def work(worker):
+                    try:
+                        start.wait(timeout=30)
+                        for index in range(10):
+                            backend.put(f"w{worker}/{index}.json", "{}")
+                    except Exception as error:  # surfaced after join
+                        errors.append(error)
+
+                threads = [threading.Thread(target=work, args=(w,)) for w in range(4)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=120)
+                    assert not thread.is_alive(), "writer hung"
+                assert not errors, f"round {round_}: {errors!r}"
+                assert len(backend.keys()) == 40
+        finally:
+            sys.setswitchinterval(interval)
+
+
+# --------------------------------------------------------------------------- #
+# SQLite connection lifecycle
+# --------------------------------------------------------------------------- #
+
+
+@pytest.fixture
+def connects(monkeypatch):
+    """Every ``sqlite3.connect`` call, as a ``(pid, thread id)`` counter."""
+    seen: Counter = Counter()
+    real = sqlite3.connect
+
+    def counting(*args, **kwargs):
+        seen[(os.getpid(), threading.get_ident())] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(sqlite3, "connect", counting)
+    return seen
+
+
+def _write_child_keys(backend: SQLiteBackend) -> None:
+    for index in range(10):
+        backend.put(f"child/{index}.json", json.dumps({"index": index}))
+    assert backend.get("parent.json") == '{"from": "parent"}'
+
+
+def _put_one(path: str, key: str, text: str) -> None:
+    SQLiteBackend(path).put(key, text)
+
+
+def _write_rows(path: str, count: int) -> None:
+    backend = SQLiteBackend(path)
+    for index in range(count):
+        backend.put(f"rows/{index:03d}.json", json.dumps({"index": index}))
+
+
+class TestSQLiteConnections:
+    def test_one_connect_per_process_and_thread(self, tmp_path, connects):
+        backend = SQLiteBackend(tmp_path / "c.db")
+        for index in range(25):
+            backend.put(f"k{index}.json", "{}")
+            assert backend.get(f"k{index}.json") == "{}"
+            assert f"k{index}.json" in backend.keys("k")
+            assert backend.delete(f"k{index}.json") is True
+        assert list(connects.values()) == [1]
+
+    def test_one_connect_per_sibling_thread(self, tmp_path, connects):
+        backend = SQLiteBackend(tmp_path / "c.db")
+        errors = []
+
+        def work(worker):
+            try:
+                for index in range(25):
+                    backend.put(f"w{worker}/{index}.json", "{}")
+            except Exception as error:  # surfaced after join
+                errors.append(error)
+
+        threads = [threading.Thread(target=work, args=(w,)) for w in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+            assert not thread.is_alive(), "writer hung"
+        assert not errors
+        assert len(connects) == 4
+        assert set(connects.values()) == {1}
+        assert len(backend.keys()) == 100
+
+    def test_forked_child_opens_its_own_connection(self, tmp_path):
+        """A child forked while the parent holds a warm connection writes
+        through the same backend object; the parent carries on after it."""
+        backend = SQLiteBackend(tmp_path / "c.db")
+        backend.put("parent.json", '{"from": "parent"}')
+        assert _run(_write_child_keys, backend) == 0
+        assert backend.keys("child/") == sorted(f"child/{i}.json" for i in range(10))
+        assert backend.get("child/9.json") == '{"index": 9}'
+        backend.put("parent.json", '{"again": true}')
+        assert backend.get("parent.json") == '{"again": true}'
+
+    def test_warm_connection_sees_other_process_commits(self, tmp_path):
+        """An idle connection holds no read snapshot: the next read sees
+        what another process committed since."""
+        backend = SQLiteBackend(tmp_path / "c.db")
+        for name in ("a", "b", "k"):
+            backend.put(f"{name}.json", '{"v": 1}')
+        assert backend.keys() == ["a.json", "b.json", "k.json"]
+        assert backend.get("k.json") == '{"v": 1}'
+        assert _run(_put_one, str(backend.path), "k.json", '{"v": 2}') == 0
+        assert backend.get("k.json") == '{"v": 2}'
+        assert _run(_put_one, str(backend.path), "new.json", "{}") == 0
+        assert backend.keys() == ["a.json", "b.json", "k.json", "new.json"]
+
+    @pytest.mark.parametrize("how", ["fork", "interpreter"])
+    def test_database_file_alone_holds_every_row_after_exit(self, tmp_path, how):
+        """Once the writer exits normally, the ``.db`` file can be shipped
+        without its ``-wal`` and ``-shm`` companions."""
+        path = tmp_path / "c.db"
+        if how == "fork":
+            assert _run(_write_rows, str(path), 50) == 0
+        else:
+            src = Path(__file__).resolve().parents[1] / "src"
+            script = (
+                "import sys\n"
+                "from repro.experiments.backends import SQLiteBackend\n"
+                "backend = SQLiteBackend(sys.argv[1])\n"
+                "for index in range(50):\n"
+                "    backend.put(f'rows/{index:03d}.json', '{}')\n"
+            )
+            env = {**os.environ, "PYTHONPATH": str(src)}
+            subprocess.run([sys.executable, "-c", script, str(path)], env=env, check=True)
+        shipped = tmp_path / "shipped" / "c.db"
+        shipped.parent.mkdir()
+        shutil.copyfile(path, shipped)
+        conn = sqlite3.connect(shipped)
+        try:
+            (count,) = conn.execute("SELECT COUNT(*) FROM blobs").fetchone()
+        finally:
+            conn.close()
+        assert count == 50
 
 
 class TestCrashSafety:
