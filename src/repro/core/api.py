@@ -227,13 +227,20 @@ def _evaluate_scenario(
     jobs: int,
     store: "ArtifactStore | None",
     use_cache: bool,
+    payload: Mapping[str, Any] | None = None,
 ) -> Evaluation:
-    """Run one concrete scenario, hash-cached against the store."""
+    """Run one concrete scenario, hash-cached against the store.
+
+    ``payload`` is the scenario's :meth:`~repro.scenario.spec.Scenario.to_dict`
+    when the caller already holds it (a daemon batch worker), so the
+    scenario is not serialised again only to hash it.
+    """
     from repro.experiments.results import ExperimentResult
     from repro.scenario.simulation import Simulation
     from repro.scenario.spec import payload_hash
 
-    payload = scenario.to_dict()
+    if payload is None:
+        payload = scenario.to_dict()
     scenario_hash = payload_hash(payload)
     if store is not None and use_cache:
         envelope = store.load_scenario_result(scenario_hash)

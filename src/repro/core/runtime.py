@@ -96,6 +96,9 @@ class TapiocaIO:
         self._flush_rounds = self.schedule.flush_rounds()
         #: ``(rank, offset, nbytes, call_index)`` of every declared segment.
         self._segments = list(zip(*(column.tolist() for column in self.schedule.segments)))
+        #: Payload of every declared segment, drawn in one batch at the
+        #: write's first put (reads draw none).
+        self._payloads: list[bytes] | None = None
         self.file = world.open_file(
             path, filesystem, shared_locks=self.config.shared_locks
         )
@@ -164,9 +167,6 @@ class TapiocaIO:
         pending_flush: dict[int, list[Request]] = {i: [] for i in range(depth)}
         bytes_contributed = 0
         my_rounds = self._rank_rounds.get(ctx.rank, {})
-        # A segment's pieces are consecutive in this rank's puts, so its
-        # payload is generated once, at its first piece.
-        segment = payload = None
         # Fences this rank still has to pass: a rank with nothing to do
         # between fences passes through all of them in one call.  The
         # aggregator acts after every round's second fence, so it never
@@ -187,13 +187,12 @@ class TapiocaIO:
             if puts:
                 yield from sub.fence(window, fences)
                 fences = 0
-                for piece, segment_offset, nbytes, buffer_offset in puts:
-                    if piece != segment:
-                        segment = piece
-                        payload = self.workload.segment_payload(*self._segments[segment])
+                if self._payloads is None:
+                    self._payloads = self.workload.segment_payloads(self.schedule.segments)
+                for segment, segment_offset, nbytes, buffer_offset in puts:
                     yield from sub.put(
                         window,
-                        payload[segment_offset : segment_offset + nbytes],
+                        self._payloads[segment][segment_offset : segment_offset + nbytes],
                         aggregator_sub_rank,
                         buffer_id * buffer_size + buffer_offset,
                     )

@@ -201,12 +201,16 @@ def _run_scenario(payload: dict) -> dict:
     scenario in a daemon batch must not poison its siblings.
     """
     # Imported here so forked/spawned workers resolve everything themselves.
-    from repro.core.api import evaluate
+    from repro.core.api import _evaluate_scenario
     from repro.scenario.spec import Scenario
 
     try:
         scenario = Scenario.from_dict(payload)
-        evaluation = evaluate(scenario)
+        # Batch payloads are already ``Scenario.to_dict`` output: hash them
+        # as they are instead of serialising the rebuilt scenario again.
+        evaluation = _evaluate_scenario(
+            scenario, jobs=1, store=None, use_cache=False, payload=payload
+        )
         return {
             "status": "ok",
             "scenario_id": scenario.id,
@@ -221,7 +225,11 @@ def _run_scenario(payload: dict) -> dict:
 
 
 def run_scenario_batch(payloads: list[dict]) -> list[dict]:
-    """Worker entry point: evaluate a batch of scenario payloads in one task."""
+    """Worker entry point: evaluate a batch of scenario payloads in one task.
+
+    Each payload must be :meth:`~repro.scenario.spec.Scenario.to_dict`
+    output, whose hash is the scenario's content hash.
+    """
     return [_run_scenario(payload) for payload in payloads]
 
 

@@ -33,12 +33,9 @@ def independent_write_program(
 
     def program(ctx: RankContext) -> Generator[Event, Any, int]:
         total = 0
-        for segment in workload.segments_for_rank(ctx.rank):
-            if segment.nbytes == 0:
-                continue
-            payload = workload.payload(segment)
-            yield from file.write_at(segment.offset, payload)
-            total += segment.nbytes
+        for offset, payload in workload.rank_payloads(ctx.rank).items():
+            yield from file.write_at(offset, payload)
+            total += len(payload)
         yield from ctx.comm.barrier()
         return total
 

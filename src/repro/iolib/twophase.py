@@ -25,7 +25,6 @@ the workload's expected file image.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import Any, Generator
@@ -253,6 +252,9 @@ class TwoPhaseCollectiveIO:
         yield from self._ensure_window(ctx)
         window = self._window
         my_aggregator_index = self.aggregator_index_of_rank(ctx.rank)
+        # A file domain may cut a segment into several pieces; every
+        # segment's payload is drawn once, in this rank's one batch.
+        payloads = self.workload.rank_payloads(ctx.rank)
         bytes_contributed = 0
         for call_index in range(self.workload.num_calls()):
             # The offset/length exchange of a real implementation: costs one
@@ -268,17 +270,13 @@ class TwoPhaseCollectiveIO:
                 if my_aggregator_index is not None
                 else []
             )
-            # A file domain may cut a segment into several pieces; its
-            # payload is drawn once, at its first piece.
-            payload_of = functools.cache(self.workload.payload)
             for round_index in range(schedule.num_rounds):
                 yield from window.fence(ctx.rank)
                 # Aggregation phase: ship this round's pieces.
                 for piece in my_pieces:
                     if piece.round_index != round_index:
                         continue
-                    payload = payload_of(piece.segment)
-                    chunk = payload[
+                    chunk = payloads[piece.segment.offset][
                         piece.segment_offset : piece.segment_offset + piece.nbytes
                     ]
                     window_start = (
@@ -392,12 +390,9 @@ class TwoPhaseCollectiveIO:
     def _independent_write(self, ctx: RankContext) -> Generator[Event, Any, int]:
         """Every rank writes its own segments directly (no aggregation)."""
         total = 0
-        for segment in self.workload.segments_for_rank(ctx.rank):
-            if segment.nbytes == 0:
-                continue
-            payload = self.workload.payload(segment)
-            yield from self.file.write_at(segment.offset, payload)
-            total += segment.nbytes
+        for offset, payload in self.workload.rank_payloads(ctx.rank).items():
+            yield from self.file.write_at(offset, payload)
+            total += len(payload)
         yield from ctx.comm.barrier()
         return total
 

@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from repro.utils.rng import derive_seed
+from repro.utils.rng import derive_seeds, pcg64_states
 from repro.utils.validation import require_non_negative
 
 
@@ -72,6 +72,12 @@ class SegmentTable(NamedTuple):
     nbytes: np.ndarray
     call_index: np.ndarray
 
+    @classmethod
+    def of(cls, segments) -> SegmentTable:
+        """The table of an iterable of :class:`Segment`, in its order."""
+        rows = [(s.rank, s.offset, s.nbytes, s.call_index) for s in segments]
+        return cls(*np.array(rows, dtype=np.int64).reshape(-1, 4).T.copy())
+
 
 class Workload(abc.ABC):
     """Abstract I/O workload.
@@ -110,13 +116,9 @@ class Workload(abc.ABC):
         The default enumerates :meth:`segments_for_rank`; regular workloads
         override it with array arithmetic.
         """
-        rows = [
-            (segment.rank, segment.offset, segment.nbytes, segment.call_index)
-            for rank in range(self.num_ranks)
-            for segment in self.segments_for_rank(rank)
-        ]
-        columns = np.array(rows, dtype=np.int64).reshape(-1, 4).T.copy()
-        return SegmentTable(*columns)
+        return SegmentTable.of(
+            segment for rank in range(self.num_ranks) for segment in self.segments_for_rank(rank)
+        )
 
     def bytes_per_rank(self, rank: int = 0) -> int:
         """Total bytes written/read by one rank."""
@@ -159,34 +161,59 @@ class Workload(abc.ABC):
     #: Seed mixed into payload generation; override for distinct instances.
     payload_seed: int = 0
 
-    def segment_payload(self, rank: int, offset: int, nbytes: int, call_index: int) -> bytes:
-        """Deterministic payload bytes of one declared segment.
+    def segment_payloads(self, table: SegmentTable) -> list[bytes]:
+        """Deterministic payload bytes of every row of ``table``, in row order.
 
-        The bytes depend on the owning rank, the call index and the offset,
-        so any misplacement by an I/O library shows up as a content mismatch
-        in the end-to-end tests.  The seed digests the fields' ``repr``, so
-        each becomes the Python int it stands for first.  The bytes are the
-        first ``nbytes`` of the little-endian 64-bit words PCG64 draws from
-        that seed: the bytes ``Generator.integers(0, 256, nbytes,
-        dtype=np.uint8)`` takes from the same stream, four per 32-bit draw,
-        in one call.
+        A row's bytes depend on its rank, call index and offset, so any
+        misplacement by an I/O library shows up as a content mismatch in
+        the end-to-end tests.  The contract, per row:
+
+        1. the seed is :func:`~repro.utils.rng.derive_seed` of
+           ``(payload_seed, name, rank, call_index, offset)`` (SHA-256 of
+           the fields as Python ints);
+        2. the seed goes through numpy's ``SeedSequence`` into PCG64, as
+           ``np.random.PCG64(seed)`` would seed it;
+        3. the bytes are the first ``nbytes`` of the little-endian 64-bit
+           words PCG64 then draws: the bytes ``Generator.integers(0, 256,
+           nbytes, dtype=np.uint8)`` takes from the same stream.
+
+        This batch is the only draw: steps 1 and 2 run once over the whole
+        table and one reused ``PCG64`` draws every row.
         """
-        nbytes = operator.index(nbytes)
-        seed = derive_seed(
-            self.payload_seed,
-            self.name,
-            operator.index(rank),
-            operator.index(call_index),
-            operator.index(offset),
+        seeds = derive_seeds(
+            self.payload_seed, (self.name,), table.rank, table.call_index, table.offset
         )
-        words = np.random.PCG64(seed).random_raw(-(-nbytes // 8))
-        return words.astype("<u8", copy=False).tobytes()[:nbytes]
+        bit_generator = np.random.PCG64(0)
+        payloads = []
+        for state, inc, nbytes in zip(*pcg64_states(seeds), table.nbytes.tolist()):
+            bit_generator.state = {
+                "bit_generator": "PCG64",
+                "state": {"state": state, "inc": inc},
+                "has_uint32": 0,
+                "uinteger": 0,
+            }
+            words = bit_generator.random_raw(-(-nbytes // 8))
+            payloads.append(words.astype("<u8", copy=False).tobytes()[:nbytes])
+        return payloads
+
+    def segment_payload(self, rank: int, offset: int, nbytes: int, call_index: int) -> bytes:
+        """Payload bytes of one ``(rank, offset, nbytes, call_index)`` row.
+
+        The SHA-256 seed, ``SeedSequence`` and PCG64 words contract of
+        :meth:`segment_payloads`, which draws it as a one-row batch: there
+        is no other draw path.
+        """
+        return self.payload(Segment(rank, offset, nbytes, call_index))
 
     def payload(self, segment: Segment) -> bytes:
-        """:meth:`segment_payload` of a :class:`Segment`."""
-        return self.segment_payload(
-            segment.rank, segment.offset, segment.nbytes, segment.call_index
-        )
+        """:meth:`segment_payloads` of one :class:`Segment`."""
+        return self.segment_payloads(SegmentTable.of([segment]))[0]
+
+    def rank_payloads(self, rank: int) -> dict[int, bytes]:
+        """``{offset: payload}`` of ``rank``'s segments with data, drawn in one batch."""
+        segments = [segment for segment in self.segments_for_rank(rank) if segment.nbytes > 0]
+        offsets = [segment.offset for segment in segments]
+        return dict(zip(offsets, self.segment_payloads(SegmentTable.of(segments))))
 
     def expected_file_image(self) -> bytes:
         """The complete expected file contents (zero-filled holes).
@@ -195,10 +222,10 @@ class Workload(abc.ABC):
         """
         image = bytearray(self.file_size())
         table = self.segment_table()
-        for rank, offset, nbytes, call_index in zip(*(column.tolist() for column in table)):
-            image[offset : offset + nbytes] = self.segment_payload(
-                rank, offset, nbytes, call_index
-            )
+        for offset, nbytes, payload in zip(
+            table.offset.tolist(), table.nbytes.tolist(), self.segment_payloads(table)
+        ):
+            image[offset : offset + nbytes] = payload
         return bytes(image)
 
     # ------------------------------------------------------------------ #

@@ -11,8 +11,10 @@ walks one partition's :class:`~repro.workloads.base.Segment` objects byte
 range by byte range and builds one :class:`PutOp` per piece and one
 :class:`FlushOp` per flush extent, which the array schedule must equal
 exactly.  :func:`payload` is the per-segment ``Generator.integers`` draw
-that :meth:`repro.workloads.base.Workload.segment_payload` must reproduce
-byte for byte.
+and :func:`pcg64_payload` the per-segment ``PCG64`` draw (a seeded
+construction per segment) that
+:meth:`repro.workloads.base.Workload.segment_payloads` must reproduce byte
+for byte.
 """
 
 from __future__ import annotations
@@ -144,3 +146,12 @@ def payload(workload, segment) -> bytes:
     )
     rng = np.random.default_rng(seed)
     return rng.integers(0, 256, size=segment.nbytes, dtype=np.uint8).tobytes()
+
+
+def pcg64_payload(workload, segment) -> bytes:
+    """A segment's payload, drawn from a ``PCG64`` seeded for it alone."""
+    seed = derive_seed(
+        workload.payload_seed, workload.name, segment.rank, segment.call_index, segment.offset
+    )
+    words = np.random.PCG64(seed).random_raw(-(-segment.nbytes // 8))
+    return words.astype("<u8", copy=False).tobytes()[: segment.nbytes]

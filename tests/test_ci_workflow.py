@@ -42,6 +42,16 @@ class TestWorkflowShape:
         ]
         assert any("python -m pytest -x -q --durations=15" in c for c in commands)
 
+    def test_tests_job_fails_on_a_leaked_daemon_socket(self, workflow):
+        """The serve tests run in dev mode with leaked sockets as errors,
+        including the ones pytest only sees from a finaliser."""
+        commands = [s.get("run", "") for s in workflow["jobs"]["tests"]["steps"]]
+        gate = [c for c in commands if "tests/test_serve.py" in c]
+        assert len(gate) == 1, "the tests job must run the socket-leak gate once"
+        assert "python -X dev -m pytest" in gate[0]
+        assert "-W error::ResourceWarning" in gate[0]
+        assert "-W error::pytest.PytestUnraisableExceptionWarning" in gate[0]
+
     def test_every_job_caches_pip(self, workflow):
         for name, job in workflow["jobs"].items():
             setup = [

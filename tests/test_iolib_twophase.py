@@ -103,13 +103,13 @@ class TestCollectiveWriteCorrectness:
         """A segment cut by file domains into several pieces is drawn once;
         the file image is the one the per-piece draw wrote."""
         draws = []
-        draw = Workload.segment_payload
+        draw = Workload.segment_payloads
 
-        def counting(workload, *segment):
-            draws.append(segment)
-            return draw(workload, *segment)
+        def counting(workload, table):
+            draws.extend(zip(*(column.tolist() for column in table)))
+            return draw(workload, table)
 
-        monkeypatch.setattr(Workload, "segment_payload", counting)
+        monkeypatch.setattr(Workload, "segment_payloads", counting)
         workload = HACCIOWorkload(32, particles_per_rank=400, layout="soa")
         world = SimWorld(ThetaMachine(16), ranks_per_node=2)
         two_phase = TwoPhaseCollectiveIO(

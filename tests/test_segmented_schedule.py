@@ -17,7 +17,8 @@ from repro.perfmodel.tapioca import model_tapioca
 from repro.simmpi.world import SimWorld
 from repro.topology.mapping import block_mapping, random_mapping
 from repro.workloads import base as workloads_base
-from repro.workloads.base import Segment
+from repro.utils import rng
+from repro.workloads.base import Segment, SegmentTable
 from repro.workloads.hacc import HACCIOWorkload
 from repro.workloads.ior import IORWorkload
 from repro.workloads.synthetic import SyntheticWorkload
@@ -179,29 +180,32 @@ def test_segment_table_equals_segments_for_rank(workload):
 
 
 def test_payload_seeds_get_python_ints(monkeypatch):
-    """A TAPIOCA write hands every payload seed Python ints, whatever the
+    """A TAPIOCA write seeds every segment once, in one batch, whatever the
     arrays it scheduled from held (``repr(np.int64(5))`` is not ``'5'``)."""
-    tokens = []
-    derive_seed = workloads_base.derive_seed
+    batches = []
+    derive_seeds = workloads_base.derive_seeds
 
-    def recording(base, *args):
-        tokens.extend(args)
-        return derive_seed(base, *args)
+    def recording(base, tokens, *columns):
+        batches.append(len(columns[0]))
+        return derive_seeds(base, tokens, *columns)
 
-    monkeypatch.setattr(workloads_base, "derive_seed", recording)
+    monkeypatch.setattr(workloads_base, "derive_seeds", recording)
     workload = HACCIOWorkload(16, 20, layout="soa")
     world = SimWorld(ThetaMachine(8), ranks_per_node=2)
     writer = TapiocaIO(world, workload, TapiocaConfig(num_aggregators=2, buffer_size=512))
     world.run(writer.write_program())
-    numbers = [token for token in tokens if not isinstance(token, str)]
-    assert numbers and all(type(token) is int for token in numbers)
-    assert len(tokens) == 4 * 16 * 9  # one seed per segment, not per put
+    assert batches == [16 * 9]  # one seed per segment, not per put
     assert len(writer.schedule.puts.rank) > 16 * 9
-    tokens.clear()
+    world.run(TapiocaIO(world, workload, writer.config).read_program())
+    assert batches == [16 * 9]  # a read draws nothing
     assert workload.segment_payload(np.int64(3), np.int64(0), 8, np.int64(2)) == (
         workload.payload(Segment(3, 0, 8, 2))
     )
-    assert all(type(token) is int for token in tokens if not isinstance(token, str))
+    columns = (np.array([3, 0], np.int64), np.array([2, 1 << 40], np.int64))
+    assert rng.derive_seeds(7, ("x",), *columns).tolist() == [
+        rng.derive_seed(7, "x", 3, 2),
+        rng.derive_seed(7, "x", 0, 1 << 40),
+    ]
 
 
 @pytest.mark.parametrize("nbytes", [*range(18), 8191, 8192, 8193])
@@ -245,6 +249,66 @@ def test_payload_equals_the_integers_draw_on_des_workloads():
                 checked += 1
         assert workload.expected_file_image() == bytes(image)
     assert checked > 1000
+
+
+@pytest.mark.parametrize("workload", WORKLOADS, ids=lambda w: w.name)
+def test_segment_payloads_equal_the_pcg64_oracle(workload):
+    """The batch draw equals one seeded ``PCG64`` per segment on every
+    shipped workload shape; the declared one has zero-byte segments."""
+    table = workload.segment_table()
+    segments = [
+        segment
+        for rank in range(workload.num_ranks)
+        for segment in workload.segments_for_rank(rank)
+    ]
+    assert workload.segment_payloads(table) == [
+        reference_schedule.pcg64_payload(workload, segment) for segment in segments
+    ]
+
+
+def test_segment_payloads_of_odd_rows():
+    """Zero-byte rows, ragged lengths, far offsets and a one-row batch."""
+    workload = IORWorkload(4, transfer_size=64, payload_seed=3)
+    segments = [
+        Segment(rank, offset, nbytes, call_index)
+        for rank, offset, nbytes, call_index in (
+            (0, 0, 0, 0), (1, 5, 1, 2), (2, 1 << 40, 17, 1), (3, 9, 0, 7), (0, 64, 8193, 0),
+        )
+    ]
+    assert workload.segment_payloads(SegmentTable.of(segments)) == [
+        reference_schedule.pcg64_payload(workload, segment) for segment in segments
+    ]
+    assert workload.segment_payloads(SegmentTable.of([])) == []
+    assert workload.rank_payloads(0) == {
+        segment.offset: reference_schedule.pcg64_payload(workload, segment)
+        for segment in workload.segments_for_rank(0)
+    }
+
+
+@pytest.mark.parametrize("workload", WORKLOADS, ids=lambda w: w.name)
+def test_derive_seeds_equals_derive_seed(workload):
+    table = workload.segment_table()
+    seeds = rng.derive_seeds(
+        workload.payload_seed, (workload.name,), table.rank, table.call_index, table.offset
+    )
+    assert seeds.dtype == np.uint64
+    assert seeds.tolist() == [
+        rng.derive_seed(workload.payload_seed, workload.name, rank, call_index, offset)
+        for rank, call_index, offset in zip(
+            table.rank.tolist(), table.call_index.tolist(), table.offset.tolist()
+        )
+    ]
+
+
+def test_pcg64_states_equal_numpy_seeding():
+    """The array seeding starts every stream where ``np.random.PCG64(seed)``
+    does; a numpy release that changes its seeding fails here."""
+    edges = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
+    drawn = np.random.default_rng(2017).integers(0, 2**64, 1000, dtype=np.uint64)
+    seeds = edges + drawn.tolist()
+    states, incs = rng.pcg64_states(np.array(seeds, dtype=np.uint64))
+    expected = [np.random.PCG64(seed).state["state"] for seed in seeds]
+    assert list(zip(states, incs)) == [(state["state"], state["inc"]) for state in expected]
 
 
 def test_check_no_overlap_names_the_first_clash():

@@ -20,6 +20,18 @@ from repro.serve.client import ServeError
 SCALE = 16.0
 
 
+def refused(request) -> tuple[int, bytes]:
+    """Status and body of a request the daemon answers with an error.
+
+    ``urlopen`` raises the error response as an ``HTTPError`` that holds
+    the connection's socket; closing it here is what releases the socket.
+    """
+    with pytest.raises(urllib.request.HTTPError) as excinfo:
+        urllib.request.urlopen(request)
+    with excinfo.value as error:
+        return error.code, error.read()
+
+
 def payload_for(name: str = "fig08", **overrides) -> dict:
     scenario = get_scenario(name, scale=SCALE)
     if overrides:
@@ -63,9 +75,9 @@ class TestEvaluationService:
         assert service.stats["cache_hits"] == 1
 
     def test_miss_serialises_the_scenario_once(self, tmp_path, monkeypatch):
-        """Hash, batch payload and stored envelope share one ``to_dict``;
-        the other call is the batch worker's own ``evaluate`` hashing the
-        scenario it rebuilt (four calls in all before they were shared)."""
+        """Hash, batch payload, the batch worker's hash and the stored
+        envelope share one ``to_dict`` (four calls in all before they were
+        shared)."""
         from repro.scenario.spec import Scenario
 
         payload = payload_for()
@@ -80,7 +92,7 @@ class TestEvaluationService:
         store = ArtifactStore(tmp_path)
         envelope = asyncio.run(EvaluationService(store).evaluate(payload))
         assert envelope["status"] == "ok" and not envelope["cached"]
-        assert calls == [payload["id"]] * 2
+        assert calls == [payload["id"]]
         stored = store.load_scenario_result(envelope["scenario_hash"])
         assert stored["scenario"] == payload
         assert stored["scenario_id"] == payload["id"]
@@ -214,22 +226,16 @@ class TestHttpFrontend:
         assert "evaluated" in stats and "cache_hits" in stats
 
     def test_unknown_route_is_404(self, server):
-        with pytest.raises(urllib.request.HTTPError) as excinfo:
-            urllib.request.urlopen(f"{server.url}/nope")
-        assert excinfo.value.code == 404
+        assert refused(f"{server.url}/nope")[0] == 404
 
     def test_get_on_evaluate_is_405(self, server):
-        with pytest.raises(urllib.request.HTTPError) as excinfo:
-            urllib.request.urlopen(f"{server.url}/evaluate")
-        assert excinfo.value.code == 405
+        assert refused(f"{server.url}/evaluate")[0] == 405
 
     def test_malformed_json_is_400(self, server):
         request = urllib.request.Request(
             f"{server.url}/evaluate", data=b"{not json", method="POST"
         )
-        with pytest.raises(urllib.request.HTTPError) as excinfo:
-            urllib.request.urlopen(request)
-        assert excinfo.value.code == 400
+        assert refused(request)[0] == 400
 
     def test_invalid_scenario_is_an_error_envelope(self, server):
         envelope = ServeClient(server.url).evaluate({"bogus": 1})
@@ -303,28 +309,23 @@ class TestFiguresEndpoint:
         )
 
     def test_unknown_figure_is_404(self, figure_server):
-        with pytest.raises(urllib.request.HTTPError) as excinfo:
-            urllib.request.urlopen(f"{figure_server.url}/figures/fig99.csv")
-        assert excinfo.value.code == 404
-        assert "unknown figure" in json.load(excinfo.value)["error"]
+        code, body = refused(f"{figure_server.url}/figures/fig99.csv")
+        assert code == 404
+        assert "unknown figure" in json.loads(body)["error"]
 
     def test_missing_artifact_is_404(self, figure_server):
-        with pytest.raises(urllib.request.HTTPError) as excinfo:
-            urllib.request.urlopen(f"{figure_server.url}/figures/fig13.csv")
-        assert excinfo.value.code == 404
-        assert "no stored artifact" in json.load(excinfo.value)["error"]
+        code, body = refused(f"{figure_server.url}/figures/fig13.csv")
+        assert code == 404
+        assert "no stored artifact" in json.loads(body)["error"]
 
     def test_post_is_405(self, figure_server):
         request = urllib.request.Request(
             f"{figure_server.url}/figures/fig09.csv", data=b"{}", method="POST"
         )
-        with pytest.raises(urllib.request.HTTPError) as excinfo:
-            urllib.request.urlopen(request)
-        assert excinfo.value.code == 405
+        assert refused(request)[0] == 405
 
     def test_storeless_daemon_is_404(self):
         with ServerThread(store=None) as running:
-            with pytest.raises(urllib.request.HTTPError) as excinfo:
-                urllib.request.urlopen(f"{running.url}/figures/fig09.csv")
-            assert excinfo.value.code == 404
-            assert "no artifact store" in json.load(excinfo.value)["error"]
+            code, body = refused(f"{running.url}/figures/fig09.csv")
+        assert code == 404
+        assert "no artifact store" in json.loads(body)["error"]
