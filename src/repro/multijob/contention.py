@@ -23,6 +23,10 @@ bind: one whose active load fits within its capacity with a margin of
 ``_EPS`` times one plus its weight sum, plus rounding, never binds or
 saturates (the lemma is derived in :meth:`ContentionLedger.allocate`), so
 rates, freeze decisions and iteration counts are bit-for-bit the oracle's.
+No active subset loads a column more than the whole ledger does, so the
+ledger keeps, at build, each row's ``(column, weight)`` terms on only the
+columns whose whole-ledger load exceeds the margin (:attr:`bindable`);
+every solve tests and fills over those terms alone.
 """
 
 from __future__ import annotations
@@ -62,6 +66,9 @@ class ContentionLedger:
         touches: ``weight > 0`` — which resources each flow loads.
         bind_floor: the active load ``demand @ weight`` a column must
             exceed to bind or saturate in a solve (see :meth:`allocate`).
+        bindable: the columns whose whole-ledger load ``demand @ weight``
+            exceeds :attr:`bind_floor` — a superset of the columns any
+            solve can bind or saturate.
     """
 
     def __init__(
@@ -104,8 +111,15 @@ class ContentionLedger:
         self.touches = self.weight > 0.0
         margin = _EPS * (1 + self.weight.sum(axis=0)) + (len(flows) + 2) ** 2 * 2.0**-52
         self.bind_floor = self.capacity * (1.0 - margin)
-        for array in (self.capacity, self.demand, self.weight, self.touches, self.bind_floor):
+        self.bindable = self.demand @ self.weight > self.bind_floor
+        for array in (
+            self.capacity, self.demand, self.weight, self.touches, self.bind_floor, self.bindable
+        ):
             array.flags.writeable = False
+        self._terms = self.row_terms(self.bindable)
+        self._floor = self.bind_floor.tolist()
+        self._capacity = self.capacity.tolist()
+        self._demand = self.demand.tolist()
 
     # ------------------------------------------------------------------ #
     # Allocation
@@ -125,9 +139,11 @@ class ContentionLedger:
             every flow, ``rate_i <= demand_i``; no flow can raise its rate
             without lowering that of a flow with a smaller or equal rate.
 
-        One ``demand @ weight`` test keeps the columns whose active load
-        exceeds :attr:`bind_floor`; the oracle's loop then runs as Python
-        floats over per-row ``(column, weight)`` lists of those alone.
+        The per-row terms kept at build (the :attr:`bindable` columns
+        only) give each column's active load as a sequential sum; the
+        columns whose load exceeds :attr:`bind_floor` are the candidates,
+        and the oracle's loop runs as Python floats over per-row ``(column,
+        weight)`` lists of those alone.
 
         **Candidate-column lemma.**  Over ``n`` active rows, let ``D_c =
         sum_r demand_r * w_rc`` and ``W_c = sum_r w_rc``.  If ``D_c <= cap_c
@@ -148,26 +164,33 @@ class ContentionLedger:
         iterations of at most ``n`` usage updates, plus the rate and load
         sums), off by less than ``(n + 2)**2 * 2**-53`` relative; the factor
         2 covers the comparisons.  :attr:`bind_floor` takes ``n`` and
-        ``W_c`` over the whole ledger, which only widens the margin.  A
-        pruned column thus never moves the step or freezes a flow, and no
-        other column's usage reads it: rates, binding and freeze decisions
-        and the iteration count are bit-for-bit the oracle's.
+        ``W_c`` over the whole ledger, which only widens the margin.
+
+        **Static extension.**  Every term of ``D_c`` is non-negative, so the
+        load of any active subset is at most the whole ledger's, and the
+        whole-ledger sum is computed with no more rounding than the margin
+        above allows for.  A column outside :attr:`bindable` therefore
+        meets the lemma's condition in every solve, whatever the active
+        rows: dropping its terms at build loses nothing.  A pruned column
+        thus never moves the step or freezes a flow, and no other column's
+        usage reads it: rates, binding and freeze decisions and the
+        iteration count are bit-for-bit the oracle's.
 
         Observability: ``sim.contention_allocations`` counts solves and
         ``sim.contention_iterations`` their water-fill iterations.
         """
         if rows is None:
             rows = range(len(self.flow_ids))
-        rows = np.asarray(rows, dtype=np.intp)
-        weight = self.weight[rows]
-        demand = self.demand[rows]
-        columns = np.flatnonzero(demand @ weight > self.bind_floor)
-        caps = self.capacity[columns].tolist()
-        terms = [
-            [(j, w) for j, w in enumerate(row) if w > 0.0]
-            for row in weight[:, columns].tolist()
-        ]
-        demand = demand.tolist()
+        load: dict[int, float] = {}
+        for row in rows:
+            flow_demand = self._demand[row]
+            for j, w in self._terms[row]:
+                load[j] = load.get(j, 0.0) + flow_demand * w
+        columns = sorted(j for j, value in load.items() if value > self._floor[j])
+        index = {j: k for k, j in enumerate(columns)}
+        caps = [self._capacity[j] for j in columns]
+        terms = [[(index[j], w) for j, w in self._terms[row] if j in index] for row in rows]
+        demand = [self._demand[row] for row in rows]
         rate = [0.0] * len(demand)
         used = [0.0] * len(caps)
         unfrozen = list(range(len(demand)))
@@ -196,12 +219,11 @@ class ContentionLedger:
                         used[j] += step * w
             saturated = set(binding)
             saturated.update(j for j, cap in enumerate(caps) if used[j] >= cap * (1 - _EPS))
-            running = [
-                i
-                for i in unfrozen
-                if rate[i] < demand[i] * (1.0 - _EPS)
-                and not any(j in saturated for j, _ in terms[i])
-            ]
+            running = [i for i in unfrozen if rate[i] < demand[i] * (1.0 - _EPS)]
+            if saturated:
+                running = [
+                    i for i in running if not any(j in saturated for j, _ in terms[i])
+                ]
             if len(running) == len(unfrozen):
                 # Every remaining flow advanced to its demand cap.
                 break
@@ -216,18 +238,14 @@ class ContentionLedger:
     # Queries
     # ------------------------------------------------------------------ #
 
-    def utilization(self, rows: Sequence[int], rates: np.ndarray) -> np.ndarray:
-        """Bandwidth each resource carries when ``rows`` run at ``rates``.
-
-        One row accumulation in ``rows`` order: ``np.add.accumulate`` adds
-        each column's ``rate * weight`` terms flow by flow, as a per-flow
-        loop does (a BLAS ``rates @ weight`` would block the sum).
-        """
-        rows = np.asarray(rows, dtype=np.intp)
-        terms = np.asarray(rates)[:, None] * self.weight[rows]
-        return np.add.accumulate(
-            np.vstack((np.zeros(len(self.keys)), terms)), axis=0
-        )[-1]
+    def row_terms(self, columns: np.ndarray) -> list[list[tuple[int, float]]]:
+        """Each row's ``(column, weight)`` terms on the ``columns`` mask, in
+        registration order."""
+        terms: list[list[tuple[int, float]]] = [[] for _ in self.flow_ids]
+        rows, index = np.nonzero(self.touches & columns)
+        for row, j, w in zip(rows.tolist(), index.tolist(), self.weight[rows, index].tolist()):
+            terms[row].append((j, w))
+        return terms
 
     def sharing(self, columns: np.ndarray | None = None) -> np.ndarray:
         """``(flows, flows)`` count of the resources both flows touch.

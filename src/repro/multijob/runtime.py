@@ -20,7 +20,10 @@ resources nobody else touches reports exactly 1.0.
 
 from __future__ import annotations
 
+import math
+from bisect import insort
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -85,21 +88,42 @@ class JobOutcome:
     total_bytes: float
 
 
-@dataclass
+@dataclass(eq=False)
 class InterferenceReport:
     """Result of one multi-job scenario.
+
+    Reports are equal when their outcomes, peak utilizations and shared
+    resources are.
 
     Attributes:
         outcomes: per-job outcomes, in spec order.
         peak_utilization: worst observed fraction of each shared resource's
             capacity over all slices (conservation requires <= 1).
-        shared_resources: for each unordered job pair that shares at least
-            one resource, the shared keys.
+        ledger: the run's contention ledger, which
+            :attr:`shared_resources` is read from.
     """
 
     outcomes: list[JobOutcome] = field(default_factory=list)
     peak_utilization: dict[tuple, float] = field(default_factory=dict)
-    shared_resources: dict[tuple[str, str], list[tuple]] = field(default_factory=dict)
+    ledger: ContentionLedger | None = field(default=None, repr=False)
+
+    @cached_property
+    def shared_resources(self) -> dict[tuple[str, str], list[tuple]]:
+        """For each unordered job pair that shares at least one resource,
+        the shared keys, in ``repr`` order.
+
+        Computed on first read: the scenario path never reads it.
+        """
+        return {} if self.ledger is None else _shared_resources(self.ledger)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, InterferenceReport):
+            return NotImplemented
+        return (self.outcomes, self.peak_utilization, self.shared_resources) == (
+            other.outcomes,
+            other.peak_utilization,
+            other.shared_resources,
+        )
 
     def outcome_of(self, name: str) -> JobOutcome:
         """Look up one job's outcome by name."""
@@ -180,12 +204,12 @@ class MultiJobRuntime:
     def run(self) -> InterferenceReport:
         """Advance all jobs to completion and report per-job slowdowns."""
         ledger = self.ledger
-        report = InterferenceReport(shared_resources=self._shared_resources())
+        report = InterferenceReport(ledger=ledger)
         solo_io_s = [
             job.total_bytes / float(ledger.allocate([row])[0])
             for row, job in enumerate(self.jobs)
         ]
-        peak, io_start, finish = self._advance(min(job.ready_s for job in self.jobs))
+        peak, io_start, finish = self._advance()
         for job, isolated_io, start, end in zip(self.jobs, solo_io_s, io_start, finish):
             shared_io = max(end - start, 0.0)
             report.outcomes.append(
@@ -201,29 +225,9 @@ class MultiJobRuntime:
                 )
             )
         report.peak_utilization = {
-            ledger.keys[j]: float(peak[j]) for j in np.flatnonzero(peak > 0.0)
+            key: value for key, value in zip(ledger.keys, peak) if value > 0.0
         }
         return report
-
-    def _shared_resources(self) -> dict[tuple[str, str], list[tuple]]:
-        """The keys each sharing job pair both touches, in ``repr`` order:
-        one AND of the touch matrix over the sharing pairs, with the shared
-        columns permuted into ``repr`` order, and one ``np.nonzero`` split
-        per pair."""
-        ledger = self.ledger
-        common = np.flatnonzero(ledger.touches.sum(axis=0) > 1).tolist()
-        order = sorted(common, key=lambda j: repr(ledger.keys[j]))
-        keys = [ledger.keys[j] for j in order]
-        touches = ledger.touches[:, order]
-        row_a, row_b = np.nonzero(np.triu(ledger.sharing(), 1))
-        pair, column = np.nonzero(touches[row_a] & touches[row_b])
-        shared = [keys[j] for j in column.tolist()]
-        bounds = [0, *(np.flatnonzero(np.diff(pair)) + 1).tolist(), len(shared)]
-        names = ledger.flow_ids
-        return {
-            (names[a], names[b]): shared[lo:hi]
-            for a, b, lo, hi in zip(row_a.tolist(), row_b.tolist(), bounds, bounds[1:])
-        }
 
     def _starved(self, rows: Sequence[int]) -> StarvedFlowError:
         touched = np.flatnonzero(self.ledger.touches[rows].any(axis=0))
@@ -235,70 +239,90 @@ class MultiJobRuntime:
             f"resource they touch is saturated: {keys}"
         )
 
-    def _advance(self, now: float) -> tuple[np.ndarray, list[float], list[float]]:
+    def _advance(self) -> tuple[list[float], list[float], list[float]]:
         """The fluid slice loop: run every job to completion from zero bytes.
 
         Returns each resource's peak utilization (fraction of capacity) and
         each job's I/O start and finish times; the jobs hold no run state,
-        so a second :meth:`run` repeats the first.  Per-job bytes and
-        readiness live in numpy arrays, and every completion horizon folds
-        into one ``np.min``.  Rates are solved only when the active rows
-        change, and the peak utilization is folded on exactly those slices:
-        the ledger's ordered row accumulation keeps each update equal to a
-        plain per-job loop (the tests' scalar oracle), keeping the report
-        bit-identical.
+        so a second :meth:`run` repeats the first.
+
+        A plain-float loop.  Jobs are admitted in arrival order once ready
+        within ``_BYTES_EPS`` of now; one admitted before its ``ready_s``
+        also ends the slice there.  The live rows stay in ascending row
+        order, the order the tests' scalar oracle visits them, and rates
+        are solved only when that list changes.  Each solve folds the peak
+        utilization of the columns two or more jobs touch, as sequential
+        row-order sums.  A column only one job touches carries ``rate * w``
+        alone, and ``x -> fl(fl(x * w) / c)`` is monotone, so its peak is
+        set once at the end from that job's highest rate.  The report is
+        bit-identical to the oracle's.
         """
         ledger = self.ledger
-        jobs = self.jobs
-        ready = np.array([job.ready_s for job in jobs])
-        total = np.array([job.total_bytes for job in jobs])
-        done_at = total - np.maximum(_BYTES_EPS, total * _REL_BYTES_EPS)
-        done = np.zeros(len(jobs))
-        io_start: list[float | None] = [None] * len(jobs)
-        finish: list[float | None] = [None] * len(jobs)
-        pending = np.ones(len(jobs), dtype=bool)
-        peak = np.zeros(len(ledger.keys))
-        live, rates = np.empty(0, dtype=np.intp), np.empty(0)
-        while pending.any():
-            active = pending & (ready <= now + _BYTES_EPS)
-            future = ready[pending & (ready > now)]
-            if not active.any():
-                now = float(np.min(future))
+        capacity = ledger.capacity.tolist()
+        common = ledger.touches.sum(axis=0) > 1
+        shared_terms, single_terms = ledger.row_terms(common), ledger.row_terms(~common)
+        ready = [job.ready_s for job in self.jobs]
+        total = [job.total_bytes for job in self.jobs]
+        done_at = [t - max(_BYTES_EPS, t * _REL_BYTES_EPS) for t in total]
+        waiting = sorted(range(len(ready)), key=ready.__getitem__, reverse=True)
+        done = [0.0] * len(ready)
+        io_start = [0.0] * len(ready)
+        finish = [0.0] * len(ready)
+        top = [0.0] * len(ready)
+        peak = [0.0] * len(capacity)
+        live: list[int] = []
+        rates: list[float] = []
+        changed = False
+        now = ready[waiting[-1]]
+        while live or waiting:
+            while waiting and ready[waiting[-1]] <= now + _BYTES_EPS:
+                row = waiting.pop()
+                insort(live, row)
+                io_start[row] = max(now, ready[row])
+                changed = True
+            future = ready[waiting[-1]] if waiting else math.inf
+            for row in live:
+                if now < ready[row] < future:
+                    future = ready[row]
+            if not live:
+                now = future
                 continue
-            if not np.array_equal(np.flatnonzero(active), live):
-                live = np.flatnonzero(active)
-                for i in live:
-                    if io_start[i] is None:
-                        io_start[i] = max(now, float(ready[i]))
-                rates = ledger.allocate(live)
-                if rates.any():
-                    used = ledger.utilization(live, rates)
-                    peak = np.maximum(peak, used / ledger.capacity)
-            if not rates.any():
-                if future.size == 0:
+            if changed:
+                changed = False
+                rates = ledger.allocate(live).tolist()
+                used: dict[int, float] = {}
+                for row, rate in zip(live, rates):
+                    top[row] = max(top[row], rate)
+                    for j, w in shared_terms[row]:
+                        used[j] = used.get(j, 0.0) + rate * w
+                for j, value in used.items():
+                    peak[j] = max(peak[j], value / capacity[j])
+            if not any(rates):
+                if future == math.inf:
                     raise self._starved(live)
-                now = float(np.min(future))
+                now = future
                 continue
-            horizon = now + _SLICE_S
-            if future.size:
-                horizon = min(horizon, float(np.min(future)))
-            moving = rates > 0.0
-            if moving.any():
-                remaining = total[live] - done[live]
-                horizon = min(
-                    horizon, float(np.min(now + remaining[moving] / rates[moving]))
-                )
+            horizon = min(now + _SLICE_S, future)
+            for row, rate in zip(live, rates):
+                if rate > 0.0:
+                    horizon = min(horizon, now + (total[row] - done[row]) / rate)
             dt = max(horizon - now, 0.0)
-            done[live] += rates * dt
+            for row, rate in zip(live, rates):
+                done[row] += rate * dt
             now = horizon
-            completed = live[done[live] >= done_at[live]]
-            for i in completed:
-                finish[i] = now
-            pending[completed] = False
-            if dt == 0.0 and completed.size == 0:
+            running = [row for row in live if done[row] < done_at[row]]
+            if len(running) < len(live):
+                for row in live:
+                    if done[row] >= done_at[row]:
+                        finish[row] = now
+                live, changed = running, True
+            elif dt == 0.0:
                 # A zero-width slice that completes nothing recomputes the
                 # identical state next iteration — a numerical stall.
                 raise self._starved(live)
+        for row, terms in enumerate(single_terms):
+            for j, w in terms:
+                peak[j] = top[row] * w / capacity[j]
         return peak, io_start, finish
 
     # ------------------------------------------------------------------ #
@@ -320,3 +344,22 @@ class MultiJobRuntime:
             (names[a], names[b]): int(counts[a, b])
             for a, b in zip(*np.triu_indices(len(names), 1))
         }
+
+
+def _shared_resources(ledger: ContentionLedger) -> dict[tuple[str, str], list[tuple]]:
+    """The keys each sharing job pair both touches, in ``repr`` order: one
+    AND of the touch matrix over the sharing pairs, with the shared columns
+    permuted into ``repr`` order, and one ``np.nonzero`` split per pair."""
+    common = np.flatnonzero(ledger.touches.sum(axis=0) > 1).tolist()
+    order = sorted(common, key=lambda j: repr(ledger.keys[j]))
+    keys = [ledger.keys[j] for j in order]
+    touches = ledger.touches[:, order]
+    row_a, row_b = np.nonzero(np.triu(ledger.sharing(), 1))
+    pair, column = np.nonzero(touches[row_a] & touches[row_b])
+    shared = [keys[j] for j in column.tolist()]
+    bounds = [0, *(np.flatnonzero(np.diff(pair)) + 1).tolist(), len(shared)]
+    names = ledger.flow_ids
+    return {
+        (names[a], names[b]): shared[lo:hi]
+        for a, b, lo, hi in zip(row_a.tolist(), row_b.tolist(), bounds, bounds[1:])
+    }

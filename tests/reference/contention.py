@@ -4,11 +4,14 @@
 every resource, which
 :meth:`repro.multijob.contention.ContentionLedger.allocate` runs over only
 the resources that can bind, and :func:`advance_scalar` the per-job fluid
-loop that :class:`repro.multijob.runtime.MultiJobRuntime` replaced with numpy
-array code.  Both visit flows in the caller's order and resources in registration
-order everywhere a float accumulates, so the ``src/`` implementations must
-match them bit for bit.  :class:`ScalarLedger` reads the matrix ledger back
-into the plain dicts the loops walk.
+loop that :class:`repro.multijob.runtime.MultiJobRuntime` runs over only the
+live jobs, solving when they change and folding the peak utilization of
+single-job resources once at the end.  Both visit flows in the caller's order
+and resources in registration order everywhere a float accumulates, so the
+``src/`` implementations must match them bit for bit.  :class:`ScalarLedger`
+reads the matrix ledger back into the plain dicts the loops walk, and
+:func:`utilization` gives the bandwidth a set of rates loads each resource
+with, for the conservation property tests.
 """
 
 from __future__ import annotations
@@ -137,11 +140,12 @@ def allocate(ledger: ContentionLedger, rows=None) -> list[float]:
     return [rates[flow_id] for flow_id in ids]
 
 
-def utilization(ledger: ContentionLedger, rows, rates) -> list[float]:
-    """:meth:`ContentionLedger.utilization` by the per-flow dict fold."""
+def utilization(ledger: ContentionLedger, rows, rates) -> np.ndarray:
+    """Bandwidth each resource carries when ``rows`` run at ``rates``, by the
+    per-flow dict fold, in column order."""
     scalar = ScalarLedger(ledger)
     by_id = {ledger.flow_ids[row]: float(rate) for row, rate in zip(rows, rates)}
-    return list(scalar.utilization(by_id).values())
+    return np.array(list(scalar.utilization(by_id).values()))
 
 
 def advance_scalar(
@@ -224,11 +228,12 @@ def run_scalar(runtime: MultiJobRuntime):
         ids = names if rows is None else [names[row] for row in rows]
         return np.array(list(scalar.allocate(ids).values()))
 
-    def advance(now):
+    def advance():
         peak = {key: 0.0 for key in scalar.resources}
+        now = min(job.ready_s for job in runtime.jobs)
         io_start, finish = advance_scalar(oracle, peak, now)
         return (
-            np.array(list(peak.values())),
+            list(peak.values()),
             [io_start[name] for name in names],
             [finish[name] for name in names],
         )

@@ -242,6 +242,19 @@ class TestWorkflowShape:
             )
         assert gate[0].count("grep -F '\"correct\": true'") == 2
 
+    def test_bench_job_gates_contention_mix_on_the_scalar_oracle(self, workflow):
+        """Every seed-1 and seed-7 contention_mix report must equal the
+        scalar oracle's unrounded; the digest sees rounded slowdowns only."""
+        steps = workflow["jobs"]["bench"]["steps"]
+        gate = [s.get("run", "") for s in steps if s.get("name") == "Contention-mix oracle gate"]
+        assert gate, "the bench job must replay contention_mix through the oracle"
+        assert "PYTHONPATH=tests${PYTHONPATH:+:$PYTHONPATH} python - <<'EOF'" in gate[0]
+        assert "from perfbench.workloads import contention_payloads" in gate[0]
+        assert "for seed in (1, 7):" in gate[0]
+        assert "contention_payloads(seed, 60)" in gate[0]
+        assert "if report != run_scalar(simulation.multijob_runtime()):" in gate[0]
+        assert "assert not unequal" in gate[0]
+
     def test_bench_job_gates_on_the_des_roundtrip_digest(self, workflow):
         """The discrete-event engine must reproduce perfbench's committed
         des_roundtrip digests of seeds 1 and 7, and every write and read

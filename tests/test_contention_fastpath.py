@@ -71,7 +71,7 @@ def assert_valid_max_min(ledger: ContentionLedger, rates) -> None:
     """Conservation, demand caps, and max-min (work-conserving) optimality."""
     rows = range(len(ledger.flow_ids))
     rates = np.asarray(rates)
-    used = ledger.utilization(rows, rates)
+    used = reference.utilization(ledger, rows, rates)
     assert np.all(used <= ledger.capacity * (1.0 + 1e-6))
     assert np.all((rates >= 0.0) & (rates <= ledger.demand * (1.0 + 1e-6)))
     saturated = used >= ledger.capacity * (1.0 - 1e-6)
@@ -116,9 +116,6 @@ class TestVectorisedEqualsScalar:
         for active in (rows[::2], list(reversed(rows)), rows[:1]):
             fast = ledger.allocate(active)
             assert reference.allocate(ledger, active) == fast.tolist()
-            assert reference.utilization(ledger, active, fast) == (
-                ledger.utilization(active, fast).tolist()
-            )
 
     def test_single_resource_instances_stay_bit_equal(self):
         """One shared resource is the degenerate matrix shape (one column)."""
@@ -164,6 +161,25 @@ def solve_both(ledger: ContentionLedger, bound: set | None = None):
     return (rates, iterations), (list(scalar.values()), scalar_iterations)
 
 
+def near_threshold_instance(rng) -> tuple[ContentionLedger, dict, dict]:
+    """A random ledger with some columns' whole-ledger loads moved to within
+    1e-9..1e-5 of their capacities, above or below; also returns each
+    key's load and capacity."""
+    keys, flows = random_flows(
+        rng, int(rng.integers(1, 9)), int(rng.integers(1, 10)), (0.1, 30.0)
+    )
+    caps = {key: float(rng.uniform(0.5, 50.0)) for key in keys}
+    load = dict.fromkeys(keys, 0.0)
+    for _, demand, weights in flows:
+        for key, weight in weights.items():
+            load[key] += demand * weight
+    near = [key for key in keys if load[key] > 0.0]
+    for key in rng.choice(len(near), size=int(rng.integers(1, len(near) + 1))):
+        offset = float(rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-9.0, -5.0))
+        caps[near[key]] = load[near[key]] / (1.0 + offset)
+    return ContentionLedger(list(caps.items()), flows), load, caps
+
+
 def candidates(ledger: ContentionLedger) -> np.ndarray:
     """The columns a solve over every flow keeps (the ledger's own test)."""
     return ledger.demand @ ledger.weight > ledger.bind_floor
@@ -176,19 +192,8 @@ class TestCandidateColumns:
         rng = seeded_rng(2025)
         kept = pruned = 0
         for _ in range(300):
-            keys, flows = random_flows(
-                rng, int(rng.integers(1, 9)), int(rng.integers(1, 10)), (0.1, 30.0)
-            )
-            caps = {key: float(rng.uniform(0.5, 50.0)) for key in keys}
-            load = dict.fromkeys(keys, 0.0)
-            for _, demand, weights in flows:
-                for key, weight in weights.items():
-                    load[key] += demand * weight
-            near = [key for key in keys if load[key] > 0.0]
-            for key in rng.choice(len(near), size=int(rng.integers(1, len(near) + 1))):
-                offset = float(rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-9.0, -5.0))
-                caps[near[key]] = load[near[key]] / (1.0 + offset)
-            ledger = ContentionLedger(list(caps.items()), flows)
+            ledger, load, caps = near_threshold_instance(rng)
+            near = [key for key in ledger.keys if load[key] > 0.0]
             bound: set = set()
             solved, scalar = solve_both(ledger, bound)
             assert solved == scalar
@@ -200,6 +205,46 @@ class TestCandidateColumns:
                     kept += bool(keep[column])
                     pruned += not keep[column]
         assert kept > 50 and pruned > 50
+
+    def test_every_subset_binds_only_bindable_columns(self):
+        """No active subset loads a column more than the whole ledger does,
+        so every key the oracle binds or saturates for a random active
+        subset, in random order, is in the ledger's static set — and the
+        solve over that set alone equals the oracle's."""
+        rng = seeded_rng(31)
+        ledgers = [
+            build_instance(rng, capacity_range, demand_range)
+            for _, capacity_range, demand_range in _REGIMES
+            for _ in range(40)
+        ]
+        ledgers += [near_threshold_instance(rng)[0] for _ in range(120)]
+        # Two flows binding a pipe by tolerance alone (see
+        # test_a_prunable_column_never_enters_the_binding_set).
+        pipe = ("pipe",)
+        demand = 5.0 * (1.0 - 1.5e-9)
+        ledgers.append(
+            ContentionLedger([(pipe, 10.0)], [("a", demand, {pipe: 1.0}), ("b", demand, {pipe: 1.0})])
+        )
+        bound_any = static_pruned = 0
+        for ledger in ledgers:
+            static = {ledger.keys[j] for j in np.flatnonzero(ledger.bindable)}
+            static_pruned += len(static) < len(ledger.keys)
+            every = list(range(len(ledger.flow_ids)))
+            subsets = [every] + [
+                rng.permutation(every)[: int(rng.integers(1, len(every) + 1))].tolist()
+                for _ in range(3)
+            ]
+            for rows in subsets:
+                bound: set = set()
+                rates, _ = reference.allocate_scalar(
+                    reference.ScalarLedger(ledger),
+                    [ledger.flow_ids[row] for row in rows],
+                    bound,
+                )
+                assert bound <= static
+                assert ledger.allocate(rows).tolist() == list(rates.values())
+                bound_any += bool(bound)
+        assert bound_any > 100 and static_pruned > 50
 
     @pytest.mark.parametrize("seed", [3, 11, 29])
     def test_dense_instances_where_nothing_can_be_pruned(self, seed):
@@ -246,18 +291,21 @@ class TestCandidateColumns:
         assert run(5.0 * (1.0 - 1.5e-9)) == (True, {pipe})
 
 
-def mix_scenario(rng: random.Random, index: int) -> dict:
-    """A contention_mix-shaped scenario on a 256-node Theta.
+def mix_scenario(
+    rng: random.Random, index: int, num_nodes: int = 256, num_jobs: int | None = None
+) -> dict:
+    """A contention_mix-shaped scenario on a ``num_nodes``-node Theta.
 
-    8–24 jobs of 2–8 nodes arriving over 3 s, reading or writing, each
-    through a narrow Lustre stripe anchored anywhere or (about 15%) one of
-    two shared burst buffers whose drain capacities disagree between jobs;
-    the allocation policy cycles through all three.
+    ``num_jobs`` (default: 8–24) jobs of 2–8 nodes arriving over 3 s,
+    reading or writing, each through a narrow Lustre stripe anchored
+    anywhere or (about 15%) one of two shared burst buffers whose drain
+    capacities disagree between jobs; the allocation policy cycles through
+    all three.
     """
     from repro.scenario.spec import ALLOCATION_POLICIES
 
     jobs = []
-    for job in range(rng.randint(8, 24)):
+    for job in range(rng.randint(8, 24) if num_jobs is None else num_jobs):
         if rng.random() < 0.15:
             storage = {
                 "kind": "burst-buffer",
@@ -290,7 +338,7 @@ def mix_scenario(rng: random.Random, index: int) -> dict:
         )
     return {
         "id": f"mix/{index}",
-        "machine": {"kind": "theta", "num_nodes": 256},
+        "machine": {"kind": "theta", "num_nodes": num_nodes},
         "workload": {"kind": "ior"},
         "io": {"kind": "tapioca"},
         "multijob": {
@@ -305,7 +353,7 @@ class TestRuntimeEquivalence:
     def half_second_slices(self, monkeypatch):
         monkeypatch.setattr(runtime_module, "_SLICE_S", 0.5)
 
-    def build_runtime(self, mb_per_rank: int = 64, jobs: int = 4):
+    def build_runtime(self, mb_per_rank: int = 64, jobs: int = 4, arrival_step: float = 3.0):
         from repro.core.config import TapiocaConfig
         from repro.machine.theta import ThetaMachine
         from repro.multijob import JobSpec, MultiJobRuntime
@@ -323,7 +371,7 @@ class TestRuntimeEquivalence:
                 stripe=machine.stripe_for_job(
                     ost_start=2 * index, stripe_count=8, stripe_size=8 * MIB
                 ),
-                arrival_s=3.0 * index,
+                arrival_s=arrival_step * index,
             )
             for index in range(jobs)
         ]
@@ -357,6 +405,52 @@ class TestRuntimeEquivalence:
             report = run(self.build_runtime(mb_per_rank=2048, jobs=2))
             assert all(outcome.finish_s > 0.0 for outcome in report.outcomes)
             assert report.conserves_bandwidth()
+
+
+class TestRuntimeAtWorkloadShape:
+    """The runtime at the default slice length, against the scalar loop."""
+
+    def test_a_sub_epsilon_arrival_runs_and_ends_the_slice(self):
+        """A job ready within ``_BYTES_EPS`` of now is admitted at once and
+        the slice still ends at its ``ready_s``: two jobs on shared OSTs,
+        the second arriving 3e-7 s after the first.  Admitting it without
+        that bound moves ``finish_s`` by one ulp."""
+        build = TestRuntimeEquivalence().build_runtime
+        fast = build(jobs=2, arrival_step=3e-7).run()
+        scalar = reference.run_scalar(build(jobs=2, arrival_step=3e-7))
+        assert fast.outcome_of("job1").start_s == 3e-7
+        assert fast.outcomes == scalar.outcomes
+        assert fast.peak_utilization == scalar.peak_utilization
+
+    def test_contention_mix_shaped_scenarios_match_the_scalar_loop(self):
+        """32–64 jobs on a 1024-node Theta, one scenario per allocation
+        policy: unrounded outcomes, peaks and shared resources are the
+        scalar loop's (a digest of rounded slowdowns would miss a last-bit
+        drift)."""
+        from repro.scenario.simulation import Simulation
+        from repro.scenario.spec import Scenario
+
+        rng = random.Random(30)
+        for index, num_jobs in enumerate((32, 48, 64)):
+            payload = mix_scenario(rng, index, num_nodes=1024, num_jobs=num_jobs)
+            simulation = Simulation(Scenario.from_dict(payload))
+            fast = simulation.multijob_runtime().run()
+            scalar = reference.run_scalar(simulation.multijob_runtime())
+            assert fast.outcomes == scalar.outcomes
+            assert fast.peak_utilization == scalar.peak_utilization
+            assert fast.shared_resources == scalar.shared_resources
+            assert len(fast.peak_utilization) > 2 * num_jobs
+
+    def test_a_second_run_repeats_the_first(self):
+        """The jobs hold no run state; shared resources are computed on
+        first read and are part of report equality."""
+        runtime = TestRuntimeEquivalence().build_runtime()
+        first = runtime.run()
+        assert "shared_resources" not in vars(first)
+        second = runtime.run()
+        assert first == second
+        assert first.shared_resources == second.shared_resources
+        assert first.shared_resources[("job0", "job1")]
 
 
 class TestStarvedFlowDetection:

