@@ -1,24 +1,22 @@
-"""Autotuning: cost-model-driven search over the scenario space.
+"""Autotuning: certify the cost model's optimum over a scenario's tuning space.
 
 The paper's headline comparisons rest on hand-tuned I/O parameters (48
 OSTs, 8 MiB stripes, 2 aggregators per OST on Theta; lock sharing on Mira —
-Section V-B).  This package turns those static presets into something a
-machine can *find*: a :class:`~repro.autotune.space.SearchSpace` describes
-the candidate scenario points, an
+Section V-B).  This package checks those static presets against the whole
+space they were picked from: a :class:`~repro.autotune.space.SearchSpace`
+describes the candidate scenario points, an
 :class:`~repro.autotune.objectives.Objective` scores each one through the
-:class:`~repro.scenario.simulation.Simulation` facade, a
-:class:`~repro.autotune.strategies.Strategy` (grid, random,
-coordinate-descent hill climbing, successive halving over ``--scale``
-fidelities) decides where to look next, and the
-:class:`~repro.autotune.tuner.Tuner` drives it all with parallel candidate
-fan-out, per-point artifact-store caching, and a replayable
-:class:`~repro.autotune.trace.TuningTrace`.
+:class:`~repro.scenario.simulation.Simulation` facade, and
+:func:`~repro.autotune.tuner.tune` evaluates every point — with parallel
+candidate fan-out and per-point artifact-store caching — into a
+:class:`~repro.autotune.trace.TuningTrace`: every point, the proven optimum
+and each point's gap to it.
 
 The ``tuning_theta_rediscovery`` and ``tuning_interference_aware``
 experiments (:mod:`repro.experiments.autotuning`) validate the subsystem:
-starting from the untuned baseline, the search must land on the paper's
-optimized regime — and show how the optimum moves once co-running jobs
-contend for the same OSTs.
+the proven optimum over the untuned baseline's space must be the paper's
+optimized regime — and it must move once co-running jobs contend for the
+same OSTs.
 """
 
 from repro.autotune.defaults import as_tunable, suggest_space, theta_mpiio_space
@@ -38,22 +36,12 @@ from repro.autotune.space import (
     SearchSpace,
     linked,
 )
-from repro.autotune.strategies import (
-    GridSearch,
-    HillClimb,
-    RandomSearch,
-    Strategy,
-    SuccessiveHalving,
-    get_strategy,
-    strategy_names,
-)
 from repro.autotune.trace import TracePoint, TuningTrace
 from repro.autotune.tuner import (
-    TuneTarget,
-    Tuner,
+    MAX_SPACE_POINTS,
     point_digest,
     rescale_scenario,
-    tune_scenario,
+    tune,
 )
 
 __all__ = [
@@ -69,18 +57,10 @@ __all__ = [
     "OBJECTIVES",
     "get_objective",
     "default_objective",
-    "Strategy",
-    "GridSearch",
-    "RandomSearch",
-    "HillClimb",
-    "SuccessiveHalving",
-    "get_strategy",
-    "strategy_names",
     "TracePoint",
     "TuningTrace",
-    "TuneTarget",
-    "Tuner",
-    "tune_scenario",
+    "tune",
+    "MAX_SPACE_POINTS",
     "point_digest",
     "rescale_scenario",
     "as_tunable",

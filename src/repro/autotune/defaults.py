@@ -1,15 +1,15 @@
-"""Default search spaces: what ``repro tune`` searches when you don't say.
+"""Default search spaces: what ``repro tune`` evaluates when you don't say.
 
 Custom spaces are a library feature (build a
-:class:`~repro.autotune.space.SearchSpace` and hand it to a
-:class:`~repro.autotune.tuner.Tuner`); the CLI needs something sensible out
+:class:`~repro.autotune.space.SearchSpace` and hand it to
+:func:`~repro.autotune.tuner.tune`); the CLI needs something sensible out
 of the box.  :func:`suggest_space` derives a space from the target scenario
 itself — which I/O path it uses, which aggregator knob it sets, what its
 storage looks like — and :func:`as_tunable` first rewrites the preset
 ``mpiio-baseline``/``mpiio-tuned`` strategies into their explicit field
 form (via :mod:`repro.iolib.tuning`, so the two stay in lock-step), because
 a preset's fields are fixed by definition and there would be nothing to
-search.
+tune.
 """
 
 from __future__ import annotations
@@ -48,8 +48,8 @@ def matched_stripe_domain() -> Linked:
     """Stripe size and aggregation buffer size advanced in lockstep.
 
     Table I shows the 1:1 buffer:stripe ratio to be optimal, so the default
-    space searches the matched pair as one axis instead of wasting budget
-    on dominated ratios.
+    space searches the matched pair as one axis instead of evaluating
+    dominated ratios.
     """
     return linked(
         LogBytes("storage.stripe_size", LUSTRE_STRIPE_SIZES[0], LUSTRE_STRIPE_SIZES[-1]),

@@ -2,8 +2,8 @@
 
 A :class:`SearchSpace` is the tuning counterpart of a
 :class:`~repro.scenario.sweep.Sweep`: where a sweep *enumerates* a figure's
-grid, a search space *describes* the set of candidate points a
-:class:`~repro.autotune.tuner.Tuner` may probe.  Each :class:`Domain` covers
+grid, a search space *describes* the set of candidate points
+:func:`~repro.autotune.tuner.tune` evaluates.  Each :class:`Domain` covers
 one dotted spec field (``"storage.stripe_count"``, ``"io.buffer_size"``)
 with an ordered, finite value ladder — integer ranges, log-scaled byte
 sizes, categorical policies — and :func:`linked` ties several domains
@@ -15,14 +15,14 @@ Candidate points are plain override mappings applied through
 :func:`~repro.scenario.spec.apply_overrides`, so every point inherits the
 spec module's eager validation and did-you-mean errors: a typo'd field fails
 at space construction, and a value combination the scenario tree rejects is
-filtered out instead of crashing the search.
+recorded as an invalid point instead of crashing the tune.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, fields as dataclass_fields
-from typing import Any, Iterator, Mapping, Sequence
+from dataclasses import dataclass
+from typing import Any, Iterator, Mapping
 
 import numpy as np
 
@@ -32,7 +32,7 @@ from repro.utils.validation import require
 
 
 class AutotuneError(ValueError):
-    """A search space, strategy, or tuning request is invalid."""
+    """A search space or tuning request is invalid."""
 
 
 # --------------------------------------------------------------------------- #
@@ -71,21 +71,6 @@ class Domain:
     def sample(self, rng: np.random.Generator) -> dict[str, Any]:
         """One uniformly drawn fragment."""
         return self.fragments()[int(rng.integers(len(self.values)))]
-
-    def fragment_of(self, scenario: Scenario) -> dict[str, Any]:
-        """The fragment matching ``scenario``'s current value, if on-grid.
-
-        Off-grid scenarios (the base sits between ladder rungs) fall back to
-        the first fragment, so hill climbing always has a start point.
-        """
-        try:
-            current = resolve_field(scenario, self.field)
-        except AutotuneError:
-            return self.fragments()[0]
-        for fragment in self.fragments():
-            if repr(fragment[self.field]) == repr(current):
-                return fragment
-        return self.fragments()[0]
 
 
 class Categorical(Domain):
@@ -165,17 +150,6 @@ class Linked:
         fragments = self.fragments()
         return fragments[int(rng.integers(len(fragments)))]
 
-    def fragment_of(self, scenario: Scenario) -> dict[str, Any]:
-        fragments = self.fragments()
-        lead = self.domains[0]
-        try:
-            current = resolve_field(scenario, lead.field)
-        except AutotuneError:
-            return fragments[0]
-        for index, value in enumerate(lead.values):
-            if repr(value) == repr(current):
-                return fragments[index]
-        return fragments[0]
 
 
 def linked(*domains: Domain) -> Linked:
@@ -183,45 +157,9 @@ def linked(*domains: Domain) -> Linked:
     return Linked(tuple(domains))
 
 
-def resolve_field(scenario: Scenario, path: str) -> Any:
-    """The current value of a dotted spec path on a scenario.
-
-    Raises:
-        AutotuneError: when the path does not resolve (unknown field,
-            index out of range, unset optional spec).
-    """
-    target: Any = scenario
-    for part in path.split("."):
-        if isinstance(target, tuple):
-            try:
-                target = target[int(part)]
-            except (ValueError, IndexError):
-                raise AutotuneError(
-                    f"{path!r}: {part!r} is not a valid index"
-                ) from None
-            continue
-        if not hasattr(target, "__dataclass_fields__") or part not in {
-            f.name for f in dataclass_fields(target)
-        }:
-            raise AutotuneError(f"{path!r}: no field {part!r} on {type(target).__name__}")
-        target = getattr(target, part)
-        if target is None:
-            break
-    return target
-
-
 # --------------------------------------------------------------------------- #
 # The search space
 # --------------------------------------------------------------------------- #
-
-
-def canonical_point(point: Mapping[str, Any]) -> str:
-    """A stable, hashable key for one candidate point.
-
-    ``repr`` (not JSON) so override values may be spec dataclasses or tuples
-    of them, exactly as in :func:`~repro.scenario.spec.apply_overrides`.
-    """
-    return repr(sorted((str(key), repr(value)) for key, value in point.items()))
 
 
 class SearchSpace:
@@ -341,18 +279,6 @@ class SearchSpace:
             point.update(domain.sample(rng))
         return point
 
-    def point_of(self, scenario: Scenario) -> dict[str, Any]:
-        """The grid point matching a scenario's current values.
-
-        Domains whose current value is off-grid contribute their first
-        fragment; the result is always a complete, valid grid point (the
-        hill climber's start).
-        """
-        point: dict[str, Any] = {}
-        for domain in self.domains:
-            point.update(domain.fragment_of(scenario))
-        return point
-
     def apply(self, base: Scenario, point: Mapping[str, Any]) -> Scenario:
         """``base`` with one candidate point applied (spec-layer validation).
 
@@ -370,9 +296,3 @@ def _needs_repr(value: Any) -> bool:
         return False
     return True
 
-
-def chunked(items: Sequence, size: int) -> Iterator[list]:
-    """Split a sequence into lists of at most ``size`` items."""
-    require(size > 0, f"chunk size must be positive, got {size}")
-    for start in range(0, len(items), size):
-        yield list(items[start : start + size])

@@ -1,12 +1,13 @@
-"""Tuning traces: the full record of one tuning run.
+"""Tuning traces: the certificate of one exhaustive tuning run.
 
-A :class:`TuningTrace` holds every candidate point a
-:class:`~repro.autotune.tuner.Tuner` evaluated — its overrides, fidelity,
-objective value, whether it came from the artifact-store cache — plus the
-best-so-far curve, so a tune is as replayable and reportable as a figure
-reproduction.  Traces round-trip through JSON (``to_dict``/``from_dict``)
-and are persisted next to experiment artifacts as ``<target>.tuning.json``,
-where ``repro report --from`` picks them up.
+A :class:`TuningTrace` holds every point of a search space in grid order —
+its overrides, objective value, whether it came from the artifact-store
+cache — plus each point's gap to the best value among them.  Because
+:func:`~repro.autotune.tuner.tune` evaluates the whole space, that best
+value is the proven optimum of the space, not a sample.  Traces round-trip
+through JSON (``to_dict``/``from_dict``) and are persisted next to
+experiment artifacts as ``<target>.tuning.json``, where ``repro report
+--from`` picks them up.
 """
 
 from __future__ import annotations
@@ -15,89 +16,65 @@ from dataclasses import asdict, dataclass, field
 
 from repro.utils.tables import Table
 
-#: Version stamp embedded in serialised traces.
-TRACE_SCHEMA = 1
+#: Version stamp embedded in serialised traces (1 = budgeted strategy
+#: traces with a best-so-far curve; 2 = whole-space certificates).
+TRACE_SCHEMA = 2
 
 
 @dataclass(frozen=True)
 class TracePoint:
-    """One evaluated candidate.
+    """One point of the space.
 
     Attributes:
-        index: 0-based evaluation order.
+        index: 0-based position in the space's grid order.
         overrides: the candidate point (JSON-safe override mapping).
-        fidelity: node-count divisor *relative to the target scale* (1.0 =
-            full fidelity; successive halving probes coarser rungs first).
         num_nodes: machine size the point was evaluated at.
-        value: objective value, or ``None`` for invalid/skipped points.
+        value: objective value, or ``None`` for an invalid point.
         cached: whether the value came from the artifact-store point cache.
-        best_so_far: best full-fidelity value after this evaluation.
+        gap: relative distance to the optimum — ``(optimum - value) /
+            optimum`` when maximising, ``(value - optimum) / optimum`` when
+            minimising, so 0.0 at the optimum and >= 0 everywhere;
+            ``None`` for an invalid point.
         error: the validation error of an invalid point, if any.
     """
 
     index: int
     overrides: dict
-    fidelity: float
     num_nodes: int
     value: float | None
     cached: bool = False
-    best_so_far: float | None = None
+    gap: float | None = None
     error: str | None = None
 
 
 @dataclass
 class TuningTrace:
-    """The complete record of one tuning run."""
+    """Every point of one tuned space and the proven optimum among them."""
 
     target: str
-    strategy: str
     objective: str
     direction: str
-    seed: int
-    budget: int
-    scale: float
     space: dict = field(default_factory=dict)
     points: list[TracePoint] = field(default_factory=list)
     wall_time_s: float = 0.0
 
     # -- outcomes -----------------------------------------------------------
 
-    def full_fidelity_points(self) -> list[TracePoint]:
-        """The valid points evaluated at the target fidelity."""
-        return [
-            point
-            for point in self.points
-            if point.value is not None and point.fidelity == 1.0
-        ]
-
     def best_point(self) -> TracePoint | None:
-        """The best valid full-fidelity point, or ``None`` if none exists."""
-        candidates = self.full_fidelity_points()
-        if not candidates:
-            return None
-        if self.direction == "max":
-            return max(candidates, key=lambda point: point.value)
-        return min(candidates, key=lambda point: point.value)
+        """The optimum: the first point in grid order with a zero gap."""
+        return next((point for point in self.points if point.gap == 0.0), None)
 
     @property
     def best_value(self) -> float | None:
-        """Objective value of the best point (``None`` if nothing valid)."""
+        """Objective value of the optimum (``None`` if nothing valid)."""
         best = self.best_point()
         return None if best is None else best.value
 
     @property
     def best_overrides(self) -> dict:
-        """Override mapping of the best point (empty if nothing valid)."""
+        """Override mapping of the optimum (empty if nothing valid)."""
         best = self.best_point()
         return {} if best is None else dict(best.overrides)
-
-    def best_curve(self) -> list[tuple[int, float]]:
-        """``(index, best_so_far)`` per full-fidelity evaluation, in order."""
-        return [
-            (point.index, point.best_so_far)
-            for point in self.points
-            if point.fidelity == 1.0 and point.best_so_far is not None
-        ]
 
     def evaluations(self) -> int:
         """Points actually simulated (cache hits excluded)."""
@@ -125,18 +102,24 @@ class TuningTrace:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "TuningTrace":
-        """Rebuild a trace from :meth:`to_dict` output."""
-        points = [TracePoint(**entry) for entry in payload.get("points", [])]
+        """Rebuild a trace from :meth:`to_dict` output.
+
+        Raises:
+            ValueError: when the payload carries another trace schema (e.g. a
+                budgeted strategy trace written before whole-space tuning).
+        """
+        found = payload.get("schema")
+        if found != TRACE_SCHEMA:
+            raise ValueError(
+                f"tuning trace schema {found!r}, expected {TRACE_SCHEMA}; "
+                f"re-run repro tune to regenerate it"
+            )
         return cls(
             target=payload["target"],
-            strategy=payload["strategy"],
             objective=payload["objective"],
             direction=payload["direction"],
-            seed=payload["seed"],
-            budget=payload["budget"],
-            scale=payload["scale"],
             space=dict(payload.get("space", {})),
-            points=points,
+            points=[TracePoint(**entry) for entry in payload.get("points", [])],
             wall_time_s=payload.get("wall_time_s", 0.0),
         )
 
@@ -145,35 +128,37 @@ class TuningTrace:
     def summary(self) -> str:
         """A short human-readable account of the run (for the CLI)."""
         lines = [
-            f"tuned {self.target} with {self.strategy} "
-            f"(objective: {self.objective} [{self.direction}], "
-            f"budget {self.budget}, seed {self.seed})",
+            f"tuned {self.target} over all {len(self.points)} points "
+            f"(objective: {self.objective} [{self.direction}])",
             f"  {len(self.points)} points: {self.evaluations()} evaluated, "
             f"{self.cache_hits()} cache hits, {self.invalid_points()} invalid "
             f"({self.wall_time_s:.2f}s)",
         ]
         best = self.best_point()
         if best is None:
-            lines.append("  no valid candidate found")
+            lines.append("  no valid point in the space")
             return "\n".join(lines)
-        lines.append(f"  best {self.objective}: {best.value:.4g}")
+        lines.append(f"  proven optimum {self.objective}: {best.value:.4g}")
         for key in sorted(best.overrides):
             lines.append(f"    {key} = {best.overrides[key]}")
         return "\n".join(lines)
 
-    def to_table(self, *, last: int | None = None) -> Table:
-        """The best-so-far curve as a table (optionally only the last rows)."""
+    def to_table(self) -> Table:
+        """The 10 best points (ties in grid order) with their gaps."""
+        fields = list(self.space)
         table = Table(
-            headers=["eval #", self.objective, "best so far"],
-            title=f"{self.target}: {self.strategy} tuning trace",
+            headers=["grid #", self.objective, "gap %", *fields],
+            title=f"{self.target}: 10 best of {len(self.points)} points",
         )
-        rows = [
-            (point.index, point.value, point.best_so_far)
-            for point in self.points
-            if point.fidelity == 1.0 and point.value is not None
-        ]
-        if last is not None:
-            rows = rows[-last:]
-        for index, value, best in rows:
-            table.add_row(index, round(value, 4), round(best, 4))
+        ranked = sorted(
+            (point for point in self.points if point.gap is not None),
+            key=lambda point: point.gap,
+        )
+        for point in ranked[:10]:
+            table.add_row(
+                point.index,
+                point.value,
+                100.0 * point.gap,
+                *(point.overrides.get(name) for name in fields),
+            )
         return table

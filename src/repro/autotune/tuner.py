@@ -1,38 +1,37 @@
-"""The tuning driver: budgeted, cached, parallel candidate evaluation.
+"""The tuning driver: one exhaustive, certified evaluation of a space.
 
-:class:`Tuner` glues the pieces together: a :class:`TuneTarget` (a scenario
-builder parameterised by the usual ``--scale`` divisor, so multi-fidelity
-strategies can buy cheap evaluations at reduced node counts), a
-:class:`~repro.autotune.space.SearchSpace`, an
-:class:`~repro.autotune.objectives.Objective`, and a
-:class:`~repro.autotune.strategies.Strategy`.  Candidate batches fan out
-over worker processes via
-:func:`repro.experiments.runner.evaluate_candidates`, and every evaluated
-point is persisted in the :class:`~repro.experiments.store.ArtifactStore`
-keyed by ``(scenario hash, objective)`` — resuming an interrupted or
-re-parameterised tune skips every point already paid for.
+:func:`tune` scores every point of a
+:class:`~repro.autotune.space.SearchSpace` on one base scenario with an
+:class:`~repro.autotune.objectives.Objective`, so the best value it reports
+is the proven optimum of the space.  Candidates fan out over worker
+processes via :func:`repro.experiments.runner.evaluate_candidates`, and
+every evaluated point is persisted in the
+:class:`~repro.experiments.store.ArtifactStore` keyed by ``(scenario hash,
+objective)`` — re-running a tune, or tuning an overlapping space, skips
+every point already paid for.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Mapping
+from typing import TYPE_CHECKING, Any
 
 from repro.autotune.objectives import Objective, default_objective, get_objective
-from repro.obs import elapsed_s, now, recorder as obs_recorder, span as obs_span
-from repro.autotune.space import AutotuneError, SearchSpace, canonical_point
-from repro.autotune.strategies import Strategy, get_strategy
+from repro.autotune.space import AutotuneError, SearchSpace
 from repro.autotune.trace import TracePoint, TuningTrace
 from repro.machine.mira import MIRA_PSET_SIZE
-from repro.scenario.registry import get_scenario
+from repro.obs import elapsed_s, now, recorder as obs_recorder, span as obs_span
 from repro.scenario.spec import Scenario, ScenarioError
-from repro.utils.rng import DEFAULT_SEED, derive_seed
 from repro.utils.scaling import scaled_nodes
-from repro.utils.validation import require
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.experiments.store import ArtifactStore
+
+#: Largest space :func:`tune` enumerates, about 5x the largest default
+#: space of a registered scenario (768 points).  A default multi-job space
+#: has ``3 * 4**n`` points for ``n`` Lustre jobs, so a large JSON deck would
+#: otherwise enumerate for hours.
+MAX_SPACE_POINTS = 4096
 
 
 def point_digest(scenario: Scenario, objective: str) -> str:
@@ -40,8 +39,8 @@ def point_digest(scenario: Scenario, objective: str) -> str:
 
     A SHA-256 digest of the ``(scenario, objective)`` pair: two evaluations
     with the same digest are by construction the same scenario judged by
-    the same objective, whatever sweep/tune/strategy produced them, and may
-    share a cached value.  The scenario half is
+    the same objective, whatever tune produced them, and may share a cached
+    value.  The scenario half is
     :meth:`~repro.scenario.spec.Scenario.content_hash` — the same address
     the evaluation daemon and the store's scenario-result cache use — so
     there is exactly one canonical hash per scenario description.
@@ -75,344 +74,171 @@ def rescale_scenario(scenario: Scenario, divisor: float) -> Scenario:
     return scenario.with_overrides(overrides)
 
 
-@dataclass(frozen=True)
-class TuneTarget:
-    """What gets tuned: a named scenario builder at a target scale.
+def _resolve_objective(
+    objective: Objective | str | None, scenario: Scenario
+) -> Objective:
+    """The objective to score ``scenario`` by, checked against its kind."""
+    if objective is None:
+        objective = default_objective(scenario)
+    elif isinstance(objective, str):
+        objective = get_objective(objective)
+    if objective.multijob != (scenario.multijob is not None):
+        kind = "a multi-job" if objective.multijob else "a single-job"
+        raise ScenarioError(
+            f"objective {objective.name!r} needs {kind} scenario, but "
+            f"{scenario.id!r} is {'multi' if scenario.multijob else 'single'}-job"
+        )
+    return objective
 
-    Attributes:
-        name: label for traces and artifacts (experiment id, registry name,
-            or a JSON file's stem).
-        builder: maps a node-count divisor to a concrete scenario — the
-            same contract as the registry's scenario builders.
-        scale: the target fidelity's divisor (1.0 = the paper's scale);
-            multi-fidelity strategies multiply it by their rung divisors.
+
+def tune(
+    scenario: Scenario,
+    space: SearchSpace,
+    objective: Objective | str | None = None,
+    *,
+    store: "ArtifactStore | None" = None,
+    jobs: int = 1,
+    name: str | None = None,
+) -> TuningTrace:
+    """Evaluate every point of ``space`` on ``scenario``; return the certificate.
+
+    Points are scored in grid order; on ties the first point in grid order
+    is the optimum.  A point the scenario tree rejects is recorded as
+    invalid, not fatal.
+
+    Args:
+        scenario: the base scenario every point is applied to.
+        space: the candidate space (at most :data:`MAX_SPACE_POINTS` points).
+        objective: an :class:`Objective`, its registry name, or ``None``
+            for the scenario's natural objective.
+        store: artifact store for the per-point cache and the trace
+            (``None`` disables both).
+        jobs: worker processes for candidate fan-out (1 = in-process).
+        name: label for the trace (default: the scenario's id).
+
+    Raises:
+        AutotuneError: when the space has more than
+            :data:`MAX_SPACE_POINTS` points.
+        ScenarioError: when the objective does not fit the scenario kind,
+            or a domain's field path does not resolve (did-you-mean hint).
     """
+    # Imported lazily: the experiments package imports the autotuning
+    # experiments, which import this module.
+    from repro.experiments.runner import evaluate_candidates
+    from repro.experiments.store import canonical_overrides
 
-    name: str
-    builder: Callable[[float], Scenario]
-    scale: float = 1.0
-
-    @classmethod
-    def from_registry(cls, name: str, *, scale: float = 1.0) -> "TuneTarget":
-        """Target a registered scenario by name (``KeyError`` + hint if unknown)."""
-        get_scenario(name, scale=scale)  # fail fast, with the did-you-mean hint
-        return cls(
-            name=name,
-            builder=lambda divisor: get_scenario(name, scale=divisor),
-            scale=scale,
+    size = space.size()
+    if size > MAX_SPACE_POINTS:
+        ladders = " x ".join(str(len(domain.fragments())) for domain in space.domains)
+        raise AutotuneError(
+            f"search space has {size:,} points ({ladders}), over the limit "
+            f"of {MAX_SPACE_POINTS:,}; a multi-job space grows 4x per Lustre "
+            f"job (one OST anchor domain each)"
         )
-
-    @classmethod
-    def from_scenario(
-        cls, scenario: Scenario, *, scale: float = 1.0, name: str | None = None
-    ) -> "TuneTarget":
-        """Target a fixed scenario (e.g. parsed from JSON).
-
-        The fidelity knob rescales the scenario's node counts relative to
-        its own size via :func:`rescale_scenario`.
-        """
-        return cls(
-            name=name or scenario.id,
-            builder=lambda divisor: rescale_scenario(scenario, divisor),
-            scale=scale,
-        )
-
-    def scenario(self, fidelity: float = 1.0) -> Scenario:
-        """The concrete scenario at a fidelity rung (1.0 = target scale)."""
-        return self.builder(self.scale * fidelity)
-
-
-class TunerRun:
-    """The evaluation interface a strategy drives (one per ``tune`` call).
-
-    Attributes:
-        space: the search space being explored.
-        objective: the objective being optimised.
-        seed: the run's root seed (strategies derive substreams from it).
-    """
-
-    def __init__(
-        self,
-        tuner: "Tuner",
-        strategy: Strategy,
-        budget: int,
-        seed: int,
-    ) -> None:
-        self.space = tuner.space
-        self.objective = tuner.objective
-        self.seed = seed
-        self._tuner = tuner
-        self._budget = budget
-        self._spent = 0
-        self._memo: dict[tuple[str, float], float | None] = {}
-        self._bases: dict[float, Scenario] = {}
-        self._best: float | None = None
-        self.trace = TuningTrace(
-            target=tuner.target.name,
-            strategy=strategy.name,
-            objective=tuner.objective.name,
-            direction=tuner.objective.direction,
-            seed=seed,
-            budget=budget,
-            scale=tuner.target.scale,
-            space=tuner.space.describe(),
-        )
-
-    # -- budget -------------------------------------------------------------
-
-    def remaining(self) -> int:
-        """Distinct candidate evaluations still affordable."""
-        return self._budget - self._spent
-
-    def start_point(self) -> dict[str, Any]:
-        """The grid point matching the base scenario's own settings."""
-        return self.space.point_of(self._base(1.0))
-
-    # -- evaluation ---------------------------------------------------------
-
-    def _base(self, fidelity: float) -> Scenario:
-        if fidelity not in self._bases:
-            self._bases[fidelity] = self._tuner.target.scenario(fidelity)
-        return self._bases[fidelity]
-
-    def evaluate(
-        self, points: list[Mapping[str, Any]], *, fidelity: float = 1.0
-    ) -> list[float | None]:
-        """Objective values for a batch of candidate points.
-
-        Within-run repeats are memoised (free); new points consume budget —
-        points beyond the remaining budget come back as ``None``.  Fresh
-        evaluations fan out over the tuner's worker processes; previously
-        persisted points are served from the artifact store's point cache
-        instead of re-simulating.
-        """
-        # Imported lazily: the experiments package imports the autotuning
-        # experiments, which import this module — the runner's fan-out is
-        # only needed once a candidate actually evaluates.
-        from repro.experiments.runner import evaluate_candidates
-        from repro.experiments.store import canonical_overrides
-
-        values: list[float | None] = [None] * len(points)
-        pending: list[dict] = []  # queued for the parallel fan-out
-        recorded: list[dict] = []  # trace entries in proposal order
-        memo_hits = 0
-        base = self._base(fidelity)
-        for position, point in enumerate(points):
-            memo_key = (canonical_point(point), fidelity)
-            if memo_key in self._memo:
-                values[position] = self._memo[memo_key]
-                memo_hits += 1
-                continue
-            if self.remaining() <= 0:
-                continue
-            self._spent += 1
+    objective = _resolve_objective(objective, scenario)
+    space.validate_on(scenario)
+    name = name or scenario.id
+    start = now()
+    entries: list[dict[str, Any]] = []
+    pending: list[dict[str, Any]] = []
+    with obs_span(f"tune:{name}", cat="tuner", points=size):
+        for point in space.grid():
             entry: dict[str, Any] = {
-                "position": position,
-                "memo_key": memo_key,
-                "overrides": canonical_overrides(dict(point)) or {},
+                "overrides": canonical_overrides(point) or {},
+                "num_nodes": scenario.machine.num_nodes,
                 "value": None,
                 "cached": False,
                 "error": None,
-                "num_nodes": base.machine.num_nodes,
             }
+            entries.append(entry)
             try:
-                scenario = self.space.apply(base, point)
+                candidate = space.apply(scenario, point)
             except ScenarioError as error:
                 entry["error"] = str(error)
-                recorded.append(entry)
                 continue
-            entry["num_nodes"] = scenario.machine.num_nodes
-            digest = point_digest(scenario, self.objective.name)
-            entry["digest"] = digest
-            cached = self._tuner.cached_value(digest)
-            if cached is not None:
-                entry["value"], entry["error"] = cached
-                entry["cached"] = True
-            else:
-                entry["scenario"] = scenario
-                pending.append(entry)
-            recorded.append(entry)
+            entry["num_nodes"] = candidate.machine.num_nodes
+            entry["scenario"] = candidate
+            if store is not None:
+                entry["digest"] = point_digest(candidate, objective.name)
+                cached = store.load_tuning_point(entry["digest"])
+                if cached is not None:
+                    entry["value"] = cached.get("value")
+                    entry["error"] = cached.get("error")
+                    entry["cached"] = True
+                    continue
+            pending.append(entry)
 
         rec = obs_recorder()
         if rec is not None:
-            if memo_hits:
-                rec.inc("tune.points", memo_hits, source="memo")
-            store_hits = sum(1 for entry in recorded if entry["cached"])
-            if store_hits:
-                rec.inc("tune.points", store_hits, source="store")
-            if pending:
-                rec.inc("tune.points", len(pending), source="fresh")
+            hits = sum(1 for entry in entries if entry["cached"])
+            counts = {
+                "store": hits,
+                "fresh": len(pending),
+                "invalid": len(entries) - hits - len(pending),
+            }
+            for source, count in counts.items():
+                if count:
+                    rec.inc("tune.points", count, source=source)
 
         if pending:
-            with obs_span(
-                "tune.batch", cat="tuner", candidates=len(pending), fidelity=fidelity
-            ):
-                outcomes = evaluate_candidates(
-                    [entry["scenario"].to_dict() for entry in pending],
-                    self.objective.name,
-                    jobs=self._tuner.jobs,
-                )
+            outcomes = evaluate_candidates(
+                [entry["scenario"].to_dict() for entry in pending],
+                objective.name,
+                jobs=jobs,
+            )
             for entry, (ok, outcome) in zip(pending, outcomes):
-                if ok:
-                    entry["value"] = outcome
-                else:
-                    entry["error"] = outcome
-                self._tuner.persist_point(entry)
+                entry["value" if ok else "error"] = outcome
+                if store is not None:
+                    store.save_tuning_point(
+                        entry["digest"],
+                        {
+                            "scenario_id": entry["scenario"].id,
+                            "objective": objective.name,
+                            "num_nodes": entry["num_nodes"],
+                            "value": entry["value"],
+                            "error": entry["error"],
+                        },
+                    )
 
-        for entry in recorded:
-            value = entry["value"]
-            self._memo[entry["memo_key"]] = value
-            values[entry["position"]] = value
-            if (
-                value is not None
-                and fidelity == 1.0
-                and self.objective.better(value, self._best)
-            ):
-                self._best = value
-            self.trace.points.append(
-                TracePoint(
-                    index=len(self.trace.points),
-                    overrides=entry["overrides"],
-                    fidelity=fidelity,
-                    num_nodes=entry["num_nodes"],
-                    value=value,
-                    cached=entry["cached"],
-                    best_so_far=self._best if fidelity == 1.0 else None,
-                    error=entry["error"],
-                )
+    best: float | None = None
+    for entry in entries:
+        if entry["value"] is not None and objective.better(entry["value"], best):
+            best = entry["value"]
+    trace = TuningTrace(
+        target=name,
+        objective=objective.name,
+        direction=objective.direction,
+        space=space.describe(),
+        points=[
+            TracePoint(
+                index=index,
+                overrides=entry["overrides"],
+                num_nodes=entry["num_nodes"],
+                value=entry["value"],
+                cached=entry["cached"],
+                gap=_gap(entry["value"], best, objective.direction),
+                error=entry["error"],
             )
-        return values
-
-
-class Tuner:
-    """Cost-model-driven search over a scenario's parameter space.
-
-    Args:
-        target: what to tune (see :class:`TuneTarget`).
-        space: the candidate space.
-        objective: an :class:`Objective`, its registry name, or ``None``
-            for the scenario's natural objective.
-        store: artifact store for per-point caching and trace persistence
-            (``None`` disables both).
-        jobs: worker processes for candidate fan-out (1 = in-process).
-        seed: root seed; every stochastic strategy derives its substreams
-            from it via :func:`repro.utils.rng.derive_seed`.
-    """
-
-    def __init__(
-        self,
-        target: TuneTarget,
-        space: SearchSpace,
-        objective: Objective | str | None = None,
-        *,
-        store: "ArtifactStore | None" = None,
-        jobs: int = 1,
-        seed: int | None = None,
-    ) -> None:
-        self.target = target
-        self.space = space
-        base = target.scenario()
-        if objective is None:
-            objective = default_objective(base)
-        elif isinstance(objective, str):
-            objective = get_objective(objective)
-        if objective.multijob != (base.multijob is not None):
-            kind = "a multi-job" if objective.multijob else "a single-job"
-            raise ScenarioError(
-                f"objective {objective.name!r} needs {kind} scenario, but "
-                f"target {target.name!r} is "
-                f"{'multi' if base.multijob else 'single'}-job"
-            )
-        self.objective = objective
-        self.store = store
-        self.jobs = max(1, int(jobs))
-        self.seed = DEFAULT_SEED if seed is None else int(seed)
-        # Surface typo'd field paths now (with did-you-mean), not mid-search.
-        space.validate_on(base)
-
-    def tune(self, strategy: Strategy | str, budget: int) -> TuningTrace:
-        """Run one tuning search and return its trace.
-
-        Args:
-            strategy: a :class:`Strategy` or its registry name.
-            budget: maximum number of distinct candidate evaluations
-                (cache hits count — they are points of the trace — but
-                cost no simulation time).
-        """
-        require(budget > 0, f"budget must be positive, got {budget}")
-        if isinstance(strategy, str):
-            strategy = get_strategy(strategy)
-        run_seed = derive_seed(self.seed, "autotune", self.target.name, strategy.name)
-        run = TunerRun(self, strategy, budget, run_seed)
-        start = now()
-        with obs_span(
-            f"tune:{self.target.name}",
-            cat="tuner",
-            strategy=strategy.name,
-            budget=budget,
-        ):
-            strategy.search(run)
-        run.trace.wall_time_s = elapsed_s(start)
-        if self.store is not None:
-            self.store.save_tuning_trace(self.target.name, run.trace.to_dict())
-        return run.trace
-
-    # -- point cache --------------------------------------------------------
-
-    def cached_value(self, digest: str) -> tuple[float | None, str | None] | None:
-        """``(value, error)`` of a previously persisted point, or ``None``."""
-        if self.store is None:
-            return None
-        payload = self.store.load_tuning_point(digest)
-        if payload is None:
-            return None
-        return payload.get("value"), payload.get("error")
-
-    def persist_point(self, entry: Mapping[str, Any]) -> None:
-        """Persist one freshly evaluated point into the store."""
-        if self.store is None:
-            return
-        self.store.save_tuning_point(
-            entry["digest"],
-            {
-                "scenario_id": entry["scenario"].id,
-                "objective": self.objective.name,
-                "num_nodes": entry["num_nodes"],
-                "value": entry["value"],
-                "error": entry["error"],
-            },
-        )
-
-
-def tune_scenario(
-    scenario: Scenario,
-    space: SearchSpace,
-    *,
-    strategy: Strategy | str = "random",
-    budget: int = 32,
-    objective: Objective | str | None = None,
-    store: "ArtifactStore | None" = None,
-    jobs: int = 1,
-    seed: int | None = None,
-) -> TuningTrace:
-    """Convenience wrapper: tune one fixed scenario and return the trace."""
-    tuner = Tuner(
-        TuneTarget.from_scenario(scenario),
-        space,
-        objective,
-        store=store,
-        jobs=jobs,
-        seed=seed,
+            for index, entry in enumerate(entries)
+        ],
+        wall_time_s=elapsed_s(start),
     )
-    return tuner.tune(strategy, budget)
+    if store is not None:
+        store.save_tuning_trace(name, trace.to_dict())
+    return trace
+
+
+def _gap(value: float | None, optimum: float | None, direction: str) -> float | None:
+    """Relative distance of ``value`` to ``optimum`` (>= 0; see TracePoint)."""
+    if value is None or optimum is None:
+        return None
+    shortfall = optimum - value if direction == "max" else value - optimum
+    return shortfall / optimum
 
 
 __all__ = [
-    "AutotuneError",
-    "TuneTarget",
-    "Tuner",
-    "TunerRun",
+    "MAX_SPACE_POINTS",
     "point_digest",
     "rescale_scenario",
-    "tune_scenario",
+    "tune",
 ]

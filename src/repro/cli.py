@@ -13,8 +13,8 @@ Usage (after ``pip install -e .``)::
     python -m repro scenario show fig10        # export a scenario as JSON
     python -m repro scenario run my.json       # run a scenario JSON file
     python -m repro scenario run fig10 --scale 8   # ...or a registered name
-    python -m repro tune fig08 --strategy random --budget 32 --out artifacts/
-                                               # search the scenario's tuning space
+    python -m repro tune fig08 --out artifacts/  # evaluate the whole tuning space
+                                               # and certify its optimum
     python -m repro serve --port 8731 --out artifacts/ --jobs 4
                                                # HTTP evaluation daemon
     python -m repro submit fig08 --scale 16    # evaluate through a running daemon
@@ -56,8 +56,7 @@ from typing import Sequence
 from repro.autotune.defaults import as_tunable, suggest_space
 from repro.autotune.objectives import OBJECTIVES
 from repro.autotune.space import AutotuneError
-from repro.autotune.strategies import strategy_names
-from repro.autotune.tuner import TuneTarget, Tuner, rescale_scenario
+from repro.autotune.tuner import rescale_scenario, tune
 from repro.core.api import evaluate
 from repro.experiments.harness import (
     describe_experiments,
@@ -269,7 +268,11 @@ def _cmd_report(args: argparse.Namespace) -> int:
     """Render EXPERIMENTS.md from stored artifacts (never re-simulates)."""
     store = _open_store(args.parser, args.from_spec, "--from")
     try:
-        report = generate_report_from_store(store, ids=args.experiments)
+        report = generate_report_from_store(
+            store,
+            ids=args.experiments,
+            on_skip=lambda message: print(message, file=sys.stderr),
+        )
     except (OSError, ValueError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 1
@@ -375,33 +378,17 @@ def _cmd_scenario_run(args: argparse.Namespace) -> int:
 
 def _cmd_tune(args: argparse.Namespace) -> int:
     overrides = _parse_set_args(args.parser, args.set)
-    if _is_scenario_file(args.target):
-        raw = _read_scenario_file(args.parser, args.target)
-
-        def builder(divisor: float) -> Scenario:
-            return as_tunable(rescale_scenario(raw, divisor).with_overrides(overrides))
-
-    else:
-
-        def builder(divisor: float) -> Scenario:
-            return as_tunable(
-                get_scenario(args.target, scale=divisor).with_overrides(overrides)
-            )
-
     store = _open_store(args.parser, args.out)
     try:
-        base = builder(args.scale)
+        if _is_scenario_file(args.target):
+            raw = _read_scenario_file(args.parser, args.target)
+            raw = rescale_scenario(raw, args.scale)
+        else:
+            raw = get_scenario(args.target, scale=args.scale)
+        base = as_tunable(raw.with_overrides(overrides))
         space = suggest_space(base)
         space.reject_overrides(overrides)
-        tuner = Tuner(
-            TuneTarget(name=base.id, builder=builder, scale=args.scale),
-            space,
-            args.objective,
-            store=store,
-            jobs=args.jobs,
-            seed=args.seed,
-        )
-        trace = tuner.tune(args.strategy, args.budget)
+        trace = tune(base, space, args.objective, store=store, jobs=args.jobs)
     except KeyError as error:
         # An unknown registry name, with the registry's did-you-mean hint.
         args.parser.error(
@@ -414,7 +401,7 @@ def _cmd_tune(args: argparse.Namespace) -> int:
     if store is not None:
         print(f"trace written to {store.tuning_trace_path(base.id)}")
     if trace.best_point() is None:
-        print("error: no valid candidate found within the budget", file=sys.stderr)
+        print("error: no valid point in the tuning space", file=sys.stderr)
         return 1
     return 0
 
@@ -750,24 +737,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     tune_parser = subparsers.add_parser(
         "tune",
-        help="search a scenario's tuning space (cost-model-driven autotuning)",
+        help="evaluate a scenario's whole tuning space and certify its optimum",
     )
     tune_parser.add_argument(
         "target",
         metavar="TARGET",
         help="a registered scenario/experiment name or a scenario JSON file",
-    )
-    tune_parser.add_argument(
-        "--strategy",
-        choices=strategy_names(),
-        default="random",
-        help="search strategy (default: random)",
-    )
-    tune_parser.add_argument(
-        "--budget",
-        type=_positive_int,
-        default=32,
-        help="maximum candidate evaluations (default: 32)",
     )
     tune_parser.add_argument(
         "--objective",
@@ -780,16 +755,10 @@ def build_parser() -> argparse.ArgumentParser:
         tune_parser, help="worker processes for candidate evaluation (1 = in-process)"
     )
     add_scale_option(tune_parser)
-    tune_parser.add_argument(
-        "--seed",
-        type=int,
-        default=None,
-        help="root seed of the stochastic strategies (default: the library seed)",
-    )
     add_out_option(
         tune_parser,
         help="artifact store for the tuning trace and the per-point "
-        "cache (resumed tunes skip evaluated points)",
+        "cache (a re-run skips every point already evaluated)",
     )
     add_set_option(
         tune_parser,

@@ -9,6 +9,7 @@ qualitative check.  Like ``repro figures``, it never re-simulates.
 from __future__ import annotations
 
 from datetime import date
+from typing import Callable
 
 from repro.experiments.results import ExperimentResult, format_optimality_gap
 from repro.experiments.store import ArtifactStore
@@ -99,14 +100,18 @@ def _paper_order(available: list[str]) -> list[str]:
 
 
 def generate_report_from_store(
-    store: ArtifactStore, *, ids: list[str] | None = None
+    store: ArtifactStore,
+    *,
+    ids: list[str] | None = None,
+    on_skip: Callable[[str], None] | None = None,
 ) -> str:
     """Build the Markdown report purely from stored JSON artifacts.
 
     This never re-simulates anything: every section is rebuilt from the
     stored artifacts, so the report can be regenerated (e.g. in CI, or on a
     machine without the compute budget) long after the sweep that produced
-    it.
+    it.  ``on_skip`` receives one message per stored tuning trace that
+    cannot be rendered (e.g. an older trace schema).
 
     Raises:
         FileNotFoundError: if the store is empty or a requested id has no
@@ -132,7 +137,7 @@ def generate_report_from_store(
         walls.append((experiment_id, float(envelope.get("wall_time_s", 0.0))))
         sections.append(_section(ExperimentResult.from_dict(envelope["result"])))
     sections.append(_timing_section(walls))
-    sections.extend(_tuning_sections(store))
+    sections.extend(_tuning_sections(store, on_skip))
     return "\n".join(sections)
 
 
@@ -158,14 +163,16 @@ def _timing_section(walls: list[tuple[str, float]]) -> str:
     return "\n".join(lines)
 
 
-def _tuning_sections(store: ArtifactStore) -> list[str]:
+def _tuning_sections(
+    store: ArtifactStore, on_skip: Callable[[str], None] | None
+) -> list[str]:
     """One section per tuning trace stored next to the experiment artifacts.
 
     ``repro tune --out DIR`` drops ``<target>.tuning.json`` files into the
     same directory as the experiment envelopes; reporting them here makes
     the regenerated Markdown the single record of both what the figures
-    show *and* what the tuner found.  Unreadable traces are skipped, like
-    foreign-schema artifacts.
+    show *and* what the tuner proved.  Unreadable traces are skipped and
+    reported through ``on_skip``.
     """
     # Imported lazily: the autotune package imports the experiment runner.
     from repro.autotune.trace import TuningTrace
@@ -174,13 +181,14 @@ def _tuning_sections(store: ArtifactStore) -> list[str]:
     for target in store.tuning_trace_targets():
         try:
             trace = TuningTrace.from_dict(store.load_tuning_trace(target))
-        except (OSError, ValueError, KeyError, TypeError):
+        except (OSError, ValueError, KeyError, TypeError) as error:
+            if on_skip is not None:
+                on_skip(f"skipped {target}.tuning.json: {error}")
             continue
-        lines = [f"## tuning trace: {trace.target} ({trace.strategy})", ""]
+        lines = [f"## tuning trace: {trace.target}", ""]
         lines.append(
-            f"*Objective:* {trace.objective} [{trace.direction}], "
-            f"budget {trace.budget}, seed {trace.seed}, "
-            f"scale divisor {trace.scale:g}"
+            f"*Objective:* {trace.objective} [{trace.direction}] over every "
+            f"point of the space"
         )
         lines.append(
             f"*Points:* {len(trace.points)} "
@@ -190,15 +198,15 @@ def _tuning_sections(store: ArtifactStore) -> list[str]:
         )
         best = trace.best_point()
         if best is None:
-            lines.append("*Best:* no valid candidate found")
+            lines.append("*Proven optimum:* no valid point in the space")
         else:
             settings = ", ".join(
                 f"`{key}={best.overrides[key]}`" for key in sorted(best.overrides)
             )
-            lines.append(f"*Best:* {best.value:.4g} at {settings}")
+            lines.append(f"*Proven optimum:* {best.value:.4g} at {settings}")
         lines.append("")
         lines.append("```")
-        lines.append(trace.to_table(last=10).render())
+        lines.append(trace.to_table().render())
         lines.append("```")
         lines.append("")
         sections.append("\n".join(lines))

@@ -13,7 +13,7 @@ the store are *not* re-run: their stored result is returned as a cache hit.
 
 The module keeps **one persistent worker pool** for the whole process:
 experiment sweeps and autotune candidate batches share it, so repeated calls
-(a tuning strategy submits one batch per search round) reuse warm workers —
+(a sweep followed by a tune) reuse warm workers —
 imports resolved, the memoised machine cache and the topology route/distance
 caches filled by earlier tasks — instead of paying process start-up and cold
 caches per call.  Workers are pre-warmed by an initializer that resolves the
@@ -250,7 +250,7 @@ def _evaluate_candidate(payload: dict, objective: str) -> tuple[bool, float | st
 
     Returns ``(True, value)`` on success and ``(False, message)`` when the
     scenario fails resolution-time validation — candidate points of a
-    tuning search may be individually invalid without aborting the batch.
+    tuning space may be individually invalid without aborting the batch.
     """
     # Imported here so forked/spawned workers resolve everything themselves.
     from repro.autotune.objectives import get_objective
@@ -312,9 +312,9 @@ def evaluate_candidates(
     are pure data (``Scenario.to_dict`` payloads), so a batch fans out over
     the shared persistent worker pool exactly like a figure sweep.  The
     batch is split into a few contiguous chunks per worker — one pickled
-    task per chunk instead of per candidate — and a strategy's successive
-    batches land on the same warm workers (modules imported, machine and
-    topology caches filled by earlier rounds).  Results come back in input
+    task per chunk instead of per candidate — and successive batches land
+    on the same warm workers (modules imported, machine and topology caches
+    filled by earlier calls).  Results come back in input
     order; a candidate the scenario tree rejects yields ``(False, message)``
     instead of poisoning the batch.
 

@@ -417,7 +417,7 @@ class ArtifactStore:
         """Persist one candidate evaluation keyed by ``(scenario, objective)``.
 
         The digest comes from :func:`repro.autotune.tuner.point_digest`, so
-        any later tune — same strategy or not — that lands on the same
+        any later tune — of the same space or not — that lands on the same
         scenario/objective pair is served from disk instead of re-simulated.
         """
         envelope = {"schema": ARTIFACT_SCHEMA, "digest": digest, **dict(payload)}

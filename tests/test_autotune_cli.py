@@ -1,38 +1,61 @@
 """Tests for the ``repro tune`` CLI surface."""
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from repro.cli import main
+from repro.scenario.registry import get_scenario
 
 EXAMPLES_DIR = Path(__file__).resolve().parent.parent / "examples"
 EXAMPLE_SCENARIO = EXAMPLES_DIR / "scenarios" / "theta_hacc_tapioca.json"
 
-#: Quick tune of a registered scenario: tiny budget, smoke scale.
-QUICK = ["tune", "fig08", "--budget", "4", "--scale", "8", "--seed", "3"]
+#: Quick tune of a registered scenario at smoke scale (200 points).
+QUICK = ["tune", "fig08", "--scale", "8"]
 
 
 class TestTuneTargets:
     def test_tune_registered_scenario(self, capsys):
         assert main(QUICK) == 0
         output = capsys.readouterr().out
-        assert "tuned fig08 with random" in output
-        assert "best bandwidth:" in output
+        assert "tuned fig08 over all 200 points" in output
+        assert "proven optimum bandwidth:" in output
 
     def test_tune_scenario_json_file(self, capsys):
-        code = main(
-            ["tune", str(EXAMPLE_SCENARIO), "--budget", "4", "--scale", "8",
-             "--strategy", "grid"]
-        )
+        code = main(["tune", str(EXAMPLE_SCENARIO), "--scale", "8"])
         assert code == 0
         output = capsys.readouterr().out
-        assert "tuned theta-hacc-tapioca with grid" in output
+        assert "tuned theta-hacc-tapioca over all" in output
+
+    @pytest.mark.parametrize("flag", ["--strategy", "--budget", "--seed"])
+    def test_search_flags_are_gone(self, flag, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["tune", "fig08", flag, "1"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_oversized_space_exits_2_before_evaluating(self, tmp_path, capsys):
+        pair = get_scenario("tuning_interference_aware", scale=8)
+        job = pair.multijob.jobs[0]
+        eight = pair.with_overrides(
+            {
+                "machine.num_nodes": 8 * job.num_nodes,
+                "multijob.jobs": tuple(replace(job, name=f"J{i}") for i in range(8)),
+            }
+        )
+        deck = tmp_path / "eight_jobs.json"
+        deck.write_text(json.dumps(eight.to_dict()), encoding="utf-8")
+        with pytest.raises(SystemExit) as excinfo:
+            main(["tune", str(deck), "--out", str(tmp_path)])
+        assert excinfo.value.code == 2
+        assert "196,608 points" in capsys.readouterr().err
+        assert not (tmp_path / "tuning-points").exists()
 
     def test_tune_unknown_target_has_did_you_mean(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
-            main(["tune", "fig8O", "--budget", "2"])
+            main(["tune", "fig8O"])
         assert excinfo.value.code == 2
         err = capsys.readouterr().err
         assert "did you mean" in err
@@ -40,7 +63,7 @@ class TestTuneTargets:
 
     def test_tune_missing_file_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
-            main(["tune", "no/such/file.json", "--budget", "2"])
+            main(["tune", "no/such/file.json"])
         assert excinfo.value.code == 2
         assert "cannot read scenario file" in capsys.readouterr().err
 
@@ -48,15 +71,12 @@ class TestTuneTargets:
         bad = tmp_path / "bad.json"
         bad.write_text("{not json", encoding="utf-8")
         with pytest.raises(SystemExit) as excinfo:
-            main(["tune", str(bad), "--budget", "2"])
+            main(["tune", str(bad)])
         assert excinfo.value.code == 2
         assert "not valid JSON" in capsys.readouterr().err
 
     def test_tune_multijob_scenario_uses_slowdown_objective(self, capsys):
-        code = main(
-            ["tune", "tuning_interference_aware", "--budget", "4", "--scale",
-             "8", "--strategy", "grid"]
-        )
+        code = main(["tune", "tuning_interference_aware", "--scale", "8"])
         assert code == 0
         output = capsys.readouterr().out
         assert "objective: slowdown [min]" in output
@@ -93,9 +113,8 @@ class TestTuneArtifacts:
         assert trace_path.is_file()
         payload = json.loads(trace_path.read_text())
         assert payload["target"] == "fig08"
-        assert payload["strategy"] == "random"
-        assert payload["budget"] == 4
-        assert len(payload["points"]) == 4
+        assert payload["schema"] == 2
+        assert len(payload["points"]) == 200
         assert payload["best_value"] > 0
         assert list((tmp_path / "tuning-points").glob("*.json"))
 
@@ -103,7 +122,7 @@ class TestTuneArtifacts:
         assert main([*QUICK, "--out", str(tmp_path)]) == 0
         capsys.readouterr()
         assert main([*QUICK, "--out", str(tmp_path)]) == 0
-        assert "4 cache hits" in capsys.readouterr().out
+        assert "0 evaluated, 200 cache hits" in capsys.readouterr().out
 
     def test_report_from_store_includes_the_trace(self, tmp_path, capsys):
         assert (
@@ -116,8 +135,23 @@ class TestTuneArtifacts:
         assert main(["report", "--from", str(tmp_path), "-o", str(report_path)]) == 0
         text = report_path.read_text()
         assert "## fig10:" in text
-        assert "## tuning trace: fig08 (random)" in text
-        assert "best so far" in text
+        assert "## tuning trace: fig08" in text
+        assert "*Proven optimum:*" in text
+        assert "fig08: 10 best of 200 points" in text
+
+    def test_report_names_a_trace_of_an_old_schema(self, tmp_path, capsys):
+        assert (
+            main(["run-all", "--experiment", "fig10", "--scale", "8", "--out",
+                  str(tmp_path)]) == 0
+        )
+        old = {"schema": 1, "target": "fig08", "strategy": "random", "points": []}
+        (tmp_path / "fig08.tuning.json").write_text(json.dumps(old))
+        capsys.readouterr()
+        report_path = tmp_path / "report.md"
+        assert main(["report", "--from", str(tmp_path), "-o", str(report_path)]) == 0
+        err = capsys.readouterr().err
+        assert "skipped fig08.tuning.json: tuning trace schema 1, expected 2" in err
+        assert "## tuning trace" not in report_path.read_text()
 
     def test_tune_jobs_parallel_matches_sequential_best(self, tmp_path, capsys):
         def stable_lines(text: str) -> list[str]:

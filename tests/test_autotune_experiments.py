@@ -2,9 +2,8 @@
 
 import pytest
 
-from repro.autotune import TuneTarget, Tuner, theta_mpiio_space
+from repro.autotune import theta_mpiio_space, tune
 from repro.experiments.autotuning import (
-    TUNING_SEED,
     tuning_interference_aware,
     tuning_interference_scenario,
     tuning_theta_rediscovery,
@@ -43,10 +42,22 @@ class TestThetaRediscovery:
     def test_rediscovers_the_paper_preset_within_tolerance(self):
         result = tuning_theta_rediscovery(scale=TEST_SCALE)
         assert result.all_checks_pass(), result.failed_checks()
-        # Both strategies' best-so-far curves are part of the result.
-        labels = [series.label for series in result.series]
-        assert any("random" in label for label in labels)
-        assert any("hill-climb" in label for label in labels)
+        assert "the expert preset is a point of the evaluated space" in result.checks
+        assert "over all 200 points" in result.notes
+        # Best bandwidth per stripe count, with and without lock sharing.
+        shared = result.series_by_label("shared locks: best GBps per stripe count")
+        unshared = result.series_by_label("unshared locks: best GBps per stripe count")
+        assert [point.x for point in shared.points] == [1, 4, 8, 16, 48]
+        assert all(
+            s.bandwidth_gbps >= u.bandwidth_gbps
+            for s, u in zip(shared.points, unshared.points)
+        )
+
+    def test_notes_report_the_gaps_of_the_preset_and_the_baseline(self):
+        notes = tuning_theta_rediscovery(scale=TEST_SCALE).notes
+        assert notes.startswith("Proven optimum ")
+        assert "expert preset " in notes and "untuned baseline " in notes
+        assert notes.count("below the optimum") == 2
 
     def test_result_is_deterministic(self):
         first = tuning_theta_rediscovery(scale=TEST_SCALE)
@@ -56,20 +67,9 @@ class TestThetaRediscovery:
         ] == [(series.label, series.points) for series in second.series]
         assert first.notes == second.notes
 
-    def test_random_search_evaluates_every_point(self):
-        """A budget-24 random search over the preset space hits no invalid point."""
-        tuner = Tuner(
-            TuneTarget(
-                name="tuning_theta_rediscovery",
-                builder=tuning_theta_scenario,
-                scale=TEST_SCALE,
-            ),
-            theta_mpiio_space(),
-            "bandwidth",
-            seed=TUNING_SEED,
-        )
-        trace = tuner.tune("random", 24)
-        assert len(trace.points) == 24
+    def test_every_point_of_the_space_is_valid(self):
+        trace = tune(tuning_theta_scenario(TEST_SCALE), theta_mpiio_space(), "bandwidth")
+        assert len(trace.points) == 200
         assert trace.invalid_points() == 0
         assert trace.best_value is not None and trace.best_value > 0
 

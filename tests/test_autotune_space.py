@@ -10,7 +10,6 @@ from repro.autotune import (
     SearchSpace,
     linked,
 )
-from repro.autotune.space import canonical_point, chunked, resolve_field
 from repro.scenario.spec import Scenario, ScenarioError
 from repro.scenario.sweep import Sweep, axis, zipped
 from repro.utils.rng import seeded_rng
@@ -107,17 +106,6 @@ class TestSearchSpace:
         with pytest.raises(ScenarioError, match="did you mean"):
             space.validate_on(Scenario(id="s"))
 
-    def test_point_of_matches_base_values_and_falls_back(self):
-        space = small_space()
-        on_grid = Scenario(id="s").with_overrides(
-            {"storage.kind": "lustre", "storage.stripe_count": 8}
-        )
-        assert space.point_of(on_grid)["storage.stripe_count"] == 8
-        off_grid = Scenario(id="s").with_overrides(
-            {"storage.kind": "lustre", "storage.stripe_count": 7}
-        )
-        assert space.point_of(off_grid)["storage.stripe_count"] == 1
-
     def test_apply_filters_through_scenario_validation(self):
         space = SearchSpace(Categorical("workload.iterations", (0, 1)))
         base = Scenario(id="s")
@@ -165,17 +153,3 @@ class TestFromSweep:
         )
         assert space.size() == 4
 
-
-class TestHelpers:
-    def test_resolve_field_walks_nested_specs_and_tuples(self):
-        scenario = Scenario(id="s")
-        assert resolve_field(scenario, "io.buffer_size") == scenario.io.buffer_size
-        with pytest.raises(AutotuneError):
-            resolve_field(scenario, "io.no_such_field")
-
-    def test_canonical_point_is_order_insensitive(self):
-        assert canonical_point({"a": 1, "b": 2}) == canonical_point({"b": 2, "a": 1})
-        assert canonical_point({"a": 1}) != canonical_point({"a": 2})
-
-    def test_chunked_splits_preserving_order(self):
-        assert list(chunked(list(range(5)), 2)) == [[0, 1], [2, 3], [4]]

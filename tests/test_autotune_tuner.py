@@ -1,23 +1,26 @@
-"""Tests for objectives, strategies, the tuner driver, and point caching."""
+"""Tests for objectives, the whole-space tuner, its certificate, and point caching."""
+
+import json
 
 import pytest
 
 from repro.autotune import (
+    MAX_SPACE_POINTS,
     Categorical,
     SearchSpace,
-    SuccessiveHalving,
-    TuneTarget,
-    Tuner,
     TuningTrace,
+    as_tunable,
     default_objective,
     get_objective,
-    get_strategy,
     rescale_scenario,
-    theta_mpiio_space,
-    tune_scenario,
+    suggest_space,
+    tune,
 )
 from repro.autotune.space import AutotuneError
+from repro.autotune.trace import TRACE_SCHEMA
+from repro.experiments import runner
 from repro.experiments.store import ArtifactStore
+from repro.scenario.registry import get_scenario
 from repro.scenario.spec import (
     IOStrategySpec,
     JobScenarioSpec,
@@ -51,7 +54,7 @@ def locks_space() -> SearchSpace:
     )
 
 
-def multijob_base(num_nodes: int = 8) -> Scenario:
+def multijob_base(num_nodes: int = 8, num_jobs: int = 2) -> Scenario:
     def job(name: str, ost_start: int) -> JobScenarioSpec:
         return JobScenarioSpec(
             name=name,
@@ -65,8 +68,10 @@ def multijob_base(num_nodes: int = 8) -> Scenario:
 
     return Scenario(
         id="tune-multijob",
-        machine=MachineSpec(kind="theta", num_nodes=2 * num_nodes),
-        multijob=MultiJobSpec(jobs=(job("A", 0), job("B", 0))),
+        machine=MachineSpec(kind="theta", num_nodes=num_jobs * num_nodes),
+        multijob=MultiJobSpec(
+            jobs=tuple(job(chr(ord("A") + index), 0) for index in range(num_jobs))
+        ),
     )
 
 
@@ -102,174 +107,233 @@ class TestObjectives:
         assert get_objective("time").better(5.0, None)
 
 
-class TestStrategies:
-    def test_grid_finds_the_exhaustive_optimum(self):
+def oracle(base: Scenario, space: SearchSpace, objective_name: str):
+    """Independent optimum: every grid point through ``Objective.compute``."""
+    objective = get_objective(objective_name)
+    values = [objective.compute(space.apply(base, point)) for point in space.grid()]
+    pick = max if objective.direction == "max" else min
+    best = pick(values)
+    return values, best, list(space.grid())[values.index(best)]
+
+
+class TestCertificate:
+    @pytest.mark.parametrize("name", ["fig08", "tuning_interference_aware"])
+    def test_optimum_equals_the_exhaustive_oracle(self, name):
+        base = as_tunable(get_scenario(name, scale=8.0))
+        space = suggest_space(base)
+        trace = tune(base, space)
+        values, best, best_point = oracle(base, space, trace.objective)
+        assert [point.value for point in trace.points] == values
+        assert trace.best_value == best
+        assert trace.best_overrides == best_point
+        assert len(trace.points) == space.size()
+
+    def test_points_follow_grid_order_with_gaps_to_the_optimum(self):
         space = locks_space()
-        trace = tune_scenario(theta_base(), space, strategy="grid", budget=10)
-        assert len(trace.points) == space.size() == 6
+        trace = tune(theta_base(), space)
+        assert [point.overrides for point in trace.points] == list(space.grid())
+        assert [point.index for point in trace.points] == list(range(6))
+        best = trace.best_point()
+        assert best.gap == 0.0
+        for point in trace.points:
+            assert point.gap == (best.value - point.value) / best.value
+        assert trace.best_overrides == {
+            "storage.stripe_count": 48,
+            "io.shared_locks": True,
+        }
+
+    def test_minimised_objective_gaps_are_non_negative(self):
+        trace = tune(theta_base(), locks_space(), "time")
+        best = trace.best_point()
+        assert best.value == min(point.value for point in trace.points)
+        assert all(point.gap >= 0.0 for point in trace.points)
         assert trace.best_overrides["storage.stripe_count"] == 48
-        assert trace.best_overrides["io.shared_locks"] is True
 
-    def test_grid_respects_the_budget(self):
-        trace = tune_scenario(theta_base(), locks_space(), strategy="grid", budget=4)
-        assert len(trace.points) == 4
-
-    def test_random_samples_distinct_points(self):
-        trace = tune_scenario(theta_base(), locks_space(), strategy="random", budget=6)
-        keys = {repr(sorted(point.overrides.items())) for point in trace.points}
-        assert len(keys) == len(trace.points) == 6
-
-    def test_hill_climb_reaches_the_grid_optimum(self):
-        space = theta_mpiio_space()
-        grid = tune_scenario(theta_base(), space, strategy="grid", budget=space.size())
-        climb = tune_scenario(theta_base(), space, strategy="hill-climb", budget=60)
-        assert climb.best_value == pytest.approx(grid.best_value)
-        assert len(climb.points) < space.size()  # climbed, not enumerated
-
-    def test_halving_spends_most_budget_at_coarse_fidelity(self):
-        trace = tune_scenario(
-            theta_base(num_nodes=64), locks_space(), strategy="halving", budget=12
+    def test_table_lists_the_ten_best_points(self):
+        space = SearchSpace(
+            Categorical("storage.stripe_count", (1, 4, 8, 16, 48)),
+            Categorical("io.shared_locks", (False, True)),
+            Categorical("io.aggregators_per_ost", (1, 2)),
         )
-        fidelities = [point.fidelity for point in trace.points]
-        assert fidelities == sorted(fidelities, reverse=True)
-        assert fidelities[0] == 8.0 and fidelities[-1] == 1.0
-        # Coarse rungs run on rescaled (smaller) machines.
-        assert trace.points[0].num_nodes < trace.points[-1].num_nodes
-        assert trace.best_point().fidelity == 1.0
+        trace = tune(theta_base(), space)
+        table = trace.to_table()
+        assert table.headers[:3] == ["grid #", "bandwidth", "gap %"]
+        assert table.headers[3:] == list(space.fields())
+        assert len(table.rows) == 10
+        assert table.rows[0][0] == str(trace.best_point().index)
+        gaps = [float(row[2]) for row in table.rows]
+        assert gaps[0] == 0.0 and gaps == sorted(gaps)
 
-    def test_halving_tiny_budget_still_ends_at_full_fidelity(self):
-        # Budget below the rung count drops the coarsest rungs instead of
-        # burning the whole budget on sub-fidelity evaluations.
-        for budget in (1, 2, 3):
-            trace = tune_scenario(
-                theta_base(), locks_space(), strategy="halving", budget=budget
-            )
-            assert trace.points[-1].fidelity == 1.0
-            assert trace.best_point() is not None
-
-    def test_halving_constructor_validates_rungs(self):
-        with pytest.raises(ValueError):
-            SuccessiveHalving(fidelities=(4.0, 2.0))
-        with pytest.raises(ValueError):
-            SuccessiveHalving(eta=1)
-
-    def test_unknown_strategy_has_did_you_mean(self):
-        with pytest.raises(AutotuneError, match="did you mean"):
-            get_strategy("hillclimb")
-
-
-class TestDeterminism:
-    def test_same_seed_same_trace(self):
-        space = theta_mpiio_space()
-        first = tune_scenario(
-            theta_base(), space, strategy="random", budget=12, seed=11
+    def test_ties_resolve_to_the_first_point_in_grid_order(self):
+        # The title is not read by the model, so each stripe count scores twice.
+        space = SearchSpace(
+            Categorical("storage.stripe_count", (1, 48)),
+            Categorical("title", ("a", "b")),
         )
-        second = tune_scenario(
-            theta_base(), space, strategy="random", budget=12, seed=11
-        )
-        assert [p.overrides for p in first.points] == [
-            p.overrides for p in second.points
-        ]
-        assert [p.value for p in first.points] == [p.value for p in second.points]
-        assert [p.best_so_far for p in first.points] == [
-            p.best_so_far for p in second.points
+        trace = tune(theta_base(), space)
+        optima = [point for point in trace.points if point.gap == 0.0]
+        assert len(optima) == 2
+        assert trace.best_point() is optima[0]
+        assert trace.best_overrides == optima[0].overrides
+        assert trace.best_overrides["storage.stripe_count"] == 48
+
+    def test_space_with_no_valid_point_has_no_optimum(self):
+        # Both stripe counts exceed Theta's 56 OSTs.
+        trace = tune(theta_base(), SearchSpace(Categorical("storage.stripe_count", (64, 100))))
+        assert trace.invalid_points() == 2
+        assert trace.best_point() is None
+        assert trace.best_value is None
+        assert trace.best_overrides == {}
+        assert all(point.gap is None for point in trace.points)
+        assert "no valid point in the space" in trace.summary()
+        assert trace.to_table().rows == []
+
+    def test_summary_reports_counts_and_the_proven_optimum(self):
+        trace = tune(theta_base(), locks_space())
+        lines = trace.summary().splitlines()
+        assert lines[0].startswith("tuned tune-test over all 6 points")
+        assert "(objective: bandwidth [max])" in lines[0]
+        assert "6 points: 6 evaluated, 0 cache hits, 0 invalid" in lines[1]
+        assert lines[2] == f"  proven optimum bandwidth: {trace.best_value:.4g}"
+        assert lines[3:] == [
+            "    io.shared_locks = True",
+            "    storage.stripe_count = 48",
         ]
 
-    def test_different_seed_different_trajectory(self):
-        space = theta_mpiio_space()
-        first = tune_scenario(
-            theta_base(), space, strategy="random", budget=12, seed=11
-        )
-        other = tune_scenario(
-            theta_base(), space, strategy="random", budget=12, seed=12
-        )
-        assert [p.overrides for p in first.points] != [
-            p.overrides for p in other.points
-        ]
-
-    def test_strategies_draw_independent_substreams(self):
-        space = theta_mpiio_space()
-        random = tune_scenario(
-            theta_base(), space, strategy="random", budget=8, seed=11
-        )
-        halving = tune_scenario(
-            theta_base(), space, strategy="halving", budget=8, seed=11
-        )
-        assert random.points[0].overrides != halving.points[0].overrides
+    def test_payload_is_json_and_carries_the_optimum(self):
+        trace = tune(theta_base(), locks_space())
+        payload = json.loads(json.dumps(trace.to_dict()))
+        assert payload["best_value"] == trace.best_value
+        assert payload["best_overrides"] == trace.best_overrides
+        assert "strategy" not in payload and "budget" not in payload
+        assert TuningTrace.from_dict(payload).points == trace.points
 
 
-class TestTunerDriver:
+class TestTuneDriver:
     def test_invalid_candidates_are_recorded_not_fatal(self):
         # stripe_count 64 exceeds Theta's 56 OSTs: resolution-time rejection.
         space = SearchSpace(Categorical("storage.stripe_count", (8, 64)))
-        trace = tune_scenario(theta_base(), space, strategy="grid", budget=4)
+        trace = tune(theta_base(), space)
         assert trace.invalid_points() == 1
         invalid = [point for point in trace.points if point.error][0]
         assert "stripe_count" in invalid.error
+        assert invalid.gap is None
         assert trace.best_overrides["storage.stripe_count"] == 8
 
     def test_typoed_domain_fails_fast_with_hint(self):
         space = SearchSpace(Categorical("storage.stripe_cont", (8,)))
         with pytest.raises(ScenarioError, match="did you mean"):
-            tune_scenario(theta_base(), space, strategy="grid", budget=1)
+            tune(theta_base(), space)
+
+    def test_objective_kind_mismatch_is_rejected(self):
+        with pytest.raises(ScenarioError, match="multi-job"):
+            tune(theta_base(), locks_space(), "slowdown")
 
     def test_parallel_evaluation_matches_sequential(self):
-        space = locks_space()
-        sequential = tune_scenario(
-            theta_base(), space, strategy="grid", budget=6, jobs=1
-        )
-        parallel = tune_scenario(
-            theta_base(), space, strategy="grid", budget=6, jobs=2
-        )
+        base = as_tunable(get_scenario("fig08", scale=8.0))
+        space = suggest_space(base)
+        sequential = tune(base, space, jobs=1)
+        parallel = tune(base, space, jobs=2)
         assert [p.value for p in sequential.points] == [
             p.value for p in parallel.points
         ]
+        assert [p.gap for p in sequential.points] == [p.gap for p in parallel.points]
 
-    def test_point_cache_skips_evaluated_points(self, tmp_path):
+    def test_oversized_space_is_rejected_before_any_point(self, monkeypatch):
+        base = multijob_base(num_nodes=4, num_jobs=8)
+        space = suggest_space(base)
+        assert space.size() == 3 * 4**8 == 196_608
+        evaluated = []
+        monkeypatch.setattr(
+            runner, "evaluate_candidates", lambda *args, **kw: evaluated.append(args)
+        )
+        monkeypatch.setattr(
+            SearchSpace, "apply", lambda *args: evaluated.append(args)
+        )
+        with pytest.raises(AutotuneError) as excinfo:
+            tune(base, space)
+        message = str(excinfo.value)
+        assert "196,608 points" in message
+        assert f"{MAX_SPACE_POINTS:,}" in message
+        assert "4x per Lustre job" in message
+        assert evaluated == []
+
+    def test_space_at_the_limit_is_evaluated(self, monkeypatch):
+        monkeypatch.setattr("repro.autotune.tuner.MAX_SPACE_POINTS", 6)
+        assert len(tune(theta_base(), locks_space()).points) == 6
+        monkeypatch.setattr("repro.autotune.tuner.MAX_SPACE_POINTS", 5)
+        with pytest.raises(AutotuneError, match="6 points"):
+            tune(theta_base(), locks_space())
+
+    def test_candidates_are_hashed_only_with_a_store(self, monkeypatch, tmp_path):
+        hashed = []
+        original = Scenario.content_hash
+
+        def counting(self):
+            hashed.append(self.id)
+            return original(self)
+
+        monkeypatch.setattr(Scenario, "content_hash", counting)
+        tune(theta_base(), locks_space())
+        assert hashed == []
+        tune(theta_base(), locks_space(), store=ArtifactStore(tmp_path))
+        assert len(hashed) >= 6
+
+    def test_name_labels_the_trace_and_its_store_key(self, tmp_path):
+        store = ArtifactStore(tmp_path)
+        trace = tune(theta_base(), locks_space(), store=store, name="locks")
+        assert trace.target == "locks"
+        assert store.tuning_trace_targets() == ["locks"]
+
+    def test_resumed_run_keeps_invalid_points_invalid(self, tmp_path):
+        store = ArtifactStore(tmp_path)
+        space = SearchSpace(Categorical("storage.stripe_count", (8, 64)))
+        first = tune(theta_base(), space, store=store)
+        resumed = tune(theta_base(), space, store=store)
+        # stripe_count 64 is rejected at resolution time, so the store caches
+        # the rejection like a value and the second run re-evaluates nothing.
+        assert (resumed.cache_hits(), resumed.evaluations()) == (2, 0)
+        assert resumed.invalid_points() == 1
+        assert resumed.best_value == first.best_value
+        assert [p.error for p in resumed.points] == [p.error for p in first.points]
+
+    def test_point_cache_serves_every_point_on_a_second_run(self, tmp_path):
         store = ArtifactStore(tmp_path)
         space = locks_space()
-        first = tune_scenario(
-            theta_base(), space, strategy="grid", budget=6, store=store
-        )
+        first = tune(theta_base(), space, store=store)
         assert first.cache_hits() == 0 and first.evaluations() == 6
-        resumed = tune_scenario(
-            theta_base(), space, strategy="grid", budget=6, store=store
-        )
+        resumed = tune(theta_base(), space, store=store)
         assert resumed.cache_hits() == 6 and resumed.evaluations() == 0
-        assert resumed.best_value == pytest.approx(first.best_value)
+        assert [p.value for p in resumed.points] == [p.value for p in first.points]
 
-    def test_cache_is_shared_across_strategies(self, tmp_path):
+    def test_cache_is_shared_across_overlapping_spaces(self, tmp_path):
         store = ArtifactStore(tmp_path)
-        space = locks_space()
-        tune_scenario(theta_base(), space, strategy="grid", budget=6, store=store)
-        random = tune_scenario(
-            theta_base(), space, strategy="random", budget=6, store=store
-        )
-        assert random.cache_hits() == 6  # every grid point was already paid for
+        tune(theta_base(), locks_space(), store=store)
+        narrower = SearchSpace(Categorical("storage.stripe_count", (8, 48)))
+        fixed = theta_base().with_overrides({"io.shared_locks": True})
+        assert tune(fixed, narrower, store=store).cache_hits() == 2
 
     def test_trace_round_trips_through_store(self, tmp_path):
         store = ArtifactStore(tmp_path)
-        trace = tune_scenario(
-            theta_base(), locks_space(), strategy="grid", budget=6, store=store
-        )
+        trace = tune(theta_base(), locks_space(), store=store)
         assert store.tuning_trace_targets() == ["tune-test"]
-        loaded = TuningTrace.from_dict(store.load_tuning_trace("tune-test"))
-        assert loaded.best_value == pytest.approx(trace.best_value)
+        payload = store.load_tuning_trace("tune-test")
+        assert payload["schema"] == TRACE_SCHEMA
+        loaded = TuningTrace.from_dict(payload)
+        assert loaded.best_value == trace.best_value
         assert loaded.best_overrides == trace.best_overrides
-        assert [p.overrides for p in loaded.points] == [
-            p.overrides for p in trace.points
-        ]
+        assert loaded.points == trace.points
+
+    def test_trace_of_another_schema_is_refused(self):
+        payload = tune(theta_base(), locks_space()).to_dict()
+        payload["schema"] = 1
+        with pytest.raises(ValueError, match="schema 1, expected 2"):
+            TuningTrace.from_dict(payload)
 
     def test_trace_artifacts_do_not_pollute_experiment_ids(self, tmp_path):
         store = ArtifactStore(tmp_path)
-        tune_scenario(
-            theta_base(), locks_space(), strategy="grid", budget=2, store=store
-        )
+        tune(theta_base(), locks_space(), store=store)
         assert store.experiment_ids() == []
-
-    def test_budget_must_be_positive(self):
-        with pytest.raises(ValueError, match="budget"):
-            tune_scenario(theta_base(), locks_space(), strategy="grid", budget=0)
 
 
 class TestRescale:
@@ -291,19 +355,3 @@ class TestRescale:
     def test_identity_rescale_returns_the_same_scenario(self):
         scenario = theta_base()
         assert rescale_scenario(scenario, 1.0) is scenario
-
-
-class TestTuneTarget:
-    def test_from_registry_fails_fast_with_hint(self):
-        with pytest.raises(KeyError, match="did you mean"):
-            TuneTarget.from_registry("fig8O")
-
-    def test_from_registry_builds_at_fidelity(self):
-        target = TuneTarget.from_registry("fig10", scale=16.0)
-        assert target.scenario().machine.num_nodes == 32
-        assert target.scenario(fidelity=2.0).machine.num_nodes == 16
-
-    def test_objective_kind_mismatch_is_rejected(self):
-        target = TuneTarget.from_scenario(theta_base())
-        with pytest.raises(ScenarioError, match="multi-job"):
-            Tuner(target, locks_space(), "slowdown").tune("grid", 1)

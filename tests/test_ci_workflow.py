@@ -121,26 +121,21 @@ class TestWorkflowShape:
         ]
         tune = [c for c in commands if "repro tune" in c]
         assert tune, "smoke job must gate on a repro tune run"
-        assert "--strategy random" in tune[0]
-        assert "--budget 6" in tune[0]
-        assert "--jobs 2" in tune[0]
-        assert "--out artifacts/" in tune[0]
+        lines = [line for line in tune[0].splitlines() if "repro tune" in line]
+        assert len(lines) == 2, "the tune must run twice against one store"
+        for line in lines:
+            assert "repro tune fig08 --jobs 2 --out artifacts/" in line
+            assert "--strategy" not in line and "--budget" not in line
 
-    def test_smoke_job_gates_on_an_anneal_tuning_run(self, workflow):
+    def test_smoke_job_gates_the_re_tune_on_all_cache_hits(self, workflow):
         commands = [
             s.get("run", "") for s in workflow["jobs"]["smoke"]["steps"]
         ]
         tune = [c for c in commands if "repro tune" in c]
         assert tune, "smoke job must gate on a repro tune run"
-        assert "--strategy anneal" in tune[0], (
-            "the tuning smoke gate must also exercise the anneal strategy"
-        )
-        anneal_line = next(
-            line for line in tune[0].splitlines() if "--strategy anneal" in line
-        )
-        assert "--budget 6" in anneal_line
-        assert "--out artifacts/" in anneal_line, (
-            "the anneal trace must land in artifacts/ for upload"
+        second = [line for line in tune[0].splitlines() if "repro tune" in line][1]
+        assert '| grep "200 points: 0 evaluated, 200 cache hits"' in second, (
+            "the second tune must be served entirely from the point cache"
         )
 
     def test_smoke_job_gates_on_placement_certification(self, workflow):

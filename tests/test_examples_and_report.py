@@ -54,11 +54,12 @@ class TestExamples:
         assert "topology-aware" in output
 
     def test_autotune_theta_runs_at_small_scale(self, capsys):
-        self._run("autotune_theta.py", ["8", "16"])
+        self._run("autotune_theta.py", ["8"])
         output = capsys.readouterr().out
+        assert "Proven optimum:" in output
         assert "48 OSTs" in output
         assert "shared locks: True" in output
-        assert "hill-climb: best" in output
+        assert "below the proven optimum" in output
 
     def test_placement_optimality_runs(self, capsys):
         self._run("placement_optimality.py", [])
@@ -77,7 +78,7 @@ class TestExamples:
         trace = TuningTrace.from_dict(json.loads(trace_file.read_text()))
         assert trace.target == "fig08"
         assert trace.best_value is not None and trace.best_value > 0
-        assert len(trace.points) == trace.budget
+        assert len(trace.points) == 200
 
 
 class TestReportGenerator:

@@ -123,27 +123,37 @@ class TestRunnerWorkerMerge:
 class TestTunerInstrumentation:
     def test_tune_points_counters_cover_every_point(self):
         from repro.autotune.defaults import as_tunable, suggest_space
-        from repro.autotune.tuner import TuneTarget, Tuner
-
-        def builder(divisor):
-            return as_tunable(get_scenario("fig08", scale=divisor))
+        from repro.autotune.tuner import tune
 
         with collecting() as rec:
-            base = builder(16.0)
-            tuner = Tuner(
-                TuneTarget(name=base.id, builder=builder, scale=16.0),
-                suggest_space(base),
-                None,
-                jobs=1,
-                seed=2017,
-            )
-            trace = tuner.tune("random", 8)
+            base = as_tunable(get_scenario("fig08", scale=16.0))
+            trace = tune(base, suggest_space(base))
         point_counts = {
             labels: value
             for (name, labels), value in _counters(rec).items()
             if name == "tune.points"
         }
         assert sum(point_counts.values()) == len(trace.points)
+
+    def test_tune_points_counters_split_by_source(self, tmp_path):
+        from repro.autotune import Categorical, SearchSpace, as_tunable, tune
+
+        # Zero iterations fail spec validation: one invalid point per run.
+        space = SearchSpace(Categorical("workload.iterations", (1, 0)))
+        base = as_tunable(get_scenario("fig08", scale=16.0))
+        store = ArtifactStore(tmp_path)
+        sources = []
+        for _ in range(2):
+            with collecting() as rec:
+                tune(base, space, store=store)
+            sources.append(
+                {
+                    dict(labels)["source"]: value
+                    for (name, labels), value in _counters(rec).items()
+                    if name == "tune.points"
+                }
+            )
+        assert sources == [{"fresh": 1, "invalid": 1}, {"store": 1, "invalid": 1}]
 
 
 class TestCliSurfaces:

@@ -458,33 +458,3 @@ class TestResultEnvelope:
         assert "*Placement optimality gap:* 1.000%" in with_gap
         without = _section(self._result(None))
         assert "Placement optimality gap" not in without
-
-
-class TestAnnealTunerStrategy:
-    def test_registered_and_instantiable(self):
-        from repro.autotune.strategies import get_strategy, strategy_names
-
-        assert "anneal" in strategy_names()
-        strategy = get_strategy("anneal")
-        assert strategy.name == "anneal"
-
-    def test_tunes_fig08_within_budget(self):
-        from repro.autotune.defaults import as_tunable, suggest_space
-        from repro.autotune.tuner import TuneTarget, Tuner
-
-        def builder(divisor: float):
-            return as_tunable(get_scenario("fig08", scale=divisor))
-
-        base = builder(16.0)
-        tuner = Tuner(
-            TuneTarget(name=base.id, builder=builder, scale=16.0),
-            suggest_space(base),
-            None,
-            jobs=1,
-            seed=2017,
-        )
-        trace = tuner.tune("anneal", 5)
-        assert trace.strategy == "anneal"
-        assert trace.evaluations() <= 5
-        assert trace.best_point() is not None
-
