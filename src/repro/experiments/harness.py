@@ -15,6 +15,7 @@ from typing import Any, Callable, Mapping
 
 from repro.experiments import ablations, autotuning, figures, interference, optimality
 from repro.experiments.results import ExperimentResult
+from repro.perfmodel.batch import memoised_aggregations
 
 #: Registry mapping experiment ids to their reproduction functions.  Each
 #: function takes ``(scale, overrides=None)``; stubs taking only ``scale``
@@ -78,6 +79,7 @@ def unknown_experiment_message(experiment_id: str) -> str:
     )
 
 
+@memoised_aggregations()
 def _run_registered(
     experiment_id: str,
     scale: float = 1.0,

@@ -278,15 +278,25 @@ def _evaluate_candidate_batch(
     if collect_obs:
         with obs_collecting() as rec:
             with rec.span("tune.candidate_chunk", "tuner", candidates=len(payloads)):
-                results = [_evaluate_candidate(p, objective) for p in payloads]
+                results = _evaluate_candidate_list(payloads, objective)
                 rec.inc("tune.candidates", len(payloads))
             return results, rec.export_state()
     with obs_span("tune.candidate_chunk", cat="tuner", candidates=len(payloads)):
-        results = [_evaluate_candidate(payload, objective) for payload in payloads]
+        results = _evaluate_candidate_list(payloads, objective)
     rec = obs_recorder()
     if rec is not None:
         rec.inc("tune.candidates", len(payloads))
     return results
+
+
+def _evaluate_candidate_list(payloads: list[dict], objective: str) -> list:
+    """Every candidate's result, as one evaluation sharing one aggregation memo."""
+    # Imported here, not at module level: the pool's atexit hook keeps this
+    # module alive, and it should not keep the models alive with it.
+    from repro.perfmodel.batch import memoised_aggregations
+
+    with memoised_aggregations():
+        return [_evaluate_candidate(payload, objective) for payload in payloads]
 
 
 def _machine_spec_payloads(payloads: list[dict], limit: int = 8) -> tuple:
@@ -494,12 +504,17 @@ def _run_sequential(
     fail_fast: bool,
     record: Callable[[RunOutcome], None],
 ) -> None:
-    for experiment_id in ids:
-        _, result, wall_time, _state = _execute(experiment_id, scale, overrides)
-        _persist(store, result, scale, wall_time, overrides)
-        record(RunOutcome(experiment_id, result, wall_time))
-        if fail_fast and not result.all_checks_pass():
-            break
+    # One evaluation: later experiments reuse the aggregations earlier ones
+    # memoised (imported here, as in `_evaluate_candidate_list`).
+    from repro.perfmodel.batch import memoised_aggregations
+
+    with memoised_aggregations():
+        for experiment_id in ids:
+            _, result, wall_time, _state = _execute(experiment_id, scale, overrides)
+            _persist(store, result, scale, wall_time, overrides)
+            record(RunOutcome(experiment_id, result, wall_time))
+            if fail_fast and not result.all_checks_pass():
+                break
 
 
 def _run_parallel(

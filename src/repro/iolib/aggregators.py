@@ -72,16 +72,19 @@ def bridge_first_aggregators(
     becomes the aggregator; otherwise the partition's first rank is used.
     On machines without bridge nodes this degenerates to rank order.
     """
+    require_positive(num_aggregators, "num_aggregators")
     if isinstance(machine, MiraMachine):
         bridge_nodes = machine.bridge_nodes()
     else:
         bridge_nodes = [gateway.node for gateway in machine.io_gateways()]
-    on_bridge = np.isin(mapping.node_array, bridge_nodes)
-    aggregators = []
-    for block in partition_ranks(mapping.num_ranks, num_aggregators):
-        hits = np.flatnonzero(on_bridge[block.start : block.stop])
-        aggregators.append(block.start + (int(hits[0]) if hits.size else 0))
-    return aggregators
+    bridge = np.flatnonzero(np.isin(mapping.node_array, bridge_nodes))
+    sizes = block_sizes([mapping.num_ranks], num_aggregators)
+    stops = np.cumsum(sizes)
+    starts = stops - sizes
+    # A block's first bridge rank is the first bridge rank at or after its
+    # start, when that falls before its end.
+    first = np.append(bridge, stops[-1])[np.searchsorted(bridge, starts)]
+    return np.where(first < stops, first, starts).tolist()
 
 
 def random_aggregators(

@@ -20,6 +20,18 @@ reductions; ``tests/reference/flows.py`` keeps the route walk it equals.
 :func:`analyze_jobs` serves many jobs from one routed matrix: every job's
 flows are rows of one table, and both the per-aggregator analysis sample
 and the per-job ledger sample are row selections of it.
+
+Analyses are memoised on the topology, keyed by the pattern itself (its
+``(aggregator, senders)`` pairs in order, and the sender cap), at most
+:data:`_MAX_FLOW_CACHE` per topology (cleared wholesale when full).  This
+memo lives as long as the topology, across evaluations, unlike the
+per-evaluation aggregation memo of :mod:`repro.perfmodel.batch`.  The
+analysis keeps the key's pairs as :attr:`FlowAnalysis.pattern`, so the
+aggregation memo, which serves equal patterns from different keys (volumes
+that elect alike), holds no copy of its own.
+Multi-job binding reads and fills this memo for its analyses too (a job's
+pattern may recur), but never memoises its link loads: allocation mappings
+do not repeat, so those loads would only grow the memo.
 """
 
 from __future__ import annotations
@@ -52,11 +64,15 @@ class FlowAnalysis:
         aggregator_distance: mean hop distance from an aggregator's senders.
         aggregator_min_bandwidth: narrowest link bandwidth on any incoming
             route of each aggregator (bytes/s).
+        pattern: the analysed ``(aggregator, senders)`` pairs, the senders
+            as tuples: the memo key's, so every user of an equal pattern
+            shares this one copy.
     """
 
     aggregator_contention: dict[int, float] = field(default_factory=dict)
     aggregator_distance: dict[int, float] = field(default_factory=dict)
     aggregator_min_bandwidth: dict[int, float] = field(default_factory=dict)
+    pattern: tuple[tuple[int, tuple[int, ...]], ...] = ()
 
     def max_contention(self) -> float:
         """The worst contention factor over all aggregators (>= 1)."""
@@ -183,7 +199,8 @@ def analyze_jobs(
             if len(cache) >= _MAX_FLOW_CACHE:
                 cache.clear()
             analyses[index] = cache[keys[index]] = FlowAnalysis(
-                *(dict(zip(aggregators[lo:hi], values[lo:hi])) for values in fresh)
+                *(dict(zip(aggregators[lo:hi], values[lo:hi])) for values in fresh),
+                keys[index][0],
             )
     if not loads:
         return analyses, []

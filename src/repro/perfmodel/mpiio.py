@@ -13,6 +13,7 @@ produce.
 from __future__ import annotations
 
 import math
+from functools import cached_property
 
 import numpy as np
 
@@ -77,18 +78,30 @@ class MPIIOPlan(ModelPlan):
             shared_locks=hints.shared_locks,
             **options,
         )
-        context = self.context
         if not hints.collective_buffering:
             return
-        num_ranks = context.num_ranks
-        self.num_aggregators = max(1, min(hints.resolve_cb_nodes(context.num_nodes), num_ranks))
-        self.aggregator_ranks = select_default_aggregators(
-            machine, context.mapping, self.num_aggregators, policy=aggregator_policy
+        self.aggregator_policy = aggregator_policy
+        self.num_aggregators = max(
+            1, min(hints.resolve_cb_nodes(self.context.num_nodes), self.context.num_ranks)
         )
-        # Each aggregator's sender nodes: its rank block collapsed to one
-        # candidate per node, as the placement collapses a partition.  The
-        # blocks are contiguous and cover every rank once.
-        self.partitions = Partitions.from_sizes(
+        self.aggregation_inputs = (aggregator_policy, self.num_aggregators)
+
+    @cached_property
+    def aggregator_ranks(self) -> list[int]:
+        """Each block's aggregator rank, chosen on first use."""
+        return select_default_aggregators(
+            self.machine, self.context.mapping, self.num_aggregators, policy=self.aggregator_policy
+        )
+
+    @cached_property
+    def partitions(self) -> Partitions | None:
+        """Each aggregator's sender nodes: its rank block collapsed to one
+        candidate per node, as the placement collapses a partition.  The
+        blocks are contiguous, cover every rank once and carry no volume."""
+        if not self.hints.collective_buffering:
+            return None
+        num_ranks = self.context.num_ranks
+        return Partitions.from_sizes(
             block_sizes([num_ranks], self.num_aggregators),
             np.arange(num_ranks),
             np.zeros(num_ranks, dtype=np.int64),
@@ -117,7 +130,7 @@ class MPIIOPlan(ModelPlan):
             else:
                 aligned = is_aligned(int(round_bytes), unit) and is_aligned(int(domain_bytes), unit)
             self._calls.append((call_index, per_rank_bytes, rounds, round_bytes, aligned))
-        count = len(aggregation.senders_by_aggregator)
+        count = len(aggregation.senders)
         return np.tile(np.arange(count), len(self._calls)), np.repeat(
             [call[3] for call in self._calls], count
         )
@@ -135,7 +148,7 @@ class MPIIOPlan(ModelPlan):
             estimate.phases = _independent_estimate(context, access)
             return estimate
         phases, num_aggregators = estimate.phases, self.num_aggregators
-        senders = aggregation.senders_by_aggregator
+        senders = aggregation.senders
         for (call_index, per_rank_bytes, rounds, round_bytes, aligned), call_fills in zip(
             self._calls, fills.reshape(len(self._calls), len(senders))
         ):
@@ -165,8 +178,8 @@ class MPIIOPlan(ModelPlan):
                 }
             )
         estimate.details["contention"] = aggregation.flows.mean_contention()
-        estimate.details["aggregator_nodes"] = aggregation.aggregator_nodes
-        estimate.details["senders_by_aggregator"] = senders
+        estimate.details["aggregator_nodes"] = list(aggregation.aggregator_nodes)
+        estimate.details["senders_by_aggregator"] = dict(senders)
         estimate.num_aggregators = num_aggregators
         estimate.num_rounds = max((call[2] for call in self._calls), default=0)
         record_phases(phases)

@@ -21,10 +21,12 @@ jobs; :func:`model_tapioca` is that pass over one plan.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 from repro.core.config import TapiocaConfig
-from repro.core.partitioning import build_partitions
+from repro.core.partitioning import Partitions, build_partitions
 from repro.machine.machine import Machine
 from repro.perfmodel.aggregation import collective_time
 from repro.perfmodel.batch import Aggregation, ModelPlan, estimate_plans
@@ -53,12 +55,22 @@ class TapiocaPlan(ModelPlan):
             machine, workload, label=label, shared_locks=config.shared_locks, **options
         )
         self.strategy, self.seed = config.placement, config.placement_seed
-        self.partitions = build_partitions(
-            workload,
-            config.resolve_num_aggregators(machine, self.context.num_ranks),
-            machine=machine,
+        self.num_aggregators = config.resolve_num_aggregators(machine, self.context.num_ranks)
+        volume = workload.uniform_rank_bytes()
+        if volume is not None:
+            self.aggregation_inputs = (
+                self.strategy, self.seed, self.num_aggregators, config.partition_by, volume
+            )
+
+    @cached_property
+    def partitions(self) -> Partitions:
+        """The aggregation partitions, built on first use."""
+        return build_partitions(
+            self.context.workload,
+            self.num_aggregators,
+            machine=self.machine,
             mapping=self.context.mapping,
-            partition_by=config.partition_by,
+            partition_by=self.config.partition_by,
         )
 
     def fill_rounds(self, aggregation: Aggregation) -> tuple[np.ndarray, np.ndarray]:
@@ -70,9 +82,9 @@ class TapiocaPlan(ModelPlan):
         self._rounds = np.maximum(1, rounds).astype(np.int64)
         return aggregation.groups[self._active], totals[self._active] / self._rounds
 
-    def finish(self, aggregation: Aggregation | None, fills: np.ndarray) -> IOEstimate:
+    def finish(self, aggregation: Aggregation, fills: np.ndarray) -> IOEstimate:
         context, config = self.context, self.config
-        num_partitions = len(self.partitions)
+        num_partitions = aggregation.totals.size
         if self._active.size == 0:
             return self.estimate(
                 total_bytes=0.0,
@@ -85,7 +97,7 @@ class TapiocaPlan(ModelPlan):
         rounds = int(self._rounds.max())
         # The election grows with the partition size: the largest active
         # partition sets its one-off cost.
-        election = collective_time(self.machine, int(self.partitions.sizes[self._active].max()))
+        election = collective_time(self.machine, aggregation.largest_active)
         total_bytes = float(context.workload.total_bytes())
         mean_round_bytes = min(buffer_size, total_bytes / num_partitions / rounds)
         # TAPIOCA flushes full buffers at buffer-aligned boundaries of each
@@ -129,8 +141,8 @@ class TapiocaPlan(ModelPlan):
             "aligned": aligned,
             # Full structures (not truncated): the multi-job subsystem derives
             # each job's per-link network demand from the same flow pattern.
-            "aggregator_nodes": aggregation.aggregator_nodes,
-            "senders_by_aggregator": aggregation.senders_by_aggregator,
+            "aggregator_nodes": list(aggregation.aggregator_nodes),
+            "senders_by_aggregator": dict(aggregation.senders),
         }
         return self.estimate(
             total_bytes=total_bytes,

@@ -23,6 +23,7 @@ from repro.machine.machine import Machine
 from repro.machine.mira import MIRA_PSET_SIZE, MiraMachine
 from repro.machine.theta import ThetaMachine
 from repro.obs import span as obs_span
+from repro.perfmodel.batch import memoised_aggregations
 from repro.perfmodel.mpiio import model_mpiio
 from repro.perfmodel.results import IOEstimate
 from repro.perfmodel.tapioca import model_tapioca
@@ -357,6 +358,7 @@ class Simulation:
 
     # -- uniform entry point ------------------------------------------------
 
+    @memoised_aggregations()
     def run(self) -> ExperimentResult:
         """Run the scenario and package the outcome as an experiment result.
 

@@ -124,13 +124,23 @@ class Workload(abc.ABC):
         """Total bytes written/read by one rank."""
         return sum(s.nbytes for s in self.segments_for_rank(rank))
 
+    def uniform_rank_bytes(self) -> int | None:
+        """Bytes of each rank when every rank moves the same amount, else
+        ``None`` (the default).  Uniform workloads override it: it fills
+        :meth:`rank_bytes`, and it is the volume input of the analytic
+        models' memoised aggregation (:mod:`repro.perfmodel.batch`)."""
+        return None
+
     def rank_bytes(self) -> np.ndarray:
         """Bytes of every rank as an int64 array (index = rank).
 
         The analytic path reads volumes from this array instead of calling
-        :meth:`bytes_per_rank` once per rank; uniform workloads override it
-        with a constant fill.
+        :meth:`bytes_per_rank` once per rank; a uniform workload's is a
+        constant fill of :meth:`uniform_rank_bytes`.
         """
+        uniform = self.uniform_rank_bytes()
+        if uniform is not None:
+            return np.full(self.num_ranks, uniform, dtype=np.int64)
         return np.fromiter(
             (self.bytes_per_rank(rank) for rank in range(self.num_ranks)),
             dtype=np.int64,

@@ -102,8 +102,8 @@ class HACCIOWorkload(Workload):
     def bytes_per_rank(self, rank: int = 0) -> int:
         return self.particles_per_rank * hacc_particle_size()
 
-    def rank_bytes(self) -> np.ndarray:
-        return np.full(self.num_ranks, self.bytes_per_rank(), dtype=np.int64)
+    def uniform_rank_bytes(self) -> int:
+        return self.bytes_per_rank()
 
     def total_bytes(self) -> int:
         return self.total_particles * hacc_particle_size()

@@ -75,8 +75,8 @@ class IORWorkload(Workload):
     def bytes_per_rank(self, rank: int = 0) -> int:
         return self.transfer_size * self.iterations
 
-    def rank_bytes(self) -> np.ndarray:
-        return np.full(self.num_ranks, self.bytes_per_rank(), dtype=np.int64)
+    def uniform_rank_bytes(self) -> int:
+        return self.bytes_per_rank()
 
     def segment_sizes_per_call(self) -> list[int]:
         return [self.transfer_size] * self.iterations

@@ -426,6 +426,29 @@ class TestWorkflowShape:
             "only wall_time_s may be excluded from the byte-identical comparison"
         )
 
+    def test_figures_job_gates_paper_scale_artifacts_on_one_shared_memo(self, workflow):
+        """A one-process scale-1 sweep, whose aggregation memo spans every
+        experiment, must match the two-worker sweep byte-for-byte."""
+        commands = [s.get("run", "") for s in workflow["jobs"]["figures"]["steps"]]
+        plain = next(c for c in commands if "repro run-all" in c and "--scale 1 " in c)
+        serial = [
+            c for c in commands
+            if "REPRO_TRACE" not in c and any(
+                "repro run-all" in line and "--jobs 1" in line for line in c.splitlines()
+            )
+        ]
+        assert serial, "the figures job must re-run the scale-1 sweep in one process"
+        sweep = next(line for line in serial[0].splitlines() if "repro run-all" in line)
+        assert "--scale 1 " in sweep and "--no-cache" in sweep
+        store = re.search(r"--out[= ]+(\S+)", sweep).group(1).rstrip("/")
+        assert "--jobs 2" in plain
+        assert commands.index(plain) < commands.index(serial[0])
+        diff = next(
+            line for line in serial[0].splitlines() if "repro diff-artifacts" in line
+        )
+        assert diff.split()[4:6] == ["artifacts-scale1", store]
+        assert "--ignore wall_time_s" in diff
+
     def test_serve_job_scrapes_prometheus_metrics(self, workflow):
         commands = [s.get("run", "") for s in workflow["jobs"]["serve"]["steps"]]
         scrape = [c for c in commands if "/metrics" in c]

@@ -11,10 +11,12 @@ from repro.iolib.aggregators import (
 )
 from repro.iolib.hints import MPIIOHints
 from repro.iolib.tuning import baseline_hints, optimized_hints
+from repro.machine.generic import generic_cluster
 from repro.machine.mira import MiraMachine
 from repro.machine.theta import ThetaMachine
-from repro.topology.mapping import block_mapping
+from repro.topology.mapping import block_mapping, random_mapping
 from repro.utils.units import MIB
+from reference import aggregators as reference_aggregators
 
 
 class TestHints:
@@ -88,6 +90,35 @@ class TestAggregatorPolicies:
         chosen_nodes = [mapping.node(r) for r in aggregators]
         assert any(node in bridge_nodes for node in chosen_nodes)
         assert len(aggregators) == 4
+
+    @pytest.mark.parametrize(
+        "machine, mapping",
+        [
+            (MiraMachine(512, pset_size=128), block_mapping(8192, 512, 16)),
+            (MiraMachine(256, pset_size=64), block_mapping(1000, 256, 4)),
+            (MiraMachine(128, pset_size=64), random_mapping(2048, 128, 16, seed=3)),
+            (ThetaMachine(128), block_mapping(4096, 128, 32)),
+            (generic_cluster(64, num_gateways=4), block_mapping(512, 64, 8)),
+        ],
+        ids=["mira-block", "mira-partial-nodes", "mira-random", "theta", "generic"],
+    )
+    def test_bridge_first_equals_the_block_scan_oracle(self, machine, mapping):
+        """Every block's first bridge rank, at aggregator counts from one
+        block per rank down to one: blocks with several bridge ranks, with
+        none (all of Theta's, which exposes no gateway), and uneven blocks."""
+        if isinstance(machine, MiraMachine):
+            bridge_nodes = set(machine.bridge_nodes())
+        else:
+            bridge_nodes = {gateway.node for gateway in machine.io_gateways()}
+        counts = sorted({1, 2, 3, 7, 16, 31, 64, 100, 255, 1024, mapping.num_ranks})
+        on_bridge = off_bridge = 0
+        for count in counts:
+            expected = reference_aggregators.bridge_first_aggregators(machine, mapping, count)
+            assert bridge_first_aggregators(machine, mapping, count) == expected, count
+            hits = sum(mapping.node(rank) in bridge_nodes for rank in expected)
+            on_bridge, off_bridge = on_bridge + hits, off_bridge + len(expected) - hits
+        assert off_bridge > 0
+        assert on_bridge > 0 or not bridge_nodes
 
     def test_default_policy_on_theta_falls_back_to_rank_order(self):
         machine = ThetaMachine(8)

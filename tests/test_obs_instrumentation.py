@@ -101,6 +101,10 @@ class TestModelAndPlacementInstrumentation:
         counters = _counters(rec)
         assert counters[("model.phase_seconds", (("phase", "io"),))] > 0.0
         assert counters[("costmodel.candidates", ())] > 0
+        misses = counters[("model.aggregations", (("memo", "miss"),))]
+        hits = counters[("model.aggregations", (("memo", "hit"),))]
+        assert misses > 0 and hits > 0
+        assert misses + hits == counters[("model.estimates", ())]
 
 
 class TestRunnerWorkerMerge:

@@ -6,7 +6,9 @@ stats counters add up and the latency histogram saw every request — and
 that ``GET /metrics`` parses as Prometheus text exposition.
 """
 
+import asyncio
 import json
+import time
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
 
@@ -41,10 +43,31 @@ def hammered_server(tmp_path_factory):
         with ThreadPoolExecutor(max_workers=CLIENTS) as pool:
             cold = list(pool.map(client.evaluate, distinct))
             warm = list(pool.map(client.evaluate, distinct))
+            _hold_evaluation_until(server.service, len(cold) + len(warm) + CLIENTS)
             burst = list(pool.map(client.evaluate, [duplicate] * CLIENTS))
         sent = len(cold) + len(warm) + len(burst)
         assert all(env["status"] == "ok" for env in cold + warm + burst)
         yield server, client, sent
+
+
+def _hold_evaluation_until(service, requests: int, timeout_s: float = 30.0) -> None:
+    """Hold the service's next evaluations until ``requests`` requests have
+    reached it, so every duplicate of the burst lands while the first one
+    is still in flight (deduped), never after it is stored (a cache hit).
+
+    A request is counted and passes the cache and dedup gates in one step of
+    the event loop, so once the count is reached every burst request has
+    been deduped.  The timeout only keeps a broken daemon from hanging the
+    suite; the counter assertions then fail."""
+    run_batch = service._run_batch
+
+    async def held(payloads):
+        deadline = time.monotonic() + timeout_s
+        while service.stats["requests"] < requests and time.monotonic() < deadline:
+            await asyncio.sleep(0.001)
+        return await run_batch(payloads)
+
+    service._run_batch = held
 
 
 def _get(url: str):
