@@ -52,18 +52,6 @@ class Objective:
             )
         return float(self.fn(Simulation(scenario)))
 
-    def evaluate(self, scenario: Scenario) -> float:
-        """The objective value of one scenario.
-
-        Routed through the unified :func:`repro.core.api.evaluate` entry
-        point — the same call path the CLI and the evaluation daemon use —
-        so a tuning candidate costs exactly what the equivalent
-        ``repro scenario run`` would.
-        """
-        from repro.core.api import evaluate
-
-        return evaluate(scenario, objective=self).value
-
     def better(self, candidate: float, incumbent: float | None) -> bool:
         """Whether ``candidate`` improves on ``incumbent`` (None = no incumbent)."""
         if incumbent is None:

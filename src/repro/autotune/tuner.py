@@ -3,12 +3,12 @@
 :func:`tune` scores every point of a
 :class:`~repro.autotune.space.SearchSpace` on one base scenario with an
 :class:`~repro.autotune.objectives.Objective`, so the best value it reports
-is the proven optimum of the space.  Candidates fan out over worker
-processes via :func:`repro.experiments.runner.evaluate_candidates`, and
-every evaluated point is persisted in the
-:class:`~repro.experiments.store.ArtifactStore` keyed by ``(scenario hash,
-objective)`` — re-running a tune, or tuning an overlapping space, skips
-every point already paid for.
+is the proven optimum of the space.  Candidates go through the runner's
+scenario worker (:func:`repro.experiments.runner.evaluate_scenarios`),
+in-process or over worker processes, and every evaluated point is persisted
+in the :class:`~repro.experiments.store.ArtifactStore` keyed by ``(scenario
+hash, objective)`` — re-running a tune, or tuning an overlapping space,
+skips every point already paid for.
 """
 
 from __future__ import annotations
@@ -124,7 +124,7 @@ def tune(
     """
     # Imported lazily: the experiments package imports the autotuning
     # experiments, which import this module.
-    from repro.experiments.runner import evaluate_candidates
+    from repro.experiments.runner import evaluate_scenarios
     from repro.experiments.store import canonical_overrides
 
     size = space.size()
@@ -181,13 +181,14 @@ def tune(
                     rec.inc("tune.points", count, source=source)
 
         if pending:
-            outcomes = evaluate_candidates(
-                [entry["scenario"].to_dict() for entry in pending],
-                objective.name,
-                jobs=jobs,
-            )
-            for entry, (ok, outcome) in zip(pending, outcomes):
-                entry["value" if ok else "error"] = outcome
+            with obs_span("tune.candidate_chunk", cat="tuner", candidates=len(pending)):
+                outcomes = evaluate_scenarios(
+                    [entry["scenario"] for entry in pending], objective.name, jobs=jobs
+                )
+            if rec is not None:
+                rec.inc("tune.candidates", len(pending))
+            for entry, outcome in zip(pending, outcomes):
+                entry["error" if isinstance(outcome, str) else "value"] = outcome
                 if store is not None:
                     store.save_tuning_point(
                         entry["digest"],

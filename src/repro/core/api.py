@@ -5,8 +5,10 @@ Two user-facing entry points live here:
 * :func:`evaluate` — the **one** evaluation API: it accepts a registered
   experiment id, a registered scenario name, a scenario JSON payload, or a
   :class:`~repro.scenario.spec.Scenario` instance, and returns a uniform
-  :class:`Evaluation`.  The CLI's ``run``/``scenario run``, the autotuner's
-  objectives, and the evaluation daemon (``repro serve``) all call it, so
+  :class:`Evaluation`.  The CLI's ``run``/``scenario run`` and every
+  autotuner candidate call it; the evaluation daemon (``repro serve``)
+  simulates through the same :func:`simulate_scenario`, and stores through
+  the same :class:`~repro.experiments.store.ArtifactStore` record, so
   caching, hashing, and override semantics are identical everywhere.
 * :class:`Tapioca` — the paper-shaped declare-then-write library facade.
 
@@ -35,7 +37,7 @@ partition elected and why.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
 from repro.core.aggregation import AggregationSchedule, build_schedule
@@ -227,72 +229,60 @@ def _evaluate_scenario(
     jobs: int,
     store: "ArtifactStore | None",
     use_cache: bool,
-    payload: Mapping[str, Any] | None = None,
 ) -> Evaluation:
-    """Run one concrete scenario, hash-cached against the store.
-
-    ``payload`` is the scenario's :meth:`~repro.scenario.spec.Scenario.to_dict`
-    when the caller already holds it (a daemon batch worker), so the
-    scenario is not serialised again only to hash it.
-    """
+    """Run one concrete scenario, hash-cached against the store."""
     from repro.experiments.results import ExperimentResult
-    from repro.scenario.simulation import Simulation
-    from repro.scenario.spec import payload_hash
+    from repro.scenario.spec import ScenarioError, payload_hash
 
-    if payload is None:
-        payload = scenario.to_dict()
+    payload = scenario.to_dict()
     scenario_hash = payload_hash(payload)
     if store is not None and use_cache:
-        envelope = store.load_scenario_result(scenario_hash)
-        if envelope is not None and "result" in envelope:
+        record = store.load_scenario_result(scenario_hash)
+        if record is not None:
             return Evaluation(
-                result=ExperimentResult.from_dict(envelope["result"]),
+                result=ExperimentResult.from_dict(record.result),
                 cached=True,
                 source="scenario",
                 key=scenario_hash,
-                wall_time_s=envelope.get("wall_time_s", 0.0),
+                wall_time_s=record.wall_time_s,
                 scenario=scenario,
             )
 
+    if jobs > 1:
+        # Run on the shared persistent pool: a follow-up evaluation (or a
+        # daemon batch) lands on warm workers.
+        from repro.experiments.runner import evaluate_scenarios
+
+        (outcome,) = evaluate_scenarios([scenario], jobs=jobs)
+        if isinstance(outcome, str):
+            raise ScenarioError(outcome)
+    else:
+        outcome = simulate_scenario(scenario)
+    if store is not None:
+        store.save_scenario_result(
+            scenario_hash, payload, outcome.result.to_dict(), outcome.wall_time_s
+        )
+    return replace(outcome, key=scenario_hash, scenario=scenario)
+
+
+def simulate_scenario(scenario: "Scenario") -> Evaluation:
+    """Simulate one concrete scenario: no store, no hash, timed.
+
+    The unit of work behind every scenario evaluation, in-process and in
+    the runner's batch worker; the returned :class:`Evaluation` carries the
+    result and wall time only, so it pickles back from a worker small.
+    """
+    from repro.scenario.simulation import Simulation
+
     start = now()
     with obs_span("evaluate.scenario", cat="api", scenario=scenario.id):
-        if jobs > 1:
-            # Run through the shared persistent pool: a follow-up evaluation
-            # (or a daemon batch) lands on warm workers.
-            from repro.experiments.runner import submit_scenario_batch
-
-            response = submit_scenario_batch([payload], jobs=jobs).result()[0]
-            if response["status"] != "ok":
-                from repro.scenario.spec import ScenarioError
-
-                raise ScenarioError(response["error"])
-            result = ExperimentResult.from_dict(response["result"])
-        else:
-            result = Simulation(scenario).run()
+        result = Simulation(scenario).run()
     wall_time_s = elapsed_s(start)
     rec = obs_recorder()
     if rec is not None:
         rec.inc("api.scenario_evaluations")
         rec.observe("api.scenario_seconds", wall_time_s)
-
-    if store is not None:
-        store.save_scenario_result(
-            scenario_hash,
-            {
-                "scenario_id": scenario.id,
-                "scenario": payload,
-                "wall_time_s": wall_time_s,
-                "result": result.to_dict(),
-            },
-        )
-    return Evaluation(
-        result=result,
-        cached=False,
-        source="scenario",
-        key=scenario_hash,
-        wall_time_s=wall_time_s,
-        scenario=scenario,
-    )
+    return Evaluation(result=result, wall_time_s=wall_time_s)
 
 
 class DeclaredWorkload(Workload):
@@ -550,6 +540,10 @@ class Tapioca:
     def _estimate(self, access: str, overrides: dict[str, Any]):
         from repro.perfmodel.tapioca import model_tapioca
 
+        if self._explicit_mapping is not None:
+            # Only an explicit mapping is passed: a block-mapped session keeps
+            # the model's default mapping, and with it the aggregation memo.
+            overrides = {"mapping": self._explicit_mapping, **overrides}
         return model_tapioca(
             self.machine,
             self._require_workload(),

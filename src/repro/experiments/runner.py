@@ -1,24 +1,31 @@
-"""Parallel experiment execution with artifact persistence.
+"""Experiment sweeps and scenario batches, in-process or on one worker pool.
 
-The registry experiments are pure functions of ``(experiment_id, scale)``,
-so a full sweep is embarrassingly parallel: :func:`run_experiments` fans the
-requested ids out over a :class:`~concurrent.futures.ProcessPoolExecutor`
-and the sweep's wall time is bounded by the slowest experiment instead of
-the sum of all of them.
+Two kinds of work run here, and both go through the same pool:
 
-When an :class:`~repro.experiments.store.ArtifactStore` is supplied, each
-finished experiment is persisted as a JSON artifact and — unless caching is
-disabled — experiments whose ``(experiment_id, scale)`` key is already in
-the store are *not* re-run: their stored result is returned as a cache hit.
+* **Experiment sweeps.**  The registry experiments are pure functions of
+  ``(experiment_id, scale, overrides)``, so :func:`run_experiments` fans the
+  requested ids out over worker processes, and a sweep's wall time is
+  bounded by its slowest experiment.  With an
+  :class:`~repro.experiments.store.ArtifactStore`, each finished experiment
+  is persisted as a JSON artifact, and an experiment whose key is already
+  stored is a cache hit, not a re-run.
+* **Scenario batches.**  :func:`evaluate_scenarios` is the one scenario
+  worker: ``evaluate(..., jobs>1)``, the evaluation daemon and the tuner
+  hand it parsed :class:`~repro.scenario.spec.Scenario` objects (which
+  pickle as they are) and, for the tuner, an objective name.  A batch is
+  one evaluation under one aggregation memo, returns one outcome per
+  scenario in input order, and a scenario rejected with a ``ValueError``
+  is an error outcome, not a failed batch.  It runs in-process for
+  ``jobs=1``, otherwise in contiguous chunks on the pool.
 
-The module keeps **one persistent worker pool** for the whole process:
-experiment sweeps and autotune candidate batches share it, so repeated calls
-(a sweep followed by a tune) reuse warm workers —
-imports resolved, the memoised machine cache and the topology route/distance
-caches filled by earlier tasks — instead of paying process start-up and cold
-caches per call.  Workers are pre-warmed by an initializer that resolves the
-heavy registries (and, for candidate evaluation, the batch's machine specs)
-before the first task lands.
+The module keeps **one persistent worker pool** for the whole process, so
+repeated calls (a sweep followed by a tune, daemon batch after daemon
+batch) reuse warm workers — imports resolved, the memoised machine cache
+and the topology route/distance caches filled by earlier tasks — instead of
+paying process start-up and cold caches per call.  An initializer warms the
+registries (and a batch's machine specs) before the first task lands.  A
+worker task under an active recorder ships its spans and counters back
+for the parent to merge (:func:`_observed`).
 """
 
 from __future__ import annotations
@@ -29,10 +36,13 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
+from repro.core.api import Evaluation, evaluate, simulate_scenario
 from repro.experiments.results import ExperimentResult
 from repro.experiments.store import ArtifactStore
 from repro.obs import elapsed_s, now, recorder as obs_recorder, span as obs_span
 from repro.obs.recorder import collecting as obs_collecting
+from repro.perfmodel.batch import memoised_aggregations
+from repro.scenario.spec import Scenario
 
 
 @dataclass
@@ -105,19 +115,18 @@ def _warm_worker(machine_specs: tuple = ()) -> None:
 
     Importing the experiment harness and the scenario layer pulls in every
     model module once per worker process instead of once per task; resolving
-    the given machine-spec payloads pre-warms the memoised machine cache (and
-    with it the per-topology route/distance caches every later task shares).
+    the given machine specs pre-warms the memoised machine cache (and with it
+    the per-topology route/distance caches every later task shares).
     """
     from repro.experiments import harness  # noqa: F401 - import warms registry
     from repro.scenario.simulation import resolve_machine
-    from repro.scenario.spec import MachineSpec
 
-    for payload in machine_specs:
+    for spec in machine_specs:
         try:
-            resolve_machine(MachineSpec.from_dict(payload))
+            resolve_machine(spec)
         except Exception:
             # Warm-up is best effort: an unresolvable spec will produce its
-            # real error when the actual candidate is evaluated.
+            # real error when the actual scenario is evaluated.
             pass
 
 
@@ -139,6 +148,10 @@ def _get_pool(workers: int, machine_specs: tuple = ()) -> ProcessPoolExecutor:
             initargs=(machine_specs,),
         )
         _POOL_WORKERS = workers
+        # The exit hook is the executor's own method: a function of this
+        # module would hold its globals, and with them every purged and
+        # re-imported copy of the module.
+        atexit.register(_POOL.shutdown, wait=False, cancel_futures=True)
     return _POOL
 
 
@@ -146,12 +159,10 @@ def shutdown_pool() -> None:
     """Tear down the shared worker pool (tests; automatic at interpreter exit)."""
     global _POOL, _POOL_WORKERS
     if _POOL is not None:
+        atexit.unregister(_POOL.shutdown)
         _POOL.shutdown(wait=False, cancel_futures=True)
         _POOL = None
         _POOL_WORKERS = 0
-
-
-atexit.register(shutdown_pool)
 
 
 def _submit_retrying(pool_args: tuple, fn, /, *args):
@@ -163,206 +174,98 @@ def _submit_retrying(pool_args: tuple, fn, /, *args):
         return _get_pool(*pool_args).submit(fn, *args)
 
 
-def _execute(
-    experiment_id: str,
-    scale: float,
-    overrides: dict | None = None,
-    collect_obs: bool = False,
-) -> tuple[str, ExperimentResult, float, dict | None]:
-    """Worker entry point: run one experiment and time it (picklable).
+def _observed(collect_obs: bool, fn, /, *args):
+    """Worker entry point: ``(fn(*args), obs_state)`` (picklable).
 
-    With ``collect_obs`` a fresh task-local recorder captures this run's
-    spans and metric deltas; the exported state rides back alongside the
-    result for the parent to merge (worker processes cannot share the
-    parent's recorder).  Without it, any recorder already installed in
-    this process (the sequential path) records as usual.
+    With ``collect_obs`` a fresh task-local recorder captures the task's
+    spans and metric deltas, and ``obs_state`` is its export for the parent
+    to merge (worker processes cannot share the parent's recorder).
+    Without it, any recorder already installed in this process (the
+    sequential path) records as usual and ``obs_state`` is ``None``.
     """
+    if not collect_obs:
+        return fn(*args), None
+    with obs_collecting() as rec:
+        value = fn(*args)
+        return value, rec.export_state()
+
+
+def _run_experiment(
+    experiment_id: str, scale: float, overrides: dict | None
+) -> tuple[ExperimentResult, float]:
+    """Run one registered experiment; its result and wall time."""
     # Imported here so forked/spawned workers resolve the registry themselves.
     from repro.experiments.harness import _run_registered
 
-    if collect_obs:
-        with obs_collecting() as rec:
-            start = now()
-            with rec.span(f"run:{experiment_id}", "runner", scale=scale):
-                result = _run_registered(experiment_id, scale, overrides)
-            wall = elapsed_s(start)
-            state = rec.export_state()
-        return experiment_id, result, wall, state
     start = now()
     with obs_span(f"run:{experiment_id}", cat="runner", scale=scale):
         result = _run_registered(experiment_id, scale, overrides)
-    return experiment_id, result, elapsed_s(start), None
+    return result, elapsed_s(start)
 
 
-def _run_scenario(payload: dict) -> dict:
-    """Worker entry point: evaluate one scenario payload (picklable).
+def _evaluate_batch(scenarios: list[Scenario], objective: str | None) -> list:
+    """Every scenario's outcome, as one evaluation sharing one aggregation memo.
 
-    Returns a response envelope rather than raising: a single malformed
-    scenario in a daemon batch must not poison its siblings.
+    See :func:`evaluate_scenarios` for the outcomes.  A ``ValueError`` is
+    the outcome of its scenario alone: :class:`ScenarioError` and the model
+    layers' resolution-time rejections (a stripe wider than the file
+    system) both mean the scenario is invalid, not the batch.
     """
-    # Imported here so forked/spawned workers resolve everything themselves.
-    from repro.core.api import _evaluate_scenario
-    from repro.scenario.spec import Scenario
-
-    try:
-        scenario = Scenario.from_dict(payload)
-        # Batch payloads are already ``Scenario.to_dict`` output: hash them
-        # as they are instead of serialising the rebuilt scenario again.
-        evaluation = _evaluate_scenario(
-            scenario, jobs=1, store=None, use_cache=False, payload=payload
-        )
-        return {
-            "status": "ok",
-            "scenario_id": scenario.id,
-            "scenario_hash": evaluation.key,
-            "wall_time_s": evaluation.wall_time_s,
-            "result": evaluation.result.to_dict(),
-        }
-    except ValueError as error:
-        # ScenarioError and the model layers' resolution-time rejections
-        # are both ValueErrors: the scenario is invalid, not the batch.
-        return {"status": "error", "error": str(error)}
-
-
-def run_scenario_batch(payloads: list[dict]) -> list[dict]:
-    """Worker entry point: evaluate a batch of scenario payloads in one task.
-
-    Each payload must be :meth:`~repro.scenario.spec.Scenario.to_dict`
-    output, whose hash is the scenario's content hash.
-    """
-    return [_run_scenario(payload) for payload in payloads]
-
-
-def submit_scenario_batch(payloads: list[dict], *, jobs: int):
-    """Submit a scenario batch to the shared persistent pool.
-
-    The serving layer's bridge into the PR-5 worker pool: returns the
-    :class:`concurrent.futures.Future` of the batch (resolve with
-    ``asyncio.wrap_future`` on the event loop), whose result is one response
-    envelope per payload, in input order.
-    """
-    pool_args = (max(1, jobs), _machine_spec_payloads(payloads))
-    return _submit_retrying(pool_args, run_scenario_batch, payloads)
-
-
-def _evaluate_candidate(payload: dict, objective: str) -> tuple[bool, float | str]:
-    """Worker entry point: score one scenario payload (picklable).
-
-    Returns ``(True, value)`` on success and ``(False, message)`` when the
-    scenario fails resolution-time validation — candidate points of a
-    tuning space may be individually invalid without aborting the batch.
-    """
-    # Imported here so forked/spawned workers resolve everything themselves.
-    from repro.autotune.objectives import get_objective
-    from repro.scenario.spec import Scenario
-
-    try:
-        scenario = Scenario.from_dict(payload)
-        return True, get_objective(objective).evaluate(scenario)
-    except ValueError as error:
-        # ScenarioError and the model layers' resolution-time rejections
-        # (e.g. a stripe wider than the file system) are both ValueErrors:
-        # the candidate is invalid, not the batch.
-        return False, str(error)
-
-
-def _evaluate_candidate_batch(
-    payloads: list[dict], objective: str, collect_obs: bool = False
-):
-    """Worker entry point: score a chunk of candidates in one task.
-
-    Returns the per-candidate results; with ``collect_obs`` a
-    ``(results, obs_state)`` pair instead, where ``obs_state`` is the
-    chunk's task-local recorder export for the parent to merge.
-    """
-    if collect_obs:
-        with obs_collecting() as rec:
-            with rec.span("tune.candidate_chunk", "tuner", candidates=len(payloads)):
-                results = _evaluate_candidate_list(payloads, objective)
-                rec.inc("tune.candidates", len(payloads))
-            return results, rec.export_state()
-    with obs_span("tune.candidate_chunk", cat="tuner", candidates=len(payloads)):
-        results = _evaluate_candidate_list(payloads, objective)
-    rec = obs_recorder()
-    if rec is not None:
-        rec.inc("tune.candidates", len(payloads))
-    return results
-
-
-def _evaluate_candidate_list(payloads: list[dict], objective: str) -> list:
-    """Every candidate's result, as one evaluation sharing one aggregation memo."""
-    # Imported here, not at module level: the pool's atexit hook keeps this
-    # module alive, and it should not keep the models alive with it.
-    from repro.perfmodel.batch import memoised_aggregations
-
+    outcomes: list = []
     with memoised_aggregations():
-        return [_evaluate_candidate(payload, objective) for payload in payloads]
+        for scenario in scenarios:
+            try:
+                if objective is None:
+                    outcomes.append(simulate_scenario(scenario))
+                else:
+                    outcomes.append(evaluate(scenario, objective=objective).value)
+            except ValueError as error:
+                outcomes.append(str(error))
+    return outcomes
 
 
-def _machine_spec_payloads(payloads: list[dict], limit: int = 8) -> tuple:
-    """Distinct machine sub-specs of a candidate batch (worker warm-up)."""
-    seen: dict[tuple, dict] = {}
-    for payload in payloads:
-        machine = payload.get("machine")
-        if isinstance(machine, dict):
-            key = tuple(sorted((k, repr(v)) for k, v in machine.items()))
-            if key not in seen:
-                seen[key] = machine
-                if len(seen) >= limit:
-                    break
-    return tuple(seen.values())
+def evaluate_scenarios(
+    scenarios: list[Scenario], objective: str | None = None, *, jobs: int = 1
+) -> list[Evaluation | float | str]:
+    """Evaluate a batch of scenarios: the one scenario worker.
 
+    With ``jobs`` 1 the batch runs in-process; otherwise it is split into a
+    few contiguous chunks per worker (one pickled task per chunk, not per
+    scenario) on the shared pool.  Outcomes come back in input order, one
+    per scenario:
 
-def evaluate_candidates(
-    payloads: list[dict], objective: str, *, jobs: int = 1
-) -> list[tuple[bool, float | str]]:
-    """Score a batch of scenario payloads against a named objective.
-
-    The tuning counterpart of :func:`run_experiments`: candidate scenarios
-    are pure data (``Scenario.to_dict`` payloads), so a batch fans out over
-    the shared persistent worker pool exactly like a figure sweep.  The
-    batch is split into a few contiguous chunks per worker — one pickled
-    task per chunk instead of per candidate — and successive batches land
-    on the same warm workers (modules imported, machine and topology caches
-    filled by earlier calls).  Results come back in input
-    order; a candidate the scenario tree rejects yields ``(False, message)``
-    instead of poisoning the batch.
-
-    Args:
-        payloads: ``Scenario.to_dict`` outputs, one per candidate.
-        objective: a registered objective name
-            (see :data:`repro.autotune.objectives.OBJECTIVES`).
-        jobs: worker processes; ``1`` evaluates in-process.
+    * without ``objective``, an :class:`~repro.core.api.Evaluation` with
+      the result and wall time of :func:`~repro.core.api.simulate_scenario`;
+    * with a registered objective name (see
+      :data:`repro.autotune.objectives.OBJECTIVES`), the objective value;
+    * the error message, for a scenario rejected with a ``ValueError``.
     """
-    if jobs <= 1 or len(payloads) <= 1:
-        return _evaluate_candidate_batch(payloads, objective)
+    if jobs <= 1:
+        return _evaluate_batch(scenarios, objective)
     # Amortise pickling/dispatch: a handful of chunks per worker balances
     # task-size variance against per-task overhead.
-    chunk_size = max(1, -(-len(payloads) // (jobs * 4)))
-    chunks = [
-        payloads[start : start + chunk_size]
-        for start in range(0, len(payloads), chunk_size)
-    ]
-    pool_args = (jobs, _machine_spec_payloads(payloads))
+    chunk_size = max(1, -(-len(scenarios) // (jobs * 4)))
+    machine_specs = tuple(dict.fromkeys(scenario.machine for scenario in scenarios))
+    pool_args = (jobs, machine_specs[:8])
     rec = obs_recorder()
-    collect = rec is not None
     futures = [
         _submit_retrying(
-            pool_args, _evaluate_candidate_batch, chunk, objective, collect
+            pool_args,
+            _observed,
+            rec is not None,
+            _evaluate_batch,
+            scenarios[start : start + chunk_size],
+            objective,
         )
-        for chunk in chunks
+        for start in range(0, len(scenarios), chunk_size)
     ]
-    results: list[tuple[bool, float | str]] = []
+    outcomes: list = []
     for future in futures:
-        outcome = future.result()
-        if collect:
-            chunk_results, state = outcome
-            if rec is not None and state is not None:
-                rec.merge_state(state)
-            results.extend(chunk_results)
-        else:
-            results.extend(outcome)
-    return results
+        chunk, state = future.result()
+        if rec is not None and state is not None:
+            rec.merge_state(state)
+        outcomes.extend(chunk)
+    return outcomes
 
 
 def run_experiments(
@@ -505,12 +408,10 @@ def _run_sequential(
     record: Callable[[RunOutcome], None],
 ) -> None:
     # One evaluation: later experiments reuse the aggregations earlier ones
-    # memoised (imported here, as in `_evaluate_candidate_list`).
-    from repro.perfmodel.batch import memoised_aggregations
-
+    # memoised.
     with memoised_aggregations():
         for experiment_id in ids:
-            _, result, wall_time, _state = _execute(experiment_id, scale, overrides)
+            result, wall_time = _run_experiment(experiment_id, scale, overrides)
             _persist(store, result, scale, wall_time, overrides)
             record(RunOutcome(experiment_id, result, wall_time))
             if fail_fast and not result.all_checks_pass():
@@ -533,15 +434,18 @@ def _run_parallel(
     rec = obs_recorder()
     collect = rec is not None
     pending = {
-        _submit_retrying(pool_args, _execute, eid, scale, overrides, collect)
+        _submit_retrying(
+            pool_args, _observed, collect, _run_experiment, eid, scale, overrides
+        ): eid
         for eid in ids
     }
     failed = False
     try:
         while pending:
-            done, pending = wait(pending, return_when=FIRST_COMPLETED)
+            done, _ = wait(pending, return_when=FIRST_COMPLETED)
             for future in done:
-                experiment_id, result, wall_time, state = future.result()
+                experiment_id = pending.pop(future)
+                (result, wall_time), state = future.result()
                 if state is not None and rec is not None:
                     rec.merge_state(state)
                 _persist(store, result, scale, wall_time, overrides)

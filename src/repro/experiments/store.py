@@ -33,7 +33,7 @@ import hashlib
 import json
 import subprocess
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from repro.experiments.backends import DirectoryBackend, StoreBackend, open_backend
 from repro.experiments.results import ExperimentResult
@@ -127,6 +127,20 @@ def git_sha(repo_dir: Path | str | None = None) -> str | None:
 # ---------------------------------------------------------------------------
 # Artifact store
 # ---------------------------------------------------------------------------
+
+
+class ScenarioRecord(NamedTuple):
+    """One stored scenario evaluation: the scenario-result record's fields.
+
+    ``scenario`` and ``result`` are the ``to_dict`` forms of the scenario
+    and its :class:`ExperimentResult`; ``wall_time_s`` is the original
+    run's wall time.
+    """
+
+    scenario_id: str
+    scenario: dict
+    wall_time_s: float
+    result: dict
 
 
 class ArtifactStore:
@@ -420,18 +434,11 @@ class ArtifactStore:
         any later tune — of the same space or not — that lands on the same
         scenario/objective pair is served from disk instead of re-simulated.
         """
-        envelope = {"schema": ARTIFACT_SCHEMA, "digest": digest, **dict(payload)}
-        return self._put(self._tuning_point_key(digest), envelope)
+        return self._put_record(self._tuning_point_key(digest), {"digest": digest, **payload})
 
     def load_tuning_point(self, digest: str) -> dict | None:
         """The cached evaluation for a digest, or ``None`` (a miss, never an error)."""
-        try:
-            envelope = self._get_json(self._tuning_point_key(digest))
-        except ValueError:
-            return None
-        if envelope is None or envelope.get("schema") != ARTIFACT_SCHEMA:
-            return None
-        return envelope
+        return self._get_record(self._tuning_point_key(digest))
 
     # -- scenario-result cache (the serving layer) --------------------------
 
@@ -439,27 +446,50 @@ class ArtifactStore:
     def _scenario_result_key(scenario_hash: str) -> str:
         return f"{SCENARIO_RESULT_DIR}/{scenario_hash}.json"
 
-    def save_scenario_result(self, scenario_hash: str, payload: Mapping) -> Path:
+    def save_scenario_result(
+        self, scenario_hash: str, scenario: Mapping, result: Mapping, wall_time_s: float
+    ) -> Path:
         """Persist one evaluated scenario keyed by its content hash.
 
+        ``scenario`` is the :meth:`~repro.scenario.spec.Scenario.to_dict`
+        form that ``scenario_hash`` was computed from, and ``result`` the
+        :meth:`~repro.experiments.results.ExperimentResult.to_dict` form.
         This is the cache behind :func:`repro.core.api.evaluate` and the
         evaluation daemon: any client that later submits a scenario with the
         same canonical JSON is served the stored result without
         re-simulating.
         """
-        envelope = {
-            "schema": ARTIFACT_SCHEMA,
-            "scenario_hash": scenario_hash,
-            **dict(payload),
-        }
-        return self._put(self._scenario_result_key(scenario_hash), envelope)
+        record = ScenarioRecord(scenario["id"], scenario, wall_time_s, result)
+        return self._put_record(
+            self._scenario_result_key(scenario_hash),
+            {"scenario_hash": scenario_hash, **record._asdict()},
+        )
 
-    def load_scenario_result(self, scenario_hash: str) -> dict | None:
+    def load_scenario_result(self, scenario_hash: str) -> ScenarioRecord | None:
         """The cached evaluation for a scenario hash, or ``None`` (a miss)."""
+        record = self._get_record(self._scenario_result_key(scenario_hash))
+        if record is None or "result" not in record:
+            return None
+        return ScenarioRecord(
+            record.get("scenario_id"),
+            record.get("scenario"),
+            record.get("wall_time_s", 0.0),
+            record["result"],
+        )
+
+    # -- schema-stamped keyed records -----------------------------------------
+
+    def _put_record(self, key: str, fields: Mapping) -> Path:
+        """Write one cache record, stamped with :data:`ARTIFACT_SCHEMA`."""
+        return self._put(key, {"schema": ARTIFACT_SCHEMA, **fields})
+
+    def _get_record(self, key: str) -> dict | None:
+        """One cache record, or ``None`` when it is missing, unreadable or of
+        another schema: a miss, never an error."""
         try:
-            envelope = self._get_json(self._scenario_result_key(scenario_hash))
+            record = self._get_json(key)
         except ValueError:
             return None
-        if envelope is None or envelope.get("schema") != ARTIFACT_SCHEMA:
+        if record is None or record.get("schema") != ARTIFACT_SCHEMA:
             return None
-        return envelope
+        return record

@@ -11,9 +11,11 @@ next:
    request awaits the existing future; N concurrent identical submissions
    trigger exactly one evaluation.
 3. **Microbatched evaluation** — fresh scenarios are collected for a short
-   window and submitted as one batch to the persistent worker pool from
-   :mod:`repro.experiments.runner` (in-process for ``jobs=1``), so a burst
-   of K requests costs one task dispatch, not K.
+   window and evaluated as one batch by the runner's scenario worker
+   (:func:`repro.experiments.runner.evaluate_scenarios`: in-process for
+   ``jobs=1``, on the persistent worker pool otherwise), so a burst of K
+   requests costs one evaluation, not K.  The worker takes the scenarios
+   this service already parsed.
 
 Responses are *envelopes* (plain dicts), never exceptions: a malformed
 scenario yields ``{"status": "error", ...}`` so one bad request cannot
@@ -24,6 +26,7 @@ from __future__ import annotations
 
 import asyncio
 import time
+from functools import partial
 from typing import Any, Mapping
 
 from repro.experiments.store import ArtifactStore
@@ -64,8 +67,9 @@ class EvaluationService:
         self.batch_window_s = batch_window_s
         self.use_cache = use_cache
         self._inflight: dict[str, asyncio.Future] = {}
-        #: Requests awaiting the next batch: (content hash, ``to_dict`` form).
-        self._pending: list[tuple[str, dict]] = []
+        #: Requests awaiting the next batch: (content hash, scenario, its
+        #: ``to_dict`` form).
+        self._pending: list[tuple[str, Scenario, dict]] = []
         self._flush_task: asyncio.Task | None = None
         self.stats: dict[str, int] = {
             "requests": 0,
@@ -138,7 +142,7 @@ class EvaluationService:
         loop = asyncio.get_running_loop()
         future: asyncio.Future = loop.create_future()
         self._inflight[scenario_hash] = future
-        self._pending.append((scenario_hash, canonical))
+        self._pending.append((scenario_hash, scenario, canonical))
         if self._flush_task is None or self._flush_task.done():
             self._flush_task = loop.create_task(self._flush_after_window())
         return dict(await asyncio.shield(future))
@@ -147,16 +151,16 @@ class EvaluationService:
         """The warm-cache envelope for a hash, or ``None`` on a miss."""
         if self.store is None or not self.use_cache:
             return None
-        envelope = self.store.load_scenario_result(scenario_hash)
-        if envelope is None or "result" not in envelope:
+        record = self.store.load_scenario_result(scenario_hash)
+        if record is None:
             return None
         return {
             "status": "ok",
             "cached": True,
             "scenario_id": scenario.id,
             "scenario_hash": scenario_hash,
-            "wall_time_s": envelope.get("wall_time_s", 0.0),
-            "result": envelope["result"],
+            "wall_time_s": record.wall_time_s,
+            "result": record.result,
         }
 
     # ------------------------------------------------------------------ #
@@ -182,12 +186,12 @@ class EvaluationService:
                 return
             self.stats["batches"] += 1
             self.batch_sizes.observe(len(batch))
-            payloads = [canonical for _, canonical in batch]
+            scenarios = [scenario for _, scenario, _ in batch]
             batch_start = now()
             try:
-                responses = await self._run_batch(payloads)
+                outcomes = await self._run_batch(scenarios)
             except Exception as error:  # pool died, cancellation, ...
-                responses = [_error_envelope(str(error))] * len(batch)
+                outcomes = [str(error)] * len(batch)
             rec = obs_recorder()
             if rec is not None:
                 rec.add_span(
@@ -197,47 +201,52 @@ class EvaluationService:
                     cat="serve",
                     args={"size": len(batch)},
                 )
-            for (scenario_hash, canonical), response in zip(batch, responses):
-                self._settle(scenario_hash, canonical, dict(response))
+            for request, outcome in zip(batch, outcomes):
+                self._settle(*request, outcome)
             if not self._pending:
                 return
 
-    async def _run_batch(self, payloads: list[dict]) -> list[dict]:
-        """Evaluate one batch of payloads off the event loop."""
-        from repro.experiments.runner import run_scenario_batch, submit_scenario_batch
+    async def _run_batch(self, scenarios: list[Scenario]) -> list:
+        """Evaluate one batch off the event loop (the runner's batch worker).
 
-        if self.jobs > 1:
-            return await asyncio.wrap_future(
-                submit_scenario_batch(payloads, jobs=self.jobs)
-            )
-        # jobs=1: a worker thread instead of a worker process — no pickling,
-        # monkeypatched registries stay visible, the loop stays responsive.
+        The batch runs on a worker thread: in it for ``jobs=1`` (no
+        pickling, monkeypatched registries stay visible), on the shared
+        worker pool for ``jobs>1``, whose futures the thread waits on.
+        """
+        from repro.experiments.runner import evaluate_scenarios
+
         return await asyncio.get_running_loop().run_in_executor(
-            None, run_scenario_batch, payloads
+            None, partial(evaluate_scenarios, scenarios, jobs=self.jobs)
         )
 
-    def _settle(self, scenario_hash: str, canonical: dict, envelope: dict) -> None:
-        """Persist one batch response and resolve its in-flight future.
+    def _settle(
+        self, scenario_hash: str, scenario: Scenario, canonical: dict, outcome
+    ) -> None:
+        """Persist one batch outcome and resolve its in-flight future.
 
-        ``canonical`` is the request's ``Scenario.to_dict`` form, the one
-        its hash was computed from.
+        ``outcome`` is the batch worker's :class:`~repro.core.api.Evaluation`
+        or error message; ``canonical`` is the request's ``Scenario.to_dict``
+        form, the one its hash was computed from.
         """
-        envelope.setdefault("scenario_hash", scenario_hash)
-        envelope["cached"] = False
-        if envelope.get("status") == "ok":
+        if isinstance(outcome, str):
+            self.stats["errors"] += 1
+            envelope = _error_envelope(outcome)
+            envelope["scenario_hash"] = scenario_hash
+        else:
             self.stats["evaluated"] += 1
+            result = outcome.result.to_dict()
+            envelope = {
+                "status": "ok",
+                "scenario_id": scenario.id,
+                "scenario_hash": scenario_hash,
+                "wall_time_s": outcome.wall_time_s,
+                "result": result,
+            }
             if self.store is not None:
                 self.store.save_scenario_result(
-                    scenario_hash,
-                    {
-                        "scenario_id": canonical["id"],
-                        "scenario": canonical,
-                        "wall_time_s": envelope.get("wall_time_s", 0.0),
-                        "result": envelope["result"],
-                    },
+                    scenario_hash, canonical, result, outcome.wall_time_s
                 )
-        else:
-            self.stats["errors"] += 1
+        envelope["cached"] = False
         # Resolve before dropping from the in-flight map: a request landing
         # in between awaits the already-resolved future instead of slipping
         # through both the cache and the dedup gates.

@@ -78,20 +78,20 @@ def multijob_base(num_nodes: int = 8, num_jobs: int = 2) -> Scenario:
 class TestObjectives:
     def test_bandwidth_and_time_agree_on_single_job(self):
         scenario = theta_base()
-        bandwidth = get_objective("bandwidth").evaluate(scenario)
-        elapsed = get_objective("time").evaluate(scenario)
+        bandwidth = get_objective("bandwidth").compute(scenario)
+        elapsed = get_objective("time").compute(scenario)
         assert bandwidth > 0 and elapsed > 0
         total_gb = scenario.machine.num_nodes * 16 * 2 * MB / 1e9
         assert bandwidth == pytest.approx(total_gb / elapsed, rel=1e-6)
 
     def test_slowdown_needs_a_multijob_scenario(self):
         with pytest.raises(ScenarioError, match="multi-job"):
-            get_objective("slowdown").evaluate(theta_base())
-        assert get_objective("slowdown").evaluate(multijob_base()) >= 1.0
+            get_objective("slowdown").compute(theta_base())
+        assert get_objective("slowdown").compute(multijob_base()) >= 1.0
 
     def test_single_job_objectives_reject_multijob(self):
         with pytest.raises(ScenarioError, match="single-job"):
-            get_objective("bandwidth").evaluate(multijob_base())
+            get_objective("bandwidth").compute(multijob_base())
 
     def test_unknown_objective_has_did_you_mean(self):
         with pytest.raises(KeyError, match="did you mean"):
@@ -220,6 +220,20 @@ class TestTuneDriver:
         assert invalid.gap is None
         assert trace.best_overrides["storage.stripe_count"] == 8
 
+    def test_in_process_candidates_are_not_reparsed(self, monkeypatch):
+        """Candidates reach the batch worker as scenarios, not payloads."""
+        parses = []
+        real = Scenario.from_dict.__func__
+
+        def counting(cls, payload):
+            parses.append(payload["id"])
+            return real(cls, payload)
+
+        monkeypatch.setattr(Scenario, "from_dict", classmethod(counting))
+        trace = tune(theta_base(), locks_space(), jobs=1)
+        assert trace.invalid_points() == 0 and len(trace.points) == 6
+        assert parses == []
+
     def test_typoed_domain_fails_fast_with_hint(self):
         space = SearchSpace(Categorical("storage.stripe_cont", (8,)))
         with pytest.raises(ScenarioError, match="did you mean"):
@@ -245,7 +259,7 @@ class TestTuneDriver:
         assert space.size() == 3 * 4**8 == 196_608
         evaluated = []
         monkeypatch.setattr(
-            runner, "evaluate_candidates", lambda *args, **kw: evaluated.append(args)
+            runner, "evaluate_scenarios", lambda *args, **kw: evaluated.append(args)
         )
         monkeypatch.setattr(
             SearchSpace, "apply", lambda *args: evaluated.append(args)

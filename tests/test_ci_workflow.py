@@ -449,6 +449,27 @@ class TestWorkflowShape:
         assert diff.split()[4:6] == ["artifacts-scale1", store]
         assert "--ignore wall_time_s" in diff
 
+    def test_serve_job_compares_a_pool_backed_daemon(self, workflow):
+        """A ``--jobs 2`` daemon on a second port must return the fresh
+        ``--jobs 1`` envelope, ``wall_time_s`` aside."""
+        commands = [s.get("run", "") for s in workflow["jobs"]["serve"]["steps"]]
+        first = [c for c in commands if "> first.json" in c]
+        gate = [c for c in commands if "--jobs 2" in c]
+        assert len(first) == 1 and len(gate) == 1
+        assert "repro serve --port 8731 " in "\n".join(commands)
+        assert "python -m repro serve --port 8732 --jobs 2" in gate[0]
+        assert "curl -fs http://127.0.0.1:8732/healthz" in gate[0]
+        assert (
+            "python -m repro submit fig08 --scale 8 --json "
+            "--url http://127.0.0.1:8732 > pooled.json"
+        ) in gate[0]
+        assert "python -m repro submit fig08 --scale 8 --json > first.json" in first[0]
+        assert 'serial = json.load(open("first.json"))' in gate[0]
+        assert 'not pooled["cached"]' in gate[0]
+        assert 'serial.pop("wall_time_s")' in gate[0]
+        assert 'pooled.pop("wall_time_s")' in gate[0]
+        assert "assert pooled == serial" in gate[0]
+
     def test_serve_job_scrapes_prometheus_metrics(self, workflow):
         commands = [s.get("run", "") for s in workflow["jobs"]["serve"]["steps"]]
         scrape = [c for c in commands if "/metrics" in c]

@@ -101,8 +101,8 @@ class TestScenarioHashCache:
         evaluation = evaluate(scenario, store=store)
         assert not evaluation.cached
         assert calls == [scenario.id]
-        envelope = store.load_scenario_result(evaluation.key)
-        assert envelope["scenario"] == real(scenario)
+        record = store.load_scenario_result(evaluation.key)
+        assert record.scenario == real(scenario)
         assert evaluation.key == scenario.content_hash()
 
     def test_cache_is_shared_across_store_handles(self, tmp_path):
@@ -128,14 +128,24 @@ class TestObjectiveMode:
             objective.compute(scenario)
         )
 
-    def test_objective_evaluate_routes_through_api(self):
-        from repro.autotune.objectives import get_objective
+    def test_tuning_candidates_route_through_evaluate(self, monkeypatch):
+        """Each in-process candidate is one objective-mode ``evaluate`` call."""
+        from repro.autotune import SearchSpace, tune
+        from repro.autotune.space import Categorical
+        from repro.experiments import runner
 
-        scenario = get_scenario("fig08", scale=SCALE)
-        objective = get_objective("time")
-        assert objective.evaluate(scenario) == pytest.approx(
-            evaluate(scenario, objective="time").value
-        )
+        calls = []
+
+        def counting(scenario, **kwargs):
+            calls.append(kwargs["objective"])
+            return evaluate(scenario, **kwargs)
+
+        monkeypatch.setattr(runner, "evaluate", counting)
+        space = SearchSpace(Categorical("io.buffer_size", (1 << 20, 2 << 20, 4 << 20)))
+        trace = tune(get_scenario("fig08", scale=SCALE), space, "time")
+        assert calls == ["time"] * 3
+        scenario = space.apply(get_scenario("fig08", scale=SCALE), trace.best_overrides)
+        assert trace.best_value == evaluate(scenario, objective="time").value
 
     def test_objective_rejects_experiment_ids(self):
         with pytest.raises(ValueError, match="experiment"):

@@ -178,6 +178,33 @@ class TestTapiocaFacade:
         assert read.bandwidth > write.bandwidth  # reads are faster on Lustre
         assert write.num_aggregators == 48
 
+    def test_estimates_use_the_explicit_mapping(self):
+        from repro.perfmodel.tapioca import model_tapioca
+        from repro.topology.mapping import random_mapping
+
+        machine = ThetaMachine(64)
+        workload = IORWorkload(1024, transfer_size=1 * MIB)
+        config = TapiocaConfig(num_aggregators=8)
+        mapping = random_mapping(1024, 64, 16, seed=5)
+        tapioca = Tapioca(machine, config, mapping=mapping).declare(workload)
+        report = tapioca.placement_report()
+        elected = {mapping.node_of_rank[rank] for rank in report.aggregators}
+        for access, estimate in (
+            ("write", tapioca.estimate_write()),
+            ("read", tapioca.estimate_read()),
+        ):
+            expected = model_tapioca(
+                machine, workload, config, access=access, mapping=mapping
+            )
+            assert estimate.elapsed == expected.elapsed
+            nodes = estimate.details["aggregator_nodes"]
+            assert nodes == expected.details["aggregator_nodes"]
+            assert set(nodes) == elected
+        block = Tapioca(machine, config).declare(workload)
+        assert block.estimate_write().elapsed == model_tapioca(
+            machine, workload, config
+        ).elapsed
+
     def test_paper_init_api(self):
         machine = MiraMachine(16, pset_size=16)
         tapioca = Tapioca(

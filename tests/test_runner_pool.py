@@ -5,12 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.experiments import runner
-from repro.experiments.runner import (
-    _machine_spec_payloads,
-    evaluate_candidates,
-    run_experiments,
-    shutdown_pool,
-)
+from repro.experiments.runner import evaluate_scenarios, run_experiments, shutdown_pool
 from repro.scenario.registry import get_scenario
 
 
@@ -22,23 +17,22 @@ def _fresh_pool():
     shutdown_pool()
 
 
-def _payloads(count: int) -> list[dict]:
-    scenario = get_scenario("fig08", scale=16.0)
-    return [scenario.to_dict() for _ in range(count)]
+def _scenarios(count: int) -> list:
+    return [get_scenario("fig08", scale=16.0)] * count
 
 
 def test_pool_persists_across_candidate_batches():
-    evaluate_candidates(_payloads(3), "bandwidth", jobs=2)
+    evaluate_scenarios(_scenarios(3), "bandwidth", jobs=2)
     first = runner._POOL
     assert first is not None
-    evaluate_candidates(_payloads(3), "bandwidth", jobs=2)
+    evaluate_scenarios(_scenarios(3), "bandwidth", jobs=2)
     assert runner._POOL is first
 
 
 def test_pool_is_rebuilt_when_worker_count_changes():
-    evaluate_candidates(_payloads(3), "bandwidth", jobs=2)
+    evaluate_scenarios(_scenarios(3), "bandwidth", jobs=2)
     first = runner._POOL
-    evaluate_candidates(_payloads(3), "bandwidth", jobs=3)
+    evaluate_scenarios(_scenarios(3), "bandwidth", jobs=3)
     assert runner._POOL is not first
     assert runner._POOL_WORKERS == 3
 
@@ -48,42 +42,82 @@ def test_experiments_and_candidates_share_one_pool():
     pool = runner._POOL
     assert pool is not None
     assert report.outcomes[0].result.experiment_id == "fig08"
-    evaluate_candidates(_payloads(2), "bandwidth", jobs=2)
+    evaluate_scenarios(_scenarios(2), "bandwidth", jobs=2)
     assert runner._POOL is pool
 
 
 def test_batched_candidates_keep_input_order_and_isolate_failures():
     scenario = get_scenario("fig08", scale=16.0)
-    good = scenario.to_dict()
-    bad = scenario.to_dict()
-    bad["workload"] = dict(bad["workload"], kind="no-such-workload")
-    payloads = [good, bad, good, good, bad, good, good]
-    results = evaluate_candidates(payloads, "bandwidth", jobs=2)
-    assert len(results) == len(payloads)
-    for index, (ok, value) in enumerate(results):
+    # Over Theta's 56 OSTs: rejected when the scenario resolves its storage.
+    bad = scenario.with_overrides(
+        {
+            "io.kind": "mpiio",
+            "io.aggregators_per_ost": 1,
+            "storage.kind": "lustre",
+            "storage.stripe_count": 64,
+        }
+    )
+    scenarios = [scenario, bad, scenario, scenario, bad, scenario, scenario]
+    results = evaluate_scenarios(scenarios, "bandwidth", jobs=2)
+    assert len(results) == len(scenarios)
+    for index, value in enumerate(results):
         if index in (1, 4):
-            assert not ok and isinstance(value, str)
+            assert isinstance(value, str) and "stripe_count" in value
         else:
-            assert ok and value > 0
+            assert value > 0
 
 
 def test_sequential_path_never_creates_a_pool():
-    results = evaluate_candidates(_payloads(2), "bandwidth", jobs=1)
-    assert all(ok for ok, _ in results)
+    results = evaluate_scenarios(_scenarios(2), "bandwidth", jobs=1)
+    assert all(value > 0 for value in results)
     assert runner._POOL is None
 
 
-def test_machine_spec_payloads_dedupes():
-    scenario = get_scenario("fig08", scale=16.0).to_dict()
-    other = get_scenario("fig10", scale=16.0).to_dict()
-    specs = _machine_spec_payloads([scenario, scenario, other, scenario])
-    assert len(specs) == len(
-        {tuple(sorted((k, repr(v)) for k, v in spec.items())) for spec in specs}
-    )
-    assert 1 <= len(specs) <= 2
+def test_pool_warms_each_distinct_machine_once(monkeypatch):
+    submitted = []
+
+    def record(pool_args, fn, /, *args):
+        submitted.append(pool_args)
+        return real(pool_args, fn, *args)
+
+    real = runner._submit_retrying
+    monkeypatch.setattr(runner, "_submit_retrying", record)
+    fig08 = get_scenario("fig08", scale=16.0)
+    fig10 = get_scenario("fig10", scale=16.0)
+    evaluate_scenarios([fig08, fig08, fig10, fig08], "bandwidth", jobs=2)
+    workers, specs = submitted[0]
+    assert workers == 2
+    assert list(specs) == list(dict.fromkeys([fig08.machine, fig10.machine]))
 
 
 def test_shutdown_pool_is_idempotent():
     shutdown_pool()
     shutdown_pool()
     assert runner._POOL is None
+
+
+def test_purged_runner_module_is_freed():
+    """The pool's exit hook holds the executor alone, not this module's
+    globals: a purged copy of the module is collected."""
+    import gc
+    import importlib
+    import sys
+    import weakref
+
+    import repro.experiments as package
+
+    name = "repro.experiments.runner"
+    original = sys.modules[name]
+    try:
+        del sys.modules[name]
+        copy = importlib.import_module(name)
+        copy.evaluate_scenarios(_scenarios(1), "bandwidth", jobs=2)
+        copy.shutdown_pool()
+        freed = weakref.ref(copy.run_experiments)
+        del sys.modules[name], copy
+        importlib.import_module(name)
+        gc.collect()
+        assert freed() is None
+    finally:
+        sys.modules[name] = original
+        package.runner = original

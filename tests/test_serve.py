@@ -75,9 +75,9 @@ class TestEvaluationService:
         assert service.stats["cache_hits"] == 1
 
     def test_miss_serialises_the_scenario_once(self, tmp_path, monkeypatch):
-        """Hash, batch payload, the batch worker's hash and the stored
-        envelope share one ``to_dict`` (four calls in all before they were
-        shared)."""
+        """The hash and the stored record share one ``to_dict``, and the
+        batch worker takes the parsed scenario (four calls in all before
+        they were shared)."""
         from repro.scenario.spec import Scenario
 
         payload = payload_for()
@@ -94,8 +94,25 @@ class TestEvaluationService:
         assert envelope["status"] == "ok" and not envelope["cached"]
         assert calls == [payload["id"]]
         stored = store.load_scenario_result(envelope["scenario_hash"])
-        assert stored["scenario"] == payload
-        assert stored["scenario_id"] == payload["id"]
+        assert stored.scenario == payload
+        assert stored.scenario_id == payload["id"]
+
+    def test_miss_parses_the_payload_once(self, monkeypatch):
+        """The batch worker evaluates the scenario the service parsed."""
+        from repro.scenario.spec import Scenario
+
+        parses = []
+        real = Scenario.from_dict.__func__
+
+        def counting(cls, payload):
+            parses.append(payload["id"])
+            return real(cls, payload)
+
+        monkeypatch.setattr(Scenario, "from_dict", classmethod(counting))
+        payload = payload_for(**{"io.buffer_size": 3 * 1024 * 1024})
+        envelope = asyncio.run(EvaluationService(jobs=1).evaluate(payload))
+        assert envelope["status"] == "ok" and not envelope["cached"]
+        assert parses == [payload["id"]]
 
     def test_invalid_scenario_is_an_error_envelope(self):
         service = EvaluationService()
@@ -261,6 +278,28 @@ class TestHttpFrontend:
         client = ServeClient("http://127.0.0.1:1", timeout_s=2)
         with pytest.raises(ServeError):
             client.health()
+
+
+class TestPoolBackedDaemon:
+    def test_jobs_2_daemon_returns_the_jobs_1_envelope(self, tmp_path):
+        """A daemon on the worker pool answers exactly as an in-process one
+        (only the host-side ``wall_time_s`` may differ)."""
+        from repro.experiments.runner import shutdown_pool
+
+        payload = payload_for(**{"io.buffer_size": 5 * 1024 * 1024})
+        envelopes = []
+        try:
+            for jobs in (1, 2):
+                store = ArtifactStore(tmp_path / f"jobs-{jobs}")
+                with ServerThread(store=store, jobs=jobs) as running:
+                    envelope = ServeClient(running.url).evaluate(payload)
+                envelope.pop("wall_time_s")
+                envelopes.append(envelope)
+        finally:
+            shutdown_pool()
+        serial, pooled = envelopes
+        assert serial["status"] == "ok" and not serial["cached"]
+        assert pooled == serial
 
 
 class TestFiguresEndpoint:
