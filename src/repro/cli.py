@@ -64,7 +64,7 @@ from repro.experiments.harness import (
     unknown_experiment_message,
 )
 from repro.experiments.report import generate_report_from_store
-from repro.experiments.runner import RunOutcome, run_experiments
+from repro.experiments.runner import RunOutcome, run_experiments, shutdown_pool
 from repro.experiments.store import ArtifactStore, git_sha
 from repro.scenario.registry import describe_scenarios, get_scenario
 from repro.scenario.spec import Scenario, ScenarioError, parse_overrides
@@ -412,8 +412,10 @@ def _cmd_tune(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    """Run the evaluation daemon until interrupted."""
+    """Run the evaluation daemon until interrupted (SIGINT) or terminated
+    (SIGTERM); either way the worker pool is shut down before exiting."""
     import asyncio
+    import signal
 
     from repro.serve import EvaluationService, HttpFrontend
 
@@ -428,15 +430,22 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         where = f"http://{frontend.host}:{frontend.port}"
         backing = store.backend.describe() if store else "no store (dedup only)"
         print(f"serving on {where} [{backing}, jobs={args.jobs}]", flush=True)
+        # SIGTERM's default action would end the process without exit hooks,
+        # leaving the pool's workers running.
+        stop = asyncio.Event()
+        asyncio.get_running_loop().add_signal_handler(signal.SIGTERM, stop.set)
         try:
-            await asyncio.Event().wait()
+            await stop.wait()
         finally:
             await frontend.stop()
 
     try:
         asyncio.run(main())
     except KeyboardInterrupt:
-        print("shutting down")
+        pass
+    finally:
+        shutdown_pool()
+    print("shutting down")
     return 0
 
 

@@ -37,18 +37,19 @@ partition elected and why.
 
 from __future__ import annotations
 
+from copy import copy
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
 from repro.core.aggregation import AggregationSchedule, build_schedule
 from repro.core.config import TapiocaConfig
-from repro.core.partitioning import Partitions, build_partitions
+from repro.core.partitioning import Partitions
 from repro.core.placement import PlacementResult, place_aggregators
 from repro.core.topology_iface import TopologyInterface
 from repro.machine.machine import Machine
 from repro.obs import elapsed_s, now, recorder as obs_recorder, span as obs_span
-from repro.storage.lustre import LustreStripeConfig
-from repro.topology.mapping import RankMapping, block_mapping
+from repro.storage.lustre import LustreModel, LustreStripeConfig
+from repro.topology.mapping import RankMapping
 from repro.utils.validation import require, require_positive
 from repro.workloads.base import Segment, Workload
 
@@ -56,6 +57,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.autotune.objectives import Objective
     from repro.experiments.results import ExperimentResult
     from repro.experiments.store import ArtifactStore
+    from repro.perfmodel.tapioca import TapiocaPlan
     from repro.scenario.spec import Scenario
 
 
@@ -363,13 +365,18 @@ class SimulationOutcome:
 class Tapioca:
     """User-facing TAPIOCA instance for one machine + declared workload.
 
+    :meth:`declare` builds the one :class:`~repro.perfmodel.tapioca.TapiocaPlan`
+    of the session; the mapping, the partitions, the striped file system of
+    both execution paths and the analytic estimates all come from it.
+
     Args:
         machine: the platform to run on.
         config: TAPIOCA configuration (aggregator count, buffer size,
             placement strategy, pipeline depth...).
         ranks_per_node: MPI ranks per node (defaults to the machine's usual).
         mapping: explicit rank-to-node mapping (defaults to block mapping).
-        stripe: optional Lustre striping for the output file.
+        stripe: optional Lustre striping for the output file; refused on a
+            machine whose file system is not Lustre.
     """
 
     def __init__(
@@ -381,6 +388,12 @@ class Tapioca:
         mapping: RankMapping | None = None,
         stripe: LustreStripeConfig | None = None,
     ) -> None:
+        filesystem = machine.filesystem()
+        if stripe is not None and not isinstance(filesystem, LustreModel):
+            raise ValueError(
+                "a Lustre stripe configuration was given but the machine's "
+                f"file system is {filesystem.name}"
+            )
         self.machine = machine
         self.config = config or TapiocaConfig()
         self.ranks_per_node = (
@@ -390,6 +403,7 @@ class Tapioca:
         self.stripe = stripe
         self._explicit_mapping = mapping
         self.workload: Workload | None = None
+        self._plan: TapiocaPlan | None = None
 
     # ------------------------------------------------------------------ #
     # Declaration (TAPIOCA_Init)
@@ -397,11 +411,17 @@ class Tapioca:
 
     def declare(self, workload: Workload) -> "Tapioca":
         """Declare the upcoming I/O as a :class:`Workload`; returns ``self``."""
-        num_nodes = -(-workload.num_ranks // self.ranks_per_node)
-        require(
-            num_nodes <= self.machine.num_nodes,
-            f"workload needs {num_nodes} nodes but {self.machine.name} has "
-            f"{self.machine.num_nodes}",
+        from repro.perfmodel.tapioca import TapiocaPlan
+
+        # Only an explicit mapping is passed: a block-mapped session keeps
+        # the model's default mapping, and with it the aggregation memo.
+        self._plan = TapiocaPlan(
+            self.machine,
+            workload,
+            self.config,
+            ranks_per_node=self.ranks_per_node,
+            mapping=self._explicit_mapping,
+            stripe=self.stripe,
         )
         self.workload = workload
         return self
@@ -412,13 +432,13 @@ class Tapioca:
         """Paper-style ``TAPIOCA_Init``: per-rank (count, type_size, offset) triples."""
         return self.declare(DeclaredWorkload(declarations))
 
-    def _require_workload(self) -> Workload:
-        if self.workload is None:
+    def _require_plan(self) -> TapiocaPlan:
+        if self._plan is None:
             raise RuntimeError(
                 "no workload declared; call declare() or init() first "
                 "(the paper requires describing upcoming I/O before writing)"
             )
-        return self.workload
+        return self._plan
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -426,72 +446,31 @@ class Tapioca:
 
     def mapping(self) -> RankMapping:
         """The rank-to-node mapping used."""
-        workload = self._require_workload()
-        if self._explicit_mapping is not None:
-            return self._explicit_mapping
-        num_nodes = -(-workload.num_ranks // self.ranks_per_node)
-        return block_mapping(workload.num_ranks, num_nodes, self.ranks_per_node)
+        return self._require_plan().context.mapping
 
     def partitions(self) -> Partitions:
         """The aggregation partitions implied by the configuration."""
-        workload = self._require_workload()
-        num_aggregators = self.config.resolve_num_aggregators(
-            self.machine, workload.num_ranks
-        )
-        return build_partitions(
-            workload,
-            num_aggregators,
-            machine=self.machine,
-            mapping=self.mapping(),
-            partition_by=self.config.partition_by,
-        )
+        return self._require_plan().partitions
 
     def placement_report(self, *, granularity: str = "node") -> PlacementResult:
         """Run the placement and return per-partition elected aggregators."""
-        iface = TopologyInterface(self.machine, self.mapping())
+        plan = self._require_plan()
         return place_aggregators(
-            self.partitions(),
-            iface,
-            strategy=self.config.placement,
-            seed=self.config.placement_seed,
+            plan.partitions,
+            TopologyInterface(self.machine, plan.context.mapping),
+            strategy=plan.strategy,
+            seed=plan.seed,
             granularity=granularity,
         )
 
     def schedule(self) -> AggregationSchedule:
         """The aggregation round schedule for the declared workload."""
-        return build_schedule(
-            self._require_workload(), self.partitions(), self.config.buffer_size
-        )
+        plan = self._require_plan()
+        return build_schedule(plan.context.workload, plan.partitions, self.config.buffer_size)
 
     # ------------------------------------------------------------------ #
     # Discrete-event execution
     # ------------------------------------------------------------------ #
-
-    def _build_world(self):
-        from repro.simmpi.world import SimWorld
-
-        workload = self._require_workload()
-        num_nodes = -(-workload.num_ranks // self.ranks_per_node)
-        return SimWorld(
-            self.machine,
-            num_nodes=num_nodes,
-            ranks_per_node=self.ranks_per_node,
-            mapping=self._explicit_mapping,
-        )
-
-    def _filesystem_with_stripe(self):
-        """The machine's file system with the configured striping applied."""
-        from repro.storage.lustre import LustreModel
-
-        filesystem = self.machine.filesystem()
-        if self.stripe is not None:
-            if not isinstance(filesystem, LustreModel):
-                raise ValueError(
-                    "a Lustre stripe configuration was given but the machine's "
-                    f"file system is {filesystem.name}"
-                )
-            filesystem = filesystem.with_stripe(self.stripe)
-        return filesystem
 
     def simulate_write(self, *, path: str = "/out/tapioca.dat") -> SimulationOutcome:
         """Run the full TAPIOCA write protocol on the discrete-event MPI."""
@@ -508,12 +487,18 @@ class Tapioca:
 
     def _simulate(self, path: str, program: str) -> SimulationOutcome:
         from repro.core.runtime import TapiocaIO
+        from repro.simmpi.world import SimWorld
 
-        workload = self._require_workload()
-        world = self._build_world()
-        filesystem = self._filesystem_with_stripe()
+        plan = self._require_plan()
+        workload = plan.context.workload
+        world = SimWorld(
+            self.machine,
+            num_nodes=plan.context.num_nodes,
+            ranks_per_node=self.ranks_per_node,
+            mapping=self._explicit_mapping,
+        )
         runtime = TapiocaIO(
-            world, workload, self.config, path=path, filesystem=filesystem
+            world, workload, self.config, path=path, filesystem=plan.context.filesystem
         )
         result = world.run(getattr(runtime, program)())
         total = workload.total_bytes()
@@ -529,27 +514,17 @@ class Tapioca:
     # Analytic estimates
     # ------------------------------------------------------------------ #
 
-    def estimate_write(self, **overrides: Any):
+    def estimate_write(self):
         """Flow-level analytic estimate of the declared write (``IOEstimate``)."""
-        return self._estimate("write", overrides)
+        return self._estimate("write")
 
-    def estimate_read(self, **overrides: Any):
+    def estimate_read(self):
         """Flow-level analytic estimate of the declared read (``IOEstimate``)."""
-        return self._estimate("read", overrides)
+        return self._estimate("read")
 
-    def _estimate(self, access: str, overrides: dict[str, Any]):
-        from repro.perfmodel.tapioca import model_tapioca
+    def _estimate(self, access: str):
+        from repro.perfmodel.batch import estimate_plans
 
-        if self._explicit_mapping is not None:
-            # Only an explicit mapping is passed: a block-mapped session keeps
-            # the model's default mapping, and with it the aggregation memo.
-            overrides = {"mapping": self._explicit_mapping, **overrides}
-        return model_tapioca(
-            self.machine,
-            self._require_workload(),
-            self.config,
-            access=access,
-            ranks_per_node=self.ranks_per_node,
-            stripe=self.stripe,
-            **overrides,
-        )
+        plan = copy(self._require_plan())
+        plan.access = access
+        return estimate_plans(self.machine, [plan])[0][0]

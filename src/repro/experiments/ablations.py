@@ -242,9 +242,9 @@ def ablation_io_locality(
     gateways than a C1-only objective that ignores them.  The two cells are
     the same scenario with ``machine.hide_gateways`` toggled (the Theta rule).
     """
-    from repro.core.partitioning import build_partitions
     from repro.core.placement import place_aggregators, placement_cost
     from repro.core.topology_iface import TopologyInterface
+    from repro.multijob.job import job_plan
     from repro.topology.mapping import random_mapping
 
     base = ablation_io_locality_scenario(scale).with_overrides(overrides)
@@ -253,13 +253,11 @@ def ablation_io_locality(
     cases = cases_sweep.expand(base)
     # The full-information machine anchors both the distance metric and the
     # apples-to-apples cost evaluation.
-    machine = Simulation(cases[0]).machine
-    resolved = Simulation(cases[0]).resolve()
-    num_ranks = resolved.num_ranks
-    mapping = random_mapping(
-        num_ranks, machine.num_nodes, resolved.ranks_per_node, seed=2017
-    )
-    partitions = build_partitions(resolved.workload, base.io.num_aggregators)
+    simulation = Simulation(cases[0])
+    machine = simulation.machine
+    spec = simulation.resolve()
+    mapping = random_mapping(spec.num_ranks, machine.num_nodes, spec.ranks_per_node, seed=2017)
+    partitions = job_plan(machine, spec, mapping).partitions
     result = ExperimentResult(
         experiment_id=base.id,
         title=base.title,

@@ -77,7 +77,7 @@ def bridge_first_aggregators(
         bridge_nodes = machine.bridge_nodes()
     else:
         bridge_nodes = [gateway.node for gateway in machine.io_gateways()]
-    bridge = np.flatnonzero(np.isin(mapping.node_array, bridge_nodes))
+    bridge = np.flatnonzero(np.isin(mapping.node_of_rank, bridge_nodes))
     sizes = block_sizes([mapping.num_ranks], num_aggregators)
     stops = np.cumsum(sizes)
     starts = stops - sizes

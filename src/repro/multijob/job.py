@@ -1,7 +1,12 @@
-"""Job model for multi-job (interference) simulations.
+"""Job model for single- and multi-job simulations.
 
 A :class:`JobSpec` declares what one application wants — nodes, workload, I/O
-method and tuning — independently of where it lands on the machine.
+method and tuning — independently of where it lands on the machine.  Every
+scenario job resolves to one (through
+:func:`~repro.scenario.simulation.resolve_job`), whether it runs alone or
+co-runs, and :func:`job_plan` is the one TAPIOCA/MPI I/O dispatch from a
+spec to its model plan: a spec's stripe applies to its file unless the
+MPI I/O hints stripe it.
 :func:`bind_jobs` binds every spec to its allocation in one pass, producing
 :class:`Job` objects that carry the placement, the single-job (isolated)
 performance estimate that anchors the slowdown metric, and the weighted
@@ -215,8 +220,16 @@ def bind_jobs(
     return jobs
 
 
-def job_plan(machine: Machine, spec: JobSpec, mapping: RankMapping) -> ModelPlan:
-    """The spec's single-job model on its allocation's mapping."""
+def job_plan(machine: Machine, spec: JobSpec, mapping: RankMapping | None = None) -> ModelPlan:
+    """The spec's single-job model: the one TAPIOCA/MPI I/O dispatch.
+
+    ``mapping`` is the job's allocation; ``None`` (a single-job scenario)
+    keeps the default block mapping, and with it the aggregation memo.  The
+    spec's stripe applies to the job's file unless the MPI I/O hints stripe
+    it: the MPI I/O model takes striping through hints, so a per-job stripe
+    (shared/disjoint OST placement) comes as a pre-striped file system that
+    the hints' striping, if any, replaces.
+    """
     if spec.method == "tapioca":
         return TapiocaPlan(
             machine,
@@ -227,14 +240,11 @@ def job_plan(machine: Machine, spec: JobSpec, mapping: RankMapping) -> ModelPlan
             stripe=spec.stripe,
             mapping=mapping,
         )
-    # The MPI I/O model takes striping through hints; apply a per-job stripe
-    # (shared/disjoint OST placement) via a pre-striped file-system instead.
-    filesystem = job_filesystem(machine, spec) if spec.stripe is not None else spec.filesystem
     return MPIIOPlan(
         machine,
         spec.workload,
-        spec.hints or MPIIOHints(),
+        spec.hints,
         ranks_per_node=spec.ranks_per_node,
-        filesystem=filesystem,
+        filesystem=job_filesystem(machine, spec),
         mapping=mapping,
     )

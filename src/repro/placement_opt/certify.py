@@ -98,14 +98,15 @@ def certify_problem(
 def problem_for_scenario(scenario: "Scenario") -> tuple[PlacementProblem, int]:
     """``(problem, machine_nodes)`` for a single-job TAPIOCA scenario.
 
-    Places the :class:`~repro.perfmodel.tapioca.TapiocaPlan` that
-    :meth:`~repro.scenario.simulation.Simulation.estimate` models through
-    the one-job call of the model's election, so the certificate speaks
-    about exactly the placement the analytic model elected.
+    Places the :func:`~repro.multijob.job.job_plan` of the scenario's
+    resolved job, the plan :meth:`~repro.scenario.simulation.Simulation.estimate`
+    models, through the one-job call of the model's election, so the
+    certificate speaks about exactly the placement the analytic model
+    elected.
     """
     from repro.core.placement import place_aggregators
     from repro.core.topology_iface import TopologyInterface
-    from repro.perfmodel.tapioca import TapiocaPlan
+    from repro.multijob.job import job_plan
     from repro.scenario.simulation import Simulation
     from repro.scenario.spec import ScenarioError
 
@@ -119,22 +120,15 @@ def problem_for_scenario(scenario: "Scenario") -> tuple[PlacementProblem, int]:
             f"scenario {scenario.id!r} uses {scenario.io.kind!r}; certification "
             f"applies to TAPIOCA scenarios"
         )
-    resolved = Simulation(scenario).resolve()
-    assert resolved.config is not None  # guarded by the io.kind check above
-    plan = TapiocaPlan(
-        resolved.machine,
-        resolved.workload,
-        resolved.config,
-        ranks_per_node=scenario.machine.ranks_per_node,
-        filesystem=resolved.filesystem,
-        stripe=resolved.stripe,
-    )
-    iface = TopologyInterface(resolved.machine, plan.context.mapping)
+    simulation = Simulation(scenario)
+    machine = simulation.machine
+    plan = job_plan(machine, simulation.resolve())
+    iface = TopologyInterface(machine, plan.context.mapping)
     placement = place_aggregators(
         plan.partitions, iface, strategy=plan.strategy, seed=plan.seed, granularity="node"
     )
     problem = PlacementProblem.from_placement(placement, iface)
-    return problem, resolved.machine.num_nodes
+    return problem, machine.num_nodes
 
 
 def certify_scenario(scenario: "Scenario") -> OptimalityCertificate | None:

@@ -7,7 +7,8 @@ sweep, and CLI run:
   validation, JSON round-trip, and dotted-path overrides;
 * :mod:`repro.scenario.sweep` — cartesian/zipped sweeps over spec fields;
 * :mod:`repro.scenario.simulation` — the :class:`Simulation` facade that
-  resolves a scenario into the machine/workload/perfmodel/multijob layers;
+  resolves every scenario job, through one resolver, to a
+  :class:`~repro.multijob.job.JobSpec` and runs its model plans;
 * :mod:`repro.scenario.registry` — named base scenarios registered by the
   experiment modules (``repro scenario show NAME``).
 """
@@ -18,7 +19,7 @@ from repro.scenario.registry import (
     register_scenario,
     scenario_ids,
 )
-from repro.scenario.simulation import ResolvedScenario, Simulation, run_scenario
+from repro.scenario.simulation import Simulation, run_scenario
 from repro.scenario.spec import (
     IOStrategySpec,
     JobScenarioSpec,
@@ -54,7 +55,6 @@ __all__ = [
     "axis",
     "zipped",
     "Simulation",
-    "ResolvedScenario",
     "run_scenario",
     "register_scenario",
     "get_scenario",

@@ -7,11 +7,20 @@ overrides, multi-job runtimes — and runs the appropriate performance model.
 Every registered experiment, every sweep, and the ``repro scenario run`` CLI
 go through this one resolution path, so a scenario JSON reproduces exactly
 the estimate its originating experiment computed.
+
+Every job has one resolver, :func:`resolve_job`, to a
+:class:`~repro.multijob.job.JobSpec`: the single job of a single-job
+scenario (:meth:`Simulation.resolve`, the whole machine) and each job of a
+multi-job one (:meth:`Simulation.job_specs`).  A single-job estimate is the
+one-plan call of :func:`~repro.perfmodel.batch.estimate_plans` on the
+spec's :func:`~repro.multijob.job.job_plan`, so a job prices the same alone
+as the isolated baseline of its multi-job slowdown.  One striping rule
+follows: a ``lustre`` storage spec's stripe applies to the job's file unless
+the MPI I/O hints stripe it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING
 
@@ -23,10 +32,8 @@ from repro.machine.machine import Machine
 from repro.machine.mira import MIRA_PSET_SIZE, MiraMachine
 from repro.machine.theta import ThetaMachine
 from repro.obs import span as obs_span
-from repro.perfmodel.batch import memoised_aggregations
-from repro.perfmodel.mpiio import model_mpiio
+from repro.perfmodel.batch import estimate_plans, memoised_aggregations
 from repro.perfmodel.results import IOEstimate
-from repro.perfmodel.tapioca import model_tapioca
 from repro.scenario.spec import (
     IOStrategySpec,
     JobScenarioSpec,
@@ -40,10 +47,10 @@ from repro.storage.burst_buffer import BurstBufferModel
 from repro.storage.gpfs import GPFSModel
 from repro.storage.lustre import LustreModel, LustreStripeConfig
 from repro.utils.units import MB, gbps
-from repro.workloads.base import Workload
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.experiments.results import ExperimentResult
+    from repro.multijob.job import JobSpec
 
 
 class HiddenGatewayCluster(GenericClusterMachine):
@@ -201,23 +208,34 @@ def resolve_hints(
     )
 
 
-@dataclass
-class ResolvedScenario:
-    """The concrete objects a single-job scenario resolves to."""
+def resolve_job(machine: Machine, job: JobScenarioSpec) -> JobSpec:
+    """The one resolver from a scenario job to its :class:`JobSpec`.
 
-    machine: Machine
-    ranks_per_node: int
-    workload: Workload
-    method: str
-    config: TapiocaConfig | None
-    hints: MPIIOHints | None
-    filesystem: object | None
-    stripe: LustreStripeConfig | None
+    A single-job scenario is the one-job case (see
+    :meth:`Simulation.resolve`) and every job of a multi-job scenario goes
+    through here too, so a job prices the same alone and co-running.  The
+    storage spec's stripe applies to the job's file unless the MPI I/O hints
+    stripe it (see :func:`~repro.multijob.job.job_plan`).
+    """
+    # Imported here: the multijob package (runtime, ledger, allocator) loads
+    # only once a scenario runs, not with every experiment module.
+    from repro.multijob.job import JobSpec
 
-    @property
-    def num_ranks(self) -> int:
-        """Total MPI ranks of the scenario."""
-        return self.workload.num_ranks
+    filesystem, stripe = resolve_storage(job.storage, machine)
+    tapioca = job.io.kind == "tapioca"
+    return JobSpec(
+        name=job.name,
+        num_nodes=job.num_nodes,
+        workload=job.workload.resolve(job.num_ranks),
+        ranks_per_node=job.ranks_per_node,
+        method="tapioca" if tapioca else "mpiio",
+        config=resolve_tapioca_config(job.io, job.placement, machine, stripe) if tapioca else None,
+        hints=None if tapioca else resolve_hints(job.io, machine, stripe),
+        stripe=stripe,
+        filesystem=filesystem,
+        arrival_s=job.arrival_s,
+        compute_s=job.compute_s,
+    )
 
 
 class Simulation:
@@ -240,106 +258,44 @@ class Simulation:
             self._machine = resolve_machine(self.scenario.machine)
         return self._machine
 
-    def resolve(self) -> ResolvedScenario:
-        """Resolve a single-job scenario into concrete model inputs."""
-        scenario = self.scenario
-        machine = self.machine
-        ranks_per_node = (
-            scenario.machine.ranks_per_node or machine.default_ranks_per_node
+    def resolve(self) -> JobSpec:
+        """The single job of a single-job scenario, on the whole machine."""
+        scenario, machine = self.scenario, self.machine
+        job = JobScenarioSpec(
+            name=scenario.id,
+            num_nodes=machine.num_nodes,
+            workload=scenario.workload,
+            io=scenario.io,
+            placement=scenario.placement,
+            storage=scenario.storage,
+            ranks_per_node=scenario.machine.ranks_per_node or machine.default_ranks_per_node,
         )
-        workload = scenario.workload.resolve(machine.num_nodes * ranks_per_node)
-        filesystem, stripe = resolve_storage(scenario.storage, machine)
-        if scenario.io.kind == "tapioca":
-            config = resolve_tapioca_config(
-                scenario.io, scenario.placement, machine, stripe
-            )
-            hints = None
-        else:
-            config = None
-            hints = resolve_hints(scenario.io, machine, stripe)
-        return ResolvedScenario(
-            machine=machine,
-            ranks_per_node=ranks_per_node,
-            workload=workload,
-            method="tapioca" if scenario.io.kind == "tapioca" else "mpiio",
-            config=config,
-            hints=hints,
-            filesystem=filesystem,
-            stripe=stripe,
-        )
+        return resolve_job(machine, job)
 
     # -- single-job path ----------------------------------------------------
 
-    def estimate(self, resolved: ResolvedScenario | None = None) -> IOEstimate:
-        """The performance estimate of a single-job scenario."""
+    def estimate(self, spec: JobSpec | None = None) -> IOEstimate:
+        """The performance estimate of a single-job scenario: its job's plan
+        on the default block mapping (which keeps it in the aggregation memo)."""
         if self.scenario.multijob is not None:
             raise ScenarioError(
                 f"scenario {self.scenario.id!r} is multi-job; use run() or "
                 f"interference_report()"
             )
-        if resolved is None:
-            resolved = self.resolve()
-        ranks_per_node = self.scenario.machine.ranks_per_node
-        with obs_span("scenario.estimate", cat="scenario", method=resolved.method):
-            if resolved.method == "tapioca":
-                return model_tapioca(
-                    resolved.machine,
-                    resolved.workload,
-                    resolved.config,
-                    ranks_per_node=ranks_per_node,
-                    filesystem=resolved.filesystem,
-                    stripe=resolved.stripe,
-                )
-            return model_mpiio(
-                resolved.machine,
-                resolved.workload,
-                resolved.hints,
-                ranks_per_node=ranks_per_node,
-                filesystem=resolved.filesystem,
-            )
+        from repro.multijob.job import job_plan
+
+        if spec is None:
+            spec = self.resolve()
+        with obs_span("scenario.estimate", cat="scenario", method=spec.method):
+            return estimate_plans(self.machine, [job_plan(self.machine, spec)])[0][0]
 
     # -- multi-job path -----------------------------------------------------
 
-    def job_specs(self) -> list:
+    def job_specs(self) -> list[JobSpec]:
         """The runtime :class:`~repro.multijob.job.JobSpec` per declared job."""
-        from repro.multijob.job import JobSpec
-
         if self.scenario.multijob is None:
             raise ScenarioError(f"scenario {self.scenario.id!r} has no multijob spec")
-        machine = self.machine
-        specs = []
-        for job in self.scenario.multijob.jobs:
-            specs.append(self._job_spec(JobSpec, machine, job))
-        return specs
-
-    def _job_spec(self, cls, machine: Machine, job: JobScenarioSpec):
-        workload = job.workload.resolve(job.num_ranks)
-        filesystem, stripe = resolve_storage(job.storage, machine)
-        if job.io.kind == "tapioca":
-            return cls(
-                name=job.name,
-                num_nodes=job.num_nodes,
-                workload=workload,
-                ranks_per_node=job.ranks_per_node,
-                method="tapioca",
-                config=resolve_tapioca_config(job.io, job.placement, machine, stripe),
-                stripe=None if filesystem is not None else stripe,
-                filesystem=filesystem,
-                arrival_s=job.arrival_s,
-                compute_s=job.compute_s,
-            )
-        return cls(
-            name=job.name,
-            num_nodes=job.num_nodes,
-            workload=workload,
-            ranks_per_node=job.ranks_per_node,
-            method="mpiio",
-            hints=resolve_hints(job.io, machine, stripe),
-            stripe=None if filesystem is not None else stripe,
-            filesystem=filesystem,
-            arrival_s=job.arrival_s,
-            compute_s=job.compute_s,
-        )
+        return [resolve_job(self.machine, job) for job in self.scenario.multijob.jobs]
 
     def multijob_runtime(self):
         """A fresh :class:`~repro.multijob.runtime.MultiJobRuntime` for the scenario."""
@@ -373,23 +329,23 @@ class Simulation:
 
         if self.scenario.multijob is not None:
             return self._run_multijob()
-        resolved = self.resolve()
-        estimate = self.estimate(resolved)
+        spec = self.resolve()
+        estimate = self.estimate(spec)
         series = Series(estimate.method)
         series.add(
-            round(resolved.workload.bytes_per_rank() / MB, 3),
+            round(spec.workload.bytes_per_rank() / MB, 3),
             estimate.bandwidth_gbps(),
         )
         result = ExperimentResult(
             experiment_id=self.scenario.id,
             title=self.scenario.title or f"scenario {self.scenario.id}",
-            machine=resolved.machine.name,
+            machine=self.machine.name,
             x_label="MB/rank",
             series=[series],
         )
         result.notes = (
-            f"{resolved.workload.name} on {resolved.machine.num_nodes} nodes, "
-            f"{resolved.ranks_per_node} ranks/node"
+            f"{spec.workload.name} on {spec.num_nodes} nodes, "
+            f"{spec.ranks_per_node} ranks/node"
         )
         if self.scenario.placement.certify and self.scenario.io.kind == "tapioca":
             # Imported lazily for the same layering reason as the result

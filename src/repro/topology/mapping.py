@@ -19,7 +19,7 @@ Three mappings are provided:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -28,19 +28,26 @@ from repro.utils.rng import seeded_rng
 from repro.utils.validation import require, require_positive
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RankMapping:
     """An immutable mapping from MPI ranks to compute nodes.
 
     Attributes:
-        node_of_rank: ``node_of_rank[r]`` is the node hosting rank ``r``.
+        node_of_rank: ``node_of_rank[r]`` is the node hosting rank ``r``; one
+            read-only int64 array, which vectorised consumers (the analytic
+            models' node gathers) share without defensive copies.
         num_nodes: number of nodes in the allocation (>= max(node_of_rank)+1).
         ranks_per_node: nominal ranks per node the mapping was built with.
     """
 
-    node_of_rank: tuple[int, ...]
+    node_of_rank: np.ndarray
     num_nodes: int
     ranks_per_node: int
+
+    def __post_init__(self) -> None:
+        array = np.array(self.node_of_rank, dtype=np.int64)
+        array.setflags(write=False)
+        object.__setattr__(self, "node_of_rank", array)
 
     @property
     def num_ranks(self) -> int:
@@ -51,7 +58,7 @@ class RankMapping:
         """Node hosting ``rank``."""
         if not 0 <= rank < self.num_ranks:
             raise ValueError(f"rank {rank} out of range [0, {self.num_ranks})")
-        return self.node_of_rank[rank]
+        return int(self.node_of_rank[rank])
 
     def nodes(self, ranks: Sequence[int] | np.ndarray) -> np.ndarray:
         """Batched :meth:`node`: the nodes hosting ``ranks`` (int64 array).
@@ -65,32 +72,21 @@ class RankMapping:
             raise ValueError(
                 f"rank {int(ranks[outside][0])} out of range [0, {self.num_ranks})"
             )
-        return self.node_array[ranks]
+        return self.node_of_rank[ranks]
 
     def ranks_on_node(self, node: int) -> list[int]:
         """All ranks hosted on ``node`` (ascending)."""
         if not 0 <= node < self.num_nodes:
             raise ValueError(f"node {node} out of range [0, {self.num_nodes})")
-        return [r for r, n in enumerate(self.node_of_rank) if n == node]
+        return np.flatnonzero(self.node_of_rank == node).tolist()
 
     def nodes_used(self) -> list[int]:
         """Sorted list of distinct nodes that host at least one rank."""
-        return sorted(set(self.node_of_rank))
+        return np.unique(self.node_of_rank).tolist()
 
     def as_array(self) -> np.ndarray:
-        """The mapping as a NumPy int array (copy)."""
-        return self.node_array.copy()
-
-    @cached_property
-    def node_array(self) -> np.ndarray:
-        """Read-only array form of ``node_of_rank``, built once per mapping.
-
-        The write flag is cleared so vectorised consumers (the analytic
-        models' node gathers) can share it without defensive copies.
-        """
-        array = np.asarray(self.node_of_rank, dtype=np.int64)
-        array.setflags(write=False)
-        return array
+        """The mapping as a writable NumPy int array (copy)."""
+        return self.node_of_rank.copy()
 
 
 def _validate(num_ranks: int, num_nodes: int, ranks_per_node: int) -> None:
@@ -114,7 +110,7 @@ def block_mapping(num_ranks: int, num_nodes: int, ranks_per_node: int) -> RankMa
     """
     _validate(num_ranks, num_nodes, ranks_per_node)
     nodes = np.minimum(np.arange(num_ranks) // ranks_per_node, num_nodes - 1)
-    return RankMapping(tuple(nodes.tolist()), num_nodes, ranks_per_node)
+    return RankMapping(nodes, num_nodes, ranks_per_node)
 
 
 def round_robin_mapping(
@@ -122,8 +118,7 @@ def round_robin_mapping(
 ) -> RankMapping:
     """Cyclic mapping: rank ``r`` goes to node ``r % num_nodes``."""
     _validate(num_ranks, num_nodes, ranks_per_node)
-    nodes = tuple(r % num_nodes for r in range(num_ranks))
-    return RankMapping(nodes, num_nodes, ranks_per_node)
+    return RankMapping(np.arange(num_ranks) % num_nodes, num_nodes, ranks_per_node)
 
 
 def allocation_mapping(
@@ -167,8 +162,7 @@ def allocation_mapping(
         f"allocation node ids must be in [0, {total})",
     )
     fill = np.minimum(np.arange(num_ranks) // ranks_per_node, len(node_list) - 1)
-    node_of_rank = tuple(np.array(node_list, dtype=np.int64)[fill].tolist())
-    return RankMapping(node_of_rank, total, ranks_per_node)
+    return RankMapping(np.array(node_list, dtype=np.int64)[fill], total, ranks_per_node)
 
 
 def random_mapping(
@@ -181,7 +175,5 @@ def random_mapping(
     """Random-but-balanced mapping: a seeded shuffle of the block mapping slots."""
     _validate(num_ranks, num_nodes, ranks_per_node)
     rng = seeded_rng(seed)
-    slots = [min(i // ranks_per_node, num_nodes - 1) for i in range(num_ranks)]
-    permutation = rng.permutation(len(slots))
-    nodes = tuple(slots[p] for p in permutation)
-    return RankMapping(nodes, num_nodes, ranks_per_node)
+    slots = np.minimum(np.arange(num_ranks) // ranks_per_node, num_nodes - 1)
+    return RankMapping(slots[rng.permutation(num_ranks)], num_nodes, ranks_per_node)

@@ -25,7 +25,7 @@ def bridge_first_aggregators(
         bridge_nodes = machine.bridge_nodes()
     else:
         bridge_nodes = [gateway.node for gateway in machine.io_gateways()]
-    on_bridge = np.isin(mapping.node_array, bridge_nodes)
+    on_bridge = np.isin(mapping.node_of_rank, bridge_nodes)
     aggregators = []
     for block in partition_ranks(mapping.num_ranks, num_aggregators):
         hits = np.flatnonzero(on_bridge[block.start : block.stop])

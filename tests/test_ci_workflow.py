@@ -470,6 +470,22 @@ class TestWorkflowShape:
         assert 'pooled.pop("wall_time_s")' in gate[0]
         assert "assert pooled == serial" in gate[0]
 
+    def test_serve_job_requires_sigterm_to_stop_the_pool_workers(self, workflow):
+        """SIGTERM to each daemon process alone (the ``--jobs 2`` one by its
+        PID, not its workers) must leave no ``repro serve`` process after 5 s."""
+        commands = [s.get("run", "") for s in workflow["jobs"]["serve"]["steps"]]
+        start = [c for c in commands if "repro serve --port 8731" in c]
+        gate = [c for c in commands if "--jobs 2" in c]
+        assert len(start) == 1 and "echo $! > serve.pid" in start[0]
+        assert len(gate) == 1
+        gate = gate[0]
+        assert "pooled_pid=$!" in gate
+        assert 'kill -TERM "$pooled_pid" "$(cat serve.pid)"' in gate
+        assert gate.index("assert pooled == serial") < gate.index("kill -TERM")
+        assert "for _ in $(seq 25); do" in gate and "sleep 0.2" in gate.split("kill -TERM")[1]
+        assert 'if pgrep -af "python -m repro serve"; then' in gate
+        assert "exit 1" in gate.split("kill -TERM")[1]
+
     def test_serve_job_scrapes_prometheus_metrics(self, workflow):
         commands = [s.get("run", "") for s in workflow["jobs"]["serve"]["steps"]]
         scrape = [c for c in commands if "/metrics" in c]

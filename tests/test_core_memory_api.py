@@ -205,6 +205,28 @@ class TestTapiocaFacade:
             machine, workload, config
         ).elapsed
 
+    def test_stripe_on_a_non_lustre_machine_is_refused_for_both_paths(self):
+        """Mira's file system is GPFS: the estimate refuses the stripe just as
+        the discrete-event run does, instead of silently dropping it."""
+        workload = IORWorkload(128 * 16, transfer_size=1 * MIB)
+        for run in ("estimate_write", "simulate_write"):
+            with pytest.raises(ValueError, match="Lustre stripe"):
+                tapioca = Tapioca(MiraMachine(128), stripe=LustreStripeConfig(4))
+                getattr(tapioca.declare(workload), run)()
+
+    def test_introspection_reads_the_declared_plan(self):
+        machine = ThetaMachine(8)
+        tapioca = Tapioca(
+            machine,
+            TapiocaConfig(num_aggregators=4),
+            ranks_per_node=2,
+            stripe=LustreStripeConfig(4, 2048),
+        ).declare(IORWorkload(16, transfer_size=1024))
+        plan = tapioca._require_plan()
+        assert tapioca.mapping() is plan.context.mapping
+        assert tapioca.partitions() is plan.partitions
+        assert plan.context.filesystem.stripe == LustreStripeConfig(4, 2048)
+
     def test_paper_init_api(self):
         machine = MiraMachine(16, pset_size=16)
         tapioca = Tapioca(

@@ -6,9 +6,16 @@ loop via ``asyncio.run`` — which also mirrors how the daemon itself runs.
 
 import asyncio
 import json
+import os
+import select
+import signal
 import socket
+import subprocess
+import sys
 import threading
+import time
 import urllib.request
+from pathlib import Path
 
 import pytest
 
@@ -300,6 +307,66 @@ class TestPoolBackedDaemon:
         serial, pooled = envelopes
         assert serial["status"] == "ok" and not serial["cached"]
         assert pooled == serial
+
+
+def _children(pid: int) -> list[int]:
+    """Live (non-zombie) processes whose parent is ``pid``, read from /proc."""
+    children = []
+    for entry in Path("/proc").iterdir():
+        if not entry.name.isdigit():
+            continue
+        try:
+            stat = (entry / "stat").read_text()
+        except OSError:
+            continue
+        state, ppid = stat.rsplit(")", 1)[1].split()[:2]
+        if int(ppid) == pid and state != "Z":
+            children.append(int(entry.name))
+    return children
+
+
+def _alive(pid: int) -> bool:
+    """Whether ``pid`` is a running (not exited, not zombie) process."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc")
+class TestDaemonShutdown:
+    def test_sigterm_stops_every_pool_worker(self):
+        """``repro serve --jobs 2`` shuts its worker pool down on SIGTERM:
+        no worker outlives the daemon."""
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, (str(src), os.environ.get("PYTHONPATH")))
+        )}
+        command = [sys.executable, "-m", "repro", "serve", "--port", "0", "--jobs", "2"]
+        workers: list[int] = []
+        with subprocess.Popen(
+            command, env=env, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True
+        ) as daemon:
+            try:
+                ready, _, _ = select.select([daemon.stdout], [], [], 60)
+                line = daemon.stdout.readline() if ready else ""
+                assert line.startswith("serving on http://"), line
+                url = line.split()[2]
+                envelope = ServeClient(url).evaluate(payload_for())
+                assert envelope["status"] == "ok", envelope
+                workers = _children(daemon.pid)
+                assert workers, "a --jobs 2 daemon evaluates on pool workers"
+                daemon.send_signal(signal.SIGTERM)
+                assert daemon.wait(timeout=30) == 0
+                deadline = time.monotonic() + 10
+                while any(map(_alive, workers)) and time.monotonic() < deadline:
+                    time.sleep(0.05)
+                assert not any(map(_alive, workers)), "pool workers outlived the daemon"
+            finally:
+                for pid in [daemon.pid, *workers]:
+                    if _alive(pid):
+                        os.kill(pid, signal.SIGKILL)
 
 
 class TestFiguresEndpoint:

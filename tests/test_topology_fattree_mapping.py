@@ -1,9 +1,11 @@
 """Tests for the fat-tree topology and the rank-to-node mappings."""
 
+import numpy as np
 import pytest
 
 from repro.topology.fattree import FatTreeTopology
 from repro.topology.mapping import (
+    RankMapping,
     block_mapping,
     random_mapping,
     round_robin_mapping,
@@ -54,23 +56,35 @@ class TestFatTree:
 class TestMappings:
     def test_block_mapping_fills_nodes_in_order(self):
         mapping = block_mapping(8, 4, 2)
-        assert mapping.node_of_rank == (0, 0, 1, 1, 2, 2, 3, 3)
+        assert mapping.node_of_rank.tolist() == [0, 0, 1, 1, 2, 2, 3, 3]
 
     def test_round_robin_mapping(self):
         mapping = round_robin_mapping(8, 4, 2)
-        assert mapping.node_of_rank == (0, 1, 2, 3, 0, 1, 2, 3)
+        assert mapping.node_of_rank.tolist() == [0, 1, 2, 3, 0, 1, 2, 3]
 
     def test_random_mapping_is_balanced_and_deterministic(self):
         a = random_mapping(16, 4, 4, seed=3)
         b = random_mapping(16, 4, 4, seed=3)
-        assert a.node_of_rank == b.node_of_rank
+        assert a.node_of_rank.tolist() == b.node_of_rank.tolist()
         for node in range(4):
             assert len(a.ranks_on_node(node)) == 4
 
     def test_random_mapping_seed_changes_layout(self):
         a = random_mapping(16, 4, 4, seed=3)
         b = random_mapping(16, 4, 4, seed=4)
-        assert a.node_of_rank != b.node_of_rank
+        assert a.node_of_rank.tolist() != b.node_of_rank.tolist()
+
+    def test_holds_one_read_only_int64_array(self):
+        mapping = block_mapping(8, 4, 2)
+        array = mapping.node_of_rank
+        assert array.dtype == np.int64 and not array.flags.writeable
+        assert mapping.nodes([0, 7]).tolist() == [0, 3]
+        assert type(mapping.node(3)) is int
+        with pytest.raises(ValueError):
+            array[0] = 1
+        source = np.arange(4)
+        built = RankMapping(source, 4, 1)
+        assert source.flags.writeable and built.node_of_rank is not source
 
     def test_capacity_validation(self):
         with pytest.raises(ValueError):
@@ -91,3 +105,5 @@ class TestMappings:
         mapping = block_mapping(4, 2, 2)
         arr = mapping.as_array()
         assert arr.tolist() == [0, 0, 1, 1]
+        arr[0] = 1  # a writable copy: the mapping itself is untouched
+        assert mapping.node(0) == 0

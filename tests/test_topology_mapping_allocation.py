@@ -38,7 +38,7 @@ class TestAllocationMapping:
             8, list(range(4)), num_nodes=4, ranks_per_node=2
         )
         reference = block_mapping(8, 4, 2)
-        assert contiguous.node_of_rank == reference.node_of_rank
+        assert contiguous.node_of_rank.tolist() == reference.node_of_rank.tolist()
 
     def test_default_machine_size_covers_max_node(self):
         mapping = allocation_mapping(2, [5, 17], ranks_per_node=1)
