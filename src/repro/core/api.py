@@ -66,6 +66,23 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 # --------------------------------------------------------------------------- #
 
 
+class _ResultKey:
+    """:attr:`Evaluation.key`: the key it was given or, for a scenario
+    result given none, the scenario's content hash, resolved on first read
+    (an evaluation without a store never pays for the hash otherwise)."""
+
+    def __get__(self, evaluation: "Evaluation | None", owner: type | None = None):
+        if evaluation is None:
+            return None  # the dataclass default
+        key = evaluation.__dict__.get("_key")
+        if key is None and evaluation.result is not None and evaluation.scenario is not None:
+            key = evaluation.__dict__["_key"] = evaluation.scenario.content_hash()
+        return key
+
+    def __set__(self, evaluation: "Evaluation", key: str | None) -> None:
+        evaluation.__dict__["_key"] = key
+
+
 @dataclass
 class Evaluation:
     """The uniform outcome of one :func:`evaluate` call.
@@ -77,7 +94,8 @@ class Evaluation:
             re-simulating.
         source: ``"experiment"`` for registry ids, ``"scenario"`` otherwise.
         key: content address — the artifact cache key for experiments, the
-            scenario hash for scenarios (``None`` in objective mode).
+            scenario hash for scenarios, resolved on first read (``None`` in
+            objective mode).
         wall_time_s: simulation wall time (the original run's for cache hits).
         scenario: the concrete scenario evaluated (``None`` for experiments,
             whose sweeps expand many scenarios internally).
@@ -87,7 +105,7 @@ class Evaluation:
     value: float | None = None
     cached: bool = False
     source: str = "scenario"
-    key: str | None = None
+    key: str | None = _ResultKey()  # type: ignore[assignment]
     wall_time_s: float = 0.0
     scenario: "Scenario | None" = None
 
@@ -232,14 +250,15 @@ def _evaluate_scenario(
     store: "ArtifactStore | None",
     use_cache: bool,
 ) -> Evaluation:
-    """Run one concrete scenario, hash-cached against the store."""
+    """Run one concrete scenario, hash-cached against the store; without a
+    store the scenario is not hashed unless the result's ``key`` is read."""
     from repro.experiments.results import ExperimentResult
-    from repro.scenario.spec import ScenarioError, payload_hash
+    from repro.scenario.spec import ScenarioError
 
-    payload = scenario.to_dict()
-    scenario_hash = payload_hash(payload)
-    if store is not None and use_cache:
-        record = store.load_scenario_result(scenario_hash)
+    if store is not None:
+        # The dict the store saves is the one hashed: one serialisation.
+        payload, scenario_hash = scenario.hashed_dict()
+        record = store.load_scenario_result(scenario_hash) if use_cache else None
         if record is not None:
             return Evaluation(
                 result=ExperimentResult.from_dict(record.result),
@@ -260,10 +279,11 @@ def _evaluate_scenario(
             raise ScenarioError(outcome)
     else:
         outcome = simulate_scenario(scenario)
-    if store is not None:
-        store.save_scenario_result(
-            scenario_hash, payload, outcome.result.to_dict(), outcome.wall_time_s
-        )
+    if store is None:
+        return replace(outcome, scenario=scenario)
+    store.save_scenario_result(
+        scenario_hash, payload, outcome.result.to_dict(), outcome.wall_time_s
+    )
     return replace(outcome, key=scenario_hash, scenario=scenario)
 
 
@@ -527,4 +547,4 @@ class Tapioca:
 
         plan = copy(self._require_plan())
         plan.access = access
-        return estimate_plans(self.machine, [plan])[0][0]
+        return estimate_plans(self.machine, [plan])[0]

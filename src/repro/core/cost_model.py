@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Sequence
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -111,19 +111,15 @@ class CandidateSets:
         nodes = iface.rank_nodes(partitions.ranks)
         if granularity == "rank":
             return cls(partitions.offsets, partitions.ranks, nodes, partitions.volumes)
-        return cls.by_node([partitions], [nodes])
+        return cls.by_node(partitions, nodes)
 
     @classmethod
-    def by_node(
-        cls, partitions: Sequence[Partitions], nodes: Sequence[np.ndarray]
-    ) -> "CandidateSets":
-        """Node-granularity candidates of several jobs' partitions, job after
-        job (``nodes[j]``: the node of every rank of ``partitions[j]``); each
-        job's slice is its own ``of(partitions[j], iface, "node")``."""
-        sizes = np.concatenate([p.sizes for p in partitions])
-        ranks = np.concatenate([p.ranks for p in partitions])
-        volumes = np.concatenate([p.volumes for p in partitions])
-        nodes = np.concatenate(nodes)
+    def by_node(cls, partitions: Partitions, nodes: np.ndarray) -> "CandidateSets":
+        """Node-granularity candidates of ``partitions`` (``nodes``: the node
+        of every entry of its ``ranks``).  For a stacked table of several
+        jobs (:meth:`~repro.core.partitioning.Partitions.stack`) each job's
+        slice equals its own table's candidates."""
+        sizes, ranks, volumes = partitions.sizes, partitions.ranks, partitions.volumes
         # One stable sort over (partition, node) keys puts each partition's
         # ranks on a node next to each other; the runs collapse to one
         # candidate each (lowest rank, integer volume sum).
@@ -231,30 +227,47 @@ class AggregationCostModel:
         transfer[own] = 0.0
         return latency, transfer
 
-    def elect(
+    def chunk_terms(
         self, sets: CandidateSets, chosen: np.ndarray | None = None
+    ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+        """``(rows, columns, latency, transfer)`` of every chunk of
+        :meth:`CandidateSets.chunks` with more than one producer (a lone
+        candidate ships nothing: its C1 is 0), from one :meth:`pair_terms`
+        gather each."""
+        for rows, columns in sets.chunks(chosen):
+            if rows.shape[1] > 1:
+                yield (rows, columns, *self.pair_terms(sets, rows, columns))
+
+    def elect(
+        self,
+        sets: CandidateSets,
+        chosen: np.ndarray | None = None,
+        *,
+        each_chunk: Callable[..., None] | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """``(C1, C2)`` of every candidate in ``sets``, aligned with it.
 
-        The segmented election: per chunk of same-size partitions, the
-        :meth:`pair_terms` tensors are added term by term into ``l·d + ω/B``
-        and ``np.add.accumulate`` along the producer axis sums each
-        candidate's terms strictly left to right (``np.sum`` would add
-        pairwise and round differently).  C2 is a gather over the
-        candidates' I/O distances and bandwidths.
+        The segmented election: per chunk of same-size partitions
+        (:meth:`chunk_terms`), the :meth:`pair_terms` tensors are added term
+        by term into ``l·d + ω/B`` and ``np.add.accumulate`` along the
+        producer axis sums each candidate's terms strictly left to right
+        (``np.sum`` would add pairwise and round differently).  C2 is a
+        gather over the candidates' I/O distances and bandwidths.
 
         Args:
             sets: the partitions' candidates.
             chosen: optional flat index of one candidate per partition;
                 only those are costed, and the arrays are aligned with
                 ``chosen`` instead.
+            each_chunk: called with every chunk's ``(rows, columns,
+                latency, transfer)`` after it is costed, for a caller that
+                reads the same tensors (the placement certificate).
         """
         aggregation = np.zeros(sets.ranks.size)
-        for rows, columns in sets.chunks(chosen):
-            if rows.shape[1] == 1:
-                continue  # a lone candidate ships nothing: C1 = 0
-            latency, transfer = self.pair_terms(sets, rows, columns)
+        for rows, columns, latency, transfer in self.chunk_terms(sets, chosen):
             aggregation[columns] = np.add.accumulate(latency + transfer, axis=1)[:, -1, :]
+            if each_chunk is not None:
+                each_chunk(rows, columns, latency, transfer)
         io = np.zeros(sets.ranks.size)
         if self.iface.io_locality_known():
             io_bytes = sets.totals(sets.volumes)[sets.segments]
@@ -267,15 +280,16 @@ class AggregationCostModel:
         return aggregation, io
 
     def best_candidate(
-        self, sets: CandidateSets
+        self, sets: CandidateSets, *, each_chunk: Callable[..., None] | None = None
     ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
         """Each partition's winner and the ``(C1, C2)`` of every candidate.
 
         The winner is the flat index into ``sets`` of the partition's
         smallest ``C1 + C2``; ties go to the lowest rank, as
-        ``MPI_Allreduce(MINLOC)`` breaks them.
+        ``MPI_Allreduce(MINLOC)`` breaks them.  ``each_chunk`` is passed to
+        :meth:`elect`.
         """
-        aggregation, io = self.elect(sets)
+        aggregation, io = self.elect(sets, each_chunk=each_chunk)
         rec = obs_recorder()
         if rec is not None:
             rec.inc("costmodel.candidates", len(sets))

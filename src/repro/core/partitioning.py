@@ -19,7 +19,10 @@ partition's ranks concatenated, their int64 volumes (from the workload's
     ranks    [0  1  2 | 3  4  5 | 6  7]        partition 1 = ranks[3:6]
     volumes  [v0 v1 v2| v3 v4 v5| v6 v7]
 
-The partition index is also the aggregator index.  The arrays are
+The partition index is also the aggregator index.  A multi-job run
+stacks its jobs' tables into one (:meth:`Partitions.stack`), building each
+distinct shape (rank count and contiguous block count) once and giving
+every job its own volumes.  The arrays are
 validated once, where they are built, with no per-partition or per-rank
 Python work; the election (:class:`~repro.core.cost_model.CandidateSets`),
 the analytic model and the round schedule
@@ -30,6 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Sequence
 
 import numpy as np
 
@@ -93,11 +97,23 @@ class Partitions:
         """Partitions holding the next ``sizes[p]`` entries of ``ranks``."""
         return cls(offsets_of(sizes), ranks, volumes)
 
+    @classmethod
+    def stack(cls, tables: Sequence["Partitions"], volumes: np.ndarray) -> "Partitions":
+        """Several jobs' partitions as one table, job after job, with
+        ``volumes`` (every job's, concatenated) in place of the tables' own:
+        each job's ranks keep their own numbering, and jobs whose partitions
+        share offsets and ranks share one table."""
+        return cls.from_sizes(
+            np.concatenate([table.sizes for table in tables]),
+            np.concatenate([table.ranks for table in tables]),
+            volumes,
+        )
+
     def __len__(self) -> int:
         """Number of partitions."""
         return self.offsets.size - 1
 
-    @property
+    @cached_property
     def sizes(self) -> np.ndarray:
         """Number of ranks of every partition."""
         return np.diff(self.offsets)

@@ -23,7 +23,7 @@ election kernel, :meth:`~repro.core.cost_model.AggregationCostModel.elect`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -82,6 +82,8 @@ def elect_partitions(
     sets: CandidateSets,
     iface: TopologyInterface,
     jobs: Sequence[tuple[str, int | None, int, int]],
+    *,
+    each_chunk: Callable[..., None] | None = None,
 ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray] | None]:
     """Each job's winners by its own strategy; ``jobs`` lists ``(strategy,
     seed, first, stop)`` over segments ``first:stop`` of ``sets``.
@@ -94,7 +96,10 @@ def elect_partitions(
     others pick from their own slice (``iface`` is read for the machine
     only).  Returns every segment's winner as a flat index into ``sets``
     (-1: no job) and the topology-aware candidates' ``(C1, C2)`` in
-    ``sets`` order (``None`` without one).
+    ``sets`` order (``None`` without one).  ``each_chunk`` receives every
+    costed chunk's ``(rows, columns, latency, transfer)``, its rows and
+    columns indexing ``sets`` (see
+    :meth:`~repro.core.cost_model.AggregationCostModel.elect`).
     """
     chosen = np.full(sets.offsets.size - 1, -1, dtype=np.int64)
     costs = None
@@ -103,7 +108,13 @@ def elect_partitions(
         if aware:
             segments = np.concatenate(aware)
             joint, index = sets.take(segments)
-            winners, costs = AggregationCostModel(iface).best_candidate(joint)
+
+            def relay(rows, columns, latency, transfer):
+                each_chunk(index[rows], index[columns], latency, transfer)
+
+            winners, costs = AggregationCostModel(iface).best_candidate(
+                joint, each_chunk=None if each_chunk is None else relay
+            )
             chosen[segments] = index[winners]
         for strategy, seed, first, stop in jobs:
             if strategy == "topology-aware":

@@ -199,7 +199,12 @@ class ArtifactStore:
     # -- write --------------------------------------------------------------
 
     def _put(self, key: str, payload: Mapping) -> Path:
-        self.backend.put(key, json.dumps(payload, indent=2, sort_keys=True))
+        """Write a file people read and diff (an experiment artifact, the
+        manifest, a tuning trace) as indented, sorted JSON."""
+        return self._write(key, json.dumps(payload, indent=2, sort_keys=True))
+
+    def _write(self, key: str, text: str) -> Path:
+        self.backend.put(key, text)
         return self.backend.path_hint(key)
 
     def save(
@@ -480,8 +485,12 @@ class ArtifactStore:
     # -- schema-stamped keyed records -----------------------------------------
 
     def _put_record(self, key: str, fields: Mapping) -> Path:
-        """Write one cache record, stamped with :data:`ARTIFACT_SCHEMA`."""
-        return self._put(key, {"schema": ARTIFACT_SCHEMA, **fields})
+        """Write one cache record, stamped with :data:`ARTIFACT_SCHEMA`, as
+        sorted compact JSON: only the store reads records, and ``json``
+        serialises with its C encoder only without an indent.  Records
+        written indented still load."""
+        record = {"schema": ARTIFACT_SCHEMA, **fields}
+        return self._write(key, json.dumps(record, sort_keys=True, separators=(",", ":")))
 
     def _get_record(self, key: str) -> dict | None:
         """One cache record, or ``None`` when it is missing, unreadable or of

@@ -10,14 +10,22 @@ The allocator hands machine nodes to jobs the way a batch scheduler would:
   the next one, so a job's aggregation traffic shares as few links with
   other jobs as possible.
 
-Policies only reorder the free pool; allocation is always "first
-``num_nodes`` of the policy's ordering", which keeps them composable and
-deterministic.
+A job always takes the first ``num_nodes`` of the policy's ordering of the
+pool left by the jobs before it, which keeps policies composable and
+deterministic.  :meth:`NodeAllocator.allocate_all` grants a whole job list
+in one walk over the pool, without rebuilding or re-sorting it per job:
+the contiguous policy takes consecutive slices, the scattered one deletes
+a stride of the remaining positions, and the topology-aware one keeps every
+device group's free nodes and a heap of ``(-free, group)`` entries.
+:meth:`NodeAllocator.allocate` is the one-job call of that walk.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
+from itertools import accumulate
+from typing import Sequence
 
 import numpy as np
 
@@ -62,52 +70,69 @@ class NodeAllocator:
 
     def allocate(self, job_name: str, num_nodes: int) -> Allocation:
         """Grant ``num_nodes`` nodes to ``job_name`` under the policy."""
-        require_positive(num_nodes, "num_nodes")
-        require(
-            job_name not in self._granted,
-            f"job {job_name!r} already holds an allocation",
-        )
-        require(
-            num_nodes <= len(self._free),
-            f"job {job_name!r} requests {num_nodes} nodes but only "
-            f"{len(self._free)} are free",
-        )
-        taken = self._ordered_free(num_nodes)[:num_nodes]
-        nodes, self._free = self._free[taken], np.delete(self._free, taken)
-        self._granted.add(job_name)
+        (nodes,) = self.allocate_all([job_name], [num_nodes])
         return Allocation(job_name, tuple(nodes.tolist()))
 
-    # ------------------------------------------------------------------ #
-    # Policy orderings
-    # ------------------------------------------------------------------ #
-
-    def _ordered_free(self, num_nodes: int) -> np.ndarray:
-        """Positions in the (ascending) free pool, in the policy's order."""
+    def allocate_all(self, job_names: Sequence[str], counts: Sequence[int]) -> list[np.ndarray]:
+        """Grant every job its nodes, in list order, in one walk: each job's
+        int64 node array is what :meth:`allocate` would grant it next."""
+        free, granted = len(self._free), set(self._granted)
+        for name, count in zip(job_names, counts):
+            require_positive(count, "num_nodes")
+            require(name not in granted, f"job {name!r} already holds an allocation")
+            require(
+                count <= free,
+                f"job {name!r} requests {count} nodes but only {free} are free",
+            )
+            granted.add(name)
+            free -= count
+        self._granted = granted
         if self.policy == "contiguous":
-            return np.arange(len(self._free))
-        if self.policy == "scattered":
-            return self._scattered_order(num_nodes)
-        return self._topology_order()
+            bounds = list(accumulate(counts, initial=0))
+            taken = [np.arange(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+        elif self.policy == "scattered":
+            taken = self._scattered_walk(counts)
+        else:
+            taken = self._topology_walk(counts)
+        pool = self._free
+        keep = np.ones(pool.size, dtype=bool)
+        grants = []
+        for positions in taken:
+            keep[positions] = False
+            grants.append(pool[positions])
+        self._free = pool[keep]
+        return grants
 
-    def _scattered_order(self, num_nodes: int) -> np.ndarray:
-        """Stride the free pool so the job lands spread across the machine.
+    # ------------------------------------------------------------------ #
+    # Policy walks: each job's positions in the pool, in grant order
+    # ------------------------------------------------------------------ #
 
-        Picks every ``len(free) / num_nodes``-th free node first, then the
-        remainder — the non-contiguous shape a fragmented machine produces.
+    def _scattered_walk(self, counts: Sequence[int]) -> list[np.ndarray]:
+        """Stride the remaining pool so each job lands spread across the machine.
+
+        A job takes every ``len(remaining) // num_nodes``-th remaining node
+        (at least every one), from the first — the non-contiguous shape a
+        fragmented machine produces.
         """
-        stride = max(1, len(self._free) // num_nodes)
-        remainder = np.ones(len(self._free), dtype=bool)
-        remainder[::stride] = False
-        return np.concatenate((np.flatnonzero(~remainder), np.flatnonzero(remainder)))
+        remaining = list(range(len(self._free)))
+        taken = []
+        for count in counts:
+            stride = max(1, len(remaining) // count)
+            picks = slice(0, (count - 1) * stride + 1, stride)
+            taken.append(np.array(remaining[picks], dtype=np.int64))
+            del remaining[picks]
+        return taken
 
-    def _topology_order(self) -> np.ndarray:
+    def _topology_walk(self, counts: Sequence[int]) -> list[np.ndarray]:
         """Group free nodes by their first-hop device and fill groups whole.
 
         On a dragonfly, nodes sharing an Aries router come first as a unit;
         on any other machine the I/O partition (the Pset of a torus) plays
         that role.  Groups with the most free nodes are preferred so jobs
         occupy as few partially-shared devices as possible; ties go to the
-        lower group key, and nodes within a group ascend.
+        lower group key, and nodes within a group ascend.  A job empties
+        whole groups in that order and takes the lowest free nodes of the
+        last one it needs, whose shrunken size re-enters the heap.
         """
         free = self._free
         topology = self.machine.topology
@@ -116,4 +141,26 @@ class NodeAllocator:
         else:
             key = self.machine.partitions_of_nodes(free)
         _, group, size = np.unique(key, return_inverse=True, return_counts=True)
-        return np.lexsort((free, key, -size[group]))
+        members = np.argsort(group, kind="stable").tolist()
+        first = (np.cumsum(size) - size).tolist()
+        size = size.tolist()
+        heap = [(-count, index) for index, count in enumerate(size)]
+        heapq.heapify(heap)
+        taken = []
+        for count in counts:
+            picks: list[int] = []
+            while count:
+                entry = heapq.heappop(heap)
+                index = entry[1]
+                if -entry[0] != size[index]:
+                    continue  # a stale entry: the group shrank since
+                grab = min(count, size[index])
+                picks += members[first[index] : first[index] + grab]
+                first[index] += grab
+                size[index] -= grab
+                count -= grab
+                if size[index]:
+                    heapq.heappush(heap, (-size[index], index))
+            taken.append(np.array(picks, dtype=np.int64))
+        return taken
+

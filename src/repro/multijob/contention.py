@@ -5,8 +5,9 @@ Theta numbers were collected while other jobs loaded the same Lustre OSTs and
 dragonfly global links.  This module models that sharing as a *ledger*: one
 flow × resource weight matrix over the shared resources (each with a
 saturated capacity in bytes/s) and the flows (jobs) that place weighted
-demands on them.  The ledger is built once, from every resource and flow,
-and never changes; callers pick the active flows by row.
+demands on them.  The ledger is built once, from every resource and the
+flows' ``(row, resource, weight)`` terms, and never changes; callers pick
+the active flows by row.
 
 The ledger allocates rates by progressive filling — the classic max-min fair
 algorithm: every unfrozen flow's rate grows at the same speed until either
@@ -31,7 +32,7 @@ every solve tests and fills over those terms alone.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -51,11 +52,17 @@ class ContentionLedger:
     Args:
         resources: ``(key, capacity)`` pairs in registration order (the
             column order).  A key may repeat with the same capacity.
-        flows: ``(flow_id, demand, weights)`` triples in row order: the
-            flow's rate cap in bytes/s (its isolated bandwidth) and, per
-            resource key, the fraction of its bytes crossing the resource.
-            A file striped over 8 OSTs puts weight 1/8 on each; the LNET
-            pipe every byte crosses gets weight 1.
+        flows: ``(flow_id, demand)`` pairs in row order: the flow's rate cap
+            in bytes/s (its isolated bandwidth).
+        terms: ``(rows, keys, weights)``, three aligned sequences: flow
+            ``rows[t]`` puts the fraction ``weights[t]`` of its bytes on the
+            resource ``keys[t]``.  A file striped over 8 OSTs puts weight
+            1/8 on each; the LNET pipe every byte crosses gets weight 1.
+            Terms of weight <= 0 are dropped.
+
+    The weight matrix is filled by one scatter of the terms; every input
+    is checked as a per-entry loop would meet it (resources in order, then
+    flows row by row, each row's terms in order), with the same messages.
 
     Attributes:
         keys: resource keys, one per column.
@@ -73,41 +80,53 @@ class ContentionLedger:
 
     def __init__(
         self,
-        resources: Iterable[tuple[tuple, float]],
-        flows: Iterable[tuple[str, float, Mapping[tuple, float]]],
+        resources: Sequence[tuple[tuple, float]],
+        flows: Sequence[tuple[str, float]],
+        terms: tuple[Sequence[int], Sequence[tuple], Sequence[float]],
     ) -> None:
-        capacity: dict[tuple, float] = {}
-        for key, value in resources:
+        # Registration: a key's column is its first entry, its capacity its
+        # last; each repeat must stay within _EPS of the entry before it.
+        keys = [key for key, _ in resources]
+        given = np.array([value for _, value in resources], dtype=float)
+        column: dict[tuple, int] = {}
+        entry = np.array([column.setdefault(key, len(column)) for key in keys], dtype=np.int64)
+        order = np.argsort(entry, kind="stable")  # each key's entries in turn
+        repeat = np.zeros(entry.size, dtype=bool)  # not the key's first entry
+        repeat[order[1:]] = entry[order[1:]] == entry[order[:-1]]
+        previous = np.zeros(entry.size, dtype=np.int64)
+        previous[order[1:]] = order[:-1]
+        existing = given[previous]
+        bad = ~(given > 0) | (repeat & (np.abs(existing - given) > _EPS * existing))
+        if bad.any():
+            first = int(np.flatnonzero(bad)[0])
+            key, value = resources[first]
             require_positive(value, f"capacity of {key!r}")
-            existing = capacity.get(key)
-            if existing is not None and abs(existing - value) > _EPS * existing:
-                raise ValueError(
-                    f"resource {key!r} already registered with capacity "
-                    f"{existing}, refusing to change it to {value}"
-                )
-            capacity[key] = float(value)
-        self.keys = tuple(capacity)
-        self.capacity = np.array(list(capacity.values()), dtype=float)
-        column = {key: j for j, key in enumerate(self.keys)}
-        flows = list(flows)
-        self.flow_ids = tuple(flow_id for flow_id, _, _ in flows)
-        self.demand = np.zeros(len(flows))
-        self.weight = np.zeros((len(flows), len(self.keys)))
-        for row, (flow_id, demand, weights) in enumerate(flows):
-            require_positive(demand, f"demand of flow {flow_id!r}")
-            require(
-                flow_id not in self.flow_ids[:row],
-                f"flow {flow_id!r} already registered",
+            raise ValueError(
+                f"resource {key!r} already registered with capacity "
+                f"{float(existing[first])}, refusing to change it to {value}"
             )
-            self.demand[row] = demand
-            for key, value in weights.items():
-                if value <= 0:
-                    continue
-                require(
-                    key in column,
-                    f"flow {flow_id!r} references unregistered resource {key!r}",
-                )
-                self.weight[row, column[key]] = value
+        self.keys = tuple(column)
+        last = np.append(~repeat[order[1:]], True)[: entry.size]  # each key's last entry
+        self.capacity = given[order[last]]
+        # Flows, then their terms (weights <= 0 dropped), checked row by row.
+        self.flow_ids = tuple(flow_id for flow_id, _ in flows)
+        self.demand = np.array([demand for _, demand in flows], dtype=float)
+        rows, term_keys, values = terms
+        values = np.asarray(values, dtype=float)
+        kept = np.flatnonzero(~(values <= 0)).tolist()
+        columns = [column.get(term_keys[t], -1) for t in kept]
+        missing = kept[columns.index(-1)] if -1 in columns else None
+        last_row = len(flows) - 1 if missing is None else rows[missing]
+        for row, (flow_id, demand) in enumerate(flows[: last_row + 1]):
+            require_positive(demand, f"demand of flow {flow_id!r}")
+            require(flow_id not in self.flow_ids[:row], f"flow {flow_id!r} already registered")
+        if missing is not None:
+            raise ValueError(
+                f"flow {self.flow_ids[last_row]!r} references unregistered resource "
+                f"{term_keys[missing]!r}"
+            )
+        self.weight = np.zeros((len(flows), len(self.keys)))
+        self.weight[np.asarray(rows, dtype=np.int64)[kept], columns] = values[kept]
         self.touches = self.weight > 0.0
         margin = _EPS * (1 + self.weight.sum(axis=0)) + (len(flows) + 2) ** 2 * 2.0**-52
         self.bind_floor = self.capacity * (1.0 - margin)

@@ -7,25 +7,34 @@ scenario job resolves to one (through
 co-runs, and :func:`job_plan` is the one TAPIOCA/MPI I/O dispatch from a
 spec to its model plan: a spec's stripe applies to its file unless the
 MPI I/O hints stripe it.
-:func:`bind_jobs` binds every spec to its allocation in one pass, producing
-:class:`Job` objects that carry the placement, the single-job (isolated)
-performance estimate that anchors the slowdown metric, and the weighted
-demands the contention ledger needs: one election over all jobs, one
-routing of all their flows, whose matrix both the flow analysis and the
-link weights read (their samples are row selections of it), and one
-fill-time pass.
+:func:`bind_jobs` binds every spec to its allocation in one columnar pass
+over the job list: the rank mappings of all allocations from one gather
+(:func:`~repro.topology.mapping.allocation_mappings`), then
+:func:`~repro.perfmodel.batch.estimate_plans` — one stacked partition
+table built once per distinct partition shape, one election over all
+jobs, every job's sender groups from one ``np.unique``, one routing of all
+their flows, whose matrix both the flow analysis and the link weights read
+(their samples are row selections of it), one fill-time pass and each
+method's phase terms as arrays over its jobs.  A :class:`Job` is one row
+of that pass: the runtime reads its isolated rate (the demand cap that
+anchors the slowdown metric), storage weights and link terms, and its
+isolated estimate, mapping and weight dictionaries are built only when
+read.  ``tests/reference/binding.py`` keeps the per-job binding it equals.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
+
+import numpy as np
 
 from repro.core.config import TapiocaConfig
 from repro.iolib.hints import MPIIOHints
 from repro.machine.machine import Machine
 from repro.machine.mira import MiraMachine
-from repro.perfmodel.batch import ModelPlan, estimate_plans
+from repro.perfmodel.batch import Estimates, ModelPlan, estimate_plans
 from repro.perfmodel.mpiio import MPIIOPlan
 from repro.perfmodel.results import IOEstimate
 from repro.perfmodel.tapioca import TapiocaPlan
@@ -33,7 +42,7 @@ from repro.storage.base import FileSystemModel
 from repro.storage.burst_buffer import BurstBufferModel
 from repro.storage.gpfs import GPFSModel
 from repro.storage.lustre import LustreModel, LustreStripeConfig
-from repro.topology.mapping import RankMapping, allocation_mapping
+from repro.topology.mapping import RankMapping, allocation_mappings
 from repro.utils.validation import require, require_non_negative, require_positive
 from repro.workloads.base import Workload
 
@@ -94,9 +103,13 @@ class JobSpec:
         return self.num_nodes * self.ranks_per_node
 
 
-@dataclass
 class Job:
-    """A spec bound to a concrete allocation on the shared machine.
+    """A spec bound to a concrete allocation on the shared machine: one row
+    of a :func:`bind_jobs` pass.
+
+    The runtime reads only :attr:`isolated_rate`, :attr:`storage_weights`
+    and :meth:`link_terms`; the other fields are built on first read from
+    the pass's columns.
 
     Attributes:
         spec: the declaring :class:`JobSpec`.
@@ -106,15 +119,50 @@ class Job:
             the baseline the per-job slowdown is measured against.
         storage_weights: ledger weights on storage resources.
         network_weights: ledger weights on interconnect links.
+        network_capacities: those links' bandwidths.
     """
 
-    spec: JobSpec
-    nodes: tuple[int, ...]
-    mapping: RankMapping
-    isolated: IOEstimate
-    storage_weights: dict[tuple, float] = field(default_factory=dict)
-    network_weights: dict[tuple, float] = field(default_factory=dict)
-    network_capacities: dict[tuple, float] = field(default_factory=dict)
+    def __init__(
+        self,
+        spec: JobSpec,
+        nodes: np.ndarray,
+        mapping: RankMapping,
+        estimates: Estimates,
+        row: int,
+        storage_weights: dict[tuple, float],
+    ) -> None:
+        self.spec, self.mapping, self.storage_weights = spec, mapping, storage_weights
+        self._nodes, self._estimates, self._row = nodes, estimates, row
+
+    @cached_property
+    def nodes(self) -> tuple[int, ...]:
+        return tuple(self._nodes.tolist())
+
+    @cached_property
+    def isolated(self) -> IOEstimate:
+        return self._estimates[self._row]
+
+    @cached_property
+    def network_weights(self) -> dict[tuple, float]:
+        keys, weights, _ = self.link_terms()
+        return dict(zip(keys, weights))
+
+    @cached_property
+    def network_capacities(self) -> dict[tuple, float]:
+        keys, _, capacities = self.link_terms()
+        return dict(zip(keys, capacities))
+
+    def link_terms(self) -> tuple[list[tuple], list[float], list[float]]:
+        """``("link", id)`` keys in first-traversal order, the order the
+        ledger registers them in, with their weights and bandwidths.  A link
+        that ``c`` of the job's ``f`` sampled flows cross carries ``c / f``
+        of its bytes (each byte crosses the network once)."""
+        loads = self._estimates.loads[self._row]
+        if loads is None or not loads.flows:
+            return [], [], []
+        total = float(loads.flows)
+        keys = [("link", link) for link in loads.ids]
+        return keys, [count / total for count in loads.counts], loads.bandwidths
 
     @property
     def name(self) -> str:
@@ -129,18 +177,12 @@ class Job:
     @property
     def isolated_rate(self) -> float:
         """The job's isolated end-to-end bandwidth (bytes/s); its demand cap."""
-        return self.isolated.bandwidth
+        return float(self._estimates.bandwidth[self._row])
 
     @property
     def ready_s(self) -> float:
         """Time the job's I/O phase becomes runnable."""
         return self.spec.arrival_s + self.spec.compute_s
-
-    def weights(self) -> dict[tuple, float]:
-        """Combined ledger weights (storage + network)."""
-        combined = dict(self.storage_weights)
-        combined.update(self.network_weights)
-        return combined
 
 
 def job_filesystem(machine: Machine, spec: JobSpec) -> FileSystemModel:
@@ -188,36 +230,21 @@ def storage_demand_weights(
 def bind_jobs(
     machine: Machine, specs: Sequence[JobSpec], allocations: Sequence[Sequence[int]]
 ) -> list[Job]:
-    """Bind every spec to its allocation in one ``estimate_plans`` pass; each
-    job equals binding its spec alone.  A link that ``c`` of a job's ``f``
-    sampled flows cross carries ``c / f`` of its bytes (each byte crosses
-    the network once): its weight, keyed ``("link", id)`` in first-traversal
-    order, the order the ledger registers them in."""
-    mappings = [
-        allocation_mapping(
-            spec.num_ranks, nodes, num_nodes=machine.num_nodes, ranks_per_node=spec.ranks_per_node
-        )
-        for spec, nodes in zip(specs, allocations)
-    ]
+    """Bind every spec to its allocation in one ``estimate_plans`` pass over
+    all the jobs; each job equals binding its spec alone."""
+    nodes = [np.asarray(allocation, dtype=np.int64) for allocation in allocations]
+    mappings = allocation_mappings(
+        [spec.num_ranks for spec in specs],
+        nodes,
+        num_nodes=machine.num_nodes,
+        ranks_per_node=[spec.ranks_per_node for spec in specs],
+    )
     plans = [job_plan(machine, spec, mapping) for spec, mapping in zip(specs, mappings)]
-    jobs = []
-    for spec, nodes, mapping, (isolated, loads) in zip(
-        specs, allocations, mappings, estimate_plans(machine, plans, loads=True)
-    ):
-        job = Job(
-            spec=spec,
-            nodes=tuple(int(n) for n in nodes),
-            mapping=mapping,
-            isolated=isolated,
-            storage_weights=storage_demand_weights(machine, spec, nodes),
-        )
-        if loads is not None and loads.flows:
-            keys = [("link", link) for link in loads.ids]
-            total = float(loads.flows)
-            job.network_weights = {key: count / total for key, count in zip(keys, loads.counts)}
-            job.network_capacities = dict(zip(keys, loads.bandwidths))
-        jobs.append(job)
-    return jobs
+    estimates = estimate_plans(machine, plans, loads=True)
+    return [
+        Job(spec, ids, mapping, estimates, row, storage_demand_weights(machine, spec, ids.tolist()))
+        for row, (spec, ids, mapping) in enumerate(zip(specs, nodes, mappings))
+    ]
 
 
 def job_plan(machine: Machine, spec: JobSpec, mapping: RankMapping | None = None) -> ModelPlan:

@@ -1,13 +1,15 @@
 """Fluid multi-job runtime: time-sliced co-execution of concurrent jobs.
 
 :class:`MultiJobRuntime` runs several simulated jobs against one machine.
-Every job is allocated nodes by a :class:`~repro.multijob.allocator.NodeAllocator`,
-then all are bound in one pass (:func:`~repro.multijob.job.bind_jobs`):
-each is estimated in isolation on exactly its allocation (the baseline) and
-becomes one row of a :class:`~repro.multijob.contention.ContentionLedger`,
-built once over the machine's shared storage surfaces (OSTs, LNET, I/O
-nodes, backend, burst-buffer drain) plus the interconnect links the jobs'
-aggregation traffic crosses.
+Building a runtime is one columnar pass over its job list: a
+:class:`~repro.multijob.allocator.NodeAllocator` grants every job its nodes
+in one walk over the free pool, :func:`~repro.multijob.job.bind_jobs` binds
+them all at once (each is estimated in isolation on exactly its allocation,
+the baseline), and every job becomes one row of a
+:class:`~repro.multijob.contention.ContentionLedger`, filled once from the
+jobs' ``(row, resource, weight)`` terms over the machine's shared storage
+surfaces (OSTs, LNET, I/O nodes, backend, burst-buffer drain) plus the
+interconnect links the jobs' aggregation traffic crosses.
 
 Execution is a fluid (rate-based) simulation advanced in time slices: within
 a slice the ledger's max-min fair rates are constant, so progress integrates
@@ -177,24 +179,34 @@ class MultiJobRuntime:
         resources = [(r.key, r.capacity) for r in machine.storage_resources(access)]
         registered = {key for key, _ in resources}
         # Allocation never reads a binding: allocate every job, then bind all.
-        allocations = [self.allocator.allocate(spec.name, spec.num_nodes).nodes for spec in specs]
+        allocations = self.allocator.allocate_all(names, [spec.num_nodes for spec in specs])
         self.jobs = bind_jobs(machine, specs, allocations)
-        for spec, job in zip(specs, self.jobs):
+        rows: list[int] = []
+        keys: list[tuple] = []
+        weights: list[float] = []
+        for row, (spec, job) in enumerate(zip(specs, self.jobs)):
             # Each job's links follow in first-traversal order, then the
             # resources of its file-system override (e.g. a shared burst
             # buffer) the machine model does not enumerate, registered by
             # the first job naming one.
-            resources += job.network_capacities.items()
-            registered.update(job.network_capacities)
+            links, link_weights, bandwidths = job.link_terms()
+            resources += zip(links, bandwidths)
+            registered.update(links)
             if spec.filesystem is not None:
                 for resource in spec.filesystem.shared_resources(access):
                     key = resource.key
                     if key in job.storage_weights and key not in registered:
                         resources.append((key, resource.capacity))
                         registered.add(key)
+            rows += [row] * (len(job.storage_weights) + len(links))
+            keys += job.storage_weights
+            keys += links
+            weights += job.storage_weights.values()
+            weights += link_weights
         self.ledger = ContentionLedger(
             resources,
-            [(job.name, job.isolated_rate, job.weights()) for job in self.jobs],
+            [(job.name, job.isolated_rate) for job in self.jobs],
+            (rows, keys, weights),
         )
 
     # ------------------------------------------------------------------ #

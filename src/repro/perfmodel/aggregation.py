@@ -78,3 +78,12 @@ def collective_time(machine: Machine, ranks: int) -> float:
         return 0.0
     steps = max(1, math.ceil(math.log2(ranks)))
     return steps * (2.0e-6 + machine.topology.latency() * 2.0)
+
+
+def collective_times(machine: Machine, ranks) -> np.ndarray:
+    """:func:`collective_time` of every entry of ``ranks``, one call per
+    distinct count."""
+    times: dict[int, float] = {}
+    return np.array(
+        [times[n] if n in times else times.setdefault(n, collective_time(machine, n)) for n in ranks]
+    )

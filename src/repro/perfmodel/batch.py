@@ -2,10 +2,18 @@
 
 TAPIOCA elects every partition's aggregator at the same moment, with one
 ``MPI_Allreduce(MINLOC)`` over ``C1 + C2``.  :func:`estimate_plans` binds
-any number of jobs (one :class:`ModelPlan` each) the same way: one election
-(:func:`~repro.core.placement.elect_partitions`), one routing of every flow
-(:func:`~repro.perfmodel.flows.analyze_jobs`) and one fill-time pass.  A
-single-job estimate is its one-plan call.
+any number of jobs (one :class:`ModelPlan` each) the same way, as one
+columnar pass over the job list: one partition table stacking every job's
+partitions (each distinct partition shape built once), one election
+(:func:`~repro.core.placement.elect_partitions`), the sender groups of
+every aggregator from one ``np.unique`` of ``(job, aggregator node)`` keys,
+one routing of every flow (:func:`~repro.perfmodel.flows.analyze_jobs`),
+one fill-time pass, and each method's phase terms as arrays over its jobs
+(``fill_rounds`` and ``finish`` of :class:`~repro.perfmodel.tapioca.TapiocaPlan`
+and :class:`~repro.perfmodel.mpiio.MPIIOPlan`).  The result,
+:class:`Estimates`, holds those terms as columns and builds a job's
+:class:`IOEstimate` (with its ``details``) only when it is read.  A
+single-job estimate is the one-plan call.
 
 The election and the flows depend on the machine, the rank mapping, the
 partition volumes and the strategy, and not on the buffer size, striping,
@@ -37,21 +45,22 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from contextvars import ContextVar
+from functools import cached_property
 from itertools import accumulate, chain
-from typing import Iterator, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from repro.core.cost_model import CandidateSets
-from repro.core.partitioning import Partitions
+from repro.core.partitioning import Partitions, offsets_of
 from repro.core.placement import elect_partitions
 from repro.core.topology_iface import TopologyInterface
 from repro.machine.machine import Machine
 from repro.obs import recorder as obs_recorder
 from repro.perfmodel.aggregation import fill_times
-from repro.perfmodel.common import build_context
+from repro.perfmodel.common import build_context, record_phases
 from repro.perfmodel.flows import FlowAnalysis, LinkLoads, analyze_jobs
-from repro.perfmodel.results import IOEstimate
+from repro.perfmodel.results import IOEstimate, PhaseBreakdown
 from repro.storage.lustre import LustreModel
 from repro.workloads.base import Workload
 
@@ -94,20 +103,52 @@ class Aggregation(NamedTuple):
     largest_active: int
 
 
+class Fills(NamedTuple):
+    """Every buffer fill one method's estimates need: the plan (its position
+    in the method's list) and aggregator group (its position in the plan's
+    ``senders``) of each fill, its bytes per round, and the state the
+    method's ``finish`` reads back."""
+
+    plan: np.ndarray
+    group: np.ndarray
+    round_bytes: np.ndarray
+    state: tuple
+
+
+class Terms(NamedTuple):
+    """One method's estimate terms over its plans, one entry per plan:
+    bytes moved, the four phase terms, aggregator and round counts, which
+    estimates record their phases on the recorder, and ``details(i)``,
+    which builds plan ``i``'s ``details`` dictionary."""
+
+    total_bytes: np.ndarray
+    aggregation: np.ndarray
+    io: np.ndarray
+    overhead: np.ndarray
+    overlapped: np.ndarray
+    num_aggregators: Sequence[int]
+    num_rounds: Sequence[int]
+    recorded: Sequence[bool]
+    details: Callable[[int], dict]
+
+
 class ModelPlan:
     """One job's analytic model, split around the shared passes.
 
-    ``partitions`` is ``None`` when no byte goes through an aggregator;
-    ``strategy`` is ``None`` when ``aggregator_ranks`` fixes each
-    partition's aggregator instead of an election.  Subclasses build both
-    on first use, so a memoised aggregation never builds them, and set
-    ``aggregation_inputs`` when those fix the aggregation (see
-    :meth:`memo_key`).  A subclass implements
-    ``fill_rounds(aggregation)``: the aggregator (its position in
-    ``senders``) and bytes per round of every buffer fill its
-    estimate needs, called once; and then
-    ``finish(aggregation, fills)``: the estimate, given those fill times
-    (``aggregation`` is ``None`` without partitions).
+    ``partitions`` is ``None`` when no byte goes through an aggregator
+    (``aggregates`` is false); ``strategy`` is ``None`` when
+    ``aggregator_ranks`` fixes each partition's aggregator instead of an
+    election.  Subclasses build both on first use, so a memoised
+    aggregation never builds them, and set ``aggregation_inputs`` when those
+    fix the aggregation (see :meth:`memo_key`).  A plan whose partitions
+    are contiguous rank blocks sets ``shape`` to its rank and block counts
+    and returns its per-rank bytes from ``rank_volumes()``: a batch builds
+    one table per shape and gives each plan its own volumes.  A subclass
+    implements two class methods over a list of its plans and their
+    aggregations (``None`` without partitions): ``fill_rounds(plans,
+    aggregations)``, the :class:`Fills` their estimates need, and
+    ``finish(plans, aggregations, state, fills)``, their :class:`Terms`
+    given those fills' times.
 
     ``label`` is the method name the estimate records and ``access``
     overrides the workload's direction; the other keywords go to
@@ -116,6 +157,8 @@ class ModelPlan:
     """
 
     partitions: Partitions | None = None
+    aggregates: bool = True
+    shape: tuple | None = None
     strategy: str | None = None
     seed: int | None = None
     aggregator_ranks: Sequence[int] | None = None
@@ -158,50 +201,113 @@ class ModelPlan:
         mapping = (context.num_ranks, context.ranks_per_node)
         return (self.machine, type(self), *mapping, *self.aggregation_inputs)
 
-    def estimate(self, **fields) -> IOEstimate:
-        """An :class:`IOEstimate` of this job's method, machine and workload."""
+
+class Estimates(Sequence[IOEstimate]):
+    """The estimates of a batch of plans, as columns over the plans.
+
+    ``estimates[i]`` builds plan ``i``'s :class:`IOEstimate` (a new one,
+    with its own ``details``) on each read; :attr:`bandwidth` is every
+    plan's :attr:`IOEstimate.bandwidth` at once and :attr:`loads` every
+    plan's link loads (``None`` without partitions or ``loads``).  The
+    estimates that record their phases do so here, in plan order.
+    """
+
+    def __init__(
+        self,
+        plans: Sequence[ModelPlan],
+        blocks: Sequence[tuple[np.ndarray, Terms]],
+        loads: list[LinkLoads | None],
+    ) -> None:
+        self._plans, self._blocks, self.loads = plans, blocks, loads
+        self._rows: list[tuple[Terms, int]] = [None] * len(plans)  # type: ignore[list-item]
+        for rows, terms in blocks:
+            for local, row in enumerate(rows.tolist()):
+                self._rows[row] = (terms, local)
+        record_phases(
+            self._phases(terms, local) for terms, local in self._rows if terms.recorded[local]
+        )
+
+    @staticmethod
+    def _phases(terms: Terms, local: int) -> tuple[float, float, float, float]:
+        return (
+            float(terms.aggregation[local]),
+            float(terms.io[local]),
+            float(terms.overhead[local]),
+            float(terms.overlapped[local]),
+        )
+
+    @cached_property
+    def bandwidth(self) -> np.ndarray:
+        """Bytes moved over exposed time (``aggregation + io + overhead``),
+        ``inf`` without exposed time, of every plan."""
+        bandwidth = np.empty(len(self._plans))
+        for rows, terms in self._blocks:
+            elapsed = terms.aggregation + terms.io + terms.overhead
+            with np.errstate(divide="ignore", invalid="ignore"):
+                bandwidth[rows] = np.where(elapsed > 0, terms.total_bytes / elapsed, np.inf)
+        return bandwidth
+
+    def __len__(self) -> int:
+        return len(self._plans)
+
+    def __getitem__(self, index: int) -> IOEstimate:  # type: ignore[override]
+        plan = self._plans[index]
+        terms, local = self._rows[index]
         return IOEstimate(
-            method=self.label,
-            machine=self.machine.name,
-            workload=self.context.workload.name,
-            access=self.access,
-            **fields,
+            method=plan.label,
+            machine=plan.machine.name,
+            workload=plan.context.workload.name,
+            access=plan.access,
+            total_bytes=float(terms.total_bytes[local]),
+            phases=PhaseBreakdown(*self._phases(terms, local)),
+            num_aggregators=int(terms.num_aggregators[local]),
+            num_rounds=int(terms.num_rounds[local]),
+            details=terms.details(local),
         )
 
 
 def estimate_plans(
     machine: Machine, plans: Sequence[ModelPlan], *, loads: bool = False
-) -> list[tuple[IOEstimate, LinkLoads | None]]:
-    """``(estimate, link loads)`` of every plan, from one pass of each shared
-    stage; the loads are ``None`` without partitions or ``loads``."""
+) -> Estimates:
+    """Every plan's estimate (and, with ``loads``, link loads), from one
+    pass of each shared stage."""
     bound = _aggregate(machine, plans, loads)
-    requests = [
-        plan.fill_rounds(aggregation) if aggregation else ([], [])
-        for plan, (aggregation, _) in zip(plans, bound)
-    ]
+    aggregations = [aggregation for aggregation, _ in bound]
+    kinds: dict[type, list[int]] = {}
+    for row, plan in enumerate(plans):
+        kinds.setdefault(type(plan), []).append(row)
+    requests = []
+    for kind, rows in kinds.items():
+        members = [plans[row] for row in rows]
+        found = [aggregations[row] for row in rows]
+        requests.append((np.asarray(rows), kind, members, found, kind.fill_rounds(members, found)))
     # Each fill reads its aggregator's (contention, bandwidth, distance,
     # senders) row of one table stacking every job's aggregators in order.
-    sizes = [len(a.senders) if a else 0 for a, _ in bound]
-    first = list(accumulate(sizes, initial=0))
-    rows = np.concatenate(
-        [np.asarray(groups, dtype=np.int64) + base for (groups, _), base in zip(requests, first)]
-    )
+    sizes = [len(a.senders) if a else 0 for a in aggregations]
+    first = np.asarray(list(accumulate(sizes, initial=0)), dtype=np.int64)
     table = chain.from_iterable(
         zip(a.flows.aggregator_contention.values(), a.flows.aggregator_min_bandwidth.values(),
             a.flows.aggregator_distance.values(), (len(senders) for _, senders in a.senders))
-        for a, _ in bound if a
+        for a in aggregations if a
     )
+    owner = np.concatenate([rows[fills.plan] for rows, *_, fills in requests])
+    group = np.concatenate([fills.group for *_, fills in requests])
+    ranks_per_node = np.array([plan.context.ranks_per_node for plan in plans], dtype=np.int64)
     times = fill_times(
         machine,
-        *np.fromiter(table, np.dtype((np.float64, 4)), first[-1])[rows].T,
-        np.concatenate([np.asarray(rounds, dtype=np.float64) for _, rounds in requests]),
-        np.repeat([plan.context.ranks_per_node for plan in plans], [len(g) for g, _ in requests]),
+        *np.fromiter(table, np.dtype((np.float64, 4)), int(first[-1]))[first[owner] + group].T,
+        np.concatenate([fills.round_bytes for *_, fills in requests]),
+        ranks_per_node[owner],
     )
-    bounds = list(accumulate((len(groups) for groups, _ in requests), initial=0))
-    return [
-        (plan.finish(aggregation, times[lo:hi]), link_loads)
-        for plan, (aggregation, link_loads), lo, hi in zip(plans, bound, bounds, bounds[1:])
-    ]
+    bounds = list(accumulate((fills.plan.size for *_, fills in requests), initial=0))
+    return Estimates(
+        plans,
+        [
+            (rows, kind.finish(members, found, fills.state, times[lo:hi]))
+            for (rows, kind, members, found, fills), lo, hi in zip(requests, bounds, bounds[1:])
+        ],
+        [link_loads for _, link_loads in bound],
+    )
 
 
 def _aggregate(
@@ -212,12 +318,12 @@ def _aggregate(
     memo = None if loads else _MEMO.get()
     keys = [plan.memo_key() for plan in plans] if memo is not None else [None] * len(plans)
     found = [memo.get(key) if key is not None else None for key in keys]
-    misses = [p for p, hit in zip(plans, found) if hit is None and p.partitions is not None]
+    misses = [p for p, hit in zip(plans, found) if hit is None and p.aggregates]
     fresh = iter(_bind(machine, misses, loads))
     bound = []
     for plan, key, hit in zip(plans, keys, found):
         link_loads = None
-        if hit is None and plan.partitions is not None:
+        if hit is None and plan.aggregates:
             hit, link_loads = next(fresh)
             if key is not None:
                 if len(memo) >= MAX_AGGREGATIONS:
@@ -234,15 +340,17 @@ def _aggregate(
 def _bind(
     machine: Machine, plans: list[ModelPlan], loads: bool
 ) -> list[tuple[Aggregation, LinkLoads | None]]:
-    """The election and flow table of plans with partitions."""
+    """The election and flow table of plans with partitions, as one pass
+    over the stacked partition table of them all."""
     if not plans:
         return []
-    sets = CandidateSets.by_node(
-        [plan.partitions for plan in plans],
-        [plan.context.mapping.nodes(plan.partitions.ranks) for plan in plans],
-    )
-    bounds = list(accumulate((len(plan.partitions) for plan in plans), initial=0))
+    stacked, tables = _partition_table(plans)
+    count = len(plans)
+    counts = np.fromiter(map(len, tables), dtype=np.int64, count=count)
+    bounds = offsets_of(counts).tolist()
     jobs = list(zip(plans, bounds, bounds[1:]))
+    job_of = np.repeat(np.arange(count), counts)
+    sets = CandidateSets.by_node(stacked, _rank_nodes(plans, tables, stacked))
     aggregator = np.empty(bounds[-1], dtype=np.int64)
     elected = [(p.strategy, p.seed, lo, hi) for p, lo, hi in jobs if p.strategy is not None]
     if elected:
@@ -252,37 +360,88 @@ def _bind(
     for plan, lo, hi in jobs:
         if plan.strategy is None:
             aggregator[lo:hi] = plan.context.mapping.nodes(plan.aggregator_ranks)
-    # Each aggregator node's senders: the union of its partitions' candidate
-    # nodes, in order of its first partition.
-    aggregator, nodes, offsets = aggregator.tolist(), sets.nodes.tolist(), sets.offsets.tolist()
-    patterns, groups = [], []
-    for _, lo, hi in jobs:
-        senders: dict[int, set[int]] = {}
-        for index in range(lo, hi):
-            senders.setdefault(aggregator[index], set()).update(
-                nodes[offsets[index] : offsets[index + 1]]
-            )
-        position = {node: group for group, node in enumerate(senders)}
-        groups.append(
-            _frozen(np.array([position[node] for node in aggregator[lo:hi]], dtype=np.int64))
-        )
-        patterns.append({node: sorted(group) for node, group in senders.items()})
+    # Each job's aggregator nodes, in order of their first partition, are
+    # its groups; a group's senders are the union of its partitions'
+    # candidate nodes, ascending: one sort of (group, node) keys.  (A plain
+    # ``np.unique`` would import ``numpy.ma`` on first use.)
+    span = int(max(aggregator.max(), sets.nodes.max())) + 1
+    _, first, inverse = np.unique(job_of * span + aggregator, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    group = rank[inverse.ravel()]
+    group_bounds = offsets_of(np.bincount(job_of[first[order]], minlength=count))
+    local = _frozen(group - group_bounds[job_of])
+    pairs = np.sort(group[sets.segments] * span + sets.nodes)
+    pairs = pairs[np.concatenate(([True], pairs[1:] != pairs[:-1]))]
+    senders_of, sender_nodes = np.divmod(pairs, span)
+    sender_bounds = offsets_of(np.bincount(senders_of, minlength=order.size)).tolist()
+    sender_nodes = sender_nodes.tolist()
+    senders = [sender_nodes[lo:hi] for lo, hi in zip(sender_bounds, sender_bounds[1:])]
+    group_nodes = aggregator[first[order]].tolist()
+    group_bounds = group_bounds.tolist()
+    patterns = [
+        dict(zip(group_nodes[lo:hi], senders[lo:hi]))
+        for lo, hi in zip(group_bounds, group_bounds[1:])
+    ]
     analyses, link_loads = analyze_jobs(machine.topology, patterns, loads=loads)
     totals = _frozen(sets.totals(sets.volumes))
+    moving = totals > 0
+    largest = np.zeros(count, dtype=np.int64)
+    np.maximum.at(largest, job_of[moving], stacked.sizes[moving])
+    aggregator = aggregator.tolist()
     return [
         (
             Aggregation(
-                totals[lo:hi],
-                tuple(aggregator[lo:hi]),
-                group,
-                flows.pattern,
-                flows,
-                int(plan.partitions.sizes[totals[lo:hi] > 0].max(initial=0)),
+                totals[lo:hi], tuple(aggregator[lo:hi]), local[lo:hi], flows.pattern, flows, top
             ),
             link_loads[i] if loads else None,
         )
-        for i, ((plan, lo, hi), group, flows) in enumerate(zip(jobs, groups, analyses))
+        for i, ((_, lo, hi), flows, top) in enumerate(zip(jobs, analyses, largest.tolist()))
     ]
+
+
+def _partition_table(plans: Sequence[ModelPlan]) -> tuple[Partitions, list[Partitions]]:
+    """Every plan's partitions as one stacked table, and each plan's own
+    table: plans with a ``shape`` share one build per distinct shape, with
+    their own volumes put back in the stack."""
+    built: dict[tuple, Partitions] = {}
+    tables = []
+    for plan in plans:
+        shape = plan.shape
+        table = built.get(shape) if shape is not None else None
+        if table is None:
+            table = plan.partitions
+            if shape is not None:
+                built[shape] = table
+        tables.append(table)
+    if len(plans) == 1:
+        return tables[0], tables
+    volumes = [
+        table.volumes if plan.shape is None else plan.rank_volumes()
+        for plan, table in zip(plans, tables)
+    ]
+    return Partitions.stack(tables, np.concatenate(volumes)), tables
+
+
+def _rank_nodes(
+    plans: Sequence[ModelPlan], tables: Sequence[Partitions], stacked: Partitions
+) -> np.ndarray:
+    """The node of every entry of the stacked table's ranks, from one gather
+    over every plan's mapping (a rank outside its plan's mapping raises the
+    :meth:`~repro.topology.mapping.RankMapping.nodes` error)."""
+    mappings = [plan.context.mapping for plan in plans]
+    if len(plans) == 1:
+        return mappings[0].nodes(stacked.ranks)
+    sizes = np.fromiter((m.num_ranks for m in mappings), dtype=np.int64, count=len(mappings))
+    job = np.repeat(np.arange(len(plans)), [table.ranks.size for table in tables])
+    ranks = stacked.ranks
+    outside = (ranks < 0) | (ranks >= sizes[job])
+    if outside.any():
+        first = int(np.flatnonzero(outside)[0])
+        mappings[job[first]].nodes(ranks[first : first + 1])
+    nodes = np.concatenate([mapping.node_of_rank for mapping in mappings])
+    return nodes[offsets_of(sizes)[job] + ranks]
 
 
 def _frozen(array: np.ndarray) -> np.ndarray:

@@ -3,10 +3,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 from repro.machine.machine import Machine
 from repro.obs import recorder as obs_recorder
-from repro.perfmodel.results import PhaseBreakdown
 from repro.storage.base import FileSystemModel
 from repro.storage.lustre import LustreModel, LustreStripeConfig
 from repro.topology.mapping import RankMapping, block_mapping
@@ -99,12 +99,14 @@ def is_aligned(value: int, unit: int) -> bool:
     return value % unit == 0
 
 
-def record_phases(phases: PhaseBreakdown) -> None:
-    """Accumulate one estimate's phase terms on the active recorder, so
-    ``repro profile`` prints one combined C1/C2/overhead breakdown next to
-    the host-side span times of the same phases, whichever model ran."""
+def record_phases(estimates: Iterable[tuple[float, float, float, float]]) -> None:
+    """Accumulate estimates' ``(aggregation, io, overhead, overlapped)``
+    phase terms, in order, on the active recorder, so ``repro profile``
+    prints one combined C1/C2/overhead breakdown next to the host-side span
+    times of the same phases, whichever model ran."""
     rec = obs_recorder()
     if rec is not None:
-        for phase in ("aggregation", "io", "overhead", "overlapped"):
-            rec.inc("model.phase_seconds", getattr(phases, phase), phase=phase)
-        rec.inc("model.estimates")
+        for terms in estimates:
+            for phase, seconds in zip(("aggregation", "io", "overhead", "overlapped"), terms):
+                rec.inc("model.phase_seconds", seconds, phase=phase)
+            rec.inc("model.estimates")

@@ -7,49 +7,32 @@ with the aggregation and I/O phases strictly serialised — and the per-call
 times are summed.  The aggregators come from the default (bridge-first /
 rank-order) policy, and the file-system penalties (stripe/block alignment,
 lock sharing) apply to whatever request sizes the per-call domains happen to
-produce.
+produce.  Without collective buffering every rank issues its own requests.
+
+Like :mod:`repro.perfmodel.tapioca`, the model is two class methods over a
+batch of plans (:meth:`MPIIOPlan.fill_rounds` and :meth:`MPIIOPlan.finish`),
+run by :func:`repro.perfmodel.batch.estimate_plans`: every (plan, call)
+pair is one entry of flat arrays, and each plan's per-call terms are summed
+call by call in order.
 """
 
 from __future__ import annotations
 
-import math
 from functools import cached_property
 
 import numpy as np
 
-from repro.core.partitioning import Partitions
+from repro.core.partitioning import Partitions, offsets_of
 from repro.iolib.aggregators import block_sizes, select_default_aggregators
 from repro.iolib.hints import MPIIOHints
 from repro.machine.machine import Machine
-from repro.perfmodel.aggregation import collective_time
-from repro.perfmodel.batch import Aggregation, ModelPlan, estimate_plans
-from repro.perfmodel.common import ModelContext, is_aligned, record_phases
-from repro.perfmodel.results import IOEstimate, PhaseBreakdown
+from repro.perfmodel.aggregation import collective_times
+from repro.perfmodel.batch import Fills, ModelPlan, Terms, estimate_plans
+from repro.perfmodel.common import is_aligned
+from repro.perfmodel.results import IOEstimate
 from repro.storage.base import IOPhaseProfile
 from repro.storage.gpfs import GPFSModel
 from repro.workloads.base import Workload
-
-
-def _independent_estimate(context: ModelContext, access: str) -> PhaseBreakdown:
-    """Model of independent (non-collective-buffered) I/O: every rank on its own."""
-    workload = context.workload
-    sizes = workload.segment_sizes_per_call()
-    phases = PhaseBreakdown()
-    unit = context.filesystem.alignment_unit()
-    for per_rank in sizes:
-        if per_rank == 0:
-            continue
-        profile = IOPhaseProfile(
-            total_bytes=float(per_rank) * workload.num_ranks,
-            streams=context.num_ranks,
-            request_size=float(per_rank),
-            access=access,
-            aligned=is_aligned(per_rank, unit),
-            shared_locks=False,
-            distinct_files=1,
-        )
-        phases.io += context.filesystem.phase_time(profile)
-    return phases
 
 
 class MPIIOPlan(ModelPlan):
@@ -79,12 +62,14 @@ class MPIIOPlan(ModelPlan):
             **options,
         )
         if not hints.collective_buffering:
+            self.aggregates = False
             return
         self.aggregator_policy = aggregator_policy
         self.num_aggregators = max(
             1, min(hints.resolve_cb_nodes(self.context.num_nodes), self.context.num_ranks)
         )
         self.aggregation_inputs = (aggregator_policy, self.num_aggregators)
+        self.shape = (self.context.num_ranks, self.num_aggregators)
 
     @cached_property
     def aggregator_ranks(self) -> list[int]:
@@ -107,83 +92,141 @@ class MPIIOPlan(ModelPlan):
             np.zeros(num_ranks, dtype=np.int64),
         )
 
-    def fill_rounds(self, aggregation: Aggregation) -> tuple[np.ndarray, np.ndarray]:
-        """Every aggregator's fill, once per collective call that moves bytes:
-        each call is split into file domains on its own."""
-        unit = self.context.filesystem.alignment_unit()
-        self._calls = []
-        for call_index, per_rank_bytes in enumerate(self.context.workload.segment_sizes_per_call()):
-            if per_rank_bytes == 0:
-                continue
-            domain_bytes = float(per_rank_bytes) * self.context.num_ranks / self.num_aggregators
-            rounds = max(1, math.ceil(domain_bytes / self.hints.cb_buffer_size))
-            round_bytes = domain_bytes / rounds
-            # Alignment of the baseline's flushes.  ROMIO's GPFS driver aligns
-            # its file domains to the GPFS block size, so on GPFS a round is
-            # aligned as long as it spans at least one block (this is what
-            # keeps the tuned MPI I/O competitive on Mira, Fig. 9).  The Lustre
-            # path splits the call range evenly, so it is aligned only when
-            # the arithmetic happens to work out — which it does not for
-            # HACC-IO's 38-byte records (Figs. 13-14).
-            if isinstance(self.context.filesystem, GPFSModel):
-                aligned = round_bytes >= unit
-            else:
-                aligned = is_aligned(int(round_bytes), unit) and is_aligned(int(domain_bytes), unit)
-            self._calls.append((call_index, per_rank_bytes, rounds, round_bytes, aligned))
-        count = len(aggregation.senders)
-        return np.tile(np.arange(count), len(self._calls)), np.repeat(
-            [call[3] for call in self._calls], count
-        )
+    def rank_volumes(self) -> np.ndarray:
+        """The blocks carry no volume."""
+        return np.zeros(self.context.num_ranks, dtype=np.int64)
 
-    def finish(self, aggregation: Aggregation | None, fills: np.ndarray) -> IOEstimate:
-        context, hints, access = self.context, self.hints, self.access
-        estimate = self.estimate(
-            total_bytes=float(context.workload.total_bytes()),
-            phases=PhaseBreakdown(),
-            num_aggregators=0,
-            num_rounds=0,
-            details={"per_call": []},
+    @classmethod
+    def fill_rounds(cls, plans: list, aggregations: list) -> Fills:
+        """Every aggregator's fill, once per collective call that moves bytes:
+        each call is split into file domains on its own.  Without collective
+        buffering a call's ranks write on their own and fill nothing."""
+        calls = [
+            [(k, size) for k, size in enumerate(p.context.workload.segment_sizes_per_call()) if size]
+            for p in plans
+        ]
+        plan = np.repeat(np.arange(len(plans)), [len(made) for made in calls])
+        per_rank = np.array([size for made in calls for _, size in made], dtype=np.int64)
+        num_ranks = np.array([p.context.num_ranks for p in plans], dtype=np.int64)[plan]
+        collective = np.array([a is not None for a in aggregations], dtype=bool)
+        num_aggregators = np.array(
+            [p.num_aggregators if a is not None else 1 for p, a in zip(plans, aggregations)],
+            dtype=np.int64,
+        )[plan]
+        buffer_size = np.array([p.hints.cb_buffer_size for p in plans], dtype=np.int64)[plan]
+        domain_bytes = per_rank.astype(np.float64) * num_ranks / num_aggregators
+        rounds = np.maximum(1, np.ceil(domain_bytes / buffer_size)).astype(np.int64)
+        round_bytes = domain_bytes / rounds
+        # Alignment of the baseline's flushes.  ROMIO's GPFS driver aligns
+        # its file domains to the GPFS block size, so on GPFS a round is
+        # aligned as long as it spans at least one block (this is what
+        # keeps the tuned MPI I/O competitive on Mira, Fig. 9).  The Lustre
+        # path splits the call range evenly, so it is aligned only when
+        # the arithmetic happens to work out — which it does not for
+        # HACC-IO's 38-byte records (Figs. 13-14).
+        units = [p.context.filesystem.alignment_unit() for p in plans]
+        gpfs = [isinstance(p.context.filesystem, GPFSModel) for p in plans]
+        aligned = [
+            round_size >= units[i]
+            if gpfs[i]
+            else is_aligned(int(round_size), units[i]) and is_aligned(int(domain), units[i])
+            for i, round_size, domain in zip(plan.tolist(), round_bytes.tolist(), domain_bytes.tolist())
+        ]
+        # Collective calls fill every aggregator of their plan, call by call.
+        width = np.array([len(a.senders) if a is not None else 0 for a in aggregations])
+        fills = width[plan] * collective[plan]
+        call = np.repeat(np.arange(plan.size), fills)
+        group = np.arange(call.size) - np.repeat(offsets_of(fills)[:-1], fills)
+        state = (calls, plan, per_rank, units, rounds, round_bytes, aligned, fills)
+        return Fills(plan[call], group, round_bytes[call], state)
+
+    @classmethod
+    def finish(cls, plans: list, aggregations: list, state: tuple, fills: np.ndarray) -> Terms:
+        """Each plan's phase terms, summed call by call: a collective call
+        costs its rounds of its slowest fill and of one flush per aggregator,
+        plus one offset exchange; an independent call, every rank's request
+        at once."""
+        calls, plan, per_rank, units, rounds, round_bytes, aligned, width = state
+        count, machine = len(plans), plans[0].machine
+        t_fill = np.zeros(plan.size)
+        filled = width > 0
+        if filled.any():
+            t_fill[filled] = np.maximum.reduceat(fills, offsets_of(width[filled])[:-1])
+        rounds_list, round_bytes_list, t_fill_list = (
+            rounds.tolist(), round_bytes.tolist(), t_fill.tolist()
         )
-        if aggregation is None:
-            estimate.phases = _independent_estimate(context, access)
-            return estimate
-        phases, num_aggregators = estimate.phases, self.num_aggregators
-        senders = aggregation.senders
-        for (call_index, per_rank_bytes, rounds, round_bytes, aligned), call_fills in zip(
-            self._calls, fills.reshape(len(self._calls), len(senders))
-        ):
-            t_fill = float(call_fills.max())
+        exchange = collective_times(machine, [p.context.num_ranks for p in plans]).tolist()
+        # Each plan's terms are added call by call, in call order.
+        aggregation, io, overhead = [0.0] * count, [0.0] * count, [0.0] * count
+        num_rounds = [0] * count
+        t_io_list = []
+        for c, (i, size) in enumerate(zip(plan.tolist(), per_rank.tolist())):
+            p = plans[i]
+            if aggregations[i] is None:
+                profile = IOPhaseProfile(
+                    total_bytes=float(size) * p.context.workload.num_ranks,
+                    streams=p.context.num_ranks,
+                    request_size=float(size),
+                    access=p.access,
+                    aligned=is_aligned(size, units[i]),
+                    shared_locks=False,
+                    distinct_files=1,
+                )
+                t_io_list.append(p.context.filesystem.phase_time(profile))
+                io[i] += t_io_list[c]
+                continue
             profile = IOPhaseProfile(
-                total_bytes=round_bytes * num_aggregators,
-                streams=num_aggregators,
-                request_size=max(1.0, round_bytes),
-                access=access,
-                aligned=aligned,
-                shared_locks=hints.shared_locks,
+                total_bytes=round_bytes_list[c] * p.num_aggregators,
+                streams=p.num_aggregators,
+                request_size=max(1.0, round_bytes_list[c]),
+                access=p.access,
+                aligned=aligned[c],
+                shared_locks=p.hints.shared_locks,
                 distinct_files=1,
             )
-            t_io = context.filesystem.phase_time(profile)
-            phases.aggregation += rounds * t_fill
-            phases.io += rounds * t_io
-            phases.overhead += collective_time(self.machine, context.num_ranks)
-            estimate.details["per_call"].append(
+            t_io_list.append(p.context.filesystem.phase_time(profile))
+            call_rounds = rounds_list[c]
+            aggregation[i] += call_rounds * t_fill_list[c]
+            io[i] += call_rounds * t_io_list[c]
+            overhead[i] += exchange[i]
+            num_rounds[i] = max(num_rounds[i], call_rounds)
+        bounds = offsets_of(np.bincount(plan, minlength=count)).tolist()
+
+        def details(i: int) -> dict:
+            found = aggregations[i]
+            if found is None:
+                return {"per_call": []}
+            per_call = [
                 {
                     "call": call_index,
                     "per_rank_bytes": per_rank_bytes,
-                    "rounds": rounds,
-                    "round_bytes": round_bytes,
-                    "aligned": aligned,
-                    "fill_time": t_fill,
-                    "io_time": t_io,
+                    "rounds": rounds_list[c],
+                    "round_bytes": round_bytes_list[c],
+                    "aligned": aligned[c],
+                    "fill_time": t_fill_list[c],
+                    "io_time": t_io_list[c],
                 }
-            )
-        estimate.details["contention"] = aggregation.flows.mean_contention()
-        estimate.details["aggregator_nodes"] = list(aggregation.aggregator_nodes)
-        estimate.details["senders_by_aggregator"] = dict(senders)
-        estimate.num_aggregators = num_aggregators
-        estimate.num_rounds = max((call[2] for call in self._calls), default=0)
-        record_phases(phases)
-        return estimate
+                for c, (call_index, per_rank_bytes) in zip(range(bounds[i], bounds[i + 1]), calls[i])
+            ]
+            return {
+                "per_call": per_call,
+                "contention": found.flows.mean_contention(),
+                "aggregator_nodes": list(found.aggregator_nodes),
+                "senders_by_aggregator": dict(found.senders),
+            }
+
+        collective = [found is not None for found in aggregations]
+        return Terms(
+            np.array([float(p.context.workload.total_bytes()) for p in plans]),
+            np.array(aggregation),
+            np.array(io),
+            np.array(overhead),
+            np.zeros(count),
+            [p.num_aggregators if on else 0 for p, on in zip(plans, collective)],
+            num_rounds,
+            collective,
+            details,
+        )
 
 
 def model_mpiio(
@@ -192,4 +235,4 @@ def model_mpiio(
     """Estimate the wall time of the MPI I/O baseline for a workload: the
     one-plan call of :func:`~repro.perfmodel.batch.estimate_plans`.  Options
     are those of :class:`MPIIOPlan`."""
-    return estimate_plans(machine, [MPIIOPlan(machine, workload, hints, **options)])[0][0]
+    return estimate_plans(machine, [MPIIOPlan(machine, workload, hints, **options)])[0]

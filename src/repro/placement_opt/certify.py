@@ -104,7 +104,6 @@ def problem_for_scenario(scenario: "Scenario") -> tuple[PlacementProblem, int]:
     certificate speaks about exactly the placement the analytic model
     elected.
     """
-    from repro.core.placement import place_aggregators
     from repro.core.topology_iface import TopologyInterface
     from repro.multijob.job import job_plan
     from repro.scenario.simulation import Simulation
@@ -124,10 +123,7 @@ def problem_for_scenario(scenario: "Scenario") -> tuple[PlacementProblem, int]:
     machine = simulation.machine
     plan = job_plan(machine, simulation.resolve())
     iface = TopologyInterface(machine, plan.context.mapping)
-    placement = place_aggregators(
-        plan.partitions, iface, strategy=plan.strategy, seed=plan.seed, granularity="node"
-    )
-    problem = PlacementProblem.from_placement(placement, iface)
+    problem = PlacementProblem.from_election(plan.partitions, iface, plan.strategy, plan.seed)
     return problem, machine.num_nodes
 
 

@@ -23,12 +23,12 @@ what the greedy per-partition election minimises; greedy can only be
 suboptimal when partitions share candidate nodes (boundary nodes of
 contiguous partitions whose size is not a whole number of nodes).
 
-A problem is built from a node-granularity placement
-(:meth:`PlacementProblem.from_placement`): its candidates are the
-placement's :class:`~repro.core.cost_model.CandidateSets`, costed from the
-election's own term tensors
-(:meth:`~repro.core.cost_model.AggregationCostModel.pair_terms`), and its
-greedy choice (:func:`greedy_choice`) is the node the placement elected in
+A problem is built from a node-granularity election
+(:meth:`PlacementProblem.from_election`): its candidates are the election's
+:class:`~repro.core.cost_model.CandidateSets`, costed from the election's
+own term tensors, gathered once per chunk
+(:meth:`~repro.core.cost_model.AggregationCostModel.chunk_terms`), and its
+greedy choice (:func:`greedy_choice`) is the node the election chose in
 each partition.
 """
 
@@ -40,7 +40,8 @@ from typing import Sequence
 import numpy as np
 
 from repro.core.cost_model import AggregationCostModel, CandidateSets
-from repro.core.placement import PlacementResult
+from repro.core.partitioning import Partitions
+from repro.core.placement import elect_partitions
 from repro.core.topology_iface import TopologyInterface
 from repro.utils.validation import require
 
@@ -119,27 +120,37 @@ class PlacementProblem:
         )
 
     @classmethod
-    def from_placement(
-        cls, placement: PlacementResult, iface: TopologyInterface
+    def from_election(
+        cls,
+        partitions: Partitions,
+        iface: TopologyInterface,
+        strategy: str,
+        seed: int | None = None,
     ) -> "PlacementProblem":
-        """The assignment problem behind a node-granularity placement.
+        """The assignment problem behind the node-granularity election of
+        ``partitions`` by ``strategy``.
 
-        Every candidate node of :attr:`PlacementResult.candidates` is costed
-        from the election's own term tensors
-        (:meth:`~repro.core.cost_model.AggregationCostModel.pair_terms`),
-        one kernel call per chunk of same-size partitions, and each
-        partition's ``elected`` position is the node the placement chose.
+        Every candidate node is costed from the election's own term
+        tensors (:meth:`~repro.core.cost_model.AggregationCostModel.chunk_terms`):
+        a topology-aware election hands over each chunk it costed, any
+        other strategy's candidates are costed chunk by chunk here, so
+        every chunk is gathered once.  Each partition's ``elected``
+        position is the node the election chose.
         """
-        sets = placement.candidates
-        lat_s, xfer_s = _split_costs(sets, iface)
+        sets = CandidateSets.of(partitions, iface, "node")
+        split = _SplitCosts(sets)
+        chosen, _ = elect_partitions(
+            sets, iface, [(strategy, seed, 0, len(partitions))], each_chunk=split.add
+        )
+        if strategy != "topology-aware":
+            for chunk in AggregationCostModel(iface).chunk_terms(sets):
+                split.add(*chunk)
+        lat_s, xfer_s = split.totals(iface)
         base_s = lat_s + xfer_s
-        # Each partition's candidates ascending by (base_s, node); the
-        # election's winner is the representative rank it reported.
+        # Each partition's candidates ascending by (base_s, node).
         order = np.lexsort((sets.nodes, base_s, sets.segments))
         position = np.empty_like(order)
         position[order] = np.arange(order.size)
-        winners = np.asarray(placement.aggregators, dtype=np.int64)
-        chosen = np.flatnonzero(sets.ranks == winners[sets.segments])
         elected = (position[chosen] - sets.offsets[:-1]).tolist()
         candidates = [
             CandidateCost(node=node, latency_s=lat, transfer_s=xfer)
@@ -183,27 +194,33 @@ def greedy_choice(problem: PlacementProblem) -> tuple[int, ...]:
     return tuple(part.elected for part in problem.partitions)
 
 
-def _split_costs(sets: CandidateSets, iface: TopologyInterface) -> tuple[np.ndarray, np.ndarray]:
-    """Per-candidate ``(latency_s, transfer_s)`` of node-granularity ``sets``.
+class _SplitCosts:
+    """Per-candidate ``(latency_s, transfer_s)`` of node-granularity
+    ``sets``, added up chunk by chunk from the election's term tensors.
 
     The producers of each candidate are summed in ascending node order
-    (candidate sets list them by representative rank, which may differ),
-    latency and transfer terms apart; accumulating down the producer axis
-    adds left to right.  C2, when the I/O locality is known, adds its hop
-    latency to one sum and its volume term to the other.
+    (candidate sets list them by representative rank, which may differ):
+    the tensors are reindexed along the producer axis, and accumulating
+    down it adds left to right, latency and transfer terms apart.
     """
-    model = AggregationCostModel(iface)
-    lat_s = np.zeros(sets.nodes.size)
-    xfer_s = np.zeros(sets.nodes.size)
-    for rows, columns in sets.chunks():
-        if rows.shape[1] == 1:
-            continue  # a lone candidate ships nothing
-        rows = np.take_along_axis(rows, np.argsort(sets.nodes[rows], axis=1), axis=1)
-        latency_terms, transfer_terms = model.pair_terms(sets, rows, columns)
-        lat_s[columns] = np.add.accumulate(latency_terms, axis=1)[:, -1, :]
-        xfer_s[columns] = np.add.accumulate(transfer_terms, axis=1)[:, -1, :]
-    if iface.io_locality_known():
-        totals = sets.totals(sets.volumes)[sets.segments]
-        lat_s = lat_s + iface.get_latency() * iface.io_distances(sets.nodes)
-        xfer_s = xfer_s + totals / iface.io_bandwidths(sets.nodes)
-    return lat_s, xfer_s
+
+    def __init__(self, sets: CandidateSets) -> None:
+        self.sets = sets
+        self.lat_s = np.zeros(sets.nodes.size)
+        self.xfer_s = np.zeros(sets.nodes.size)
+
+    def add(self, rows, columns, latency, transfer) -> None:
+        order = np.argsort(self.sets.nodes[rows], axis=1)[:, :, None]
+        for terms, total in ((latency, self.lat_s), (transfer, self.xfer_s)):
+            terms = np.take_along_axis(terms, order, axis=1)
+            total[columns] = np.add.accumulate(terms, axis=1)[:, -1, :]
+
+    def totals(self, iface: TopologyInterface) -> tuple[np.ndarray, np.ndarray]:
+        """Both sums; C2, when the I/O locality is known, adds its hop
+        latency to one and its volume term to the other."""
+        sets, lat_s, xfer_s = self.sets, self.lat_s, self.xfer_s
+        if iface.io_locality_known():
+            totals = sets.totals(sets.volumes)[sets.segments]
+            lat_s = lat_s + iface.get_latency() * iface.io_distances(sets.nodes)
+            xfer_s = xfer_s + totals / iface.io_bandwidths(sets.nodes)
+        return lat_s, xfer_s

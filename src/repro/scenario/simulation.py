@@ -101,20 +101,23 @@ def resolve_storage(
 
     Exactly one of the two is non-``None`` for non-default kinds: Lustre
     scenarios restripe the machine's own file system (via the ``stripe``
-    argument of the performance models), while GPFS and burst-buffer
-    scenarios substitute a file-system model.
+    argument of the performance models), so a machine whose file system is
+    not Lustre refuses them, while GPFS and burst-buffer scenarios
+    substitute a file-system model.
     """
     if spec.kind == "machine-default":
         return None, None
     if spec.kind == "lustre":
         filesystem = machine.filesystem()
-        ost_start = spec.ost_start
-        if isinstance(filesystem, LustreModel):
-            ost_start %= filesystem.num_osts
+        if not isinstance(filesystem, LustreModel):
+            raise ScenarioError(
+                f"storage kind 'lustre' stripes a Lustre file; machine "
+                f"{machine.name!r} has a {filesystem.name} file system"
+            )
         return None, LustreStripeConfig(
             stripe_count=spec.stripe_count,
             stripe_size=spec.stripe_size,
-            ost_start=ost_start,
+            ost_start=spec.ost_start % filesystem.num_osts,
         )
     if spec.kind == "gpfs":
         num_psets = getattr(machine, "num_psets", None)
@@ -287,7 +290,7 @@ class Simulation:
         if spec is None:
             spec = self.resolve()
         with obs_span("scenario.estimate", cat="scenario", method=spec.method):
-            return estimate_plans(self.machine, [job_plan(self.machine, spec)])[0][0]
+            return estimate_plans(self.machine, [job_plan(self.machine, spec)])[0]
 
     # -- multi-job path -----------------------------------------------------
 

@@ -559,13 +559,23 @@ class Scenario:
         return cls.from_dict(payload)
 
     def content_hash(self) -> str:
-        """SHA-256 digest of the canonical JSON form.
+        """SHA-256 digest of the canonical JSON form, computed once per
+        scenario (a frozen description hashes the same every time).
 
         Two scenarios with the same hash are by construction the same
         description; the evaluation daemon dedupes in-flight requests and
         the store caches evaluated results by this address.
         """
-        return payload_hash(self.to_dict())
+        digest = self.__dict__.get("_content_hash")
+        return digest if digest is not None else self.hashed_dict()[1]
+
+    def hashed_dict(self) -> tuple[dict, str]:
+        """:meth:`to_dict` and its :meth:`content_hash`, from one
+        serialisation, for callers that also store or ship the dict."""
+        payload = self.to_dict()
+        digest = payload_hash(payload)
+        object.__setattr__(self, "_content_hash", digest)
+        return payload, digest
 
     # -- overrides ----------------------------------------------------------
 

@@ -134,6 +134,7 @@ def allocation_mapping(
     ranks fill the allocation's nodes in order, but the node ids themselves
     are whatever the allocator handed out — scattered across the machine for
     the ``scattered`` policy, router-aligned for the topology-aware one.
+    The one-job call of :func:`allocation_mappings`.
 
     Args:
         num_ranks: number of MPI ranks of the job.
@@ -143,26 +144,65 @@ def allocation_mapping(
             machine-wide queries.
         ranks_per_node: ranks placed on each allocated node.
     """
-    require_positive(num_ranks, "num_ranks")
-    require_positive(ranks_per_node, "ranks_per_node")
-    node_list = [int(n) for n in nodes]
-    require(len(node_list) > 0, "allocation has no nodes")
-    require(
-        len(set(node_list)) == len(node_list),
-        "allocation contains duplicate node ids",
+    (mapping,) = allocation_mappings(
+        [num_ranks], [nodes], num_nodes=num_nodes, ranks_per_node=[ranks_per_node]
     )
-    require(
-        num_ranks <= len(node_list) * ranks_per_node,
-        f"{num_ranks} ranks do not fit on {len(node_list)} allocated nodes "
-        f"with {ranks_per_node} ranks per node",
+    return mapping
+
+
+def allocation_mappings(
+    num_ranks: Sequence[int],
+    allocations: Sequence[Sequence[int]],
+    *,
+    num_nodes: int | None = None,
+    ranks_per_node: Sequence[int],
+) -> list[RankMapping]:
+    """:func:`allocation_mapping` of every job of a list, from one gather
+    over all their allocations; each job is checked as if mapped alone, in
+    list order."""
+    arrays = [np.asarray(nodes, dtype=np.int64).ravel() for nodes in allocations]
+    count = len(arrays)
+    sizes = np.fromiter(map(len, arrays), dtype=np.int64, count=count)
+    starts = np.cumsum(sizes) - sizes
+    flat = np.concatenate(arrays) if count else np.zeros(0, dtype=np.int64)
+    job = np.repeat(np.arange(count), sizes)
+    # One sort of (job, node) pairs finds every job's repeated nodes.
+    order = np.lexsort((flat, job))
+    same = (flat[order[1:]] == flat[order[:-1]]) & (job[order[1:]] == job[order[:-1]])
+    duplicated = np.bincount(job[order[1:]][same], minlength=count) > 0
+    lows, peaks = np.zeros(count, dtype=np.int64), np.zeros(count, dtype=np.int64)
+    filled = sizes > 0
+    if filled.any():
+        lows[filled] = np.minimum.reduceat(flat, starts[filled])
+        peaks[filled] = np.maximum.reduceat(flat, starts[filled])
+    totals = peaks + 1 if num_nodes is None else np.full(count, int(num_nodes))
+    for index, (ranks, per_node) in enumerate(zip(num_ranks, ranks_per_node)):
+        size, total = int(sizes[index]), int(totals[index])
+        require_positive(ranks, "num_ranks")
+        require_positive(per_node, "ranks_per_node")
+        require(size > 0, "allocation has no nodes")
+        require(not duplicated[index], "allocation contains duplicate node ids")
+        require(
+            ranks <= size * per_node,
+            f"{ranks} ranks do not fit on {size} allocated nodes "
+            f"with {per_node} ranks per node",
+        )
+        require(
+            0 <= lows[index] and peaks[index] < total,
+            f"allocation node ids must be in [0, {total})",
+        )
+    # Rank r of a job fills node min(r // ranks_per_node, size - 1) of it.
+    counts = np.asarray(num_ranks, dtype=np.int64)
+    first = np.repeat(np.cumsum(counts) - counts, counts)
+    fill = np.minimum(
+        (np.arange(first.size) - first) // np.repeat(np.asarray(ranks_per_node), counts),
+        np.repeat(sizes - 1, counts),
     )
-    total = max(node_list) + 1 if num_nodes is None else int(num_nodes)
-    require(
-        all(0 <= n < total for n in node_list),
-        f"allocation node ids must be in [0, {total})",
-    )
-    fill = np.minimum(np.arange(num_ranks) // ranks_per_node, len(node_list) - 1)
-    return RankMapping(np.array(node_list, dtype=np.int64)[fill], total, ranks_per_node)
+    node_of_rank = np.split(flat[fill + np.repeat(starts, counts)], np.cumsum(counts)[:-1])
+    return [
+        RankMapping(nodes, int(total), int(per_node))
+        for nodes, total, per_node in zip(node_of_rank, totals.tolist(), ranks_per_node)
+    ]
 
 
 def random_mapping(

@@ -1,8 +1,10 @@
 """Scalar oracle for the topology-aware node allocator.
 
-:func:`topology_order` is the per-node grouping loop that
-:meth:`repro.multijob.allocator.NodeAllocator._topology_order` replaced with
-one batched key gather and one stable ``lexsort``.
+:func:`topology_order` is the per-node grouping loop of one grant; the
+allocator's walk (:meth:`repro.multijob.allocator.NodeAllocator.allocate_all`)
+grants every job from one grouping of the free pool and a heap of device
+groups, and each grant must be the head of this order over the pool the
+grants before it left.
 """
 
 from __future__ import annotations

@@ -8,7 +8,9 @@ loop that :class:`repro.multijob.runtime.MultiJobRuntime` runs over only the
 live jobs, solving when they change and folding the peak utilization of
 single-job resources once at the end.  Both visit flows in the caller's order
 and resources in registration order everywhere a float accumulates, so the
-``src/`` implementations must match them bit for bit.  :class:`ScalarLedger`
+``src/`` implementations must match them bit for bit.  :func:`ledger`
+builds a ledger from per-flow weight dictionaries, the form the tests
+write instances in.  :class:`ScalarLedger`
 reads the matrix ledger back into the plain dicts the loops walk, and
 :func:`utilization` gives the bandwidth a set of rates loads each resource
 with, for the conservation property tests.
@@ -26,6 +28,19 @@ from repro.multijob import runtime as multijob_runtime
 from repro.multijob.contention import _EPS, ContentionLedger
 from repro.multijob.runtime import _BYTES_EPS, _REL_BYTES_EPS, MultiJobRuntime
 from repro.utils.validation import require
+
+
+def ledger(
+    resources: Sequence[tuple[tuple, float]],
+    flows: Sequence[tuple[str, float, Mapping[tuple, float]]],
+) -> ContentionLedger:
+    """The :class:`ContentionLedger` of ``(flow_id, demand, weights)``
+    triples, each flow's weights a mapping from resource key to weight."""
+    flows = list(flows)
+    rows = [row for row, (_, _, weights) in enumerate(flows) for _ in weights]
+    keys = [key for _, _, weights in flows for key in weights]
+    values = [value for _, _, weights in flows for value in weights.values()]
+    return ContentionLedger(list(resources), [flow[:2] for flow in flows], (rows, keys, values))
 
 
 @dataclass(frozen=True)

@@ -250,6 +250,17 @@ class TestWorkflowShape:
         assert "if report != run_scalar(simulation.multijob_runtime()):" in gate[0]
         assert "assert not unequal" in gate[0]
 
+    def test_bench_job_gates_contention_mix_binding_on_the_per_job_oracle(self, workflow):
+        """Every seed-1 and seed-7 contention_mix runtime's columnar binding
+        must equal the per-job oracle: job fields, isolated rates, ledger."""
+        steps = workflow["jobs"]["bench"]["steps"]
+        gate = [s.get("run", "") for s in steps if s.get("name") == "Contention-mix oracle gate"]
+        assert gate, "the bench job must replay contention_mix through the oracle"
+        assert "from reference.binding import mismatches" in gate[0]
+        assert "for seed in (1, 7):" in gate[0]
+        assert "if mismatches(runtime):" in gate[0]
+        assert "assert not unbound" in gate[0]
+
     def test_bench_job_gates_on_the_des_roundtrip_digest(self, workflow):
         """The discrete-event engine must reproduce perfbench's committed
         des_roundtrip digests of seeds 1 and 7, and every write and read

@@ -64,7 +64,7 @@ def build_instance(rng, capacity_range, demand_range) -> ContentionLedger:
         for index in range(num_resources)
     ]
     _, flows = random_flows(rng, num_resources, num_flows, demand_range)
-    return ContentionLedger(resources, flows)
+    return reference.ledger(resources, flows)
 
 
 def assert_valid_max_min(ledger: ContentionLedger, rates) -> None:
@@ -129,11 +129,11 @@ class TestVectorisedEqualsScalar:
                 )
                 for index in range(int(rng.integers(1, 8)))
             ]
-            ledger = ContentionLedger([(("pipe",), float(rng.uniform(0.5, 10.0)))], flows)
+            ledger = reference.ledger([(("pipe",), float(rng.uniform(0.5, 10.0)))], flows)
             assert reference.allocate(ledger) == ledger.allocate().tolist()
 
     def test_iteration_count_equals_scalar(self):
-        ledger = ContentionLedger(
+        ledger = reference.ledger(
             [(("ost", 0), 4.0), (("ost", 1), 2.0)],
             [
                 ("a", 10.0, {("ost", 0): 1.0, ("ost", 1): 0.5}),
@@ -177,7 +177,7 @@ def near_threshold_instance(rng) -> tuple[ContentionLedger, dict, dict]:
     for key in rng.choice(len(near), size=int(rng.integers(1, len(near) + 1))):
         offset = float(rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-9.0, -5.0))
         caps[near[key]] = load[near[key]] / (1.0 + offset)
-    return ContentionLedger(list(caps.items()), flows), load, caps
+    return reference.ledger(list(caps.items()), flows), load, caps
 
 
 def candidates(ledger: ContentionLedger) -> np.ndarray:
@@ -223,7 +223,7 @@ class TestCandidateColumns:
         pipe = ("pipe",)
         demand = 5.0 * (1.0 - 1.5e-9)
         ledgers.append(
-            ContentionLedger([(pipe, 10.0)], [("a", demand, {pipe: 1.0}), ("b", demand, {pipe: 1.0})])
+            reference.ledger([(pipe, 10.0)], [("a", demand, {pipe: 1.0}), ("b", demand, {pipe: 1.0})])
         )
         bound_any = static_pruned = 0
         for ledger in ledgers:
@@ -260,7 +260,7 @@ class TestCandidateColumns:
             # Log-uniform demands, 0.01 to ~30.
             flows = [(flow_id, 10.0**exponent, w) for flow_id, exponent, w in flows]
             resources = [(key, float(rng.uniform(0.5, 10.0))) for key in keys]
-            ledger = ContentionLedger(resources, flows)
+            ledger = reference.ledger(resources, flows)
             assert candidates(ledger).all()
             solved, scalar = solve_both(ledger)
             assert solved == scalar
@@ -276,7 +276,7 @@ class TestCandidateColumns:
         pipe = ("pipe",)
 
         def run(demand):
-            ledger = ContentionLedger(
+            ledger = reference.ledger(
                 [(pipe, 10.0)], [("a", demand, {pipe: 1.0}), ("b", demand, {pipe: 1.0})]
             )
             bound: set = set()

@@ -105,6 +105,23 @@ class TestScenarioHashCache:
         assert record.scenario == real(scenario)
         assert evaluation.key == scenario.content_hash()
 
+    def test_without_a_store_the_key_is_hashed_on_first_read(self, monkeypatch):
+        """No store, no serialisation: the key is the content hash, computed
+        when first read and once per scenario."""
+        scenario = get_scenario("fig08", scale=SCALE)
+        calls = []
+        real = Scenario.to_dict
+
+        def counting(self):
+            calls.append(self.id)
+            return real(self)
+
+        monkeypatch.setattr(Scenario, "to_dict", counting)
+        evaluation = evaluate(scenario)
+        assert calls == []
+        assert evaluation.key == scenario.content_hash() == evaluation.key
+        assert calls == [scenario.id]
+
     def test_cache_is_shared_across_store_handles(self, tmp_path):
         scenario = get_scenario("fig08", scale=SCALE)
         evaluate(scenario, store=ArtifactStore(tmp_path))

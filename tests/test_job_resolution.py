@@ -16,7 +16,7 @@ import pytest
 from repro.autotune.defaults import as_tunable
 from repro.multijob.job import JobSpec
 from repro.scenario.simulation import Simulation
-from repro.scenario.spec import Scenario
+from repro.scenario.spec import Scenario, ScenarioError
 from repro.utils.units import MIB
 
 MACHINES = {
@@ -29,7 +29,12 @@ STORAGES = {
     "machine-default": {"kind": "machine-default"},
     "lustre": {"kind": "lustre", "stripe_count": 4, "stripe_size": MIB, "ost_start": 3},
 }
-CELLS = list(itertools.product(MACHINES, IO_KINDS, STORAGES))
+#: Mira's file system is GPFS: a ``lustre`` storage spec is refused there.
+CELLS = [
+    cell
+    for cell in itertools.product(MACHINES, IO_KINDS, STORAGES)
+    if cell[0] != "mira" or cell[2] != "lustre"
+]
 
 
 def _single(machine: str, io: str, storage: str) -> Scenario:
@@ -75,6 +80,17 @@ def test_single_job_prices_as_its_one_job_multijob_twin(cell):
     if scenario.io.kind.startswith("mpiio-"):
         tunable = Simulation(as_tunable(scenario)).estimate().elapsed
         assert elapsed.hex() == tunable.hex()
+
+
+@pytest.mark.parametrize("io", IO_KINDS)
+def test_a_lustre_stripe_on_a_machine_without_lustre_is_refused(io):
+    """The ``mira × lustre`` cells: the single job and its one-job twin are
+    both refused, naming Mira's GPFS, instead of dropping the stripe."""
+    scenario = _single("mira", io, "lustre")
+    with pytest.raises(ScenarioError, match="has a GPFS file system"):
+        Simulation(scenario).estimate()
+    with pytest.raises(ScenarioError, match="has a GPFS file system"):
+        Simulation(_as_one_job(scenario)).multijob_runtime()
 
 
 def test_single_and_multijob_resolve_to_the_same_spec():

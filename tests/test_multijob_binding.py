@@ -16,7 +16,7 @@ import pytest
 from repro.core.config import PLACEMENT_STRATEGIES, TapiocaConfig
 from repro.iolib.hints import MPIIOHints
 from repro.machine.theta import ThetaMachine
-from repro.multijob import JobSpec, MultiJobRuntime, bind_jobs
+from repro.multijob import JobSpec, MultiJobRuntime, NodeAllocator, bind_jobs
 from repro.multijob.job import job_filesystem, storage_demand_weights
 from repro.perfmodel.flows import MAX_SAMPLED_FLOWS, analyze_jobs
 from repro.perfmodel.mpiio import model_mpiio
@@ -26,6 +26,7 @@ from repro.storage.burst_buffer import BurstBufferModel
 from repro.topology.mapping import allocation_mapping
 from repro.utils.units import MB, MIB
 from repro.workloads.ior import IORWorkload
+from reference import binding as reference_binding
 from reference import demands as reference_demands
 from reference import flows as reference_flows
 
@@ -102,6 +103,56 @@ def _payload(seed: int, *, mira: bool = False) -> dict:
 
 
 PAYLOADS = [_payload(seed) for seed in range(6)] + [_payload(seed, mira=True) for seed in range(3)]
+
+
+def _mix_payload(seed: int, num_jobs: int, policy: str) -> dict:
+    """A contention_mix-shaped deck: ``num_jobs`` TAPIOCA jobs of 2-8 nodes
+    on a shared 1024-node Theta, on narrow overlapping Lustre stripes or
+    shared burst buffers."""
+    rng = random.Random(seed)
+    jobs = []
+    for index in range(num_jobs):
+        workload = {
+            "kind": rng.choice(("ior", "hacc")),
+            "access": rng.choice(("write", "read")),
+            "bytes_per_rank": rng.choice((1, 2, 4, 8)) * 1_000_000,
+            "particles_per_rank": rng.choice((5_000, 25_000, 50_000)),
+            "layout": rng.choice(("aos", "soa")),
+        }
+        if rng.random() < 0.15:
+            storage = {
+                "kind": "burst-buffer",
+                "name": f"bb{rng.randint(0, 1)}",
+                "drain_gbps": rng.choice((1.0, 2.0, 4.0)),
+            }
+        else:
+            storage = {
+                "kind": "lustre",
+                "stripe_count": rng.choice((2, 4, 8)),
+                "ost_start": rng.randrange(56),
+            }
+        jobs.append(
+            {
+                "name": f"J{index}",
+                "num_nodes": rng.randint(2, 8),
+                "workload": workload,
+                "io": {
+                    "kind": "tapioca",
+                    "num_aggregators": rng.choice((1, 2, 4, 8)),
+                    "buffer_size": rng.choice((4, 8, 16)) * MIB,
+                },
+                "storage": storage,
+                "arrival_s": round(rng.uniform(0.0, 3.0), 3),
+            }
+        )
+    return {
+        "id": f"binding/mix/{seed}",
+        "machine": {"kind": "theta", "num_nodes": 1024},
+        "multijob": {"jobs": jobs, "allocation_policy": policy},
+    }
+
+
+MIX_PAYLOADS = [_mix_payload(1, 64, "scattered"), _mix_payload(2, 96, "topology-aware")]
 
 
 def _clear_flow_cache(machine) -> None:
@@ -212,6 +263,31 @@ def test_one_pass_binding_equals_binding_each_spec_alone(payload):
         job.isolated.details for job in runtime.jobs
     ]
     assert again.ledger.keys == runtime.ledger.keys
+
+
+@pytest.mark.parametrize("payload", PAYLOADS + MIX_PAYLOADS, ids=lambda payload: payload["id"])
+def test_columnar_binding_equals_the_per_job_oracle(payload):
+    """Every field of every bound job (floats as hex), its isolated rate,
+    and the ledger's keys, capacities, demands, weights and bindable
+    columns equal the per-job oracle's (``tests/reference/binding.py``)."""
+    simulation = Simulation(Scenario.from_dict(payload))
+    runtime = simulation.multijob_runtime()
+    assert len(runtime.jobs) == len(payload["multijob"]["jobs"])
+    assert reference_binding.mismatches(runtime) == []
+
+
+def test_the_allocation_walk_equals_one_grant_per_job():
+    """``allocate_all`` is one walk over the pool; granting the jobs one at
+    a time gives each the same nodes."""
+    for payload in PAYLOADS + MIX_PAYLOADS:
+        simulation = Simulation(Scenario.from_dict(payload))
+        specs = simulation.job_specs()
+        runtime = MultiJobRuntime(
+            simulation.machine, specs, allocation_policy=payload["multijob"]["allocation_policy"]
+        )
+        one_by_one = NodeAllocator(simulation.machine, payload["multijob"]["allocation_policy"])
+        for spec, job in zip(specs, runtime.jobs):
+            assert one_by_one.allocate(spec.name, spec.num_nodes).nodes == job.nodes
 
 
 def _interleaved_jobs():

@@ -18,7 +18,7 @@ def build_random_instance(rng, num_resources: int, num_flows: int) -> Contention
         )
         weights = {keys[k]: float(rng.uniform(0.05, 1.0)) for k in touched}
         flows.append((f"flow{flow_index}", float(rng.uniform(0.1, 30.0)), weights))
-    return ContentionLedger(resources, flows)
+    return reference.ledger(resources, flows)
 
 
 def rates_by_flow(ledger: ContentionLedger, rows=None) -> dict:
@@ -29,7 +29,7 @@ def rates_by_flow(ledger: ContentionLedger, rows=None) -> dict:
 
 def pipe_ledger(capacity, *demands) -> ContentionLedger:
     """Flows ``a``, ``b``, ... with the given demands on one pipe."""
-    return ContentionLedger(
+    return reference.ledger(
         [(("pipe",), capacity)],
         [(chr(ord("a") + i), demand, {("pipe",): 1.0}) for i, demand in enumerate(demands)],
     )
@@ -83,7 +83,7 @@ class TestLedgerProperties:
         assert rates["c"] == pytest.approx(4.5)
 
     def test_disjoint_resources_do_not_interact(self):
-        ledger = ContentionLedger(
+        ledger = reference.ledger(
             [(("ost", 0), 2.0), (("ost", 1), 2.0)],
             [("a", 5.0, {("ost", 0): 1.0}), ("b", 5.0, {("ost", 1): 1.0})],
         )
@@ -93,7 +93,7 @@ class TestLedgerProperties:
 
     def test_weighted_demand_consumes_proportionally(self):
         """A file striped over two OSTs puts half its rate on each."""
-        ledger = ContentionLedger(
+        ledger = reference.ledger(
             [(("ost", 0), 1.0), (("ost", 1), 1.0)],
             [("a", 100.0, {("ost", 0): 0.5, ("ost", 1): 0.5})],
         )
@@ -113,23 +113,23 @@ class TestLedgerProperties:
 class TestLedgerValidation:
     def test_rejects_capacity_change(self):
         pipe = ("pipe",)
-        ledger = ContentionLedger([(pipe, 4.0), (pipe, 4.0)], [])  # idempotent
+        ledger = reference.ledger([(pipe, 4.0), (pipe, 4.0)], [])  # idempotent
         assert ledger.keys == (pipe,)
         with pytest.raises(ValueError):
-            ContentionLedger([(pipe, 4.0), (pipe, 5.0)], [])
+            reference.ledger([(pipe, 4.0), (pipe, 5.0)], [])
 
     def test_rejects_unknown_resource_and_duplicate_flow(self):
         pipe = [(("pipe",), 4.0)]
         with pytest.raises(ValueError):
-            ContentionLedger(pipe, [("a", 1.0, {("nope",): 1.0})])
-        ContentionLedger(pipe, [("a", 1.0, {("pipe",): 1.0})])
+            reference.ledger(pipe, [("a", 1.0, {("nope",): 1.0})])
+        reference.ledger(pipe, [("a", 1.0, {("pipe",): 1.0})])
         with pytest.raises(ValueError):
-            ContentionLedger(
+            reference.ledger(
                 pipe, [("a", 1.0, {("pipe",): 1.0}), ("a", 1.0, {("pipe",): 1.0})]
             )
 
     def test_sharing(self):
-        ledger = ContentionLedger(
+        ledger = reference.ledger(
             [(("ost", 0), 1.0), (("ost", 1), 1.0)],
             [
                 ("a", 1.0, {("ost", 0): 1.0, ("ost", 1): 1.0}),

@@ -88,18 +88,32 @@ class TestNodeAllocator:
         ids=["theta", "mira-128", "mira-16", "fat-tree"],
     )
     def test_topology_order_matches_the_scalar_grouping(self, machine):
-        """Fragmented free pools: scattered grants punch holes first."""
-        rng = random.Random(machine.num_nodes)
-        allocator = NodeAllocator(machine, "scattered")
-        for index in range(6):
-            allocator.allocate(f"hole{index}", rng.randint(1, machine.num_nodes // 12))
-        allocator.policy = "topology-aware"
+        """Fragmented free pools: scattered grants punch holes first.  Each
+        topology-aware grant, one at a time or in one walk of several, is
+        the head of the scalar grouping of the pool the grants before it
+        left."""
+
+        def fragmented():
+            rng = random.Random(machine.num_nodes)
+            allocator = NodeAllocator(machine, "scattered")
+            for index in range(6):
+                allocator.allocate(f"hole{index}", rng.randint(1, machine.num_nodes // 12))
+            allocator.policy = "topology-aware"
+            return allocator, rng
+
+        allocator, rng = fragmented()
+        names, sizes, expected = [], [], []
         for index in range(4):
             free = allocator._free.tolist()
-            expected = reference_topology_order(machine, free)
-            assert allocator._free[allocator._topology_order()].tolist() == expected
+            order = reference_topology_order(machine, free)
             size = rng.randint(1, len(free) // 4)
-            assert allocator.allocate(f"job{index}", size).nodes == tuple(expected[:size])
+            assert allocator.allocate(f"job{index}", size).nodes == tuple(order[:size])
+            names.append(f"job{index}")
+            sizes.append(size)
+            expected.append(order[:size])
+        walk, _ = fragmented()
+        assert [nodes.tolist() for nodes in walk.allocate_all(names, sizes)] == expected
+        assert walk._free.tolist() == allocator._free.tolist()
 
     def test_rejects_duplicate_and_oversized_requests(self):
         machine = ThetaMachine(16)

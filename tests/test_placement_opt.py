@@ -6,11 +6,14 @@ from types import SimpleNamespace
 
 import pytest
 
+from repro.core.cost_model import CandidateSets
+from repro.core.topology_iface import TopologyInterface
 from repro.experiments.results import (
     ExperimentResult,
     Series,
     format_optimality_gap,
 )
+from repro.multijob.job import job_plan
 from repro.placement_opt import (
     CandidateCost,
     PartitionCandidates,
@@ -130,6 +133,29 @@ class TestProblem:
         problem, _machine_nodes = problem_for_scenario(scenario)
         elected = Simulation(scenario).estimate().details["aggregator_nodes"]
         assert list(problem.choice_nodes(greedy_choice(problem))) == elected
+
+    @pytest.mark.parametrize("strategy", ("topology-aware", "rank-order"))
+    def test_one_pair_metrics_gather_per_certified_chunk(self, monkeypatch, strategy):
+        """The problem reuses the election's term tensors: every chunk of
+        the candidate sets is gathered once, whichever strategy elected."""
+        scenario = get_scenario("placement_optimality", scale=1.0).with_overrides(
+            {"placement.strategy": strategy}
+        )
+        simulation = Simulation(scenario)
+        plan = job_plan(simulation.machine, simulation.resolve())
+        iface = TopologyInterface(simulation.machine, plan.context.mapping)
+        sets = CandidateSets.of(plan.partitions, iface, "node")
+        chunks = sum(rows.shape[1] > 1 for rows, _ in sets.chunks())
+        gathers = []
+        pair_metrics = TopologyInterface.pair_metrics
+
+        def counting(self, sources, targets):
+            gathers.append(sources.shape)
+            return pair_metrics(self, sources, targets)
+
+        monkeypatch.setattr(TopologyInterface, "pair_metrics", counting)
+        problem_for_scenario(scenario)
+        assert chunks > 1 and len(gathers) == chunks
 
     def test_scenario_problem_matches_machine_and_greedy_election(self):
         scenario = get_scenario("placement_optimality", scale=8.0)

@@ -100,6 +100,39 @@ class TestBackendContract:
         )
 
 
+class TestRecordEncoding:
+    """Cache records (scenario results, tuning points) are written as sorted
+    compact JSON; experiment artifacts and the manifest stay indented."""
+
+    def test_records_are_compact_and_artifacts_indented(self, backend):
+        store = ArtifactStore("store", backend)
+        store.save_scenario_result("ab" * 32, {"id": "s"}, make_result("s").to_dict(), 0.5)
+        store.save_tuning_point("cd" * 32, {"value": 1.0})
+        store.save(make_result("fig00"), scale=8.0, wall_time_s=0.1)
+        for key in backend.keys(""):
+            text = backend.get(key)
+            if key.endswith("manifest.json") or "fig00" in key:
+                assert text.startswith("{\n  "), key
+            else:
+                assert "\n" not in text and ": " not in text and ", " not in text, key
+                assert text == json.dumps(json.loads(text), sort_keys=True, separators=(",", ":"))
+
+    def test_an_indented_record_still_loads_as_a_hit(self, backend):
+        """A record written indented (as earlier versions wrote every record)
+        is served, equal to its compact twin."""
+        store = ArtifactStore("store", backend)
+        result = make_result("s").to_dict()
+        store.save_scenario_result("ab" * 32, {"id": "s"}, result, 0.5)
+        store.save_tuning_point("cd" * 32, {"value": 1.0})
+        compact = (store.load_scenario_result("ab" * 32), store.load_tuning_point("cd" * 32))
+        for key in backend.keys(""):
+            if "ab" * 32 in key or "cd" * 32 in key:
+                backend.put(key, json.dumps(json.loads(backend.get(key)), indent=2, sort_keys=True))
+        indented = (store.load_scenario_result("ab" * 32), store.load_tuning_point("cd" * 32))
+        assert indented == compact and None not in indented
+        assert indented[0].result == result
+
+
 class TestOpenBackend:
     def test_plain_path_is_directory(self, tmp_path):
         assert isinstance(open_backend(tmp_path / "a"), DirectoryBackend)
