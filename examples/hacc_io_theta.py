@@ -19,7 +19,7 @@ from repro.perfmodel import model_mpiio, model_tapioca
 from repro.storage.lustre import LustreStripeConfig
 from repro.utils.tables import Table
 from repro.utils.units import MIB
-from repro.workloads import HACCIOWorkload, hacc_particle_size
+from repro.workloads import HACC_PARTICLE_SIZE, HACCIOWorkload
 
 NUM_NODES = int(sys.argv[1]) if len(sys.argv) > 1 else 1024
 RANKS_PER_NODE = 16
@@ -55,7 +55,7 @@ table = Table(
 
 for particles in PARTICLE_COUNTS:
     num_ranks = NUM_NODES * RANKS_PER_NODE
-    row = [round(particles * hacc_particle_size() / 1e6, 2)]
+    row = [round(particles * HACC_PARTICLE_SIZE / 1e6, 2)]
     for layout in ("aos", "soa"):
         workload = HACCIOWorkload(num_ranks, particles, layout=layout)
         tapioca = model_tapioca(machine, workload, config, stripe=stripe)

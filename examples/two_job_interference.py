@@ -17,22 +17,21 @@ import sys
 from repro.core.config import TapiocaConfig
 from repro.machine.theta import ThetaMachine
 from repro.multijob import JobSpec, MultiJobRuntime
+from repro.storage.lustre import LustreStripeConfig
 from repro.utils.units import MB, MIB
 from repro.workloads.ior import IORWorkload
 
 STRIPE_COUNT = 2
 
 
-def job(machine: ThetaMachine, name: str, num_nodes: int, ost_start: int) -> JobSpec:
+def job(name: str, num_nodes: int, ost_start: int) -> JobSpec:
     ranks = num_nodes * 16
     return JobSpec(
         name=name,
         num_nodes=num_nodes,
         workload=IORWorkload(ranks, 4 * MB),
         config=TapiocaConfig(num_aggregators=min(32, ranks), buffer_size=8 * MIB),
-        stripe=machine.stripe_for_job(
-            ost_start=ost_start, stripe_count=STRIPE_COUNT, stripe_size=8 * MIB
-        ),
+        stripe=LustreStripeConfig(STRIPE_COUNT, 8 * MIB, ost_start=ost_start),
     )
 
 
@@ -47,8 +46,8 @@ def main() -> None:
         runtime = MultiJobRuntime(
             machine,
             [
-                job(machine, "A", nodes_per_job, starts[0]),
-                job(machine, "B", nodes_per_job, starts[1]),
+                job("A", nodes_per_job, starts[0]),
+                job("B", nodes_per_job, starts[1]),
             ],
         )
         report = runtime.run()

@@ -30,7 +30,6 @@ from repro.autotune.space import (
     AutotuneError,
     Categorical,
     Domain,
-    IntRange,
     Linked,
     LogBytes,
     SearchSpace,
@@ -48,7 +47,6 @@ __all__ = [
     "AutotuneError",
     "Domain",
     "Categorical",
-    "IntRange",
     "LogBytes",
     "Linked",
     "linked",

@@ -77,15 +77,6 @@ class Categorical(Domain):
     """An explicit unordered choice set (policies, booleans, kinds)."""
 
 
-class IntRange(Domain):
-    """Consecutive integers ``low..high`` (inclusive), optionally strided."""
-
-    def __init__(self, field: str, low: int, high: int, *, step: int = 1) -> None:
-        require(step > 0, f"step must be positive, got {step}")
-        require(low <= high, f"empty integer range {low}..{high} for {field!r}")
-        super().__init__(field, tuple(range(int(low), int(high) + 1, int(step))))
-
-
 class LogBytes(Domain):
     """Log-scaled byte sizes ``low, low*factor, ...`` up to ``high`` (inclusive)."""
 

@@ -48,7 +48,7 @@ from repro.core.placement import PlacementResult, place_aggregators
 from repro.core.topology_iface import TopologyInterface
 from repro.machine.machine import Machine
 from repro.obs import elapsed_s, now, recorder as obs_recorder, span as obs_span
-from repro.storage.lustre import LustreModel, LustreStripeConfig
+from repro.storage.lustre import LustreStripeConfig
 from repro.topology.mapping import RankMapping
 from repro.utils.validation import require, require_positive
 from repro.workloads.base import Segment, Workload
@@ -395,8 +395,9 @@ class Tapioca:
             placement strategy, pipeline depth...).
         ranks_per_node: MPI ranks per node (defaults to the machine's usual).
         mapping: explicit rank-to-node mapping (defaults to block mapping).
-        stripe: optional Lustre striping for the output file; refused on a
-            machine whose file system is not Lustre.
+        stripe: optional Lustre striping for the output file; refused here,
+            with a ``ValueError``, on a machine whose file system is not
+            Lustre (see :func:`~repro.perfmodel.common.resolve_filesystem`).
     """
 
     def __init__(
@@ -408,19 +409,16 @@ class Tapioca:
         mapping: RankMapping | None = None,
         stripe: LustreStripeConfig | None = None,
     ) -> None:
-        filesystem = machine.filesystem()
-        if stripe is not None and not isinstance(filesystem, LustreModel):
-            raise ValueError(
-                "a Lustre stripe configuration was given but the machine's "
-                f"file system is {filesystem.name}"
-            )
+        from repro.perfmodel.common import resolve_filesystem
+
+        #: The output file's file system, resolved once at construction.
+        self.filesystem = resolve_filesystem(machine, stripe=stripe)
         self.machine = machine
         self.config = config or TapiocaConfig()
         self.ranks_per_node = (
             machine.default_ranks_per_node if ranks_per_node is None else ranks_per_node
         )
         machine.validate_ranks_per_node(self.ranks_per_node)
-        self.stripe = stripe
         self._explicit_mapping = mapping
         self.workload: Workload | None = None
         self._plan: TapiocaPlan | None = None
@@ -441,7 +439,7 @@ class Tapioca:
             self.config,
             ranks_per_node=self.ranks_per_node,
             mapping=self._explicit_mapping,
-            stripe=self.stripe,
+            filesystem=self.filesystem,
         )
         self.workload = workload
         return self

@@ -333,12 +333,14 @@ def ablation_burst_buffer(
     absorbing it into node-local SSD burst buffers first (the decision logic
     of :mod:`repro.core.memory`).
     """
+    from repro.perfmodel.common import resolve_filesystem
     from repro.storage.lustre import LustreStripeConfig
 
     base = ablation_burst_buffer_scenario(scale).with_overrides(overrides)
     machine = Simulation(base).machine
-    lustre = machine.filesystem().with_stripe(
-        LustreStripeConfig(base.storage.stripe_count, base.storage.stripe_size)
+    lustre = resolve_filesystem(
+        machine,
+        stripe=LustreStripeConfig(base.storage.stripe_count, base.storage.stripe_size),
     )
     aggregators = base.storage.num_devices
     burst, _stripe = resolve_storage(base.storage, machine)

@@ -38,7 +38,7 @@ from repro.scenario.spec import (
 from repro.scenario.sweep import Sweep, axis
 from repro.utils.scaling import scaled_nodes
 from repro.utils.units import MB, MIB
-from repro.workloads.hacc import hacc_particle_size
+from repro.workloads.hacc import HACC_PARTICLE_SIZE
 
 #: Data sizes per rank (bytes) swept by the IOR/microbenchmark figures.
 IOR_SIZES = [int(0.2 * MB), int(0.5 * MB), 1 * MB, 2 * MB, int(3.6 * MB)]
@@ -404,7 +404,7 @@ def _hacc_grid(
     for scenario in sweep.expand(base):
         layout = "AoS" if scenario.workload.layout == "aos" else "SoA"
         label = f"{_METHOD_LABEL[scenario.io.kind]} {layout}"
-        size_mb = _mb(scenario.workload.particles_per_rank * hacc_particle_size())
+        size_mb = _mb(scenario.workload.particles_per_rank * HACC_PARTICLE_SIZE)
         series[label].add(size_mb, Simulation(scenario).estimate().bandwidth_gbps())
     result.series = [series[label] for label in labels]
     return result, series

@@ -6,7 +6,8 @@ The knobs users turn when tuning collective I/O (paper, Section V-B):
 * ``cb_buffer_size`` — size of each aggregator's staging buffer;
 * ``collective_buffering`` — whether two-phase I/O is enabled at all;
 * striping (Lustre): ``striping_factor`` (stripe count / OSTs) and
-  ``striping_unit`` (stripe size);
+  ``striping_unit`` (stripe size), advisory as in ROMIO (see
+  :func:`repro.perfmodel.common.resolve_filesystem`);
 * ``shared_locks`` — the lock-sharing mode both platforms expose for
   collective operations;
 * ``aggregators_per_ost`` — the Cray MPI convention of scaling ``cb_nodes``
@@ -17,7 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from repro.storage.lustre import LustreStripeConfig
 from repro.utils.units import MIB
 from repro.utils.validation import require_positive
 
@@ -76,15 +76,6 @@ class MPIIOHints:
             return self.aggregators_per_ost * self.striping_factor
         default = max(1, (num_nodes * default_per_128_nodes) // 128)
         return default
-
-    def lustre_stripe(self) -> LustreStripeConfig | None:
-        """The striping config implied by the hints (``None`` if unspecified)."""
-        if self.striping_factor is None and self.striping_unit is None:
-            return None
-        return LustreStripeConfig(
-            stripe_count=self.striping_factor or 1,
-            stripe_size=self.striping_unit or LustreStripeConfig().stripe_size,
-        )
 
     def with_updates(self, **changes: object) -> "MPIIOHints":
         """A copy with some fields replaced (dataclass ``replace`` wrapper)."""

@@ -27,7 +27,9 @@ class GenericClusterMachine(Machine):
         nodes_per_leaf: nodes attached to each leaf switch.
         num_gateways: number of I/O gateway (router/LNET-like) nodes; they
             are chosen among the compute nodes, one per leaf switch cycling.
-        stripe: Lustre striping for output files.
+
+    Its Lustre-like file system has 16 OSTs, and files default to 8 OSTs
+    with 4 MiB stripes.
     """
 
     name = "generic fat-tree cluster"
@@ -39,7 +41,6 @@ class GenericClusterMachine(Machine):
         *,
         nodes_per_leaf: int = 16,
         num_gateways: int = 4,
-        stripe: LustreStripeConfig | None = None,
     ) -> None:
         require_positive(num_nodes, "num_nodes")
         require_positive(nodes_per_leaf, "nodes_per_leaf")
@@ -52,10 +53,9 @@ class GenericClusterMachine(Machine):
         spines = max(2, leaves // 2)
         self.topology = FatTreeTopology(leaves, spines, nodes_per_leaf)
         self.node_spec = commodity_node()
-        self.stripe = stripe or LustreStripeConfig(stripe_count=8, stripe_size=4 * MIB)
         self._lustre = LustreModel(
             num_osts=16,
-            stripe=self.stripe,
+            stripe=LustreStripeConfig(stripe_count=8, stripe_size=4 * MIB),
             ost_write_bandwidth=gbps(0.5),
             ost_read_bandwidth=gbps(1.0),
         )
@@ -96,12 +96,8 @@ def generic_cluster(
     *,
     nodes_per_leaf: int = 16,
     num_gateways: int = 4,
-    stripe: LustreStripeConfig | None = None,
 ) -> GenericClusterMachine:
     """Convenience constructor for :class:`GenericClusterMachine`."""
     return GenericClusterMachine(
-        num_nodes,
-        nodes_per_leaf=nodes_per_leaf,
-        num_gateways=num_gateways,
-        stripe=stripe,
+        num_nodes, nodes_per_leaf=nodes_per_leaf, num_gateways=num_gateways
     )

@@ -14,11 +14,9 @@ Structure reproduced here:
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.machine.machine import IOGateway, Machine
 from repro.machine.node import knl_node
-from repro.storage.lustre import LustreModel, LustreStripeConfig
+from repro.storage.lustre import LustreModel
 from repro.topology.dragonfly import DragonflyTopology
 from repro.utils.validation import require_positive
 
@@ -29,28 +27,22 @@ class ThetaMachine(Machine):
     Args:
         num_nodes: allocation size (the full machine has ~3,624 usable nodes;
             the paper uses 512, 1,024 and 2,048).
-        stripe: Lustre striping applied to the output file(s); defaults to
-            the Theta system default (1 OST, 1 MiB stripes).  The paper's
-            tuned configurations use 48 OSTs with 8 or 16 MiB stripes.
-        lustre: optional Lustre model override.
+
+    The file system is Theta's Lustre with the system-default stripe (1 OST,
+    1 MiB stripes).  A job's file takes its own stripe (the paper's tuned
+    runs use 48 OSTs with 8 or 16 MiB stripes) through
+    :func:`repro.perfmodel.common.resolve_filesystem`.
     """
 
     name = "Theta (Cray XC40)"
     default_ranks_per_node = 16
 
-    def __init__(
-        self,
-        num_nodes: int = 512,
-        *,
-        stripe: LustreStripeConfig | None = None,
-        lustre: LustreModel | None = None,
-    ) -> None:
+    def __init__(self, num_nodes: int = 512) -> None:
         require_positive(num_nodes, "num_nodes")
         self._requested_nodes = int(num_nodes)
         self.topology = DragonflyTopology.theta_partition(num_nodes)
         self.node_spec = knl_node()
-        self.stripe = stripe or LustreStripeConfig.theta_default()
-        self._lustre = (lustre or LustreModel.theta()).with_stripe(self.stripe)
+        self._lustre = LustreModel.theta()
 
     # ------------------------------------------------------------------ #
     # Machine interface
@@ -68,12 +60,6 @@ class ThetaMachine(Machine):
 
     def filesystem(self) -> LustreModel:
         return self._lustre
-
-    def with_stripe(self, stripe: LustreStripeConfig) -> "ThetaMachine":
-        """A copy of this machine whose output files use ``stripe``."""
-        return ThetaMachine(
-            self._requested_nodes, stripe=stripe, lustre=self._lustre
-        )
 
     def io_gateways(self) -> list[IOGateway]:
         """LNET router placement is not exposed on Theta: no gateways known."""
@@ -93,24 +79,5 @@ class ThetaMachine(Machine):
     # ------------------------------------------------------------------ #
 
     def peak_io_bandwidth(self) -> float:
-        """Peak write bandwidth achievable with the configured striping (bytes/s)."""
+        """Peak write bandwidth of a file with the default stripe (bytes/s)."""
         return self._lustre.peak_write_bandwidth()
-
-    def stripe_for_job(
-        self, *, ost_start: int, stripe_count: int = 48, stripe_size: int | None = None
-    ) -> LustreStripeConfig:
-        """Striping for one job of a multi-job run, anchored at ``ost_start``.
-
-        Concurrent jobs pick different (or deliberately identical) anchors to
-        land their files on disjoint or shared OST sets; the stripe wraps
-        around the file system's OST count like ``lfs setstripe -i`` does.
-        """
-        return LustreStripeConfig(
-            stripe_count=stripe_count,
-            stripe_size=self.stripe.stripe_size if stripe_size is None else stripe_size,
-            ost_start=ost_start % self._lustre.num_osts,
-        )
-
-    def routers_used(self) -> list[int]:
-        """Aries routers hosting at least one allocated node."""
-        return np.unique(self.topology.routers_of(range(self.num_nodes))).tolist()

@@ -5,8 +5,8 @@ method and tuning — independently of where it lands on the machine.  Every
 scenario job resolves to one (through
 :func:`~repro.scenario.simulation.resolve_job`), whether it runs alone or
 co-runs, and :func:`job_plan` is the one TAPIOCA/MPI I/O dispatch from a
-spec to its model plan: a spec's stripe applies to its file unless the
-MPI I/O hints stripe it.
+spec to its model plan, whose ``context.filesystem`` is the job's file as
+:func:`~repro.perfmodel.common.resolve_filesystem` decides it.
 :func:`bind_jobs` binds every spec to its allocation in one columnar pass
 over the job list: the rank mappings of all allocations from one gather
 (:func:`~repro.topology.mapping.allocation_mappings`), then
@@ -185,20 +185,12 @@ class Job:
         return self.spec.arrival_s + self.spec.compute_s
 
 
-def job_filesystem(machine: Machine, spec: JobSpec) -> FileSystemModel:
-    """The file-system model the job's output file actually lives on."""
-    if spec.filesystem is not None:
-        return spec.filesystem
-    filesystem = machine.filesystem()
-    if spec.stripe is not None and isinstance(filesystem, LustreModel):
-        return filesystem.with_stripe(spec.stripe)
-    return filesystem
-
-
 def storage_demand_weights(
-    machine: Machine, spec: JobSpec, nodes: Sequence[int]
+    machine: Machine, filesystem: FileSystemModel, nodes: Sequence[int]
 ) -> dict[tuple, float]:
-    """Per-resource weights of the job's I/O on the machine's shared storage.
+    """Per-resource weights of a job's I/O on the machine's shared storage,
+    given the file system its plan priced (``plan.context.filesystem``), so
+    the ledger charges the OSTs the estimate priced.
 
     Weights are the fraction of the job's bytes each resource carries:
 
@@ -208,7 +200,6 @@ def storage_demand_weights(
       occupies, and every byte reaches the backend;
     * burst buffer — every byte funnels through the shared drain.
     """
-    filesystem = job_filesystem(machine, spec)
     if isinstance(filesystem, LustreModel):
         osts = filesystem.ost_indices()
         weights = {("lustre-ost", index): 1.0 / len(osts) for index in osts}
@@ -242,8 +233,15 @@ def bind_jobs(
     plans = [job_plan(machine, spec, mapping) for spec, mapping in zip(specs, mappings)]
     estimates = estimate_plans(machine, plans, loads=True)
     return [
-        Job(spec, ids, mapping, estimates, row, storage_demand_weights(machine, spec, ids.tolist()))
-        for row, (spec, ids, mapping) in enumerate(zip(specs, nodes, mappings))
+        Job(
+            spec,
+            ids,
+            mapping,
+            estimates,
+            row,
+            storage_demand_weights(machine, plan.context.filesystem, ids.tolist()),
+        )
+        for row, (spec, plan, ids, mapping) in enumerate(zip(specs, plans, nodes, mappings))
     ]
 
 
@@ -252,26 +250,17 @@ def job_plan(machine: Machine, spec: JobSpec, mapping: RankMapping | None = None
 
     ``mapping`` is the job's allocation; ``None`` (a single-job scenario)
     keeps the default block mapping, and with it the aggregation memo.  The
-    spec's stripe applies to the job's file unless the MPI I/O hints stripe
-    it: the MPI I/O model takes striping through hints, so a per-job stripe
-    (shared/disjoint OST placement) comes as a pre-striped file system that
-    the hints' striping, if any, replaces.
+    plan resolves the job's file once, from the spec's file-system
+    override, its stripe and (MPI I/O) its hints, with
+    :func:`~repro.perfmodel.common.resolve_filesystem`; the estimate and the
+    ledger's storage weights both read that ``plan.context.filesystem``.
     """
-    if spec.method == "tapioca":
-        return TapiocaPlan(
-            machine,
-            spec.workload,
-            spec.config,
-            ranks_per_node=spec.ranks_per_node,
-            filesystem=spec.filesystem,
-            stripe=spec.stripe,
-            mapping=mapping,
-        )
-    return MPIIOPlan(
-        machine,
-        spec.workload,
-        spec.hints,
+    options = dict(
         ranks_per_node=spec.ranks_per_node,
-        filesystem=job_filesystem(machine, spec),
+        filesystem=spec.filesystem,
+        stripe=spec.stripe,
         mapping=mapping,
     )
+    if spec.method == "tapioca":
+        return TapiocaPlan(machine, spec.workload, spec.config, **options)
+    return MPIIOPlan(machine, spec.workload, spec.hints, **options)

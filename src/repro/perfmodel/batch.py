@@ -61,7 +61,6 @@ from repro.perfmodel.aggregation import fill_times
 from repro.perfmodel.common import build_context, record_phases
 from repro.perfmodel.flows import FlowAnalysis, LinkLoads, analyze_jobs
 from repro.perfmodel.results import IOEstimate, PhaseBreakdown
-from repro.storage.lustre import LustreModel
 from repro.workloads.base import Workload
 
 #: Cap on the aggregations one evaluation memoises (cleared wholesale).
@@ -152,8 +151,10 @@ class ModelPlan:
 
     ``label`` is the method name the estimate records and ``access``
     overrides the workload's direction; the other keywords go to
-    :func:`~repro.perfmodel.common.build_context`, the ``stripe`` only
-    when the file system (``filesystem`` or the machine's) is Lustre.
+    :func:`~repro.perfmodel.common.build_context`.  ``filesystem``,
+    ``stripe`` and ``hints`` say where the job's file lives:
+    :func:`~repro.perfmodel.common.resolve_filesystem` decides it once, and
+    everything else reads ``context.filesystem``.
     """
 
     partitions: Partitions | None = None
@@ -173,19 +174,20 @@ class ModelPlan:
         access: str | None = None,
         filesystem=None,
         stripe=None,
+        hints=None,
         ranks_per_node: int | None = None,
         mapping=None,
         shared_locks: bool = True,
     ) -> None:
         self.machine, self.access, self.label = machine, access or workload.access, label
-        filesystem = filesystem if filesystem is not None else machine.filesystem()
         self.context = build_context(
             machine,
             workload,
             ranks_per_node=ranks_per_node,
             mapping=mapping,
             filesystem=filesystem,
-            stripe=stripe if isinstance(filesystem, LustreModel) else None,
+            stripe=stripe,
+            hints=hints,
             shared_locks=shared_locks,
         )
         self._explicit_mapping = mapping is not None

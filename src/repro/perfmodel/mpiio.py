@@ -39,8 +39,9 @@ class MPIIOPlan(ModelPlan):
     """One MPI I/O job: its context, file-domain blocks and their fixed
     aggregators from the baseline ``aggregator_policy`` (see
     :func:`repro.iolib.aggregators.select_default_aggregators`); no blocks
-    without collective buffering.  Striping hints apply to the file system.
-    Options are those of :class:`~repro.perfmodel.batch.ModelPlan`."""
+    without collective buffering.  Its striping hints are advisory (see
+    :func:`~repro.perfmodel.common.resolve_filesystem`).  Options are those
+    of :class:`~repro.perfmodel.batch.ModelPlan`."""
 
     def __init__(
         self,
@@ -57,7 +58,7 @@ class MPIIOPlan(ModelPlan):
             machine,
             workload,
             label=label,
-            stripe=hints.lustre_stripe(),
+            hints=hints,
             shared_locks=hints.shared_locks,
             **options,
         )

@@ -19,7 +19,7 @@ from repro.scenario.registry import (
     register_scenario,
     scenario_ids,
 )
-from repro.scenario.simulation import Simulation, run_scenario
+from repro.scenario.simulation import Simulation
 from repro.scenario.spec import (
     IOStrategySpec,
     JobScenarioSpec,
@@ -55,7 +55,6 @@ __all__ = [
     "axis",
     "zipped",
     "Simulation",
-    "run_scenario",
     "register_scenario",
     "get_scenario",
     "scenario_ids",

@@ -14,9 +14,12 @@ scenario (:meth:`Simulation.resolve`, the whole machine) and each job of a
 multi-job one (:meth:`Simulation.job_specs`).  A single-job estimate is the
 one-plan call of :func:`~repro.perfmodel.batch.estimate_plans` on the
 spec's :func:`~repro.multijob.job.job_plan`, so a job prices the same alone
-as the isolated baseline of its multi-job slowdown.  One striping rule
-follows: a ``lustre`` storage spec's stripe applies to the job's file unless
-the MPI I/O hints stripe it.
+as the isolated baseline of its multi-job slowdown.  One rule decides the
+job's file, :func:`~repro.perfmodel.common.resolve_filesystem`: a storage
+override or the machine's file system; a ``lustre`` storage spec's stripe,
+refused (as a :class:`~repro.scenario.spec.ScenarioError`) on a machine
+without Lustre; and MPI I/O striping hints, which restripe a Lustre file
+(keeping its ``ost_start``) and are ignored on any other file system.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from repro.machine.mira import MIRA_PSET_SIZE, MiraMachine
 from repro.machine.theta import ThetaMachine
 from repro.obs import span as obs_span
 from repro.perfmodel.batch import estimate_plans, memoised_aggregations
+from repro.perfmodel.common import resolve_filesystem
 from repro.perfmodel.results import IOEstimate
 from repro.scenario.spec import (
     IOStrategySpec,
@@ -43,6 +47,7 @@ from repro.scenario.spec import (
     ScenarioError,
     StorageSpec,
 )
+from repro.storage.base import FileSystemModel
 from repro.storage.burst_buffer import BurstBufferModel
 from repro.storage.gpfs import GPFSModel
 from repro.storage.lustre import LustreModel, LustreStripeConfig
@@ -96,29 +101,27 @@ def _cached_machine(spec: MachineSpec) -> Machine:
 
 def resolve_storage(
     spec: StorageSpec, machine: Machine
-) -> tuple[object | None, LustreStripeConfig | None]:
+) -> tuple[FileSystemModel | None, LustreStripeConfig | None]:
     """``(filesystem_override, stripe)`` for a storage spec on a machine.
 
     Exactly one of the two is non-``None`` for non-default kinds: Lustre
-    scenarios restripe the machine's own file system (via the ``stripe``
-    argument of the performance models), so a machine whose file system is
-    not Lustre refuses them, while GPFS and burst-buffer scenarios
-    substitute a file-system model.
+    scenarios stripe the machine's own file system, while GPFS and
+    burst-buffer scenarios substitute a file-system model.  The stripe is
+    checked by :func:`~repro.perfmodel.common.resolve_filesystem`, the one
+    owner of the job's file, whose ``ValueError`` (a machine without Lustre,
+    a stripe wider than its OSTs) becomes a :class:`ScenarioError`.
     """
     if spec.kind == "machine-default":
         return None, None
     if spec.kind == "lustre":
-        filesystem = machine.filesystem()
-        if not isinstance(filesystem, LustreModel):
+        stripe = LustreStripeConfig(spec.stripe_count, spec.stripe_size, spec.ost_start)
+        try:
+            resolve_filesystem(machine, stripe=stripe)
+        except ValueError as error:
             raise ScenarioError(
-                f"storage kind 'lustre' stripes a Lustre file; machine "
-                f"{machine.name!r} has a {filesystem.name} file system"
-            )
-        return None, LustreStripeConfig(
-            stripe_count=spec.stripe_count,
-            stripe_size=spec.stripe_size,
-            ost_start=spec.ost_start % filesystem.num_osts,
-        )
+                f"storage kind 'lustre' on machine {machine.name!r}: {error}"
+            ) from error
+        return None, stripe
     if spec.kind == "gpfs":
         num_psets = getattr(machine, "num_psets", None)
         if num_psets is None:
@@ -141,7 +144,14 @@ def resolve_storage(
 def _resolve_aggregators(
     spec: IOStrategySpec, machine: Machine, stripe: LustreStripeConfig | None
 ) -> int | None:
-    """The explicit aggregator count a spec implies (``None`` = platform default)."""
+    """The explicit aggregator count a spec implies (``None`` = platform default).
+
+    Per-OST counts (TAPIOCA) read the stripe count of the machine's file
+    under the storage spec's ``stripe``, as
+    :func:`~repro.perfmodel.common.resolve_filesystem` resolves it; like
+    :meth:`~repro.core.config.TapiocaConfig.resolve_num_aggregators`, they
+    follow the machine's file system, not a file-system override.
+    """
     if spec.num_aggregators is not None:
         return spec.num_aggregators
     if spec.aggregators_per_pset is not None:
@@ -152,15 +162,13 @@ def _resolve_aggregators(
             )
         return spec.aggregators_per_pset * num_psets
     if spec.aggregators_per_ost is not None and spec.kind == "tapioca":
-        if stripe is None:
-            filesystem = machine.filesystem()
-            if not isinstance(filesystem, LustreModel):
-                raise ScenarioError(
-                    "aggregators_per_ost requires Lustre storage (a 'lustre' "
-                    "storage spec or a Lustre machine)"
-                )
-            stripe = filesystem.stripe
-        return spec.aggregators_per_ost * stripe.stripe_count
+        filesystem = resolve_filesystem(machine, stripe=stripe)
+        if not isinstance(filesystem, LustreModel):
+            raise ScenarioError(
+                "aggregators_per_ost requires Lustre storage (a 'lustre' "
+                "storage spec or a Lustre machine)"
+            )
+        return spec.aggregators_per_ost * filesystem.stripe.stripe_count
     return None
 
 
@@ -190,7 +198,10 @@ def resolve_hints(
 
     The two presets reproduce the paper's per-platform Section V-B
     configurations; plain ``"mpiio"`` builds hints from the spec fields,
-    taking striping from the storage spec's stripe.
+    taking striping from the storage spec's ``stripe`` (the one
+    :func:`resolve_storage` returned).  The hints' striping is advisory: it
+    restripes a Lustre file and is ignored elsewhere (see
+    :func:`~repro.perfmodel.common.resolve_filesystem`).
     """
     if io.kind == "mpiio-baseline":
         return baseline_hints(machine)
@@ -217,8 +228,9 @@ def resolve_job(machine: Machine, job: JobScenarioSpec) -> JobSpec:
     A single-job scenario is the one-job case (see
     :meth:`Simulation.resolve`) and every job of a multi-job scenario goes
     through here too, so a job prices the same alone and co-running.  The
-    storage spec's stripe applies to the job's file unless the MPI I/O hints
-    stripe it (see :func:`~repro.multijob.job.job_plan`).
+    spec carries the storage spec's file-system override and stripe; its
+    plan (:func:`~repro.multijob.job.job_plan`) resolves the job's file from
+    them and from the MPI I/O hints.
     """
     # Imported here: the multijob package (runtime, ledger, allocator) loads
     # only once a scenario runs, not with every experiment module.
@@ -382,8 +394,3 @@ class Simulation:
             outcome.name for outcome in report.outcomes
         )
         return result
-
-
-def run_scenario(scenario: Scenario) -> ExperimentResult:
-    """Convenience wrapper: resolve and run one scenario."""
-    return Simulation(scenario).run()

@@ -51,16 +51,3 @@ PREDEFINED: dict[str, Datatype] = {
     dt.name: dt
     for dt in (BYTE, CHAR, SHORT, INT, LONG, UNSIGNED_LONG, FLOAT, DOUBLE)
 }
-
-
-def from_numpy(dtype: np.dtype | str) -> Datatype:
-    """Map a NumPy dtype to the matching predefined datatype.
-
-    Raises:
-        KeyError: if there is no predefined equivalent.
-    """
-    dtype = np.dtype(dtype)
-    for datatype in PREDEFINED.values():
-        if np.dtype(datatype.numpy_dtype) == dtype:
-            return datatype
-    raise KeyError(f"no predefined MPI datatype for numpy dtype {dtype}")

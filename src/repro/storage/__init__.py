@@ -16,7 +16,7 @@ simulated MPI-IO layer and TAPIOCA can be verified end-to-end for
 correctness, independent of the timing model.
 """
 
-from repro.storage.base import FileSystemModel, IOPhaseProfile, StorageTarget
+from repro.storage.base import FileSystemModel, IOPhaseProfile
 from repro.storage.file import SimFile, SimFileRegistry
 from repro.storage.gpfs import GPFSModel
 from repro.storage.lustre import LustreModel, LustreStripeConfig
@@ -25,7 +25,6 @@ from repro.storage.burst_buffer import BurstBufferModel
 __all__ = [
     "FileSystemModel",
     "IOPhaseProfile",
-    "StorageTarget",
     "SimFile",
     "SimFileRegistry",
     "GPFSModel",

@@ -20,7 +20,7 @@ per-operation overhead, and an alignment / lock penalty.
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.utils.validation import require_non_negative, require_positive
 
@@ -81,29 +81,6 @@ class SharedResource:
 
     def __post_init__(self) -> None:
         require_positive(self.capacity, "capacity")
-
-
-@dataclass
-class StorageTarget:
-    """A physical storage endpoint (an I/O node, an OST...).
-
-    Used by machine models to describe where a compute node's I/O lands and
-    by the placement cost model to compute ``d(A, IO)``.
-
-    Attributes:
-        index: identifier of the target within its file system.
-        gateway_node: compute-fabric node id acting as the gateway towards
-            this target (bridge node on BG/Q; ``None`` when the locality is
-            unknown, as for Lustre LNET routers on Theta).
-        bandwidth: bandwidth of the pipe into this target, bytes/s.
-    """
-
-    index: int
-    gateway_node: int | None
-    bandwidth: float
-
-    def __post_init__(self) -> None:
-        require_positive(self.bandwidth, "bandwidth")
 
 
 class FileSystemModel(abc.ABC):

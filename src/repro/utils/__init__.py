@@ -13,14 +13,9 @@ from repro.utils.units import (
     KB,
     MB,
     GB,
-    bytes_from_mib,
-    bytes_to_gb,
     bytes_to_mb,
-    format_bytes,
     format_bandwidth,
     gbps,
-    mbps,
-    parse_size,
 )
 from repro.utils.rng import seeded_rng, derive_seed
 from repro.utils.tables import Table
@@ -28,7 +23,6 @@ from repro.utils.validation import (
     require,
     require_positive,
     require_non_negative,
-    require_power_of_two,
 )
 
 __all__ = [
@@ -38,19 +32,13 @@ __all__ = [
     "KB",
     "MB",
     "GB",
-    "bytes_from_mib",
-    "bytes_to_gb",
     "bytes_to_mb",
-    "format_bytes",
     "format_bandwidth",
     "gbps",
-    "mbps",
-    "parse_size",
     "seeded_rng",
     "derive_seed",
     "Table",
     "require",
     "require_positive",
     "require_non_negative",
-    "require_power_of_two",
 ]

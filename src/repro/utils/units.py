@@ -16,8 +16,6 @@ factor-of-1.048 confusion we standardise:
 
 from __future__ import annotations
 
-import re
-
 # Binary multiples (used for memory buffers, stripe sizes, file blocks).
 KIB: int = 1024
 MIB: int = 1024 * 1024
@@ -34,33 +32,9 @@ def gbps(value: float) -> float:
     return float(value) * GB
 
 
-def mbps(value: float) -> float:
-    """Convert a bandwidth expressed in megabytes per second to bytes/s."""
-    return float(value) * MB
-
-
-def bytes_from_mib(value: float) -> int:
-    """Convert a size in binary mebibytes to a byte count."""
-    return int(round(float(value) * MIB))
-
-
 def bytes_to_mb(nbytes: float) -> float:
     """Express a byte count in decimal megabytes (as used on figure axes)."""
     return float(nbytes) / MB
-
-
-def bytes_to_gb(nbytes: float) -> float:
-    """Express a byte count in decimal gigabytes."""
-    return float(nbytes) / GB
-
-
-def format_bytes(nbytes: float) -> str:
-    """Human readable byte count, e.g. ``format_bytes(16 * MIB) == '16.0 MiB'``."""
-    nbytes = float(nbytes)
-    for unit, factor in (("GiB", GIB), ("MiB", MIB), ("KiB", KIB)):
-        if abs(nbytes) >= factor:
-            return f"{nbytes / factor:.1f} {unit}"
-    return f"{nbytes:.0f} B"
 
 
 def format_bandwidth(bytes_per_second: float) -> str:
@@ -70,44 +44,3 @@ def format_bandwidth(bytes_per_second: float) -> str:
         if abs(bps) >= factor:
             return f"{bps / factor:.2f} {unit}"
     return f"{bps:.1f} Bps"
-
-
-_SIZE_RE = re.compile(
-    r"^\s*(?P<value>[0-9]*\.?[0-9]+)\s*(?P<unit>[a-zA-Z]*)\s*$"
-)
-
-_SIZE_UNITS = {
-    "": 1,
-    "b": 1,
-    "k": KIB,
-    "kb": KB,
-    "kib": KIB,
-    "m": MIB,
-    "mb": MB,
-    "mib": MIB,
-    "g": GIB,
-    "gb": GB,
-    "gib": GIB,
-}
-
-
-def parse_size(text: str | int | float) -> int:
-    """Parse a human written size such as ``"16MiB"``, ``"8 MB"`` or ``4096``.
-
-    Bare ``k``/``m``/``g`` suffixes are interpreted as binary multiples, which
-    matches how MPI-IO hints such as ``cb_buffer_size`` are usually written.
-
-    Raises:
-        ValueError: if the text cannot be interpreted as a size.
-    """
-    if isinstance(text, (int, float)):
-        if text < 0:
-            raise ValueError(f"size must be non-negative, got {text!r}")
-        return int(text)
-    match = _SIZE_RE.match(text)
-    if match is None:
-        raise ValueError(f"cannot parse size {text!r}")
-    unit = match.group("unit").lower()
-    if unit not in _SIZE_UNITS:
-        raise ValueError(f"unknown size unit {unit!r} in {text!r}")
-    return int(round(float(match.group("value")) * _SIZE_UNITS[unit]))

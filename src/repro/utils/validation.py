@@ -44,10 +44,3 @@ def require_non_negative(value: float, name: str) -> float:
     if value < 0:
         raise ValueError(f"{name} must be >= 0, got {value!r}")
     return value
-
-
-def require_power_of_two(value: int, name: str) -> int:
-    """Validate that ``value`` is a positive power of two and return it."""
-    if value <= 0 or (value & (value - 1)) != 0:
-        raise ValueError(f"{name} must be a positive power of two, got {value!r}")
-    return value

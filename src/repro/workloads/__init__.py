@@ -24,7 +24,7 @@ Provided workloads:
 
 from repro.workloads.base import Segment, Workload
 from repro.workloads.ior import IORWorkload
-from repro.workloads.hacc import HACC_VARIABLES, HACCIOWorkload, hacc_particle_size
+from repro.workloads.hacc import HACC_PARTICLE_SIZE, HACC_VARIABLES, HACCIOWorkload
 from repro.workloads.synthetic import SyntheticWorkload
 
 __all__ = [
@@ -33,6 +33,6 @@ __all__ = [
     "IORWorkload",
     "HACCIOWorkload",
     "HACC_VARIABLES",
-    "hacc_particle_size",
+    "HACC_PARTICLE_SIZE",
     "SyntheticWorkload",
 ]

@@ -48,9 +48,8 @@ HACC_VARIABLES: tuple[tuple[str, int], ...] = (
 )
 
 
-def hacc_particle_size() -> int:
-    """Bytes per particle (38, as stated in the paper)."""
-    return sum(size for _name, size in HACC_VARIABLES)
+#: Bytes per particle (38, as stated in the paper).
+HACC_PARTICLE_SIZE: int = sum(size for _name, size in HACC_VARIABLES)
 
 
 class HACCIOWorkload(Workload):
@@ -100,13 +99,13 @@ class HACCIOWorkload(Workload):
         return 1 if self.layout == "aos" else len(HACC_VARIABLES)
 
     def bytes_per_rank(self, rank: int = 0) -> int:
-        return self.particles_per_rank * hacc_particle_size()
+        return self.particles_per_rank * HACC_PARTICLE_SIZE
 
     def uniform_rank_bytes(self) -> int:
         return self.bytes_per_rank()
 
     def total_bytes(self) -> int:
-        return self.total_particles * hacc_particle_size()
+        return self.total_particles * HACC_PARTICLE_SIZE
 
     def segments_for_rank(self, rank: int) -> list[Segment]:
         # One global array per call (AoS: the records; SoA: each variable)
@@ -131,7 +130,7 @@ class HACCIOWorkload(Workload):
 
     def segment_sizes_per_call(self) -> list[int]:
         if self.layout == "aos":
-            return [self.particles_per_rank * hacc_particle_size()]
+            return [self.particles_per_rank * HACC_PARTICLE_SIZE]
         return [self.particles_per_rank * size for _name, size in HACC_VARIABLES]
 
     # ------------------------------------------------------------------ #
@@ -148,5 +147,5 @@ class HACCIOWorkload(Workload):
         access: str = "write",
     ) -> "HACCIOWorkload":
         """Build a workload targeting approximately ``bytes_per_rank`` per rank."""
-        particles = max(1, int(round(bytes_per_rank / hacc_particle_size())))
+        particles = max(1, int(round(bytes_per_rank / HACC_PARTICLE_SIZE)))
         return cls(num_ranks, particles, layout=layout, access=access)

@@ -27,7 +27,7 @@ from repro.core.placement import elect_partitions
 from repro.core.topology_iface import TopologyInterface
 from repro.iolib.hints import MPIIOHints
 from repro.multijob.contention import _EPS
-from repro.multijob.job import job_filesystem, storage_demand_weights
+from repro.multijob.job import storage_demand_weights
 from repro.perfmodel.aggregation import collective_time, fill_times
 from repro.perfmodel.flows import analyze_flows
 from repro.perfmodel.mpiio import MPIIOPlan
@@ -52,27 +52,19 @@ def allocation_mapping(machine, spec, nodes) -> RankMapping:
 
 
 def bind_job(machine, spec, nodes) -> SimpleNamespace:
-    """One spec bound alone to ``nodes``: its fields as a namespace."""
+    """One spec bound alone to ``nodes``: its fields as a namespace.  The
+    storage weights read the file system the job's plan priced."""
     mapping = allocation_mapping(machine, spec, nodes)
+    options = dict(
+        ranks_per_node=spec.ranks_per_node,
+        filesystem=spec.filesystem,
+        stripe=spec.stripe,
+        mapping=mapping,
+    )
     if spec.method == "tapioca":
-        plan = TapiocaPlan(
-            machine,
-            spec.workload,
-            spec.config,
-            ranks_per_node=spec.ranks_per_node,
-            filesystem=spec.filesystem,
-            stripe=spec.stripe,
-            mapping=mapping,
-        )
+        plan = TapiocaPlan(machine, spec.workload, spec.config, **options)
     else:
-        plan = MPIIOPlan(
-            machine,
-            spec.workload,
-            spec.hints or MPIIOHints(),
-            ranks_per_node=spec.ranks_per_node,
-            filesystem=job_filesystem(machine, spec),
-            mapping=mapping,
-        )
+        plan = MPIIOPlan(machine, spec.workload, spec.hints or MPIIOHints(), **options)
     aggregation = _aggregate(machine, plan) if plan.aggregates else None
     if isinstance(plan, TapiocaPlan):
         isolated = _tapioca_estimate(machine, plan, aggregation)
@@ -86,7 +78,7 @@ def bind_job(machine, spec, nodes) -> SimpleNamespace:
         mapping=mapping,
         isolated=isolated,
         isolated_rate=isolated.bandwidth,
-        storage_weights=storage_demand_weights(machine, spec, list(nodes)),
+        storage_weights=storage_demand_weights(machine, plan.context.filesystem, list(nodes)),
         network_weights=network,
         network_capacities=capacities,
     )

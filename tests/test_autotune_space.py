@@ -5,7 +5,6 @@ import pytest
 from repro.autotune import (
     AutotuneError,
     Categorical,
-    IntRange,
     LogBytes,
     SearchSpace,
     linked,
@@ -24,10 +23,6 @@ def small_space() -> SearchSpace:
 
 
 class TestDomains:
-    def test_int_range_is_inclusive_and_strided(self):
-        assert IntRange("io.pipeline_depth", 1, 2).values == (1, 2)
-        assert IntRange("x", 2, 8, step=3).values == (2, 5, 8)
-
     def test_log_bytes_ladder(self):
         domain = LogBytes("io.buffer_size", 1 * MIB, 16 * MIB)
         assert domain.values == tuple(n * MIB for n in (1, 2, 4, 8, 16))

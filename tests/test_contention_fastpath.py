@@ -357,6 +357,7 @@ class TestRuntimeEquivalence:
         from repro.core.config import TapiocaConfig
         from repro.machine.theta import ThetaMachine
         from repro.multijob import JobSpec, MultiJobRuntime
+        from repro.storage.lustre import LustreStripeConfig
         from repro.utils.units import MB, MIB
         from repro.workloads.ior import IORWorkload
 
@@ -368,9 +369,7 @@ class TestRuntimeEquivalence:
                 workload=IORWorkload(64, mb_per_rank * MB),
                 ranks_per_node=16,
                 config=TapiocaConfig(num_aggregators=16, buffer_size=8 * MIB),
-                stripe=machine.stripe_for_job(
-                    ost_start=2 * index, stripe_count=8, stripe_size=8 * MIB
-                ),
+                stripe=LustreStripeConfig(8, 8 * MIB, ost_start=2 * index),
                 arrival_s=arrival_step * index,
             )
             for index in range(jobs)

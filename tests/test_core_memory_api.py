@@ -5,6 +5,7 @@ import pytest
 from repro.core.api import DeclaredWorkload, Tapioca
 from repro.core.config import TapiocaConfig
 from repro.core.memory import choose_aggregation_tier, staging_benefit
+from repro.machine.generic import generic_cluster
 from repro.machine.mira import MiraMachine
 from repro.machine.node import bgq_node, knl_node
 from repro.machine.theta import ThetaMachine
@@ -37,8 +38,8 @@ class TestTapiocaConfig:
         assert TapiocaConfig().resolve_num_aggregators(machine, 512 * 16) == 16 * 4
 
     def test_resolve_num_aggregators_lustre_default(self):
-        machine = ThetaMachine(64, stripe=LustreStripeConfig(48, 8 * MIB))
-        assert TapiocaConfig().resolve_num_aggregators(machine, 1024) == 4 * 48
+        machine = generic_cluster(64)  # files default to 8 OSTs
+        assert TapiocaConfig().resolve_num_aggregators(machine, 1024) == 4 * 8
 
     def test_resolve_clamped_to_rank_count(self):
         machine = ThetaMachine(8)

@@ -19,6 +19,7 @@ from repro.iolib.twophase import TwoPhaseCollectiveIO
 from repro.machine.generic import generic_cluster
 from repro.machine.mira import MiraMachine
 from repro.machine.theta import ThetaMachine
+from repro.perfmodel.common import resolve_filesystem
 from repro.simmpi.world import SimWorld
 from repro.storage.lustre import LustreStripeConfig
 from repro.workloads.hacc import HACCIOWorkload
@@ -26,17 +27,25 @@ from repro.workloads.ior import IORWorkload
 from repro.workloads.synthetic import SyntheticWorkload
 
 
-def run_both(machine, workload, *, buffer_size, num_aggregators, ranks_per_node=2):
-    """Run TAPIOCA and the MPI I/O baseline on the same workload; return both."""
+def run_both(
+    machine, workload, *, buffer_size, num_aggregators, ranks_per_node=2, stripe=None
+):
+    """Run TAPIOCA and the MPI I/O baseline on the same workload, both files
+    striped by ``stripe`` (if given); return both."""
+    filesystem = resolve_filesystem(machine, stripe=stripe)
     tapioca_world = SimWorld(machine, ranks_per_node=ranks_per_node)
     tapioca = TapiocaIO(
         tapioca_world,
         workload,
         TapiocaConfig(num_aggregators=num_aggregators, buffer_size=buffer_size),
         path="/out/tapioca.dat",
+        filesystem=filesystem,
     )
     tapioca_result = tapioca_world.run(tapioca.write_program())
     mpiio_world = SimWorld(machine, ranks_per_node=ranks_per_node)
+    # The two-phase writer opens the world's handle of its path: open it on
+    # the striped file first.
+    mpiio_world.open_file("/out/mpiio.dat", filesystem)
     mpiio = TwoPhaseCollectiveIO(
         mpiio_world,
         workload,
@@ -79,10 +88,14 @@ class TestSemanticEquivalence:
 class TestPerformanceRelationships:
     def test_tapioca_not_slower_than_baseline_on_theta(self):
         """The discrete-event path agrees with the paper's direction on Theta."""
-        machine = ThetaMachine(8, stripe=LustreStripeConfig(4, 65536))
+        machine = ThetaMachine(8)
         workload = HACCIOWorkload(16, particles_per_rank=3000, layout="soa")
         (_, tapioca_result), (_, mpiio_result) = run_both(
-            machine, workload, buffer_size=65536, num_aggregators=4
+            machine,
+            workload,
+            buffer_size=65536,
+            num_aggregators=4,
+            stripe=LustreStripeConfig(4, 65536),
         )
         assert tapioca_result.elapsed <= mpiio_result.elapsed * 1.05
 

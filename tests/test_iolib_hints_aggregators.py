@@ -36,13 +36,6 @@ class TestHints:
         # 16 aggregators per 128 nodes.
         assert MPIIOHints().resolve_cb_nodes(512) == 64
 
-    def test_lustre_stripe(self):
-        hints = MPIIOHints(striping_factor=48, striping_unit=8 * MIB)
-        stripe = hints.lustre_stripe()
-        assert stripe.stripe_count == 48
-        assert stripe.stripe_size == 8 * MIB
-        assert MPIIOHints().lustre_stripe() is None
-
     def test_with_updates(self):
         hints = MPIIOHints().with_updates(cb_nodes=3)
         assert hints.cb_nodes == 3

@@ -7,6 +7,7 @@ from repro.machine.generic import generic_cluster
 from repro.machine.mira import MIRA_PSET_SIZE, MiraMachine
 from repro.machine.node import bgq_node, commodity_node, knl_node
 from repro.machine.theta import ThetaMachine
+from repro.perfmodel.common import resolve_filesystem
 from repro.storage.gpfs import GPFSModel
 from repro.storage.lustre import LustreModel, LustreStripeConfig
 from repro.utils.units import GIB, MIB
@@ -113,22 +114,16 @@ class TestThetaMachine:
         assert machine.distance_to_io(0) is None
         assert not machine.io_locality_known()
 
-    def test_with_stripe_changes_filesystem(self):
+    def test_a_striped_file_leaves_the_machine_default(self):
         machine = ThetaMachine(64)
-        tuned = machine.with_stripe(LustreStripeConfig(48, 8 * MIB))
-        assert tuned.filesystem().stripe.stripe_count == 48
+        tuned = resolve_filesystem(machine, stripe=LustreStripeConfig(48, 8 * MIB))
+        assert tuned.stripe.stripe_count == 48
         assert machine.filesystem().stripe.stripe_count == 1
 
     def test_peak_bandwidth_grows_with_stripe_count(self):
-        default = ThetaMachine(64)
-        tuned = default.with_stripe(LustreStripeConfig(48, 8 * MIB))
-        assert tuned.peak_io_bandwidth() > default.peak_io_bandwidth()
-
-    def test_routers_used(self):
-        machine = ThetaMachine(16)
-        routers = machine.routers_used()
-        assert len(routers) == 4  # 16 nodes / 4 nodes per router
-        assert routers == sorted(routers)
+        machine = ThetaMachine(64)
+        tuned = resolve_filesystem(machine, stripe=LustreStripeConfig(48, 8 * MIB))
+        assert tuned.peak_write_bandwidth() > machine.peak_io_bandwidth()
 
     def test_single_io_partition(self):
         machine = ThetaMachine(16)

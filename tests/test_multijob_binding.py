@@ -17,7 +17,8 @@ from repro.core.config import PLACEMENT_STRATEGIES, TapiocaConfig
 from repro.iolib.hints import MPIIOHints
 from repro.machine.theta import ThetaMachine
 from repro.multijob import JobSpec, MultiJobRuntime, NodeAllocator, bind_jobs
-from repro.multijob.job import job_filesystem, storage_demand_weights
+from repro.multijob.job import storage_demand_weights
+from repro.perfmodel.common import resolve_filesystem
 from repro.perfmodel.flows import MAX_SAMPLED_FLOWS, analyze_jobs
 from repro.perfmodel.mpiio import model_mpiio
 from repro.perfmodel.tapioca import model_tapioca
@@ -164,33 +165,22 @@ def _bind_alone(machine, spec, nodes):
     mapping = allocation_mapping(
         spec.num_ranks, nodes, num_nodes=machine.num_nodes, ranks_per_node=spec.ranks_per_node
     )
+    options = dict(
+        ranks_per_node=spec.ranks_per_node,
+        filesystem=spec.filesystem,
+        stripe=spec.stripe,
+        mapping=mapping,
+    )
     if spec.method == "tapioca":
-        isolated = model_tapioca(
-            machine,
-            spec.workload,
-            spec.config,
-            ranks_per_node=spec.ranks_per_node,
-            filesystem=spec.filesystem,
-            stripe=spec.stripe,
-            mapping=mapping,
-        )
+        isolated = model_tapioca(machine, spec.workload, spec.config, **options)
     else:
-        filesystem = spec.filesystem
-        if filesystem is None and spec.stripe is not None:
-            filesystem = job_filesystem(machine, spec)
-        isolated = model_mpiio(
-            machine,
-            spec.workload,
-            spec.hints or MPIIOHints(),
-            ranks_per_node=spec.ranks_per_node,
-            filesystem=filesystem,
-            mapping=mapping,
-        )
+        isolated = model_mpiio(machine, spec.workload, spec.hints or MPIIOHints(), **options)
     senders = isolated.details.get("senders_by_aggregator", {})
     network, capacities = (
         reference_demands.network_demand_weights(machine, senders) if senders else ({}, {})
     )
-    return isolated, storage_demand_weights(machine, spec, nodes), network, capacities
+    filesystem = resolve_filesystem(machine, spec.filesystem, spec.stripe, spec.hints)
+    return isolated, storage_demand_weights(machine, filesystem, nodes), network, capacities
 
 
 def _ledger_keys(machine, specs, alone) -> tuple:

@@ -11,6 +11,7 @@ from repro.machine.theta import ThetaMachine
 from repro.multijob import JobSpec, MultiJobRuntime, NodeAllocator
 from repro.multijob.job import bind_jobs
 from repro.storage.burst_buffer import BurstBufferModel
+from repro.storage.lustre import LustreStripeConfig
 from repro.utils.units import MB, MIB, gbps
 from repro.workloads.ior import IORWorkload
 from reference.allocator import topology_order as reference_topology_order
@@ -31,10 +32,7 @@ def theta_spec(
     """An I/O-bound TAPIOCA job writing through a narrow OST set."""
     ranks = num_nodes * ranks_per_node
     spec_kwargs.setdefault(
-        "stripe",
-        machine.stripe_for_job(
-            ost_start=ost_start, stripe_count=stripe_count, stripe_size=8 * MIB
-        ),
+        "stripe", LustreStripeConfig(stripe_count, 8 * MIB, ost_start=ost_start)
     )
     return JobSpec(
         name=name,

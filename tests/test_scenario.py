@@ -20,7 +20,6 @@ from repro.scenario import (
     get_scenario,
     parse_override,
     parse_overrides,
-    run_scenario,
     scenario_ids,
     zipped,
 )
@@ -318,12 +317,12 @@ class TestSimulation:
 
     def test_run_reproduces_identical_result_after_json_round_trip(self):
         scenario = _single_job_scenario()
-        first = run_scenario(scenario).to_dict()
-        rerun = run_scenario(Scenario.from_json(scenario.to_json())).to_dict()
+        first = Simulation(scenario).run().to_dict()
+        rerun = Simulation(Scenario.from_json(scenario.to_json())).run().to_dict()
         assert first == rerun
 
     def test_multijob_run_reports_slowdowns(self):
-        result = run_scenario(_multijob_scenario())
+        result = Simulation(_multijob_scenario()).run()
         assert result.all_checks_pass()
         slowdown = result.series_by_label("per-job slowdown")
         # Both jobs write through the same two OSTs: both slow down.
@@ -334,7 +333,7 @@ class TestSimulation:
         scenario = apply_overrides(
             _multijob_scenario(), {"multijob.jobs.1.storage.ost_start": 2}
         )
-        slowdown = run_scenario(scenario).series_by_label("per-job slowdown")
+        slowdown = Simulation(scenario).run().series_by_label("per-job slowdown")
         assert all(point.bandwidth_gbps <= 1.01 for point in slowdown.points)
 
     def test_estimate_refuses_multijob_scenarios(self):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.machine.mira import MiraMachine
-from repro.simmpi.datatypes import BYTE, DOUBLE, FLOAT, INT, PREDEFINED, from_numpy
+from repro.simmpi.datatypes import BYTE, DOUBLE, FLOAT, INT
 from repro.simmpi.errors import RankProgramError
 from repro.simmpi.request import Request
 from repro.simmpi.world import SimWorld
@@ -27,14 +27,6 @@ class TestDatatypes:
         assert DOUBLE.nbytes(10) == 80
         with pytest.raises(ValueError):
             DOUBLE.nbytes(-1)
-
-    def test_numpy_round_trip(self):
-        for datatype in PREDEFINED.values():
-            assert from_numpy(datatype.to_numpy()) is datatype
-
-    def test_from_numpy_unknown(self):
-        with pytest.raises(KeyError):
-            from_numpy(np.dtype("complex128"))
 
 
 class TestWindows:

@@ -9,7 +9,6 @@ from repro.utils.validation import (
     require,
     require_non_negative,
     require_positive,
-    require_power_of_two,
 )
 
 
@@ -78,9 +77,3 @@ class TestValidation:
         assert require_non_negative(0, "x") == 0
         with pytest.raises(ValueError):
             require_non_negative(-0.5, "x")
-
-    def test_require_power_of_two(self):
-        assert require_power_of_two(8, "x") == 8
-        for bad in (0, -4, 3, 12):
-            with pytest.raises(ValueError):
-                require_power_of_two(bad, "x")

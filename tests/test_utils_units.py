@@ -21,58 +21,13 @@ class TestBandwidthHelpers:
     def test_gbps(self):
         assert units.gbps(1.8) == pytest.approx(1.8e9)
 
-    def test_mbps(self):
-        assert units.mbps(200) == pytest.approx(2.0e8)
-
-    def test_bytes_from_mib(self):
-        assert units.bytes_from_mib(16) == 16 * 1024 * 1024
-
     def test_bytes_to_mb(self):
         assert units.bytes_to_mb(2_000_000) == pytest.approx(2.0)
 
-    def test_bytes_to_gb(self):
-        assert units.bytes_to_gb(3.5e9) == pytest.approx(3.5)
-
 
 class TestFormatting:
-    def test_format_bytes_mib(self):
-        assert units.format_bytes(16 * units.MIB) == "16.0 MiB"
-
-    def test_format_bytes_small(self):
-        assert units.format_bytes(123) == "123 B"
-
     def test_format_bandwidth_gbps(self):
         assert units.format_bandwidth(1.8e9) == "1.80 GBps"
 
     def test_format_bandwidth_mbps(self):
         assert units.format_bandwidth(2.5e8) == "250.00 MBps"
-
-
-class TestParseSize:
-    @pytest.mark.parametrize(
-        "text,expected",
-        [
-            ("4096", 4096),
-            ("16MiB", 16 * 1024 * 1024),
-            ("8 MB", 8_000_000),
-            ("1g", 1024**3),
-            ("2k", 2048),
-            ("1.5 KiB", 1536),
-            (512, 512),
-            (3.0, 3),
-        ],
-    )
-    def test_valid(self, text, expected):
-        assert units.parse_size(text) == expected
-
-    def test_rejects_garbage(self):
-        with pytest.raises(ValueError):
-            units.parse_size("sixteen megabytes")
-
-    def test_rejects_unknown_unit(self):
-        with pytest.raises(ValueError):
-            units.parse_size("16 parsecs")
-
-    def test_rejects_negative_number(self):
-        with pytest.raises(ValueError):
-            units.parse_size(-5)

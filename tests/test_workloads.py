@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core.api import DeclaredWorkload
 from repro.utils.units import MIB
 from repro.workloads.base import Segment, check_no_overlap
-from repro.workloads.hacc import HACC_VARIABLES, HACCIOWorkload, hacc_particle_size
+from repro.workloads.hacc import HACC_PARTICLE_SIZE, HACC_VARIABLES, HACCIOWorkload
 from repro.workloads.ior import IORWorkload
 from repro.workloads.synthetic import SyntheticWorkload
 
@@ -109,12 +109,12 @@ class TestIORWorkload:
 
 class TestHACCWorkload:
     def test_particle_size_is_38_bytes(self):
-        assert hacc_particle_size() == 38
+        assert HACC_PARTICLE_SIZE == 38
         assert len(HACC_VARIABLES) == 9
 
     def test_25000_particles_is_about_1mb(self):
         # Paper: "A useful base value of 25,000 particles requires ~1 MB".
-        assert 0.9 * MIB <= 25_000 * hacc_particle_size() <= 1.05 * MIB
+        assert 0.9 * MIB <= 25_000 * HACC_PARTICLE_SIZE <= 1.05 * MIB
 
     def test_aos_single_contiguous_segment(self):
         workload = HACCIOWorkload(4, 100, layout="aos")
