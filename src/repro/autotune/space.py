@@ -27,7 +27,6 @@ from typing import Any, Iterator, Mapping
 import numpy as np
 
 from repro.scenario.spec import Scenario, apply_overrides
-from repro.scenario.sweep import Axis, Sweep, ZippedAxes
 from repro.utils.validation import require
 
 
@@ -178,26 +177,6 @@ class SearchSpace:
                         f"field may be searched by exactly one domain"
                     )
                 seen.add(name)
-
-    @classmethod
-    def from_sweep(cls, sweep: Sweep, *extra: Domain | Linked) -> "SearchSpace":
-        """A space searching a sweep's axes, plus optional extra domains.
-
-        Plain axes become :class:`Categorical` domains; zipped axis groups
-        become :func:`linked` groups, preserving their lockstep semantics.
-        """
-        domains: list[Domain | Linked] = []
-        for entry in sweep.axes:
-            if isinstance(entry, ZippedAxes):
-                domains.append(
-                    linked(*(Categorical(a.field, a.values) for a in entry.axes))
-                )
-            elif isinstance(entry, Axis):
-                domains.append(Categorical(entry.field, entry.values))
-            else:  # pragma: no cover - Sweep already rejects other types
-                raise AutotuneError(f"cannot build a domain from {entry!r}")
-        domains.extend(extra)
-        return cls(*domains)
 
     # -- introspection ------------------------------------------------------
 

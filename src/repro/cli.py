@@ -340,15 +340,19 @@ def _registry_scenario(
 def _resolve_scenario_source(
     parser: argparse.ArgumentParser, source: str, scale: float
 ) -> Scenario:
-    """A concrete scenario from a CLI source: a JSON file or a registry name."""
-    if _is_scenario_file(source):
-        if scale != 1.0:
-            parser.error(
-                "--scale applies only to registered scenario names; a "
-                "JSON file already fixes its node counts"
-            )
-        return _read_scenario_file(parser, source)
-    return _registry_scenario(parser, source, scale)
+    """A concrete scenario from a CLI source: a JSON file or a registry name.
+
+    ``--scale`` divides node counts either way: a registry builder applies
+    it, and a file is rescaled with
+    :func:`~repro.autotune.tuner.rescale_scenario`, as ``evaluate`` does.
+    """
+    if not _is_scenario_file(source):
+        return _registry_scenario(parser, source, scale)
+    scenario = _read_scenario_file(parser, source)
+    try:
+        return rescale_scenario(scenario, scale)
+    except ScenarioError as error:
+        parser.error(str(error))
 
 
 def _cmd_scenario_run(args: argparse.Namespace) -> int:
@@ -379,22 +383,12 @@ def _cmd_scenario_run(args: argparse.Namespace) -> int:
 def _cmd_tune(args: argparse.Namespace) -> int:
     overrides = _parse_set_args(args.parser, args.set)
     store = _open_store(args.parser, args.out)
+    raw = _resolve_scenario_source(args.parser, args.target, args.scale)
     try:
-        if _is_scenario_file(args.target):
-            raw = _read_scenario_file(args.parser, args.target)
-            raw = rescale_scenario(raw, args.scale)
-        else:
-            raw = get_scenario(args.target, scale=args.scale)
         base = as_tunable(raw.with_overrides(overrides))
         space = suggest_space(base)
         space.reject_overrides(overrides)
         trace = tune(base, space, args.objective, store=store, jobs=args.jobs)
-    except KeyError as error:
-        # An unknown registry name, with the registry's did-you-mean hint.
-        args.parser.error(
-            f"{error.args[0]} (pass a registered scenario name or a .json "
-            f"file path)"
-        )
     except (ScenarioError, AutotuneError) as error:
         args.parser.error(str(error))
     print(trace.summary())
@@ -727,9 +721,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="a scenario JSON file, or a registered scenario name "
         "(see `repro scenario list`)",
     )
-    add_scale_option(
-        scenario_run, help="node-count divisor for registered scenario names (> 0)"
-    )
+    add_scale_option(scenario_run)
     add_jobs_option(scenario_run)
     add_out_option(
         scenario_run,
@@ -823,9 +815,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="http://127.0.0.1:8731",
         help="daemon endpoint (default: http://127.0.0.1:8731)",
     )
-    add_scale_option(
-        submit_parser, help="node-count divisor for registered scenario names (> 0)"
-    )
+    add_scale_option(submit_parser)
     add_set_option(submit_parser)
     submit_parser.add_argument(
         "--timeout",

@@ -140,7 +140,8 @@ def evaluate(
         scenario: what to evaluate (see above).
         scale: node-count divisor; applies to experiment ids and registered
             scenario names (a concrete scenario is rescaled via
-            :func:`repro.autotune.tuner.rescale_scenario`).  ``None`` = 1.0.
+            :func:`repro.autotune.tuner.rescale_scenario`), before
+            ``overrides`` pin any field.  ``None`` = 1.0.
         jobs: worker processes for the fan-out stages (``None``/1 =
             in-process).
         store: artifact store serving and receiving cached results
@@ -190,11 +191,11 @@ def evaluate(
     elif isinstance(scenario, Mapping):
         scenario = Scenario.from_dict(scenario)
 
-    concrete: Scenario = scenario.with_overrides(overrides)
     if divisor != 1.0:
         from repro.autotune.tuner import rescale_scenario
 
-        concrete = rescale_scenario(concrete, divisor)
+        scenario = rescale_scenario(scenario, divisor)
+    concrete: Scenario = scenario.with_overrides(overrides)
 
     if objective is not None:
         from repro.autotune.objectives import get_objective

@@ -87,7 +87,9 @@ class TapiocaConfig:
         """The effective aggregator count for a machine/allocation.
 
         Defaults follow the paper's experiments: 16 aggregators per Pset on
-        the BG/Q; on Lustre machines 4 per OST of the configured stripe; one
+        the BG/Q; on Lustre machines 4 per OST of the machine's own file
+        system (``machine.filesystem()``), not of the job's file, so an
+        explicit stripe or a file-system override does not change it; one
         per 8 nodes elsewhere.  The value is clamped to the rank count.
         """
         from repro.machine.mira import MiraMachine

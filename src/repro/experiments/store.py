@@ -33,7 +33,7 @@ import hashlib
 import json
 import subprocess
 from pathlib import Path
-from typing import Iterable, Mapping, NamedTuple
+from typing import Mapping, NamedTuple
 
 from repro.experiments.backends import DirectoryBackend, StoreBackend, open_backend
 from repro.experiments.results import ExperimentResult
@@ -337,46 +337,12 @@ class ArtifactStore:
             return None
         return envelope
 
-    def has(
-        self, experiment_id: str, scale: float, overrides: Mapping | None = None
-    ) -> bool:
-        """Whether a cached artifact exists for ``(experiment_id, scale, overrides)``."""
-        return self.cached_envelope(experiment_id, scale, overrides) is not None
-
-    def load_cached(
-        self, experiment_id: str, scale: float, overrides: Mapping | None = None
-    ) -> ExperimentResult | None:
-        """The cached result for ``(experiment_id, scale, overrides)``, or ``None``."""
-        envelope = self.cached_envelope(experiment_id, scale, overrides)
-        return None if envelope is None else ExperimentResult.from_dict(envelope["result"])
-
     def scales(self) -> list[float]:
         """Distinct scales of the stored artifacts, sorted."""
         values: set[float] = set()
         for experiment_id in self.experiment_ids():
             values.add(float(self.load_envelope(experiment_id)["scale"]))
         return sorted(values)
-
-    def prune(self, keep: Iterable[str]) -> list[str]:
-        """Delete artifacts whose experiment id is not in ``keep``.
-
-        Override artifacts (``<id>@set-<digest>.json``) are pruned by their
-        base experiment id, so exploratory ``--set`` sweeps do not
-        accumulate unremovable files.  Returns the removed artifact stems.
-        """
-        keep_set = set(keep)
-        removed = []
-        for key in self.backend.keys():
-            if "/" in key or key == MANIFEST_NAME or not key.endswith(".json"):
-                continue
-            stem = key[: -len(".json")]
-            base_id = stem.split("@set-", 1)[0]
-            if base_id not in keep_set:
-                self.backend.delete(key)
-                removed.append(stem)
-        if removed:
-            self.refresh_manifest()
-        return sorted(removed)
 
     # -- tuning traces and the tuning point cache ---------------------------
 

@@ -17,6 +17,23 @@ from repro.simmpi.world import RankContext, SimWorld
 from repro.workloads.base import Workload
 
 
+def independent_write(
+    ctx: RankContext, file: SimMPIFile, workload: Workload
+) -> Generator[Event, Any, int]:
+    """Write this rank's segments directly to ``file``, then barrier.
+
+    The one non-collective write path: the independent baseline and
+    two-phase I/O with collective buffering disabled both run it.  Returns
+    the number of bytes this rank wrote.
+    """
+    total = 0
+    for offset, payload in workload.rank_payloads(ctx.rank).items():
+        yield from file.write_at(offset, payload)
+        total += len(payload)
+    yield from ctx.comm.barrier()
+    return total
+
+
 def independent_write_program(
     world: SimWorld,
     workload: Workload,
@@ -32,12 +49,7 @@ def independent_write_program(
     file: SimMPIFile = world.open_file(path, shared_locks=shared_locks)
 
     def program(ctx: RankContext) -> Generator[Event, Any, int]:
-        total = 0
-        for offset, payload in workload.rank_payloads(ctx.rank).items():
-            yield from file.write_at(offset, payload)
-            total += len(payload)
-        yield from ctx.comm.barrier()
-        return total
+        return (yield from independent_write(ctx, file, workload))
 
     return program
 

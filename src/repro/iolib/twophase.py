@@ -31,6 +31,7 @@ from typing import Any, Generator
 
 from repro.iolib.aggregators import select_default_aggregators
 from repro.iolib.hints import MPIIOHints
+from repro.iolib.independent import independent_write
 from repro.obs import recorder as obs_recorder
 from repro.simmpi.engine import Event
 from repro.simmpi.errors import SimMPIError
@@ -248,7 +249,7 @@ class TwoPhaseCollectiveIO:
         Returns the number of bytes this rank contributed.
         """
         if not self.hints.collective_buffering:
-            return (yield from self._independent_write(ctx))
+            return (yield from independent_write(ctx, self.file, self.workload))
         yield from self._ensure_window(ctx)
         window = self._window
         my_aggregator_index = self.aggregator_index_of_rank(ctx.rank)
@@ -382,19 +383,6 @@ class TwoPhaseCollectiveIO:
                 yield from window.fence(ctx.rank)
             yield from ctx.comm.barrier()
         return {offset: bytes(buf) for offset, buf in assembled.items()}
-
-    # ------------------------------------------------------------------ #
-    # Fallback: collective buffering disabled
-    # ------------------------------------------------------------------ #
-
-    def _independent_write(self, ctx: RankContext) -> Generator[Event, Any, int]:
-        """Every rank writes its own segments directly (no aggregation)."""
-        total = 0
-        for offset, payload in self.workload.rank_payloads(ctx.rank).items():
-            yield from self.file.write_at(offset, payload)
-            total += len(payload)
-        yield from ctx.comm.barrier()
-        return total
 
     # ------------------------------------------------------------------ #
     # Convenience entry points

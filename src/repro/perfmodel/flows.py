@@ -74,12 +74,6 @@ class FlowAnalysis:
     aggregator_min_bandwidth: dict[int, float] = field(default_factory=dict)
     pattern: tuple[tuple[int, tuple[int, ...]], ...] = ()
 
-    def max_contention(self) -> float:
-        """The worst contention factor over all aggregators (>= 1)."""
-        if not self.aggregator_contention:
-            return 1.0
-        return max(self.aggregator_contention.values())
-
     def mean_contention(self) -> float:
         """The mean contention factor over aggregators (>= 1)."""
         if not self.aggregator_contention:

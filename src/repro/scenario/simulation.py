@@ -146,11 +146,13 @@ def _resolve_aggregators(
 ) -> int | None:
     """The explicit aggregator count a spec implies (``None`` = platform default).
 
-    Per-OST counts (TAPIOCA) read the stripe count of the machine's file
-    under the storage spec's ``stripe``, as
-    :func:`~repro.perfmodel.common.resolve_filesystem` resolves it; like
+    Per-OST counts read the stripe count of the machine's file under the
+    storage spec's ``stripe``, as
+    :func:`~repro.perfmodel.common.resolve_filesystem` resolves it, for
+    TAPIOCA and MPI I/O alike; like
     :meth:`~repro.core.config.TapiocaConfig.resolve_num_aggregators`, they
-    follow the machine's file system, not a file-system override.
+    follow the machine's file system, not a file-system override, and a
+    machine without Lustre refuses them.
     """
     if spec.num_aggregators is not None:
         return spec.num_aggregators
@@ -161,7 +163,7 @@ def _resolve_aggregators(
                 "aggregators_per_pset requires a Mira-like machine with Psets"
             )
         return spec.aggregators_per_pset * num_psets
-    if spec.aggregators_per_ost is not None and spec.kind == "tapioca":
+    if spec.aggregators_per_ost is not None:
         filesystem = resolve_filesystem(machine, stripe=stripe)
         if not isinstance(filesystem, LustreModel):
             raise ScenarioError(
@@ -199,26 +201,22 @@ def resolve_hints(
     The two presets reproduce the paper's per-platform Section V-B
     configurations; plain ``"mpiio"`` builds hints from the spec fields,
     taking striping from the storage spec's ``stripe`` (the one
-    :func:`resolve_storage` returned).  The hints' striping is advisory: it
-    restripes a Lustre file and is ignored elsewhere (see
-    :func:`~repro.perfmodel.common.resolve_filesystem`).
+    :func:`resolve_storage` returned), and ``cb_nodes`` from
+    :func:`_resolve_aggregators`, the aggregator rule TAPIOCA uses.  The
+    hints' striping is advisory: it restripes a Lustre file and is ignored
+    elsewhere (see :func:`~repro.perfmodel.common.resolve_filesystem`).
     """
     if io.kind == "mpiio-baseline":
         return baseline_hints(machine)
     if io.kind == "mpiio-tuned":
         return optimized_hints(machine)
     return MPIIOHints(
-        cb_nodes=(
-            None
-            if io.aggregators_per_ost is not None
-            else _resolve_aggregators(io, machine, stripe)
-        ),
+        cb_nodes=_resolve_aggregators(io, machine, stripe),
         cb_buffer_size=io.buffer_size,
         collective_buffering=io.collective_buffering,
         striping_factor=stripe.stripe_count if stripe is not None else None,
         striping_unit=stripe.stripe_size if stripe is not None else None,
         shared_locks=io.shared_locks,
-        aggregators_per_ost=io.aggregators_per_ost,
     )
 
 

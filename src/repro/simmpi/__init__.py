@@ -18,15 +18,15 @@ unchanged:
 Rank programs are written in "generator MPI" style::
 
     def program(ctx: RankContext):
-        value = yield from ctx.comm.allreduce(ctx.rank, op="max")
+        cost = float(ctx.rank % 3)
+        winner = yield from ctx.comm.allreduce((cost, ctx.rank), op="minloc")
         yield from ctx.comm.barrier()
-        return value
+        return winner
 
 and executed with :class:`~repro.simmpi.world.SimWorld`.
 """
 
 from repro.simmpi.engine import AllOf, Environment, Event, Process, Timeout
-from repro.simmpi.datatypes import Datatype, BYTE, CHAR, INT, LONG, FLOAT, DOUBLE
 from repro.simmpi.errors import SimMPIError, RankProgramError
 from repro.simmpi.request import Request
 from repro.simmpi.communicator import Communicator, ReduceOp
@@ -40,13 +40,6 @@ __all__ = [
     "Event",
     "Process",
     "Timeout",
-    "Datatype",
-    "BYTE",
-    "CHAR",
-    "INT",
-    "LONG",
-    "FLOAT",
-    "DOUBLE",
     "SimMPIError",
     "RankProgramError",
     "Request",

@@ -1,24 +1,21 @@
-"""Simulated MPI communicators: point-to-point and collective operations.
+"""Simulated MPI communicators: the collectives TAPIOCA and ROMIO call.
 
-The communicator implements the subset of MPI that TAPIOCA and the ROMIO
-baseline rely on:
+The communicator implements exactly the subset of MPI that TAPIOCA and the
+ROMIO two-phase baseline rely on:
 
-* blocking point-to-point ``send``/``recv`` with tag matching (rendezvous
-  semantics: both sides complete after the modelled transfer time);
-* collectives: ``barrier``, ``bcast``, ``reduce``, ``allreduce`` (including
-  the ``minloc`` operation used for the aggregator election), ``gather``,
-  ``allgather``, ``scatter``, ``alltoall``;
-* ``split`` to derive sub-communicators (one per aggregation partition).
+* ``split`` to derive sub-communicators (one per aggregation partition);
+* ``allreduce`` with the ``minloc`` operation (the aggregator election);
+* ``create_window`` (``MPI_Win_allocate``) for the aggregation buffers;
+* ``allgather`` and ``barrier`` (the two-phase offset exchange and call
+  boundaries; RMA fences are barriers too).
 
 All ranks of a communicator must call collectives in the same order — this
 is checked and a :class:`~repro.simmpi.errors.SimMPIError` is raised on a
 mismatch, which turns a silent deadlock into a clear test failure.
 
-Timing model: a point-to-point transfer of ``n`` bytes between nodes ``u``
-and ``v`` costs ``l * d(u, v) + n / B(u, v)`` (the same expression the
-paper's cost model uses); intra-node transfers cost ``n / B_mem``.
-Collectives cost ``ceil(log2(P))`` such steps on the communicator's average
-hop distance.
+Timing model: a collective costs ``ceil(log2(P))`` steps, each of which
+moves its payload over the communicator's average hop distance
+(:meth:`~repro.simmpi.world.SimWorld.collective_step_cost`).
 
 Event ordering.  A collective has one completion event that every
 participant waits on; processing it resumes the participants in arrival
@@ -48,78 +45,29 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checking
 
 
 class ReduceOp:
-    """Named reduction operations (a tiny subset of MPI_Op)."""
+    """The one MPI_Op a caller passes: ``minloc``, the aggregator election."""
 
-    SUM = "sum"
-    PROD = "prod"
-    MIN = "min"
-    MAX = "max"
     MINLOC = "minloc"
-    MAXLOC = "maxloc"
-
-    _SIMPLE: dict[str, Callable[[Any, Any], Any]] = {
-        "sum": lambda a, b: a + b,
-        "prod": lambda a, b: a * b,
-        "min": min,
-        "max": max,
-    }
 
     @classmethod
     def combine(cls, op: str, values: Sequence[Any]) -> Any:
         """Combine per-rank contributions with the named operation.
 
-        ``minloc``/``maxloc`` expect ``(value, location)`` pairs and return
-        the pair with the smallest/largest value (ties resolved towards the
-        smallest location, as MPI does).
+        ``minloc`` expects ``(value, location)`` pairs and returns the pair
+        with the smallest value (ties resolved towards the smallest
+        location, as MPI does).
         """
         if not values:
             raise SimMPIError("cannot reduce an empty value list")
-        if op in cls._SIMPLE:
-            result = values[0]
-            for value in values[1:]:
-                result = cls._SIMPLE[op](result, value)
-            return result
-        if op in (cls.MINLOC, cls.MAXLOC):
-            pairs = [tuple(v) for v in values]
-            for pair in pairs:
-                if len(pair) != 2:
-                    raise SimMPIError(
-                        f"{op} requires (value, location) pairs, got {pair!r}"
-                    )
-            if op == cls.MINLOC:
-                return min(pairs, key=lambda p: (p[0], p[1]))
-            return max(pairs, key=lambda p: (p[0], -p[1]))
-        raise SimMPIError(f"unknown reduction operation {op!r}")
-
-
-#: Messages at or below this size complete the sender eagerly (the payload is
-#: buffered by the "network"), mirroring MPI's eager protocol; larger messages
-#: use rendezvous semantics and block the sender until the receive is matched.
-EAGER_THRESHOLD = 64 * 1024
-
-
-@dataclass
-class _PendingSend:
-    """A posted send waiting for its matching receive."""
-
-    src: int
-    dst: int
-    tag: int
-    payload: Any
-    nbytes: int
-    post_time: float
-    completion: Event
-
-
-@dataclass
-class _PendingRecv:
-    """A posted receive waiting for its matching send."""
-
-    src: int | None
-    dst: int
-    tag: int | None
-    post_time: float
-    completion: Event
+        if op != cls.MINLOC:
+            raise SimMPIError(f"unknown reduction operation {op!r}")
+        pairs = [tuple(v) for v in values]
+        for pair in pairs:
+            if len(pair) != 2:
+                raise SimMPIError(
+                    f"{op} requires (value, location) pairs, got {pair!r}"
+                )
+        return min(pairs, key=lambda p: (p[0], p[1]))
 
 
 @dataclass(slots=True)
@@ -201,9 +149,6 @@ class Communicator:
         self.size = len(self.world_ranks)
         self._nodes = tuple(world.node_of_rank(wr) for wr in self.world_ranks)
         self._rank_of_world = {wr: r for r, wr in enumerate(self.world_ranks)}
-        # Point-to-point matching queues keyed by destination comm rank.
-        self._pending_sends: list[_PendingSend] = []
-        self._pending_recvs: list[_PendingRecv] = []
         # Collective bookkeeping: per-rank call counters + active slots.
         self._collective_counter = [0] * self.size
         self._collective_slots: dict[int, _CollectiveSlot] = {}
@@ -237,102 +182,6 @@ class Communicator:
         return rank
 
     # ------------------------------------------------------------------ #
-    # Point-to-point
-    # ------------------------------------------------------------------ #
-
-    def _try_match(self) -> None:
-        """Match pending sends and receives (first-posted-first-matched)."""
-        matched = True
-        while matched:
-            matched = False
-            for recv in list(self._pending_recvs):
-                for send in list(self._pending_sends):
-                    if send.dst != recv.dst:
-                        continue
-                    if recv.src is not None and send.src != recv.src:
-                        continue
-                    if recv.tag is not None and send.tag != recv.tag:
-                        continue
-                    self._complete_pair(send, recv)
-                    self._pending_sends.remove(send)
-                    self._pending_recvs.remove(recv)
-                    matched = True
-                    break
-                if matched:
-                    break
-
-    def _complete_pair(self, send: _PendingSend, recv: _PendingRecv) -> None:
-        env = self.world.env
-        src_node = self.node_of(send.src)
-        dst_node = self.node_of(send.dst)
-        transfer = self.world.transfer_time(src_node, dst_node, send.nbytes)
-        # Rendezvous: the transfer starts when both sides are posted, which is
-        # "now" (the moment the second of the two is posted).  Like a
-        # collective's release, the delivery is two plain heap entries in the
-        # slots of a delivery process's bootstrap and timeout.
-        def _deliver() -> None:
-            if not recv.completion.triggered:
-                recv.completion.succeed((send.payload, send.src, send.tag))
-            if not send.completion.triggered:
-                send.completion.succeed(None)
-
-        env.call_later(0.0, lambda: env.call_later(transfer, _deliver))
-
-    def send(
-        self, src: int, dst: int, payload: Any, nbytes: int, tag: int = 0
-    ) -> Generator[Event, Any, None]:
-        """Blocking send from comm rank ``src`` to ``dst``.
-
-        ``payload`` is delivered to the matching receive unchanged; ``nbytes``
-        drives the timing model (the payload itself may be a lightweight
-        description rather than real data).
-
-        Messages of at most :data:`EAGER_THRESHOLD` bytes complete the sender
-        immediately after the injection cost (eager protocol); larger
-        messages block the sender until the matching receive is posted
-        (rendezvous protocol).
-        """
-        self._validate_rank(src, "src")
-        self._validate_rank(dst, "dst")
-        completion = self.world.env.event()
-        pending = _PendingSend(
-            src, dst, tag, payload, int(nbytes), self.world.env.now, completion
-        )
-        self._pending_sends.append(pending)
-        if pending.nbytes <= EAGER_THRESHOLD and not completion.triggered:
-            # Eager: the sender only pays the injection cost; delivery to the
-            # receiver is priced when the message is matched.
-            injection = self.world.transfer_time(
-                self.node_of(src), self.node_of(src), pending.nbytes
-            )
-            self._try_match()
-            if not completion.triggered:
-                completion.succeed(None)
-            yield self.world.env.timeout(injection)
-            return
-        self._try_match()
-        yield completion
-
-    def recv(
-        self, dst: int, src: int | None = None, tag: int | None = None
-    ) -> Generator[Event, Any, tuple[Any, int, int]]:
-        """Blocking receive posted by comm rank ``dst``.
-
-        Returns ``(payload, source_rank, tag)``; ``src``/``tag`` of ``None``
-        match any sender / any tag (``MPI_ANY_SOURCE`` / ``MPI_ANY_TAG``).
-        """
-        self._validate_rank(dst, "dst")
-        if src is not None:
-            self._validate_rank(src, "src")
-        completion = self.world.env.event()
-        self._pending_recvs.append(
-            _PendingRecv(src, dst, tag, self.world.env.now, completion)
-        )
-        self._try_match()
-        result = yield completion
-        return result
-
-    # ------------------------------------------------------------------ #
     # Collectives
     # ------------------------------------------------------------------ #
 
@@ -355,8 +204,8 @@ class Communicator:
 
         The last arrival builds the per-rank results and schedules the
         release (see the module docstring for the slots it takes).  A
-        malformed collective (e.g. a scatter root supplying the wrong number
-        of values) fails every participant rather than deadlocking the others.
+        malformed collective (e.g. a ``minloc`` contribution that is not a
+        pair) fails every participant rather than deadlocking the others.
         """
         self._validate_rank(rank)
         seq = self._collective_counter[rank]
@@ -417,31 +266,8 @@ class Communicator:
         first = self._enter_collective(rank, "barrier", None, 0, _no_result)
         yield _PassThrough(self, rank, count, first)
 
-    def bcast(self, rank: int, value: Any, root: int = 0, nbytes: int = 8) -> Generator[Event, Any, Any]:
-        """Broadcast ``value`` from ``root``; every rank returns the root's value."""
-        self._validate_rank(root, "root")
-        return self._run_collective(
-            rank,
-            "bcast",
-            value if rank == root else None,
-            nbytes,
-            lambda contrib: (lambda r, v=contrib[root]: v),
-        )
-
-    def reduce(
-        self, rank: int, value: Any, op: str = ReduceOp.SUM, root: int = 0, nbytes: int = 8
-    ) -> Generator[Event, Any, Any]:
-        """Reduce to ``root``; non-root ranks receive ``None``."""
-        self._validate_rank(root, "root")
-
-        def build(contrib: dict[int, Any]) -> Callable[[int], Any]:
-            combined = ReduceOp.combine(op, [contrib[r] for r in sorted(contrib)])
-            return lambda r: combined if r == root else None
-
-        return self._run_collective(rank, f"reduce:{op}", value, nbytes, build)
-
     def allreduce(
-        self, rank: int, value: Any, op: str = ReduceOp.SUM, nbytes: int = 8
+        self, rank: int, value: Any, op: str = ReduceOp.MINLOC, nbytes: int = 8
     ) -> Generator[Event, Any, Any]:
         """Reduce and deliver the result to every rank.
 
@@ -455,18 +281,6 @@ class Communicator:
 
         return self._run_collective(rank, f"allreduce:{op}", value, nbytes, build)
 
-    def gather(
-        self, rank: int, value: Any, root: int = 0, nbytes: int = 8
-    ) -> Generator[Event, Any, list[Any] | None]:
-        """Gather per-rank values at ``root`` (others receive ``None``)."""
-        self._validate_rank(root, "root")
-
-        def build(contrib: dict[int, Any]) -> Callable[[int], Any]:
-            ordered = [contrib[r] for r in sorted(contrib)]
-            return lambda r: list(ordered) if r == root else None
-
-        return self._run_collective(rank, "gather", value, nbytes, build)
-
     def allgather(
         self, rank: int, value: Any, nbytes: int = 8
     ) -> Generator[Event, Any, list[Any]]:
@@ -477,37 +291,6 @@ class Communicator:
             return lambda r: list(ordered)
 
         return self._run_collective(rank, "allgather", value, nbytes, build)
-
-    def scatter(
-        self, rank: int, values: Sequence[Any] | None, root: int = 0, nbytes: int = 8
-    ) -> Generator[Event, Any, Any]:
-        """Scatter a sequence from ``root``; rank ``r`` receives ``values[r]``."""
-        self._validate_rank(root, "root")
-
-        def build(contrib: dict[int, Any]) -> Callable[[int], Any]:
-            source = contrib[root]
-            if source is None or len(source) != self.size:
-                raise SimMPIError(
-                    f"scatter root must supply exactly {self.size} values"
-                )
-            items = list(source)
-            return lambda r: items[r]
-
-        return self._run_collective(rank, "scatter", values, nbytes, build)
-
-    def alltoall(
-        self, rank: int, values: Sequence[Any], nbytes: int = 8
-    ) -> Generator[Event, Any, list[Any]]:
-        """Each rank supplies one value per peer; receives one value from each peer."""
-        if len(values) != self.size:
-            raise SimMPIError(f"alltoall requires exactly {self.size} values per rank")
-
-        def build(contrib: dict[int, Any]) -> Callable[[int], Any]:
-            return lambda r: [contrib[peer][r] for peer in sorted(contrib)]
-
-        return self._run_collective(
-            rank, "alltoall", list(values), nbytes * self.size, build
-        )
 
     # ------------------------------------------------------------------ #
     # RMA window allocation (collective, like MPI_Win_allocate)
@@ -524,7 +307,7 @@ class Communicator:
 
         def build(contrib: dict[int, Any]) -> Callable[[int], Any]:
             sizes = {r: int(contrib[r]) for r in contrib}
-            window = Window(self.world, self, sizes=sizes)
+            window = Window(self.world, self, sizes)
             return lambda r: window
 
         return self._run_collective(

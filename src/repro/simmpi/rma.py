@@ -29,23 +29,18 @@ class Window:
     Args:
         world: owning simulation world.
         comm: communicator over which the window was created.
-        size: size in bytes of each rank's exposed buffer (ranks that expose
-            nothing — non-aggregators — may pass 0 through ``sizes``).
-        sizes: optional per-rank buffer sizes overriding ``size``.
+        sizes: size in bytes of each rank's exposed buffer (ranks that expose
+            nothing — non-aggregators — pass 0).
     """
 
     def __init__(
-        self,
-        world: "SimWorld",
-        comm: Communicator,
-        size: int = 0,
-        sizes: dict[int, int] | None = None,
+        self, world: "SimWorld", comm: Communicator, sizes: dict[int, int]
     ) -> None:
         self.world = world
         self.comm = comm
         self._buffers: dict[int, np.ndarray] = {}
         for rank in range(comm.size):
-            rank_size = int(sizes.get(rank, size)) if sizes is not None else int(size)
+            rank_size = int(sizes[rank])
             if rank_size < 0:
                 raise SimMPIError(f"window size for rank {rank} must be >= 0")
             self._buffers[rank] = np.zeros(rank_size, dtype=np.uint8)
@@ -62,10 +57,6 @@ class Window:
         """The raw exposed buffer of communicator rank ``rank`` (mutable view)."""
         self.comm._validate_rank(rank)
         return self._buffers[rank]
-
-    def buffer_size(self, rank: int) -> int:
-        """Size in bytes of the exposed buffer of ``rank``."""
-        return int(self._buffers[self.comm._validate_rank(rank)].size)
 
     # ------------------------------------------------------------------ #
     # RMA operations (generator style)

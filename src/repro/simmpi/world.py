@@ -20,7 +20,7 @@ Example::
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Generator, Sequence
+from typing import Any, Callable, Generator
 
 from repro.machine.machine import Machine
 from repro.obs import recorder as obs_recorder, span as obs_span
@@ -82,49 +82,19 @@ class BoundComm:
         """Compute node hosting communicator rank ``rank``."""
         return self._comm.node_of(rank)
 
-    # -- point to point -------------------------------------------------- #
-
-    def send(self, dst: int, payload: Any, nbytes: int, tag: int = 0):
-        """Blocking send to communicator rank ``dst``."""
-        return self._comm.send(self._rank, dst, payload, nbytes, tag)
-
-    def recv(self, src: int | None = None, tag: int | None = None):
-        """Blocking receive; returns ``(payload, src, tag)``."""
-        return self._comm.recv(self._rank, src, tag)
-
     # -- collectives ----------------------------------------------------- #
 
     def barrier(self):
         """Barrier over the communicator."""
         return self._comm.barrier(self._rank)
 
-    def bcast(self, value: Any = None, root: int = 0, nbytes: int = 8):
-        """Broadcast from ``root``."""
-        return self._comm.bcast(self._rank, value, root, nbytes)
-
-    def reduce(self, value: Any, op: str = ReduceOp.SUM, root: int = 0, nbytes: int = 8):
-        """Reduce to ``root``."""
-        return self._comm.reduce(self._rank, value, op, root, nbytes)
-
-    def allreduce(self, value: Any, op: str = ReduceOp.SUM, nbytes: int = 8):
-        """Allreduce (supports ``op="minloc"`` with ``(value, loc)`` pairs)."""
+    def allreduce(self, value: Any, op: str = ReduceOp.MINLOC, nbytes: int = 8):
+        """Allreduce (``op="minloc"`` with ``(value, loc)`` pairs)."""
         return self._comm.allreduce(self._rank, value, op, nbytes)
-
-    def gather(self, value: Any, root: int = 0, nbytes: int = 8):
-        """Gather values at ``root``."""
-        return self._comm.gather(self._rank, value, root, nbytes)
 
     def allgather(self, value: Any, nbytes: int = 8):
         """Allgather values."""
         return self._comm.allgather(self._rank, value, nbytes)
-
-    def scatter(self, values: Sequence[Any] | None = None, root: int = 0, nbytes: int = 8):
-        """Scatter ``values`` from ``root``."""
-        return self._comm.scatter(self._rank, values, root, nbytes)
-
-    def alltoall(self, values: Sequence[Any], nbytes: int = 8):
-        """All-to-all personalised exchange."""
-        return self._comm.alltoall(self._rank, values, nbytes)
 
     def split(self, color: int, key: int | None = None) -> Generator[Event, Any, "BoundComm"]:
         """Split the communicator; returns the bound sub-communicator."""
@@ -317,16 +287,6 @@ class SimWorld:
     # Resources
     # ------------------------------------------------------------------ #
 
-    def create_window(
-        self,
-        comm: Communicator | BoundComm,
-        size: int = 0,
-        sizes: dict[int, int] | None = None,
-    ) -> Window:
-        """Allocate an RMA window over ``comm`` (per-rank buffers of ``size`` bytes)."""
-        raw = comm.raw if isinstance(comm, BoundComm) else comm
-        return Window(self, raw, size=size, sizes=sizes)
-
     def open_file(
         self,
         path: str,
@@ -372,7 +332,7 @@ class SimWorld:
             RankProgramError: if any rank program raised, naming the lowest
                 such rank, also when the failure left other ranks blocked.
             DeadlockError: if no rank failed but the programs deadlocked
-                (blocked collectives, unmatched receives...).
+                (a collective some rank never enters).
         """
         common = dict(program_kwargs or {})
         processes = []

@@ -102,28 +102,9 @@ class SimFile:
         self.bytes_read += nbytes
         return out.tobytes()
 
-    def read_array(self, offset: int, count: int, dtype: np.dtype | str) -> np.ndarray:
-        """Read ``count`` elements of ``dtype`` starting at byte ``offset``."""
-        dtype = np.dtype(dtype)
-        raw = self.read(offset, count * dtype.itemsize)
-        return np.frombuffer(raw, dtype=dtype).copy()
-
     def as_bytes(self) -> bytes:
         """The whole file contents as a bytes object (zero-filled holes)."""
         return self.read(0, self._size)
-
-    def truncate(self, size: int = 0) -> None:
-        """Truncate (or extend) the file to ``size`` bytes."""
-        require_non_negative(size, "size")
-        if size < self._size:
-            last_chunk = size // self.CHUNK_SIZE
-            for index in list(self._chunks):
-                if index > last_chunk:
-                    del self._chunks[index]
-                elif index == last_chunk:
-                    within = size % self.CHUNK_SIZE
-                    self._chunks[index][within:] = 0
-        self._size = size
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<SimFile {self.name!r} size={self._size}>"
@@ -159,7 +140,3 @@ class SimFileRegistry:
     def total_bytes(self) -> int:
         """Sum of the sizes of all files."""
         return sum(f.size for f in self.files.values())
-
-    def paths(self) -> list[str]:
-        """Sorted list of file paths."""
-        return sorted(self.files)

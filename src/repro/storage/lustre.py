@@ -57,11 +57,6 @@ class LustreStripeConfig:
     def theta_default(cls) -> "LustreStripeConfig":
         return cls(stripe_count=1, stripe_size=1 * MIB)
 
-    @classmethod
-    def tuned(cls, stripe_count: int = 48, stripe_size: int = 8 * MIB) -> "LustreStripeConfig":
-        """The tuned configuration used by the paper's optimized baseline."""
-        return cls(stripe_count=stripe_count, stripe_size=stripe_size)
-
 
 @dataclass
 class LustreModel(FileSystemModel):

@@ -233,23 +233,6 @@ class Topology(abc.ABC):
         hops, bandwidth = self._pair(src, dst)
         return self.latency() * hops + float(nbytes) / bandwidth
 
-    def average_distance(self, nodes: Iterable[int] | None = None) -> float:
-        """Mean pairwise hop distance over ``nodes`` (defaults to all nodes).
-
-        Only intended for small node sets (diagnostics and tests); the cost is
-        quadratic in the number of nodes.
-        """
-        node_list = list(nodes) if nodes is not None else list(range(self.num_nodes))
-        if len(node_list) < 2:
-            return 0.0
-        total = 0
-        count = 0
-        for i, a in enumerate(node_list):
-            for b in node_list[i + 1 :]:
-                total += self.distance(a, b)
-                count += 1
-        return total / count
-
     def to_networkx(self):
         """Export the compute-node adjacency as a :class:`networkx.Graph`.
 

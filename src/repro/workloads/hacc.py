@@ -132,20 +132,3 @@ class HACCIOWorkload(Workload):
         if self.layout == "aos":
             return [self.particles_per_rank * HACC_PARTICLE_SIZE]
         return [self.particles_per_rank * size for _name, size in HACC_VARIABLES]
-
-    # ------------------------------------------------------------------ #
-    # Convenience
-    # ------------------------------------------------------------------ #
-
-    @classmethod
-    def from_data_size(
-        cls,
-        num_ranks: int,
-        bytes_per_rank: float,
-        *,
-        layout: str = "aos",
-        access: str = "write",
-    ) -> "HACCIOWorkload":
-        """Build a workload targeting approximately ``bytes_per_rank`` per rank."""
-        particles = max(1, int(round(bytes_per_rank / HACC_PARTICLE_SIZE)))
-        return cls(num_ranks, particles, layout=layout, access=access)

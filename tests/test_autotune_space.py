@@ -1,4 +1,4 @@
-"""Tests for search-space construction and its interaction with Sweeps."""
+"""Tests for search-space construction."""
 
 import pytest
 
@@ -10,7 +10,6 @@ from repro.autotune import (
     linked,
 )
 from repro.scenario.spec import Scenario, ScenarioError
-from repro.scenario.sweep import Sweep, axis, zipped
 from repro.utils.rng import seeded_rng
 from repro.utils.units import MIB
 
@@ -112,39 +111,3 @@ class TestSearchSpace:
         description = small_space().describe()
         assert description["storage.stripe_count"] == [1, 8, 48]
         assert description["io.shared_locks"] == [False, True]
-
-
-class TestFromSweep:
-    def test_axes_become_categorical_domains(self):
-        sweep = Sweep(
-            axis("io.kind", ("tapioca", "mpiio")),
-            axis("workload.bytes_per_rank", (1 * MIB, 2 * MIB)),
-        )
-        space = SearchSpace.from_sweep(sweep)
-        assert space.fields() == ("io.kind", "workload.bytes_per_rank")
-        assert space.size() == sweep.size() == 4
-        assert [p for p in space.grid()] == sweep.overrides()
-
-    def test_zipped_axes_become_linked_domains(self):
-        sweep = Sweep(
-            zipped(
-                axis("storage.stripe_size", (1 * MIB, 2 * MIB)),
-                axis("io.buffer_size", (1 * MIB, 2 * MIB)),
-            )
-        )
-        space = SearchSpace.from_sweep(sweep)
-        assert space.size() == 2
-        assert [p for p in space.grid()] == sweep.overrides()
-
-    def test_extra_domain_colliding_with_axis_is_rejected(self):
-        sweep = Sweep(axis("io.kind", ("tapioca", "mpiio")))
-        with pytest.raises(AutotuneError, match="duplicate search domain"):
-            SearchSpace.from_sweep(sweep, Categorical("io.kind", ("mpiio",)))
-
-    def test_extra_domains_extend_the_sweep(self):
-        sweep = Sweep(axis("io.kind", ("tapioca", "mpiio")))
-        space = SearchSpace.from_sweep(
-            sweep, Categorical("io.shared_locks", (False, True))
-        )
-        assert space.size() == 4
-

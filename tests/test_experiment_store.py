@@ -78,20 +78,19 @@ class TestArtifactStore:
 
     def test_cache_hit_and_miss(self, tmp_path):
         store = ArtifactStore(tmp_path)
-        assert not store.has("demo", 8.0)
-        assert store.load_cached("demo", 8.0) is None
+        assert store.cached_envelope("demo", 8.0) is None
         store.save(make_result(), scale=8.0, wall_time_s=0.1)
-        assert store.has("demo", 8.0)
-        assert store.load_cached("demo", 8.0) == make_result()
+        envelope = store.cached_envelope("demo", 8.0)
+        assert envelope is not None
+        assert ExperimentResult.from_dict(envelope["result"]) == make_result()
         # A different scale is a miss: the artifact must not be reused.
-        assert not store.has("demo", 1.0)
-        assert store.load_cached("demo", 1.0) is None
+        assert store.cached_envelope("demo", 1.0) is None
 
     def test_corrupt_artifact_is_a_miss(self, tmp_path):
         store = ArtifactStore(tmp_path)
         store.save(make_result(), scale=8.0, wall_time_s=0.1)
         store.artifact_path("demo").write_text("{not json", encoding="utf-8")
-        assert not store.has("demo", 8.0)
+        assert store.cached_envelope("demo", 8.0) is None
 
     def test_corrupt_artifact_does_not_break_later_saves(self, tmp_path):
         store = ArtifactStore(tmp_path)
@@ -129,11 +128,3 @@ class TestArtifactStore:
         store.save(make_result("exp_a"), scale=8.0, wall_time_s=0.1)
         assert store.experiment_ids() == ["exp_a", "exp_b"]
         assert store.scales() == [4.0, 8.0]
-
-    def test_prune(self, tmp_path):
-        store = ArtifactStore(tmp_path)
-        store.save(make_result("exp_a"), scale=8.0, wall_time_s=0.1)
-        store.save(make_result("exp_b"), scale=8.0, wall_time_s=0.1)
-        assert store.prune(keep=["exp_a"]) == ["exp_b"]
-        assert store.experiment_ids() == ["exp_a"]
-        assert set(store.read_manifest()["experiments"]) == {"exp_a"}

@@ -24,7 +24,14 @@ from repro.perfmodel.mpiio import MPIIOPlan, model_mpiio
 from repro.perfmodel.tapioca import TapiocaPlan, model_tapioca
 from repro.scenario.registry import get_scenario
 from repro.scenario.simulation import Simulation
-from repro.scenario.spec import Scenario, ScenarioError
+from repro.scenario.spec import (
+    IOStrategySpec,
+    MachineSpec,
+    Scenario,
+    ScenarioError,
+    StorageSpec,
+    WorkloadSpec,
+)
 from repro.storage.burst_buffer import BurstBufferModel
 from repro.storage.lustre import LustreStripeConfig
 from repro.utils.units import MIB
@@ -190,3 +197,42 @@ def test_the_ledger_charges_the_osts_the_plan_priced(kind):
         )
         priced = job_plan(runtime.machine, job.spec, job.mapping).context.filesystem
         assert charged == sorted(priced.ost_indices()), job.name
+
+
+#: ``aggregators_per_ost=2`` on a 64-node Theta job: ``(storage, expected)``,
+#: where ``expected`` is the estimate's aggregator count (2 per OST of the
+#: machine's file under the storage spec's stripe) or ``ScenarioError``.
+PER_OST_TABLE = {
+    "default file (1 OST)": (StorageSpec(), 2),
+    "lustre stripe of 8": (
+        StorageSpec(kind="lustre", stripe_count=8, stripe_size=8 * MIB),
+        16,
+    ),
+    "burst buffer": (StorageSpec(kind="burst-buffer"), 2),
+    "256-node Mira": (None, ScenarioError),
+}
+
+
+@pytest.mark.parametrize("method", ("tapioca", "mpiio"))
+@pytest.mark.parametrize("row", sorted(PER_OST_TABLE))
+def test_aggregators_per_ost_is_one_rule_for_both_methods(method, row):
+    """Plain MPI I/O reads ``io.aggregators_per_ost`` as TAPIOCA does,
+    whatever storage spec the file has, and refuses it without Lustre."""
+    storage, expected = PER_OST_TABLE[row]
+    machine = (
+        MachineSpec(kind="mira", num_nodes=256)
+        if storage is None
+        else MachineSpec(kind="theta", num_nodes=64)
+    )
+    scenario = Scenario(
+        id="per_ost",
+        machine=machine,
+        workload=WorkloadSpec(kind="ior", bytes_per_rank=1 * MIB),
+        io=IOStrategySpec(kind=method, aggregators_per_ost=2, buffer_size=8 * MIB),
+        storage=storage or StorageSpec(),
+    )
+    if expected is ScenarioError:
+        with pytest.raises(ScenarioError, match="aggregators_per_ost requires Lustre"):
+            Simulation(scenario).estimate()
+    else:
+        assert Simulation(scenario).estimate().num_aggregators == expected

@@ -426,7 +426,8 @@ class TestExperimentOverrides:
         # in its own file, excluded from the manifest-facing id listing.
         assert store.artifact_path("fig10").read_text() == published
         assert store.artifact_path("fig10", overrides) != store.artifact_path("fig10")
-        assert store.has("fig10", 16.0) and store.has("fig10", 16.0, overrides)
+        assert store.cached_envelope("fig10", 16.0) is not None
+        assert store.cached_envelope("fig10", 16.0, overrides) is not None
         assert store.experiment_ids() == ["fig10"]
         # And the overridden cache actually serves hits.
         report = run_experiments(
@@ -469,20 +470,6 @@ class TestExperimentOverrides:
         key = cache_key("fig10", 8.0, overrides)
         assert key == cache_key("fig10", 8.0, overrides)
         assert key != cache_key("fig10", 8.0)
-
-    def test_prune_removes_override_artifacts_by_base_id(self, tmp_path):
-        from repro.experiments.runner import run_experiments
-        from repro.experiments.store import ArtifactStore
-
-        store = ArtifactStore(tmp_path)
-        run_experiments(["fig10"], scale=16.0, store=store)
-        run_experiments(
-            ["fig10"], scale=16.0, store=store, overrides={"io.buffer_size": 4 * MIB}
-        )
-        removed = store.prune(keep=[])
-        assert any(stem.startswith("fig10@set-") for stem in removed)
-        assert "fig10" in removed
-        assert list(tmp_path.glob("*.json")) == [store.manifest_path]
 
     def test_override_of_a_swept_field_is_rejected(self):
         from repro.core.api import evaluate

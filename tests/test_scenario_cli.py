@@ -162,13 +162,25 @@ class TestScenarioRunByName:
         assert "did you mean" in err
         assert ".json file path" in err
 
-    def test_scale_with_a_file_is_a_usage_error(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            main(
-                ["scenario", "run", str(EXAMPLE_SCENARIO), "--scale", "8"]
-            )
-        assert excinfo.value.code == 2
-        assert "registered scenario names" in capsys.readouterr().err
+    @pytest.mark.parametrize(
+        "overrides,nodes", [({}, 16), ({"machine.num_nodes": 32}, 32)]
+    )
+    def test_scale_rescales_a_file_as_evaluate_does(self, overrides, nodes, capsys):
+        """`--scale` divides a file's node counts, as `tune` and `evaluate`
+        do (the 64-node example runs on 16 nodes at `--scale 4`), and a
+        `--set` then pins a field of the rescaled scenario."""
+        from repro.core.api import evaluate
+
+        sets = [arg for key, value in overrides.items() for arg in ("--set", f"{key}={value}")]
+        code = main(
+            ["scenario", "run", str(EXAMPLE_SCENARIO), "--scale", "4", "--json", *sets]
+        )
+        assert code == 0
+        by_cli = json.loads(capsys.readouterr().out)
+        payload = json.loads(EXAMPLE_SCENARIO.read_text(encoding="utf-8"))
+        evaluation = evaluate(payload, scale=4, overrides=overrides)
+        assert evaluation.scenario.machine.num_nodes == nodes
+        assert by_cli == evaluation.result.to_dict()
 
     def test_run_name_accepts_set_overrides(self, capsys):
         code = main(

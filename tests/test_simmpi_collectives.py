@@ -1,4 +1,4 @@
-"""Tests for the simulated MPI communicator: point-to-point and collectives."""
+"""Tests for the simulated MPI communicator's collectives."""
 
 import pytest
 
@@ -14,16 +14,9 @@ def world() -> SimWorld:
 
 
 class TestReduceOp:
-    def test_simple_operations(self):
-        assert ReduceOp.combine("sum", [1, 2, 3]) == 6
-        assert ReduceOp.combine("prod", [2, 3, 4]) == 24
-        assert ReduceOp.combine("min", [5, 2, 9]) == 2
-        assert ReduceOp.combine("max", [5, 2, 9]) == 9
-
-    def test_minloc_maxloc(self):
+    def test_minloc(self):
         pairs = [(3.0, 0), (1.0, 1), (1.0, 2), (7.0, 3)]
         assert ReduceOp.combine("minloc", pairs) == (1.0, 1)
-        assert ReduceOp.combine("maxloc", pairs) == (7.0, 3)
 
     def test_minloc_requires_pairs(self):
         with pytest.raises(SimMPIError):
@@ -35,7 +28,7 @@ class TestReduceOp:
 
     def test_empty_rejected(self):
         with pytest.raises(SimMPIError):
-            ReduceOp.combine("sum", [])
+            ReduceOp.combine("minloc", [])
 
 
 class TestCollectives:
@@ -50,24 +43,6 @@ class TestCollectives:
         assert all(value == expected for value in result.returns)
         assert result.elapsed > 0
 
-    def test_bcast(self, world):
-        def program(ctx):
-            value = yield from ctx.comm.bcast("root-data" if ctx.rank == 0 else None)
-            return value
-
-        result = world.run(program)
-        assert all(value == "root-data" for value in result.returns)
-
-    def test_reduce_sum_at_root(self, world):
-        def program(ctx):
-            value = yield from ctx.comm.reduce(ctx.rank, op="sum", root=2)
-            return value
-
-        result = world.run(program)
-        total = sum(range(world.num_ranks))
-        assert result.returns[2] == total
-        assert all(v is None for i, v in enumerate(result.returns) if i != 2)
-
     def test_allreduce_minloc_election(self, world):
         def program(ctx):
             cost = float((ctx.rank * 7) % 5)
@@ -79,32 +54,46 @@ class TestCollectives:
         expected = min(costs)
         assert all(value == expected for value in result.returns)
 
-    def test_gather_scatter(self, world):
+    def test_malformed_minloc_pair_fails_every_participant(self, world):
+        # The last arrival's result builder raises: the collective fails
+        # every rank instead of leaving the others blocked.
         def program(ctx):
-            gathered = yield from ctx.comm.gather(ctx.rank**2, root=0)
-            to_scatter = None
+            value = (1.0, 2, 3) if ctx.rank == 0 else (1.0, ctx.rank)
+            try:
+                yield from ctx.comm.allreduce(value, op="minloc")
+            except SimMPIError:
+                return "failed"
+            return "passed"
+
+        result = world.run(program)
+        assert result.returns == ["failed"] * world.num_ranks
+
+        def unhandled(ctx):
+            value = (1.0, 2, 3) if ctx.rank == 0 else (1.0, ctx.rank)
+            yield from ctx.comm.allreduce(value, op="minloc")
+
+        with pytest.raises(RankProgramError) as excinfo:
+            SimWorld(MiraMachine(16, pset_size=16), ranks_per_node=2).run(unhandled)
+        assert excinfo.value.rank == 0
+        assert "pairs" in str(excinfo.value)
+
+    def test_unmatched_barrier_deadlocks(self, world):
+        def program(ctx):
             if ctx.rank == 0:
-                to_scatter = [value + 1 for value in gathered]
-            received = yield from ctx.comm.scatter(to_scatter, root=0)
-            return received
+                yield from ctx.comm.barrier()  # nobody else enters
+            return None
 
-        result = world.run(program)
-        assert result.returns == [r**2 + 1 for r in range(world.num_ranks)]
+        with pytest.raises(DeadlockError):
+            world.run(program)
 
-    def test_alltoall(self, world):
+    def test_out_of_range_world_rank_rejected(self, world):
+        with pytest.raises(SimMPIError, match="out of range"):
+            world.comm_world.world_rank(world.num_ranks)
+
         def program(ctx):
-            outgoing = [ctx.rank * 100 + peer for peer in range(ctx.comm.size)]
-            incoming = yield from ctx.comm.alltoall(outgoing)
-            return incoming
-
-        result = world.run(program)
-        for rank, incoming in enumerate(result.returns):
-            assert incoming == [peer * 100 + rank for peer in range(world.num_ranks)]
-
-    def test_scatter_wrong_length_rejected(self, world):
-        def program(ctx):
-            values = [0] * (ctx.comm.size - 1) if ctx.rank == 0 else None
-            yield from ctx.comm.scatter(values, root=0)
+            if ctx.rank == 0:
+                ctx.comm.raw.world_rank(9999)
+            yield from ctx.comm.barrier()
 
         with pytest.raises(RankProgramError):
             world.run(program)
@@ -141,72 +130,3 @@ class TestCollectives:
         # World rank N-1 has the smallest key so becomes sub-rank 0.
         assert result.returns[world.num_ranks - 1] == 0
         assert result.returns[0] == world.num_ranks - 1
-
-
-class TestPointToPoint:
-    def test_ring_exchange(self, world):
-        def program(ctx):
-            size = ctx.comm.size
-            nxt, prev = (ctx.rank + 1) % size, (ctx.rank - 1) % size
-            if ctx.rank % 2 == 0:
-                yield from ctx.comm.send(nxt, f"from {ctx.rank}", nbytes=64)
-                payload, src, _tag = yield from ctx.comm.recv(prev)
-            else:
-                payload, src, _tag = yield from ctx.comm.recv(prev)
-                yield from ctx.comm.send(nxt, f"from {ctx.rank}", nbytes=64)
-            return payload, src
-
-        result = world.run(program)
-        for rank, (payload, src) in enumerate(result.returns):
-            prev = (rank - 1) % world.num_ranks
-            assert payload == f"from {prev}"
-            assert src == prev
-
-    def test_tag_matching(self, world):
-        def program(ctx):
-            if ctx.rank == 0:
-                yield from ctx.comm.send(1, "tag5", nbytes=8, tag=5)
-                yield from ctx.comm.send(1, "tag9", nbytes=8, tag=9)
-            elif ctx.rank == 1:
-                late, _, _ = yield from ctx.comm.recv(src=0, tag=9)
-                early, _, _ = yield from ctx.comm.recv(src=0, tag=5)
-                return (early, late)
-            return None
-
-        result = world.run(program)
-        assert result.returns[1] == ("tag5", "tag9")
-
-    def test_unmatched_recv_deadlocks(self, world):
-        def program(ctx):
-            if ctx.rank == 0:
-                yield from ctx.comm.recv(src=1)  # never sent
-            return None
-
-        with pytest.raises(DeadlockError):
-            world.run(program)
-
-    def test_larger_messages_take_longer(self):
-        machine = MiraMachine(16, pset_size=16)
-
-        def program_for(nbytes):
-            def program(ctx):
-                if ctx.rank == 0:
-                    yield from ctx.comm.send(1, b"x", nbytes=nbytes)
-                elif ctx.rank == 1:
-                    yield from ctx.comm.recv(src=0)
-                return None
-
-            return program
-
-        small = SimWorld(machine, ranks_per_node=1).run(program_for(1_000)).elapsed
-        large = SimWorld(machine, ranks_per_node=1).run(program_for(10_000_000)).elapsed
-        assert large > small
-
-    def test_send_to_invalid_rank_rejected(self, world):
-        def program(ctx):
-            if ctx.rank == 0:
-                yield from ctx.comm.send(9999, "x", nbytes=8)
-            return None
-
-        with pytest.raises(RankProgramError):
-            world.run(program)

@@ -1,10 +1,9 @@
-"""Tests for RMA windows, non-blocking requests, simulated MPI-IO files and datatypes."""
+"""Tests for RMA windows, non-blocking requests and simulated MPI-IO files."""
 
 import numpy as np
 import pytest
 
 from repro.machine.mira import MiraMachine
-from repro.simmpi.datatypes import BYTE, DOUBLE, FLOAT, INT
 from repro.simmpi.errors import RankProgramError
 from repro.simmpi.request import Request
 from repro.simmpi.world import SimWorld
@@ -14,19 +13,6 @@ from repro.storage.gpfs import GPFSModel
 @pytest.fixture
 def world() -> SimWorld:
     return SimWorld(MiraMachine(16, pset_size=16), ranks_per_node=2)
-
-
-class TestDatatypes:
-    def test_sizes(self):
-        assert BYTE.size == 1
-        assert INT.size == 4
-        assert FLOAT.size == 4
-        assert DOUBLE.size == 8
-
-    def test_nbytes(self):
-        assert DOUBLE.nbytes(10) == 80
-        with pytest.raises(ValueError):
-            DOUBLE.nbytes(-1)
 
 
 class TestWindows:

@@ -43,31 +43,11 @@ class TestSimFileBasics:
         f.write(5, data)
         assert f.read(5, 10) == data.tobytes()
 
-    def test_read_array(self):
-        f = SimFile()
-        values = np.array([1.5, -2.25, 3.0], dtype=np.float64)
-        f.write(8, values.tobytes())
-        out = f.read_array(8, 3, np.float64)
-        assert np.allclose(out, values)
-
     def test_zero_byte_write_counts(self):
         f = SimFile()
         assert f.write(0, b"") == 0
         assert f.write_count == 1
         assert f.size == 0
-
-    def test_truncate_shrinks_and_zeroes(self):
-        f = SimFile()
-        f.write(0, b"abcdef")
-        f.truncate(3)
-        assert f.size == 3
-        assert f.read(0, 6) == b"abc\x00\x00\x00"
-
-    def test_truncate_extend(self):
-        f = SimFile()
-        f.write(0, b"ab")
-        f.truncate(10)
-        assert f.size == 10
 
     def test_negative_offset_rejected(self):
         f = SimFile()
@@ -98,12 +78,11 @@ class TestRegistry:
         with pytest.raises(FileNotFoundError):
             registry.open("/nope", create=False)
 
-    def test_total_bytes_and_paths(self):
+    def test_total_bytes(self):
         registry = SimFileRegistry()
         registry.open("/b").write(0, b"1234")
         registry.open("/a").write(0, b"12")
         assert registry.total_bytes() == 6
-        assert registry.paths() == ["/a", "/b"]
 
     def test_delete(self):
         registry = SimFileRegistry()

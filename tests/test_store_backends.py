@@ -76,7 +76,7 @@ class TestBackendContract:
     def test_keys_roundtrip_awkward_names(self, backend):
         """Keys containing ``__`` or ``%`` must list back verbatim — a naive
         ``/`` <-> ``__`` flattening would decode ``a__b.json`` as ``a/b.json``
-        and lose it from manifests and prune()."""
+        and lose it from manifests."""
         awkward = ["a__b.json", "scenario-results/a__b.json", "pct%2F.json"]
         for key in awkward:
             backend.put(key, "{}")

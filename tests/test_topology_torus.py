@@ -132,7 +132,3 @@ class TestBgqPartitions:
         topo = TorusTopology.bgq_partition(96)
         assert topo.num_nodes == 96
 
-    def test_average_distance_small(self):
-        topo = TorusTopology((2, 2, 2))
-        avg = topo.average_distance()
-        assert 1.0 <= avg <= 3.0

@@ -152,10 +152,6 @@ class TestHACCWorkload:
             10 * size for _, size in HACC_VARIABLES
         ]
 
-    def test_from_data_size(self):
-        workload = HACCIOWorkload.from_data_size(4, 1_000_000)
-        assert workload.bytes_per_rank() == pytest.approx(1_000_000, rel=0.01)
-
     def test_invalid_layout(self):
         with pytest.raises(ValueError):
             HACCIOWorkload(2, 10, layout="csr")
