@@ -29,6 +29,13 @@ class TestTuneTargets:
         output = capsys.readouterr().out
         assert "tuned theta-hacc-tapioca over all" in output
 
+    def test_scale_rescales_a_scenario_file(self, tmp_path, capsys):
+        # The 64-node example tunes on 16 nodes at --scale 4.
+        code = main(["tune", str(EXAMPLE_SCENARIO), "--scale", "4", "--out", str(tmp_path)])
+        assert code == 0
+        trace = json.loads((tmp_path / "theta-hacc-tapioca.tuning.json").read_text())
+        assert {point["num_nodes"] for point in trace["points"]} == {16}
+
     @pytest.mark.parametrize("flag", ["--strategy", "--budget", "--seed"])
     def test_search_flags_are_gone(self, flag, capsys):
         with pytest.raises(SystemExit) as excinfo:

@@ -23,7 +23,7 @@ from repro.perfmodel.common import resolve_filesystem
 from repro.perfmodel.mpiio import MPIIOPlan, model_mpiio
 from repro.perfmodel.tapioca import TapiocaPlan, model_tapioca
 from repro.scenario.registry import get_scenario
-from repro.scenario.simulation import Simulation
+from repro.scenario.simulation import Simulation, resolve_hints
 from repro.scenario.spec import (
     IOStrategySpec,
     MachineSpec,
@@ -236,3 +236,16 @@ def test_aggregators_per_ost_is_one_rule_for_both_methods(method, row):
             Simulation(scenario).estimate()
     else:
         assert Simulation(scenario).estimate().num_aggregators == expected
+
+
+@pytest.mark.parametrize(
+    ("stripe", "cb_nodes", "striping_factor"), [(None, 2, None), (LustreStripeConfig(8, MIB), 16, 8)]
+)
+def test_resolve_hints_turns_per_ost_counts_into_cb_nodes(stripe, cb_nodes, striping_factor):
+    """The per-OST count reaches MPI I/O as an explicit ``cb_nodes``, not as
+    a Cray hint that needs ``striping_factor`` to take effect."""
+    io = IOStrategySpec(kind="mpiio", aggregators_per_ost=2)
+    hints = resolve_hints(io, ThetaMachine(64), stripe)
+    assert hints.cb_nodes == cb_nodes
+    assert hints.aggregators_per_ost is None
+    assert hints.striping_factor == striping_factor

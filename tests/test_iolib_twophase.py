@@ -177,6 +177,34 @@ class TestIndependentIO:
         image = result.files.open("/out/ind.dat", create=False).as_bytes()
         assert image == workload.expected_file_image()
 
+    @pytest.mark.parametrize("shared_locks", [False, True])
+    def test_disabled_collective_buffering_is_the_independent_write(self, shared_locks):
+        # Both run one non-collective write: same file image, same time.
+        machine = ThetaMachine(8)
+        workload = HACCIOWorkload(16, particles_per_rank=90, layout="soa")
+
+        def run(make_program):
+            world = SimWorld(machine, ranks_per_node=2)
+            result = world.run(make_program(world))
+            image = result.files.open("/out/cb.dat", create=False).as_bytes()
+            return result.elapsed, result.returns, image
+
+        hints = MPIIOHints(
+            cb_nodes=4, collective_buffering=False, shared_locks=shared_locks
+        )
+        two_phase = run(
+            lambda world: TwoPhaseCollectiveIO(
+                world, workload, hints, path="/out/cb.dat"
+            ).write_program()
+        )
+        independent = run(
+            lambda world: independent_write_program(
+                world, workload, path="/out/cb.dat", shared_locks=shared_locks
+            )
+        )
+        assert two_phase == independent
+        assert two_phase[2] == workload.expected_file_image()
+
     def test_independent_read_returns_payloads(self):
         machine = ThetaMachine(8)
         workload = IORWorkload(16, transfer_size=333)

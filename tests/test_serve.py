@@ -244,6 +244,22 @@ class TestHttpFrontend:
         assert [env["index"] for env in envelopes] == [0, 1, 2]
         assert all(env["status"] == "ok" for env in envelopes)
 
+    def test_submit_rescales_a_scenario_file_as_evaluate_does(self, server, capsys):
+        from repro.cli import main
+        from repro.core.api import evaluate
+
+        example = (
+            Path(__file__).resolve().parent.parent
+            / "examples" / "scenarios" / "theta_hacc_tapioca.json"
+        )
+        code = main(["submit", str(example), "--scale", "4", "--url", server.url, "--json"])
+        assert code == 0
+        envelope = json.loads(capsys.readouterr().out)
+        assert envelope["status"] == "ok"
+        local = evaluate(json.loads(example.read_text(encoding="utf-8")), scale=4)
+        assert local.scenario.machine.num_nodes == 16
+        assert envelope["result"] == local.result.to_dict()
+
     def test_stats_counts_requests(self, server):
         stats = ServeClient(server.url).stats()
         assert stats["requests"] >= 1
