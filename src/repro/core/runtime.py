@@ -8,9 +8,10 @@ simulated MPI runtime:
    candidate computed locally (Section IV-B);
 2. the aggregator exposes ``pipeline_depth`` aggregation buffers in an RMA
    window; every round is a fence → ``Put`` → fence epoch during which each
-   rank deposits the pieces the round scheduler assigned to it (a rank with
-   nothing to put passes through the fences up to its next put in one
-   call, which changes no simulated time);
+   rank deposits the pieces the round scheduler assigned to it (a rank
+   other than the aggregator goes straight to the rounds it puts in and
+   passes through the fences in between in one call, which changes no
+   simulated time);
 3. at the end of a round the aggregator issues a **non-blocking** flush of
    the filled buffer (``iFlush`` in the paper) and immediately proceeds to
    the next round, which fills the other buffer — the overlap of aggregation
@@ -167,12 +168,12 @@ class TapiocaIO:
         pending_flush: dict[int, list[Request]] = {i: [] for i in range(depth)}
         bytes_contributed = 0
         my_rounds = self._rank_rounds.get(ctx.rank, {})
-        # Fences this rank still has to pass: a rank with nothing to do
-        # between fences passes through all of them in one call.  The
-        # aggregator acts after every round's second fence, so it never
-        # carries any across a round.
-        fences = 0
-        for round_index in range(num_rounds):
+        # Round r is fenced by the partition's fences 2r+1 and 2r+2.  The
+        # aggregator acts in every round; any other rank goes straight to
+        # the rounds it puts in and passes through the fences in between in
+        # one call.
+        passed = 0  # fences this rank has passed
+        for round_index in range(num_rounds) if is_aggregator else my_rounds:
             buffer_id = round_index % depth
             # Back-pressure: the aggregator must not let anyone fill a buffer
             # whose previous flush is still in flight.  It waits before the
@@ -181,12 +182,11 @@ class TapiocaIO:
             if is_aggregator and pending_flush[buffer_id]:
                 yield from Request.wait_all(ctx.env, pending_flush[buffer_id])
                 pending_flush[buffer_id] = []
-            fences += 1
             # Aggregation phase: RMA put this round's pieces.
             puts = my_rounds.get(round_index)
             if puts:
-                yield from sub.fence(window, fences)
-                fences = 0
+                yield from sub.fence(window, 2 * round_index + 1 - passed)
+                passed = 2 * round_index + 1
                 if self._payloads is None:
                     self._payloads = self.workload.segment_payloads(self.schedule.segments)
                 for segment, segment_offset, nbytes, buffer_offset in puts:
@@ -197,12 +197,11 @@ class TapiocaIO:
                         buffer_id * buffer_size + buffer_offset,
                     )
                     bytes_contributed += nbytes
-            fences += 1
             # I/O phase: non-blocking flush, overlapped with the next round
             # when pipeline_depth > 1.
             if is_aggregator:
-                yield from sub.fence(window, fences)
-                fences = 0
+                yield from sub.fence(window, 2 * round_index + 2 - passed)
+                passed = 2 * round_index + 2
                 buffer = window.buffer(aggregator_sub_rank)
                 base = buffer_id * buffer_size
                 for file_offset, nbytes, buffer_offset in flush_rounds[round_index]:
@@ -219,8 +218,8 @@ class TapiocaIO:
                     # No pipelining: wait for this round's flush immediately.
                     yield from Request.wait_all(ctx.env, pending_flush[buffer_id])
                     pending_flush[buffer_id] = []
-        if fences:
-            yield from sub.fence(window, fences)
+        if passed < 2 * num_rounds:
+            yield from sub.fence(window, 2 * num_rounds - passed)
         # Drain outstanding flushes, then leave collectively.
         if is_aggregator:
             outstanding = [r for requests in pending_flush.values() for r in requests]
@@ -266,8 +265,8 @@ class TapiocaIO:
         inflight: dict[int, list[tuple[Request, int, int]]] = {}
         if is_aggregator and num_rounds > 0:
             inflight[0] = prefetch(0)
-        fences = 0  # fences to pass through, as in :meth:`write`
-        for round_index in range(num_rounds):
+        passed = 0  # fences this rank has passed, as in :meth:`write`
+        for round_index in range(num_rounds) if is_aggregator else my_rounds:
             buffer_id = round_index % depth
             if is_aggregator:
                 # Land this round's data into the staging buffer.
@@ -281,11 +280,10 @@ class TapiocaIO:
                 # Prefetch the next round before serving this one.
                 if depth > 1 and round_index + 1 < num_rounds:
                     inflight[round_index + 1] = prefetch(round_index + 1)
-            fences += 1
             gets = my_rounds.get(round_index)
             if gets:
-                yield from sub.fence(window, fences)
-                fences = 0
+                yield from sub.fence(window, 2 * round_index + 1 - passed)
+                passed = 2 * round_index + 1
                 for segment, segment_offset, nbytes, buffer_offset in gets:
                     data = yield from window.get(
                         sub.rank,
@@ -294,14 +292,13 @@ class TapiocaIO:
                         nbytes,
                     )
                     assembled[segment][segment_offset : segment_offset + nbytes] = data
-            fences += 1
             if is_aggregator:
-                yield from sub.fence(window, fences)
-                fences = 0
+                yield from sub.fence(window, 2 * round_index + 2 - passed)
+                passed = 2 * round_index + 2
                 if depth == 1 and round_index + 1 < num_rounds:
                     inflight[round_index + 1] = prefetch(round_index + 1)
-        if fences:
-            yield from sub.fence(window, fences)
+        if passed < 2 * num_rounds:
+            yield from sub.fence(window, 2 * num_rounds - passed)
         yield from ctx.comm.barrier()
         return {
             self._segments[segment][1]: bytes(buf) for segment, buf in assembled.items()

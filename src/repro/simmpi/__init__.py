@@ -26,7 +26,7 @@ Rank programs are written in "generator MPI" style::
 and executed with :class:`~repro.simmpi.world.SimWorld`.
 """
 
-from repro.simmpi.engine import AllOf, Environment, Event, Process, Timeout
+from repro.simmpi.engine import AllOf, Environment, Event, Process
 from repro.simmpi.errors import SimMPIError, RankProgramError
 from repro.simmpi.request import Request
 from repro.simmpi.communicator import Communicator, ReduceOp
@@ -39,7 +39,6 @@ __all__ = [
     "Environment",
     "Event",
     "Process",
-    "Timeout",
     "SimMPIError",
     "RankProgramError",
     "Request",

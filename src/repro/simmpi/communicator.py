@@ -17,27 +17,39 @@ Timing model: a collective costs ``ceil(log2(P))`` steps, each of which
 moves its payload over the communicator's average hop distance
 (:meth:`~repro.simmpi.world.SimWorld.collective_step_cost`).
 
-Event ordering.  A collective has one completion event that every
-participant waits on; processing it resumes the participants in arrival
-order.  The last arrival releases it through two plain heap entries: one
-now, which schedules one at ``now + cost``, which triggers the completion.
-These take exactly the ``(time, seq)`` slots of a release process's
-bootstrap and timeout, and the completion takes the ``seq`` the first of
-``P`` per-rank completion events would have had, so every simulated time
-equals that of a per-rank release.  A rank that passes through ``count``
-consecutive barriers (``barrier(rank, count)``, which RMA fences use for
-ranks idle between epochs) is not resumed in between: each completion's
-callback enters the next barrier at the callback position where the rank's
-own resume would have entered it, so arrivals keep their order.
+Event ordering.  A collective instance is one slot keyed by its sequence
+number on the communicator; a barrier's slot only counts arrivals, the
+other collectives keep each rank's contribution for their result builder.
+Every participant waits on the slot's one completion event, whose processing
+resumes them in arrival order.  The last arrival releases it through two
+plain heap entries: one now, which schedules one at ``now + cost``, which
+triggers the completion.  These take exactly the ``(time, seq)`` slots of a
+release process's bootstrap and timeout, and the completion takes the
+``seq`` the first of ``P`` per-rank completion events would have had, so
+every simulated time equals that of a per-rank release.
+
+A rank that passes through ``count`` consecutive barriers
+(``barrier(rank, count)``, which RMA fences use for ranks idle between
+epochs) is not resumed in between.  It joins a *bundle*: one callback of a
+barrier's completion standing for a run of consecutive pass-through ranks.
+When the completion is processed, the bundle enters the next barrier for
+all its members at once, at the callback position where their own resumes
+would have entered it one by one, so every member keeps its arrival
+position: who arrives last, which ``(time, seq)`` slot the release takes
+and the resume order all stay those of separate barriers.  A bundle that
+lands right behind another one on the next completion merges with it; a
+member whose run ends splits the bundle there and is resumed in its place.
+A member entering a barrier whose slot belongs to another collective fails
+in place, each member in arrival order, as its own entry would have.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import weakref
 from typing import Any, Callable, Generator, Sequence, TYPE_CHECKING
 
-from repro.simmpi.engine import Event
+from repro.simmpi.engine import Event, Outcome
 from repro.simmpi.errors import SimMPIError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checking
@@ -70,64 +82,91 @@ class ReduceOp:
         return min(pairs, key=lambda p: (p[0], p[1]))
 
 
-@dataclass(slots=True)
 class _CollectiveSlot:
     """Rendezvous state for one collective call instance."""
 
-    name: str
-    #: The one event every participant waits on; its value maps a rank to
-    #: that rank's result.
-    completion: Event
-    nbytes: int
-    contributions: dict[int, Any] = field(default_factory=dict)
+    __slots__ = ("name", "completion", "nbytes", "arrived", "contributions")
+
+    def __init__(self, name: str, completion: Event, nbytes: int, barrier: bool) -> None:
+        self.name = name
+        #: The one event every participant waits on; a barrier's value is
+        #: ``None``, another collective's maps a rank to that rank's result.
+        self.completion = completion
+        self.nbytes = nbytes
+        self.arrived = 0
+        #: ``{rank: value}`` of a collective with a result; ``None`` on a barrier.
+        self.contributions: dict[int, Any] | None = None if barrier else {}
 
 
-def _no_result(_contributions: dict[int, Any]) -> Callable[[int], None]:
-    return _none_for_rank
+class _Bundle:
+    """Consecutive pass-through ranks: one callback of a barrier's completion.
 
+    ``seq`` is the barrier whose completion the bundle waits on; member
+    ``i`` is communicator rank ``ranks[i]``, whose run of barriers ends at
+    barrier ``ends[i]``, after which ``waiters[i]`` resumes its process.
+    """
 
-def _none_for_rank(_rank: int) -> None:
-    return None
+    __slots__ = ("comm", "seq", "ranks", "ends", "waiters", "first_end")
+
+    def __init__(
+        self,
+        comm: "Communicator",
+        seq: int,
+        ranks: list[int],
+        ends: list[int],
+        waiters: list[Callable[[Any], None]],
+    ) -> None:
+        self.comm = comm
+        self.seq = seq
+        self.ranks = ranks
+        self.ends = ends
+        self.waiters = waiters
+        #: The earliest barrier any member's run ends at.
+        self.first_end = min(ends)
+
+    def __call__(self, completion: Event) -> None:
+        seq = self.seq
+        comm = self.comm
+        if self.first_end != seq:
+            comm._pass_on(self)
+            return
+        ranks, ends, waiters = self.ranks, self.ends, self.waiters
+        counter = comm._collective_counter
+        start = 0
+        for _ in range(ends.count(seq)):
+            stop = ends.index(seq, start)
+            if stop > start:
+                comm._pass_on(
+                    _Bundle(comm, seq, ranks[start:stop], ends[start:stop], waiters[start:stop])
+                )
+            counter[ranks[stop]] = seq + 1
+            waiters[stop](completion)
+            start = stop + 1
+        if start < len(ranks):
+            comm._pass_on(_Bundle(comm, seq, ranks[start:], ends[start:], waiters[start:]))
 
 
 class _PassThrough(Event):
-    """What a rank waits on while it passes through consecutive barriers.
+    """What a rank yields to pass through barriers up to barrier ``end``.
 
-    Each barrier's completion callback enters the next barrier for the rank;
-    the last barrier's completion resumes the rank's process directly.  A
-    barrier entry that fails (a collective mismatch) is thrown into the
-    rank's process at that same callback position.
+    The process's ``add_callback`` makes the rank a one-member bundle on the
+    completion of the barrier it has just entered.
     """
 
-    __slots__ = ("_comm", "_rank", "_remaining", "_current", "_waiter")
+    __slots__ = ("_comm", "_rank", "_seq", "_end", "_completion")
 
-    def __init__(self, comm: "Communicator", rank: int, count: int, first: Event) -> None:
-        super().__init__(comm.world.env)
+    def __init__(self, comm: "Communicator", rank: int, seq: int, end: int, completion: Event):
+        self._callbacks = ()  # pending: the process registers its resume
         self._comm = comm
         self._rank = rank
-        self._remaining = count - 1
-        self._current = first
-        self._waiter: Callable[[Event], None] | None = None
+        self._seq = seq
+        self._end = end
+        self._completion = completion
 
-    def add_callback(self, callback: Callable[[Event], None]) -> None:
-        self._waiter = callback
-        self._current.add_callback(self._enter_next)
-
-    def _enter_next(self, event: Event) -> None:
-        if not event.ok:
-            self._waiter(event)
-            return
-        try:
-            self._current = self._comm._enter_collective(
-                self._rank, "barrier", None, 0, _no_result
-            )
-        except SimMPIError as exc:
-            # Fail in place, where the rank's own resume would have raised.
-            self.ok, self.value = False, exc
-            self._waiter(self)
-            return
-        self._remaining -= 1
-        self._current.add_callback(self._waiter if self._remaining == 0 else self._enter_next)
+    def add_callback(self, callback: Callable[[Any], None]) -> None:
+        self._comm._join(
+            self._completion, _Bundle(self._comm, self._seq, [self._rank], [self._end], [callback])
+        )
 
 
 class Communicator:
@@ -142,7 +181,10 @@ class Communicator:
             raise SimMPIError("a communicator needs at least one rank")
         if len(set(world_ranks)) != len(world_ranks):
             raise SimMPIError("duplicate ranks in communicator")
-        self.world = world
+        # Weak, so a finished world is freed by reference counting rather
+        # than by a later cycle collection (the world holds COMM_WORLD).
+        self._world = weakref.ref(world)
+        self._env = world.env
         self.name = name
         self.world_ranks: tuple[int, ...] = tuple(world_ranks)
         #: Number of ranks in the communicator.
@@ -155,10 +197,17 @@ class Communicator:
         #: Sampled mean hop distance between member nodes, set by the world
         #: the first time a collective on this communicator is priced.
         self.mean_hops: float | None = None
+        #: Cost of one barrier, priced at the first barrier release.
+        self._barrier_cost: float | None = None
 
     # ------------------------------------------------------------------ #
     # Introspection
     # ------------------------------------------------------------------ #
+
+    @property
+    def world(self) -> "SimWorld":
+        """The simulation world the communicator belongs to."""
+        return self._world()
 
     def world_rank(self, rank: int) -> int:
         """World rank of communicator rank ``rank``."""
@@ -192,6 +241,42 @@ class Communicator:
         steps = max(1, math.ceil(math.log2(self.size)))
         return steps * self.world.collective_step_cost(self, int(nbytes))
 
+    def _arrive(self, seq: int, rank: int, name: str, nbytes: int) -> _CollectiveSlot:
+        """Count ``rank``'s arrival at collective ``seq``; returns its slot.
+
+        The first arrival creates the slot.  Raises :class:`SimMPIError`
+        when ``rank`` calls ``name`` where others called another collective.
+        """
+        slot = self._collective_slots.get(seq)
+        if slot is None:
+            slot = _CollectiveSlot(name, Event(self._env), nbytes, name == "barrier")
+            self._collective_slots[seq] = slot
+        elif slot.name != name:
+            raise self._mismatch(rank, name, slot)
+        elif nbytes > slot.nbytes:
+            slot.nbytes = nbytes
+        slot.arrived += 1
+        return slot
+
+    def _mismatch(self, rank: int, name: str, slot: _CollectiveSlot) -> SimMPIError:
+        return SimMPIError(
+            f"collective mismatch on {self.name!r}: rank {rank} called "
+            f"{name!r} while others called {slot.name!r}"
+        )
+
+    def _release(self, seq: int, slot: _CollectiveSlot, value: Any = None) -> None:
+        """Schedule the completion of a collective every rank has entered."""
+        del self._collective_slots[seq]
+        if slot.contributions is None:
+            if self._barrier_cost is None:
+                self._barrier_cost = self._collective_cost(0)
+            cost = self._barrier_cost
+        else:
+            cost = self._collective_cost(slot.nbytes)
+        env = self._env
+        completion = slot.completion
+        env.call_later(0.0, lambda: env.call_later(cost, lambda: completion.succeed(value)))
+
     def _enter_collective(
         self,
         rank: int,
@@ -210,33 +295,17 @@ class Communicator:
         self._validate_rank(rank)
         seq = self._collective_counter[rank]
         self._collective_counter[rank] = seq + 1
-        slot = self._collective_slots.get(seq)
-        if slot is None:
-            slot = _CollectiveSlot(name, Event(self.world.env), nbytes)
-            self._collective_slots[seq] = slot
-        elif slot.name != name:
-            raise SimMPIError(
-                f"collective mismatch on {self.name!r}: rank {rank} called "
-                f"{name!r} while others called {slot.name!r}"
-            )
-        elif nbytes > slot.nbytes:
-            slot.nbytes = nbytes
+        slot = self._arrive(seq, rank, name, nbytes)
         slot.contributions[rank] = value
-        completion = slot.completion
-        if len(slot.contributions) == self.size:
-            del self._collective_slots[seq]
+        if slot.arrived == self.size:
             try:
                 result_for_rank = result_builder(slot.contributions)
             except Exception as exc:
-                completion.fail(exc)
+                del self._collective_slots[seq]
+                slot.completion.fail(exc)
             else:
-                env = self.world.env
-                cost = self._collective_cost(slot.nbytes)
-                env.call_later(
-                    0.0,
-                    lambda: env.call_later(cost, lambda: completion.succeed(result_for_rank)),
-                )
-        return completion
+                self._release(seq, slot, result_for_rank)
+        return slot.completion
 
     def _run_collective(
         self,
@@ -256,15 +325,54 @@ class Communicator:
         resumes the rank only after the last one; the other ranks see
         ``count`` ordinary barriers.
         """
-        if count == 1:
-            return self._run_collective(rank, "barrier", None, 0, _no_result)
+        self._validate_rank(rank)
         if count < 1:
             raise SimMPIError(f"barrier count must be >= 1, got {count}")
-        return self._pass_through(rank, count)
+        return self._barrier(rank, count)
 
-    def _pass_through(self, rank: int, count: int) -> Generator[Event, Any, None]:
-        first = self._enter_collective(rank, "barrier", None, 0, _no_result)
-        yield _PassThrough(self, rank, count, first)
+    def _barrier(self, rank: int, count: int) -> Generator[Event, Any, None]:
+        seq = self._collective_counter[rank]
+        self._collective_counter[rank] = seq + 1
+        slot = self._arrive(seq, rank, "barrier", 0)
+        if slot.arrived == self.size:
+            self._release(seq, slot)
+        if count == 1:
+            yield slot.completion
+        else:
+            yield _PassThrough(self, rank, seq, seq + count - 1, slot.completion)
+
+    def _join(self, completion: Event, bundle: _Bundle) -> None:
+        """Make ``bundle`` the next callback of ``completion``; it merges
+        into the last callback when that is a bundle too."""
+        callbacks = completion._callbacks
+        last = callbacks[-1] if callbacks else None
+        if last.__class__ is _Bundle:
+            last.ranks += bundle.ranks
+            last.ends += bundle.ends
+            last.waiters += bundle.waiters
+            if bundle.first_end < last.first_end:
+                last.first_end = bundle.first_end
+        else:
+            callbacks.append(bundle)
+
+    def _pass_on(self, bundle: _Bundle) -> None:
+        """Enter the barrier after ``bundle.seq`` for every member of ``bundle``."""
+        seq = bundle.seq + 1
+        slot = self._collective_slots.get(seq)
+        if slot is not None and slot.contributions is not None:
+            # Fail in place, in arrival order, as each member's entry would.
+            for rank, waiter in zip(bundle.ranks, bundle.waiters):
+                self._collective_counter[rank] = seq + 1
+                waiter(Outcome(False, self._mismatch(rank, "barrier", slot)))
+            return
+        if slot is None:
+            slot = _CollectiveSlot("barrier", Event(self._env), 0, True)
+            self._collective_slots[seq] = slot
+        slot.arrived += len(bundle.ranks)
+        bundle.seq = seq
+        self._join(slot.completion, bundle)
+        if slot.arrived == self.size:
+            self._release(seq, slot)
 
     def allreduce(
         self, rank: int, value: Any, op: str = ReduceOp.MINLOC, nbytes: int = 8

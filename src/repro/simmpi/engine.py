@@ -4,9 +4,11 @@ A deliberately small process-oriented engine in the style of SimPy:
 
 * an :class:`Environment` owns the virtual clock and the event queue;
 * a :class:`Process` wraps a Python generator; the generator *yields*
-  :class:`Event` objects (or :class:`Timeout` / :class:`AllOf` conveniences)
-  and is resumed when they trigger, receiving the event's value as the result
-  of the ``yield`` expression;
+  :class:`Event` objects (or :class:`AllOf` conveniences) and is resumed when
+  they trigger, receiving the event's value as the result of the ``yield``
+  expression.  To wait for simulated time it yields the delay itself, a
+  ``float`` number of seconds (:meth:`Environment.timeout` checks and
+  returns one);
 * composition uses plain ``yield from`` — helper coroutines simply delegate.
 
 The engine is single-threaded and fully deterministic: every heap entry is a
@@ -14,10 +16,20 @@ The engine is single-threaded and fully deterministic: every heap entry is a
 ``seq`` (insertion) order.  An entry is either a triggered :class:`Event`,
 whose action resumes its waiters in the order they started waiting, or a
 plain callback scheduled with :meth:`Environment.call_later`, which costs no
-:class:`Event` and no process.  The MPI layer relies on this: a collective
-keeps one completion event for all its participants and releases it through
-plain entries that take the ``(time, seq)`` slots a per-participant release
-process would have taken (see :mod:`repro.simmpi.communicator`).
+:class:`Event`.  Three kinds of plain entry take the ``seq`` slots events
+once took:
+
+* a process's bootstrap is one entry at ``now`` when the process is created
+  (the slot of a bootstrap event triggered there);
+* a yielded delay is one entry at ``now + delay`` when it is yielded (the
+  slot of a timeout event created at that point and waited on at once);
+* a collective is released by an entry at its last arrival that schedules
+  one at ``now + cost`` (the slots of a release process's bootstrap and
+  timeout), which triggers the collective's one completion event.
+
+The MPI layer relies on this (see :mod:`repro.simmpi.communicator`): the
+completion's callbacks resume the participants in arrival order, and ranks
+passing through barriers ride those callbacks as bundles.
 """
 
 from __future__ import annotations
@@ -91,22 +103,6 @@ class Event:
             callback(self)
 
 
-class Timeout(Event):
-    """An event that triggers after a fixed simulated delay."""
-
-    __slots__ = ("delay",)
-
-    def __init__(self, env: "Environment", delay: float, value: Any = None) -> None:
-        super().__init__(env)
-        if delay < 0:
-            raise ValueError(f"timeout delay must be >= 0, got {delay}")
-        self.delay = delay
-        self.value = value
-        self.ok = True
-        self._triggered = True
-        env._schedule(delay, self)
-
-
 class AllOf(Event):
     """An event that triggers once all child events have triggered.
 
@@ -140,6 +136,20 @@ class AllOf(Event):
             self.succeed([child.value for child in self._children])
 
 
+class Outcome:
+    """What a process is resumed with when no event stands behind it."""
+
+    __slots__ = ("ok", "value")
+
+    def __init__(self, ok: bool, value: Any) -> None:
+        self.ok = ok
+        self.value = value
+
+
+#: A bootstrap or an elapsed delay: resume with ``None``.
+_WOKEN = Outcome(True, None)
+
+
 class Process(Event):
     """A running coroutine; also an event that triggers when it returns."""
 
@@ -152,11 +162,12 @@ class Process(Event):
         self.generator = generator
         self.name = name
         # Bootstrap: resume the generator as soon as the simulation starts.
-        bootstrap = Event(env)
-        bootstrap.add_callback(self._resume)
-        bootstrap.succeed(None)
+        env.call_later(0.0, self._wake)
 
-    def _resume(self, event: Event) -> None:
+    def _wake(self) -> None:
+        self._resume(_WOKEN)
+
+    def _resume(self, event: Event | Outcome) -> None:
         # A loop, not recursion: a target that has already been processed
         # (e.g. a completed request) is fed straight back into the generator.
         while True:
@@ -175,10 +186,13 @@ class Process(Event):
                 else:  # pragma: no cover - defensive
                     raise
                 return
+            if target.__class__ is float and target >= 0.0:
+                self.env.call_later(target, self._wake)
+                return
             if not isinstance(target, Event):
                 error = TypeError(
-                    f"process {self.name!r} yielded {target!r}; "
-                    "processes must yield Event/Timeout/AllOf instances"
+                    f"process {self.name!r} yielded {target!r}; processes must "
+                    "yield Event/AllOf instances or a non-negative float delay"
                 )
                 self.generator.close()
                 if not self._triggered:
@@ -213,9 +227,16 @@ class Environment:
         """A fresh untriggered event."""
         return Event(self)
 
-    def timeout(self, delay: float, value: Any = None) -> Timeout:
-        """An event triggering ``delay`` simulated seconds from now."""
-        return Timeout(self, delay, value)
+    @staticmethod
+    def timeout(delay: float) -> float:
+        """A wait of ``delay`` simulated seconds: ``yield env.timeout(delay)``.
+
+        The delay is checked and returned as a ``float``; the process that
+        yields it is resumed by one plain heap entry at ``now + delay``.
+        """
+        if delay < 0:
+            raise ValueError(f"timeout delay must be >= 0, got {delay}")
+        return float(delay)
 
     def all_of(self, events: Iterable[Event]) -> AllOf:
         """An event triggering when all of ``events`` have triggered."""

@@ -19,6 +19,7 @@ large-scale contention analysis.
 
 from __future__ import annotations
 
+import weakref
 from typing import Any, Generator, TYPE_CHECKING
 
 import numpy as np
@@ -51,7 +52,10 @@ class SimMPIFile:
         *,
         shared_locks: bool = True,
     ) -> None:
-        self.world = world
+        # Weak, so a finished world is freed by reference counting rather
+        # than by a later cycle collection (the world holds its open files).
+        self._world = weakref.ref(world)
+        self._env = world.env
         self.simfile = simfile
         self.filesystem = filesystem
         self.shared_locks = shared_locks
@@ -60,6 +64,11 @@ class SimMPIFile:
         self.write_seconds = 0.0
         #: Total simulated seconds spent in read operations (summed over ranks).
         self.read_seconds = 0.0
+
+    @property
+    def world(self) -> "SimWorld":
+        """The simulation world the file is open in."""
+        return self._world()
 
     # ------------------------------------------------------------------ #
     # Internal helpers
@@ -97,7 +106,7 @@ class SimMPIFile:
         nbytes, duration = self._operation(offset, data, "write")
         self._active_ops += 1
         try:
-            yield self.world.env.timeout(duration)
+            yield self._env.timeout(duration)
         finally:
             self._active_ops -= 1
         self.simfile.write(offset, data)
@@ -109,7 +118,7 @@ class SimMPIFile:
         _, duration = self._operation(offset, nbytes, "read")
         self._active_ops += 1
         try:
-            yield self.world.env.timeout(duration)
+            yield self._env.timeout(duration)
         finally:
             self._active_ops -= 1
         self.read_seconds += duration
@@ -134,7 +143,7 @@ class SimMPIFile:
             captured = bytes(data)
         nbytes, duration = self._operation(offset, captured, "write")
         self._active_ops += 1
-        env = self.world.env
+        env = self._env
 
         def _complete() -> Generator[Event, Any, int]:
             try:
@@ -152,7 +161,7 @@ class SimMPIFile:
         """Non-blocking read; the request's value is the bytes read."""
         _, duration = self._operation(offset, nbytes, "read")
         self._active_ops += 1
-        env = self.world.env
+        env = self._env
 
         def _complete() -> Generator[Event, Any, bytes]:
             try:

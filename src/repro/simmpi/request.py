@@ -50,13 +50,6 @@ class Request:
         values = yield env.all_of([r.event for r in requests])
         return list(values)
 
-    @staticmethod
-    def completed(env: Environment, value: Any = None, label: str = "noop") -> "Request":
-        """An already-completed request (used for zero-byte flushes)."""
-        event = env.event()
-        event.succeed(value)
-        return Request(event, label=label)
-
     def __repr__(self) -> str:  # pragma: no cover
         state = "done" if self.complete else "pending"
         return f"<Request {self.label!r} {state}>"

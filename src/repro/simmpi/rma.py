@@ -22,6 +22,10 @@ from repro.simmpi.errors import SimMPIError
 if TYPE_CHECKING:  # pragma: no cover
     from repro.simmpi.world import SimWorld
 
+#: The buffer of every rank exposing nothing: one shared read-only array.
+_EMPTY = np.zeros(0, dtype=np.uint8)
+_EMPTY.flags.writeable = False
+
 
 class Window:
     """An RMA window: one byte buffer per rank of a communicator.
@@ -43,7 +47,7 @@ class Window:
             rank_size = int(sizes[rank])
             if rank_size < 0:
                 raise SimMPIError(f"window size for rank {rank} must be >= 0")
-            self._buffers[rank] = np.zeros(rank_size, dtype=np.uint8)
+            self._buffers[rank] = np.zeros(rank_size, dtype=np.uint8) if rank_size else _EMPTY
         #: Total bytes put into the window (diagnostics).
         self.bytes_put = 0
         #: Number of put operations (diagnostics).
@@ -75,12 +79,13 @@ class Window:
         between the two hosting nodes (zero network cost if they share a
         node, but the local memory copy is still charged).
         """
-        self.comm._validate_rank(origin_rank, "origin_rank")
-        self.comm._validate_rank(target_rank, "target_rank")
+        comm = self.comm
+        src_node = comm._nodes[comm._validate_rank(origin_rank, "origin_rank")]
+        dst_node = comm._nodes[comm._validate_rank(target_rank, "target_rank")]
         buf = (
             np.ascontiguousarray(data, dtype=np.uint8).reshape(-1)
             if isinstance(data, np.ndarray)
-            else np.frombuffer(bytes(data), dtype=np.uint8)
+            else np.frombuffer(data, dtype=np.uint8)
         )
         nbytes = int(buf.size)
         target = self._buffers[target_rank]
@@ -89,11 +94,9 @@ class Window:
                 f"RMA put of {nbytes} B at offset {target_offset} overflows "
                 f"rank {target_rank}'s window of {target.size} B"
             )
-        src_node = self.comm.node_of(origin_rank)
-        dst_node = self.comm.node_of(target_rank)
-        cost = self.world.transfer_time(src_node, dst_node, nbytes)
-        yield self.world.env.timeout(cost)
-        target[target_offset : target_offset + nbytes] = buf
+        yield self.world.transfer_time(src_node, dst_node, nbytes)
+        if nbytes:
+            target[target_offset : target_offset + nbytes] = buf
         self.bytes_put += nbytes
         self.put_count += 1
         rec = obs_recorder()
@@ -112,18 +115,16 @@ class Window:
         nbytes: int,
     ) -> Generator[Event, Any, bytes]:
         """Read ``nbytes`` from ``target_rank``'s buffer (one-sided get)."""
-        self.comm._validate_rank(origin_rank, "origin_rank")
-        self.comm._validate_rank(target_rank, "target_rank")
+        comm = self.comm
+        dst_node = comm._nodes[comm._validate_rank(origin_rank, "origin_rank")]
+        src_node = comm._nodes[comm._validate_rank(target_rank, "target_rank")]
         target = self._buffers[target_rank]
         if target_offset < 0 or target_offset + nbytes > target.size:
             raise SimMPIError(
                 f"RMA get of {nbytes} B at offset {target_offset} overflows "
                 f"rank {target_rank}'s window of {target.size} B"
             )
-        src_node = self.comm.node_of(target_rank)
-        dst_node = self.comm.node_of(origin_rank)
-        cost = self.world.transfer_time(src_node, dst_node, nbytes)
-        yield self.world.env.timeout(cost)
+        yield self.world.transfer_time(src_node, dst_node, nbytes)
         return bytes(target[target_offset : target_offset + nbytes])
 
     def fence(self, rank: int, count: int = 1) -> Generator[Event, Any, None]:

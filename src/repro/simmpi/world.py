@@ -73,11 +73,6 @@ class BoundComm:
         """This rank's world (COMM_WORLD) rank."""
         return self._comm.world_rank(self._rank)
 
-    @property
-    def node(self) -> int:
-        """Compute node hosting this rank."""
-        return self._comm.node_of(self._rank)
-
     def node_of(self, rank: int) -> int:
         """Compute node hosting communicator rank ``rank``."""
         return self._comm.node_of(rank)
@@ -156,10 +151,6 @@ class RankContext:
         """Total number of ranks in the world."""
         return self.world.num_ranks
 
-    def compute(self, seconds: float) -> Event:
-        """Model a local computation taking ``seconds``: ``yield ctx.compute(t)``."""
-        return self.world.env.timeout(seconds)
-
 
 @dataclass
 class WorldResult:
@@ -221,6 +212,7 @@ class SimWorld:
             mapping = block_mapping(nodes * rpn, nodes, rpn)
         self.mapping = mapping
         self.num_ranks = mapping.num_ranks
+        self._rank_nodes: list[int] = mapping.node_of_rank.tolist()
         self.files = SimFileRegistry()
         self._open_files: dict[str, SimMPIFile] = {}
         self.comm_world = Communicator(
@@ -228,6 +220,9 @@ class SimWorld:
         )
         # Intra-node copies move at the node's main-memory bandwidth.
         self._intra_node_bandwidth = machine.node_spec.main_memory.bandwidth
+        #: ``{src: {dst: (fixed seconds, bandwidth)}}`` over the world's
+        #: nodes, priced at the first transfer (:meth:`transfer_time`).
+        self._pair_costs: dict[int, dict[int, tuple[float, float]]] | None = None
 
     # ------------------------------------------------------------------ #
     # Mapping / timing queries used by the communication layers
@@ -235,15 +230,39 @@ class SimWorld:
 
     def node_of_rank(self, world_rank: int) -> int:
         """Compute node hosting a world rank."""
-        return self.mapping.node(world_rank)
+        if 0 <= world_rank < self.num_ranks:
+            return self._rank_nodes[world_rank]
+        return self.mapping.node(world_rank)  # raises the mapping's range error
 
     def transfer_time(self, src_node: int, dst_node: int, nbytes: float) -> float:
-        """Time to move ``nbytes`` between two nodes (or within one node)."""
+        """Time to move ``nbytes`` between two nodes of the world (or within one).
+
+        Between nodes this is the topology's ``l * d + nbytes / B`` model
+        (:meth:`~repro.topology.base.Topology.transfer_time`), within a node
+        a shared-memory copy; the terms of every node pair come from one
+        :meth:`~repro.topology.base.Topology.pair_metrics` call.
+        """
         if nbytes < 0:
             raise SimMPIError(f"nbytes must be >= 0, got {nbytes}")
-        if src_node == dst_node:
-            return INTRA_NODE_LATENCY + float(nbytes) / self._intra_node_bandwidth
-        return self.machine.topology.transfer_time(src_node, dst_node, nbytes)
+        pairs = self._pair_costs
+        if pairs is None:
+            pairs = self._pair_costs = self._price_pairs()
+        fixed, bandwidth = pairs[src_node][dst_node]
+        return fixed + float(nbytes) / bandwidth
+
+    def _price_pairs(self) -> dict[int, dict[int, tuple[float, float]]]:
+        topology = self.machine.topology
+        nodes = sorted(set(self._rank_nodes))
+        hops, bandwidths = topology.pair_metrics(nodes, nodes)
+        latency = topology.latency()
+        intra = (INTRA_NODE_LATENCY, float(self._intra_node_bandwidth))
+        return {
+            src: {
+                dst: intra if src == dst else (float(latency * hop), bandwidth)
+                for dst, hop, bandwidth in zip(nodes, hop_row, bandwidth_row)
+            }
+            for src, hop_row, bandwidth_row in zip(nodes, hops.tolist(), bandwidths.tolist())
+        }
 
     def _average_hops(self, comm: Communicator) -> float:
         """Mean hop distance between the nodes of a communicator (sampled).

@@ -129,14 +129,6 @@ class SimFileRegistry:
             self.files[path] = SimFile(path)
         return self.files[path]
 
-    def exists(self, path: str) -> bool:
-        """Whether a file exists at ``path``."""
-        return path in self.files
-
-    def delete(self, path: str) -> None:
-        """Remove the file at ``path`` (KeyError if absent)."""
-        del self.files[path]
-
     def total_bytes(self) -> int:
         """Sum of the sizes of all files."""
         return sum(f.size for f in self.files.values())

@@ -278,6 +278,22 @@ class TestWorkflowShape:
             )
         assert gate[0].count("grep -F '\"correct\": true'") == 2
 
+    def test_bench_job_gates_des_roundtrip_on_the_operation_order(self, workflow):
+        """Every seed-1 and seed-7 des_roundtrip cell replayed through the
+        operation log must keep the committed per-cell digest: the event
+        order the elapsed-time digests cannot see."""
+        steps = workflow["jobs"]["bench"]["steps"]
+        gate = [s.get("run", "") for s in steps if s.get("name") == "DES operation-order gate"]
+        assert gate, "the bench job must replay des_roundtrip through the operation log"
+        assert "PYTHONPATH=tests${PYTHONPATH:+:$PYTHONPATH} python - <<'EOF'" in gate[0]
+        assert "from reference.oplog import" in gate[0]
+        assert "for seed in (1, 7):" in gate[0]
+        assert "cells = des_order_digests(seed, 72)" in gate[0]
+        assert "assert not moved" in gate[0]
+        assert 'assert deck_digest(cells) == expected["digest"]' in gate[0]
+        names = [s.get("name") for s in steps]
+        assert names.index("DES operation-order gate") > names.index("DES round-trip digest gate")
+
     def test_bench_job_gates_on_the_scenario_stream_digest(self, workflow):
         """evaluate() through a SQLite store must reproduce perfbench's
         committed scenario_stream digests of seeds 1 and 7, store hits

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.simmpi.engine import AllOf, Environment, Event, Process, Timeout
+from repro.simmpi.engine import Environment
 from repro.simmpi.errors import DeadlockError
 
 

@@ -1,7 +1,7 @@
 """The lean event path of the simulator: shared collective completions,
-fence pass-through, waits on failed or already-completed requests, and the
-per-round schedule index.  Exact simulated times are pinned separately in
-``test_simmpi_golden.py``.
+fence pass-through and its bundles, waits on failed or already-completed
+requests, and the per-round schedule index.  Exact simulated times are
+pinned separately in ``test_simmpi_golden.py``.
 """
 
 from __future__ import annotations
@@ -26,6 +26,16 @@ def world():
     return SimWorld(ThetaMachine(8), ranks_per_node=1)
 
 
+def finished(env, value):
+    """A request whose process returns ``value`` at its bootstrap."""
+
+    def program():
+        return value
+        yield
+
+    return Request(env.process(program()))
+
+
 class TestWaitAll:
     def test_a_failed_child_fails_the_wait(self):
         env = Environment()
@@ -35,7 +45,7 @@ class TestWaitAll:
             raise OSError("disk gone")
 
         def waiter():
-            requests = [Request(env.process(broken())), Request.completed(env, 7)]
+            requests = [Request(env.process(broken())), finished(env, 7)]
             values = yield from Request.wait_all(env, requests)
             return values
 
@@ -81,7 +91,7 @@ class TestResume:
         env = Environment()
 
         def program():
-            requests = [Request.completed(env, i) for i in range(5000)]
+            requests = [finished(env, i) for i in range(5000)]
             yield env.timeout(1.0)  # every completion is processed by now
             total = 0
             for request in requests:
@@ -206,6 +216,131 @@ class TestPassThrough:
 
         with pytest.raises(DeadlockError, match="rank2, rank6$"):
             world.run(program)
+
+
+def _bundle_world_run(counts_for_rank, one_by_one, probe=None):
+    """Run a fence script on 8 ranks; returns ``(record, events processed)``.
+
+    Rank ``r`` first sleeps ``(8 - r) % 8`` µs, so ranks 7..1 arrive at the
+    first fence in that order after rank 0.  ``record`` lists ``(rank, now)``
+    after every call of the script (a pass-through counts as one call even
+    when run fence by fence) and every ``(name, now)`` the probe appends.
+    """
+    world = SimWorld(ThetaMachine(8), ranks_per_node=1)
+    record = []
+
+    def program(ctx):
+        window = yield from ctx.comm.create_window(64 if ctx.rank == 0 else 0)
+        yield ctx.env.timeout(((8 - ctx.rank) % 8) * 1e-6)
+        for step, count in enumerate(counts_for_rank(ctx.rank)):
+            if probe is not None:
+                probe(ctx, step, record)
+            if count == "put":
+                yield from ctx.comm.put(window, bytes([ctx.rank]), 0, 8 * ctx.rank + step % 8)
+            else:
+                calls = [1] * count if one_by_one else [count]
+                for fences in calls:
+                    yield from ctx.comm.fence(window, fences)
+            record.append((ctx.rank, ctx.env.now.hex()))
+
+    world.run(program)
+    return record, world.env.events_processed
+
+
+class TestBundles:
+    """Bundled pass-through ranks against the same fences passed one by one.
+
+    The pinned records were taken from the engine that entered every
+    pass-through rank into every barrier separately.
+    """
+
+    SCRIPTS = {
+        0: [1, "put", 1, 1, "put", 1, 1, 1, 1, 1],
+        1: [2, "put", 6],
+        2: [8],
+        3: [3, "put", 5],
+        4: [1, 1, "put", 6],
+        5: [5, 3],
+        6: [4, "put", 1, 3],
+        7: [7, 1],
+    }
+    #: Who resumed after each call of SCRIPTS, in order.
+    RESUME_ORDER = [
+        0, 4, 0, 4, 1, 0, 1, 4, 3, 0, 3, 0, 6, 0, 6, 5, 0, 6, 0, 7, 0, 7, 5, 2, 1, 4, 3, 0, 6,
+    ]
+
+    #: Who resumed, and when the probe ran, around the bundle's releases.
+    PROBE_ORDER = [0, "probe", "probe", 0, 0, 7, 6, 5, 4, 3, 2, 1]
+
+    def test_runs_ending_at_different_barriers_resume_in_arrival_order(self):
+        bundled = _bundle_world_run(self.SCRIPTS.get, one_by_one=False)
+        separate = _bundle_world_run(self.SCRIPTS.get, one_by_one=True)
+        assert bundled[0] == separate[0]
+        assert bundled[1] == separate[1]
+        assert [rank for rank, _now in bundled[0]] == self.RESUME_ORDER
+
+    def test_a_mismatch_mid_bundle_fails_every_member_in_arrival_order(self):
+        def run(one_by_one):
+            world = SimWorld(ThetaMachine(8), ranks_per_node=1)
+            failures = []
+
+            def program(ctx):
+                window = yield from ctx.comm.create_window(0)
+                if ctx.rank:
+                    yield ctx.env.timeout((8 - ctx.rank) * 1e-6)
+                try:
+                    if ctx.rank == 0:
+                        yield from ctx.comm.fence(window)
+                        yield from ctx.comm.allreduce((0.0, 0))
+                    else:
+                        for count in [1] * 3 if one_by_one else [3]:
+                            yield from ctx.comm.fence(window, count)
+                except SimMPIError as exc:
+                    failures.append((ctx.rank, ctx.env.now.hex(), str(exc)))
+
+            with pytest.raises(DeadlockError, match="blocked processes: rank0$"):
+                world.run(program)
+            return failures
+
+        bundled = run(one_by_one=False)
+        assert bundled == run(one_by_one=True)
+        assert [rank for rank, _now, _message in bundled] == [7, 6, 5, 4, 3, 2, 1]
+        assert len({now for _rank, now, _message in bundled}) == 1
+        for rank, _now, message in bundled:
+            assert message == (
+                "collective mismatch on 'MPI_COMM_WORLD': rank "
+                f"{rank} called 'barrier' while others called 'allreduce:minloc'"
+            )
+
+    def test_a_bundle_arriving_last_releases_in_the_same_slot(self):
+        """Rank 0 fences one by one and arrives first at every barrier, so
+        the bundle of ranks 1..7 is the last arrival of barriers 2 and 3.
+        Just before entering barrier 2, rank 0 starts a probe that mimics a
+        release: it waits the barrier's cost, then a zero delay.  Its
+        entries interleave with the release's at both timestamps, so the
+        probe's place among the resumes shows the slots the release took."""
+
+        def scripts(rank):
+            return [1, 1, 1] if rank == 0 else [3]
+
+        def probe(ctx, step, record):
+            if ctx.rank != 0 or step != 1:
+                return
+            env = ctx.env
+            cost = ctx.comm.raw._collective_cost(0)
+
+            def watcher():
+                yield env.timeout(cost)
+                record.append(("probe", env.now.hex()))
+                yield env.timeout(0)
+                record.append(("probe", env.now.hex()))
+
+            env.process(watcher())
+
+        bundled = _bundle_world_run(scripts, one_by_one=False, probe=probe)
+        separate = _bundle_world_run(scripts, one_by_one=True, probe=probe)
+        assert bundled == separate
+        assert [who for who, _now in bundled[0]] == self.PROBE_ORDER
 
 
 class TestScheduleIndex:

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import hashlib
 
-import numpy as np
 import pytest
 
 from repro.core.config import TapiocaConfig
@@ -26,11 +25,10 @@ from repro.iolib.hints import MPIIOHints
 from repro.iolib.twophase import TwoPhaseCollectiveIO
 from repro.machine.mira import MiraMachine
 from repro.machine.theta import ThetaMachine
-from repro.simmpi.file import SimMPIFile
-from repro.simmpi.rma import Window
 from repro.simmpi.world import SimWorld
 from repro.workloads.hacc import HACCIOWorkload
 from repro.workloads.ior import IORWorkload
+from reference.oplog import OperationLog, committed_des_order, des_order_digests
 
 RANKS_PER_NODE = 2
 PATH = "/out/golden.dat"
@@ -66,61 +64,22 @@ def readback_digest(returns: list[dict[int, bytes]]) -> str:
     return digest.hexdigest()
 
 
-class OperationLog:
-    """Records every RMA and file operation, in issue order, with its time."""
-
-    METHODS = (
-        (Window, ("put", "get")),
-        (SimMPIFile, ("write_at", "read_at", "iwrite_at", "iread_at")),
-    )
-
-    def __init__(self) -> None:
-        self.digest = hashlib.sha256()
-        self._saved: list[tuple[type, str, object]] = []
-
-    @staticmethod
-    def _describe(value) -> str:
-        if isinstance(value, np.ndarray):
-            return f"<{value.nbytes} B>"
-        if isinstance(value, (bytes, bytearray, memoryview)):
-            return f"<{len(value)} B>"
-        return repr(value)
-
-    def _logged(self, name: str, method):
-        def wrapper(obj, *args):
-            where = obj.comm.name if isinstance(obj, Window) else obj.simfile.name
-            line = " ".join(
-                [obj.world.env.now.hex(), where, name, *map(self._describe, args)]
-            )
-            self.digest.update(line.encode() + b"\n")
-            return method(obj, *args)
-
-        return wrapper
-
-    def __enter__(self) -> "OperationLog":
-        for cls, names in self.METHODS:
-            for name in names:
-                method = getattr(cls, name)
-                self._saved.append((cls, name, method))
-                setattr(cls, name, self._logged(name, method))
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        for cls, name, method in self._saved:
-            setattr(cls, name, method)
-
-
 def tapioca_cell(machine_name: str, workload_name: str, depth: int, placement: str):
     """Write then read one cell; returns the pinned observables."""
     machine, workload = build(machine_name, workload_name)
     config = TapiocaConfig(
         num_aggregators=4, buffer_size=1024, pipeline_depth=depth, placement=placement
     )
+    return round_trip(machine, workload, config, RANKS_PER_NODE)
+
+
+def round_trip(machine, workload, config: TapiocaConfig, ranks_per_node: int):
+    """Write then read ``workload`` under the log; returns the pinned observables."""
     with OperationLog() as log:
-        world = SimWorld(machine, ranks_per_node=RANKS_PER_NODE)
+        world = SimWorld(machine, ranks_per_node=ranks_per_node)
         writer = TapiocaIO(world, workload, config, path=PATH)
         written = world.run(writer.write_program())
-        world = SimWorld(machine, ranks_per_node=RANKS_PER_NODE)
+        world = SimWorld(machine, ranks_per_node=ranks_per_node)
         world.files = written.files
         reader = TapiocaIO(world, workload, config, path=PATH)
         read = world.run(reader.read_program())
@@ -139,6 +98,35 @@ def tapioca_cell(machine_name: str, workload_name: str, depth: int, placement: s
         readback_digest(read.returns),
         log.digest.hexdigest(),
     )
+
+
+def perfbench_scale_cell(
+    machine_name: str, workload_name: str, size: int, buffer_size: int, depth: int,
+    aggregators: int,
+):
+    """One round trip at 16 ranks per node, the density ``des_roundtrip`` runs.
+
+    ``machine_name`` is ``theta<nodes>`` or ``mira<nodes>`` (Psets of half
+    the nodes); ``size`` is particles per rank (HACC) or the transfer size
+    in bytes (IOR).
+    """
+    kind = machine_name.rstrip("0123456789")
+    nodes = int(machine_name[len(kind):])
+    if kind == "mira":
+        machine = MiraMachine(nodes, pset_size=nodes // 2)
+    else:
+        machine = ThetaMachine(nodes)
+    ranks = nodes * 16
+    if workload_name == "ior":
+        workload = IORWorkload(ranks, transfer_size=size)
+    else:
+        workload = HACCIOWorkload(
+            ranks, particles_per_rank=size, layout=workload_name.split("-")[1]
+        )
+    config = TapiocaConfig(
+        num_aggregators=aggregators, buffer_size=buffer_size, pipeline_depth=depth
+    )
+    return round_trip(machine, workload, config, 16)
 
 
 def two_phase_cell(machine_name: str, workload_name: str):
@@ -359,6 +347,39 @@ TWO_PHASE_PINS = {
     ),
 }
 
+#: (machine, workload, size, buffer size, pipeline depth, aggregators) ->
+#: the TAPIOCA_PINS observables, at 16 ranks per node.  The many idle ranks
+#: of each partition pass through most fences, so these cells pin the order
+#: in which bundled pass-through ranks arrive and resume.
+PERFBENCH_SCALE_PINS = {
+    ('theta8', 'hacc-soa', 500, 32768, 2, 4): (
+        '0x1.f8749eaf57e27p-4', '0x1.9cc252023c49fp-6',
+        (0, 32, 64, 96), (0, 32, 64, 96),
+        '153b325d6f62c74628c549a8b9fb264ed779ac3fcab3ba5b0095749ef4b3203c',
+        '18998a1240ea89a6b122d938852de4d07336f70a35093c4b313c735021f232d6',
+        '26dcdbd0f7f1571399d236f1ec7684da62092150baf41f20e2238e5b454ed0cb',
+    ),
+    ('mira16', 'ior', 65536, 32768, 1, 4): (
+        '0x1.277a456efa973p-2', '0x1.236e252bc6fa6p-3',
+        (0, 64, 128, 192), (0, 64, 128, 192),
+        '7ad245f72fcccebaeebaaf56884b4af2cb3ecd6e209fa9514e21b62beeb08533',
+        '7a31400a512cc4e71ad1b6c94c18a7f1284abee7a14aca455aca77f3a3c6ab66',
+        '96658c1deefa818adca343d03f53eff7e6f9c2863f8b7300a86621566581a803',
+    ),
+    ('theta16', 'hacc-aos', 200, 16384, 2, 8): (
+        '0x1.29e9563e056adp-3', '0x1.4656cbd0fdeb0p-6',
+        (0, 32, 64, 96, 128, 160, 192, 224), (0, 32, 64, 96, 128, 160, 192, 224),
+        '9ebf64da52b93c693d391f1190d00d6abd9ea7928ada8ba856842def4d345bff',
+        'fbbbc024d361c5aa31a1ae5e15cadb5600066f71f8a1ee6930a305af64866ac2',
+        '6cb4c5eb3cb9450e2cbb6b6da66b7a94ec51672b84553f2289e055dc69df9e1f',
+    ),
+}
+
+#: How many of perfbench's seed-1 ``des_roundtrip`` cells the suite replays
+#: against ``tests/reference/des_order.json`` (CI's "DES operation-order
+#: gate" replays all 72 of seeds 1 and 7).
+DES_ORDER_CELLS = 4
+
 
 @pytest.mark.parametrize("cell", sorted(TAPIOCA_PINS), ids="/".join)
 def test_tapioca_round_trip_is_pinned(cell):
@@ -369,6 +390,18 @@ def test_tapioca_round_trip_is_pinned(cell):
 @pytest.mark.parametrize("cell", sorted(TWO_PHASE_PINS), ids="/".join)
 def test_two_phase_round_trip_is_pinned(cell):
     assert two_phase_cell(*cell) == TWO_PHASE_PINS[cell]
+
+
+@pytest.mark.parametrize(
+    "cell", sorted(PERFBENCH_SCALE_PINS), ids=lambda cell: "/".join(map(str, cell))
+)
+def test_perfbench_scale_round_trip_is_pinned(cell):
+    assert perfbench_scale_cell(*cell) == PERFBENCH_SCALE_PINS[cell]
+
+
+def test_the_first_des_roundtrip_cells_keep_their_operation_order():
+    committed = committed_des_order()["1"]["cells"][:DES_ORDER_CELLS]
+    assert des_order_digests(1, DES_ORDER_CELLS) == committed
 
 
 def test_the_grid_is_complete():
@@ -384,6 +417,10 @@ if __name__ == "__main__":
                 for placement in PLACEMENTS:
                     key = (machine_name, workload_name, str(depth), placement)
                     print(f"    {key!r}: {tapioca_cell(machine_name, workload_name, depth, placement)!r},")
+    print("}")
+    print("PERFBENCH_SCALE_PINS = {")
+    for cell in PERFBENCH_SCALE_PINS:
+        print(f"    {cell!r}: {perfbench_scale_cell(*cell)!r},")
     print("}")
     print("TWO_PHASE_PINS = {")
     for machine_name in MACHINES:

@@ -78,12 +78,14 @@ class TestRequests:
 
     def test_completed_request(self, world):
         def program(ctx):
-            request = Request.completed(ctx.env, value="done")
+            request = ctx.world.open_file("/out/done.bin").iwrite_at(ctx.rank * 4, b"done")
+            assert not request.complete
+            yield ctx.env.timeout(1.0)
             assert request.complete
             value = yield from request.wait()
             return value
 
-        assert world.run(program).returns[0] == "done"
+        assert world.run(program).returns[0] == 4
 
 
 class TestSimMPIFile:
@@ -107,7 +109,7 @@ class TestSimMPIFile:
             handle = ctx.world.open_file("/out/nb.bin")
             request = handle.iwrite_at(ctx.rank * 8, bytes(8))
             # The request may not be complete immediately...
-            yield ctx.compute(0.0)
+            yield ctx.env.timeout(0.0)
             nbytes = yield from request.wait()
             return nbytes
 

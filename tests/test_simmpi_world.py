@@ -46,7 +46,7 @@ class TestConstruction:
         world = SimWorld(machine, ranks_per_node=2, mapping=mapping)
 
         def program(ctx):
-            nodes = yield from ctx.comm.allgather(ctx.comm.node)
+            nodes = yield from ctx.comm.allgather(ctx.node)
             return nodes
 
         result = world.run(program)
@@ -108,7 +108,7 @@ class TestExecution:
         world = SimWorld(MiraMachine(16, pset_size=16), ranks_per_node=1)
 
         def program(ctx, scale=1):
-            yield ctx.compute(0.0)
+            yield ctx.env.timeout(0.0)
             return ctx.rank * scale
 
         result = world.run(
@@ -123,7 +123,7 @@ class TestExecution:
         world = SimWorld(MiraMachine(16, pset_size=16), ranks_per_node=1)
 
         def program(ctx):
-            yield ctx.compute(0.001)
+            yield ctx.env.timeout(0.001)
             if ctx.rank == 3:
                 raise RuntimeError("injected failure")
             return "ok"
@@ -137,7 +137,7 @@ class TestExecution:
         world = SimWorld(MiraMachine(16, pset_size=16), ranks_per_node=1)
 
         def program(ctx):
-            yield ctx.compute(0.5)
+            yield ctx.env.timeout(0.5)
             return None
 
         result = world.run(program)
@@ -148,12 +148,12 @@ class TestExecution:
         world = SimWorld(MiraMachine(16, pset_size=16), ranks_per_node=2)
 
         def program(ctx):
-            yield ctx.compute(0.0)
+            yield ctx.env.timeout(0.0)
             return (
                 ctx.comm.rank,
                 ctx.comm.world_rank,
                 ctx.comm.size,
-                ctx.comm.node,
+                ctx.node,
                 ctx.comm.node_of(0),
             )
 

@@ -70,7 +70,7 @@ class TestRegistry:
     def test_open_creates(self):
         registry = SimFileRegistry()
         f = registry.open("/out/a.dat")
-        assert registry.exists("/out/a.dat")
+        assert registry.open("/out/a.dat", create=False) is f
         assert registry.open("/out/a.dat") is f
 
     def test_open_missing_without_create(self):
@@ -83,12 +83,6 @@ class TestRegistry:
         registry.open("/b").write(0, b"1234")
         registry.open("/a").write(0, b"12")
         assert registry.total_bytes() == 6
-
-    def test_delete(self):
-        registry = SimFileRegistry()
-        registry.open("/a")
-        registry.delete("/a")
-        assert not registry.exists("/a")
 
 
 class TestSimFileProperties:
